@@ -8,12 +8,14 @@ from repro.history.correlation import (
 from repro.history.fidelity import (
     CSRFidelityGraph,
     FidelityCacheService,
+    SparseRow,
     best_fidelity_row,
     best_fidelity_rows,
     edge_fidelity,
     get_fidelity_service,
     propagate_fidelity_scalar,
     set_fidelity_service,
+    sparse_fidelity_row,
 )
 from repro.history.incremental import (
     GraphDelta,
@@ -42,6 +44,7 @@ __all__ = [
     "IncrementalCoTrendStats",
     "MINUTES_PER_DAY",
     "RollingHistory",
+    "SparseRow",
     "TimeGrid",
     "best_fidelity_row",
     "best_fidelity_rows",
@@ -49,6 +52,7 @@ __all__ = [
     "get_fidelity_service",
     "propagate_fidelity_scalar",
     "set_fidelity_service",
+    "sparse_fidelity_row",
     "load_field",
     "load_graph",
     "load_store",

@@ -30,6 +30,7 @@ graph identity survive a re-mine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -131,6 +132,21 @@ class CorrelationGraph:
         """All edges, each reported once, in (u, v) key order."""
         for (u, v), p in sorted(self._weights.items()):
             yield CorrelationEdge(u, v, p)
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(road_u, road_v, agreement)`` arrays, one entry per edge.
+
+        ``road_u < road_v`` on every entry; the edge order is unspecified.
+        One pass over the weight map, without building edge objects.
+        """
+        count = len(self._weights)
+        ends = np.fromiter(
+            chain.from_iterable(self._weights), dtype=np.int64, count=2 * count
+        ).reshape(count, 2)
+        agreement = np.fromiter(
+            self._weights.values(), dtype=np.float64, count=count
+        )
+        return ends[:, 0], ends[:, 1], agreement
 
     def average_degree(self) -> float:
         if not self._road_ids:

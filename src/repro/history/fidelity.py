@@ -17,12 +17,14 @@ This module makes the structure first-class:
   *edge fidelities* ``q = max(0, 2p - 1)``, not raw agreements.
 * :func:`best_fidelity_row` — a vectorized multi-source-ready kernel:
   frontier-synchronous max-product relaxation over the CSR arrays,
-  pruned at ``min_fidelity`` and (optionally) ``max_hops``, returning a
-  dense per-seed fidelity row.  After ``h`` frontier rounds the row is
-  exactly the optimum over all paths of at most ``h`` hops, which is
-  the *sound* ``max_hops`` semantics (a weaker-but-shorter path is
-  never shadowed by a stronger-but-longer one, unlike single-label
-  Dijkstra pruning).
+  pruned at ``min_fidelity`` and (optionally) ``max_hops``.  After
+  ``h`` frontier rounds the row is exactly the optimum over all paths
+  of at most ``h`` hops, which is the *sound* ``max_hops`` semantics (a
+  weaker-but-shorter path is never shadowed by a stronger-but-longer
+  one, unlike single-label Dijkstra pruning).
+  :func:`sparse_fidelity_row` keeps only its support as a
+  :class:`SparseRow` — the one row form anything caches: influence is
+  local (pruned at the floor), so a row's support is its reach, not N.
 * :func:`propagate_fidelity_scalar` — the dict/heap scalar reference
   the kernel is differentially tested against (and the implementation
   behind :func:`repro.trend.propagation.propagate_fidelity`).
@@ -33,9 +35,10 @@ This module makes the structure first-class:
   clones and partitioned selection) and
   :class:`~repro.speed.estimator.TwoStepEstimator` all draw from one
   service, so a fidelity row computed by any stage is a cache hit for
-  every other stage.  Returned rows are read-only numpy views and
-  returned maps are :class:`types.MappingProxyType` views, so callers
-  cannot poison the cache by mutating results.
+  every other stage.  Rows are stored as read-only ``(indices,
+  values)`` pairs whose raw and transformed forms share one index
+  array; returned maps are :class:`types.MappingProxyType` views, so
+  callers cannot poison the cache by mutating results.
 
 Cache hits and misses flow into the existing :mod:`repro.obs` metrics
 as ``fidelity.cache`` counts (see ``docs/OBSERVABILITY.md``).
@@ -48,7 +51,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -112,25 +115,19 @@ class CSRFidelityGraph:
         road_ids = tuple(graph.road_ids)
         index = {road: i for i, road in enumerate(road_ids)}
         n = len(road_ids)
-        us: list[int] = []
-        vs: list[int] = []
-        qs: list[float] = []
-        for edge in graph.edges():
-            q = edge_fidelity(edge.agreement)
-            iu, iv = index[edge.road_u], index[edge.road_v]
-            us.append(iu)
-            vs.append(iv)
-            qs.append(q)
-            us.append(iv)
-            vs.append(iu)
-            qs.append(q)
-        u = np.asarray(us, dtype=np.int64)
-        v = np.asarray(vs, dtype=np.int64)
-        q_arr = np.asarray(qs, dtype=np.float64)
-        order = np.lexsort((v, u)) if u.size else np.empty(0, dtype=np.int64)
+        road_u, road_v, agreement = graph.edge_arrays()
+        positions = np.asarray(road_ids, dtype=np.int64)
+        iu = np.searchsorted(positions, road_u)
+        iv = np.searchsorted(positions, road_v)
+        # Elementwise edge_fidelity: the same IEEE operations, bitwise.
+        q = np.maximum(0.0, 2.0 * agreement - 1.0)
+        u = np.concatenate([iu, iv])
+        v = np.concatenate([iv, iu])
+        # (u, v) pairs are unique, so the sorted order is input-independent.
+        order = np.lexsort((v, u))
         indices = v[order]
-        data = q_arr[order]
-        counts = np.bincount(u, minlength=n) if u.size else np.zeros(n, np.int64)
+        data = np.concatenate([q, q])[order]
+        counts = np.bincount(u, minlength=n)
         indptr = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)]
         )
@@ -222,6 +219,43 @@ def best_fidelity_rows(
     )
 
 
+class SparseRow(NamedTuple):
+    """A read-only influence row over its support only.
+
+    ``indices`` are the sorted CSR positions whose influence is at or
+    above the fidelity floor (the source always included); ``values``
+    are the matching entries. Raw and transformed rows of one source
+    share the same ``indices`` array.
+    """
+
+    indices: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def frozen(cls, indices: np.ndarray, values: np.ndarray) -> "SparseRow":
+        indices.setflags(write=False)
+        values.setflags(write=False)
+        return cls(indices, values)
+
+    def dense(self, num_roads: int) -> np.ndarray:
+        """The N-length row (zeros off the support), freshly allocated."""
+        out = np.zeros(num_roads, dtype=np.float64)
+        out[self.indices] = self.values
+        return out
+
+
+def sparse_fidelity_row(
+    csr: CSRFidelityGraph,
+    source: int,
+    min_fidelity: float = 0.05,
+    max_hops: int | None = None,
+) -> SparseRow:
+    """:func:`best_fidelity_row` reduced to its support."""
+    best = best_fidelity_row(csr, source, min_fidelity, max_hops)
+    indices = np.flatnonzero(best)
+    return SparseRow.frozen(indices, best[indices])
+
+
 def propagate_fidelity_scalar(
     graph: CorrelationGraph,
     source: int,
@@ -293,31 +327,35 @@ def _scalar_bounded(
     return best
 
 
-def _transform_row(
-    row: np.ndarray, source: int, transform: str, support: np.ndarray
-) -> np.ndarray:
-    """Apply a row transform entry-by-entry on the support.
+def _transform_row(raw: SparseRow, source: int, transform: str) -> SparseRow:
+    """Transform a raw sparse row; the result shares ``raw.indices``.
 
-    The per-entry math intentionally uses :mod:`math` so transformed
-    values are bitwise identical to the scalar reference paths, keeping
-    the kernel/scalar differential byte-exact per entry.
+    One pass over the support with the per-entry :mod:`math`
+    expressions of the scalar reference paths, so transformed values
+    are bitwise identical to them (``np.sin`` differs from
+    ``math.sin`` in the last place on some inputs). ``source`` is the
+    row's own CSR position, always in the support; the ``"logodds"``
+    transform zeroes it in place rather than dropping it, which keeps
+    the index array shared.
     """
     if transform == "fidelity":
-        return row
-    out = np.zeros_like(row)
+        return raw
+    fidelities = raw.values.tolist()
     if transform == "variance":
-        for i in support:
-            out[i] = math.sin(math.pi * row[i] / 2.0) ** 2
-        return out
-    if transform == "logodds":
-        for i in support:
-            q = min(row[i], _LOGODDS_CLAMP)
-            out[i] = math.log((1.0 + q) / (1.0 - q))
-        out[source] = 0.0
-        return out
-    raise InferenceError(
-        f"unknown fidelity transform {transform!r}; choose from {ROW_TRANSFORMS}"
-    )
+        sin, pi = math.sin, math.pi
+        values = [sin(pi * q / 2.0) ** 2 for q in fidelities]
+    elif transform == "logodds":
+        log, clamp = math.log, _LOGODDS_CLAMP
+        values = [
+            log((1.0 + q) / (1.0 - q))
+            for q in (min(p, clamp) for p in fidelities)
+        ]
+        values[int(np.searchsorted(raw.indices, source))] = 0.0
+    else:
+        raise InferenceError(
+            f"unknown fidelity transform {transform!r}; choose from {ROW_TRANSFORMS}"
+        )
+    return SparseRow.frozen(raw.indices, np.array(values, dtype=np.float64))
 
 
 # ----------------------------------------------------------------------
@@ -328,11 +366,17 @@ class WeakRowListener:
 
     The process-default service outlives any one consumer; registering
     a bound method directly would keep every consumer ever built alive
-    through the listener list. Dead wrappers become no-ops.
+    through the listener list. Dead wrappers become no-ops, and the
+    service prunes them (see :attr:`dead`).
     """
 
     def __init__(self, method) -> None:
         self._ref = weakref.WeakMethod(method)
+
+    @property
+    def dead(self) -> bool:
+        """True once the owner has been garbage-collected."""
+        return self._ref() is None
 
     def __call__(self, graph, roads) -> None:
         method = self._ref()
@@ -355,16 +399,16 @@ class CacheStats:
 class _GraphEntry:
     """Everything cached for one correlation graph."""
 
-    __slots__ = ("csr", "rows", "maps", "stacked")
+    __slots__ = ("csr", "rows", "maps")
 
     def __init__(self) -> None:
         self.csr: CSRFidelityGraph | None = None
-        # (min_fidelity, max_hops, transform) -> {road -> read-only row}
-        self.rows: dict[tuple, dict[int, np.ndarray]] = {}
+        # (min_fidelity, max_hops, transform) -> {road -> SparseRow}.
+        # Invariant: every cached transformed row has its raw
+        # ("fidelity") sibling cached too, sharing its index array.
+        self.rows: dict[tuple, dict[int, SparseRow]] = {}
         # same key -> {road -> MappingProxyType}
         self.maps: dict[tuple, dict[int, Mapping[int, float]]] = {}
-        # (key, roads tuple) -> read-only (S, N) matrix
-        self.stacked: dict[tuple, np.ndarray] = {}
 
 
 class FidelityCacheService:
@@ -373,9 +417,11 @@ class FidelityCacheService:
     Caches are keyed by graph *identity* (weakly, so dropped graphs
     free their rows), fidelity floor, hop budget and transform — mining
     a new correlation graph or changing a floor can never serve stale
-    rows. ``use_kernel=False`` computes rows with the scalar reference
-    instead of the CSR kernel (identical results; used for differential
-    benchmarking) while still sharing this cache's bookkeeping.
+    rows. Rows are held as :class:`SparseRow` pairs only, so the cache
+    grows with total reach, not with N per source. ``use_kernel=False``
+    computes rows with the scalar reference instead of the CSR kernel
+    (identical results; used for differential benchmarking) while still
+    sharing this cache's bookkeeping.
     """
 
     def __init__(self, use_kernel: bool = True) -> None:
@@ -428,9 +474,19 @@ class FidelityCacheService:
         invalidation (which also fires these listeners — a coarse
         invalidation must never look *narrower* than a fine one).
         Incremental CELF re-selection registers here to learn which
-        candidates' cached gains are dirty.
+        candidates' cached gains are dirty. Dead
+        :class:`WeakRowListener` wrappers are pruned here and on every
+        dispatch, so short-lived consumers do not pile up.
         """
-        self._row_listeners.append(listener)
+        self._live_row_listeners().append(listener)
+
+    def _live_row_listeners(self) -> list:
+        self._row_listeners = [
+            listener
+            for listener in self._row_listeners
+            if not (isinstance(listener, WeakRowListener) and listener.dead)
+        ]
+        return self._row_listeners
 
     def invalidate(self, graph: CorrelationGraph | None = None) -> None:
         """Drop cached rows for ``graph`` (or everything)."""
@@ -441,17 +497,17 @@ class FidelityCacheService:
         get_recorder().count("fidelity.invalidations", scope="graph")
         for listener in list(self._listeners):
             listener(graph)
-        for listener in list(self._row_listeners):
+        for listener in list(self._live_row_listeners()):
             listener(graph, None)
 
     def invalidate_rows(self, graph: CorrelationGraph, roads) -> None:
         """Drop the cached influence rows of specific source roads.
 
-        Narrower than :meth:`invalidate`: only the dense rows, sparse
-        maps and stacked matrices derived from the given source roads
-        are dropped; every other road's cache survives. Row listeners
-        receive the sorted road tuple so dependents (incremental CELF)
-        can mark exactly those candidates dirty. Roads with nothing
+        Narrower than :meth:`invalidate`: only the sparse rows and maps
+        of the given source roads are dropped; every other road's cache
+        survives. Row listeners receive the sorted road tuple so
+        dependents (incremental CELF) can mark exactly those candidates
+        dirty. Roads with nothing
         cached are fine to name — invalidation is idempotent.
         """
         dropped = tuple(sorted(set(roads)))
@@ -459,22 +515,11 @@ class FidelityCacheService:
             return
         entry = self._graphs.get(graph)
         if entry is not None:
-            road_set = set(dropped)
-            for per_key in entry.rows.values():
+            for per_key in (*entry.rows.values(), *entry.maps.values()):
                 for road in dropped:
                     per_key.pop(road, None)
-            for per_key in entry.maps.values():
-                for road in dropped:
-                    per_key.pop(road, None)
-            stale = [
-                stacked_key
-                for stacked_key in entry.stacked
-                if road_set.intersection(stacked_key[1])
-            ]
-            for stacked_key in stale:
-                del entry.stacked[stacked_key]
         get_recorder().count("fidelity.invalidations", len(dropped), scope="rows")
-        for listener in list(self._row_listeners):
+        for listener in list(self._live_row_listeners()):
             listener(graph, dropped)
 
     def apply_graph_delta(self, graph: CorrelationGraph, delta) -> tuple[int, ...]:
@@ -485,9 +530,9 @@ class FidelityCacheService:
         cached best-fidelity row can only change if some changed edge
         lies on one of its (new or old) best paths, and any such path's
         prefix up to the *first* changed edge is an all-old-edges path
-        whose running product — never below the row's floor — makes the
-        old row nonzero at that edge's endpoint. So rows (and maps)
-        with zero support on every touched endpoint are provably
+        whose running product — never below the row's floor — puts that
+        edge's endpoint in the old row's support. So rows (and maps)
+        whose support misses every touched endpoint are provably
         unaffected and survive; the rest are dropped through
         :meth:`invalidate_rows`, which also tells row listeners
         (compiled plans, CELF gains, influence memos) exactly which
@@ -500,24 +545,20 @@ class FidelityCacheService:
         affected = set(touched)
         entry = self._graphs.get(graph)
         if entry is not None:
-            # CSR row positions follow the graph's sorted road-id order;
-            # recompute directly so a previously dropped CSR (entry.csr
-            # is None after an earlier delta) never forces a full flush.
-            order = {road: i for i, road in enumerate(graph.road_ids)}
-            positions = np.array(
-                sorted(order[r] for r in touched if r in order), dtype=np.int64
+            # CSR positions follow the graph's sorted road-id order, so
+            # the mask needs no CSR (entry.csr is None after an earlier
+            # delta, and rebuilding it here would be wasted work).
+            touched_mask = np.isin(
+                np.asarray(graph.road_ids, dtype=np.int64),
+                np.fromiter(touched, dtype=np.int64, count=len(touched)),
             )
-            for per_key in entry.rows.values():
+            # Transformed rows share their raw sibling's indices and
+            # maps derive from cached rows, so the raw rows decide all.
+            for (_, _, transform), per_key in entry.rows.items():
+                if transform != "fidelity":
+                    continue
                 for source, row in per_key.items():
-                    if source in affected:
-                        continue
-                    if positions.size and bool(np.any(row[positions] != 0.0)):
-                        affected.add(source)
-            for per_key in entry.maps.values():
-                for source, mapping in per_key.items():
-                    if source in affected:
-                        continue
-                    if any(road in mapping for road in touched):
+                    if source not in affected and touched_mask[row.indices].any():
                         affected.add(source)
             # The CSR arrays bake in the old edge weights; rebuild lazily.
             entry.csr = None
@@ -540,8 +581,12 @@ class FidelityCacheService:
         min_fidelity: float = 0.05,
         max_hops: int | None = None,
         transform: str = "fidelity",
-    ) -> np.ndarray:
-        """Dense influence row for ``road`` (read-only, CSR-ordered)."""
+    ) -> SparseRow:
+        """Influence row for ``road`` as a read-only :class:`SparseRow`.
+
+        ``indices`` are CSR positions (sorted road-id order); use
+        :meth:`SparseRow.dense` for the N-length form.
+        """
         key = self._key(min_fidelity, max_hops, transform)
         entry = self._entry(graph)
         per_key = entry.rows.get(key)
@@ -566,26 +611,18 @@ class FidelityCacheService:
         max_hops: int | None = None,
         transform: str = "fidelity",
     ) -> np.ndarray:
-        """Stacked ``(S, N)`` influence rows (read-only, cached per set)."""
-        key = self._key(min_fidelity, max_hops, transform)
-        entry = self._entry(graph)
-        stacked_key = (key, tuple(roads))
-        cached = entry.stacked.get(stacked_key)
-        if cached is not None:
-            self._hits += len(roads)
-            get_recorder().count("fidelity.cache", len(roads), hit="true")
-            return cached
-        if not roads:
-            matrix = np.zeros((0, self.csr(graph).num_roads), dtype=np.float64)
-        else:
-            matrix = np.stack(
-                [
-                    self.row(graph, r, min_fidelity, max_hops, transform)
-                    for r in roads
-                ]
-            )
+        """Stacked dense ``(S, N)`` rows, densified from the cached rows.
+
+        The one dense form, built per call and never cached: Step-1's
+        ``signs @ matrix`` vote product consumes it, and densifying
+        keeps that product bitwise equal to the dense-row
+        implementation. Read-only, like every returned row.
+        """
+        matrix = np.zeros((len(roads), self.csr(graph).num_roads), dtype=np.float64)
+        for i, road in enumerate(roads):
+            indices, values = self.row(graph, road, min_fidelity, max_hops, transform)
+            matrix[i, indices] = values
         matrix.setflags(write=False)
-        entry.stacked[stacked_key] = matrix
         return matrix
 
     def fidelity_map(
@@ -610,10 +647,14 @@ class FidelityCacheService:
         cached = per_key.get(road)
         if cached is not None:
             return cached
-        row = self.row(graph, road, min_fidelity, max_hops, transform)
+        indices, values = self.row(graph, road, min_fidelity, max_hops, transform)
         road_ids = self.csr(graph).road_ids
         proxy = MappingProxyType(
-            {road_ids[i]: float(row[i]) for i in np.flatnonzero(row)}
+            {
+                road_ids[i]: q
+                for i, q in zip(indices.tolist(), values.tolist())
+                if q != 0.0
+            }
         )
         per_key[road] = proxy
         return proxy
@@ -625,7 +666,7 @@ class FidelityCacheService:
         entry: _GraphEntry,
         road: int,
         key: tuple,
-    ) -> np.ndarray:
+    ) -> SparseRow:
         min_fidelity, max_hops, transform = key
         # Every transform of the same (graph, floor, hops) derives from
         # one cached raw propagation; the raw fetch below does not touch
@@ -634,10 +675,7 @@ class FidelityCacheService:
         raw = self._raw_row(graph, entry, road, min_fidelity, max_hops)
         if transform == "fidelity":
             return raw
-        csr = self.csr(graph)
-        out = _transform_row(raw, csr.index[road], transform, np.flatnonzero(raw))
-        out.setflags(write=False)
-        return out
+        return _transform_row(raw, self.csr(graph).index[road], transform)
 
     def _raw_row(
         self,
@@ -646,7 +684,7 @@ class FidelityCacheService:
         road: int,
         min_fidelity: float,
         max_hops: int | None,
-    ) -> np.ndarray:
+    ) -> SparseRow:
         key = (float(min_fidelity), max_hops, "fidelity")
         per_key = entry.rows.setdefault(key, {})
         cached = per_key.get(road)
@@ -657,13 +695,15 @@ class FidelityCacheService:
         if source is None:
             raise InferenceError(f"source road {road} not in correlation graph")
         if self.use_kernel:
-            row = best_fidelity_row(csr, source, min_fidelity, max_hops)
+            row = sparse_fidelity_row(csr, source, min_fidelity, max_hops)
         else:
             scalar = propagate_fidelity_scalar(graph, road, min_fidelity, max_hops)
-            row = np.zeros(csr.num_roads, dtype=np.float64)
-            for other, fidelity in scalar.items():
-                row[csr.index[other]] = fidelity
-        row.setflags(write=False)
+            positions = sorted(csr.index[other] for other in scalar)
+            row = SparseRow.frozen(
+                np.array(positions, dtype=np.int64),
+                np.array([scalar[csr.road_ids[i]] for i in positions]),
+            )
+        get_recorder().count("fidelity.row_nonzeros", row.indices.size)
         per_key[road] = row
         return row
 

@@ -23,13 +23,15 @@ downstream Step-2 regression error (verified in experiment F5). The
 itself.
 
 **Implementation.** Influence rows come from the shared
-:class:`~repro.history.fidelity.FidelityCacheService` as dense numpy
-arrays (one cache across selection, Step-1 inference and Step-2
-regression; clones and partitioned selection share it for free), so a
-marginal-gain query is one masked dot product and a seed addition is an
-index-array residual update. The original dict-walk implementation is
-the scalar reference behind ``use_kernel=False``; experiment F4 asserts
-both produce byte-identical greedy/CELF seed sequences.
+:class:`~repro.history.fidelity.FidelityCacheService` as sparse
+``(indices, values)`` rows (one cache across selection, Step-1
+inference and Step-2 regression; clones and partitioned selection
+share it for free), so a marginal-gain query is one dot product over
+the row's support and a seed addition is a residual update over the
+same support — both O(reach), independent of N. The original dict-walk
+implementation is the scalar reference behind ``use_kernel=False``;
+experiment F4 asserts both produce byte-identical greedy/CELF seed
+sequences.
 
 **Properties** (exploited by the greedy algorithms and property-tested
 in the suite):
@@ -54,6 +56,7 @@ from repro.core.errors import SelectionError
 from repro.history.correlation import CorrelationGraph
 from repro.history.fidelity import (
     FidelityCacheService,
+    SparseRow,
     WeakRowListener,
     get_fidelity_service,
 )
@@ -76,6 +79,10 @@ class CoverageState:
     def __init__(self, objective: "SeedSelectionObjective") -> None:
         self._objective = objective
         self.residual = np.ones(objective.num_roads)
+        # weights * residual entry for entry (the same IEEE products the
+        # gain would form), kept in step by the kernel path's add so a
+        # gain is one gather and one dot product over the support.
+        self._weighted = np.array(objective.weights, dtype=np.float64)
         self.seeds: list[int] = []
         self._selected: set[int] = set()
         self.value = 0.0
@@ -88,8 +95,8 @@ class CoverageState:
         if candidate not in objective.index:
             raise SelectionError(f"candidate {candidate} not in correlation graph")
         if objective.use_kernel:
-            row = objective.influence_row(candidate)
-            return float((objective.weights * self.residual) @ row)
+            indices, values = objective.influence_row(candidate)
+            return float(self._weighted[indices] @ values)
         gain = 0.0
         weights = objective.weights
         index = objective.index
@@ -109,9 +116,11 @@ class CoverageState:
             return gain
         objective = self._objective
         if objective.use_kernel:
-            row = objective.influence_row(seed)
-            support = np.flatnonzero(row)
-            self.residual[support] *= 1.0 - row[support]
+            indices, values = objective.influence_row(seed)
+            self.residual[indices] *= 1.0 - values
+            self._weighted[indices] = (
+                objective.weights[indices] * self.residual[indices]
+            )
         else:
             index = objective.index
             for road, q in objective.influence_map(seed).items():
@@ -172,7 +181,7 @@ class SeedSelectionObjective:
                 raise SelectionError("road weights must be non-negative")
         # Reference memos over the service cache (same arrays/views, no
         # second copy) so the CELF inner loop skips service bookkeeping.
-        self._row_memo: dict[int, np.ndarray] = {}
+        self._row_memo: dict[int, SparseRow] = {}
         self._map_memo: dict[int, Mapping[int, float]] = {}
         # Keep the memos honest without requiring a re-selector to be
         # bound: when the service drops rows (streaming graph deltas,
@@ -215,11 +224,12 @@ class SeedSelectionObjective:
     def min_fidelity(self) -> float:
         return self._min_fidelity
 
-    def influence_row(self, road: int) -> np.ndarray:
-        """Dense transformed influence row for ``road`` (read-only).
+    def influence_row(self, road: int) -> SparseRow:
+        """Sparse transformed influence row for ``road`` (read-only).
 
-        Indexed by :attr:`index` positions; entry ``index[road]`` is the
-        self-influence 1 and unreachable roads are 0.
+        ``indices`` are :attr:`index` positions of the roads ``road``
+        reaches (itself included, with self-influence 1); unreachable
+        roads are simply absent.
         """
         row = self._row_memo.get(road)
         if row is None:

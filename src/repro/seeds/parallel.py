@@ -13,11 +13,11 @@ runs them across a process pool:
 * Each worker rebuilds a :class:`~repro.history.fidelity.CSRFidelityGraph`
   view over the shared buffers and runs the *unchanged*
   :func:`~repro.seeds.lazy.lazy_greedy_select` against a duck-typed
-  objective that recomputes influence rows on demand (bounded LRU).
-  Because the kernel, the transform math and the weight construction are
-  byte-identical to the parent's, each district returns the **identical
-  seed sequence** the single-process path would have produced for that
-  chunk.
+  objective that computes sparse influence rows on demand and memoises
+  them for the duration of one district task. Because the kernel, the
+  transform math and the weight construction are byte-identical to the
+  parent's, each district returns the **identical seed sequence** the
+  single-process path would have produced for that chunk.
 * Stitching is deterministic: district results are concatenated in
   district order (the same order the serial loop uses), never in
   completion order, and the final global rescoring runs in the parent.
@@ -28,16 +28,21 @@ seeds' signed log-odds rows into one partial vote vector and the parent
 adds the partials in district order — exact up to float re-association
 (asserted ≤ 1e-9 against the serial kernel in the differential tests).
 
-Workers recompute rows instead of memoizing them all because dense rows
-at metropolitan scale are ~400 KB each; a bounded LRU keeps worker
-memory flat while the CELF access pattern (one initial scan, then
-re-evaluations clustered on recent picks) keeps the hit rate high.
+Rows are :class:`~repro.history.fidelity.SparseRow` pairs, so a row
+costs its reach, not N: a district task keeps every row it computes
+(each candidate's row is computed exactly once per task), and the
+vote path keeps a seed-keyed row memo for the pool's lifetime — warm
+rounds on the same seeds compute no rows at all. That memo is safe
+because the pool is bound to one CSR snapshot of the graph, and the
+system closes the pool whenever a graph delta changes it. Tasks report
+``rows_computed`` and ``nonzeros`` (total row support) alongside
+``evaluations``; the parent puts them on the ``seeds.parallel.select``
+span.
 """
 
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context, shared_memory
@@ -48,8 +53,9 @@ import numpy as np
 from repro.core.errors import InferenceError, SelectionError
 from repro.history.fidelity import (
     CSRFidelityGraph,
+    SparseRow,
     _transform_row,
-    best_fidelity_row,
+    sparse_fidelity_row,
 )
 from repro.obs import get_recorder
 from repro.seeds.greedy import SelectionResult, validate_budget
@@ -142,6 +148,8 @@ _worker_weights: np.ndarray | None = None
 _worker_min_fidelity: float = 0.05
 _worker_transform: str = "variance"
 _worker_segments: list[shared_memory.SharedMemory] = []
+# Seed road -> sparse log-odds row, for the pool's lifetime.
+_worker_vote_rows: dict[int, SparseRow] = {}
 
 
 def _attach(spec: _ArraySpec) -> np.ndarray:
@@ -183,6 +191,7 @@ def _init_worker(
     _worker_weights = _attach(specs["weights"])
     _worker_min_fidelity = float(min_fidelity)
     _worker_transform = transform
+    _worker_vote_rows.clear()
 
 
 class _SharedArrayObjective:
@@ -192,9 +201,10 @@ class _SharedArrayObjective:
     CoverageState` and :func:`~repro.seeds.lazy.lazy_greedy_select`
     touch (``num_roads``/``road_ids``/``index``/``weights``/
     ``use_kernel``/``influence_row``/``new_state``), with rows
-    recomputed from the shared arrays by the same kernel + transform
+    computed from the shared arrays by the same kernel + transform
     math the parent's cache service uses — so gains, tie-breaks and
     therefore seed sequences are bitwise identical to the parent's.
+    Built once per district task; its row memo lives exactly as long.
     """
 
     use_kernel = True
@@ -206,7 +216,6 @@ class _SharedArrayObjective:
         members: list[int],
         min_fidelity: float,
         transform: str,
-        row_cache: int = 256,
     ) -> None:
         self._csr = csr
         self.num_roads = csr.num_roads
@@ -218,33 +227,35 @@ class _SharedArrayObjective:
         self.weights = np.zeros(csr.num_roads, dtype=np.float64)
         positions = [csr.index[road] for road in members]
         self.weights[positions] = weights[positions]
-        self._row_cache: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._row_cache_size = row_cache
+        self._rows: dict[int, SparseRow] = {}
+        self.rows_computed = 0
+        self.nonzeros = 0
 
     @property
     def road_ids(self) -> list[int]:
         return list(self._csr.road_ids)
 
-    def influence_row(self, road: int) -> np.ndarray:
-        row = self._row_cache.get(road)
-        if row is not None:
-            self._row_cache.move_to_end(road)
-            return row
-        raw = best_fidelity_row(self._csr, self.index[road], self._min_fidelity)
-        row = _transform_row(
-            raw, self.index[road], self._transform, np.flatnonzero(raw)
-        )
-        if len(self._row_cache) >= self._row_cache_size:
-            self._row_cache.popitem(last=False)
-        self._row_cache[road] = row
+    def influence_row(self, road: int) -> SparseRow:
+        row = self._rows.get(road)
+        if row is None:
+            position = self.index[road]
+            raw = sparse_fidelity_row(self._csr, position, self._min_fidelity)
+            row = self._rows[road] = _transform_row(raw, position, self._transform)
+            self.rows_computed += 1
+            self.nonzeros += raw.indices.size
         return row
 
     def new_state(self) -> CoverageState:
         return CoverageState(self)
 
 
-def _select_chunk(task: tuple[list[int], int]) -> tuple[tuple[int, ...], int]:
-    """Worker task: CELF inside one district; returns (seeds, evaluations)."""
+def _select_chunk(
+    task: tuple[list[int], int]
+) -> tuple[tuple[int, ...], int, int, int]:
+    """Worker task: CELF inside one district.
+
+    Returns ``(seeds, evaluations, rows_computed, nonzeros)``.
+    """
     chunk, share = task
     assert _worker_csr is not None and _worker_weights is not None
     objective = _SharedArrayObjective(
@@ -255,7 +266,12 @@ def _select_chunk(task: tuple[list[int], int]) -> tuple[tuple[int, ...], int]:
         _worker_transform,
     )
     result = lazy_greedy_select(objective, share, candidates=chunk)  # type: ignore[arg-type]
-    return result.seeds, result.evaluations
+    return (
+        result.seeds,
+        result.evaluations,
+        objective.rows_computed,
+        objective.nonzeros,
+    )
 
 
 def _vote_chunk(
@@ -267,11 +283,14 @@ def _vote_chunk(
     votes = np.zeros(csr.num_roads, dtype=np.float64)
     nonzeros = 0
     for road, sign in pairs:
-        position = csr.index[road]
-        raw = best_fidelity_row(csr, position, _worker_min_fidelity)
-        row = _transform_row(raw, position, "logodds", np.flatnonzero(raw))
-        nonzeros += int(np.count_nonzero(row))
-        votes += sign * row
+        row = _worker_vote_rows.get(road)
+        if row is None:
+            position = csr.index[road]
+            raw = sparse_fidelity_row(csr, position, _worker_min_fidelity)
+            row = _worker_vote_rows[road] = _transform_row(raw, position, "logodds")
+        nonzeros += int(np.count_nonzero(row.values))
+        # Off the support a dense add would add +-0.0: a no-op here.
+        votes[row.indices] += sign * row.values
     return votes, nonzeros
 
 
@@ -359,12 +378,16 @@ class DistrictPool:
                 if share > 0
             ]
             seeds: list[int] = []
-            evaluations = 0
+            evaluations = rows_computed = nonzeros = 0
             # future order == district order == serial stitch order.
             for future in futures:
-                chunk_seeds, chunk_evaluations = future.result()
+                chunk_seeds, chunk_evaluations, chunk_rows, chunk_nonzeros = (
+                    future.result()
+                )
                 seeds.extend(chunk_seeds)
                 evaluations += chunk_evaluations
+                rows_computed += chunk_rows
+                nonzeros += chunk_nonzeros
 
             # Global rescoring in the parent, exactly as the serial path.
             state = self._objective.new_state()
@@ -373,7 +396,12 @@ class DistrictPool:
             for seed in seeds:
                 gains.append(state.add(seed))
                 values.append(state.value)
-            span.set(evaluations=evaluations, objective=round(state.value, 3))
+            span.set(
+                evaluations=evaluations,
+                rows_computed=rows_computed,
+                nonzeros=nonzeros,
+                objective=round(state.value, 3),
+            )
         return SelectionResult(
             method="partition-greedy-parallel",
             seeds=tuple(seeds),

@@ -23,11 +23,12 @@ small constant neighbourhood, making inference near-linear in the number
 of seeds and independent of total network size — which is exactly the
 scaling experiment F3 demonstrates.
 
-The hot path is fully vectorized: per-seed vote rows are served as
-dense ``log((1+q)/(1-q))`` arrays by the shared
+The hot path is fully vectorized: per-seed ``log((1+q)/(1-q))`` vote
+rows are served by the shared
 :class:`~repro.history.fidelity.FidelityCacheService` (one cache across
-inference, seed selection and Step-2 regression), and one interval's
-inference collapses to ``log_odds += signs @ vote_rows``. The original
+inference, seed selection and Step-2 regression) as a stacked dense
+matrix densified from its sparse rows, and one interval's inference
+collapses to ``log_odds += signs @ vote_rows``. The original
 dict/heap implementation stays available as the scalar reference
 (``use_kernel=False``) for differential testing — experiment F3 asserts
 the kernel path matches it to 1e-9 while being several times faster.

@@ -166,9 +166,12 @@ class TestService:
         row1 = service.row(graph, 0, min_fidelity=0.01)
         row2 = service.row(graph, 0, min_fidelity=0.01)
         assert row1 is row2
-        assert not row1.flags.writeable
+        assert not row1.indices.flags.writeable
+        assert not row1.values.flags.writeable
         with pytest.raises(ValueError):
-            row1[0] = 0.5
+            row1.values[0] = 0.5
+        with pytest.raises(ValueError):
+            row1.indices[0] = 2
         stats = service.stats()
         assert stats.misses == 1 and stats.hits == 1
 
@@ -183,10 +186,12 @@ class TestService:
     def test_keys_isolate_floor_hops_and_transform(self):
         service = FidelityCacheService()
         graph = line_graph([0.8, 0.8, 0.8])
-        loose = service.row(graph, 0, min_fidelity=0.01)
-        tight = service.row(graph, 0, min_fidelity=0.5)
-        bounded = service.row(graph, 0, min_fidelity=0.01, max_hops=1)
-        variance = service.row(graph, 0, min_fidelity=0.01, transform="variance")
+        loose = service.row(graph, 0, min_fidelity=0.01).dense(4)
+        tight = service.row(graph, 0, min_fidelity=0.5).dense(4)
+        bounded = service.row(graph, 0, min_fidelity=0.01, max_hops=1).dense(4)
+        variance = service.row(
+            graph, 0, min_fidelity=0.01, transform="variance"
+        ).dense(4)
         assert np.count_nonzero(loose) > np.count_nonzero(tight)
         assert np.count_nonzero(bounded) == 2
         assert variance[1] == pytest.approx(math.sin(math.pi * 0.6 / 2.0) ** 2)
@@ -196,7 +201,7 @@ class TestService:
     def test_logodds_transform_zeroes_source(self):
         service = FidelityCacheService()
         graph = line_graph([0.8])
-        row = service.row(graph, 0, min_fidelity=0.01, transform="logodds")
+        row = service.row(graph, 0, min_fidelity=0.01, transform="logodds").dense(2)
         assert row[0] == 0.0
         assert row[1] == pytest.approx(math.log(1.6 / 0.4))
 
@@ -216,7 +221,7 @@ class TestService:
         graph_b = line_graph([0.99])  # different object AND content
         row_a = service.row(graph_a, 0, min_fidelity=0.01)
         row_b = service.row(graph_b, 0, min_fidelity=0.01)
-        assert row_a[1] != row_b[1]
+        assert row_a.values[1] != row_b.values[1]
         assert service.stats().misses == 2
 
     def test_invalidate(self):
@@ -233,10 +238,10 @@ class TestService:
         kernel = FidelityCacheService(use_kernel=True)
         scalar = FidelityCacheService(use_kernel=False)
         for road in graph.road_ids:
-            assert np.array_equal(
-                kernel.row(graph, road, min_fidelity=0.01),
-                scalar.row(graph, road, min_fidelity=0.01),
-            )
+            kernel_row = kernel.row(graph, road, min_fidelity=0.01)
+            scalar_row = scalar.row(graph, road, min_fidelity=0.01)
+            assert np.array_equal(kernel_row.indices, scalar_row.indices)
+            assert np.array_equal(kernel_row.values, scalar_row.values)
 
     def test_default_service_swap(self):
         replacement = FidelityCacheService()
@@ -332,7 +337,9 @@ class TestCrossStageSharing:
         road = city.graph.road_ids[0]
         row = objective.influence_row(road)
         with pytest.raises(ValueError):
-            row[:] = 123.0
+            row.values[:] = 123.0
+        with pytest.raises(ValueError):
+            row.indices[:] = 0
         with pytest.raises(TypeError):
             objective.influence_map(road)[road] = 123.0
         inference = TrendPropagationInference(fidelity_service=shared)
