@@ -24,6 +24,7 @@ from repro.trend.bp import LoopyBeliefPropagation
 from repro.trend.gibbs import GibbsSamplingInference
 from repro.trend.model import TrendModel
 from repro.trend.propagation import TrendPropagationInference
+from tests.oracles import ScalarPropagationInference
 
 SIZES = (200, 500, 1000)
 
@@ -129,24 +130,20 @@ def test_f3_inference_efficiency(f3_results, report, benchmark):
 
 
 def test_f3_kernel_vs_scalar_differential(beijing, report):
-    """The CSR kernel matches the scalar reference and is >= 3x faster.
+    """The CSR kernel matches the scalar oracle and is >= 3x faster.
 
-    Differential guarantee behind ``use_fidelity_kernel``: on the
-    528-road synthetic-beijing network at K=5%, warm per-interval
-    posteriors from the vectorized path agree with the scalar dict-walk
-    reference to 1e-9, while the warm hot path runs at least 3x faster.
+    Production vs ``tests/oracles``: on the 528-road synthetic-beijing
+    network at K=5%, warm per-interval posteriors from the vectorized
+    path agree with the scalar dict-walk vote loop to 1e-9, while the
+    warm hot path runs at least 3x faster.
     """
     budget = budget_for(beijing, 5.0)
     seeds = list(
         lazy_greedy_select(SeedSelectionObjective(beijing.graph), budget).seeds
     )
     model = TrendModel(beijing.graph, beijing.store)
-    kernel = TrendPropagationInference(
-        fidelity_service=FidelityCacheService(), use_kernel=True
-    )
-    scalar = TrendPropagationInference(
-        fidelity_service=FidelityCacheService(use_kernel=False), use_kernel=False
-    )
+    kernel = TrendPropagationInference(fidelity_service=FidelityCacheService())
+    scalar = ScalarPropagationInference()
 
     intervals = beijing.test_day_intervals(stride=8)  # 12 intervals
     instances = []
@@ -197,7 +194,7 @@ def test_f3_kernel_vs_scalar_differential(beijing, report):
                  fmt_speedup(speedup)],
             ],
             title=(
-                "F3b: CSR kernel vs scalar reference "
+                "F3b: CSR kernel vs scalar oracle "
                 f"(synthetic-beijing, K={budget})"
             ),
         ),

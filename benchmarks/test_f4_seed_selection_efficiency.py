@@ -18,6 +18,7 @@ from repro.seeds.greedy import greedy_select
 from repro.seeds.lazy import lazy_greedy_select
 from repro.seeds.objective import SeedSelectionObjective
 from repro.seeds.partition import partition_greedy_select
+from tests.oracles import ScalarCoverageObjective
 
 K_PERCENTS = (2.0, 5.0, 10.0)
 
@@ -27,7 +28,7 @@ def f4_results(beijing):
     objective = SeedSelectionObjective(beijing.graph)
     # Warm the influence cache so timing isolates selection logic.
     for road in objective.road_ids:
-        objective.influence_map(road)
+        objective.influence_row(road)
 
     rows = []
     for percent in K_PERCENTS:
@@ -82,7 +83,7 @@ def test_f4_selection_efficiency(f4_results, beijing, report, benchmark):
 
     objective = SeedSelectionObjective(beijing.graph)
     for road in objective.road_ids:
-        objective.influence_map(road)
+        objective.influence_row(road)
     budget = budget_for(beijing, 5.0)
     benchmark(lambda: lazy_greedy_select(objective, budget))
 
@@ -90,23 +91,18 @@ def test_f4_selection_efficiency(f4_results, beijing, report, benchmark):
 def test_f4_kernel_vs_scalar_seed_sequences(beijing, report):
     """Greedy and CELF pick *byte-identical* seed sequences either way.
 
-    The differential guarantee for selection: the vectorized masked-dot
-    gain path and the scalar dict-walk reference produce exactly the
-    same seed orderings (not merely the same objective value) at every
-    budget, so flipping ``use_fidelity_kernel`` can never change which
-    roads get crowdsourced.
+    The differential guarantee for selection, production vs
+    ``tests/oracles``: the sparse-row gain path and the scalar dict-walk
+    oracle produce exactly the same seed orderings (not merely the same
+    objective value) at every budget.
     """
     kernel = SeedSelectionObjective(
-        beijing.graph, fidelity_service=FidelityCacheService(), use_kernel=True
+        beijing.graph, fidelity_service=FidelityCacheService()
     )
-    scalar = SeedSelectionObjective(
-        beijing.graph,
-        fidelity_service=FidelityCacheService(use_kernel=False),
-        use_kernel=False,
-    )
-    for objective in (kernel, scalar):  # warm both caches fully
-        for road in objective.road_ids:
-            objective.influence_row(road)
+    scalar = ScalarCoverageObjective(beijing.graph)
+    for road in kernel.road_ids:  # warm both caches fully
+        kernel.influence_row(road)
+        scalar.influence_map(road)
 
     rows = []
     for percent in K_PERCENTS:
@@ -154,6 +150,6 @@ def test_f4_kernel_vs_scalar_seed_sequences(beijing, report):
         format_table(
             ["budget", "algorithm", "kernel ms", "scalar ms", "speedup", "seeds"],
             rows,
-            title="F4b: selection with CSR kernel vs scalar reference",
+            title="F4b: selection with CSR kernel vs scalar oracle",
         ),
     )

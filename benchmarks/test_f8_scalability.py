@@ -14,13 +14,13 @@ from contextlib import contextmanager
 import pytest
 
 from benchmarks.conftest import _bench_registry
-from repro.core.config import PipelineConfig
 from repro.core.pipeline import SpeedEstimationSystem
 from repro.datasets.synthetic import scaled_dataset
 from repro.evalkit.reporting import fmt, fmt_speedup, format_table
 from repro.history.correlation import mine_correlation_graph
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
+from tests.oracles import ScalarTwoStep
 
 SIZES = (200, 500, 1000, 2000)
 
@@ -66,12 +66,7 @@ def f8_results():
         seeds = system.select_seeds(budget)
         select_s = time.perf_counter() - start
 
-        scalar_system = SpeedEstimationSystem.from_parts(
-            dataset.network,
-            dataset.store,
-            dataset.graph,
-            config=PipelineConfig(use_interval_plan=False),
-        )
+        scalar = ScalarTwoStep(dataset.store, dataset.graph, system.estimator.hlm)
 
         def per_interval_seconds(serve, dataset=dataset, seeds=seeds):
             intervals = dataset.test_day_intervals(stride=16)
@@ -92,7 +87,7 @@ def f8_results():
                 elapsed = time.perf_counter() - start
             return elapsed / max(1, len(rounds))
 
-        estimate_scalar_s = per_interval_seconds(scalar_system.estimate)
+        estimate_scalar_s = per_interval_seconds(scalar.estimate_interval)
         estimate_plan_s = per_interval_seconds(system.estimate)
 
         rows.append(
@@ -147,14 +142,14 @@ def test_f8_pipeline_scalability(f8_results, report, benchmark):
 
 
 def test_f8b_plan_vs_scalar_differential(report):
-    """Compiled plans match the scalar Step-2 path and are >= 10x faster.
+    """Compiled plans match the scalar Step-2 oracle and are >= 10x faster.
 
-    Differential guarantee behind ``use_interval_plan``: on the
-    2024-road scaled city at K=5%, warm per-interval estimates from the
-    vectorized plan path agree with the per-road scalar reference to
-    1e-9, the incremental cross-interval update path is bit-for-bit
-    identical to evaluating a freshly compiled plan, and the warm
-    serving path runs at least 10x faster end to end.
+    Production vs ``tests/oracles``: on the 2024-road scaled city at
+    K=5%, warm per-interval estimates from the vectorized plan path
+    agree with the per-road scalar oracle to 1e-9, the incremental
+    cross-interval update path is bit-for-bit identical to evaluating a
+    freshly compiled plan, and the warm serving path runs at least 10x
+    faster end to end.
     """
     dataset = scaled_dataset(2000, history_days=7)
     params = HlmParams()
@@ -164,14 +159,7 @@ def test_f8b_plan_vs_scalar_differential(report):
     plan_est = TwoStepEstimator(
         dataset.network, dataset.store, dataset.graph, hlm=hlm, hlm_params=params
     )
-    scalar_est = TwoStepEstimator(
-        dataset.network,
-        dataset.store,
-        dataset.graph,
-        hlm=hlm,
-        hlm_params=params,
-        use_plan=False,
-    )
+    scalar_est = ScalarTwoStep(dataset.store, dataset.graph, hlm)
     seeds = list(dataset.graph.road_ids)[::20][:101]  # ~5% budget
     intervals = dataset.test_day_intervals(stride=8)  # 12 intervals
     rounds = [
@@ -247,7 +235,7 @@ def test_f8b_plan_vs_scalar_differential(report):
                 ],
             ],
             title=(
-                "F8b: compiled interval plans vs scalar Step-2 "
+                "F8b: compiled interval plans vs scalar Step-2 oracle "
                 f"(2024 roads, K={len(seeds)}, "
                 f"plan cache {stats.hits} hits / {stats.misses} misses)"
             ),

@@ -440,7 +440,8 @@ def cmd_obs_record(
         raise SystemExit("error: --rounds must be >= 1")
     if not 0.0 <= hour < 24.0:
         raise SystemExit("error: --hour must be in [0, 24)")
-    from repro.crowd.health import CircuitBreaker, WorkerHealthTracker
+    from repro.core.breaker import CircuitBreaker
+    from repro.crowd.health import WorkerHealthTracker
     from repro.crowd.platform import CrowdsourcingPlatform
     from repro.crowd.workers import WorkerPool, WorkerPoolParams
     from repro.obs import FlightRecorder, recording, to_json, to_prometheus_text
@@ -530,7 +531,8 @@ def cmd_serve(
     from collections import Counter
 
     from repro.core.clock import ManualClock
-    from repro.crowd.health import CircuitBreaker, WorkerHealthTracker
+    from repro.core.breaker import CircuitBreaker
+    from repro.crowd.health import WorkerHealthTracker
     from repro.crowd.platform import CrowdsourcingPlatform
     from repro.crowd.workers import WorkerPool, WorkerPoolParams
     from repro.obs import (

@@ -20,8 +20,8 @@ The three verdicts callers report:
   transit before any worker saw it); a half-open probe it consumed is
   re-armed so the breaker cannot wedge.
 
-``repro.crowd.health`` re-exports these names for backward
-compatibility; new code should import from :mod:`repro.core.breaker`.
+The :mod:`repro.crowd` package facade re-exports both names; modules
+import them from here.
 """
 
 from __future__ import annotations

@@ -35,15 +35,6 @@ class PipelineConfig:
     selection_method: str = "lazy"
     inference_method: str = "propagation"
     num_partitions: int = 8
-    #: Use the vectorized CSR fidelity kernel (repro.history.fidelity)
-    #: for propagation inference and seed selection; False selects the
-    #: scalar reference paths for differential testing.
-    use_fidelity_kernel: bool = True
-    #: Serve Step-2 through compiled interval plans (repro.speed.plan):
-    #: one matrix-vector product + vectorized blend per interval. False
-    #: selects the per-road scalar reference path for differential
-    #: testing, mirroring use_fidelity_kernel.
-    use_interval_plan: bool = True
     #: Capacity of the interval-plan LRU (one entry per seed set x time
     #: bucket; 128 covers a full day of 15-minute buckets with room for
     #: a second seed set).
@@ -58,8 +49,9 @@ class PipelineConfig:
     num_partition_workers: int = 0
     #: Compile Step-2 interval plans per district (repro.speed.shardplan)
     #: instead of one monolithic structure: district shards are compiled
-    #: independently (across the plan-compile process pool when
-    #: num_partition_workers != 1), evaluated per district and stitched
+    #: independently (across the plan-compile process pool, with
+    #: num_partition_workers capped at the district count; one worker
+    #: compiles in-process), evaluated per district and stitched
     #: in district order — bitwise identical to the monolithic plan —
     #: and graph deltas recompile only the affected districts' shards.
     use_sharded_plan: bool = False
@@ -94,8 +86,3 @@ class PipelineConfig:
             raise ConfigError("plan_cache_size must be >= 1")
         if self.plan_shards < 0:
             raise ConfigError("plan_shards must be >= 0 (0 = num_partitions)")
-        if self.use_sharded_plan and not self.use_interval_plan:
-            raise ConfigError(
-                "use_sharded_plan requires use_interval_plan (sharding "
-                "compiles the interval-plan structures per district)"
-            )

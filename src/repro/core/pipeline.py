@@ -110,20 +110,13 @@ class SpeedEstimationSystem:
         graph: CorrelationGraph,
         config: PipelineConfig,
     ) -> None:
-        if config.use_parallel_partitions and not config.use_fidelity_kernel:
-            raise ConfigError(
-                "use_parallel_partitions requires use_fidelity_kernel "
-                "(district workers run the CSR kernel)"
-            )
         self._network = network
         self._store = store
         self._graph = graph
         self._config = config
         # One influence cache for the whole system: Step-1 inference,
         # seed selection and Step-2 regression all share fidelity rows.
-        self._fidelity = FidelityCacheService(
-            use_kernel=config.use_fidelity_kernel
-        )
+        self._fidelity = FidelityCacheService()
         # Compiled Step-2 serving plans live next to the fidelity cache
         # and are invalidated with it.
         self._plan_cache = IntervalPlanCache(
@@ -138,7 +131,6 @@ class SpeedEstimationSystem:
             hlm_params=config.hlm,
             fidelity_service=self._fidelity,
             plan_cache=self._plan_cache,
-            use_plan=config.use_interval_plan,
             planner_factory=(
                 self._make_sharded_planner if config.use_sharded_plan else None
             ),
@@ -147,7 +139,6 @@ class SpeedEstimationSystem:
             graph,
             min_fidelity=config.hlm.min_fidelity,
             fidelity_service=self._fidelity,
-            use_kernel=config.use_fidelity_kernel,
         )
         self._seeds: list[int] = []
         self._selection: SelectionResult | None = None
@@ -207,7 +198,6 @@ class SpeedEstimationSystem:
             return TrendPropagationInference(
                 min_fidelity=config.hlm.min_fidelity,
                 fidelity_service=fidelity,
-                use_kernel=config.use_fidelity_kernel,
             )
         if config.inference_method == "bp":
             return LoopyBeliefPropagation()
@@ -345,9 +335,10 @@ class SpeedEstimationSystem:
         Districts come from the same deterministic
         :func:`~repro.seeds.partition.partition_graph` the selection
         path uses (``plan_shards`` districts, defaulting to
-        ``num_partitions``). With ``num_partition_workers != 1`` the
-        district compiles run across a :class:`~repro.speed.shardplan.
-        PlanCompilePool` owned by this system; exactly one worker keeps
+        ``num_partitions``). The district compiles run across a
+        :class:`~repro.speed.shardplan.PlanCompilePool` owned by this
+        system, with ``num_partition_workers`` workers (0 = one per CPU)
+        capped at the district count; exactly one worker keeps
         compilation in-process through the identical sharded code path.
         """
         from repro.seeds.partition import partition_graph
@@ -355,7 +346,12 @@ class SpeedEstimationSystem:
 
         shards = self._config.plan_shards or self._config.num_partitions
         partitions = partition_graph(self._objective, shards)
-        workers = self._config.num_partition_workers or (os.cpu_count() or 1)
+        # Like DistrictPool: a worker beyond the district count never
+        # receives a task.
+        workers = min(
+            self._config.num_partition_workers or (os.cpu_count() or 1),
+            len(partitions),
+        )
         if workers != 1 and self._plan_pool is None:
             self._plan_pool = PlanCompilePool(hlm, store, num_workers=workers)
         return ShardedIntervalPlanner(

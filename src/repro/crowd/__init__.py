@@ -6,13 +6,8 @@ from repro.crowd.aggregation import (
     mean_aggregate,
     median_aggregate,
 )
-from repro.crowd.health import (
-    BreakerState,
-    CircuitBreaker,
-    WorkerHealth,
-    WorkerHealthTracker,
-    mad_outlier_mask,
-)
+from repro.core.breaker import BreakerState, CircuitBreaker
+from repro.crowd.health import WorkerHealth, WorkerHealthTracker, mad_outlier_mask
 from repro.crowd.platform import CrowdRound, CrowdsourcingPlatform, SpeedQueryTask
 from repro.crowd.report import RoundReport, TaskOutcome, TaskStatus
 from repro.crowd.scheduler import AdaptiveBudgetScheduler, RoundPlan

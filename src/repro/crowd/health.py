@@ -1,22 +1,18 @@
-"""Worker reputation tracking and the platform circuit breaker.
+"""Worker reputation tracking, one of two defences against a bad crowd.
 
-Two defences against a misbehaving crowd:
+:class:`WorkerHealthTracker` keeps per-worker response and MAD-outlier
+rates and **quarantines** chronic non-responders and spammers once they
+have enough history to be judged. The platform excludes quarantined
+workers from task assignment (falling back to the full pool if
+quarantine would starve a draw — availability beats purity).
 
-* :class:`WorkerHealthTracker` keeps per-worker response and MAD-outlier
-  rates and **quarantines** chronic non-responders and spammers once
-  they have enough history to be judged. The platform excludes
-  quarantined workers from task assignment (falling back to the full
-  pool if quarantine would starve a draw — availability beats purity).
-* :class:`CircuitBreaker` protects a round against platform-wide outage:
-  after ``failure_threshold`` consecutive tasks with zero answers it
-  *opens* and the remaining tasks of the round are skipped unpaid
-  instead of burning the full retry budget each. The next round it goes
-  *half-open*: one probe task is posted, and its outcome decides
-  whether the breaker closes again or re-opens.
-
-The breaker now lives in :mod:`repro.core.breaker` (the serving layer
-uses the same machinery); this module re-exports it unchanged for
-backward compatibility.
+The other defence is :class:`~repro.core.breaker.CircuitBreaker`
+(shared with the serving layer), which protects a round against
+platform-wide outage: after ``failure_threshold`` consecutive tasks
+with zero answers it *opens* and the remaining tasks of the round are
+skipped unpaid instead of burning the full retry budget each. The next
+round it goes *half-open*: one probe task is posted, and its outcome
+decides whether the breaker closes again or re-opens.
 """
 
 from __future__ import annotations
@@ -25,12 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.breaker import BreakerState, CircuitBreaker
 from repro.core.errors import CrowdsourcingError
 
 __all__ = [
-    "BreakerState",
-    "CircuitBreaker",
     "WorkerHealth",
     "WorkerHealthTracker",
     "mad_outlier_mask",

@@ -13,7 +13,7 @@ every task. This is the layer that turns "true speeds of the K seeds"
 The round lifecycle is deliberately non-aborting: a task whose retry
 budget runs out is recorded as failed and the round continues, so one
 unanswered task can never sink a whole round. A
-:class:`~repro.crowd.health.CircuitBreaker` stops paying for tasks
+:class:`~repro.core.breaker.CircuitBreaker` stops paying for tasks
 during a platform-wide outage, and an optional
 :class:`~repro.crowd.health.WorkerHealthTracker` quarantines chronic
 non-responders and spammers from future assignment.
@@ -28,15 +28,11 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from repro.core.breaker import BreakerState, CircuitBreaker
 from repro.core.errors import CrowdsourcingError
 from repro.core.types import CrowdAnswer
 from repro.crowd.aggregation import mad_filtered_mean
-from repro.crowd.health import (
-    BreakerState,
-    CircuitBreaker,
-    WorkerHealthTracker,
-    mad_outlier_mask,
-)
+from repro.crowd.health import WorkerHealthTracker, mad_outlier_mask
 from repro.crowd.report import RoundReport, TaskOutcome, TaskStatus
 from repro.crowd.workers import WorkerPool
 from repro.obs import get_recorder

@@ -13,7 +13,6 @@ from repro.history.fidelity import (
     best_fidelity_rows,
     edge_fidelity,
     get_fidelity_service,
-    propagate_fidelity_scalar,
     set_fidelity_service,
     sparse_fidelity_row,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "best_fidelity_rows",
     "edge_fidelity",
     "get_fidelity_service",
-    "propagate_fidelity_scalar",
     "set_fidelity_service",
     "sparse_fidelity_row",
     "load_field",

@@ -25,9 +25,8 @@ This module makes the structure first-class:
   :func:`sparse_fidelity_row` keeps only its support as a
   :class:`SparseRow` — the one row form anything caches: influence is
   local (pruned at the floor), so a row's support is its reach, not N.
-* :func:`propagate_fidelity_scalar` — the dict/heap scalar reference
-  the kernel is differentially tested against (and the implementation
-  behind :func:`repro.trend.propagation.propagate_fidelity`).
+  Rows are bitwise equal to the dict/heap reference in
+  ``tests/oracles/fidelity.py``, which the test suite checks.
 * :class:`FidelityCacheService` — the single shared cache keyed by
   graph identity (weakly), fidelity floor, hop budget and transform.
   :class:`~repro.trend.propagation.TrendPropagationInference`,
@@ -46,7 +45,6 @@ as ``fidelity.cache`` counts (see ``docs/OBSERVABILITY.md``).
 
 from __future__ import annotations
 
-import heapq
 import math
 import weakref
 from dataclasses import dataclass
@@ -70,7 +68,7 @@ from repro.obs import get_recorder
 ROW_TRANSFORMS = ("fidelity", "variance", "logodds")
 
 #: Clamp applied to ``q`` before the log-odds vote, matching the
-#: scalar inference path exactly.
+#: scalar vote reference exactly.
 _LOGODDS_CLAMP = 1.0 - 1e-9
 
 
@@ -256,82 +254,11 @@ def sparse_fidelity_row(
     return SparseRow.frozen(indices, best[indices])
 
 
-def propagate_fidelity_scalar(
-    graph: CorrelationGraph,
-    source: int,
-    min_fidelity: float = 0.05,
-    max_hops: int | None = None,
-) -> dict[int, float]:
-    """Scalar (dict/heap) reference for best-path fidelity propagation.
-
-    Semantically identical to :func:`best_fidelity_row` (and kept for
-    differential testing): without a hop budget it is a pruned
-    max-product Dijkstra; with one it is the same frontier-synchronous
-    relaxation in dict form, because single-label Dijkstra cannot bound
-    hops soundly — a weaker-but-shorter path must survive alongside a
-    stronger-but-longer one.
-    """
-    if not graph.has_road(source):
-        raise InferenceError(f"source road {source} not in correlation graph")
-    _validate(min_fidelity)
-    if max_hops is not None:
-        return _scalar_bounded(graph, source, min_fidelity, max_hops)
-
-    best: dict[int, float] = {source: 1.0}
-    # Max-heap via negated fidelity.
-    heap: list[tuple[float, int]] = [(-1.0, source)]
-    while heap:
-        neg_fid, road = heapq.heappop(heap)
-        fidelity = -neg_fid
-        if fidelity < best.get(road, 0.0):
-            continue
-        for edge in graph.neighbours(road):
-            other = edge.other(road)
-            candidate = fidelity * edge_fidelity(edge.agreement)
-            if candidate < min_fidelity:
-                continue
-            if candidate > best.get(other, 0.0):
-                best[other] = candidate
-                heapq.heappush(heap, (-candidate, other))
-    return best
-
-
-def _scalar_bounded(
-    graph: CorrelationGraph, source: int, min_fidelity: float, max_hops: int
-) -> dict[int, float]:
-    """Hop-bounded best fidelity: synchronous layered relaxation.
-
-    After layer ``h``, ``best`` is the optimum over paths of <= ``h``
-    hops — the candidate path's own hop count is what gets bounded, so
-    a road reachable only through a short weak path is never dropped
-    because a longer strong path reached it first.
-    """
-    best: dict[int, float] = {source: 1.0}
-    frontier: dict[int, float] = {source: 1.0}
-    for _ in range(max_hops):
-        improved: dict[int, float] = {}
-        for road, fidelity in frontier.items():
-            for edge in graph.neighbours(road):
-                other = edge.other(road)
-                candidate = fidelity * edge_fidelity(edge.agreement)
-                if candidate < min_fidelity:
-                    continue
-                if candidate > best.get(other, 0.0) and candidate > improved.get(
-                    other, 0.0
-                ):
-                    improved[other] = candidate
-        if not improved:
-            break
-        best.update(improved)
-        frontier = improved
-    return best
-
-
 def _transform_row(raw: SparseRow, source: int, transform: str) -> SparseRow:
     """Transform a raw sparse row; the result shares ``raw.indices``.
 
     One pass over the support with the per-entry :mod:`math`
-    expressions of the scalar reference paths, so transformed values
+    expressions of the scalar oracles in ``tests/oracles``, so values
     are bitwise identical to them (``np.sin`` differs from
     ``math.sin`` in the last place on some inputs). ``source`` is the
     row's own CSR position, always in the support; the ``"logodds"``
@@ -418,14 +345,10 @@ class FidelityCacheService:
     free their rows), fidelity floor, hop budget and transform — mining
     a new correlation graph or changing a floor can never serve stale
     rows. Rows are held as :class:`SparseRow` pairs only, so the cache
-    grows with total reach, not with N per source. ``use_kernel=False``
-    computes rows with the scalar reference instead of the CSR kernel
-    (identical results; used for differential benchmarking) while still
-    sharing this cache's bookkeeping.
+    grows with total reach, not with N per source.
     """
 
-    def __init__(self, use_kernel: bool = True) -> None:
-        self.use_kernel = use_kernel
+    def __init__(self) -> None:
         self._graphs: "weakref.WeakKeyDictionary[CorrelationGraph, _GraphEntry]" = (
             weakref.WeakKeyDictionary()
         )
@@ -694,15 +617,7 @@ class FidelityCacheService:
         source = csr.index.get(road)
         if source is None:
             raise InferenceError(f"source road {road} not in correlation graph")
-        if self.use_kernel:
-            row = sparse_fidelity_row(csr, source, min_fidelity, max_hops)
-        else:
-            scalar = propagate_fidelity_scalar(graph, road, min_fidelity, max_hops)
-            positions = sorted(csr.index[other] for other in scalar)
-            row = SparseRow.frozen(
-                np.array(positions, dtype=np.int64),
-                np.array([scalar[csr.road_ids[i]] for i in positions]),
-            )
+        row = sparse_fidelity_row(csr, source, min_fidelity, max_hops)
         get_recorder().count("fidelity.row_nonzeros", row.indices.size)
         per_key[road] = row
         return row

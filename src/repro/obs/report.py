@@ -55,7 +55,7 @@ STAGE_COLUMNS: tuple[tuple[str, str], ...] = (
     ("seeds.select", "seeds ms"),
     ("crowd.round", "crowd ms"),
     ("trend.infer", "trend ms"),
-    ("speed.solve", "solve ms"),
+    ("speed.solve_vectorized", "solve ms"),
 )
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from repro.core.errors import SelectionError
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
-from repro.trend.propagation import edge_fidelity, propagate_fidelity
+from repro.history.fidelity import edge_fidelity, get_fidelity_service
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,10 @@ def covers_all_elements(
     instance: SeedSelectionHardnessInstance, seeds: tuple[int, ...]
 ) -> bool:
     """Whether every element road has influence ≥ θ from ``seeds``."""
+    service = get_fidelity_service()
     best: dict[int, float] = {}
     for seed in seeds:
-        for road, fidelity in propagate_fidelity(
+        for road, fidelity in service.fidelity_map(
             instance.graph, seed, min_fidelity=instance.min_fidelity
         ).items():
             if fidelity > best.get(road, 0.0):

@@ -29,9 +29,9 @@ inference and Step-2 regression; clones and partitioned selection
 share it for free), so a marginal-gain query is one dot product over
 the row's support and a seed addition is a residual update over the
 same support — both O(reach), independent of N. The original dict-walk
-implementation is the scalar reference behind ``use_kernel=False``;
-experiment F4 asserts both produce byte-identical greedy/CELF seed
-sequences.
+implementation lives on as a test oracle
+(``tests/oracles/objective.py``); experiment F4 asserts both produce
+byte-identical greedy/CELF seed sequences.
 
 **Properties** (exploited by the greedy algorithms and property-tested
 in the suite):
@@ -48,7 +48,7 @@ reduction from Set Cover.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -80,8 +80,8 @@ class CoverageState:
         self._objective = objective
         self.residual = np.ones(objective.num_roads)
         # weights * residual entry for entry (the same IEEE products the
-        # gain would form), kept in step by the kernel path's add so a
-        # gain is one gather and one dot product over the support.
+        # gain would form), kept in step by add so a gain is one gather
+        # and one dot product over the support.
         self._weighted = np.array(objective.weights, dtype=np.float64)
         self.seeds: list[int] = []
         self._selected: set[int] = set()
@@ -94,16 +94,8 @@ class CoverageState:
         objective = self._objective
         if candidate not in objective.index:
             raise SelectionError(f"candidate {candidate} not in correlation graph")
-        if objective.use_kernel:
-            indices, values = objective.influence_row(candidate)
-            return float(self._weighted[indices] @ values)
-        gain = 0.0
-        weights = objective.weights
-        index = objective.index
-        for road, q in objective.influence_map(candidate).items():
-            i = index[road]
-            gain += weights[i] * self.residual[i] * q
-        return gain
+        indices, values = objective.influence_row(candidate)
+        return float(self._weighted[indices] @ values)
 
     def add(self, seed: int) -> float:
         """Add a seed; returns its realised marginal gain.
@@ -115,16 +107,9 @@ class CoverageState:
         if seed in self._selected:
             return gain
         objective = self._objective
-        if objective.use_kernel:
-            indices, values = objective.influence_row(seed)
-            self.residual[indices] *= 1.0 - values
-            self._weighted[indices] = (
-                objective.weights[indices] * self.residual[indices]
-            )
-        else:
-            index = objective.index
-            for road, q in objective.influence_map(seed).items():
-                self.residual[index[road]] *= 1.0 - q
+        indices, values = objective.influence_row(seed)
+        self.residual[indices] *= 1.0 - values
+        self._weighted[indices] = objective.weights[indices] * self.residual[indices]
         self.seeds.append(seed)
         self._selected.add(seed)
         self.value += gain
@@ -138,9 +123,7 @@ class SeedSelectionObjective:
     inference); ``road_weights`` defaults to uniform. A road always
     covers itself with fidelity 1, so Q(S) ≥ Σ_{u∈S} w_u.
     ``fidelity_service`` is the shared cross-stage influence cache
-    (defaults to the process-wide service); ``use_kernel=False``
-    switches the coverage state to the scalar dict-walk reference for
-    differential testing.
+    (defaults to the process-wide service).
     """
 
     def __init__(
@@ -150,7 +133,6 @@ class SeedSelectionObjective:
         road_weights: dict[int, float] | None = None,
         transform: str = "variance",
         fidelity_service: FidelityCacheService | None = None,
-        use_kernel: bool = True,
     ) -> None:
         if transform not in INFLUENCE_TRANSFORMS:
             raise SelectionError(
@@ -161,7 +143,6 @@ class SeedSelectionObjective:
         self._min_fidelity = min_fidelity
         self._transform = transform
         self._service = fidelity_service or get_fidelity_service()
-        self.use_kernel = use_kernel
         # Influence rows are CSR-ordered; the objective adopts the same
         # (sorted road id) order so rows need no re-indexing.
         self._road_ids = list(self._service.csr(graph).road_ids)
@@ -179,11 +160,10 @@ class SeedSelectionObjective:
             )
             if np.any(self.weights < 0):
                 raise SelectionError("road weights must be non-negative")
-        # Reference memos over the service cache (same arrays/views, no
-        # second copy) so the CELF inner loop skips service bookkeeping.
+        # A reference memo over the service cache (same arrays, no second
+        # copy) so the CELF inner loop skips service bookkeeping.
         self._row_memo: dict[int, SparseRow] = {}
-        self._map_memo: dict[int, Mapping[int, float]] = {}
-        # Keep the memos honest without requiring a re-selector to be
+        # Keep the memo honest without requiring a re-selector to be
         # bound: when the service drops rows (streaming graph deltas,
         # targeted evictions), the matching memo entries go too.
         self._service.add_row_invalidation_listener(
@@ -242,39 +222,20 @@ class SeedSelectionObjective:
             self._row_memo[road] = row
         return row
 
-    def influence_map(self, road: int) -> Mapping[int, float]:
-        """road -> transformed influence from ``road`` (cached, incl. itself).
-
-        A read-only mapping view over the shared cache — mutating it is
-        a ``TypeError``, which is what keeps the cache unpoisonable.
-        """
-        mapping = self._map_memo.get(road)
-        if mapping is None:
-            mapping = self._service.fidelity_map(
-                self._graph,
-                road,
-                min_fidelity=self._min_fidelity,
-                transform=self._transform,
-            )
-            self._map_memo[road] = mapping
-        return mapping
-
     def evict_rows(self, roads: Iterable[int] | None = None) -> None:
-        """Drop memoized influence rows/maps (all, or specific sources).
+        """Drop memoized influence rows (all, or specific sources).
 
-        The memos are reference views over the shared service cache;
-        when the service invalidates rows (see
+        The memo holds references into the shared service cache; when
+        the service invalidates rows (see
         :meth:`~repro.history.fidelity.FidelityCacheService.
         invalidate_rows`) the corresponding memo entries must go too,
         or the objective would keep serving the dropped rows forever.
         """
         if roads is None:
             self._row_memo.clear()
-            self._map_memo.clear()
             return
         for road in roads:
             self._row_memo.pop(road, None)
-            self._map_memo.pop(road, None)
 
     def clone_with_weights(
         self, road_weights: dict[int, float]
@@ -291,7 +252,6 @@ class SeedSelectionObjective:
             road_weights=road_weights,
             transform=self._transform,
             fidelity_service=self._service,
-            use_kernel=self.use_kernel,
         )
 
     def new_state(self) -> CoverageState:

@@ -44,13 +44,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from multiprocessing import get_context, shared_memory
-from typing import Mapping
+from multiprocessing import get_context
 
 import numpy as np
 
 from repro.core.errors import InferenceError, SelectionError
+from repro.core.shm import SharedArrayExport, attach_shared_array
 from repro.history.fidelity import (
     CSRFidelityGraph,
     SparseRow,
@@ -63,68 +62,12 @@ from repro.seeds.lazy import lazy_greedy_select
 from repro.seeds.objective import CoverageState, SeedSelectionObjective
 from repro.seeds.partition import allocate_budget, partition_graph
 
-__all__ = [
-    "DistrictPool",
-    "SharedArrayExport",
-    "attach_shared_array",
-    "parallel_partition_select",
-]
+__all__ = ["DistrictPool", "parallel_partition_select"]
 
 
 # ----------------------------------------------------------------------
 # Shared-memory export
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _ArraySpec:
-    """Address of one read-only array in shared memory."""
-
-    name: str
-    shape: tuple[int, ...]
-    dtype: str
-
-
-class SharedArrayExport:
-    """Named read-only numpy arrays published once to shared memory.
-
-    The generic half of the worker plumbing: any pool that ships large
-    read-only arrays to spawn workers (district selection here, sharded
-    plan compilation in :mod:`repro.speed.shardplan`) publishes them
-    through one of these and hands ``specs`` to the pool initializer.
-    Owns the shared-memory segments: :meth:`close` both closes and
-    unlinks them (workers keep their own mappings alive until exit).
-    """
-
-    def __init__(self, arrays: Mapping[str, np.ndarray]) -> None:
-        self._segments: list[shared_memory.SharedMemory] = []
-        self.specs: dict[str, _ArraySpec] = {}
-        try:
-            for field, source in arrays.items():
-                array = np.ascontiguousarray(source)
-                segment = shared_memory.SharedMemory(
-                    create=True, size=max(1, array.nbytes)
-                )
-                self._segments.append(segment)
-                view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-                view[...] = array
-                del view
-                self.specs[field] = _ArraySpec(
-                    segment.name, tuple(array.shape), array.dtype.str
-                )
-        except BaseException:
-            self.close()
-            raise
-        self.nbytes = sum(segment.size for segment in self._segments)
-
-    def close(self) -> None:
-        for segment in self._segments:
-            try:
-                segment.close()
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
-        self._segments = []
-
-
 class _SharedGraphExport(SharedArrayExport):
     """The CSR fidelity arrays + road ids + weights, published once."""
 
@@ -147,48 +90,22 @@ _worker_csr: CSRFidelityGraph | None = None
 _worker_weights: np.ndarray | None = None
 _worker_min_fidelity: float = 0.05
 _worker_transform: str = "variance"
-_worker_segments: list[shared_memory.SharedMemory] = []
 # Seed road -> sparse log-odds row, for the pool's lifetime.
 _worker_vote_rows: dict[int, SparseRow] = {}
 
 
-def _attach(spec: _ArraySpec) -> np.ndarray:
-    # Workers attach by name; the parent owns creation and unlinking.
-    # The resource tracker is shared with the parent under spawn, so
-    # the attach-side registration is a set-level no-op there.
-    segment = shared_memory.SharedMemory(name=spec.name)
-    _worker_segments.append(segment)
-    array: np.ndarray = np.ndarray(
-        spec.shape, dtype=np.dtype(spec.dtype), buffer=segment.buf
-    )
-    array.setflags(write=False)
-    return array
-
-
-def attach_shared_array(spec: _ArraySpec) -> np.ndarray:
-    """Worker-side attach to one exported array (read-only view).
-
-    Public alias of the internal attach helper so other pools (the
-    plan-compile pool in :mod:`repro.speed.shardplan`) can reuse the
-    segment bookkeeping without reaching into module privates.
-    """
-    return _attach(spec)
-
-
-def _init_worker(
-    specs: dict[str, _ArraySpec], min_fidelity: float, transform: str
-) -> None:
+def _init_worker(specs: dict, min_fidelity: float, transform: str) -> None:
     """Pool initializer: map the shared arrays and rebuild the CSR view."""
     global _worker_csr, _worker_weights, _worker_min_fidelity, _worker_transform
-    road_ids = tuple(int(r) for r in _attach(specs["road_ids"]))
+    road_ids = tuple(int(r) for r in attach_shared_array(specs["road_ids"]))
     _worker_csr = CSRFidelityGraph(
         road_ids=road_ids,
         index={road: i for i, road in enumerate(road_ids)},
-        indptr=_attach(specs["indptr"]),
-        indices=_attach(specs["indices"]),
-        data=_attach(specs["data"]),
+        indptr=attach_shared_array(specs["indptr"]),
+        indices=attach_shared_array(specs["indices"]),
+        data=attach_shared_array(specs["data"]),
     )
-    _worker_weights = _attach(specs["weights"])
+    _worker_weights = attach_shared_array(specs["weights"])
     _worker_min_fidelity = float(min_fidelity)
     _worker_transform = transform
     _worker_vote_rows.clear()
@@ -200,14 +117,12 @@ class _SharedArrayObjective:
     Exposes exactly the surface :class:`~repro.seeds.objective.
     CoverageState` and :func:`~repro.seeds.lazy.lazy_greedy_select`
     touch (``num_roads``/``road_ids``/``index``/``weights``/
-    ``use_kernel``/``influence_row``/``new_state``), with rows
+    ``influence_row``/``new_state``), with rows
     computed from the shared arrays by the same kernel + transform
     math the parent's cache service uses — so gains, tie-breaks and
     therefore seed sequences are bitwise identical to the parent's.
     Built once per district task; its row memo lives exactly as long.
     """
-
-    use_kernel = True
 
     def __init__(
         self,
@@ -312,11 +227,6 @@ class DistrictPool:
         num_partitions: int = 8,
         num_workers: int = 0,
     ) -> None:
-        if not objective.use_kernel:
-            raise SelectionError(
-                "parallel district selection requires the fidelity kernel "
-                "(objective built with use_kernel=False)"
-            )
         self._objective = objective
         self._graph = objective.graph
         self._partitions = partition_graph(objective, num_partitions)

@@ -39,11 +39,12 @@ class TwoStepEstimator:
     total, not per interval.
 
     Step-2 serving runs through compiled
-    :class:`~repro.speed.plan.IntervalPlan` objects by default — one
-    padded matrix-vector product plus a vectorized blend per interval.
-    ``use_plan=False`` selects the per-road scalar reference path
-    (:meth:`~repro.speed.hlm.HierarchicalLinearModel.estimate_road`),
-    kept for differential testing like ``use_fidelity_kernel=False``.
+    :class:`~repro.speed.plan.IntervalPlan` objects — one padded
+    matrix-vector product plus a vectorized blend per interval. The
+    per-road loop over
+    :meth:`~repro.speed.hlm.HierarchicalLinearModel.estimate_road`, the
+    definition the plans compile, is the test oracle in
+    ``tests/oracles/estimator.py``.
     """
 
     def __init__(
@@ -56,7 +57,6 @@ class TwoStepEstimator:
         hlm_params: HlmParams | None = None,
         fidelity_service: FidelityCacheService | None = None,
         plan_cache: IntervalPlanCache | None = None,
-        use_plan: bool = True,
         planner_factory=None,
     ) -> None:
         self._network = network
@@ -73,7 +73,6 @@ class TwoStepEstimator:
             store, network, graph, self._params
         )
         self._influence_cache: dict[frozenset[int], dict[int, dict[int, float]]] = {}
-        self._use_plan = use_plan
         # `is not None`, not truthiness: an empty cache has len() == 0.
         self._plans = plan_cache if plan_cache is not None else IntervalPlanCache()
         # Pluggable planner construction: the pipeline passes a factory
@@ -173,67 +172,14 @@ class TwoStepEstimator:
             instance = self._trend_model.instance(interval, seed_trends)
             posterior = self._inference.infer(instance)
 
-        if self._use_plan:
-            estimates, seed_count = self._solve_vectorized(
-                interval, posterior, seed_speeds, seed_trends, seed_deviations,
-                roads,
-            )
-        else:
-            estimates, seed_count = self._solve_scalar(
-                interval, posterior, seed_speeds, seed_trends, seed_deviations,
-                roads,
-            )
+        estimates, seed_count = self._solve(
+            interval, posterior, seed_speeds, seed_trends, seed_deviations, roads
+        )
         recorder.count("speed.estimates", len(estimates))
         recorder.count("speed.seed_estimates", seed_count)
         return estimates
 
-    def _solve_scalar(
-        self,
-        interval: int,
-        posterior,
-        seed_speeds: dict[int, float],
-        seed_trends: dict[int, Trend],
-        seed_deviations: dict[int, float],
-        roads: list[int],
-    ) -> tuple[dict[int, SpeedEstimate], int]:
-        """The per-road reference path (``use_plan=False``)."""
-        influence_by_road = self._influence_index(frozenset(seed_speeds))
-        estimates: dict[int, SpeedEstimate] = {}
-        seed_count = 0
-        with get_recorder().span("speed.solve", roads=len(roads)):
-            for road in roads:
-                if road in seed_speeds:
-                    trend = seed_trends[road]
-                    estimates[road] = SpeedEstimate(
-                        road_id=road,
-                        interval=interval,
-                        speed_kmh=seed_speeds[road],
-                        trend=trend,
-                        trend_probability=1.0 if trend is Trend.RISE else 0.0,
-                        is_seed=True,
-                    )
-                    seed_count += 1
-                    continue
-                influence = influence_by_road.get(road, {})
-                speed = self._hlm.estimate_road(
-                    road,
-                    interval,
-                    posterior,
-                    seed_deviations,
-                    seed_trends,
-                    influence,
-                )
-                p_rise = posterior.p_rise(road)
-                estimates[road] = SpeedEstimate(
-                    road_id=road,
-                    interval=interval,
-                    speed_kmh=speed,
-                    trend=Trend.RISE if p_rise >= 0.5 else Trend.FALL,
-                    trend_probability=p_rise,
-                )
-        return estimates, seed_count
-
-    def _solve_vectorized(
+    def _solve(
         self,
         interval: int,
         posterior,

@@ -1,7 +1,9 @@
-"""Compiled interval plans: the vectorized Step-2 serving path.
+"""Compiled interval plans: the Step-2 serving path.
 
-The scalar serving path (:meth:`~repro.speed.hlm.HierarchicalLinearModel.
-estimate_road` in a per-road loop) re-does the same bookkeeping every
+Step 2 is defined per road by :meth:`~repro.speed.hlm.
+HierarchicalLinearModel.estimate_road`. Calling it in a per-road loop
+(the scalar reference, kept as the test oracle in
+``tests/oracles/estimator.py``) re-does the same bookkeeping every
 interval: rank a road's influencing seeds, look up its fitted joint
 regression, fetch two trend-conditional prior means, blend, clamp. For
 a fixed (seed set, time bucket) none of that structure changes — only

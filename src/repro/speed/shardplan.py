@@ -21,7 +21,7 @@ and selection by:
   process pool. The regression's centred history matrix and the store's
   column order are exported once through the same
   :mod:`multiprocessing.shared_memory` plumbing the district pool uses
-  (:class:`~repro.seeds.parallel.SharedArrayExport`), so workers fit
+  (:class:`~repro.core.shm.SharedArrayExport`), so workers fit
   regressions without pickling the HLM. With one worker (or no pool)
   compilation runs in-process through the identical sharded code path.
 * District-scoped delta eviction — a row invalidation marks stale only
@@ -54,10 +54,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.core.errors import InferenceError
+from repro.core.shm import SharedArrayExport, attach_shared_array
 from repro.history.store import HistoricalSpeedStore
 from repro.obs import get_recorder
 from repro.roadnet.network import RoadNetwork
-from repro.seeds.parallel import SharedArrayExport, attach_shared_array
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams, JointSeedRegression
 from repro.speed.plan import (
     IntervalPlanner,

@@ -15,7 +15,6 @@ from repro.trend.propagation import (
     TrendPropagationInference,
     edge_fidelity,
     instance_graph,
-    propagate_fidelity,
 )
 
 __all__ = [
@@ -34,5 +33,4 @@ __all__ = [
     "edge_fidelity",
     "exact_map_assignment",
     "instance_graph",
-    "propagate_fidelity",
 ]

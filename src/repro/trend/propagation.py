@@ -29,14 +29,12 @@ rows are served by the shared
 inference, seed selection and Step-2 regression) as a stacked dense
 matrix densified from its sparse rows, and one interval's inference
 collapses to ``log_odds += signs @ vote_rows``. The original
-dict/heap implementation stays available as the scalar reference
-(``use_kernel=False``) for differential testing — experiment F3 asserts
-the kernel path matches it to 1e-9 while being several times faster.
+dict/heap vote loop lives on as a test oracle
+(``tests/oracles/propagation.py``): experiment F3 asserts this path
+matches it to 1e-9 while being several times faster.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -46,36 +44,11 @@ from repro.history.fidelity import (
     FidelityCacheService,
     edge_fidelity,
     get_fidelity_service,
-    propagate_fidelity_scalar,
 )
 from repro.obs import get_recorder
 from repro.trend.model import TrendInstance, TrendPosterior
 
-__all__ = [
-    "TrendPropagationInference",
-    "edge_fidelity",
-    "instance_graph",
-    "propagate_fidelity",
-]
-
-
-def propagate_fidelity(
-    graph: CorrelationGraph,
-    source: int,
-    min_fidelity: float = 0.05,
-    max_hops: int | None = None,
-) -> dict[int, float]:
-    """Best-path fidelity from ``source`` to every reachable road.
-
-    The scalar reference implementation (dict/heap) of the shared
-    :mod:`repro.history.fidelity` kernel: expansion stops once the path
-    fidelity falls below ``min_fidelity``, and ``max_hops`` bounds the
-    *candidate path's own* hop count — a road reachable only through a
-    short weak path is kept even when a longer, stronger path found it
-    first. The source itself has fidelity 1. Returns only roads whose
-    fidelity is at least the floor.
-    """
-    return propagate_fidelity_scalar(graph, source, min_fidelity, max_hops)
+__all__ = ["TrendPropagationInference", "edge_fidelity", "instance_graph"]
 
 
 def instance_graph(instance: TrendInstance) -> CorrelationGraph:
@@ -96,11 +69,9 @@ class TrendPropagationInference:
     """The fast Step-1 inference: independent seed votes in log-odds space.
 
     ``fidelity_service`` is the shared cross-stage influence cache
-    (defaults to the process-wide service); ``use_kernel=False`` selects
-    the scalar per-seed vote loop over the vectorized accumulation, for
-    differential testing. Evidence on roads absent from the instance's
-    index or the correlation graph is skipped consistently in both the
-    vote and the clamp stage.
+    (defaults to the process-wide service). Evidence on roads absent
+    from the instance's index or the correlation graph is skipped
+    consistently in both the vote and the clamp stage.
     """
 
     def __init__(
@@ -109,7 +80,6 @@ class TrendPropagationInference:
         max_hops: int | None = None,
         prior_weight: float = 1.0,
         fidelity_service: FidelityCacheService | None = None,
-        use_kernel: bool = True,
     ) -> None:
         if prior_weight < 0.0:
             raise InferenceError("prior_weight must be non-negative")
@@ -117,7 +87,6 @@ class TrendPropagationInference:
         self._max_hops = max_hops
         self._prior_weight = prior_weight
         self._service = fidelity_service or get_fidelity_service()
-        self._use_kernel = use_kernel
         self._vote_accumulator = None
 
     @property
@@ -130,8 +99,7 @@ class TrendPropagationInference:
         ``accumulator(graph, seeds, signs)`` must return the CSR-ordered
         vote vector and its nonzero count — the contract of
         :meth:`repro.seeds.parallel.DistrictPool.vote_accumulator`. Used
-        only on the kernel path and only when the instance's road order
-        matches the CSR order (the metropolitan pipeline case); partial
+        only when the hop budget is unbounded; partial
         sums may differ from the serial matmul by float re-association
         (≤ 1e-9), which the differential tests pin.
         """
@@ -155,10 +123,7 @@ class TrendPropagationInference:
             else:
                 index = instance.index
             misses_before = self._service.stats().misses
-            if self._use_kernel:
-                votes = self._accumulate_kernel(graph, instance, index, log_odds)
-            else:
-                votes = self._accumulate_scalar(graph, instance, index, log_odds)
+            votes = self._accumulate(graph, instance, index, log_odds)
             cache_misses = self._service.stats().misses - misses_before
 
             p_rise = 1.0 / (1.0 + np.exp(-np.clip(log_odds, -500, 500)))
@@ -178,25 +143,7 @@ class TrendPropagationInference:
                 )
             return TrendPosterior(instance.road_ids, p_rise)
 
-    def _vote_seeds(
-        self,
-        graph: CorrelationGraph,
-        instance: TrendInstance,
-        index: dict[int, int],
-    ) -> list[int]:
-        """Evidence roads that can vote, in canonical (sorted) order.
-
-        Roads missing from the instance index or from the correlation
-        graph are skipped — the same unknown-evidence policy the clamp
-        stage applies.
-        """
-        return [
-            road
-            for road in sorted(instance.evidence)
-            if road in index and graph.has_road(road)
-        ]
-
-    def _accumulate_kernel(
+    def _accumulate(
         self,
         graph: CorrelationGraph,
         instance: TrendInstance,
@@ -204,7 +151,14 @@ class TrendPropagationInference:
         log_odds: np.ndarray,
     ) -> int:
         """One matmul: ``log_odds += signs @ log((1+Q)/(1-Q))`` rows."""
-        seeds = self._vote_seeds(graph, instance, index)
+        # Evidence roads missing from the instance index or from the
+        # correlation graph do not vote — the same unknown-evidence
+        # policy the clamp stage applies. Sorted: the canonical order.
+        seeds = [
+            road
+            for road in sorted(instance.evidence)
+            if road in index and graph.has_road(road)
+        ]
         if not seeds:
             return 0
         signs = np.fromiter(
@@ -216,26 +170,16 @@ class TrendPropagationInference:
         # so the parallel backend only serves the max_hops=None case.
         if self._vote_accumulator is not None and self._max_hops is None:
             votes_csr, nonzeros = self._vote_accumulator(graph, seeds, signs)
-            csr = self._service.csr(graph)
-            if csr.index is index:
-                log_odds += votes_csr
-            else:
-                gather = np.fromiter(
-                    (index.get(road, -1) for road in csr.road_ids),
-                    dtype=np.int64,
-                    count=csr.num_roads,
-                )
-                valid = gather >= 0
-                log_odds[gather[valid]] += votes_csr[valid]
-            return int(nonzeros)
-        matrix = self._service.rows(
-            graph,
-            seeds,
-            min_fidelity=self._min_fidelity,
-            max_hops=self._max_hops,
-            transform="logodds",
-        )
-        votes_csr = signs @ matrix
+        else:
+            matrix = self._service.rows(
+                graph,
+                seeds,
+                min_fidelity=self._min_fidelity,
+                max_hops=self._max_hops,
+                transform="logodds",
+            )
+            votes_csr = signs @ matrix
+            nonzeros = np.count_nonzero(matrix)
         csr = self._service.csr(graph)
         if csr.index is index:
             log_odds += votes_csr
@@ -247,35 +191,4 @@ class TrendPropagationInference:
             )
             valid = gather >= 0
             log_odds[gather[valid]] += votes_csr[valid]
-        return int(np.count_nonzero(matrix))
-
-    def _accumulate_scalar(
-        self,
-        graph: CorrelationGraph,
-        instance: TrendInstance,
-        index: dict[int, int],
-        log_odds: np.ndarray,
-    ) -> int:
-        """The scalar reference: one dict walk per seed vote."""
-        votes = 0
-        for seed_road in self._vote_seeds(graph, instance, index):
-            trend = instance.evidence[seed_road]
-            fidelities = self._service.fidelity_map(
-                graph,
-                seed_road,
-                min_fidelity=self._min_fidelity,
-                max_hops=self._max_hops,
-            )
-            # Telemetry only; counted outside the vote loop so the
-            # hot path carries no per-road bookkeeping.
-            votes += len(fidelities) - 1
-            sign = float(int(trend))
-            for road, q in fidelities.items():
-                if road == seed_road:
-                    continue
-                i = index.get(road)
-                if i is None:
-                    continue
-                q = min(q, 1.0 - 1e-9)
-                log_odds[i] += sign * math.log((1.0 + q) / (1.0 - q))
-        return votes
+        return int(nonzeros)

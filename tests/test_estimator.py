@@ -8,6 +8,7 @@ from repro.core.types import Trend
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.hlm import HlmParams
 from repro.trend.bp import LoopyBeliefPropagation
+from tests.oracles import ScalarTwoStep
 
 
 @pytest.fixture(scope="module")
@@ -247,29 +248,24 @@ class TestEstimateRoads:
             )
 
 
-class TestServingPathFlag:
-    def test_scalar_reference_selectable(self, small_dataset, round_data):
-        """use_plan=False serves through the per-road reference path."""
+class TestServingPath:
+    def test_plan_matches_scalar_oracle(self, small_dataset, round_data):
+        """Compiled-plan serving equals the per-road oracle to 1e-9."""
         interval, _, seed_speeds = round_data
-        vec = TwoStepEstimator(
+        estimator = TwoStepEstimator(
             small_dataset.network, small_dataset.store, small_dataset.graph
         )
-        sca = TwoStepEstimator(
-            small_dataset.network,
-            small_dataset.store,
-            small_dataset.graph,
-            use_plan=False,
+        oracle = ScalarTwoStep(
+            small_dataset.store, small_dataset.graph, estimator.hlm
         )
-        ev = vec.estimate_interval(interval, seed_speeds)
-        es = sca.estimate_interval(interval, seed_speeds)
+        ev = estimator.estimate_interval(interval, seed_speeds)
+        es = oracle.estimate_interval(interval, seed_speeds)
         assert set(ev) == set(es)
         for road in ev:
             assert ev[road].speed_kmh == pytest.approx(
                 es[road].speed_kmh, abs=1e-9
             )
-        # Only the vectorized estimator compiled plans.
-        assert vec.plan_cache.stats().misses == 1
-        assert sca.plan_cache.stats().total == 0
+        assert estimator.plan_cache.stats().misses == 1
 
 
 class TestSpeedEstimateType:

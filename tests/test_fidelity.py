@@ -1,7 +1,7 @@
 """Tests for the shared CSR fidelity kernel and cross-stage cache.
 
 The kernel's contract is differential: bitwise-identical fidelity rows
-to the scalar dict/heap reference on any graph, floor and hop budget.
+to the scalar dict/heap oracle on any graph, floor and hop budget.
 The service's contract is shared caching without poisoning: every
 consumer sees the same read-only rows, and mutating a returned result
 is an error rather than a cache corruption.
@@ -23,12 +23,12 @@ from repro.history.fidelity import (
     best_fidelity_row,
     best_fidelity_rows,
     get_fidelity_service,
-    propagate_fidelity_scalar,
     set_fidelity_service,
 )
 from repro.seeds.objective import SeedSelectionObjective
 from repro.trend.model import TrendModel
 from repro.trend.propagation import TrendPropagationInference
+from tests.oracles import ScalarPropagationInference, propagate_fidelity
 
 
 def line_graph(agreements):
@@ -94,7 +94,7 @@ class TestKernel:
         graph = line_graph([0.8, 0.9, 0.7])
         csr = CSRFidelityGraph.from_graph(graph)
         row = best_fidelity_row(csr, 0, min_fidelity=0.01)
-        scalar = propagate_fidelity_scalar(graph, 0, min_fidelity=0.01)
+        scalar = propagate_fidelity(graph, 0, min_fidelity=0.01)
         for road, fid in scalar.items():
             assert row[csr.index[road]] == fid
         assert np.count_nonzero(row) == len(scalar)
@@ -148,11 +148,11 @@ class TestKernel:
     data=st.data(),
 )
 def test_kernel_bitwise_equals_scalar(graph, min_fidelity, max_hops, data):
-    """The vectorized kernel and the scalar reference agree exactly."""
+    """The vectorized kernel and the scalar oracle agree exactly."""
     source = data.draw(st.sampled_from(graph.road_ids))
     csr = CSRFidelityGraph.from_graph(graph)
     row = best_fidelity_row(csr, csr.index[source], min_fidelity, max_hops)
-    scalar = propagate_fidelity_scalar(graph, source, min_fidelity, max_hops)
+    scalar = propagate_fidelity(graph, source, min_fidelity, max_hops)
     dense_scalar = np.zeros(csr.num_roads)
     for road, fid in scalar.items():
         dense_scalar[csr.index[road]] = fid
@@ -234,14 +234,14 @@ class TestService:
         assert service.stats().misses == 2
 
     def test_scalar_service_matches_kernel_service(self):
+        """Service rows equal the oracle's rows, support and values."""
         graph = line_graph([0.8, 0.9, 0.7])
-        kernel = FidelityCacheService(use_kernel=True)
-        scalar = FidelityCacheService(use_kernel=False)
+        service = FidelityCacheService()
         for road in graph.road_ids:
-            kernel_row = kernel.row(graph, road, min_fidelity=0.01)
-            scalar_row = scalar.row(graph, road, min_fidelity=0.01)
-            assert np.array_equal(kernel_row.indices, scalar_row.indices)
-            assert np.array_equal(kernel_row.values, scalar_row.values)
+            row = service.row(graph, road, min_fidelity=0.01)
+            scalar = sorted(propagate_fidelity(graph, road, 0.01).items())
+            assert row.indices.tolist() == [r for r, _ in scalar]
+            assert row.values.tolist() == [q for _, q in scalar]
 
     def test_default_service_swap(self):
         replacement = FidelityCacheService()
@@ -341,10 +341,8 @@ class TestCrossStageSharing:
         with pytest.raises(ValueError):
             row.indices[:] = 0
         with pytest.raises(TypeError):
-            objective.influence_map(road)[road] = 123.0
-        inference = TrendPropagationInference(fidelity_service=shared)
-        graph = city.graph
-        matrix = shared.rows(graph, [road], transform="logodds")
+            shared.fidelity_map(city.graph, road)[road] = 123.0
+        matrix = shared.rows(city.graph, [road], transform="logodds")
         with pytest.raises(ValueError):
             matrix[0, 0] = 1.0
         assert objective.influence_row(road) is row
@@ -364,12 +362,9 @@ class TestKernelInferenceEquivalence:
             }
             instance = model.instance(interval, seed_trends)
             kernel = TrendPropagationInference(
-                fidelity_service=FidelityCacheService(), use_kernel=True
+                fidelity_service=FidelityCacheService()
             ).infer(instance)
-            scalar = TrendPropagationInference(
-                fidelity_service=FidelityCacheService(use_kernel=False),
-                use_kernel=False,
-            ).infer(instance)
+            scalar = ScalarPropagationInference().infer(instance)
             np.testing.assert_allclose(
                 kernel.as_array(), scalar.as_array(), atol=1e-9, rtol=0
             )

@@ -463,6 +463,19 @@ class TestReport:
         assert "2 rounds, 1 degraded" in text
         assert "8 answered" in text
 
+    def test_round_table_times_the_plan_solve(self, tmp_path):
+        """Step 2 is timed from the compiled-plan span, the only one."""
+        path = tmp_path / "run.jsonl"
+        with FlightRecorder(path=path) as rec:
+            rec.round_begin(7)
+            with rec.span("speed.solve_vectorized"):
+                pass
+            rec.round_end(7)
+        lines = render_report(load_events(path)).splitlines()
+        header = next(i for i, line in enumerate(lines) if "solve ms" in line)
+        column = lines[header].index("solve ms")
+        assert lines[header + 2][column:].split()[0] != "-"
+
     def test_render_report_span_only_fallback(self):
         events = [
             {"type": "span", "name": "trend.bp", "dur_s": 0.01},

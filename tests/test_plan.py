@@ -1,8 +1,8 @@
 """Compiled interval plans: differential equivalence and cache behaviour.
 
 The vectorized Step-2 serving path (``repro.speed.plan``) must agree
-with the per-road scalar reference (`use_plan=False`) to within 1e-9 on
-every query shape — full intervals, partial ``estimate_roads`` queries,
+with the per-road scalar oracle (``tests.oracles.ScalarTwoStep``) to
+within 1e-9 on every query shape — full intervals, partial ``estimate_roads`` queries,
 rounds with substituted seed observations, and the ``use_trend=False``
 ablation — and its incremental cross-interval updates must be
 bit-for-bit identical to evaluating a freshly compiled plan.
@@ -20,13 +20,14 @@ from repro.history.fidelity import FidelityCacheService
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
 from repro.speed.plan import IntervalPlanCache
+from tests.oracles import ScalarTwoStep
 
 SPEED_TOL = 1e-9
 
 
 @pytest.fixture(scope="module")
 def pair(small_dataset):
-    """A vectorized and a scalar estimator sharing one fitted HLM."""
+    """A vectorized estimator and the scalar oracle sharing one fitted HLM."""
     params = HlmParams()
     hlm = HierarchicalLinearModel.fit(
         small_dataset.store, small_dataset.network, small_dataset.graph, params
@@ -38,14 +39,7 @@ def pair(small_dataset):
         hlm=hlm,
         hlm_params=params,
     )
-    sca = TwoStepEstimator(
-        small_dataset.network,
-        small_dataset.store,
-        small_dataset.graph,
-        hlm=hlm,
-        hlm_params=params,
-        use_plan=False,
-    )
+    sca = ScalarTwoStep(small_dataset.store, small_dataset.graph, hlm)
     return small_dataset, vec, sca
 
 
@@ -63,14 +57,7 @@ def pair_no_trend(small_dataset):
         hlm=hlm,
         hlm_params=params,
     )
-    sca = TwoStepEstimator(
-        small_dataset.network,
-        small_dataset.store,
-        small_dataset.graph,
-        hlm=hlm,
-        hlm_params=params,
-        use_plan=False,
-    )
+    sca = ScalarTwoStep(small_dataset.store, small_dataset.graph, hlm)
     return small_dataset, vec, sca
 
 
@@ -316,23 +303,19 @@ class TestPlanCache:
 
 
 class TestDegradedPathDifferential:
-    """The degraded path must not diverge between plan and scalar.
+    """The degraded path must not diverge between plan and scalar oracle.
 
     Fault-forced seed substitution flows through ``run_round``'s
-    degradation machinery; the ``degraded`` flags, substitution map and
-    widened uncertainty bands must be identical whether Step-2 serving
-    used the compiled interval plan or the per-road scalar reference.
+    degradation machinery; every round's estimates, ``degraded`` flags
+    and widened uncertainty bands must match the per-road scalar oracle
+    served the same filled seed speeds.
     """
 
-    def _system(self, dataset, use_plan):
-        from repro.core.config import PipelineConfig
+    def _system(self, dataset):
         from repro.core.pipeline import SpeedEstimationSystem
 
         system = SpeedEstimationSystem.from_parts(
-            dataset.network,
-            dataset.store,
-            dataset.graph,
-            PipelineConfig(use_interval_plan=use_plan),
+            dataset.network, dataset.store, dataset.graph
         )
         system.select_seeds(8)
         return system
@@ -351,56 +334,47 @@ class TestDegradedPathDifferential:
     def test_degraded_flags_and_bands_match_scalar(self, small_dataset):
         from repro.speed.uncertainty import UncertaintyModel
 
-        fast = self._system(small_dataset, use_plan=True)
-        slow = self._system(small_dataset, use_plan=False)
-        assert fast.seeds == slow.seeds
-        platform_fast = self._platform()
-        platform_slow = self._platform()
+        system = self._system(small_dataset)
+        oracle = ScalarTwoStep(
+            small_dataset.store, small_dataset.graph, system.estimator.hlm
+        )
+        platform = self._platform()
         intervals = small_dataset.test_day_intervals()
-        fast_bands_model = UncertaintyModel(
-            fast.estimator, small_dataset.store
-        )
-        slow_bands_model = UncertaintyModel(
-            slow.estimator, small_dataset.store
-        )
+        bands_model = UncertaintyModel(system.estimator, small_dataset.store)
         saw_substitution = False
         # The outage window spans several rounds; drive far enough to
         # cover healthy rounds, the outage, and the recovery after it.
         for i in range(6):
             interval = intervals[i]
-            fast_out = fast.run_round(
-                interval, small_dataset.test, platform_fast, crowd_seed=i
+            out = system.run_round(
+                interval, small_dataset.test, platform, crowd_seed=i
             )
-            slow_out = slow.run_round(
-                interval, small_dataset.test, platform_slow, crowd_seed=i
-            )
-            assert fast_out.substituted == slow_out.substituted
-            assert fast_out.degraded == slow_out.degraded
-            saw_substitution |= bool(fast_out.substituted)
-            fast_estimates = fast_out.estimates
-            slow_estimates = slow_out.estimates
-            assert set(fast_estimates) == set(slow_estimates)
-            for road, fast_estimate in fast_estimates.items():
-                slow_estimate = slow_estimates[road]
-                assert fast_estimate.degraded == slow_estimate.degraded
-                assert fast_estimate.speed_kmh == pytest.approx(
-                    slow_estimate.speed_kmh, abs=SPEED_TOL
+            saw_substitution |= bool(out.substituted)
+            estimates = out.estimates
+            # Seed estimates carry the filled speeds Step 2 was served.
+            filled = {r: estimates[r].speed_kmh for r in system.seeds}
+            reference = oracle.estimate_interval(interval, filled)
+            for road in out.substituted:
+                reference[road] = reference[road].replace(degraded=True)
+            assert set(estimates) == set(reference)
+            for road, estimate in estimates.items():
+                assert estimate.degraded == reference[road].degraded
+                assert estimate.speed_kmh == pytest.approx(
+                    reference[road].speed_kmh, abs=SPEED_TOL
                 )
-            seeds = {r: fast_out.observed.get(r) for r in fast.seeds}
+            seeds = {r: out.observed.get(r) for r in system.seeds}
             seeds = {r: v for r, v in seeds.items() if v is not None}
-            fast_bands = fast_bands_model.bands_for(fast_estimates, seeds)
-            slow_bands = slow_bands_model.bands_for(slow_estimates, seeds)
-            assert set(fast_bands) == set(slow_bands)
-            for road, fast_band in fast_bands.items():
-                slow_band = slow_bands[road]
-                assert fast_band.std_kmh == pytest.approx(
-                    slow_band.std_kmh, abs=SPEED_TOL
+            bands = bands_model.bands_for(estimates, seeds)
+            reference_bands = bands_model.bands_for(reference, seeds)
+            assert set(bands) == set(reference_bands)
+            for road, band in bands.items():
+                want = reference_bands[road]
+                assert band.std_kmh == pytest.approx(want.std_kmh, abs=SPEED_TOL)
+                assert band.lower_kmh == pytest.approx(
+                    want.lower_kmh, abs=SPEED_TOL
                 )
-                assert fast_band.lower_kmh == pytest.approx(
-                    slow_band.lower_kmh, abs=SPEED_TOL
-                )
-                assert fast_band.upper_kmh == pytest.approx(
-                    slow_band.upper_kmh, abs=SPEED_TOL
+                assert band.upper_kmh == pytest.approx(
+                    want.upper_kmh, abs=SPEED_TOL
                 )
         # The scenario must actually have exercised the degraded path.
         assert saw_substitution

@@ -331,3 +331,23 @@ class TestDistrictScopedEviction:
         assert all(
             s.structure is structures[s.district] for s in plan.shards
         )
+
+
+class TestPipelinePlanPool:
+    def test_workers_capped_at_district_count(self, small_dataset):
+        """A worker beyond the district count would never get a task."""
+        from repro.core.config import PipelineConfig
+        from repro.core.pipeline import SpeedEstimationSystem
+        from repro.obs import recording
+
+        config = PipelineConfig(
+            use_sharded_plan=True, plan_shards=2, num_partition_workers=8
+        )
+        with recording() as rec, SpeedEstimationSystem.from_parts(
+            small_dataset.network, small_dataset.store, small_dataset.graph, config
+        ) as system:
+            seeds = system.select_seeds(4)
+            interval = small_dataset.test_day_intervals()[0]
+            system.estimate(interval, _speeds(small_dataset, seeds, interval))
+            assert system._plan_pool.num_workers == 2
+            assert rec.registry.gauge("plan.parallel.workers").value == 2

@@ -10,11 +10,15 @@ from repro.core.types import Trend
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.fidelity import FidelityCacheService
 from repro.trend.model import TrendInstance
-from repro.trend.propagation import (
-    TrendPropagationInference,
-    edge_fidelity,
-    propagate_fidelity,
-)
+from repro.trend.propagation import TrendPropagationInference, edge_fidelity
+from tests.oracles import ScalarPropagationInference
+
+
+def propagate_fidelity(graph, source, min_fidelity=0.05, max_hops=None):
+    """Production best-path fidelity map (road id -> q) from ``source``."""
+    return FidelityCacheService().fidelity_map(
+        graph, source, min_fidelity, max_hops
+    )
 
 
 def line_graph(agreements):
@@ -171,13 +175,17 @@ class TestUnknownEvidenceRoads:
             graph=graph,
         )
 
-    @pytest.mark.parametrize("use_kernel", [True, False])
-    def test_unknown_evidence_road_is_skipped(self, use_kernel):
+    @staticmethod
+    def _inference(scalar):
+        if scalar:
+            return ScalarPropagationInference()
+        return TrendPropagationInference(fidelity_service=FidelityCacheService())
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_unknown_evidence_road_is_skipped(self, scalar):
+        """Production and the oracle vote loop apply the same policy."""
         graph = line_graph([0.9, 0.9])
-        inference = TrendPropagationInference(
-            fidelity_service=FidelityCacheService(use_kernel=use_kernel),
-            use_kernel=use_kernel,
-        )
+        inference = self._inference(scalar)
         baseline = inference.infer(self._instance(graph)).as_array()
 
         late = self._instance(graph)
@@ -195,11 +203,8 @@ class TestUnknownEvidenceRoads:
             evidence={0: Trend.RISE, 2: Trend.FALL},
             graph=graph,
         )
-        for use_kernel in (True, False):
-            posterior = TrendPropagationInference(
-                fidelity_service=FidelityCacheService(use_kernel=use_kernel),
-                use_kernel=use_kernel,
-            ).infer(instance)
+        for scalar in (False, True):
+            posterior = self._inference(scalar).infer(instance)
             assert posterior.p_rise(0) == 1.0
             assert posterior.p_rise(2) == 0.0  # clamped despite no vote
             assert posterior.p_rise(1) > 0.5  # road 0's vote arrived

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.core.errors import SelectionError
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.seeds.objective import SeedSelectionObjective
+from tests.oracles import ScalarCoverageObjective
 
 
 def triangle_graph():
@@ -65,7 +66,7 @@ class TestValue:
         objective = SeedSelectionObjective(triangle_graph(), min_fidelity=0.01)
         assert objective.transform == "variance"
         rho = math.sin(math.pi * 0.8 / 2.0)
-        influence = objective.influence_map(0)
+        influence = objective.influence_row(0).dense(objective.num_roads)
         assert influence[1] == pytest.approx(rho * rho)
         assert influence[0] == pytest.approx(1.0)  # self-influence stays 1
 
@@ -75,9 +76,9 @@ class TestValue:
 
     def test_clone_with_weights_shares_cache(self):
         objective = SeedSelectionObjective(triangle_graph())
-        objective.influence_map(0)
+        objective.influence_row(0)
         clone = objective.clone_with_weights({0: 1.0, 1: 1.0, 2: 0.0, 3: 0.0})
-        assert clone.influence_map(0) is objective.influence_map(0)
+        assert clone.influence_row(0) is objective.influence_row(0)
         assert clone.max_value == 2.0
 
     def test_duplicates_ignored(self):
@@ -196,14 +197,8 @@ class TestCoverageState:
         from repro.history.fidelity import FidelityCacheService
 
         graph = triangle_graph()
-        kernel = SeedSelectionObjective(
-            graph, fidelity_service=FidelityCacheService(), use_kernel=True
-        )
-        scalar = SeedSelectionObjective(
-            graph,
-            fidelity_service=FidelityCacheService(use_kernel=False),
-            use_kernel=False,
-        )
+        kernel = SeedSelectionObjective(graph, fidelity_service=FidelityCacheService())
+        scalar = ScalarCoverageObjective(graph)
         ks, ss = kernel.new_state(), scalar.new_state()
         for seed in (0, 3):
             assert ks.gain(seed) == pytest.approx(ss.gain(seed), abs=1e-12)
@@ -262,8 +257,9 @@ def test_brute_force_optimum_sanity():
     """Greedy state values agree with explicit 1-Π(1-q) computation."""
     graph = triangle_graph()
     objective = SeedSelectionObjective(graph, min_fidelity=0.01)
+    oracle = ScalarCoverageObjective(graph, min_fidelity=0.01)
     for combo in itertools.combinations(graph.road_ids, 2):
-        maps = [objective.influence_map(s) for s in combo]
+        maps = [oracle.influence_map(s) for s in combo]
         expected = 0.0
         for road in graph.road_ids:
             residual = 1.0

@@ -87,28 +87,12 @@ class TestDistrictPoolLifecycle:
             pool.select(2)
         pool.close()  # idempotent
 
-    def test_scalar_objective_rejected(self, small_dataset):
-        scalar = SeedSelectionObjective(small_dataset.graph, use_kernel=False)
-        with pytest.raises(SelectionError, match="kernel"):
-            DistrictPool(scalar, num_partitions=2)
-
     def test_vote_accumulator_wrong_graph(self, pool, tiny_dataset):
         with pytest.raises(Exception, match="different correlation graph"):
             pool.vote_accumulator(tiny_dataset.graph, [0], np.array([1.0]))
 
 
 class TestPipelineParallelIntegration:
-    def test_config_requires_kernel(self, small_dataset):
-        with pytest.raises(ConfigError, match="kernel"):
-            SpeedEstimationSystem.from_parts(
-                small_dataset.network,
-                small_dataset.store,
-                small_dataset.graph,
-                PipelineConfig(
-                    use_parallel_partitions=True, use_fidelity_kernel=False
-                ),
-            )
-
     def test_parallel_system_matches_serial_system(self, small_dataset):
         parts = (
             small_dataset.network,

@@ -488,14 +488,17 @@ class TestExplain:
 
 
 class TestBreakerExtraction:
-    """Satellite: the breaker is a core utility with a compat re-export."""
+    """The breaker is a core utility; the crowd facade re-exports it."""
 
-    def test_crowd_health_reexports_core_breaker(self):
+    def test_crowd_facade_reexports_core_breaker(self):
+        import repro.crowd
         from repro.core import breaker as core_breaker
         from repro.crowd import health
 
-        assert health.CircuitBreaker is core_breaker.CircuitBreaker
-        assert health.BreakerState is core_breaker.BreakerState
+        assert repro.crowd.CircuitBreaker is core_breaker.CircuitBreaker
+        assert repro.crowd.BreakerState is core_breaker.BreakerState
+        assert not hasattr(health, "CircuitBreaker")
+        assert not hasattr(health, "BreakerState")
 
     def test_core_package_exports(self):
         import repro.core

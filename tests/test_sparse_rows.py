@@ -4,7 +4,7 @@ The service stores every influence row as a ``(indices, values)``
 :class:`~repro.history.fidelity.SparseRow`. The contracts pinned here:
 
 * sparse rows are bitwise equal (support *and* values) to the dense
-  scalar reference under every transform and hop budget;
+  scalar oracle rows under every transform and hop budget;
 * the vectorised CSR export equals the edge-object export it replaced;
 * delta eviction over the support drops exactly the sources a dense
   scan of the cached rows would;
@@ -27,7 +27,6 @@ from repro.history.fidelity import (
     CSRFidelityGraph,
     FidelityCacheService,
     edge_fidelity,
-    propagate_fidelity_scalar,
 )
 from repro.history.incremental import GraphDelta
 from repro.obs import FlightRecorder, set_recorder
@@ -35,31 +34,17 @@ from repro.seeds.lazy import lazy_greedy_select
 from repro.seeds.objective import SeedSelectionObjective
 from repro.seeds.parallel import DistrictPool, _SharedArrayObjective
 from repro.seeds.partition import allocate_budget, partition_graph
+from tests.oracles import propagate_fidelity
+from tests.strategies import random_graphs
 
 TRANSFORMS = ("fidelity", "variance", "logodds")
 
 
-@st.composite
-def random_graphs(draw, max_roads=9):
-    n = draw(st.integers(min_value=2, max_value=max_roads))
-    edges = {}
-    for _ in range(draw(st.integers(min_value=0, max_value=2 * max_roads))):
-        u = draw(st.integers(min_value=0, max_value=n - 1))
-        v = draw(st.integers(min_value=0, max_value=n - 1))
-        if u != v:
-            edges[(min(u, v), max(u, v))] = draw(
-                st.floats(min_value=0.5, max_value=1.0)
-            )
-    return CorrelationGraph(
-        list(range(n)), [CorrelationEdge(u, v, p) for (u, v), p in edges.items()]
-    )
-
-
 def dense_reference(graph, source, min_fidelity, max_hops, transform):
-    """The scalar reference, densified and transformed entry by entry."""
+    """The scalar oracle row, densified and transformed entry by entry."""
     csr = CSRFidelityGraph.from_graph(graph)
     raw = np.zeros(csr.num_roads)
-    for road, q in propagate_fidelity_scalar(
+    for road, q in propagate_fidelity(
         graph, source, min_fidelity, max_hops
     ).items():
         raw[csr.index[road]] = q
@@ -121,14 +106,13 @@ def assert_same_export(graph):
     graph=random_graphs(),
     min_fidelity=st.sampled_from([1e-6, 0.05, 0.3]),
     max_hops=st.sampled_from([None, 1, 2, 3]),
-    use_kernel=st.booleans(),
     data=st.data(),
 )
 def test_sparse_rows_bitwise_equal_dense_scalar(
-    graph, min_fidelity, max_hops, use_kernel, data
+    graph, min_fidelity, max_hops, data
 ):
     source = data.draw(st.sampled_from(graph.road_ids))
-    service = FidelityCacheService(use_kernel=use_kernel)
+    service = FidelityCacheService()
     for transform in TRANSFORMS:
         row = service.row(graph, source, min_fidelity, max_hops, transform)
         support, dense = dense_reference(
