@@ -35,7 +35,6 @@ from repro.serving.snapshot import (
     EstimateSnapshot,
     RecoveryResult,
     RoundProvenance,
-    SnapshotRowCache,
     StageTiming,
     load_snapshot,
     recover_latest,
@@ -88,7 +87,6 @@ __all__ = [
     "ServedEstimate",
     "StageTiming",
     "SnapshotPublisher",
-    "SnapshotRowCache",
     "StageFailed",
     "StagePolicy",
     "StageTimeout",

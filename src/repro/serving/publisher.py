@@ -13,6 +13,8 @@ A round that completes becomes an immutable, checksummed
 snapshot directory (when configured) and then atomically published to
 the store. :meth:`SnapshotPublisher.recover` restores the last
 known-good persisted snapshot after a restart, skipping corrupt files.
+Each round is one ``serving.publish_round`` span; the bands, snapshot
+build, save and store verify spans of its write path nest under it.
 
 Chaos comes in through an optional
 :class:`~repro.faults.infra.InfraInjector` consulted at the same fixed
@@ -37,7 +39,6 @@ from repro.serving.snapshot import (
     EstimateSnapshot,
     RecoveryResult,
     RoundProvenance,
-    SnapshotRowCache,
     StageTiming,
     recover_latest,
     save_snapshot,
@@ -137,10 +138,6 @@ class SnapshotPublisher:
         self._injector = injector
         self._round_index = -1
         self._next_version = 0
-        # Body rows for roads whose values did not move since the last
-        # round are reused at snapshot assembly; the checksum still
-        # covers the full body (see SnapshotRowCache).
-        self._row_cache = SnapshotRowCache()
 
     # ------------------------------------------------------------------
     # Accessors
@@ -237,8 +234,24 @@ class SnapshotPublisher:
         Never lets a pipeline fault escape: every failure mode comes
         back as a :class:`PublishReport` with ``outcome != "published"``
         and the store untouched (the previous snapshot keeps serving).
+        The round runs under one ``serving.publish_round`` span, the
+        root of its span tree.
         """
         self._round_index += 1
+        with get_recorder().span(
+            "serving.publish_round", round=self._round_index, interval=interval
+        ) as span:
+            report = self._publish_round(interval, truth, platform, crowd_seed)
+            span.set(outcome=report.outcome)
+        return report
+
+    def _publish_round(
+        self,
+        interval: int,
+        truth: SpeedField,
+        platform: CrowdsourcingPlatform,
+        crowd_seed: int,
+    ) -> PublishReport:
         recorder = get_recorder()
         if self._injector is not None:
             self._injector.begin_round()
@@ -315,7 +328,6 @@ class SnapshotPublisher:
             substituted=result.substituted,
             degraded=result.report_degraded,
             provenance=provenance,
-            row_cache=self._row_cache,
         )
 
         persisted: Path | None = None

@@ -13,6 +13,10 @@ is one JSON file named by version; :func:`recover_latest` walks them
 newest-first and returns the first that passes checksum verification,
 counting (not raising on) corrupted files — a torn write must cost a
 restart one snapshot of freshness, never an outage or garbage served.
+A file is ``{"body":<canonical body>,"checksum":"<sha256 hex>"}``, whose
+body bytes are exactly the bytes the checksum hashes. Loading parses
+and re-encodes the body, so files written with other JSON whitespace
+(older releases used ``json.dumps`` default separators) load the same.
 """
 
 from __future__ import annotations
@@ -123,12 +127,13 @@ class RoundProvenance:
         )
 
 
-def _canonical(body: dict) -> str:
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+def _encode(body: dict) -> bytes:
+    """The canonical encoding of a snapshot body: the bytes hashed."""
+    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def _checksum(body: dict) -> str:
-    return hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()
+    return hashlib.sha256(_encode(body)).hexdigest()
 
 
 def _body_row(est: SpeedEstimate, band: SpeedBand) -> list:
@@ -145,62 +150,16 @@ def _body_row(est: SpeedEstimate, band: SpeedBand) -> list:
     ]
 
 
-class SnapshotRowCache:
-    """Reuses per-road body rows across consecutive snapshot builds.
-
-    Between rounds most roads' estimates do not change (on a large
-    network a round moves a handful of districts), yet every
-    :meth:`EstimateSnapshot.build` re-assembled all ``num_roads`` body
-    rows from scratch. The publisher keeps one of these caches across
-    rounds and hands it to ``build``: a road whose value fields
-    (estimate and band, minus the identity/interval fields) are
-    unchanged reuses the previous round's row list; districts the round
-    did not touch therefore contribute zero row construction.
-
-    Integrity is untouched: the checksum is still computed over the
-    *complete* assembled body, and :meth:`EstimateSnapshot.verify`
-    always rebuilds the body independently without any cache — a wrong
-    reuse would surface as a checksum mismatch, not silent corruption.
-    """
-
-    def __init__(self) -> None:
-        self._rows: dict[int, tuple[tuple, list]] = {}
-        self._reused = 0
-
-    @property
-    def size(self) -> int:
-        return len(self._rows)
-
-    def row(self, road: int, est: SpeedEstimate, band: SpeedBand) -> list:
-        """The body row for ``road``, reused when values are unchanged."""
-        key = (
-            est.speed_kmh,
-            int(est.trend),
-            est.trend_probability,
-            est.is_seed,
-            est.degraded,
-            band.lower_kmh,
-            band.upper_kmh,
-            band.std_kmh,
-            band.confidence,
-        )
-        cached = self._rows.get(road)
-        if cached is not None and cached[0] == key:
-            self._reused += 1
-            return cached[1]
-        row = _body_row(est, band)
-        self._rows[road] = (key, row)
-        return row
-
-    def take_reused(self) -> int:
-        """Rows reused since the last call (drained for metrics)."""
-        reused, self._reused = self._reused, 0
-        return reused
-
-
 @dataclass(frozen=True)
 class EstimateSnapshot:
-    """One published interval's estimates, versioned and checksummed."""
+    """One published interval's estimates, versioned and checksummed.
+
+    :meth:`build` encodes the body once: the checksum is the sha256 of
+    those bytes, and :func:`save_snapshot` writes the same bytes, so a
+    round pays for one encode at build time. The bytes are kept
+    privately (not a field, not part of equality). :meth:`verify` never
+    reads them: it re-encodes the mappings from scratch.
+    """
 
     version: int
     interval: int
@@ -226,16 +185,8 @@ class EstimateSnapshot:
         substituted: Mapping[int, str] | None = None,
         degraded: bool = False,
         provenance: RoundProvenance | None = None,
-        row_cache: "SnapshotRowCache | None" = None,
     ) -> "EstimateSnapshot":
-        """Assemble a snapshot, computing its content checksum.
-
-        With ``row_cache``, body rows for roads whose values are
-        unchanged since the cache's previous build are reused instead
-        of re-assembled (reuse is reported through the
-        ``serving.snapshot_rows_reused`` counter); the checksum still
-        covers the complete body either way.
-        """
+        """Assemble a snapshot, encoding its body once for the checksum."""
         if version < 0:
             raise ServingError(f"snapshot version must be >= 0, got {version}")
         if not estimates:
@@ -257,13 +208,15 @@ class EstimateSnapshot:
             checksum="",
             provenance=provenance,
         )
-        object.__setattr__(
-            snapshot, "checksum", _checksum(snapshot._body(row_cache))
-        )
-        if row_cache is not None:
-            get_recorder().count(
-                "serving.snapshot_rows_reused", row_cache.take_reused()
+        with get_recorder().span(
+            "serving.snapshot.build", roads=snapshot.num_roads
+        ) as span:
+            encoded = _encode(snapshot._body())
+            object.__setattr__(
+                snapshot, "checksum", hashlib.sha256(encoded).hexdigest()
             )
+            object.__setattr__(snapshot, "_encoded_body", encoded)
+            span.set(bytes=len(encoded))
         return snapshot
 
     @property
@@ -273,14 +226,12 @@ class EstimateSnapshot:
     # ------------------------------------------------------------------
     # Content identity
     # ------------------------------------------------------------------
-    def _body(self, row_cache: "SnapshotRowCache | None" = None) -> dict:
-        roads = {}
-        if row_cache is not None:
-            for road, est in self.estimates.items():
-                roads[str(road)] = row_cache.row(road, est, self.bands[road])
-        else:
-            for road, est in self.estimates.items():
-                roads[str(road)] = _body_row(est, self.bands[road])
+    def _body(self) -> dict:
+        bands = self.bands
+        roads = {
+            str(road): _body_row(est, bands[road])
+            for road, est in self.estimates.items()
+        }
         return {
             "format": SNAPSHOT_FORMAT,
             "version": self.version,
@@ -296,16 +247,32 @@ class EstimateSnapshot:
         }
 
     def verify(self) -> bool:
-        """Does the stored checksum match the current content?"""
+        """Does the stored checksum match the current content?
+
+        A full, cache-free re-encode of the mappings: the bytes kept
+        from :meth:`build` are never consulted, so content changed
+        after the build fails here.
+        """
         return self.checksum == _checksum(self._body())
 
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
+    def _envelope(self) -> bytes:
+        """``{"body":<encoded body>,"checksum":"<hex>"}``, as persisted.
+
+        The body bytes are the ones :meth:`build` hashed; a snapshot
+        made any other way (the constructor, :meth:`from_json`) encodes
+        its mappings here instead.
+        """
+        body = getattr(self, "_encoded_body", None)
+        if body is None:
+            body = _encode(self._body())
+        checksum = json.dumps(self.checksum).encode("utf-8")
+        return b'{"body":' + body + b',"checksum":' + checksum + b"}"
+
     def to_json(self) -> str:
-        return json.dumps(
-            {"body": self._body(), "checksum": self.checksum}, sort_keys=True
-        )
+        return self._envelope().decode("utf-8")
 
     @classmethod
     def from_json(cls, text: str) -> "EstimateSnapshot":
@@ -388,7 +355,10 @@ def save_snapshot(snapshot: EstimateSnapshot, directory: str | Path) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = snapshot_path(directory, snapshot.version)
-    path.write_text(snapshot.to_json(), encoding="utf-8")
+    with get_recorder().span("serving.snapshot.save") as span:
+        envelope = snapshot._envelope()
+        path.write_bytes(envelope)
+        span.set(bytes=len(envelope))
     return path
 
 

@@ -297,7 +297,9 @@ class EstimateStore:
         garbage and replays are dropped at the door, not served.
         """
         recorder = get_recorder()
-        if not snapshot.verify():
+        with recorder.span("serving.store.verify", version=snapshot.version):
+            verified = snapshot.verify()
+        if not verified:
             recorder.count("serving.publish_rejected", reason="checksum")
             recorder.event(
                 "publish_rejected", version=snapshot.version, reason="checksum"

@@ -23,7 +23,7 @@ from repro.history.fidelity import (
 )
 from repro.roadnet.network import RoadNetwork
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
-from repro.speed.plan import IntervalPlanCache, IntervalPlanner
+from repro.speed.plan import IntervalPlan, IntervalPlanCache, IntervalPlanner
 from repro.trend.model import TrendModel
 from repro.trend.propagation import TrendPropagationInference
 
@@ -245,6 +245,25 @@ class TwoStepEstimator:
                 )
         return estimates, seed_count
 
+    def plan_for(self, interval: int, seeds) -> IntervalPlan:
+        """The compiled plan serving ``interval`` for the seed set ``seeds``.
+
+        The lookup behind prediction bands: a plan already cached (the
+        round's ``estimate_*`` call compiled or hit it) is returned
+        without counting a ``plan.cache`` hit or touching LRU order, so
+        plan hits + misses keep counting estimation rounds. A plan not
+        cached is compiled and counted as a miss.
+        """
+        ordered = tuple(sorted(seeds))
+        bucket = self._store.grid.bucket_of(interval)
+        key = (ordered, bucket, self._params)
+        plan = self._plans.peek(key)
+        if plan is None:
+            plan = self._plans.get_or_build(
+                key, lambda: self._compile_plan(ordered, bucket)
+            )
+        return plan
+
     def _compile_plan(self, seeds: tuple[int, ...], bucket: int):
         if self._planner is None:
             if self._planner_factory is not None:
@@ -273,7 +292,8 @@ class TwoStepEstimator:
     ) -> dict[int, dict[int, float]]:
         """road id -> {seed -> fidelity} for a seed set (cached).
 
-        Public accessor used by the uncertainty model and diagnostics.
+        Public accessor for diagnostics and the reference band loop in
+        ``tests/oracles/uncertainty.py``.
         """
         return self._influence_index(frozenset(seeds))
 

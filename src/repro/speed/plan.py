@@ -28,7 +28,10 @@ array ops:
   bounds). :meth:`IntervalPlan.evaluate` turns a deviation vector and a
   posterior array into clamped speeds: one padded-row gather-multiply-
   reduce, a vectorized posterior-confidence blend, one multiply by the
-  historical speeds, one clip.
+  historical speeds, one clip. The plan also exposes the per-row band
+  columns (``has_reg``, ``residual_std``, ``historical``) that
+  :meth:`~repro.speed.uncertainty.UncertaintyModel.bands_for` turns
+  into prediction intervals without refitting anything.
 * :class:`IntervalPlanner` — compiles plans for one fitted system,
   reusing structures across buckets through a weak-value cache (a
   structure lives exactly as long as some cached plan references it).
@@ -71,6 +74,8 @@ class _SeedStructure:
     reduce over the block. ``rows_by_seed[k]`` lists the rows whose
     regression uses seed ``k`` — the reverse index the incremental path
     uses to find the rows a changed deviation can affect.
+    ``residual_std[i]`` is row ``i``'s in-sample regression residual std
+    (0 where ``has_reg[i]`` is False), the column prediction bands read.
     """
 
     def __init__(
@@ -80,6 +85,7 @@ class _SeedStructure:
         seed_idx: np.ndarray,
         reg_weight: np.ndarray,
         has_reg: np.ndarray,
+        residual_std: np.ndarray,
         rows_by_seed: list[np.ndarray],
     ) -> None:
         self.seeds = seeds
@@ -87,6 +93,7 @@ class _SeedStructure:
         self.seed_idx = seed_idx
         self.reg_weight = reg_weight
         self.has_reg = has_reg
+        self.residual_std = residual_std
         self.rows_by_seed = rows_by_seed
         self._last_resid: np.ndarray | None = None
         self._last_regressed: np.ndarray | None = None
@@ -177,6 +184,7 @@ def compile_seed_structure(
     seed_idx = np.full((n, width), num_seeds, dtype=np.int64)
     reg_weight = np.zeros(n)
     has_reg = np.zeros(n, dtype=bool)
+    residual_std = np.zeros(n)
     rows_by_seed: list[list[int]] = [[] for _ in seeds]
     seed_set = set(seeds)
     empty: dict[int, float] = {}
@@ -191,6 +199,7 @@ def compile_seed_structure(
             continue
         has_reg[i] = True
         reg_weight[i] = fitted.weight
+        residual_std[i] = fitted.residual_std
         for j, seed in enumerate(fitted.seeds):
             coef[i, j] = fitted.coefficients[j]
             position = seed_pos[seed]
@@ -202,6 +211,7 @@ def compile_seed_structure(
         seed_idx=seed_idx,
         reg_weight=reg_weight,
         has_reg=has_reg,
+        residual_std=residual_std,
         rows_by_seed=[np.array(rows, dtype=np.int64) for rows in rows_by_seed],
     )
 
@@ -251,6 +261,21 @@ class IntervalPlan:
     @property
     def num_seeds(self) -> int:
         return len(self._structure.seeds)
+
+    @property
+    def has_reg(self) -> np.ndarray:
+        """Per-row: does the road have a fitted seed regression?"""
+        return self._structure.has_reg
+
+    @property
+    def residual_std(self) -> np.ndarray:
+        """Per-row in-sample residual std of the road's regression."""
+        return self._structure.residual_std
+
+    @property
+    def historical(self) -> np.ndarray:
+        """Per-row historical mean speed (km/h) in the plan's bucket."""
+        return self._historical
 
     def evaluate(self, deviations: np.ndarray, p_rise: np.ndarray) -> np.ndarray:
         """Clamped speed estimates for every road in plan order.
@@ -545,6 +570,15 @@ class IntervalPlanCache:
             self._evictions += 1
             get_recorder().count("plan.cache_evictions")
         return plan
+
+    def peek(self, key: Hashable) -> IntervalPlan | None:
+        """The cached plan for ``key``, or None; counts nothing.
+
+        Leaves LRU order and the hit/miss accounting untouched, so a
+        second read of a plan within one round (prediction bands after
+        the estimate) does not look like a second round.
+        """
+        return self._plans.get(key)
 
     def invalidate(self, graph: object | None = None) -> None:
         """Drop every cached plan.

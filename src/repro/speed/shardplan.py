@@ -111,6 +111,7 @@ class _ShardSet:
         self.shards = shards
         self.reg_weight = np.zeros(num_roads)
         self.has_reg = np.zeros(num_roads, dtype=bool)
+        self.residual_std = np.zeros(num_roads)
         for shard in shards:
             self.restitch(shard)
         self.stale: set[int] = set()
@@ -118,10 +119,11 @@ class _ShardSet:
         self.influence_provider: Callable[[], InfluenceIndex] | None = None
 
     def restitch(self, shard: PlanShard) -> None:
-        """Scatter one shard's blend weights into the global arrays."""
+        """Scatter one shard's per-row columns into the global arrays."""
         assert shard.structure is not None
         self.reg_weight[shard.positions] = shard.structure.reg_weight
         self.has_reg[shard.positions] = shard.structure.has_reg
+        self.residual_std[shard.positions] = shard.structure.residual_std
 
     @property
     def needs_refresh(self) -> bool:
@@ -156,7 +158,9 @@ class ShardedIntervalPlan:
     """A compiled (seed set, bucket) plan over district shards.
 
     Drop-in for :class:`~repro.speed.plan.IntervalPlan` on the serving
-    path: same evaluation surface, bitwise-identical speeds. The extra
+    path: same evaluation surface and band columns, bitwise-identical
+    speeds. Evaluation and the band columns first recompile any shards
+    a row invalidation marked stale. The extra
     surface is :meth:`mark_rows_stale`, which lets the
     :class:`~repro.speed.plan.IntervalPlanCache` keep the plan cached
     across a row invalidation and recompile only affected shards.
@@ -210,6 +214,27 @@ class ShardedIntervalPlan:
         """District-scoped eviction hook; returns newly stale shards."""
         return self._shard_set.mark_stale(roads)
 
+    def _fresh_shard_set(self) -> _ShardSet:
+        """The shard set, with stale shards recompiled first."""
+        if self._shard_set.needs_refresh:
+            self._planner.refresh_shards(self._shard_set)
+        return self._shard_set
+
+    @property
+    def has_reg(self) -> np.ndarray:
+        """Per-row: does the road have a fitted seed regression?"""
+        return self._fresh_shard_set().has_reg
+
+    @property
+    def residual_std(self) -> np.ndarray:
+        """Per-row in-sample residual std of the road's regression."""
+        return self._fresh_shard_set().residual_std
+
+    @property
+    def historical(self) -> np.ndarray:
+        """Per-row historical mean speed (km/h) in the plan's bucket."""
+        return self._historical
+
     def evaluate(self, deviations: np.ndarray, p_rise: np.ndarray) -> np.ndarray:
         """Clamped speeds for every road, stitched in district order.
 
@@ -225,9 +250,7 @@ class ShardedIntervalPlan:
                 f"posterior vector has shape {p_rise.shape}, plan expects "
                 f"({self.num_roads},)"
             )
-        if self._shard_set.needs_refresh:
-            self._planner.refresh_shards(self._shard_set)
-        shard_set = self._shard_set
+        shard_set = self._fresh_shard_set()
         regressed = np.empty(self.num_roads)
         modes: set[str] = set()
         for shard in shard_set.shards:
@@ -283,7 +306,8 @@ def _init_plan_worker(specs: dict, params: HlmParams) -> None:
 def _compile_shard_task(
     task: tuple[tuple[int, ...], tuple[int, ...], dict[int, dict[int, float]]]
 ) -> tuple[
-    np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray], float
+    np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+    list[np.ndarray], float,
 ]:
     """Worker task: compile one district's structure rows."""
     seeds, members, influence = task
@@ -298,6 +322,7 @@ def _compile_shard_task(
         structure.seed_idx,
         structure.reg_weight,
         structure.has_reg,
+        structure.residual_std,
         structure.rows_by_seed,
         compile_s,
     )
@@ -358,7 +383,8 @@ class PlanCompilePool:
         # completion order.
         for future in futures:
             (
-                coef, seed_idx, reg_weight, has_reg, rows_by_seed, compile_s,
+                coef, seed_idx, reg_weight, has_reg, residual_std,
+                rows_by_seed, compile_s,
             ) = future.result()
             structures.append(
                 (
@@ -368,6 +394,7 @@ class PlanCompilePool:
                         seed_idx=seed_idx,
                         reg_weight=reg_weight,
                         has_reg=has_reg,
+                        residual_std=residual_std,
                         rows_by_seed=rows_by_seed,
                     ),
                     compile_s,

@@ -12,20 +12,33 @@ Step-2 regression itself:
 
 Deviation stds convert to km/h through the road's historical bucket
 mean, and a two-sided normal band of the requested confidence is
-clamped to physical limits. Empirical coverage of the nominal bands is
-verified in the test suite.
+clamped to physical limits. The fitted residual stds and bucket means
+are columns of the compiled :class:`~repro.speed.plan.IntervalPlan`
+that produced the estimates, so a round's bands are a few array ops
+over those columns. The per-road loop over
+:meth:`~repro.speed.hlm.JointSeedRegression.for_road` that defines
+them is the test oracle in ``tests/oracles/uncertainty.py``. Empirical
+coverage of the nominal bands is verified in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
 from repro.core.errors import InferenceError
 from repro.core.types import SpeedEstimate
 from repro.history.store import HistoricalSpeedStore
+from repro.obs import get_recorder
 from repro.speed.estimator import TwoStepEstimator
+
+_INTERVAL = attrgetter("interval")
+_SPEED = attrgetter("speed_kmh")
+_IS_SEED = attrgetter("is_seed")
+_DEGRADED = attrgetter("degraded")
 
 #: Two-sided normal quantiles for common confidence levels.
 _Z_BY_CONFIDENCE = {0.80: 1.2816, 0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
@@ -52,7 +65,12 @@ class SpeedBand:
 
 
 class UncertaintyModel:
-    """Attaches prediction intervals to a two-step estimator's output."""
+    """Attaches prediction intervals to a two-step estimator's output.
+
+    ``store`` is the history ``estimator`` was fitted on: it supplies
+    the prior-only deviation std, and the estimator's plans supply the
+    bucket means the same store produced.
+    """
 
     def __init__(
         self,
@@ -71,7 +89,6 @@ class UncertaintyModel:
         if degraded_inflation < 1.0:
             raise InferenceError("degraded_inflation must be >= 1")
         self._estimator = estimator
-        self._store = store
         self._confidence = confidence
         self._z = z
         self._seed_std = seed_observation_std_kmh
@@ -92,42 +109,48 @@ class UncertaintyModel:
     ) -> dict[int, SpeedBand]:
         """Prediction bands for one round's estimates.
 
-        ``estimates`` is the output of ``estimate_interval`` for the
-        same ``seed_speeds`` — the influence structure is reused from
-        the estimator's cache, so this adds negligible cost.
+        ``estimates`` is the output of ``estimate_interval`` or
+        ``estimate_roads`` for the same ``seed_speeds`` (so every
+        estimate shares one interval). The band columns are read from
+        the compiled plan that served those estimates; the cost is one
+        gather per column plus building the :class:`SpeedBand` objects.
         """
-        influence_by_road = self._estimator.influence_index(set(seed_speeds))
-        regression = self._estimator.hlm.regression
-        bands: dict[int, SpeedBand] = {}
-        for road, estimate in estimates.items():
-            if estimate.is_seed:
-                std_kmh = self._seed_std
-            else:
-                influence = influence_by_road.get(road, {})
-                fitted = regression.for_road(road, influence)
-                historical = self._store.historical_speed(
-                    road, estimate.interval
-                )
-                if fitted is None:
-                    dev_std = float(self._prior_dev_std[self._column[road]])
-                else:
-                    dev_std = fitted.residual_std
-                std_kmh = max(0.1, dev_std * historical)
-            if estimate.degraded:
-                # A substituted seed observation is no real observation:
-                # widen its band so consumers see the lower confidence.
-                std_kmh *= self._degraded_inflation
-            margin = self._z * std_kmh
-            bands[road] = SpeedBand(
-                road_id=road,
-                interval=estimate.interval,
-                speed_kmh=estimate.speed_kmh,
-                lower_kmh=max(0.0, estimate.speed_kmh - margin),
-                upper_kmh=estimate.speed_kmh + margin,
-                std_kmh=std_kmh,
-                confidence=self._confidence,
+        if not estimates:
+            return {}
+        intervals = set(map(_INTERVAL, estimates.values()))
+        if len(intervals) > 1:
+            raise InferenceError("bands_for needs estimates of one interval")
+        (interval,) = intervals
+        n = len(estimates)
+        with get_recorder().span("speed.uncertainty.bands", roads=n):
+            plan = self._estimator.plan_for(interval, seed_speeds)
+            index, column = plan.index.__getitem__, self._column.__getitem__
+            rows = np.fromiter(map(index, estimates), np.int64, n)
+            columns = np.fromiter(map(column, estimates), np.int64, n)
+            ests = estimates.values()
+            speed = np.fromiter(map(_SPEED, ests), np.float64, n)
+            is_seed = np.fromiter(map(_IS_SEED, ests), bool, n)
+            degraded = np.fromiter(map(_DEGRADED, ests), bool, n)
+
+            dev_std = np.where(
+                plan.has_reg[rows],
+                plan.residual_std[rows],
+                self._prior_dev_std[columns],
             )
-        return bands
+            std = np.maximum(0.1, dev_std * plan.historical[rows])
+            std = np.where(is_seed, self._seed_std, std)
+            # A substituted seed observation is no real observation:
+            # widen its band so consumers see the lower confidence.
+            std = np.where(degraded, std * self._degraded_inflation, std)
+            margin = self._z * std
+            lower = np.maximum(0.0, speed - margin)
+            upper = speed + margin
+            bands = map(
+                SpeedBand, estimates, repeat(interval, n), speed.tolist(),
+                lower.tolist(), upper.tolist(), std.tolist(),
+                repeat(self._confidence, n),
+            )
+            return dict(zip(estimates, bands))
 
     def empirical_coverage(
         self,

@@ -11,7 +11,9 @@ the vectorized production code against it:
   ``lazy_greedy_select`` and ``partition_greedy_select``;
 * :mod:`tests.oracles.propagation` — the Step-1 seed-vote loop;
 * :mod:`tests.oracles.estimator` — the per-road Step-2 solve over
-  :meth:`~repro.speed.hlm.HierarchicalLinearModel.estimate_road`.
+  :meth:`~repro.speed.hlm.HierarchicalLinearModel.estimate_road`;
+* :mod:`tests.oracles.uncertainty` — the per-road prediction-band loop
+  over :meth:`~repro.speed.hlm.JointSeedRegression.for_road`.
 
 Nothing under ``src/`` may import this package.
 """
@@ -20,8 +22,10 @@ from tests.oracles.estimator import ScalarTwoStep
 from tests.oracles.fidelity import propagate_fidelity
 from tests.oracles.objective import ScalarCoverageObjective
 from tests.oracles.propagation import ScalarPropagationInference
+from tests.oracles.uncertainty import ScalarBands
 
 __all__ = [
+    "ScalarBands",
     "ScalarCoverageObjective",
     "ScalarPropagationInference",
     "ScalarTwoStep",

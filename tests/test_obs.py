@@ -558,3 +558,89 @@ class TestVerifyEventSchemas:
         rec.round_end(0)
         (event,) = rec.events
         assert event["kind"] == "read_trace"
+
+
+# ----------------------------------------------------------------------
+# Serving write-path spans
+# ----------------------------------------------------------------------
+WRITE_PATH_SPANS = (
+    "speed.uncertainty.bands",
+    "serving.snapshot.build",
+    "serving.snapshot.save",
+    "serving.store.verify",
+)
+
+
+class TestWritePathSpans:
+    def _publisher(self, small_dataset, tmp_path):
+        from repro.core.clock import ManualClock
+        from repro.core.pipeline import SpeedEstimationSystem
+        from repro.serving import EstimateStore, SnapshotPublisher, default_watchdog
+        from repro.speed.uncertainty import UncertaintyModel
+
+        system = SpeedEstimationSystem.from_parts(
+            small_dataset.network, small_dataset.store, small_dataset.graph
+        )
+        system.select_seeds(8)
+        clock = ManualClock()
+        store = EstimateStore(
+            history=small_dataset.store, network=small_dataset.network, clock=clock
+        )
+        return SnapshotPublisher(
+            system,
+            store,
+            UncertaintyModel(system.estimator, small_dataset.store),
+            watchdog=default_watchdog(900.0, clock=clock),
+            clock=clock,
+            snapshot_dir=tmp_path,
+        )
+
+    def test_round_span_tree_accounts_for_write_path(self, small_dataset, tmp_path):
+        from pathlib import Path
+
+        from repro.crowd.platform import CrowdsourcingPlatform
+        from repro.crowd.workers import WorkerPool, WorkerPoolParams
+
+        publisher = self._publisher(small_dataset, tmp_path)
+        platform = CrowdsourcingPlatform(
+            WorkerPool.sample(60, WorkerPoolParams(noise_std_frac=0.1), seed=7),
+            workers_per_task=3,
+        )
+        interval = small_dataset.test_day_intervals()[0]
+        with recording(FlightRecorder()) as rec:
+            report = publisher.publish_round(interval, small_dataset.test, platform)
+        assert report.published
+        spans = rec.tracer.drain()
+        by_id = {span.span_id: span for span in spans}
+        (root,) = [s for s in spans if s.name == "serving.publish_round"]
+        assert root.parent_id is None
+        assert root.attrs == {
+            "round": 0, "interval": interval, "outcome": "published"
+        }
+
+        def under_root(span):
+            while span.parent_id is not None:
+                span = by_id[span.parent_id]
+            return span is root
+
+        # Every span the round emitted hangs off its root span.
+        assert all(under_root(span) for span in spans)
+        write_path = {}
+        for name in WRITE_PATH_SPANS:
+            (span,) = [s for s in spans if s.name == name]
+            write_path[name] = span
+        assert write_path["speed.uncertainty.bands"].attrs["roads"] == (
+            small_dataset.network.num_segments
+        )
+        build = write_path["serving.snapshot.build"].attrs
+        save = write_path["serving.snapshot.save"].attrs
+        assert build["roads"] == report.num_roads
+        # The file is the built body plus the {"body":…,"checksum":"…"} frame.
+        assert save["bytes"] == Path(report.persisted_path).stat().st_size
+        assert save["bytes"] - build["bytes"] == len('{"body":,"checksum":""}') + 64
+        # Snapshot build, save and verify run directly under the round;
+        # its direct children never claim more time than the round took.
+        for name in WRITE_PATH_SPANS[1:]:
+            assert write_path[name].parent_id == root.span_id
+        children = [s for s in spans if s.parent_id == root.span_id]
+        assert sum(s.duration_s for s in children) <= root.duration_s

@@ -1,6 +1,9 @@
 """Snapshot serving: snapshots, the store, and the publisher."""
 
+import hashlib
 import json
+from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -362,7 +365,8 @@ class TestRoundProvenance:
 
     def test_checksum_covers_provenance(self):
         text = make_snapshot(provenance=make_provenance(seed_budget=8)).to_json()
-        tampered = text.replace('"seed_budget": 8', '"seed_budget": 80')
+        # The persisted body is the canonical (no-whitespace) encoding.
+        tampered = text.replace('"seed_budget":8,', '"seed_budget":80,')
         assert tampered != text
         with pytest.raises(SnapshotIntegrityError, match="checksum"):
             EstimateSnapshot.from_json(tampered)
@@ -636,103 +640,74 @@ class TestSnapshotPublisher:
         assert store.latest() is None
 
 
-class TestSnapshotRowReuse:
-    """Value-keyed body-row reuse across builds: same checksums, full
-    integrity, reuse counted."""
+class TestSnapshotEncoding:
+    """One encode per build: the persisted body is exactly the hashed
+    bytes, older envelopes still load, and the store's check stays an
+    independent re-encode."""
 
-    def _parts(self, interval, roads, speed=40.0):
-        estimates, bands = {}, {}
-        for road in roads:
-            estimates[road] = SpeedEstimate(
-                road_id=road, interval=interval, speed_kmh=speed,
-                trend=Trend.RISE, trend_probability=0.8,
-                is_seed=False, degraded=False,
-            )
-            bands[road] = SpeedBand(
-                road_id=road, interval=interval, speed_kmh=speed,
-                lower_kmh=speed - 2.0, upper_kmh=speed + 2.0,
-                std_kmh=1.2, confidence=0.9,
-            )
-        return estimates, bands
+    @staticmethod
+    def _persisted_body(path):
+        data = path.read_bytes()
+        prefix, separator = b'{"body":', b',"checksum"'
+        assert data.startswith(prefix)
+        return data[len(prefix):data.rindex(separator)]
 
-    def test_cached_build_checksum_matches_cache_free(self):
-        from repro.serving import SnapshotRowCache
-
-        cache = SnapshotRowCache()
-        est, bands = self._parts(3, (1, 2, 3))
-        with_cache = EstimateSnapshot.build(0, 3, est, bands, row_cache=cache)
-        without = EstimateSnapshot.build(0, 3, est, bands)
-        assert with_cache.checksum == without.checksum
-        assert with_cache.verify()
-
-    def test_unchanged_rows_are_reused_changed_are_not(self):
-        from repro.serving import SnapshotRowCache
-
-        cache = SnapshotRowCache()
-        est, bands = self._parts(3, (1, 2, 3))
-        EstimateSnapshot.build(0, 3, est, bands, row_cache=cache)
-        assert cache.take_reused() == 0  # drained by build's metric path
-
-        # Next interval: road 2 moves, roads 1 and 3 do not.
-        est2, bands2 = self._parts(4, (1, 2, 3))
-        est2[2] = est2[2].replace(speed_kmh=55.0)
-        bands2[2] = SpeedBand(
-            road_id=2, interval=4, speed_kmh=55.0, lower_kmh=53.0,
-            upper_kmh=57.0, std_kmh=1.2, confidence=0.9,
+    def test_checksum_is_sha256_of_persisted_body(self, tmp_path):
+        snapshot = make_snapshot(
+            version=2, substituted={2: "prior"}, provenance=make_provenance()
         )
-        snap = EstimateSnapshot.build(1, 4, est2, bands2, row_cache=cache)
-        fresh = EstimateSnapshot.build(1, 4, est2, bands2)
-        assert snap.checksum == fresh.checksum
-        assert snap.verify()
-        assert EstimateSnapshot.from_json(snap.to_json()).checksum == snap.checksum
+        path = save_snapshot(snapshot, tmp_path)
+        body = self._persisted_body(path)
+        assert hashlib.sha256(body).hexdigest() == snapshot.checksum
+        assert path.read_bytes() == snapshot.to_json().encode("utf-8")
+        assert load_snapshot(path) == snapshot
 
-    def test_reuse_metric_counts_unchanged_roads(self):
-        from repro.obs import FlightRecorder, set_recorder
-        from repro.serving import SnapshotRowCache
-
-        rec = FlightRecorder()
-        previous = set_recorder(rec)
-        try:
-            cache = SnapshotRowCache()
-            est, bands = self._parts(3, (1, 2, 3))
-            EstimateSnapshot.build(0, 3, est, bands, row_cache=cache)
-            est2, bands2 = self._parts(4, (1, 2, 3))
-            EstimateSnapshot.build(1, 4, est2, bands2, row_cache=cache)
-            counter = rec.registry.counter("serving.snapshot_rows_reused")
-            assert counter.value == 3  # round 1 reused every road's row
-        finally:
-            set_recorder(previous)
-
-    def test_publisher_rounds_reuse_rows(
+    def test_published_round_persists_the_hashed_body(
         self, served_system, small_dataset, platform, tmp_path
     ):
-        from repro.obs import FlightRecorder, set_recorder
+        clock = ManualClock()
+        store = EstimateStore(
+            history=small_dataset.store, network=small_dataset.network, clock=clock
+        )
+        publisher = SnapshotPublisher(
+            served_system,
+            store,
+            UncertaintyModel(served_system.estimator, small_dataset.store),
+            watchdog=default_watchdog(900.0, clock=clock),
+            clock=clock,
+            snapshot_dir=tmp_path,
+        )
+        interval = small_dataset.test_day_intervals()[0]
+        report = publisher.publish_round(interval, small_dataset.test, platform)
+        assert report.published
+        body = self._persisted_body(Path(report.persisted_path))
+        assert hashlib.sha256(body).hexdigest() == store.latest().checksum
 
-        rec = FlightRecorder()
-        previous = set_recorder(rec)
-        try:
-            clock = ManualClock()
-            store = EstimateStore(
-                history=small_dataset.store,
-                network=small_dataset.network,
-                clock=clock,
-            )
-            publisher = SnapshotPublisher(
-                served_system,
-                store,
-                UncertaintyModel(served_system.estimator, small_dataset.store),
-                watchdog=default_watchdog(900.0, clock=clock),
-                clock=clock,
-            )
-            interval = small_dataset.test_day_intervals()[0]
-            # Identical round twice: every road's row reuses on round 2.
-            for _ in range(2):
-                report = publisher.publish_round(
-                    interval, small_dataset.test, platform, crowd_seed=0
-                )
-                assert report.published
-            counter = rec.registry.counter("serving.snapshot_rows_reused")
-            assert counter.value == small_dataset.network.num_segments
-            assert store.latest().verify()
-        finally:
-            set_recorder(previous)
+    def test_previous_envelope_still_loads(self, tmp_path):
+        """Files written with json.dumps default separators (the envelope
+        before the body was persisted verbatim) survive the upgrade."""
+        snapshot = make_snapshot(version=5, provenance=make_provenance())
+        payload = json.loads(snapshot.to_json())
+        path = snapshot_path(tmp_path, snapshot.version)
+        path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        assert '"body": {' in path.read_text(encoding="utf-8")
+        loaded = load_snapshot(path)
+        assert loaded == snapshot
+        assert loaded.checksum == snapshot.checksum
+        recovered = recover_latest(tmp_path)
+        assert recovered.snapshot == snapshot
+        assert recovered.corrupt == ()
+        # Re-saving writes the current envelope with the same checksum.
+        resaved = save_snapshot(loaded, tmp_path / "resaved")
+        body = self._persisted_body(resaved)
+        assert hashlib.sha256(body).hexdigest() == snapshot.checksum
+
+    def test_store_rejects_snapshot_tampered_after_build(self):
+        store = EstimateStore(clock=ManualClock())
+        snapshot = make_snapshot(version=1)
+        estimates = dict(snapshot.estimates)
+        estimates[2] = estimates[2].replace(speed_kmh=99.0)
+        object.__setattr__(snapshot, "estimates", MappingProxyType(estimates))
+        assert not snapshot.verify()
+        assert not store.publish(snapshot)
+        assert store.latest() is None
