@@ -15,6 +15,7 @@ from repro.history.fidelity import (
     get_fidelity_service,
     set_fidelity_service,
     sparse_fidelity_row,
+    sparse_fidelity_rows,
 )
 from repro.history.incremental import (
     GraphDelta,
@@ -51,6 +52,7 @@ __all__ = [
     "get_fidelity_service",
     "set_fidelity_service",
     "sparse_fidelity_row",
+    "sparse_fidelity_rows",
     "load_field",
     "load_graph",
     "load_store",

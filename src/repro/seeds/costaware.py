@@ -64,12 +64,11 @@ def _lazy_pass(
 ) -> SelectionResult:
     """One lazy greedy pass; keyed by gain or gain/cost ratio."""
     state = objective.new_state()
-    evaluations = 0
     current_round = 0
     heap: list[tuple[float, int, int]] = []
-    for road in objective.road_ids:
-        gain = state.gain(road)
-        evaluations += 1
+    roads = objective.road_ids
+    evaluations = len(roads)
+    for road, gain in zip(roads, state.gains(roads)):
         key = gain / costs[road] if by_ratio else gain
         heapq.heappush(heap, (-key, road, 0))
 

@@ -30,16 +30,14 @@ def lazy_greedy_select(
     pool = validate_candidates(objective, budget, candidates)
 
     state = objective.new_state()
-    evaluations = 0
+    ordered = sorted(pool)
 
     # Heap entries: (-gain, road, round_evaluated). Road id is the
     # tie-breaker, matching plain greedy's sorted scan.
     heap: list[tuple[float, int, int]] = []
-    for candidate in sorted(pool):
-        gain = state.gain(candidate)
-        evaluations += 1
+    for candidate, gain in zip(ordered, state.gains(ordered)):
         heapq.heappush(heap, (-gain, candidate, 0))
-    return run_celf(objective, budget, heap, state, evaluations)
+    return run_celf(objective, budget, heap, state, len(ordered))
 
 
 def run_celf(

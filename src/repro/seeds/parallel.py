@@ -13,11 +13,13 @@ runs them across a process pool:
 * Each worker rebuilds a :class:`~repro.history.fidelity.CSRFidelityGraph`
   view over the shared buffers and runs the *unchanged*
   :func:`~repro.seeds.lazy.lazy_greedy_select` against a duck-typed
-  objective that computes sparse influence rows on demand and memoises
-  them for the duration of one district task. Because the kernel, the
-  transform math and the weight construction are byte-identical to the
-  parent's, each district returns the **identical seed sequence** the
-  single-process path would have produced for that chunk.
+  objective that computes sparse influence rows with the block kernel
+  (CELF's empty-set scan fetches a whole district in one batch) and
+  memoises them for the duration of one district task. Because the
+  kernel, the transform math and the weight construction are
+  byte-identical to the parent's, each district returns the **identical
+  seed sequence** the single-process path would have produced for that
+  chunk.
 * Stitching is deterministic: district results are concatenated in
   district order (the same order the serial loop uses), never in
   completion order, and the final global rescoring runs in the parent.
@@ -54,7 +56,7 @@ from repro.history.fidelity import (
     CSRFidelityGraph,
     SparseRow,
     _transform_row,
-    sparse_fidelity_row,
+    sparse_fidelity_rows,
 )
 from repro.obs import get_recorder
 from repro.seeds.greedy import SelectionResult, validate_budget
@@ -117,7 +119,7 @@ class _SharedArrayObjective:
     Exposes exactly the surface :class:`~repro.seeds.objective.
     CoverageState` and :func:`~repro.seeds.lazy.lazy_greedy_select`
     touch (``num_roads``/``road_ids``/``index``/``weights``/
-    ``influence_row``/``new_state``), with rows
+    ``influence_row``/``influence_rows``/``new_state``), with rows
     computed from the shared arrays by the same kernel + transform
     math the parent's cache service uses — so gains, tie-breaks and
     therefore seed sequences are bitwise identical to the parent's.
@@ -153,12 +155,20 @@ class _SharedArrayObjective:
     def influence_row(self, road: int) -> SparseRow:
         row = self._rows.get(road)
         if row is None:
-            position = self.index[road]
-            raw = sparse_fidelity_row(self._csr, position, self._min_fidelity)
-            row = self._rows[road] = _transform_row(raw, position, self._transform)
-            self.rows_computed += 1
-            self.nonzeros += raw.indices.size
+            row = self.influence_rows([road])[0]
         return row
+
+    def influence_rows(self, roads: list[int]) -> list[SparseRow]:
+        memo = self._rows
+        missing = list(dict.fromkeys(road for road in roads if road not in memo))
+        if missing:
+            positions = [self.index[road] for road in missing]
+            raws = sparse_fidelity_rows(self._csr, positions, self._min_fidelity)
+            for road, position, raw in zip(missing, positions, raws):
+                memo[road] = _transform_row(raw, position, self._transform)
+                self.nonzeros += raw.indices.size
+            self.rows_computed += len(missing)
+        return [memo[road] for road in roads]
 
     def new_state(self) -> CoverageState:
         return CoverageState(self)
@@ -195,14 +205,17 @@ def _vote_chunk(
     """Worker task: partial Step-1 vote vector for one district's seeds."""
     assert _worker_csr is not None
     csr = _worker_csr
+    memo = _worker_vote_rows
+    seeds = dict.fromkeys(road for road, _ in pairs)
+    missing = [road for road in seeds if road not in memo]
+    positions = [csr.index[road] for road in missing]
+    raws = sparse_fidelity_rows(csr, positions, _worker_min_fidelity)
+    for road, position, raw in zip(missing, positions, raws):
+        memo[road] = _transform_row(raw, position, "logodds")
     votes = np.zeros(csr.num_roads, dtype=np.float64)
     nonzeros = 0
     for road, sign in pairs:
-        row = _worker_vote_rows.get(road)
-        if row is None:
-            position = csr.index[road]
-            raw = sparse_fidelity_row(csr, position, _worker_min_fidelity)
-            row = _worker_vote_rows[road] = _transform_row(raw, position, "logodds")
+        row = memo[road]
         nonzeros += int(np.count_nonzero(row.values))
         # Off the support a dense add would add +-0.0: a no-op here.
         votes[row.indices] += sign * row.values

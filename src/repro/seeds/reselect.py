@@ -99,10 +99,9 @@ class IncrementalCelfSelector:
             dirty=len(self._dirty),
         ) as span:
             state = self._objective.new_state()
-            reevaluated = 0
-            for candidate in sorted(self._dirty):
-                self._gains[candidate] = state.gain(candidate)
-                reevaluated += 1
+            dirty = sorted(self._dirty)
+            self._gains.update(zip(dirty, state.gains(dirty)))
+            reevaluated = len(dirty)
             self._dirty.clear()
             cached = len(self._pool) - reevaluated
             recorder.count("seeds.reselect.reevaluated", reevaluated)

@@ -29,6 +29,9 @@ from repro.core.types import Trend
 from repro.history.correlation import CorrelationGraph
 from repro.history.store import HistoricalSpeedStore
 
+#: Edge potentials are clipped into ``[eps, 1 - eps]``.
+_POTENTIAL_EPS = 0.02
+
 
 @dataclass(frozen=True)
 class TrendInstance:
@@ -160,18 +163,41 @@ class TrendModel:
         self._store = store
         self._road_ids = tuple(graph.road_ids)
         self._index = {road: i for i, road in enumerate(self._road_ids)}
-        self._edges = tuple(
-            (self._index[e.road_u], self._index[e.road_v], self._clip(e.agreement))
-            for e in graph.edges()
-        )
+        self._edges = self._read_edges()
         # Priors depend only on the bucket, not on evidence, so they are
         # computed once per bucket and shared across intervals.
         self._prior_cache: dict[int, np.ndarray] = {}
 
     @staticmethod
-    def _clip(p: float, eps: float = 0.02) -> float:
+    def _clip(p: float) -> float:
         """Keep potentials strictly inside (0, 1) for numerical safety."""
-        return min(1.0 - eps, max(eps, p))
+        return min(1.0 - _POTENTIAL_EPS, max(_POTENTIAL_EPS, p))
+
+    def _read_edges(self) -> tuple[tuple[int, int, float], ...]:
+        """``(i, j, clip(p))`` per graph edge, in ``(u, v)`` road-id order.
+
+        Built from :meth:`~repro.history.correlation.CorrelationGraph.
+        edge_arrays` without edge objects; the elementwise clip selects
+        the same floats :meth:`_clip` does. Entries are shared Python
+        objects (the index's ints, one float per distinct potential):
+        the tuple lives as long as the model, and a fresh int, int and
+        float per edge would add ~50 bytes an edge.
+        """
+        road_u, road_v, agreement = self._graph.edge_arrays()
+        order = np.lexsort((road_v, road_u))
+        positions = np.asarray(self._road_ids, dtype=np.int64)
+        clipped = np.minimum(
+            1.0 - _POTENTIAL_EPS, np.maximum(_POTENTIAL_EPS, agreement[order])
+        )
+        potentials, which = np.unique(clipped, return_inverse=True)
+        position = list(self._index.values()).__getitem__
+        return tuple(
+            zip(
+                map(position, np.searchsorted(positions, road_u[order]).tolist()),
+                map(position, np.searchsorted(positions, road_v[order]).tolist()),
+                map(potentials.tolist().__getitem__, which.tolist()),
+            )
+        )
 
     def refresh_edges(self) -> None:
         """Re-read edge potentials from the bound graph.
@@ -183,10 +209,7 @@ class TrendModel:
         hook does) so BP/Gibbs instances see the new weights. The road
         set of a delta never changes, so the index stays valid.
         """
-        self._edges = tuple(
-            (self._index[e.road_u], self._index[e.road_v], self._clip(e.agreement))
-            for e in self._graph.edges()
-        )
+        self._edges = self._read_edges()
 
     def _bucket_prior(self, bucket: int) -> np.ndarray:
         cached = self._prior_cache.get(bucket)

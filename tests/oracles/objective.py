@@ -44,6 +44,9 @@ class ScalarCoverageState:
             gain += weights[i] * self.residual[i] * q
         return gain
 
+    def gains(self, candidates: list[int]) -> list[float]:
+        return [self.gain(candidate) for candidate in candidates]
+
     def add(self, seed: int) -> float:
         gain = self.gain(seed)
         if seed in self._selected:

@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.errors import InferenceError
 from repro.core.types import Trend
+from repro.history.correlation import CorrelationEdge, CorrelationGraph
+from repro.history.incremental import GraphDelta
 from repro.trend.model import TrendInstance, TrendModel, TrendPosterior
 
 
@@ -119,6 +121,49 @@ class TestTrendModel:
         inst = model.instance(small_dataset.test_day_intervals()[0], {})
         for _, _, p in inst.edges:
             assert 0.02 <= p <= 0.98
+
+    def test_edges_equal_edge_object_construction(self, small_dataset):
+        """Edge triples read from the graph's arrays equal the ones built
+        from sorted edge objects, before and after an in-place delta."""
+        graph = CorrelationGraph(
+            small_dataset.graph.road_ids, list(small_dataset.graph.edges())
+        )
+        model = TrendModel(graph, small_dataset.store)
+
+        def from_edge_objects():
+            index = {road: i for i, road in enumerate(graph.road_ids)}
+            return tuple(
+                (index[e.road_u], index[e.road_v], min(1.0 - 0.02, max(0.02, e.agreement)))
+                for e in graph.edges()
+            )
+
+        def assert_same(edges):
+            expected = from_edge_objects()
+            assert edges == expected
+            for got, want in zip(edges, expected):
+                assert tuple(map(type, got)) == tuple(map(type, want))
+
+        assert_same(model.instance(0, {}).edges)
+        first, second, third = list(graph.edges())[:3]
+        roads = graph.road_ids
+        absent = next(
+            (u, v)
+            for u in roads
+            for v in roads
+            if u < v and graph.agreement(u, v) is None
+        )
+        graph.apply_delta(
+            GraphDelta(
+                added=(CorrelationEdge(*absent, 0.995),),
+                removed=((first.road_u, first.road_v),),
+                reweighted=(
+                    CorrelationEdge(second.road_u, second.road_v, 0.001),
+                    CorrelationEdge(third.road_u, third.road_v, 0.5),
+                ),
+            )
+        )
+        model.refresh_edges()
+        assert_same(model.instance(0, {}).edges)
 
     def test_priors_from_bucket(self, small_dataset):
         model = TrendModel(small_dataset.graph, small_dataset.store)
