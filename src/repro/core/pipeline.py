@@ -45,7 +45,7 @@ from repro.seeds.lazy import lazy_greedy_select
 from repro.seeds.objective import SeedSelectionObjective
 from repro.seeds.partition import partition_greedy_select
 from repro.speed.degradation import DegradationParams, DegradationPolicy
-from repro.speed.estimator import TwoStepEstimator
+from repro.speed.estimator import EstimateColumns, TwoStepEstimator
 from repro.speed.plan import IntervalPlanCache
 from repro.trend.bp import LoopyBeliefPropagation
 from repro.trend.gibbs import GibbsSamplingInference
@@ -65,7 +65,7 @@ class RoundOutcome(Mapping):
 
     def __init__(
         self,
-        estimates: dict[int, SpeedEstimate],
+        estimates: Mapping[int, SpeedEstimate],
         report: RoundReport,
         observed: dict[int, float],
         substituted: dict[int, str],
@@ -441,9 +441,36 @@ class SpeedEstimationSystem:
 
     def estimate(
         self, interval: int, seed_speeds: dict[int, float]
-    ) -> dict[int, SpeedEstimate]:
+    ) -> EstimateColumns:
         """One estimation round from crowdsourced seed speeds."""
         return self._estimator.estimate_interval(interval, seed_speeds)
+
+    def estimate_round(
+        self, interval: int, observed: dict[int, float]
+    ) -> tuple[EstimateColumns, dict[int, float], dict[int, str]]:
+        """Estimate from a possibly partial round of seed observations.
+
+        Seeds the crowd left unanswered are substituted by the
+        degradation policy, the filled observations go through
+        :meth:`estimate`, and the substituted seeds' estimates come back
+        flagged ``degraded``. Returns (estimates, filled observations,
+        substituted seeds -> reason). Counts nothing: the caller records
+        the round once with :meth:`record_substitutions`.
+        """
+        filled, substituted = self._degradation.fill_missing(
+            interval, observed, self._seeds
+        )
+        estimates = self.estimate(interval, filled).with_degraded(substituted)
+        return estimates, filled, substituted
+
+    @staticmethod
+    def record_substitutions(substituted: dict[int, str]) -> None:
+        """Count one round's substituted seeds and degraded estimates."""
+        recorder = get_recorder()
+        for reason in substituted.values():
+            recorder.count("pipeline.substitutions", reason=reason)
+        if substituted:
+            recorder.count("speed.degraded_estimates", len(substituted))
 
     @property
     def degradation(self) -> DegradationPolicy:
@@ -477,16 +504,8 @@ class SpeedEstimationSystem:
         ]
         crowd_round = platform.collect(tasks, seed=crowd_seed)
         observed = crowd_round.speeds()
-        filled, substituted = self._degradation.fill_missing(
-            interval, observed, self._seeds
-        )
-        for reason in substituted.values():
-            recorder.count("pipeline.substitutions", reason=reason)
-        estimates = self.estimate(interval, filled)
-        for road in substituted:
-            estimates[road] = estimates[road].replace(degraded=True)
-        if substituted:
-            recorder.count("speed.degraded_estimates", len(substituted))
+        estimates, _, substituted = self.estimate_round(interval, observed)
+        self.record_substitutions(substituted)
         self._degradation.observe(interval, observed)
         outcome = RoundOutcome(
             estimates=estimates,

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.core.errors import DataError
 from repro.history.store import HistoricalSpeedStore
+from repro.obs import get_recorder
 from repro.roadnet.network import RoadNetwork
 
 
@@ -273,32 +274,36 @@ def mine_correlation_graph(
     nonzero = None if not has_zeros else (trends != 0.0)
 
     edges: list[CorrelationEdge] = []
-    for road_id in road_ids:
-        candidates = [
-            other
-            for other, hops in network.roads_within_hops(road_id, max_hops).items()
-            if other > road_id and other in column and hops >= 1
-        ]
-        if not candidates:
-            continue
-        cols = np.array([column[c] for c in candidates])
-        if not has_zeros:
-            # agreement = P(t_u == t_v) = (1 + E[t_u * t_v]) / 2 for ±1 trends.
-            products = trends[:, cols].T @ trends[:, column[road_id]]
-            agreements = (1.0 + products / num_intervals) / 2.0
-            supported = np.ones(len(candidates), dtype=bool)
-        else:
-            u_col = trends[:, column[road_id]]
-            valid = nonzero[:, cols] & nonzero[:, column[road_id]][:, None]
-            valid_counts = valid.sum(axis=0)
-            same_sign = ((trends[:, cols] == u_col[:, None]) & valid).sum(axis=0)
-            # A pair with no valid interval has no evidence: agreement 0,
-            # which min_agreement >= 0.5 always rejects.
-            agreements = same_sign / np.maximum(valid_counts, 1)
-            supported = valid_counts >= min_valid_fraction * num_intervals
-        for candidate, agreement, has_support in zip(
-            candidates, agreements, supported
-        ):
-            if has_support and agreement >= min_agreement:
-                edges.append(CorrelationEdge(road_id, candidate, float(agreement)))
+    with get_recorder().span(
+        "history.correlation.mine", roads=len(road_ids)
+    ) as span:
+        for road_id in road_ids:
+            candidates = [
+                other
+                for other, hops in network.roads_within_hops(road_id, max_hops).items()
+                if other > road_id and other in column and hops >= 1
+            ]
+            if not candidates:
+                continue
+            cols = np.array([column[c] for c in candidates])
+            if not has_zeros:
+                # agreement = P(t_u == t_v) = (1 + E[t_u * t_v]) / 2 for ±1 trends.
+                products = trends[:, cols].T @ trends[:, column[road_id]]
+                agreements = (1.0 + products / num_intervals) / 2.0
+                supported = np.ones(len(candidates), dtype=bool)
+            else:
+                u_col = trends[:, column[road_id]]
+                valid = nonzero[:, cols] & nonzero[:, column[road_id]][:, None]
+                valid_counts = valid.sum(axis=0)
+                same_sign = ((trends[:, cols] == u_col[:, None]) & valid).sum(axis=0)
+                # A pair with no valid interval has no evidence: agreement 0,
+                # which min_agreement >= 0.5 always rejects.
+                agreements = same_sign / np.maximum(valid_counts, 1)
+                supported = valid_counts >= min_valid_fraction * num_intervals
+            for candidate, agreement, has_support in zip(
+                candidates, agreements, supported
+            ):
+                if has_support and agreement >= min_agreement:
+                    edges.append(CorrelationEdge(road_id, candidate, float(agreement)))
+        span.set(edges=len(edges))
     return CorrelationGraph(road_ids, edges)

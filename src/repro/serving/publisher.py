@@ -45,7 +45,8 @@ from repro.serving.snapshot import (
 )
 from repro.serving.store import EstimateStore
 from repro.serving.watchdog import StagePolicy, Watchdog
-from repro.speed.uncertainty import SpeedBand, UncertaintyModel
+from repro.speed.estimator import EstimateColumns
+from repro.speed.uncertainty import BandColumns, UncertaintyModel
 
 #: Round outcomes a :class:`PublishReport` can carry.
 PUBLISHED = "published"
@@ -107,8 +108,8 @@ class PublishReport:
 class _RoundResult:
     """Internal: the estimate stage's output, pre-snapshot."""
 
-    estimates: dict
-    bands: dict[int, SpeedBand]
+    estimates: EstimateColumns
+    bands: BandColumns
     observed: dict[int, float]
     substituted: dict[int, str]
     report_degraded: bool
@@ -207,12 +208,9 @@ class SnapshotPublisher:
     def _estimate(self, interval: int, crowd_round) -> _RoundResult:
         self._maybe_hang("estimate")
         observed = crowd_round.speeds()
-        filled, substituted = self._system.degradation.fill_missing(
-            interval, observed, self._system.seeds
+        estimates, filled, substituted = self._system.estimate_round(
+            interval, observed
         )
-        estimates = self._system.estimate(interval, filled)
-        for road in substituted:
-            estimates[road] = estimates[road].replace(degraded=True)
         bands = self._uncertainty.bands_for(estimates, filled)
         return _RoundResult(
             estimates=estimates,
@@ -289,6 +287,9 @@ class SnapshotPublisher:
             result = self._watchdog.run(
                 "estimate", self._estimate, interval, crowd_round
             )
+            # Counted once the stage has returned, so a retried stage
+            # never counts its substitutions twice.
+            self._system.record_substitutions(result.substituted)
             self._watchdog.check_deadline()
         except ServingError as exc:
             # StageTimeout / StageFailed / RoundDeadlineExceeded (and the
@@ -360,6 +361,6 @@ class SnapshotPublisher:
 
 
 def _corrupt_file(path: Path) -> None:
-    """Simulate a torn write: truncate mid-document and scribble."""
-    text = path.read_text(encoding="utf-8")
-    path.write_text(text[: max(1, len(text) // 2)] + "#CORRUPT", encoding="utf-8")
+    """Simulate a torn write: truncate mid-file and scribble."""
+    data = path.read_bytes()
+    path.write_bytes(data[: max(1, len(data) // 2)] + b"#CORRUPT")

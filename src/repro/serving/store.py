@@ -22,6 +22,13 @@ no snapshot, no history ``unavailable`` — a typed response, not an
                         exception
 ======================  ================================================
 
+A snapshot's numbers reach readers through per-publish read rows:
+publishing builds one tuple per road from the snapshot's columns
+(``.tolist()``, so no numpy scalar is touched per read) and reuses the
+road -> position map while consecutive snapshots cover the same roads.
+A read is one dict lookup and one list index; no per-road
+:class:`~repro.core.types.SpeedEstimate` is ever built.
+
 Overload is degraded the same way: a bounded in-flight admission gate
 sheds excess requests (``shed`` responses, never queue collapse), and a
 serving-side :class:`~repro.core.breaker.CircuitBreaker` short-circuits
@@ -54,6 +61,11 @@ SHED = "shed"
 UNAVAILABLE = "unavailable"
 
 READ_STATUSES = (FRESH, STALE, BASELINE, SHED, UNAVAILABLE)
+
+_TRENDS = {int(trend): trend for trend in Trend}
+
+#: What readers see: (snapshot, received_at, road -> position, read rows).
+_Current = tuple[EstimateSnapshot, float, dict[int, int], list[tuple]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,10 +255,13 @@ class EstimateStore:
         )
         self._z = z_for_confidence(confidence)
         self._publish_lock = threading.Lock()
-        # The one mutable cell readers touch: (snapshot, received_at).
-        # Swapped atomically by publish; readers copy the reference once
-        # per read and work off the immutable snapshot it points to.
-        self._current: tuple[EstimateSnapshot, float] | None = None
+        # The one mutable cell readers touch: (snapshot, received_at,
+        # position, rows). Swapped atomically by publish; readers copy
+        # the reference once per read and work off the immutable
+        # snapshot and read rows it points to.
+        self._current: _Current | None = None
+        # (road ids, road -> position) of the last published snapshot.
+        self._positions: tuple[tuple[int, ...], dict[int, int]] | None = None
         self._interval_s = (
             history.grid.interval_minutes * 60.0 if history is not None else None
         )
@@ -310,7 +325,8 @@ class EstimateStore:
             if current is not None and snapshot.version <= current[0].version:
                 recorder.count("serving.publish_rejected", reason="version")
                 return False
-            self._current = (snapshot, self._now())
+            position, rows = self._read_rows(snapshot)
+            self._current = (snapshot, self._now(), position, rows)
         if self._breaker is not None:
             # A fresh snapshot is a new round for the serving breaker:
             # an open breaker gets its half-open probe.
@@ -318,6 +334,35 @@ class EstimateStore:
         recorder.count("serving.publish")
         recorder.gauge("serving.snapshot_version", snapshot.version)
         return True
+
+    def _read_rows(
+        self, snapshot: EstimateSnapshot
+    ) -> tuple[dict[int, int], list[tuple]]:
+        """Road -> position and one read row per road for ``snapshot``.
+
+        A row is (speed, lower, upper, std, trend, p_rise, is_seed,
+        degraded) as Python objects. The position map is rebuilt only
+        when the snapshot's road ids differ from the previous one's.
+        """
+        estimates, bands = snapshot.estimates, snapshot.bands
+        roads = estimates.road_ids
+        cached = self._positions
+        if cached is None or not (cached[0] is roads or cached[0] == roads):
+            cached = (roads, {road: i for i, road in enumerate(roads)})
+            self._positions = cached
+        rows = list(
+            zip(
+                estimates.speed.tolist(),
+                bands.lower.tolist(),
+                bands.upper.tolist(),
+                bands.std.tolist(),
+                map(_TRENDS.__getitem__, estimates.trend.tolist()),
+                estimates.p_rise.tolist(),
+                estimates.is_seed.tolist(),
+                estimates.degraded.tolist(),
+            )
+        )
+        return cached[1], rows
 
     # ------------------------------------------------------------------
     # Read path
@@ -395,12 +440,15 @@ class EstimateStore:
                 served = self._baseline_or_unavailable(road_id, current, now)
         snapshot = current[0] if current is not None else None
         age = max(0.0, now - current[1]) if current is not None else None
+        served_roads = current[2] if current is not None else {}
         get_recorder().count("serving.explains", status=served.status)
         return ReadExplanation(
             road_id=road_id,
             status=served.status,
             served=served,
-            chain=self._explain_chain(road_id, served, snapshot, age, breaker_open),
+            chain=self._explain_chain(
+                road_id, served, snapshot, served_roads, age, breaker_open
+            ),
             snapshot_version=snapshot.version if snapshot is not None else None,
             snapshot_age_s=age,
             staleness=self._staleness,
@@ -413,6 +461,7 @@ class EstimateStore:
         road: int,
         served: ServedEstimate,
         snapshot: EstimateSnapshot | None,
+        served_roads: dict[int, int],
         age: float | None,
         breaker_open: bool,
     ) -> tuple[RungDecision, ...]:
@@ -434,7 +483,7 @@ class EstimateStore:
             )
         elif snapshot is None:
             snapshot_reason = "no snapshot has ever been published"
-        elif road not in snapshot.estimates:
+        elif road not in served_roads:
             snapshot_reason = f"road absent from snapshot v{snapshot.version}"
         elif age is not None and age > hard:
             snapshot_reason = (
@@ -538,7 +587,7 @@ class EstimateStore:
     def _account_read(
         recorder,
         out: dict[int, ServedEstimate],
-        current: tuple[EstimateSnapshot, float] | None,
+        current: _Current | None,
         now: float,
     ) -> tuple[dict[int, ServedEstimate], dict[str, int]]:
         """Count statuses once per read (batched per-status increments)."""
@@ -581,38 +630,36 @@ class EstimateStore:
     def _serve(
         self,
         road: int,
-        current: tuple[EstimateSnapshot, float] | None,
+        current: _Current | None,
         now: float,
     ) -> ServedEstimate:
         if current is None:
             return self._baseline_or_unavailable(road, current, now)
-        snapshot, received_at = current
+        snapshot, received_at, position, rows = current
         age = max(0.0, now - received_at)
         if age > self._staleness.hard_after_s:
             return self._baseline_or_unavailable(road, current, now)
-        estimate = snapshot.estimates.get(road)
-        if estimate is None:
+        i = position.get(road)
+        if i is None:
             return self._baseline_or_unavailable(road, current, now)
-        band = snapshot.bands[road]
+        speed, lower, upper, std, trend, p_rise, is_seed, degraded = rows[i]
         stale = age > self._staleness.soft_after_s
         if stale:
             inflate = self._staleness.stale_inflation
-            std = band.std_kmh * inflate
-            lower = max(0.0, estimate.speed_kmh - (estimate.speed_kmh - band.lower_kmh) * inflate)
-            upper = estimate.speed_kmh + (band.upper_kmh - estimate.speed_kmh) * inflate
-        else:
-            std, lower, upper = band.std_kmh, band.lower_kmh, band.upper_kmh
+            std = std * inflate
+            lower = max(0.0, speed - (speed - lower) * inflate)
+            upper = speed + (upper - speed) * inflate
         return ServedEstimate(
             road_id=road,
             status=STALE if stale else FRESH,
-            speed_kmh=estimate.speed_kmh,
+            speed_kmh=speed,
             lower_kmh=lower,
             upper_kmh=upper,
             std_kmh=std,
-            trend=estimate.trend,
-            trend_probability=estimate.trend_probability,
-            is_seed=estimate.is_seed,
-            degraded=estimate.degraded or stale,
+            trend=trend,
+            trend_probability=p_rise,
+            is_seed=is_seed,
+            degraded=degraded or stale,
             stale=stale,
             snapshot_version=snapshot.version,
             age_s=age,
@@ -622,13 +669,13 @@ class EstimateStore:
     def _baseline_or_unavailable(
         self,
         road: int,
-        current: tuple[EstimateSnapshot, float] | None,
+        current: _Current | None,
         now: float,
     ) -> ServedEstimate:
         """The historical-mean fallback, or a typed refusal."""
         version = age = interval = None
         if current is not None:
-            snapshot, received_at = current
+            snapshot, received_at = current[0], current[1]
             version = snapshot.version
             age = max(0.0, now - received_at)
             interval = snapshot.interval

@@ -6,8 +6,9 @@ from repro.speed.degradation import (
     DegradationParams,
     DegradationPolicy,
 )
-from repro.speed.estimator import TwoStepEstimator
+from repro.speed.estimator import EstimateColumns, TwoStepEstimator
 from repro.speed.uncertainty import (
+    BandColumns,
     SpeedBand,
     UncertaintyModel,
     margin_kmh,
@@ -37,9 +38,11 @@ from repro.speed.shardplan import (
 )
 
 __all__ = [
+    "BandColumns",
     "DegradationParams",
     "DegradationPolicy",
     "DeviationHierarchy",
+    "EstimateColumns",
     "PRIOR",
     "STALE",
     "HierarchicalLinearModel",

@@ -4,13 +4,15 @@ Wires Step 1 (trend inference over the correlation-graph MRF) to Step 2
 (the hierarchical linear model) behind one call:
 :meth:`TwoStepEstimator.estimate_interval` takes the crowdsourced seed
 speeds for an interval and returns a :class:`~repro.core.types.SpeedEstimate`
-for every road in the correlation graph.
+for every road in the correlation graph, carried as the columns of one
+:class:`EstimateColumns`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.columns import RoadColumns
 from repro.core.errors import DataError, InferenceError
 from repro.core.types import SpeedEstimate, Trend
 from repro.history.correlation import CorrelationGraph
@@ -26,6 +28,53 @@ from repro.speed.hlm import HierarchicalLinearModel, HlmParams
 from repro.speed.plan import IntervalPlan, IntervalPlanCache, IntervalPlanner
 from repro.trend.model import TrendModel
 from repro.trend.propagation import TrendPropagationInference
+
+_TRENDS = {int(trend): trend for trend in Trend}
+
+
+class EstimateColumns(RoadColumns):
+    """One round's estimates: a read-only ``Mapping[int, SpeedEstimate]``.
+
+    Columns, aligned with ``road_ids``: ``speed`` (km/h; seeds carry
+    their observation verbatim), ``trend`` (the :class:`Trend` value as
+    int8), ``p_rise`` (the trend probability) and the boolean
+    ``is_seed`` and ``degraded`` flags. A :class:`SpeedEstimate` is
+    built only when a road is looked up.
+    """
+
+    FIELDS = (
+        ("speed", "speed_kmh", np.float64),
+        ("trend", "trend", np.int8),
+        ("p_rise", "trend_probability", np.float64),
+        ("is_seed", "is_seed", bool),
+        ("degraded", "degraded", bool),
+    )
+    COLUMNS = tuple(name for name, _, _ in FIELDS)
+    __slots__ = COLUMNS
+
+    def _record(self, i: int) -> SpeedEstimate:
+        return SpeedEstimate(
+            self.road_ids[i],
+            self.interval,
+            self.speed.item(i),
+            _TRENDS[self.trend.item(i)],
+            self.p_rise.item(i),
+            self.is_seed.item(i),
+            self.degraded.item(i),
+        )
+
+    def with_degraded(self, roads) -> "EstimateColumns":
+        """A copy with the estimates of ``roads`` flagged ``degraded``."""
+        roads = list(roads)
+        if not roads:
+            return self
+        degraded = self.degraded.copy()
+        position = self.position
+        for road in roads:
+            degraded[position[road]] = True
+        return EstimateColumns(
+            self.road_ids, self.interval, position, **self._columns(degraded=degraded)
+        )
 
 
 class TwoStepEstimator:
@@ -103,21 +152,22 @@ class TwoStepEstimator:
 
     def estimate_interval(
         self, interval: int, seed_speeds: dict[int, float]
-    ) -> dict[int, SpeedEstimate]:
+    ) -> EstimateColumns:
         """Estimates for every road given crowdsourced ``seed_speeds``.
 
         ``seed_speeds`` maps seed road id -> observed speed (km/h).
-        Returns a dict keyed by road id covering every road in the
-        correlation graph; seeds carry their observation verbatim.
+        Returns a mapping keyed by road id covering every road in the
+        correlation graph, in graph road order; seeds carry their
+        observation verbatim.
         """
-        return self._estimate(interval, seed_speeds, self._graph.road_ids)
+        return self._estimate(interval, seed_speeds, None)
 
     def estimate_roads(
         self,
         interval: int,
         seed_speeds: dict[int, float],
         roads: list[int],
-    ) -> dict[int, SpeedEstimate]:
+    ) -> EstimateColumns:
         """Estimates for ``roads`` only — the latency-sensitive query path.
 
         Trend inference still runs over the whole graph (evidence flows
@@ -142,8 +192,8 @@ class TwoStepEstimator:
         self,
         interval: int,
         seed_speeds: dict[int, float],
-        roads: list[int],
-    ) -> dict[int, SpeedEstimate]:
+        roads: list[int] | None,
+    ) -> EstimateColumns:
         if not seed_speeds:
             raise InferenceError("at least one seed observation is required")
         for road in seed_speeds:
@@ -186,14 +236,19 @@ class TwoStepEstimator:
         seed_speeds: dict[int, float],
         seed_trends: dict[int, Trend],
         seed_deviations: dict[int, float],
-        roads: list[int],
-    ) -> tuple[dict[int, SpeedEstimate], int]:
-        """The compiled-plan serving path: a few array ops per interval."""
+        roads: list[int] | None,
+    ) -> tuple[EstimateColumns, int]:
+        """The compiled-plan serving path: a few array ops per interval.
+
+        ``roads`` None means every road, in plan (= graph) order.
+        """
         recorder = get_recorder()
         seeds = tuple(sorted(seed_speeds))
         bucket = self._store.grid.bucket_of(interval)
         with recorder.span(
-            "speed.solve_vectorized", roads=len(roads), seeds=len(seeds)
+            "speed.solve_vectorized",
+            roads=len(roads) if roads is not None else self._graph.num_roads,
+            seeds=len(seeds),
         ) as span:
             key = (seeds, bucket, self._params)
             plan = self._plans.get_or_build(
@@ -215,34 +270,40 @@ class TwoStepEstimator:
             speeds = plan.evaluate(deviations, p_rise)
             span.set(plan_roads=plan.num_roads)
 
-            index = plan.index
-            speed_list = speeds.tolist()
-            p_list = p_rise.tolist()
-            rise, fall = Trend.RISE, Trend.FALL
-            estimates: dict[int, SpeedEstimate] = {}
-            seed_count = 0
-            for road in roads:
-                if road in seed_speeds:
-                    trend = seed_trends[road]
-                    estimates[road] = SpeedEstimate(
-                        road,
-                        interval,
-                        seed_speeds[road],
-                        trend,
-                        1.0 if trend is rise else 0.0,
-                        True,
-                    )
-                    seed_count += 1
-                    continue
-                i = index[road]
-                p = p_list[i]
-                estimates[road] = SpeedEstimate(
-                    road,
-                    interval,
-                    speed_list[i],
-                    rise if p >= 0.5 else fall,
-                    p,
+            # Both arrays are fresh per call, so the seed rows can be
+            # overwritten in place.
+            if roads is None:
+                road_ids, position = plan.road_ids, plan.index
+            else:
+                road_ids = tuple(roads)
+                position = {road: i for i, road in enumerate(road_ids)}
+                rows = np.fromiter(
+                    map(plan.index.__getitem__, road_ids), np.int64, len(road_ids)
                 )
+                speeds, p_rise = speeds[rows], p_rise[rows]
+            trend = np.where(p_rise >= 0.5, np.int8(Trend.RISE), np.int8(Trend.FALL))
+            is_seed = np.zeros(len(road_ids), dtype=bool)
+            seed_count = 0
+            for road, observed in seed_speeds.items():
+                i = position.get(road)
+                if i is None:
+                    continue
+                rise = seed_trends[road] is Trend.RISE
+                speeds[i] = observed
+                trend[i] = seed_trends[road]
+                p_rise[i] = 1.0 if rise else 0.0
+                is_seed[i] = True
+                seed_count += 1
+            estimates = EstimateColumns(
+                road_ids,
+                interval,
+                position,
+                speed=speeds,
+                trend=trend,
+                p_rise=p_rise,
+                is_seed=is_seed,
+                degraded=np.zeros(len(road_ids), dtype=bool),
+            )
         return estimates, seed_count
 
     def plan_for(self, interval: int, seeds) -> IntervalPlan:

@@ -15,7 +15,8 @@ mean, and a two-sided normal band of the requested confidence is
 clamped to physical limits. The fitted residual stds and bucket means
 are columns of the compiled :class:`~repro.speed.plan.IntervalPlan`
 that produced the estimates, so a round's bands are a few array ops
-over those columns. The per-road loop over
+over those columns and the estimates' own columns, returned as one
+:class:`BandColumns`. The per-road loop over
 :meth:`~repro.speed.hlm.JointSeedRegression.for_road` that defines
 them is the test oracle in ``tests/oracles/uncertainty.py``. Empirical
 coverage of the nominal bands is verified in the test suite.
@@ -23,22 +24,17 @@ coverage of the nominal bands is verified in the test suite.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import repeat
-from operator import attrgetter
 
 import numpy as np
 
+from repro.core.columns import RoadColumns
 from repro.core.errors import InferenceError
 from repro.core.types import SpeedEstimate
 from repro.history.store import HistoricalSpeedStore
 from repro.obs import get_recorder
-from repro.speed.estimator import TwoStepEstimator
-
-_INTERVAL = attrgetter("interval")
-_SPEED = attrgetter("speed_kmh")
-_IS_SEED = attrgetter("is_seed")
-_DEGRADED = attrgetter("degraded")
+from repro.speed.estimator import EstimateColumns, TwoStepEstimator
 
 #: Two-sided normal quantiles for common confidence levels.
 _Z_BY_CONFIDENCE = {0.80: 1.2816, 0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
@@ -62,6 +58,36 @@ class SpeedBand:
 
     def contains(self, speed_kmh: float) -> bool:
         return self.lower_kmh <= speed_kmh <= self.upper_kmh
+
+
+class BandColumns(RoadColumns):
+    """One round's bands: a read-only ``Mapping[int, SpeedBand]``.
+
+    Columns, aligned with ``road_ids``: ``speed``, ``lower``, ``upper``
+    and ``std`` (km/h) and ``confidence``. A :class:`SpeedBand` is built
+    only when a road is looked up.
+    """
+
+    FIELDS = (
+        ("speed", "speed_kmh", np.float64),
+        ("lower", "lower_kmh", np.float64),
+        ("upper", "upper_kmh", np.float64),
+        ("std", "std_kmh", np.float64),
+        ("confidence", "confidence", np.float64),
+    )
+    COLUMNS = tuple(name for name, _, _ in FIELDS)
+    __slots__ = COLUMNS
+
+    def _record(self, i: int) -> SpeedBand:
+        return SpeedBand(
+            self.road_ids[i],
+            self.interval,
+            self.speed.item(i),
+            self.lower.item(i),
+            self.upper.item(i),
+            self.std.item(i),
+            self.confidence.item(i),
+        )
 
 
 class UncertaintyModel:
@@ -104,53 +130,53 @@ class UncertaintyModel:
 
     def bands_for(
         self,
-        estimates: dict[int, SpeedEstimate],
+        estimates: Mapping[int, SpeedEstimate],
         seed_speeds: dict[int, float],
-    ) -> dict[int, SpeedBand]:
+    ) -> BandColumns | dict:
         """Prediction bands for one round's estimates.
 
         ``estimates`` is the output of ``estimate_interval`` or
-        ``estimate_roads`` for the same ``seed_speeds`` (so every
-        estimate shares one interval). The band columns are read from
-        the compiled plan that served those estimates; the cost is one
-        gather per column plus building the :class:`SpeedBand` objects.
+        ``estimate_roads`` for the same ``seed_speeds`` (any mapping of
+        one interval's estimates; non-columnar ones are converted
+        first). The band columns are read from the compiled plan that
+        served those estimates and the estimates' own columns: one
+        gather per plan column when the roads are not in plan order,
+        and no per-road objects.
         """
         if not estimates:
             return {}
-        intervals = set(map(_INTERVAL, estimates.values()))
-        if len(intervals) > 1:
-            raise InferenceError("bands_for needs estimates of one interval")
-        (interval,) = intervals
-        n = len(estimates)
+        estimates = EstimateColumns.from_mapping(estimates)
+        road_ids = estimates.road_ids
+        n = len(road_ids)
         with get_recorder().span("speed.uncertainty.bands", roads=n):
-            plan = self._estimator.plan_for(interval, seed_speeds)
-            index, column = plan.index.__getitem__, self._column.__getitem__
-            rows = np.fromiter(map(index, estimates), np.int64, n)
-            columns = np.fromiter(map(column, estimates), np.int64, n)
-            ests = estimates.values()
-            speed = np.fromiter(map(_SPEED, ests), np.float64, n)
-            is_seed = np.fromiter(map(_IS_SEED, ests), bool, n)
-            degraded = np.fromiter(map(_DEGRADED, ests), bool, n)
-
-            dev_std = np.where(
-                plan.has_reg[rows],
-                plan.residual_std[rows],
-                self._prior_dev_std[columns],
+            plan = self._estimator.plan_for(estimates.interval, seed_speeds)
+            has_reg, residual_std, historical = (
+                plan.has_reg, plan.residual_std, plan.historical
             )
-            std = np.maximum(0.1, dev_std * plan.historical[rows])
-            std = np.where(is_seed, self._seed_std, std)
+            if not (road_ids is plan.road_ids or road_ids == plan.road_ids):
+                rows = np.fromiter(map(plan.index.__getitem__, road_ids), np.int64, n)
+                has_reg, residual_std, historical = (
+                    has_reg[rows], residual_std[rows], historical[rows]
+                )
+            columns = np.fromiter(map(self._column.__getitem__, road_ids), np.int64, n)
+            dev_std = np.where(has_reg, residual_std, self._prior_dev_std[columns])
+            std = np.maximum(0.1, dev_std * historical)
+            std = np.where(estimates.is_seed, self._seed_std, std)
             # A substituted seed observation is no real observation:
             # widen its band so consumers see the lower confidence.
-            std = np.where(degraded, std * self._degraded_inflation, std)
+            std = np.where(estimates.degraded, std * self._degraded_inflation, std)
             margin = self._z * std
-            lower = np.maximum(0.0, speed - margin)
-            upper = speed + margin
-            bands = map(
-                SpeedBand, estimates, repeat(interval, n), speed.tolist(),
-                lower.tolist(), upper.tolist(), std.tolist(),
-                repeat(self._confidence, n),
+            speed = estimates.speed
+            return BandColumns(
+                road_ids,
+                estimates.interval,
+                estimates.position,
+                speed=speed,
+                lower=np.maximum(0.0, speed - margin),
+                upper=speed + margin,
+                std=std,
+                confidence=np.full(n, self._confidence),
             )
-            return dict(zip(estimates, bands))
 
     def empirical_coverage(
         self,

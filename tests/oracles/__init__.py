@@ -13,7 +13,9 @@ the vectorized production code against it:
 * :mod:`tests.oracles.estimator` — the per-road Step-2 solve over
   :meth:`~repro.speed.hlm.HierarchicalLinearModel.estimate_road`;
 * :mod:`tests.oracles.uncertainty` — the per-road prediction-band loop
-  over :meth:`~repro.speed.hlm.JointSeedRegression.for_road`.
+  over :meth:`~repro.speed.hlm.JointSeedRegression.for_road`;
+* :mod:`tests.oracles.snapshot` — the per-road ``SpeedEstimate`` round
+  loop and the format-2 (one JSON row per road) snapshot writer.
 
 Nothing under ``src/`` may import this package.
 """

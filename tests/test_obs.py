@@ -635,12 +635,28 @@ class TestWritePathSpans:
         build = write_path["serving.snapshot.build"].attrs
         save = write_path["serving.snapshot.save"].attrs
         assert build["roads"] == report.num_roads
-        # The file is the built body plus the {"body":…,"checksum":"…"} frame.
+        assert (build["format"], build["columns"]) == (3, 10)
+        # The file is the built header and columns plus the magic and
+        # checksum line and the header's line break.
         assert save["bytes"] == Path(report.persisted_path).stat().st_size
-        assert save["bytes"] - build["bytes"] == len('{"body":,"checksum":""}') + 64
+        assert save["bytes"] - build["bytes"] == len(b"REPRO-SNAPSHOT 3 \n\n") + 64
         # Snapshot build, save and verify run directly under the round;
         # its direct children never claim more time than the round took.
         for name in WRITE_PATH_SPANS[1:]:
             assert write_path[name].parent_id == root.span_id
         children = [s for s in spans if s.parent_id == root.span_id]
         assert sum(s.duration_s for s in children) <= root.duration_s
+
+
+class TestMiningSpan:
+    def test_batch_mining_reports_roads_and_edges(self, small_dataset):
+        from repro.history.correlation import mine_correlation_graph
+
+        with recording(FlightRecorder()) as rec:
+            graph = mine_correlation_graph(small_dataset.network, small_dataset.store)
+        (span,) = [s for s in rec.tracer.drain() if s.name == "history.correlation.mine"]
+        assert span.attrs == {
+            "roads": len(small_dataset.store.road_ids),
+            "edges": graph.num_edges,
+        }
+        assert graph.num_edges > 0

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import struct
 from pathlib import Path
 from types import MappingProxyType
 
@@ -36,6 +37,7 @@ from repro.serving import (
     snapshot_path,
 )
 from repro.speed.uncertainty import SpeedBand, UncertaintyModel
+from tests.oracles.snapshot import write_format2
 
 
 def make_provenance(round_index=4, **overrides):
@@ -118,7 +120,7 @@ class TestEstimateSnapshot:
 
     def test_json_roundtrip_preserves_content(self):
         snapshot = make_snapshot(version=7, substituted={2: "prior"})
-        restored = EstimateSnapshot.from_json(snapshot.to_json())
+        restored = EstimateSnapshot.from_bytes(snapshot.to_bytes())
         assert restored.checksum == snapshot.checksum
         assert restored.version == 7
         assert restored.estimates[1] == snapshot.estimates[1]
@@ -126,22 +128,24 @@ class TestEstimateSnapshot:
         assert dict(restored.substituted) == {2: "prior"}
 
     def test_tampered_payload_rejected(self):
-        text = make_snapshot().to_json()
-        tampered = text.replace("40.0", "80.0")
-        assert tampered != text
+        data = make_snapshot().to_bytes()
+        # Every road's speed column entry: 40.0 -> 80.0.
+        tampered = data.replace(struct.pack("<d", 40.0), struct.pack("<d", 80.0))
+        assert tampered != data
         with pytest.raises(SnapshotIntegrityError, match="checksum"):
-            EstimateSnapshot.from_json(tampered)
+            EstimateSnapshot.from_bytes(tampered)
 
     def test_truncated_payload_rejected(self):
-        text = make_snapshot().to_json()
+        data = make_snapshot().to_bytes()
         with pytest.raises(SnapshotIntegrityError):
-            EstimateSnapshot.from_json(text[: len(text) // 2])
+            EstimateSnapshot.from_bytes(data[: len(data) // 2])
 
     def test_wrong_format_version_rejected(self):
-        payload = json.loads(make_snapshot().to_json())
-        payload["body"]["format"] = 999
+        data = make_snapshot().to_bytes()
+        tampered = data.replace(b'"format":3', b'"format":999')
+        assert tampered != data
         with pytest.raises(SnapshotIntegrityError, match="format"):
-            EstimateSnapshot.from_json(json.dumps(payload))
+            EstimateSnapshot.from_bytes(tampered)
 
 
 class TestPersistence:
@@ -162,7 +166,7 @@ class TestPersistence:
     def test_recover_skips_corrupt_newest(self, tmp_path):
         save_snapshot(make_snapshot(version=0), tmp_path)
         path = save_snapshot(make_snapshot(version=1), tmp_path)
-        path.write_text(path.read_text()[:40] + "#CORRUPT", encoding="utf-8")
+        path.write_bytes(path.read_bytes()[:40] + b"#CORRUPT")
         result = recover_latest(tmp_path)
         assert result.snapshot.version == 0
         assert result.corrupt == (path.name,)
@@ -355,21 +359,21 @@ class TestRoundProvenance:
 
     def test_snapshot_json_round_trip_preserves_provenance(self):
         snapshot = make_snapshot(provenance=make_provenance())
-        restored = EstimateSnapshot.from_json(snapshot.to_json())
+        restored = EstimateSnapshot.from_bytes(snapshot.to_bytes())
         assert restored.provenance == snapshot.provenance
         assert restored.checksum == snapshot.checksum
         # A provenance-free snapshot restores to None, not a default.
-        assert EstimateSnapshot.from_json(
-            make_snapshot().to_json()
+        assert EstimateSnapshot.from_bytes(
+            make_snapshot().to_bytes()
         ).provenance is None
 
     def test_checksum_covers_provenance(self):
-        text = make_snapshot(provenance=make_provenance(seed_budget=8)).to_json()
-        # The persisted body is the canonical (no-whitespace) encoding.
-        tampered = text.replace('"seed_budget":8,', '"seed_budget":80,')
-        assert tampered != text
+        data = make_snapshot(provenance=make_provenance(seed_budget=8)).to_bytes()
+        # The persisted header is the canonical (no-whitespace) encoding.
+        tampered = data.replace(b'"seed_budget":8,', b'"seed_budget":80,')
+        assert tampered != data
         with pytest.raises(SnapshotIntegrityError, match="checksum"):
-            EstimateSnapshot.from_json(tampered)
+            EstimateSnapshot.from_bytes(tampered)
 
     def test_persisted_provenance_survives_recovery(self, tmp_path):
         snapshot = make_snapshot(version=3, provenance=make_provenance())
@@ -641,25 +645,30 @@ class TestSnapshotPublisher:
 
 
 class TestSnapshotEncoding:
-    """One encode per build: the persisted body is exactly the hashed
-    bytes, older envelopes still load, and the store's check stays an
-    independent re-encode."""
+    """One serialisation per build: the persisted header and columns are
+    exactly the hashed bytes, format-2 files still load, and the store's
+    check stays an independent re-serialisation."""
 
     @staticmethod
     def _persisted_body(path):
+        """(checksum written in the file, the bytes it must hash)."""
         data = path.read_bytes()
-        prefix, separator = b'{"body":', b',"checksum"'
-        assert data.startswith(prefix)
-        return data[len(prefix):data.rindex(separator)]
+        magic = b"REPRO-SNAPSHOT 3 "
+        assert data.startswith(magic)
+        checksum = data[len(magic):len(magic) + 64].decode("ascii")
+        assert data[len(magic) + 64:len(magic) + 65] == b"\n"
+        header, columns = data[len(magic) + 65:].split(b"\n", 1)
+        return checksum, header + columns
 
     def test_checksum_is_sha256_of_persisted_body(self, tmp_path):
         snapshot = make_snapshot(
             version=2, substituted={2: "prior"}, provenance=make_provenance()
         )
         path = save_snapshot(snapshot, tmp_path)
-        body = self._persisted_body(path)
+        checksum, body = self._persisted_body(path)
+        assert checksum == snapshot.checksum
         assert hashlib.sha256(body).hexdigest() == snapshot.checksum
-        assert path.read_bytes() == snapshot.to_json().encode("utf-8")
+        assert path.read_bytes() == snapshot.to_bytes()
         assert load_snapshot(path) == snapshot
 
     def test_published_round_persists_the_hashed_body(
@@ -680,27 +689,37 @@ class TestSnapshotEncoding:
         interval = small_dataset.test_day_intervals()[0]
         report = publisher.publish_round(interval, small_dataset.test, platform)
         assert report.published
-        body = self._persisted_body(Path(report.persisted_path))
+        checksum, body = self._persisted_body(Path(report.persisted_path))
+        assert checksum == store.latest().checksum
         assert hashlib.sha256(body).hexdigest() == store.latest().checksum
 
     def test_previous_envelope_still_loads(self, tmp_path):
-        """Files written with json.dumps default separators (the envelope
-        before the body was persisted verbatim) survive the upgrade."""
+        """Format-2 files, canonical or written with json.dumps default
+        separators, load to the same snapshot: checked against their own
+        JSON checksum, then re-checksummed as format 3."""
         snapshot = make_snapshot(version=5, provenance=make_provenance())
-        payload = json.loads(snapshot.to_json())
-        path = snapshot_path(tmp_path, snapshot.version)
-        path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-        assert '"body": {' in path.read_text(encoding="utf-8")
-        loaded = load_snapshot(path)
-        assert loaded == snapshot
-        assert loaded.checksum == snapshot.checksum
-        recovered = recover_latest(tmp_path)
-        assert recovered.snapshot == snapshot
-        assert recovered.corrupt == ()
-        # Re-saving writes the current envelope with the same checksum.
-        resaved = save_snapshot(loaded, tmp_path / "resaved")
-        body = self._persisted_body(resaved)
-        assert hashlib.sha256(body).hexdigest() == snapshot.checksum
+        for name, separators in (("canonical", (",", ":")), ("spaced", (", ", ": "))):
+            directory = tmp_path / name
+            path = write_format2(snapshot, directory, separators)
+            assert path == snapshot_path(directory, snapshot.version)
+            data = path.read_bytes()
+            assert data.startswith(b'{"body":' if name == "canonical" else b'{"body": {')
+            loaded = load_snapshot(path)
+            assert loaded == snapshot
+            assert loaded.checksum == snapshot.checksum
+            recovered = recover_latest(directory)
+            assert recovered.snapshot == snapshot
+            assert recovered.corrupt == ()
+            # Re-saving writes format 3 with the same checksum.
+            resaved = save_snapshot(loaded, directory / "resaved")
+            checksum, body = self._persisted_body(resaved)
+            assert checksum == snapshot.checksum
+            assert hashlib.sha256(body).hexdigest() == snapshot.checksum
+            # A format-2 file is held to its own checksum.
+            tampered = data.replace(b"40.0", b"80.0")
+            assert tampered != data
+            with pytest.raises(SnapshotIntegrityError, match="checksum"):
+                EstimateSnapshot.from_bytes(tampered)
 
     def test_store_rejects_snapshot_tampered_after_build(self):
         store = EstimateStore(clock=ManualClock())
