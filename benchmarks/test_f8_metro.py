@@ -203,7 +203,7 @@ def test_f8_metro_parallel_vs_serial_differential(metro):
 
 
 # ---------------------------------------------------------------------------
-# Sharded Step-2 plan compilation (repro.speed.shardplan)
+# Sharded Step-2 plan compilation (repro.speed.plan districts)
 # ---------------------------------------------------------------------------
 PLAN_BUDGET_PCT = 0.5
 XL_TARGET = 110_000
@@ -246,8 +246,9 @@ def test_f8_metro_sharded_plan_compile(metro, report, tmp_path):
     Three timings feed the bench gate: the cold sharded compile (one
     structure per district across the compile pool), the post-delta
     recompile (stale districts only), and the warm serve latency. The
-    sharded estimates are asserted bitwise equal to the monolithic
-    plan's, and the delta recompile is asserted to touch a small
+    sharded estimates are asserted bitwise equal to the one-district
+    plan's (the default config; ``compile_mono_seconds`` times its cold
+    compile), and the delta recompile is asserted to touch a small
     fraction of the districts.
     """
     from repro.history.incremental import GraphDelta
@@ -295,7 +296,7 @@ def test_f8_metro_sharded_plan_compile(metro, report, tmp_path):
             sharded_cold_s = time.perf_counter() - start
             assert all(
                 mono_first[r] == sharded_first[r] for r in mono_first
-            ), "sharded cold round must be bitwise equal to monolithic"
+            ), "sharded cold round must be bitwise equal to one district"
 
             start = time.perf_counter()
             for interval, seed_speeds in rounds[1:]:

@@ -97,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print an ASCII congestion map")
     estimate.add_argument(
         "--sharded-plan", action="store_true",
-        help="compile the Step-2 interval plan per district "
-             "(bitwise identical to the monolithic plan)")
+        help="split the Step-2 interval plan into partition districts "
+             "(bitwise identical to the one-district plan)")
     estimate.add_argument(
         "--plan-shards", type=int, default=0, metavar="D",
         help="district count for --sharded-plan (0 = num_partitions)")
@@ -869,11 +869,17 @@ def cmd_stream(
         def counter(name, **labels):
             return rec.registry.counter(name, **labels).value
 
+        def shard_compiles():
+            return sum(
+                series.value
+                for _, series in rec.registry.series("plan.shard_compiles")
+            )
+
         for day_index in range(window, total_days):
             day = day_fields[day_index]
             dropped_before = counter("fidelity.invalidations", scope="rows")
-            evicted_before = counter("plan.rows_evicted")
-            compiles_before = counter("plan.cache", hit="false")
+            evicted_before = counter("plan.shards_evicted")
+            compiles_before = shard_compiles()
             rolling.ingest_day(day)
             try:
                 rolling.verify_incremental()
@@ -901,8 +907,8 @@ def cmd_stream(
                 ),
                 int(counter("fidelity.invalidations", scope="rows")
                     - dropped_before),
-                int(counter("plan.rows_evicted") - evicted_before),
-                int(counter("plan.cache", hit="false") - compiles_before),
+                int(counter("plan.shards_evicted") - evicted_before),
+                int(shard_compiles() - compiles_before),
                 fmt(sum(errors) / len(errors)) if errors else "-",
             ])
 
@@ -921,8 +927,8 @@ def cmd_stream(
 
     lines.append(
         format_table(
-            ["day", "delta(+/-/~)", "rows dropped", "plans evicted",
-             "compiles", "mae km/h"],
+            ["day", "delta(+/-/~)", "rows dropped", "shards evicted",
+             "shard compiles", "mae km/h"],
             rows,
             title="Per-day streaming telemetry",
         )

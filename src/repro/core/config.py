@@ -47,16 +47,19 @@ class PipelineConfig:
     #: Worker count for the partition pool; 0 means "one per CPU, capped
     #: at the partition count".
     num_partition_workers: int = 0
-    #: Compile Step-2 interval plans per district (repro.speed.shardplan)
-    #: instead of one monolithic structure: district shards are compiled
-    #: independently (across the plan-compile process pool, with
-    #: num_partition_workers capped at the district count; one worker
-    #: compiles in-process), evaluated per district and stitched
-    #: in district order — bitwise identical to the monolithic plan —
+    #: Partition the Step-2 interval plan into partition_graph districts
+    #: instead of planning the city as one district. Districts are
+    #: compiled independently (across the plan-compile process pool,
+    #: with num_partition_workers capped at the district count; one
+    #: worker compiles in-process), evaluated per district and stitched
+    #: in district order — bitwise identical to the one-district plan —
     #: and graph deltas recompile only the affected districts' shards.
+    #: This picks a district count, not a code path.
     use_sharded_plan: bool = False
-    #: District count for sharded plan compilation; 0 means "follow
-    #: num_partitions".
+    #: Districts requested from partition_graph for the sharded plan; 0
+    #: means "follow num_partitions". The partition may return more
+    #: districts than requested (a connected component smaller than a
+    #: chunk closes its chunk early) or fewer (on a small graph).
     plan_shards: int = 0
     hlm: HlmParams = field(default_factory=HlmParams)
     degradation: DegradationParams = field(default_factory=DegradationParams)

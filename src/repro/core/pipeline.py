@@ -46,7 +46,7 @@ from repro.seeds.objective import SeedSelectionObjective
 from repro.seeds.partition import partition_greedy_select
 from repro.speed.degradation import DegradationParams, DegradationPolicy
 from repro.speed.estimator import EstimateColumns, TwoStepEstimator
-from repro.speed.plan import IntervalPlanCache
+from repro.speed.plan import IntervalPlanCache, IntervalPlanner
 from repro.trend.bp import LoopyBeliefPropagation
 from repro.trend.gibbs import GibbsSamplingInference
 from repro.trend.propagation import TrendPropagationInference
@@ -339,10 +339,11 @@ class SpeedEstimationSystem:
         :class:`~repro.speed.shardplan.PlanCompilePool` owned by this
         system, with ``num_partition_workers`` workers (0 = one per CPU)
         capped at the district count; exactly one worker keeps
-        compilation in-process through the identical sharded code path.
+        compilation in-process. Without ``use_sharded_plan`` the
+        estimator plans the city as one district, in-process.
         """
         from repro.seeds.partition import partition_graph
-        from repro.speed.shardplan import PlanCompilePool, ShardedIntervalPlanner
+        from repro.speed.shardplan import PlanCompilePool
 
         shards = self._config.plan_shards or self._config.num_partitions
         partitions = partition_graph(self._objective, shards)
@@ -352,9 +353,9 @@ class SpeedEstimationSystem:
             self._config.num_partition_workers or (os.cpu_count() or 1),
             len(partitions),
         )
-        if workers != 1 and self._plan_pool is None:
+        if workers > 1 and self._plan_pool is None:
             self._plan_pool = PlanCompilePool(hlm, store, num_workers=workers)
-        return ShardedIntervalPlanner(
+        return IntervalPlanner(
             store, network, hlm, road_ids, partitions, pool=self._plan_pool
         )
 
@@ -386,7 +387,7 @@ class SpeedEstimationSystem:
         fidelity service drops only provably affected influence rows
         (see :meth:`~repro.history.fidelity.FidelityCacheService.
         apply_graph_delta`), which cascades through the registered row
-        listeners: compiled plans over dropped seeds, influence
+        listeners: compiled plan shards over dropped seeds, influence
         indexes, CELF gains and objective memos. Everything else keeps
         serving warm. Returns the dropped source roads.
         """

@@ -22,6 +22,7 @@ from repro.speed.plan import (
     IntervalPlanCache,
     IntervalPlanner,
     PlanCacheStats,
+    PlanShard,
 )
 from repro.speed.hlm import (
     HierarchicalLinearModel,
@@ -30,12 +31,7 @@ from repro.speed.hlm import (
     RoadRegression,
     SeedRegression,
 )
-from repro.speed.shardplan import (
-    PlanCompilePool,
-    PlanShard,
-    ShardedIntervalPlan,
-    ShardedIntervalPlanner,
-)
+from repro.speed.shardplan import PlanCompilePool
 
 __all__ = [
     "BandColumns",
@@ -56,8 +52,6 @@ __all__ = [
     "PlanShard",
     "RoadRegression",
     "SeedRegression",
-    "ShardedIntervalPlan",
-    "ShardedIntervalPlanner",
     "SpeedBand",
     "TwoStepEstimator",
     "UncertaintyModel",

@@ -89,8 +89,8 @@ class TwoStepEstimator:
 
     Step-2 serving runs through compiled
     :class:`~repro.speed.plan.IntervalPlan` objects — one padded
-    matrix-vector product plus a vectorized blend per interval. The
-    per-road loop over
+    matrix-vector product per district plus a vectorized blend per
+    interval. The per-road loop over
     :meth:`~repro.speed.hlm.HierarchicalLinearModel.estimate_road`, the
     definition the plans compile, is the test oracle in
     ``tests/oracles/estimator.py``.
@@ -125,8 +125,8 @@ class TwoStepEstimator:
         # `is not None`, not truthiness: an empty cache has len() == 0.
         self._plans = plan_cache if plan_cache is not None else IntervalPlanCache()
         # Pluggable planner construction: the pipeline passes a factory
-        # building a district-sharded planner (repro.speed.shardplan)
-        # when use_sharded_plan is on; None keeps the monolithic one.
+        # building a planner over partition_graph districts when
+        # use_sharded_plan is on; None plans the city as one district.
         self._planner_factory = planner_factory
         self._planner: IntervalPlanner | None = None
         # Row invalidations (incremental re-mining, targeted evictions)
@@ -325,28 +325,18 @@ class TwoStepEstimator:
             )
         return plan
 
-    def _compile_plan(self, seeds: tuple[int, ...], bucket: int):
+    def _compile_plan(self, seeds: tuple[int, ...], bucket: int) -> IntervalPlan:
         if self._planner is None:
-            if self._planner_factory is not None:
-                self._planner = self._planner_factory(
-                    self._store, self._network, self._hlm, self._graph.road_ids
-                )
-            else:
-                self._planner = IntervalPlanner(
-                    self._store, self._network, self._hlm, self._graph.road_ids
-                )
-        influence_by_road = self._influence_index(frozenset(seeds))
-        if getattr(self._planner, "sharded", False):
-            # Sharded planners refresh stale district shards lazily; the
-            # provider re-reads the influence index *after* a delta has
-            # dropped the memoised one, so refreshes see fresh rows.
-            return self._planner.compile(
-                seeds,
-                bucket,
-                influence_by_road,
-                influence_provider=lambda: self._influence_index(frozenset(seeds)),
+            factory = self._planner_factory or IntervalPlanner
+            self._planner = factory(
+                self._store, self._network, self._hlm, self._graph.road_ids
             )
-        return self._planner.compile(seeds, bucket, influence_by_road)
+        # The provider re-reads the influence index *after* a delta has
+        # dropped the memoised one, so shard refreshes see fresh rows.
+        key = frozenset(seeds)
+        return self._planner.compile(
+            seeds, bucket, lambda: self._influence_index(key)
+        )
 
     def influence_index(
         self, seeds: frozenset[int] | set[int]

@@ -11,34 +11,51 @@ the observed seed deviations and the Step-1 posterior do. This module
 compiles the structure once so serving an interval becomes a handful of
 array ops:
 
-* :class:`_SeedStructure` — the seed-dependent half, shared by every
-  bucket: each road's fitted regression row packed into a padded
-  ``(roads, max_seeds_per_road)`` coefficient block (a CSR-in-disguise
-  whose rows have at most ``max_seeds_per_road`` entries), the per-road
-  regression blend weights, and a per-seed reverse index of the rows
-  each seed touches. It also carries the **incremental state**: the last
-  seed-deviation vector and the regressed predictions it produced, so
-  consecutive intervals that change only a few seed observations (a
-  degraded round substituting a seed, a sentinel round) recompute only
-  the affected rows — bit-for-bit identical to a cold evaluation,
-  because affected rows are re-evaluated with the same row reduction
-  rather than patched with float deltas.
-* :class:`IntervalPlan` — the structure plus one bucket's overlay
-  (trend-conditional prior means, historical bucket-mean speeds, clamp
-  bounds). :meth:`IntervalPlan.evaluate` turns a deviation vector and a
-  posterior array into clamped speeds: one padded-row gather-multiply-
-  reduce, a vectorized posterior-confidence blend, one multiply by the
-  historical speeds, one clip. The plan also exposes the per-row band
-  columns (``has_reg``, ``residual_std``, ``historical``) that
-  :meth:`~repro.speed.uncertainty.UncertaintyModel.bands_for` turns
-  into prediction intervals without refitting anything.
-* :class:`IntervalPlanner` — compiles plans for one fitted system,
-  reusing structures across buckets through a weak-value cache (a
-  structure lives exactly as long as some cached plan references it).
+* :class:`_SeedStructure` — the seed-dependent half of one district,
+  shared by every bucket: each road's fitted regression row packed into
+  a padded ``(roads, max_seeds_per_road)`` coefficient block (a
+  CSR-in-disguise whose rows have at most ``max_seeds_per_road``
+  entries), the per-road regression blend weights, and a per-seed
+  reverse index of the rows each seed touches. It also carries the
+  **incremental state**: the last seed-deviation vector and the
+  regressed predictions it produced, so consecutive intervals that
+  change only a few seed observations (a degraded round substituting a
+  seed, a sentinel round) recompute only the affected rows — bit-for-bit
+  identical to a cold evaluation, because affected rows are re-evaluated
+  with the same row reduction rather than patched with float deltas.
+* :class:`IntervalPlan` — one :class:`PlanShard` (a ``_SeedStructure``)
+  per district plus one bucket's overlay (trend-conditional prior means,
+  historical bucket-mean speeds, clamp bounds).
+  :meth:`IntervalPlan.evaluate` turns a deviation vector and a posterior
+  array into clamped speeds: one padded-row gather-multiply-reduce per
+  district scattered to global rows, a vectorized posterior-confidence
+  blend, one multiply by the historical speeds, one clip. The plan also
+  exposes the per-row band columns (``has_reg``, ``residual_std``,
+  ``historical``) that :meth:`~repro.speed.uncertainty.UncertaintyModel.
+  bands_for` turns into prediction intervals without refitting anything.
+* :class:`IntervalPlanner` — compiles plans for one fitted system over a
+  district partition of the road order; the default is one district.
+  Every per-road quantity is row-independent and the padded width comes
+  from the *global* seed tuple, so any partition serves the same speeds
+  bit for bit (the differentials in ``tests/test_plan_sharded.py`` pin
+  them against the whole-city oracle in ``tests/oracles/plan.py``).
 * :class:`IntervalPlanCache` — the small LRU keyed by (seed set,
   bucket, params) that the pipeline owns next to its
   :class:`~repro.history.fidelity.FidelityCacheService`; attaching it
-  to the service makes fidelity invalidation drop compiled plans too.
+  to the service makes fidelity invalidation reach compiled plans too.
+
+Delta invalidation is district-scoped: a row invalidation marks stale
+only the shards whose compiled regressions used a dropped seed's
+influence rows (``plan.shards_evicted``); the next evaluation recompiles
+exactly those shards (``plan.shard_compiles{district}``,
+``speed.plan.compile`` spans carrying a ``district`` attribute) after
+re-checking the *fresh* influence index for districts the dropped seeds
+newly reach. Soundness: a changed fidelity row for seed ``s`` can only
+change road ``r``'s regression if ``s`` influenced ``r`` before the
+delta (then ``s`` is in ``r``'s shard's ``active_seeds``) or influences
+it after (then ``r`` shows up in the refreshed influence index with
+``s`` among its seeds, which the refresh pass scans). Untouched
+districts' shards survive by object identity.
 
 Cache traffic is exported as ``plan.cache`` counts and evaluations as
 ``plan.eval`` (mode = full / incremental / cached); the estimator wraps
@@ -50,8 +67,9 @@ from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping
+from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -61,6 +79,12 @@ from repro.history.store import HistoricalSpeedStore
 from repro.obs import get_recorder
 from repro.roadnet.network import RoadNetwork
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams, JointSeedRegression
+
+if TYPE_CHECKING:
+    from repro.speed.shardplan import PlanCompilePool
+
+#: Influence index type: road id -> {seed -> fidelity}.
+InfluenceIndex = Mapping[int, Mapping[int, float]]
 
 
 class _SeedStructure:
@@ -166,12 +190,11 @@ def compile_seed_structure(
 ) -> _SeedStructure:
     """Compile the padded regression block for ``road_ids``.
 
-    ``road_ids`` may be any slice of the network (the whole city for the
-    monolithic planner, one district for a shard); ``seeds`` is always
-    the *global* seed tuple, so the padded width and the seed-index
-    positions are identical regardless of how the rows are sliced —
-    the property that makes a district-sharded evaluation bitwise equal
-    to the monolithic one. Row indices (including ``rows_by_seed``) are
+    ``road_ids`` is one district (the whole city in the one-district
+    case); ``seeds`` is always the *global* seed tuple, so the padded
+    width and the seed-index positions are identical regardless of how
+    the rows are sliced — the property that makes every partition
+    evaluate bitwise equal. Row indices (including ``rows_by_seed``) are
     local to ``road_ids``.
     """
     n = len(road_ids)
@@ -216,20 +239,103 @@ def compile_seed_structure(
     )
 
 
+class PlanShard:
+    """One district's slice of a plan.
+
+    ``positions`` are the members' row positions in the planner's road
+    order — the scatter targets of the stitched evaluation.
+    ``active_seeds`` is the set of plan seeds whose influence reached
+    any member at compile time (the seed's *old support* restricted to
+    this district), the key row invalidations are tested against.
+    """
+
+    __slots__ = ("district", "members", "positions", "structure", "active_seeds")
+
+    def __init__(
+        self, district: int, members: tuple[int, ...], positions: np.ndarray
+    ) -> None:
+        self.district = district
+        self.members = members
+        self.positions = positions
+        self.structure: _SeedStructure | None = None
+        self.active_seeds: frozenset[int] = frozenset()
+
+
+class _ShardSet:
+    """The per-seed-set compile product: shards + staleness bookkeeping.
+
+    Shared (via the planner's weak-value cache) by every bucket's plan
+    for one seed set, so marking shards stale once propagates to all
+    buckets, and a recompile refreshes them all.
+    """
+
+    def __init__(
+        self, seeds: tuple[int, ...], shards: list[PlanShard], num_roads: int
+    ) -> None:
+        self.seeds = seeds
+        self._seed_set = frozenset(seeds)
+        self.shards = shards
+        self.reg_weight = np.zeros(num_roads)
+        self.has_reg = np.zeros(num_roads, dtype=bool)
+        self.residual_std = np.zeros(num_roads)
+        for shard in shards:
+            self.restitch(shard)
+        self.stale: set[int] = set()
+        self.pending_dropped: set[int] = set()
+        self.influence_provider: Callable[[], InfluenceIndex] | None = None
+
+    def restitch(self, shard: PlanShard) -> None:
+        """Scatter one shard's per-row columns into the global arrays."""
+        assert shard.structure is not None
+        self.reg_weight[shard.positions] = shard.structure.reg_weight
+        self.has_reg[shard.positions] = shard.structure.has_reg
+        self.residual_std[shard.positions] = shard.structure.residual_std
+
+    @property
+    def needs_refresh(self) -> bool:
+        return bool(self.stale or self.pending_dropped)
+
+    def mark_stale(self, roads: set[int]) -> int:
+        """Mark shards whose regressions touched dropped seed rows.
+
+        Returns the number of *newly* stale shards (idempotent: both the
+        plan cache and the estimator's row listener call this for the
+        same invalidation). Dropped seeds are also queued so the next
+        refresh can mark districts the seeds newly reach — that side
+        needs the fresh influence index, which only exists lazily.
+        """
+        dropped = self._seed_set.intersection(roads)
+        if not dropped:
+            return 0
+        newly = 0
+        for district, shard in enumerate(self.shards):
+            if district in self.stale:
+                continue
+            if not shard.active_seeds.isdisjoint(dropped):
+                self.stale.add(district)
+                newly += 1
+        self.pending_dropped |= dropped
+        if newly:
+            get_recorder().count("plan.shards_evicted", newly)
+        return newly
+
+
 class IntervalPlan:
     """A compiled (seed set, bucket) serving plan. Build via the planner.
 
-    Immutable from the caller's point of view; the only mutable state is
-    the shared structure's incremental memo, which never changes
-    results, only how much of the regression block is re-evaluated.
+    Immutable from the caller's point of view. The mutable state is the
+    shards' incremental memos, which never change results, and the
+    staleness marks a row invalidation leaves: evaluation and the band
+    columns first recompile any shard :meth:`mark_rows_stale` marked.
     """
 
     def __init__(
         self,
+        planner: "IntervalPlanner",
         road_ids: tuple[int, ...],
         index: dict[int, int],
         bucket: int,
-        structure: _SeedStructure,
+        shard_set: _ShardSet,
         prior_rise: np.ndarray,
         prior_fall: np.ndarray,
         historical: np.ndarray,
@@ -238,10 +344,11 @@ class IntervalPlan:
         prior_weight: float,
         use_trend: bool,
     ) -> None:
+        self._planner = planner
         self.road_ids = road_ids
         self.index = index
         self.bucket = bucket
-        self._structure = structure
+        self._shard_set = shard_set
         self._prior_rise = prior_rise
         self._prior_fall = prior_fall
         self._historical = historical
@@ -252,7 +359,7 @@ class IntervalPlan:
 
     @property
     def seeds(self) -> tuple[int, ...]:
-        return self._structure.seeds
+        return self._shard_set.seeds
 
     @property
     def num_roads(self) -> int:
@@ -260,17 +367,31 @@ class IntervalPlan:
 
     @property
     def num_seeds(self) -> int:
-        return len(self._structure.seeds)
+        return len(self._shard_set.seeds)
+
+    @property
+    def shards(self) -> list[PlanShard]:
+        return self._shard_set.shards
+
+    def mark_rows_stale(self, roads: set[int]) -> int:
+        """Mark the shards a row invalidation touched; returns how many."""
+        return self._shard_set.mark_stale(roads)
+
+    def _fresh_shard_set(self) -> _ShardSet:
+        """The shard set, with stale shards recompiled first."""
+        if self._shard_set.needs_refresh:
+            self._planner.refresh_shards(self._shard_set)
+        return self._shard_set
 
     @property
     def has_reg(self) -> np.ndarray:
         """Per-row: does the road have a fitted seed regression?"""
-        return self._structure.has_reg
+        return self._fresh_shard_set().has_reg
 
     @property
     def residual_std(self) -> np.ndarray:
         """Per-row in-sample residual std of the road's regression."""
-        return self._structure.residual_std
+        return self._fresh_shard_set().residual_std
 
     @property
     def historical(self) -> np.ndarray:
@@ -283,14 +404,23 @@ class IntervalPlan:
         ``deviations[k]`` is the observed deviation ratio of plan seed
         ``k``; ``p_rise[i]`` is the Step-1 posterior P(RISE) of plan
         road ``i``. Seed roads get a regular non-seed evaluation here —
-        the estimator overwrites them with their observations.
+        the estimator overwrites them with their observations. Each
+        district's regressed rows are scattered to their global
+        positions; the blend and clamp then run over the whole city.
         """
         if p_rise.shape != (self.num_roads,):
             raise InferenceError(
                 f"posterior vector has shape {p_rise.shape}, plan expects "
                 f"({self.num_roads},)"
             )
-        regressed, mode = self._structure.regressed(deviations)
+        shard_set = self._fresh_shard_set()
+        regressed = np.empty(self.num_roads)
+        modes: set[str] = set()
+        for shard in shard_set.shards:
+            assert shard.structure is not None
+            part, mode = shard.structure.regressed(deviations)
+            regressed[shard.positions] = part
+            modes.add(mode)
         if self._use_trend:
             # Mirrors the scalar path term by term: confidence scales
             # the prior's pull, the MAP trend picks the prior branch.
@@ -300,7 +430,7 @@ class IntervalPlan:
         else:
             prior_weight = np.full(self.num_roads, self._prior_weight)
             prior_mean = np.ones(self.num_roads)
-        weight = self._structure.reg_weight
+        weight = shard_set.reg_weight
         denominator = prior_weight + weight
         blend = prior_mean.copy()
         np.divide(
@@ -309,9 +439,16 @@ class IntervalPlan:
             out=blend,
             where=denominator > 0.0,
         )
-        predicted = np.where(self._structure.has_reg, blend, prior_mean)
+        predicted = np.where(shard_set.has_reg, blend, prior_mean)
         speeds = np.minimum(
             self._upper, np.maximum(self._min_speed, predicted * self._historical)
+        )
+        # One plan.eval per evaluation; the mode is the most expensive
+        # any shard paid this interval.
+        mode = (
+            "full"
+            if "full" in modes
+            else ("incremental" if "incremental" in modes else "cached")
         )
         get_recorder().count("plan.eval", mode=mode)
         return speeds
@@ -320,10 +457,17 @@ class IntervalPlan:
 class IntervalPlanner:
     """Compiles :class:`IntervalPlan` objects for one fitted system.
 
-    Seed structures are shared across buckets through a weak-value
-    cache: as long as any cached plan for a seed set is alive, its
-    structure (the expensive compile product) is reused; once every
-    plan referencing it is evicted, the structure is garbage collected.
+    ``partitions`` is any disjoint cover of ``road_ids`` (the pipeline
+    passes :func:`~repro.seeds.partition.partition_graph` districts for
+    ``use_sharded_plan``); ``None`` is the one-district case, the whole
+    road order as a single shard. With a
+    :class:`~repro.speed.shardplan.PlanCompilePool` the district
+    compiles run across worker processes; without one they run
+    in-process through the same code path.
+
+    Compiled shard sets are shared across buckets through a weak-value
+    cache: as long as any plan for a seed set is alive, its shards (the
+    expensive compile product) are reused.
     """
 
     def __init__(
@@ -332,6 +476,8 @@ class IntervalPlanner:
         network: RoadNetwork,
         hlm: HierarchicalLinearModel,
         road_ids: list[int] | tuple[int, ...],
+        partitions: Sequence[Sequence[int]] | None = None,
+        pool: "PlanCompilePool | None" = None,
     ) -> None:
         self._store = store
         self._hlm = hlm
@@ -345,17 +491,48 @@ class IntervalPlanner:
             [network.segment(road).free_flow_kmh for road in self._road_ids]
         ) * params.max_over_free_flow
         self._upper.setflags(write=False)
-        self._structures: "weakref.WeakValueDictionary[tuple[int, ...], _SeedStructure]" = (
+        if partitions is None:
+            self._partitions = [self._road_ids]
+        else:
+            self._partitions = [tuple(chunk) for chunk in partitions]
+            self._check_partitions()
+        self._shard_positions = [
+            np.fromiter(
+                (self._index[road] for road in chunk),
+                dtype=np.int64,
+                count=len(chunk),
+            )
+            for chunk in self._partitions
+        ]
+        self._district_of = {
+            road: district
+            for district, chunk in enumerate(self._partitions)
+            for road in chunk
+        }
+        self._pool = pool
+        self._shard_sets: "weakref.WeakValueDictionary[tuple[int, ...], _ShardSet]" = (
             weakref.WeakValueDictionary()
         )
-        # Inverted index for evict_structures: seed road -> the structure
-        # keys (seed tuples) that contain it. Entries are added on
-        # compile and pruned on evict; keys whose structures were
-        # garbage-collected out of the weak cache are filtered (and
-        # lazily dropped) at eviction time, so the index is always a
-        # superset of the live keys and eviction sets match a linear
-        # scan exactly.
-        self._keys_by_seed: dict[int, set[tuple[int, ...]]] = {}
+
+    def _check_partitions(self) -> None:
+        if not self._partitions:
+            raise InferenceError("planner needs at least one district")
+        seen: set[int] = set()
+        for chunk in self._partitions:
+            for road in chunk:
+                if road not in self._index:
+                    raise InferenceError(
+                        f"district road {road} not in the planner's road set"
+                    )
+                if road in seen:
+                    raise InferenceError(
+                        f"road {road} appears in more than one district"
+                    )
+                seen.add(road)
+        if len(seen) != len(self._road_ids):
+            raise InferenceError(
+                f"districts cover {len(seen)} of {len(self._road_ids)} roads"
+            )
 
     @property
     def road_ids(self) -> tuple[int, ...]:
@@ -365,59 +542,35 @@ class IntervalPlanner:
     def index(self) -> dict[int, int]:
         return self._index
 
-    def _register_structure_key(self, seeds: tuple[int, ...]) -> None:
-        for seed in seeds:
-            self._keys_by_seed.setdefault(seed, set()).add(seeds)
-
-    def _forget_structure_key(self, seeds: tuple[int, ...]) -> None:
-        for seed in seeds:
-            keys = self._keys_by_seed.get(seed)
-            if keys is None:
-                continue
-            keys.discard(seeds)
-            if not keys:
-                del self._keys_by_seed[seed]
-
     def evict_structures(self, roads: set[int] | None = None) -> None:
-        """Forget compiled seed structures touching ``roads`` (or all).
+        """Invalidate compiled shard sets touching ``roads`` (or all).
 
-        Structures live in a weak-value cache, so normally they die
-        with the plans referencing them — but a caller holding a plan
-        outside the :class:`IntervalPlanCache` would keep its structure
-        alive past a row invalidation, and a later :meth:`compile` for
-        the same seed set must not resurrect the stale coefficients.
-
-        Touched keys come from the seed->keys inverted index, so the
-        cost is proportional to the structures actually touching
-        ``roads``, not cached-structures x seeds.
+        ``None`` forgets every shard set, so the next compile rebuilds
+        from scratch. A row-scoped eviction marks the affected shards
+        stale instead (idempotently with the plan cache's own marking),
+        so the next evaluation recompiles those districts — also for a
+        plan held outside the :class:`IntervalPlanCache`.
         """
         if roads is None:
-            stale = list(self._structures.keys())
-            self._keys_by_seed.clear()
-        else:
-            candidates: set[tuple[int, ...]] = set()
-            for road in roads:
-                keys = self._keys_by_seed.get(road)
-                if keys:
-                    candidates |= keys
-            stale = [seeds for seeds in candidates if seeds in self._structures]
-            for seeds in candidates:
-                self._forget_structure_key(seeds)
-        for seeds in stale:
-            self._structures.pop(seeds, None)
+            self._shard_sets.clear()
+            return
+        for shard_set in list(self._shard_sets.values()):
+            shard_set.mark_stale(roads)
 
     def compile(
         self,
         seeds: tuple[int, ...],
         bucket: int,
-        influence_by_road: Mapping[int, Mapping[int, float]],
+        influence_provider: Callable[[], InfluenceIndex],
     ) -> IntervalPlan:
         """Compile the plan for ``(seeds, bucket)``.
 
-        ``influence_by_road`` maps road id -> {seed -> fidelity}, the
-        same floor-filtered index the scalar path hands to
-        :meth:`~repro.speed.hlm.JointSeedRegression.for_road`, so both
-        paths fit (and cache) identical regressions.
+        ``influence_provider`` returns the *current* influence index
+        (road id -> {seed -> fidelity}, the same floor-filtered index the
+        scalar path hands to :meth:`~repro.speed.hlm.JointSeedRegression.
+        for_road`). It is read for a cold compile and again when a row
+        invalidation left shards stale, so refreshes see the rows a
+        graph delta recomputed.
         """
         params = self._hlm.params
         with get_recorder().span(
@@ -425,18 +578,27 @@ class IntervalPlanner:
             roads=len(self._road_ids),
             seeds=len(seeds),
             bucket=bucket,
+            districts=len(self._partitions),
         ):
-            structure = self._structures.get(seeds)
-            if structure is None:
-                structure = self._compile_structure(seeds, influence_by_road)
-                self._structures[seeds] = structure
-                self._register_structure_key(seeds)
+            shard_set = self._shard_sets.get(seeds)
+            if shard_set is None:
+                shards = [
+                    PlanShard(district, chunk, self._shard_positions[district])
+                    for district, chunk in enumerate(self._partitions)
+                ]
+                self._compile_districts(
+                    seeds, shards, range(len(shards)), influence_provider()
+                )
+                shard_set = _ShardSet(seeds, shards, len(self._road_ids))
+                self._shard_sets[seeds] = shard_set
+            shard_set.influence_provider = influence_provider
             prior_rise, prior_fall, historical = self._bucket_overlays(bucket)
             return IntervalPlan(
+                planner=self,
                 road_ids=self._road_ids,
                 index=self._index,
                 bucket=bucket,
-                structure=structure,
+                shard_set=shard_set,
                 prior_rise=prior_rise,
                 prior_fall=prior_fall,
                 historical=historical,
@@ -471,32 +633,119 @@ class IntervalPlanner:
             array.setflags(write=False)
         return prior_rise, prior_fall, historical
 
-    def _compile_structure(
+    def refresh_shards(self, shard_set: _ShardSet) -> None:
+        """Recompile exactly the stale shards of one seed set.
+
+        Two-sided staleness: shards already marked (a dropped seed's
+        *old* support touched them) plus districts the dropped seeds
+        newly reach in the refreshed influence index (*new* support).
+        Untouched districts keep their structures — and their
+        incremental memos — by object identity.
+        """
+        provider = shard_set.influence_provider
+        assert provider is not None  # set on every compile
+        influence = provider()
+        pending = shard_set.pending_dropped
+        if pending and len(shard_set.stale) < len(shard_set.shards):
+            for road, seed_influence in influence.items():
+                if pending.isdisjoint(seed_influence):
+                    continue
+                district = self._district_of.get(road)
+                if district is not None:
+                    shard_set.stale.add(district)
+        if shard_set.stale:
+            stale = sorted(shard_set.stale)
+            self._compile_districts(
+                shard_set.seeds, shard_set.shards, stale, influence
+            )
+            for district in stale:
+                shard_set.restitch(shard_set.shards[district])
+        shard_set.stale.clear()
+        shard_set.pending_dropped.clear()
+
+    def _compile_districts(
         self,
         seeds: tuple[int, ...],
-        influence_by_road: Mapping[int, Mapping[int, float]],
-    ) -> _SeedStructure:
-        return compile_seed_structure(
-            self._hlm.regression,
-            self._hlm.params,
-            seeds,
-            self._road_ids,
-            influence_by_road,
-        )
+        shards: list[PlanShard],
+        districts,
+        influence_by_road: InfluenceIndex,
+    ) -> None:
+        """Compile (or recompile) the given districts' structures.
+
+        In-process compiles read the live influence index; only the pool
+        path copies each district's slice into a picklable dict. A pool
+        whose worker died is closed (``pool.fallbacks{pool="plan"}``)
+        and the districts compile in-process instead — the same code
+        path, so the output is unchanged.
+        """
+        recorder = get_recorder()
+        ordered = list(districts)
+        compiled = None
+        if self._pool is not None:
+            tasks = [
+                (
+                    shards[district].members,
+                    {
+                        road: dict(influence_by_road[road])
+                        for road in shards[district].members
+                        if road in influence_by_road
+                    },
+                )
+                for district in ordered
+            ]
+            try:
+                compiled = self._pool.compile_shards(seeds, tasks)
+            except BrokenProcessPool:
+                recorder.count("pool.fallbacks", pool="plan")
+                self._pool.close()
+                self._pool = None
+        for position, district in enumerate(ordered):
+            shard = shards[district]
+            # Per-district compile span (district attr). On the pool
+            # path the batch already ran in the workers, so the span's
+            # own duration only covers unpacking; the worker-measured
+            # compile time rides along as the ``compile_s`` attr and
+            # is the authoritative per-district number there.
+            with recorder.span(
+                "speed.plan.compile",
+                roads=len(shard.members),
+                seeds=len(seeds),
+                district=district,
+            ) as span:
+                if compiled is not None:
+                    structure, worker_s = compiled[position]
+                    span.set(compile_s=worker_s)
+                else:
+                    structure = compile_seed_structure(
+                        self._hlm.regression,
+                        self._hlm.params,
+                        seeds,
+                        shard.members,
+                        influence_by_road,
+                    )
+            shard.structure = structure
+            shard.active_seeds = frozenset().union(
+                *(
+                    influence_by_road[road]
+                    for road in shard.members
+                    if road in influence_by_road
+                )
+            )
+            recorder.count("plan.shard_compiles", district=str(district))
 
 
 @dataclass(frozen=True)
 class PlanCacheStats:
     """Cumulative accounting of an :class:`IntervalPlanCache`.
 
-    ``evictions`` counts LRU capacity evictions; ``row_evictions``
-    plans dropped because their seed rows were invalidated;
-    ``flushes`` whole-cache invalidations (each counts every plan it
-    dropped); ``shard_evictions`` district shards marked stale inside
-    sharded plans that stayed cached (see
-    :class:`~repro.speed.shardplan.ShardedIntervalPlan`). A healthy
-    streaming deployment shows ``row_evictions``/``shard_evictions``
-    growing with graph churn and ``flushes`` stuck at 0.
+    ``evictions`` counts LRU capacity evictions; ``flushes``
+    whole-cache invalidations (each counts every plan it dropped);
+    ``shard_evictions`` district shards a row invalidation marked stale
+    inside plans that stayed cached. ``row_evictions`` is always 0: a
+    row invalidation marks shards and drops no plan (the field stays
+    for readers that name it). A healthy streaming deployment shows
+    ``shard_evictions`` growing with graph churn and ``flushes`` stuck
+    at 0.
     """
 
     hits: int
@@ -518,7 +767,7 @@ class IntervalPlanCache:
     Lives next to the pipeline's
     :class:`~repro.history.fidelity.FidelityCacheService`; call
     :meth:`attach` to register this cache as an invalidation listener so
-    dropping fidelity rows also drops the plans compiled from them.
+    dropping fidelity rows also reaches the plans compiled from them.
     """
 
     def __init__(self, maxsize: int = 128) -> None:
@@ -529,7 +778,6 @@ class IntervalPlanCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._row_evictions = 0
         self._flushes = 0
         self._shard_evictions = 0
 
@@ -546,7 +794,6 @@ class IntervalPlanCache:
             misses=self._misses,
             evictions=self._evictions,
             size=len(self._plans),
-            row_evictions=self._row_evictions,
             flushes=self._flushes,
             shard_evictions=self._shard_evictions,
         )
@@ -595,40 +842,25 @@ class IntervalPlanCache:
         self._plans.clear()
 
     def invalidate_rows(self, graph: object | None, roads) -> None:
-        """Drop exactly the plans whose seed rows were invalidated.
+        """Mark stale the plan shards whose seed rows were invalidated.
 
         The row-level counterpart of :meth:`invalidate`, with the
         :meth:`~repro.history.fidelity.FidelityCacheService.
         add_row_invalidation_listener` signature: a plan's coefficient
-        blocks are regressions over its seeds' fidelity rows, so a plan
-        survives only if none of its seeds are in ``roads``. ``roads``
-        of ``None`` means a whole-graph invalidation — everything goes.
+        blocks are regressions over its seeds' fidelity rows, so every
+        plan with a seed in ``roads`` marks the shards those rows fed.
+        Plans stay cached and recompile only the marked shards at their
+        next evaluation. ``roads`` of ``None`` means a whole-graph
+        invalidation — everything goes.
         """
         del graph
         if roads is None:
             self.invalidate()
             return
         road_set = set(roads)
-        stale = []
-        shards_marked = 0
-        for key, plan in self._plans.items():
-            if not road_set.intersection(plan.seeds):
-                continue
-            mark = getattr(plan, "mark_rows_stale", None)
-            if mark is not None:
-                # District-sharded plans stay cached: only the shards
-                # whose regressions touched the dropped rows are marked
-                # stale and recompiled lazily at the next evaluation.
-                shards_marked += mark(road_set)
-            else:
-                stale.append(key)
-        for key in stale:
-            del self._plans[key]
-        if stale:
-            self._row_evictions += len(stale)
-            get_recorder().count("plan.rows_evicted", len(stale))
-        if shards_marked:
-            self._shard_evictions += shards_marked
+        for plan in self._plans.values():
+            if not road_set.isdisjoint(plan.seeds):
+                self._shard_evictions += plan.mark_rows_stale(road_set)
 
     def attach(self, fidelity_service) -> "IntervalPlanCache":
         """Invalidate this cache whenever ``fidelity_service`` is.
@@ -636,8 +868,8 @@ class IntervalPlanCache:
         Registers both listener granularities: whole-graph
         invalidations flush everything, and row invalidations (the
         streaming path — see :meth:`~repro.history.fidelity.
-        FidelityCacheService.apply_graph_delta`) evict only plans
-        whose seeds lost their rows. Registering only the coarse
+        FidelityCacheService.apply_graph_delta`) mark stale only the
+        shards of plans whose seeds lost their rows. Registering only the coarse
         listener would let ``invalidate_rows`` drop fidelity rows
         while compiled plans keep serving coefficients regressed from
         them.

@@ -5,8 +5,9 @@ each road's residual std and historical speed from the compiled plan
 that served the round; ``tests/oracles/uncertainty.py`` recomputes them
 road by road through ``JointSeedRegression.for_road`` and the store.
 The two must agree bit for bit on ``lower``, ``upper`` and ``std`` for
-monolithic and district-sharded plans (including shards compiled by a
-2-worker pool over 4 districts), degraded observations, roads no seed
+one-district and multi-district plans (including shards compiled by a
+2-worker pool over 4 districts, whose columns must also equal the
+whole-city oracle plan's), degraded observations, roads no seed
 influences, ``estimate_roads`` subsets, every supported confidence, and
 the round after a graph delta marked shards stale.
 """
@@ -21,10 +22,10 @@ from repro.history.fidelity import FidelityCacheService
 from repro.history.incremental import GraphDelta
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
-from repro.speed.plan import IntervalPlanCache
-from repro.speed.shardplan import PlanCompilePool, ShardedIntervalPlanner
+from repro.speed.plan import IntervalPlanCache, IntervalPlanner
+from repro.speed.shardplan import PlanCompilePool
 from repro.speed.uncertainty import UncertaintyModel, normal_confidences
-from tests.oracles import ScalarBands
+from tests.oracles import MonolithicPlanner, ScalarBands
 
 CONFIDENCES = normal_confidences()
 
@@ -39,11 +40,11 @@ def fitted(small_dataset):
 
 
 def _estimator(dataset, hlm, params, partitions=None, pool=None, graph=None,
-               fidelity=None, plan_cache=None):
-    factory = None
-    if partitions is not None:
+               fidelity=None, plan_cache=None, factory=None):
+    """Production over ``partitions`` (None: one district) unless ``factory``."""
+    if factory is None:
         def factory(store, network, hlm_, road_ids):
-            return ShardedIntervalPlanner(
+            return IntervalPlanner(
                 store, network, hlm_, road_ids, partitions, pool=pool
             )
     return TwoStepEstimator(
@@ -164,6 +165,7 @@ class TestSharded:
             est = _estimator(
                 dataset, hlm, params, partitions=_chunks(roads, 4), pool=pool
             )
+            oracle = _estimator(dataset, hlm, params, factory=MonolithicPlanner)
             seeds = roads[::13][:8]
             for interval in dataset.test_day_intervals()[:2]:
                 speeds = _speeds(dataset, seeds, interval)
@@ -171,6 +173,23 @@ class TestSharded:
                     est.estimate_interval(interval, speeds), [seeds[2], roads[7]]
                 )
                 _check_round(est, dataset, estimates, speeds)
+                plan = est.plan_for(interval, speeds)
+                whole = oracle.plan_for(interval, speeds)
+                for column in ("has_reg", "residual_std", "historical"):
+                    assert (
+                        getattr(plan, column).tobytes()
+                        == getattr(whole, column).tobytes()
+                    ), column
+                _assert_bitwise(
+                    UncertaintyModel(est, dataset.store).bands_for(estimates, speeds),
+                    UncertaintyModel(oracle, dataset.store).bands_for(
+                        _degrade(
+                            oracle.estimate_interval(interval, speeds),
+                            [seeds[2], roads[7]],
+                        ),
+                        speeds,
+                    ),
+                )
                 subset = [seeds[0], roads[4], roads[90]]
                 _check_round(
                     est, dataset, est.estimate_roads(interval, speeds, subset), speeds
@@ -191,6 +210,7 @@ def _split_graph(road_ids):
 
 
 class TestAfterGraphDelta:
+    # "monolithic" is the default one-district planner.
     @pytest.mark.parametrize("sharded", [False, True], ids=["monolithic", "sharded"])
     def test_round_after_delta_matches_oracle(self, small_dataset, sharded):
         graph, first, second = _split_graph(small_dataset.graph.road_ids)
@@ -221,9 +241,8 @@ class TestAfterGraphDelta:
         assert any(
             stale_oracle[r].std_kmh != fresh_oracle[r].std_kmh for r in second
         ), "the delta must change some regression's residual std"
-        if sharded:
-            plan = next(iter(cache._plans.values()))
-            assert plan._shard_set.needs_refresh
+        plan = next(iter(cache._plans.values()))
+        assert plan._shard_set.needs_refresh
         # Bands first: the band lookup itself must refresh stale shards.
         _check_round(est, small_dataset, before, speeds)
         after = est.estimate_interval(interval, speeds)

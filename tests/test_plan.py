@@ -393,14 +393,15 @@ class TestPosteriorArrays:
 
 
 class TestGraphDeltaEviction:
-    """Regression: delta-driven row invalidation must evict stale plans.
+    """Regression: delta-driven row invalidation must reach stale plans.
 
     ``IntervalPlanCache.attach`` historically registered only the
     whole-graph listener, so ``invalidate_rows`` dropped fidelity rows
     while compiled plans kept serving coefficients derived from the
-    pre-delta graph. The cache now evicts exactly the plans whose seed
-    rows dropped, and a warm estimator afterwards matches a cold one
-    built from the mutated graph bit for bit.
+    pre-delta graph. The cache now marks stale exactly the shards of
+    plans whose seed rows dropped (the plans stay cached), and a warm
+    estimator afterwards matches a cold one built from the mutated graph
+    bit for bit.
     """
 
     def _build(self, dataset):
@@ -457,9 +458,24 @@ class TestGraphDeltaEviction:
         assert seeds[0] in dropped
 
         stats = cache.stats()
-        assert stats.row_evictions == 1  # the stale plan is gone...
+        assert stats.shard_evictions == 1  # the stale plan's one district...
         assert stats.flushes == 0  # ...without a wholesale flush
-        assert stats.size == 0
+        assert stats.size == 1
+        assert stats.row_evictions == 0
+
+        # The marked plan serves the old seed set exactly as a cold
+        # compile from the mutated graph does.
+        cold_est = TwoStepEstimator(
+            small_dataset.network,
+            small_dataset.store,
+            graph,
+            hlm=hlm,
+            hlm_params=params,
+            fidelity_service=FidelityCacheService(),
+            plan_cache=IntervalPlanCache(maxsize=8),
+        )
+        refreshed = est.estimate_interval(interval, speeds)
+        assert refreshed == cold_est.estimate_interval(interval, speeds)
 
         # Re-selection through the warm CELF selector matches a cold run
         # against the mutated graph.
@@ -475,15 +491,6 @@ class TestGraphDeltaEviction:
         new_seeds = list(warm_sel.seeds)
         new_speeds = seed_speeds_for(small_dataset, new_seeds, interval)
         warm = est.estimate_interval(interval, new_speeds)
-        cold_est = TwoStepEstimator(
-            small_dataset.network,
-            small_dataset.store,
-            graph,
-            hlm=hlm,
-            hlm_params=params,
-            fidelity_service=FidelityCacheService(),
-            plan_cache=IntervalPlanCache(maxsize=8),
-        )
         cold = cold_est.estimate_interval(interval, new_speeds)
         assert set(warm) == set(cold)
         for road in warm:
@@ -517,13 +524,38 @@ class TestGraphDeltaEviction:
         ]
         stats = cache.stats()
         assert stats.flushes == 0
-        assert stats.size == len(survivors)
-        assert stats.row_evictions == 2 - len(survivors)
+        assert stats.size == 2  # marked, not dropped
+        assert stats.row_evictions == 0
+        assert stats.shard_evictions == 2 - len(survivors)
+        marked = {
+            plan.seeds: plan._shard_set.needs_refresh
+            for plan in cache._plans.values()
+        }
+        assert marked == {
+            tuple(sorted(s)): bool(dropped.intersection(s)) for s in (set_a, set_b)
+        }
+
+        # Marked and untouched plans alike serve what a cold compile
+        # from the mutated graph serves.
+        cold_est = TwoStepEstimator(
+            small_dataset.network,
+            small_dataset.store,
+            graph,
+            hlm=hlm,
+            hlm_params=params,
+            fidelity_service=FidelityCacheService(),
+        )
+        for seeds in (set_a, set_b):
+            speeds = seed_speeds_for(small_dataset, seeds, interval)
+            assert est.estimate_interval(interval, speeds) == (
+                cold_est.estimate_interval(interval, speeds)
+            )
 
 
 class TestEvictionIndexPinning:
-    """The seed->keys inverted index must evict *exactly* the set a
-    linear scan over every cached structure would."""
+    """``evict_structures`` must mark *exactly* the shard sets a linear
+    scan over every live compiled seed set would, and forget them all
+    on a whole-graph eviction."""
 
     def _planner(self, pair):
         from repro.speed.plan import IntervalPlanner
@@ -539,10 +571,10 @@ class TestEvictionIndexPinning:
     def _compile(self, planner, roads, seeds):
         seeds = tuple(seeds)
         influence = {roads[0]: {seeds[0]: 0.9}}
-        return planner.compile(seeds, 0, influence)
+        return planner.compile(seeds, 0, lambda: influence)
 
     def test_indexed_eviction_matches_linear_scan(self, pair):
-        dataset, planner = self._planner(pair)
+        dataset, _, _ = pair
         roads = list(dataset.graph.road_ids)
         seed_sets = [
             tuple(roads[:4]),
@@ -554,31 +586,32 @@ class TestEvictionIndexPinning:
             set(),
             {roads[3]},              # hits two overlapping sets
             {roads[2], roads[101]},  # hits sets in different regions
-            {roads[110]},            # no structure uses this road
+            {roads[110]},            # no shard set uses this road
             {roads[0], roads[50], roads[100]},  # hits three sets
             {-1, 10**9},             # roads the planner never saw
         ]
         for drop in drops:
+            _, planner = self._planner(pair)
             plans = [self._compile(planner, roads, s) for s in seed_sets]
-            live = set(planner._structures.keys())
-            assert live == set(seed_sets)
+            live = dict(planner._shard_sets.items())
+            assert set(live) == set(seed_sets)
             expected = {k for k in live if set(k) & drop}  # reference scan
             planner.evict_structures(drop)
-            assert set(planner._structures.keys()) == live - expected
+            assert dict(planner._shard_sets.items()) == live
+            assert {k for k, v in live.items() if v.needs_refresh} == expected
             del plans
 
     def test_evict_all_clears_index(self, pair):
         dataset, planner = self._planner(pair)
         roads = list(dataset.graph.road_ids)
         plan = self._compile(planner, roads, roads[:3])
-        assert planner._keys_by_seed
+        assert tuple(roads[:3]) in planner._shard_sets
         planner.evict_structures(None)
-        assert not planner._keys_by_seed
-        assert not list(planner._structures.keys())
-        # Recompiling after a full evict re-registers cleanly.
-        plan = self._compile(planner, roads, roads[:3])
-        assert tuple(roads[:3]) in planner._structures
-        del plan
+        assert not list(planner._shard_sets.keys())
+        # Recompiling after a full evict compiles a fresh shard set.
+        fresh = self._compile(planner, roads, roads[:3])
+        assert tuple(roads[:3]) in planner._shard_sets
+        assert fresh._shard_set is not plan._shard_set
 
     def test_garbage_collected_structures_are_pruned(self, pair):
         import gc
@@ -588,11 +621,7 @@ class TestEvictionIndexPinning:
         plan = self._compile(planner, roads, roads[:3])
         del plan
         gc.collect()
-        assert tuple(roads[:3]) not in planner._structures
-        # Index may still hold the dead key; eviction filters it
-        # without error and prunes it.
+        assert tuple(roads[:3]) not in planner._shard_sets
+        # Evicting over the dead seed set is a no-op, not an error.
         planner.evict_structures({roads[0]})
-        assert all(
-            tuple(roads[:3]) not in keys
-            for keys in planner._keys_by_seed.values()
-        )
+        assert not list(planner._shard_sets.keys())

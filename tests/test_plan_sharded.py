@@ -1,13 +1,15 @@
-"""District-sharded interval plans: bitwise differentials and scoped eviction.
+"""District-partitioned interval plans: bitwise differentials and scoped eviction.
 
-The sharded Step-2 serving path (``repro.speed.shardplan``) must be
-**bitwise identical** to the monolithic plan — not merely close: every
-per-road quantity in the evaluation is row-independent, so compiling
-district slices and stitching them back must reproduce the monolithic
-arrays bit for bit, across any partition shape, with or without the
-compile process pool. Delta eviction must be district-scoped: a row
-invalidation recompiles only the districts a dropped seed's influence
-touches, and untouched districts' structures survive by object identity.
+The Step-2 planner (``repro.speed.plan.IntervalPlanner``) must be
+**bitwise identical** to the whole-city oracle plan
+(``tests/oracles/plan.py``) — not merely close: every per-road quantity
+in the evaluation is row-independent, so compiling district slices and
+stitching them back must reproduce the whole-city arrays bit for bit,
+across any partition shape (the default one district included), with or
+without the compile process pool, and after a pool worker dies. Delta
+eviction must be district-scoped: a row invalidation recompiles only the
+districts a dropped seed's influence touches, and untouched districts'
+structures survive by object identity.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from repro.history.incremental import GraphDelta
 from repro.obs import FlightRecorder, set_recorder
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
-from repro.speed.plan import IntervalPlanCache
-from repro.speed.shardplan import PlanCompilePool, ShardedIntervalPlanner
+from repro.speed.plan import IntervalPlanCache, IntervalPlanner
+from repro.speed.shardplan import PlanCompilePool
+from tests.oracles import MonolithicPlanner
 
 
 def _counter(rec, name, **labels):
@@ -43,13 +46,20 @@ def fitted(small_dataset):
 
 
 def _estimator(dataset, hlm, params, partitions=None, pool=None, graph=None):
-    """A fresh estimator; sharded when ``partitions`` is given."""
-    factory = None
-    if partitions is not None:
-        def factory(store, network, hlm_, road_ids):
-            return ShardedIntervalPlanner(
-                store, network, hlm_, road_ids, partitions, pool=pool
-            )
+    """A fresh production estimator over ``partitions`` (None: one district)."""
+    def factory(store, network, hlm_, road_ids):
+        return IntervalPlanner(
+            store, network, hlm_, road_ids, partitions, pool=pool
+        )
+    return _build(dataset, hlm, params, factory, graph)
+
+
+def _oracle(dataset, hlm, params, graph=None):
+    """A fresh estimator serving through the whole-city oracle plan."""
+    return _build(dataset, hlm, params, MonolithicPlanner, graph)
+
+
+def _build(dataset, hlm, params, factory, graph):
     return TwoStepEstimator(
         dataset.network,
         dataset.store,
@@ -81,7 +91,7 @@ def _assert_bitwise(a, b):
     assert set(a) == set(b)
     for road in a:
         assert a[road] == b[road], (
-            f"road {road}: sharded {b[road]} != monolithic {a[road]}"
+            f"road {road}: planner {b[road]} != whole-city oracle {a[road]}"
         )
 
 
@@ -90,7 +100,7 @@ class TestShardedBitwise:
     def test_matches_monolithic(self, fitted, num_districts):
         dataset, hlm, params = fitted
         roads = list(dataset.graph.road_ids)
-        mono = _estimator(dataset, hlm, params)
+        mono = _oracle(dataset, hlm, params)
         shard = _estimator(
             dataset, hlm, params, partitions=_chunks(roads, num_districts)
         )
@@ -104,11 +114,26 @@ class TestShardedBitwise:
                     shard.estimate_interval(interval, speeds),
                 )
 
+    def test_default_planner_is_one_district(self, fitted):
+        dataset, hlm, params = fitted
+        roads = list(dataset.graph.road_ids)
+        default = _build(dataset, hlm, params, None, None)  # no planner factory
+        seeds = roads[::17][:7]
+        interval = dataset.test_day_intervals()[0]
+        speeds = _speeds(dataset, seeds, interval)
+        _assert_bitwise(
+            _oracle(dataset, hlm, params).estimate_interval(interval, speeds),
+            default.estimate_interval(interval, speeds),
+        )
+        plan = default.plan_for(interval, speeds)
+        assert len(plan.shards) == 1
+        assert plan.shards[0].members == tuple(roads)
+
     def test_seeds_concentrated_in_one_district(self, fitted):
         dataset, hlm, params = fitted
         roads = list(dataset.graph.road_ids)
         partitions = _chunks(roads, 4)
-        mono = _estimator(dataset, hlm, params)
+        mono = _oracle(dataset, hlm, params)
         shard = _estimator(dataset, hlm, params, partitions=partitions)
         seeds = list(partitions[0])[:6]  # every seed in district 0
         interval = dataset.test_day_intervals()[0]
@@ -152,7 +177,7 @@ class TestShardedBitwise:
             label="seeds",
         )
         seeds = [roads[i] for i in seed_idx]
-        mono = _estimator(dataset, hlm, params)
+        mono = _oracle(dataset, hlm, params)
         shard = _estimator(dataset, hlm, params, partitions=partitions)
         interval = dataset.test_day_intervals()[1]
         speeds = _speeds(dataset, seeds, interval)
@@ -165,26 +190,26 @@ class TestShardedBitwise:
         dataset, hlm, params = fitted
         roads = list(dataset.graph.road_ids)
         with pytest.raises(InferenceError):
-            ShardedIntervalPlanner(
+            IntervalPlanner(
                 dataset.store, dataset.network, hlm, roads, []
             )
         with pytest.raises(InferenceError, match="more than one district"):
-            ShardedIntervalPlanner(
+            IntervalPlanner(
                 dataset.store, dataset.network, hlm, roads,
                 [tuple(roads), (roads[0],)],
             )
         with pytest.raises(InferenceError, match="cover"):
-            ShardedIntervalPlanner(
+            IntervalPlanner(
                 dataset.store, dataset.network, hlm, roads, [tuple(roads[:10])]
             )
 
 
 class TestPoolDifferential:
     def test_two_workers_four_districts_bitwise(self, fitted):
-        """The CI differential: worker-compiled shards == monolithic."""
+        """The CI differential: worker-compiled shards == whole-city oracle."""
         dataset, hlm, params = fitted
         roads = list(dataset.graph.road_ids)
-        mono = _estimator(dataset, hlm, params)
+        mono = _oracle(dataset, hlm, params)
         with PlanCompilePool(hlm, dataset.store, num_workers=2) as pool:
             shard = _estimator(
                 dataset, hlm, params,
@@ -236,7 +261,7 @@ class TestDistrictScopedEviction:
         cache = IntervalPlanCache(maxsize=8).attach(fidelity)
 
         def factory(store, network, hlm_, road_ids):
-            return ShardedIntervalPlanner(
+            return IntervalPlanner(
                 store, network, hlm_, road_ids, [first, second]
             )
 
@@ -301,16 +326,9 @@ class TestDistrictScopedEviction:
             assert _counter(rec, "plan.shard_compiles", district="0") == 1
             assert _counter(rec, "plan.shard_compiles", district="1") == 2
 
-            # And the recompiled result matches a cold monolithic
+            # And the recompiled result matches a cold whole-city oracle
             # estimator over the mutated graph, bit for bit.
-            mono = TwoStepEstimator(
-                small_dataset.network,
-                small_dataset.store,
-                graph,
-                hlm=hlm,
-                hlm_params=params,
-                fidelity_service=FidelityCacheService(),
-            )
+            mono = _oracle(small_dataset, hlm, params, graph=graph)
             _assert_bitwise(mono.estimate_interval(interval, speeds), after)
             # The delta moved the touched half's numbers.
             assert any(before[r] != after[r] for r in second)
@@ -351,3 +369,103 @@ class TestPipelinePlanPool:
             system.estimate(interval, _speeds(small_dataset, seeds, interval))
             assert system._plan_pool.num_workers == 2
             assert rec.registry.gauge("plan.parallel.workers").value == 2
+
+
+def _shm_segments():
+    import os
+
+    try:
+        return set(os.listdir("/dev/shm"))
+    except FileNotFoundError:  # pragma: no cover - platform without /dev/shm
+        return set()
+
+
+class TestPoolFallback:
+    def test_killed_worker_falls_back_in_process(self, small_dataset):
+        """A SIGKILLed compile worker costs a fallback, not a round."""
+        import os
+        import signal
+
+        from repro.core.config import PipelineConfig
+        from repro.core.pipeline import SpeedEstimationSystem
+        from repro.obs import recording
+
+        config = PipelineConfig(
+            use_sharded_plan=True, plan_shards=4, num_partition_workers=2
+        )
+        roads = list(small_dataset.graph.road_ids)
+        interval = small_dataset.test_day_intervals()[0]
+        before = _shm_segments()
+        with recording() as rec:
+            system = SpeedEstimationSystem.from_parts(
+                small_dataset.network, small_dataset.store,
+                small_dataset.graph, config,
+            )
+            try:
+                warm = roads[::17][:6]
+                system.estimate(interval, _speeds(small_dataset, warm, interval))
+                pool = system._plan_pool
+                workers = list(pool._pool._processes.values())
+                assert workers, "the first compile must have spawned workers"
+                os.kill(workers[0].pid, signal.SIGKILL)
+                workers[0].join(timeout=30)
+                assert not workers[0].is_alive()
+
+                # A new seed set is a cold compile through the dead pool.
+                seeds = roads[::13][:8]
+                speeds = _speeds(small_dataset, seeds, interval)
+                got = system.estimate(interval, speeds)
+                assert rec.registry.counter("pool.fallbacks", pool="plan").value == 1
+                # Later compiles stay in-process: no second fallback.
+                system.estimate(interval, _speeds(small_dataset, roads[:5], interval))
+                assert rec.registry.counter("pool.fallbacks", pool="plan").value == 1
+                oracle = _oracle(
+                    small_dataset, system.estimator.hlm, config.hlm
+                )
+                _assert_bitwise(oracle.estimate_interval(interval, speeds), got)
+            finally:
+                system.close()
+        assert not (_shm_segments() - before), "a shared-memory segment survived"
+
+
+class TestDefaultConfigDelta:
+    def test_delta_refreshes_the_one_district(self, small_dataset, monkeypatch):
+        """Default config: one district, no partition, exact after a delta."""
+        import repro.seeds.partition as partition
+        from repro.core.pipeline import SpeedEstimationSystem
+        from repro.obs import recording
+
+        def no_partition(*args, **kwargs):
+            raise AssertionError("the default config must not partition")
+
+        monkeypatch.setattr(partition, "partition_graph", no_partition)
+        graph = CorrelationGraph(
+            small_dataset.graph.road_ids, list(small_dataset.graph.edges())
+        )
+        interval = small_dataset.test_day_intervals()[0]
+        with recording() as rec, SpeedEstimationSystem.from_parts(
+            small_dataset.network, small_dataset.store, graph
+        ) as system:
+            seeds = system.select_seeds(6)
+            speeds = _speeds(small_dataset, seeds, interval)
+            before = system.estimate(interval, speeds)
+            assert _counter(rec, "plan.shard_compiles", district="0") == 1
+
+            edge = graph.neighbours(seeds[0])[0]
+            weight = 0.93 if abs(edge.agreement - 0.93) > 1e-9 else 0.88
+            delta = GraphDelta(
+                added=(),
+                removed=(),
+                reweighted=(CorrelationEdge(edge.road_u, edge.road_v, weight),),
+            )
+            graph.apply_delta(delta)
+            assert seeds[0] in system.apply_graph_delta(delta)
+            after = system.estimate(interval, speeds)
+            assert _counter(rec, "plan.shard_compiles", district="0") == 2
+            assert system.plan_cache.stats().size == 1
+            assert any(before[r] != after[r] for r in after)
+
+        with SpeedEstimationSystem.from_parts(
+            small_dataset.network, small_dataset.store, graph
+        ) as cold:
+            _assert_bitwise(cold.estimate(interval, speeds), after)

@@ -169,6 +169,23 @@ class TestPartition:
         with pytest.raises(SelectionError):
             partition_graph(objective, 0)
 
+    def test_fragmented_graph_yields_more_chunks_than_requested(self):
+        """A component smaller than a chunk closes its chunk early."""
+        # Components of 5, 5 and 2 roads; 2 requested -> chunk target 6.
+        components = [list(range(0, 5)), list(range(5, 10)), [10, 11]]
+        edges = [
+            CorrelationEdge(a, b, 0.9)
+            for chunk in components
+            for a, b in zip(chunk, chunk[1:])
+        ]
+        graph = CorrelationGraph(list(range(12)), edges)
+        partitions = partition_graph(SeedSelectionObjective(graph), 2)
+        flat = [r for p in partitions for r in p]
+        assert sorted(flat) == list(range(12))
+        assert len(flat) == len(set(flat))
+        assert partitions == components
+        assert len(partitions) > 2
+
 
 class TestCandidateValidation:
     """Typed rejection of bad candidate pools (was a raw KeyError /

@@ -7,12 +7,14 @@ body, then per-publish read rows. The per-road path it replaced is kept
 in ``tests/oracles``: the ``SpeedEstimate`` loop
 (:func:`tests.oracles.snapshot.per_road_round`), the band loop
 (:class:`tests.oracles.uncertainty.ScalarBands`) and the format-2 JSON
-writer. Every served value must be bitwise the oracle's — speed, trend,
-probability, seed and degraded flags, lower, upper, std and confidence —
-in memory, after a reload from a format-3 file, and through the
-oracle's own format-2 file, which must re-checksum to the same format-3
-checksum. Cases: monolithic and 2-worker x 4-district sharded plans,
-substituted seeds, ``estimate_roads`` subsets and stale-inflated reads.
+writer, all three reading Step 2 from the whole-city oracle plan
+(:mod:`tests.oracles.plan`). Every served value must be bitwise the
+oracle's — speed, trend, probability, seed and degraded flags, lower,
+upper, std and confidence — in memory, after a reload from a format-3
+file, and through the oracle's own format-2 file, which must re-checksum
+to the same format-3 checksum. Cases: the default one-district plan and
+a 2-worker x 4-district plan, substituted seeds, ``estimate_roads``
+subsets and stale-inflated reads.
 
 Integrity: any single flipped byte or any truncation of a format-3 file
 fails to load, and recovery skips and counts it. Work: a published
@@ -51,10 +53,11 @@ from repro.serving import (
 )
 from repro.speed.estimator import EstimateColumns, TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
-from repro.speed.shardplan import PlanCompilePool, ShardedIntervalPlanner
+from repro.speed.plan import IntervalPlanner
+from repro.speed.shardplan import PlanCompilePool
 from repro.speed.uncertainty import BandColumns, SpeedBand, UncertaintyModel
 from repro.trend.propagation import TrendPropagationInference
-from tests.oracles import ScalarBands
+from tests.oracles import MonolithicPlanner, ScalarBands
 from tests.oracles.snapshot import per_road_round, write_format2
 
 STALE_INFLATION = 1.5
@@ -70,13 +73,14 @@ def fitted(small_dataset):
 
 
 def _estimator(dataset, hlm, params, partitions=None, pool=None):
-    """A production estimator and the Step-1 inference it runs on."""
-    factory = None
-    if partitions is not None:
-        def factory(store, network, hlm_, road_ids):
-            return ShardedIntervalPlanner(
-                store, network, hlm_, road_ids, partitions, pool=pool
-            )
+    """A production estimator and the Step-1 inference it runs on.
+
+    ``partitions`` None is the default one-district plan.
+    """
+    def factory(store, network, hlm_, road_ids):
+        return IntervalPlanner(
+            store, network, hlm_, road_ids, partitions, pool=pool
+        )
     fidelity = FidelityCacheService()
     inference = TrendPropagationInference(
         min_fidelity=params.min_fidelity, fidelity_service=fidelity
@@ -172,6 +176,20 @@ def _assert_matches_oracle(snapshot, oracle_est, oracle_bands):
         clock.advance(500.0)
 
 
+def _whole_city(dataset, estimator, inference):
+    """The same fitted model serving Step 2 through the whole-city oracle plan."""
+    return TwoStepEstimator(
+        dataset.network,
+        dataset.store,
+        dataset.graph,
+        hlm=estimator.hlm,
+        trend_inference=inference,
+        hlm_params=estimator.hlm.params,
+        fidelity_service=FidelityCacheService(),
+        planner_factory=MonolithicPlanner,
+    )
+
+
 def _check_round(tmp_path, dataset, estimator, inference, interval, speeds,
                  roads=None, substituted=()):
     """One round through production and through the per-road oracle."""
@@ -184,12 +202,13 @@ def _check_round(tmp_path, dataset, estimator, inference, interval, speeds,
     assert isinstance(estimates, EstimateColumns)
     assert isinstance(bands, BandColumns)
 
+    reference = _whole_city(dataset, estimator, inference)
     oracle_est = per_road_round(
-        estimator, dataset.store, inference, interval, speeds, roads
+        reference, dataset.store, inference, interval, speeds, roads
     )
     for road in substituted:
         oracle_est[road] = oracle_est[road].replace(degraded=True)
-    oracle_bands = ScalarBands(estimator, dataset.store).bands_for(oracle_est, speeds)
+    oracle_bands = ScalarBands(reference, dataset.store).bands_for(oracle_est, speeds)
 
     reasons = {road: "prior" for road in substituted}
     snapshot = EstimateSnapshot.build(4, interval, estimates, bands, substituted=reasons)

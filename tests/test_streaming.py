@@ -8,10 +8,10 @@ so the expected cache behaviour is *provable*, not probabilistic:
   counts are order-independent sums over the window's rows, sliding a
   day out and the identical day back in leaves every statistic — and
   therefore the mined graph — untouched. Those days MUST produce empty
-  deltas, zero evictions and zero plan recompiles.
+  deltas, zero shard evictions and zero plan shard compiles.
 * Three "incident" days (a congestion pattern halving speeds on a
   scattered road subset) perturb the window. Only those days may move
-  edges, drop fidelity rows and recompile plans.
+  edges, drop fidelity rows, mark plan shards stale and recompile them.
 
 The headline assertions: across the whole soak there is not a single
 wholesale invalidation (``fidelity.invalidations{scope=graph}`` and
@@ -76,6 +76,12 @@ def _counter(rec, name, **labels):
     return rec.registry.counter(name, **labels).value
 
 
+def _shard_compiles(rec):
+    return sum(
+        series.value for _, series in rec.registry.series("plan.shard_compiles")
+    )
+
+
 class TestStreamingSoak:
     def test_31_day_soak_no_wholesale_flushes(
         self, small_network, base_week, tmp_path
@@ -109,16 +115,19 @@ class TestStreamingSoak:
         assert report["compiles_on_quiet_days"] == 0
         assert report["compiles_on_incident_days"] > 0
         assert report["fidelity_misses_on_quiet_days"] == 0
-        assert _counter(rec, "plan.rows_evicted") == report["row_evictions"]
-        assert report["row_evictions"] > 0
+        assert report["shards_evicted_on_quiet_days"] == 0
+        assert _counter(rec, "plan.shards_evicted") == report["shard_evictions"]
+        assert report["shard_evictions"] > 0
 
         # --- serving stayed healthy ----------------------------------
         assert report["rounds"] == STREAM_DAYS * len(SERVE_OFFSETS)
         assert report["published"] == report["rounds"]
 
-        # --- flight-recorder timeline: compile spans match the cache
-        #     misses, i.e. no hidden compile work outside the counted
-        #     incident-day recompiles.
+        # --- flight-recorder timeline: compile spans match the counted
+        #     compiles, i.e. no hidden compile work outside the counted
+        #     incident-day recompiles. A plan compile is one span per
+        #     cache miss; each district compile (cold or a stale-shard
+        #     refresh) is one span with a district attr.
         events = [
             json.loads(line) for line in trace_path.read_text().splitlines()
         ]
@@ -127,7 +136,11 @@ class TestStreamingSoak:
             for e in events
             if e["type"] == "span" and e["name"] == "speed.plan.compile"
         ]
-        assert len(compile_spans) == _counter(rec, "plan.cache", hit="false")
+        district_spans = [e for e in compile_spans if "district" in e["attrs"]]
+        assert len(compile_spans) - len(district_spans) == _counter(
+            rec, "plan.cache", hit="false"
+        )
+        assert len(district_spans) == _shard_compiles(rec)
         remine_spans = [
             e
             for e in events
@@ -193,6 +206,7 @@ class TestStreamingSoak:
         compiles_quiet = compiles_incident = 0
         fidelity_misses_quiet = 0
         rows_dropped_quiet = 0
+        shards_evicted_quiet = 0
         severities = {day: 0.4 + 0.1 * i for i, day in enumerate(INCIDENT_DAYS)}
         for day_index in range(WARMUP_DAYS, WARMUP_DAYS + STREAM_DAYS):
             base = week[day_index % WARMUP_DAYS]
@@ -203,9 +217,10 @@ class TestStreamingSoak:
             else:
                 field = _day_field(base, day_index)
 
-            compiles_before = _counter(rec, "plan.cache", hit="false")
+            compiles_before = _shard_compiles(rec)
             fid_misses_before = _counter(rec, "fidelity.cache", hit="false")
-            evictions_before = _counter(rec, "plan.rows_evicted")
+            rows_before = _counter(rec, "fidelity.invalidations", scope="rows")
+            evictions_before = _counter(rec, "plan.shards_evicted")
 
             rolling.ingest_day(field)
             # The differential guarantee, checked on every window state.
@@ -218,7 +233,7 @@ class TestStreamingSoak:
             published += serve_day(field, crowd_seed=day_index)
             rounds += len(SERVE_OFFSETS)
 
-            compiled = _counter(rec, "plan.cache", hit="false") - compiles_before
+            compiled = _shard_compiles(rec) - compiles_before
             if day_index in severities:
                 compiles_incident += compiled
             else:
@@ -228,7 +243,11 @@ class TestStreamingSoak:
                     - fid_misses_before
                 )
                 rows_dropped_quiet += (
-                    _counter(rec, "plan.rows_evicted") - evictions_before
+                    _counter(rec, "fidelity.invalidations", scope="rows")
+                    - rows_before
+                )
+                shards_evicted_quiet += (
+                    _counter(rec, "plan.shards_evicted") - evictions_before
                 )
 
         stats = system.plan_cache.stats()
@@ -238,7 +257,8 @@ class TestStreamingSoak:
             "compiles_on_incident_days": compiles_incident,
             "fidelity_misses_on_quiet_days": fidelity_misses_quiet,
             "rows_dropped_on_quiet_days": rows_dropped_quiet,
-            "row_evictions": stats.row_evictions,
+            "shards_evicted_on_quiet_days": shards_evicted_quiet,
+            "shard_evictions": stats.shard_evictions,
             "flushes": stats.flushes,
             "rounds": rounds,
             "published": published,
