@@ -18,11 +18,12 @@ import pytest
 from benchmarks.conftest import _bench_registry
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import SpeedEstimationSystem
+from repro.core.pool import SharedWorkerPool
 from repro.datasets.synthetic import metropolitan_dataset
 from repro.evalkit.reporting import fmt, format_table
 from repro.history.correlation import mine_correlation_graph
 from repro.seeds.objective import SeedSelectionObjective
-from repro.seeds.parallel import DistrictPool
+from repro.seeds.parallel import DistrictStage
 from repro.seeds.partition import partition_graph, partition_greedy_select
 
 pytestmark = pytest.mark.slow
@@ -192,10 +193,10 @@ def test_f8_metro_parallel_vs_serial_differential(metro):
     serial = partition_greedy_select(
         objective, budget, num_partitions=NUM_DISTRICTS
     )
-    with DistrictPool(
-        objective, num_partitions=NUM_DISTRICTS, num_workers=2
-    ) as pool:
-        parallel = pool.select(budget)
+    with SharedWorkerPool(2) as pool:
+        parallel = DistrictStage(
+            objective, pool, num_partitions=NUM_DISTRICTS
+        ).select(budget)
     assert parallel.seeds == serial.seeds
     assert parallel.gains == serial.gains
     assert parallel.evaluations == serial.evaluations
@@ -244,7 +245,7 @@ def test_f8_metro_sharded_plan_compile(metro, report, tmp_path):
     """Sharded Step-2: bitwise-equal cold compile, district-scoped delta.
 
     Three timings feed the bench gate: the cold sharded compile (one
-    structure per district across the compile pool), the post-delta
+    structure per district across the worker pool), the post-delta
     recompile (stale districts only), and the warm serve latency. The
     sharded estimates are asserted bitwise equal to the one-district
     plan's (the default config; ``compile_mono_seconds`` times its cold

@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     select.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="partition-pool worker count (0 = one per CPU)",
+        help="worker-pool size for --parallel: one pool runs district "
+             "selection and Step-1 votes (0 = one per CPU, 1 = in-process)",
     )
     select.add_argument(
         "--partitions", type=int, default=8, metavar="P",
@@ -104,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="district count for --sharded-plan (0 = num_partitions)")
     estimate.add_argument(
         "--plan-workers", type=int, default=0, metavar="N",
-        help="plan-compile pool workers (0 = one per CPU, 1 = in-process)")
+        help="worker-pool size: one pool runs every district compile "
+             "(0 = one per CPU, 1 = in-process)")
 
     route = commands.add_parser(
         "route", help="plan a route on estimated speeds"
@@ -163,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="district count for --sharded-plan (0 = num_partitions)")
     serve.add_argument(
         "--plan-workers", type=int, default=0, metavar="N",
-        help="plan-compile pool workers (0 = one per CPU, 1 = in-process)")
+        help="worker-pool size: one pool runs every district compile "
+             "(0 = one per CPU, 1 = in-process)")
 
     stream = commands.add_parser(
         "stream",
@@ -672,7 +675,7 @@ def cmd_serve(
                 handle.write(text)
         explanation = store.explain(explain) if explain is not None else None
         slo_statuses = engine.statuses() if engine is not None else None
-    system.close()  # releases the plan-compile pool when sharded
+    system.close()  # stops the worker pool when sharded
     answered = sum(
         n for s, n in status_totals.items()
         if s in ("fresh", "stale", "baseline")

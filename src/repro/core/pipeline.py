@@ -30,6 +30,7 @@ from typing import Iterator, Sequence
 from repro.core.config import PipelineConfig
 from repro.core.errors import ConfigError, SelectionError
 from repro.core.field import SpeedField
+from repro.core.pool import SharedWorkerPool
 from repro.core.types import SpeedEstimate
 from repro.crowd.platform import CrowdsourcingPlatform, SpeedQueryTask
 from repro.crowd.report import RoundReport
@@ -143,11 +144,11 @@ class SpeedEstimationSystem:
         self._seeds: list[int] = []
         self._selection: SelectionResult | None = None
         self._degradation = DegradationPolicy(store, config.degradation)
-        # Lazy: the district process pool (shared CSR arrays + workers),
-        # the plan-compile pool and the warm-started incremental
-        # re-selector.
-        self._district_pool = None
-        self._plan_pool = None
+        # Lazy: the one worker pool (pooled district selection, Step-1
+        # votes and plan compiles), the district stage on it and the
+        # warm-started incremental re-selector.
+        self._pool: SharedWorkerPool | None = None
+        self._districts = None
         self._reselector = None
 
     # ------------------------------------------------------------------
@@ -279,7 +280,7 @@ class SpeedEstimationSystem:
                 result = lazy_greedy_select(self._objective, budget)
             elif method == "partition":
                 if self._config.use_parallel_partitions:
-                    result = self.district_pool().select(budget)
+                    result = self.district_stage().select(budget)
                 else:
                     result = partition_greedy_select(
                         self._objective,
@@ -303,31 +304,51 @@ class SpeedEstimationSystem:
         self._seeds = list(result.seeds)
         return self.seeds
 
-    def district_pool(self):
-        """The lazily created district process pool (parallel configs).
+    def _worker_pool(self) -> SharedWorkerPool:
+        """The system's one worker pool, created on first pooled work.
+
+        ``num_partition_workers`` workers (0 = one per CPU), capped at
+        the largest district count a pooled stage of this config asks
+        for, since a worker beyond it never receives a task; one worker
+        runs every task in-process.
+        """
+        if self._pool is None:
+            config = self._config
+            districts = max(
+                config.num_partitions if config.use_parallel_partitions else 1,
+                (config.plan_shards or config.num_partitions)
+                if config.use_sharded_plan
+                else 1,
+            )
+            workers = config.num_partition_workers or (os.cpu_count() or 1)
+            self._pool = SharedWorkerPool(min(workers, districts))
+        return self._pool
+
+    def district_stage(self):
+        """The district selection and Step-1 vote stage (parallel configs).
 
         Created on first use and reused for every subsequent selection
-        and Step-1 round; call :meth:`close` (or use the system as a
-        context manager) to release the workers and the shared-memory
-        segments.
+        and Step-1 round; its tasks run on the system's worker pool. Call
+        :meth:`close` (or use the system as a context manager) to
+        release the workers and the shared-memory segments.
         """
         if not self._config.use_parallel_partitions:
             raise ConfigError(
-                "district_pool requires use_parallel_partitions=True"
+                "district_stage requires use_parallel_partitions=True"
             )
-        if self._district_pool is None:
-            from repro.seeds.parallel import DistrictPool
+        if self._districts is None:
+            from repro.seeds.parallel import DistrictStage
 
-            self._district_pool = DistrictPool(
+            self._districts = DistrictStage(
                 self._objective,
+                self._worker_pool(),
                 num_partitions=self._config.num_partitions,
-                num_workers=self._config.num_partition_workers,
             )
             if isinstance(self._inference, TrendPropagationInference):
                 self._inference.set_vote_accumulator(
-                    self._district_pool.vote_accumulator
+                    self._districts.vote_accumulator
                 )
-        return self._district_pool
+        return self._districts
 
     def _make_sharded_planner(self, store, network, hlm, road_ids):
         """Planner factory for ``use_sharded_plan`` (estimator calls it).
@@ -335,28 +356,16 @@ class SpeedEstimationSystem:
         Districts come from the same deterministic
         :func:`~repro.seeds.partition.partition_graph` the selection
         path uses (``plan_shards`` districts, defaulting to
-        ``num_partitions``). The district compiles run across a
-        :class:`~repro.speed.shardplan.PlanCompilePool` owned by this
-        system, with ``num_partition_workers`` workers (0 = one per CPU)
-        capped at the district count; exactly one worker keeps
-        compilation in-process. Without ``use_sharded_plan`` the
+        ``num_partitions``). The district compiles are tasks on the
+        system's worker pool. Without ``use_sharded_plan`` the
         estimator plans the city as one district, in-process.
         """
         from repro.seeds.partition import partition_graph
-        from repro.speed.shardplan import PlanCompilePool
 
         shards = self._config.plan_shards or self._config.num_partitions
         partitions = partition_graph(self._objective, shards)
-        # Like DistrictPool: a worker beyond the district count never
-        # receives a task.
-        workers = min(
-            self._config.num_partition_workers or (os.cpu_count() or 1),
-            len(partitions),
-        )
-        if workers > 1 and self._plan_pool is None:
-            self._plan_pool = PlanCompilePool(hlm, store, num_workers=workers)
         return IntervalPlanner(
-            store, network, hlm, road_ids, partitions, pool=self._plan_pool
+            store, network, hlm, road_ids, partitions, pool=self._worker_pool()
         )
 
     def reselect_seeds(self, budget: int) -> list[int]:
@@ -389,19 +398,13 @@ class SpeedEstimationSystem:
         apply_graph_delta`), which cascades through the registered row
         listeners: compiled plan shards over dropped seeds, influence
         indexes, CELF gains and objective memos. Everything else keeps
-        serving warm. Returns the dropped source roads.
+        serving warm; the district stage republishes its context on the
+        same workers once it sees the rebuilt CSR. Returns the dropped
+        source roads.
         """
         if delta.is_empty:
             return ()
-        dropped = self._fidelity.apply_graph_delta(self._graph, delta)
-        if self._district_pool is not None:
-            # The district pool's shared-memory CSR arrays bake in the
-            # old edge weights; release it and rebuild lazily on next
-            # use. The plan-compile pool survives: its shared arrays are
-            # the centred *history* matrix, which a graph delta never
-            # touches — only the influence maps fed per compile change.
-            self._close_district_pool()
-        return dropped
+        return self._fidelity.apply_graph_delta(self._graph, delta)
 
     def bind_rolling(self, rolling) -> "SpeedEstimationSystem":
         """Wire a :class:`~repro.history.online.RollingHistory` to this
@@ -420,19 +423,10 @@ class SpeedEstimationSystem:
         rolling.add_delta_listener(_on_delta)
         return self
 
-    def _close_district_pool(self) -> None:
-        if self._district_pool is not None:
-            if isinstance(self._inference, TrendPropagationInference):
-                self._inference.set_vote_accumulator(None)
-            self._district_pool.close()
-            self._district_pool = None
-
     def close(self) -> None:
-        """Release round-serving resources (district + plan pools)."""
-        self._close_district_pool()
-        if self._plan_pool is not None:
-            self._plan_pool.close()
-            self._plan_pool = None
+        """Stop the worker pool and unlink its shared-memory segments."""
+        if self._pool is not None:
+            self._pool.close()
 
     def __enter__(self) -> "SpeedEstimationSystem":
         return self

@@ -1,11 +1,10 @@
 """Read-only numpy arrays shared with spawn workers through shared memory.
 
-The plumbing both process pools use: the district pool
-(:mod:`repro.seeds.parallel`) ships the CSR fidelity arrays and road
-weights, the plan-compile pool (:mod:`repro.speed.shardplan`) ships the
-centred history matrix. The parent publishes the arrays once through a
-:class:`SharedArrayExport` and hands its ``specs`` to the pool
-initializer; each worker maps them with :func:`attach_shared_array`.
+The plumbing under :class:`~repro.core.pool.SharedWorkerPool`: the
+parent publishes a context's arrays once through a
+:class:`SharedArrayExport` and ships its ``specs`` with each task; a
+worker maps them with :func:`attach_shared_arrays` and closes the
+mappings once the context is replaced.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-__all__ = ["SharedArrayExport", "attach_shared_array"]
+__all__ = ["SharedArrayExport", "attach_shared_arrays"]
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,8 @@ class SharedArrayExport:
     """Named read-only numpy arrays published once to shared memory.
 
     Owns the shared-memory segments: :meth:`close` both closes and
-    unlinks them (workers keep their own mappings alive until exit).
+    unlinks them (workers keep their own mappings alive until they
+    close them).
     """
 
     def __init__(self, arrays: Mapping[str, np.ndarray]) -> None:
@@ -66,21 +66,24 @@ class SharedArrayExport:
         self._segments = []
 
 
-# Worker-side mappings, kept open for the worker's lifetime.
-_worker_segments: list[shared_memory.SharedMemory] = []
-
-
-def attach_shared_array(spec: _ArraySpec) -> np.ndarray:
-    """Worker-side read-only view of one exported array.
+def attach_shared_arrays(
+    specs: Mapping[str, _ArraySpec],
+) -> tuple[dict[str, np.ndarray], list[shared_memory.SharedMemory]]:
+    """Worker-side read-only views of exported arrays, plus their segments.
 
     Workers attach by name; the parent owns creation and unlinking. The
-    resource tracker is shared with the parent under spawn, so the
+    caller closes the returned segments once no view of them is alive.
+    The resource tracker is shared with the parent under spawn, so the
     attach-side registration is a set-level no-op there.
     """
-    segment = shared_memory.SharedMemory(name=spec.name)
-    _worker_segments.append(segment)
-    array: np.ndarray = np.ndarray(
-        spec.shape, dtype=np.dtype(spec.dtype), buffer=segment.buf
-    )
-    array.setflags(write=False)
-    return array
+    arrays: dict[str, np.ndarray] = {}
+    segments: list[shared_memory.SharedMemory] = []
+    for field, spec in specs.items():
+        segment = shared_memory.SharedMemory(name=spec.name)
+        segments.append(segment)
+        array: np.ndarray = np.ndarray(
+            spec.shape, dtype=np.dtype(spec.dtype), buffer=segment.buf
+        )
+        array.setflags(write=False)
+        arrays[field] = array
+    return arrays, segments

@@ -32,7 +32,7 @@ from repro.seeds.objective import (
     CoverageState,
     SeedSelectionObjective,
 )
-from repro.seeds.parallel import DistrictPool, parallel_partition_select
+from repro.seeds.parallel import DistrictStage, parallel_partition_select
 from repro.seeds.partition import (
     allocate_budget,
     partition_graph,
@@ -43,7 +43,7 @@ from repro.seeds.reselect import IncrementalCelfSelector
 __all__ = [
     "CoverageState",
     "DEFAULT_CLASS_COSTS",
-    "DistrictPool",
+    "DistrictStage",
     "INFLUENCE_TRANSFORMS",
     "IncrementalCelfSelector",
     "cost_aware_select",

@@ -1,17 +1,17 @@
-"""Process-parallel district selection and Step-1 voting at metropolitan scale.
+"""District selection and Step-1 voting as tasks on the shared worker pool.
 
 The single-process partition path (:mod:`repro.seeds.partition`) already
 restricts every marginal-gain evaluation to one district; at 50k+ roads
 the districts themselves become the unit of parallelism. This module
-runs them across a process pool:
+turns them into tasks on a :class:`~repro.core.pool.SharedWorkerPool`:
 
-* The CSR fidelity arrays (``indptr``/``indices``/``data``) and the
-  objective's road weights are exported **once** to
-  :mod:`multiprocessing.shared_memory` — workers map them read-only, so
-  a pool over a 50k-road graph costs one copy of the graph, not one per
-  worker.
-* Each worker rebuilds a :class:`~repro.history.fidelity.CSRFidelityGraph`
-  view over the shared buffers and runs the *unchanged*
+* The ``"district"`` context is the CSR fidelity arrays
+  (``indptr``/``indices``/``data``), the road ids and the objective's
+  road weights, exported **once** to shared memory — a pool over a
+  50k-road graph costs one copy of the graph, not one per worker.
+* A worker builds the context state once per context: a
+  :class:`~repro.history.fidelity.CSRFidelityGraph` view over the shared
+  buffers. A selection task runs the *unchanged*
   :func:`~repro.seeds.lazy.lazy_greedy_select` against a duck-typed
   objective that computes sparse influence rows with the block kernel
   (CELF's empty-set scan fetches a whole district in one batch) and
@@ -24,8 +24,8 @@ runs them across a process pool:
   district order (the same order the serial loop uses), never in
   completion order, and the final global rescoring runs in the parent.
 
-The same pool also accumulates Step-1 propagation votes per district
-(:meth:`DistrictPool.vote_accumulator`): each worker sums its district
+The same stage also accumulates Step-1 propagation votes per district
+(:meth:`DistrictStage.vote_accumulator`): each task sums its district
 seeds' signed log-odds rows into one partial vote vector and the parent
 adds the partials in district order — exact up to float re-association
 (asserted ≤ 1e-9 against the serial kernel in the differential tests).
@@ -33,10 +33,10 @@ adds the partials in district order — exact up to float re-association
 Rows are :class:`~repro.history.fidelity.SparseRow` pairs, so a row
 costs its reach, not N: a district task keeps every row it computes
 (each candidate's row is computed exactly once per task), and the
-vote path keeps a seed-keyed row memo for the pool's lifetime — warm
+vote path keeps a seed-keyed row memo in the context state — warm
 rounds on the same seeds compute no rows at all. That memo is safe
-because the pool is bound to one CSR snapshot of the graph, and the
-system closes the pool whenever a graph delta changes it. Tasks report
+because the context is republished, and the memo dropped, whenever
+the fidelity service hands out a new CSR for the graph. Tasks report
 ``rows_computed`` and ``nonzeros`` (total row support) alongside
 ``evaluations``; the parent puts them on the ``seeds.parallel.select``
 span.
@@ -45,13 +45,11 @@ span.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 
 import numpy as np
 
-from repro.core.errors import InferenceError, SelectionError
-from repro.core.shm import SharedArrayExport, attach_shared_array
+from repro.core.errors import InferenceError
+from repro.core.pool import SharedWorkerPool
 from repro.history.fidelity import (
     CSRFidelityGraph,
     SparseRow,
@@ -64,53 +62,35 @@ from repro.seeds.lazy import lazy_greedy_select
 from repro.seeds.objective import CoverageState, SeedSelectionObjective
 from repro.seeds.partition import allocate_budget, partition_graph
 
-__all__ = ["DistrictPool", "parallel_partition_select"]
+__all__ = ["DistrictStage", "parallel_partition_select"]
 
 
 # ----------------------------------------------------------------------
-# Shared-memory export
+# Worker side: the "district" context and its tasks
 # ----------------------------------------------------------------------
-class _SharedGraphExport(SharedArrayExport):
-    """The CSR fidelity arrays + road ids + weights, published once."""
+class _DistrictState:
+    """One worker's district context: the CSR view, weights and vote memo.
 
-    def __init__(self, csr: CSRFidelityGraph, weights: np.ndarray) -> None:
-        super().__init__(
-            {
-                "indptr": csr.indptr,
-                "indices": csr.indices,
-                "data": csr.data,
-                "road_ids": np.asarray(csr.road_ids, dtype=np.int64),
-                "weights": np.asarray(weights, dtype=np.float64),
-            }
+    The vote memo (seed road -> sparse log-odds row) lives exactly as
+    long as the context, and the context is republished whenever the
+    parent's CSR changes, so a memoised row never outlives its CSR.
+    """
+
+    def __init__(
+        self, arrays: dict[str, np.ndarray], min_fidelity: float, transform: str
+    ) -> None:
+        road_ids = tuple(int(r) for r in arrays["road_ids"])
+        self.csr = CSRFidelityGraph(
+            road_ids=road_ids,
+            index={road: i for i, road in enumerate(road_ids)},
+            indptr=arrays["indptr"],
+            indices=arrays["indices"],
+            data=arrays["data"],
         )
-
-
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-_worker_csr: CSRFidelityGraph | None = None
-_worker_weights: np.ndarray | None = None
-_worker_min_fidelity: float = 0.05
-_worker_transform: str = "variance"
-# Seed road -> sparse log-odds row, for the pool's lifetime.
-_worker_vote_rows: dict[int, SparseRow] = {}
-
-
-def _init_worker(specs: dict, min_fidelity: float, transform: str) -> None:
-    """Pool initializer: map the shared arrays and rebuild the CSR view."""
-    global _worker_csr, _worker_weights, _worker_min_fidelity, _worker_transform
-    road_ids = tuple(int(r) for r in attach_shared_array(specs["road_ids"]))
-    _worker_csr = CSRFidelityGraph(
-        road_ids=road_ids,
-        index={road: i for i, road in enumerate(road_ids)},
-        indptr=attach_shared_array(specs["indptr"]),
-        indices=attach_shared_array(specs["indices"]),
-        data=attach_shared_array(specs["data"]),
-    )
-    _worker_weights = attach_shared_array(specs["weights"])
-    _worker_min_fidelity = float(min_fidelity)
-    _worker_transform = transform
-    _worker_vote_rows.clear()
+        self.weights = arrays["weights"]
+        self.min_fidelity = float(min_fidelity)
+        self.transform = transform
+        self.vote_rows: dict[int, SparseRow] = {}
 
 
 class _SharedArrayObjective:
@@ -175,20 +155,15 @@ class _SharedArrayObjective:
 
 
 def _select_chunk(
-    task: tuple[list[int], int]
+    state: _DistrictState, task: tuple[list[int], int]
 ) -> tuple[tuple[int, ...], int, int, int]:
-    """Worker task: CELF inside one district.
+    """Task: CELF inside one district.
 
     Returns ``(seeds, evaluations, rows_computed, nonzeros)``.
     """
     chunk, share = task
-    assert _worker_csr is not None and _worker_weights is not None
     objective = _SharedArrayObjective(
-        _worker_csr,
-        _worker_weights,
-        chunk,
-        _worker_min_fidelity,
-        _worker_transform,
+        state.csr, state.weights, chunk, state.min_fidelity, state.transform
     )
     result = lazy_greedy_select(objective, share, candidates=chunk)  # type: ignore[arg-type]
     return (
@@ -200,16 +175,15 @@ def _select_chunk(
 
 
 def _vote_chunk(
-    pairs: tuple[tuple[int, float], ...]
+    state: _DistrictState, pairs: tuple[tuple[int, float], ...]
 ) -> tuple[np.ndarray, int]:
-    """Worker task: partial Step-1 vote vector for one district's seeds."""
-    assert _worker_csr is not None
-    csr = _worker_csr
-    memo = _worker_vote_rows
+    """Task: partial Step-1 vote vector for one district's seeds."""
+    csr = state.csr
+    memo = state.vote_rows
     seeds = dict.fromkeys(road for road, _ in pairs)
     missing = [road for road in seeds if road not in memo]
     positions = [csr.index[road] for road in missing]
-    raws = sparse_fidelity_rows(csr, positions, _worker_min_fidelity)
+    raws = sparse_fidelity_rows(csr, positions, state.min_fidelity)
     for road, position, raw in zip(missing, positions, raws):
         memo[road] = _transform_row(raw, position, "logodds")
     votes = np.zeros(csr.num_roads, dtype=np.float64)
@@ -225,88 +199,99 @@ def _vote_chunk(
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-class DistrictPool:
-    """A process pool bound to one objective's graph via shared arrays.
+class DistrictStage:
+    """District selection and Step-1 votes as tasks on a worker pool.
 
-    Create once, reuse for every selection and Step-1 round on the same
-    system (spawning workers and exporting the arrays is the expensive
-    part). Close explicitly (or use as a context manager) to release
-    the pool and unlink the shared segments.
+    Bound to one objective's graph. Before each batch the stage checks
+    the fidelity service's CSR export of that graph: when it is a new
+    object (a graph delta or a wholesale invalidation rebuilt it), the
+    districts are re-partitioned and the ``"district"`` context is
+    republished on the same workers.
     """
 
     def __init__(
         self,
         objective: SeedSelectionObjective,
+        pool: SharedWorkerPool,
         num_partitions: int = 8,
-        num_workers: int = 0,
     ) -> None:
         self._objective = objective
         self._graph = objective.graph
-        self._partitions = partition_graph(objective, num_partitions)
+        self._pool = pool
+        self._num_partitions = num_partitions
+        self._csr: CSRFidelityGraph | None = None
+        self._partitions: list[list[int]] = []
+        self._district_of: dict[int, int] = {}
+
+    def _publish(self) -> CSRFidelityGraph:
+        """Bind the stage to the current CSR, republishing if it changed."""
+        csr = self._objective.fidelity_service.csr(self._graph)
+        if csr is self._csr:
+            return csr
+        self._partitions = partition_graph(self._objective, self._num_partitions)
         self._district_of = {
             road: district
             for district, chunk in enumerate(self._partitions)
             for road in chunk
         }
-        csr = objective.fidelity_service.csr(self._graph)
-        self._export = _SharedGraphExport(csr, objective.weights)
-        workers = num_workers or (os.cpu_count() or 1)
-        self.num_workers = max(1, min(workers, len(self._partitions)))
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.num_workers,
-            mp_context=get_context("spawn"),
-            initializer=_init_worker,
-            initargs=(
-                self._export.specs,
-                objective.min_fidelity,
-                objective.transform,
-            ),
+        self._pool.publish(
+            "district",
+            {
+                "indptr": csr.indptr,
+                "indices": csr.indices,
+                "data": csr.data,
+                "road_ids": np.asarray(csr.road_ids, dtype=np.int64),
+                "weights": np.asarray(self._objective.weights, dtype=np.float64),
+            },
+            _DistrictState,
+            self._objective.min_fidelity,
+            self._objective.transform,
         )
-        self._closed = False
-        recorder = get_recorder()
-        recorder.gauge("seeds.parallel.workers", self.num_workers)
-        recorder.gauge("seeds.parallel.districts", len(self._partitions))
-        recorder.gauge("seeds.parallel.shared_bytes", self._export.nbytes)
+        self._csr = csr
+        get_recorder().gauge("seeds.parallel.districts", len(self._partitions))
+        return csr
+
+    @property
+    def csr(self) -> CSRFidelityGraph | None:
+        """The CSR export the published context was built from."""
+        return self._csr
 
     @property
     def partitions(self) -> list[list[int]]:
+        self._publish()
         return [list(chunk) for chunk in self._partitions]
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise SelectionError("district pool is closed")
 
     def select(self, budget: int) -> SelectionResult:
         """District-parallel partition greedy; deterministic stitching.
 
         Identical output to :func:`~repro.seeds.partition.
         partition_greedy_select` with the same ``num_partitions`` —
-        same seed sequence, same gains/values — because each worker
-        runs the same CELF on bitwise-equal rows and districts are
-        stitched in district order, not completion order.
+        same seed sequence, same gains/values — because each task runs
+        the same CELF on bitwise-equal rows and districts are stitched
+        in district order, not completion order.
         """
-        self._check_open()
         validate_budget(self._objective, budget)
+        self._publish()
         shares = allocate_budget(self._partitions, budget)
         recorder = get_recorder()
         with recorder.span(
             "seeds.parallel.select",
             budget=budget,
             districts=len(self._partitions),
-            workers=self.num_workers,
+            workers=self._pool.num_workers,
         ) as span:
-            futures = [
-                (self._pool.submit(_select_chunk, (chunk, share)))
-                for chunk, share in zip(self._partitions, shares)
-                if share > 0
-            ]
+            results = self._pool.map(
+                "district",
+                _select_chunk,
+                [
+                    (chunk, share)
+                    for chunk, share in zip(self._partitions, shares)
+                    if share > 0
+                ],
+            )
             seeds: list[int] = []
             evaluations = rows_computed = nonzeros = 0
-            # future order == district order == serial stitch order.
-            for future in futures:
-                chunk_seeds, chunk_evaluations, chunk_rows, chunk_nonzeros = (
-                    future.result()
-                )
+            for chunk_seeds, chunk_evaluations, chunk_rows, chunk_nonzeros in results:
                 seeds.extend(chunk_seeds)
                 evaluations += chunk_evaluations
                 rows_computed += chunk_rows
@@ -340,49 +325,35 @@ class DistrictPool:
 
         Drop-in for the serial ``signs @ logodds_rows`` matmul in
         :class:`~repro.trend.propagation.TrendPropagationInference`:
-        each district's partial vote vector is computed by a worker and
-        the partials are summed in district order, so the result is
+        each district's partial vote vector is one task and the
+        partials are summed in district order, so the result is
         deterministic and within float re-association (≤ 1e-9) of the
         serial kernel. Never materialises the (S, N) stacked matrix.
         """
-        self._check_open()
         if graph is not self._graph:
             raise InferenceError(
-                "district pool is bound to a different correlation graph"
+                "district stage is bound to a different correlation graph"
             )
+        csr = self._publish()
         buckets: dict[int, list[tuple[int, float]]] = {}
         for road, sign in zip(seeds, signs):
             buckets.setdefault(self._district_of[road], []).append(
                 (road, float(sign))
             )
-        votes = np.zeros(self._export.specs["weights"].shape[0], dtype=np.float64)
-        ordered = [
-            self._pool.submit(_vote_chunk, tuple(buckets[district]))
-            for district in sorted(buckets)
-        ]
+        partials = self._pool.map(
+            "district",
+            _vote_chunk,
+            [tuple(buckets[district]) for district in sorted(buckets)],
+        )
+        votes = np.zeros(csr.num_roads, dtype=np.float64)
         nonzeros = 0
-        for future in ordered:
-            partial, partial_nonzeros = future.result()
+        for partial, partial_nonzeros in partials:
             votes += partial
             nonzeros += partial_nonzeros
         get_recorder().count(
             "trend.propagation.parallel_votes", nonzeros, districts=len(buckets)
         )
         return votes, nonzeros
-
-    def close(self) -> None:
-        """Shut the pool down and unlink the shared segments."""
-        if self._closed:
-            return
-        self._closed = True
-        self._pool.shutdown(wait=True)
-        self._export.close()
-
-    def __enter__(self) -> "DistrictPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def parallel_partition_select(
@@ -393,8 +364,9 @@ def parallel_partition_select(
 ) -> SelectionResult:
     """One-shot district-parallel partition greedy (pool per call).
 
-    Systems running many rounds should hold a :class:`DistrictPool`
-    instead and amortise the worker spawn + shared export.
+    Systems running many rounds should keep one
+    :class:`~repro.core.pool.SharedWorkerPool` and :class:`DistrictStage`
+    instead and amortise the worker spawn and the shared export.
     """
-    with DistrictPool(objective, num_partitions, num_workers) as pool:
-        return pool.select(budget)
+    with SharedWorkerPool(num_workers or (os.cpu_count() or 1)) as pool:
+        return DistrictStage(objective, pool, num_partitions).select(budget)

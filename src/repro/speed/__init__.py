@@ -31,7 +31,6 @@ from repro.speed.hlm import (
     RoadRegression,
     SeedRegression,
 )
-from repro.speed.shardplan import PlanCompilePool
 
 __all__ = [
     "BandColumns",
@@ -48,7 +47,6 @@ __all__ = [
     "IntervalPlanner",
     "PlanCacheStats",
     "JointSeedRegression",
-    "PlanCompilePool",
     "PlanShard",
     "RoadRegression",
     "SeedRegression",

@@ -31,6 +31,7 @@ trend machinery entirely) and F7b (flat, non-hierarchical prior).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,26 +183,24 @@ class JointSeedRegression:
 
     @classmethod
     def from_arrays(
-        cls,
-        centred: np.ndarray,
-        road_ids: tuple[int, ...],
-        params: HlmParams,
+        cls, arrays: Mapping[str, np.ndarray], params: HlmParams
     ) -> "JointSeedRegression":
         """Rebuild a regression from its pre-centred deviation matrix.
 
-        The worker-side constructor for district-sharded plan
-        compilation (:mod:`repro.speed.shardplan`): the parent exports
-        ``centred`` (its ``deviation_matrix() - 1.0``, bit-identical
-        through shared memory) and the store's column order, so every
-        fit a worker produces is bitwise equal to the parent's —
-        identical C-contiguous inputs through the same BLAS/LAPACK
-        calls.
+        The builder of the worker pool's ``"plan"`` context
+        (:class:`~repro.speed.plan.IntervalPlanner`): the parent exports
+        ``arrays["centred"]`` (its ``deviation_matrix() - 1.0``,
+        bit-identical through shared memory) and the store's column
+        order ``arrays["road_ids"]``, so every fit a worker produces is
+        bitwise equal to the parent's — identical C-contiguous inputs
+        through the same BLAS/LAPACK calls.
         """
+        centred = arrays["centred"]
         self = cls.__new__(cls)
         self._params = params
         self._centred = centred
         self._norms = (centred * centred).sum(axis=0)
-        self._column = {road: i for i, road in enumerate(road_ids)}
+        self._column = {int(road): i for i, road in enumerate(arrays["road_ids"])}
         self._cache = {}
         return self
 

@@ -65,9 +65,9 @@ evaluation in a ``speed.solve_vectorized`` span (see
 
 from __future__ import annotations
 
+import time
 import weakref
 from collections import OrderedDict
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Sequence
 
@@ -81,7 +81,7 @@ from repro.roadnet.network import RoadNetwork
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams, JointSeedRegression
 
 if TYPE_CHECKING:
-    from repro.speed.shardplan import PlanCompilePool
+    from repro.core.pool import SharedWorkerPool
 
 #: Influence index type: road id -> {seed -> fidelity}.
 InfluenceIndex = Mapping[int, Mapping[int, float]]
@@ -237,6 +237,19 @@ def compile_seed_structure(
         residual_std=residual_std,
         rows_by_seed=[np.array(rows, dtype=np.int64) for rows in rows_by_seed],
     )
+
+
+def _compile_district(
+    regression: JointSeedRegression,
+    task: tuple[tuple[int, ...], tuple[int, ...], dict[int, dict[int, float]]],
+) -> tuple[_SeedStructure, float]:
+    """Pool task: one district's structure and its compile seconds."""
+    seeds, members, influence = task
+    start = time.perf_counter()
+    structure = compile_seed_structure(
+        regression, regression.params, seeds, members, influence
+    )
+    return structure, time.perf_counter() - start
 
 
 class PlanShard:
@@ -461,9 +474,10 @@ class IntervalPlanner:
     passes :func:`~repro.seeds.partition.partition_graph` districts for
     ``use_sharded_plan``); ``None`` is the one-district case, the whole
     road order as a single shard. With a
-    :class:`~repro.speed.shardplan.PlanCompilePool` the district
-    compiles run across worker processes; without one they run
-    in-process through the same code path.
+    :class:`~repro.core.pool.SharedWorkerPool` the district compiles
+    are tasks on it (the planner publishes the pool's ``"plan"``
+    context: the centred history matrix and the store's column order);
+    without one they run in-process on the live regression.
 
     Compiled shard sets are shared across buckets through a weak-value
     cache: as long as any plan for a seed set is alive, its shards (the
@@ -477,7 +491,7 @@ class IntervalPlanner:
         hlm: HierarchicalLinearModel,
         road_ids: list[int] | tuple[int, ...],
         partitions: Sequence[Sequence[int]] | None = None,
-        pool: "PlanCompilePool | None" = None,
+        pool: "SharedWorkerPool | None" = None,
     ) -> None:
         self._store = store
         self._hlm = hlm
@@ -510,6 +524,16 @@ class IntervalPlanner:
             for road in chunk
         }
         self._pool = pool
+        if pool is not None:
+            pool.publish(
+                "plan",
+                {
+                    "centred": hlm.regression.centred,
+                    "road_ids": np.asarray(store.road_ids, dtype=np.int64),
+                },
+                JointSeedRegression.from_arrays,
+                params,
+            )
         self._shard_sets: "weakref.WeakValueDictionary[tuple[int, ...], _ShardSet]" = (
             weakref.WeakValueDictionary()
         )
@@ -673,37 +697,33 @@ class IntervalPlanner:
         """Compile (or recompile) the given districts' structures.
 
         In-process compiles read the live influence index; only the pool
-        path copies each district's slice into a picklable dict. A pool
-        whose worker died is closed (``pool.fallbacks{pool="plan"}``)
-        and the districts compile in-process instead — the same code
-        path, so the output is unchanged.
+        path copies each district's slice into a picklable dict.
         """
         recorder = get_recorder()
         ordered = list(districts)
         compiled = None
         if self._pool is not None:
-            tasks = [
-                (
-                    shards[district].members,
-                    {
-                        road: dict(influence_by_road[road])
-                        for road in shards[district].members
-                        if road in influence_by_road
-                    },
-                )
-                for district in ordered
-            ]
-            try:
-                compiled = self._pool.compile_shards(seeds, tasks)
-            except BrokenProcessPool:
-                recorder.count("pool.fallbacks", pool="plan")
-                self._pool.close()
-                self._pool = None
+            compiled = self._pool.map(
+                "plan",
+                _compile_district,
+                [
+                    (
+                        seeds,
+                        shards[district].members,
+                        {
+                            road: dict(influence_by_road[road])
+                            for road in shards[district].members
+                            if road in influence_by_road
+                        },
+                    )
+                    for district in ordered
+                ],
+            )
         for position, district in enumerate(ordered):
             shard = shards[district]
             # Per-district compile span (district attr). On the pool
-            # path the batch already ran in the workers, so the span's
-            # own duration only covers unpacking; the worker-measured
+            # path the batch already ran as pool tasks, so the span's
+            # own duration only covers unpacking; the task-measured
             # compile time rides along as the ``compile_s`` attr and
             # is the authoritative per-district number there.
             with recorder.span(

@@ -98,7 +98,7 @@ class TrendPropagationInference:
 
         ``accumulator(graph, seeds, signs)`` must return the CSR-ordered
         vote vector and its nonzero count — the contract of
-        :meth:`repro.seeds.parallel.DistrictPool.vote_accumulator`. Used
+        :meth:`repro.seeds.parallel.DistrictStage.vote_accumulator`. Used
         only when the hop budget is unbounded; partial
         sums may differ from the serial matmul by float re-association
         (≤ 1e-9), which the differential tests pin.
@@ -166,7 +166,7 @@ class TrendPropagationInference:
             dtype=np.float64,
             count=len(seeds),
         )
-        # The district pool computes rows with an unbounded hop budget,
+        # District tasks compute rows with an unbounded hop budget,
         # so the parallel backend only serves the max_hops=None case.
         if self._vote_accumulator is not None and self._max_hops is None:
             votes_csr, nonzeros = self._vote_accumulator(graph, seeds, signs)

@@ -17,13 +17,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.pool import SharedWorkerPool
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.fidelity import FidelityCacheService
 from repro.history.incremental import GraphDelta
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
 from repro.speed.plan import IntervalPlanCache, IntervalPlanner
-from repro.speed.shardplan import PlanCompilePool
 from repro.speed.uncertainty import UncertaintyModel, normal_confidences
 from tests.oracles import MonolithicPlanner, ScalarBands
 
@@ -161,7 +161,7 @@ class TestSharded:
     def test_two_workers_four_districts_match_oracle(self, fitted):
         dataset, hlm, params = fitted
         roads = list(dataset.graph.road_ids)
-        with PlanCompilePool(hlm, dataset.store, num_workers=2) as pool:
+        with SharedWorkerPool(2) as pool:
             est = _estimator(
                 dataset, hlm, params, partitions=_chunks(roads, 4), pool=pool
             )

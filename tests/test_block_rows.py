@@ -20,6 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pool import SharedWorkerPool
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.fidelity import (
     CSRFidelityGraph,
@@ -30,7 +31,7 @@ from repro.history.fidelity import (
 )
 from repro.obs import FlightRecorder, set_recorder
 from repro.seeds.objective import SeedSelectionObjective
-from repro.seeds.parallel import DistrictPool
+from repro.seeds.parallel import DistrictStage
 from repro.seeds.partition import (
     allocate_budget,
     partition_graph,
@@ -252,8 +253,9 @@ def test_pooled_selection_keeps_counters_and_evaluations(small_dataset):
     rec = FlightRecorder()
     previous = set_recorder(rec)
     try:
-        with DistrictPool(objective, num_partitions=4, num_workers=2) as pool:
-            result = pool.select(9)
+        with SharedWorkerPool(2) as pool:
+            stage = DistrictStage(objective, pool, num_partitions=4)
+            result = stage.select(9)
         (span,) = [s for s in rec.tracer.drain() if s.name == "seeds.parallel.select"]
     finally:
         set_recorder(previous)

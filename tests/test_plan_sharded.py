@@ -6,7 +6,7 @@ The Step-2 planner (``repro.speed.plan.IntervalPlanner``) must be
 in the evaluation is row-independent, so compiling district slices and
 stitching them back must reproduce the whole-city arrays bit for bit,
 across any partition shape (the default one district included), with or
-without the compile process pool, and after a pool worker dies. Delta
+without the worker pool, and after a pool worker dies. Delta
 eviction must be district-scoped: a row invalidation recompiles only the
 districts a dropped seed's influence touches, and untouched districts'
 structures survive by object identity.
@@ -19,7 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import InferenceError
+from repro.core.errors import InferenceError, ReproError
+from repro.core.pool import SharedWorkerPool
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.fidelity import FidelityCacheService
 from repro.history.incremental import GraphDelta
@@ -27,7 +28,6 @@ from repro.obs import FlightRecorder, set_recorder
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
 from repro.speed.plan import IntervalPlanCache, IntervalPlanner
-from repro.speed.shardplan import PlanCompilePool
 from tests.oracles import MonolithicPlanner
 
 
@@ -210,7 +210,7 @@ class TestPoolDifferential:
         dataset, hlm, params = fitted
         roads = list(dataset.graph.road_ids)
         mono = _oracle(dataset, hlm, params)
-        with PlanCompilePool(hlm, dataset.store, num_workers=2) as pool:
+        with SharedWorkerPool(2) as pool:
             shard = _estimator(
                 dataset, hlm, params,
                 partitions=_chunks(roads, 4), pool=pool,
@@ -225,11 +225,14 @@ class TestPoolDifferential:
 
     def test_closed_pool_raises(self, fitted):
         dataset, hlm, params = fitted
-        pool = PlanCompilePool(hlm, dataset.store, num_workers=1)
+        pool = SharedWorkerPool(1)
         pool.close()
         pool.close()  # idempotent
-        with pytest.raises(InferenceError, match="closed"):
-            pool.compile_shards((1,), [])
+        with pytest.raises(ReproError, match="closed"):
+            IntervalPlanner(
+                dataset.store, dataset.network, hlm,
+                list(dataset.graph.road_ids), pool=pool,
+            )
 
 
 def _split_graph(road_ids):
@@ -367,8 +370,9 @@ class TestPipelinePlanPool:
             seeds = system.select_seeds(4)
             interval = small_dataset.test_day_intervals()[0]
             system.estimate(interval, _speeds(small_dataset, seeds, interval))
-            assert system._plan_pool.num_workers == 2
-            assert rec.registry.gauge("plan.parallel.workers").value == 2
+            assert system._pool.num_workers == 2
+            assert rec.registry.gauge("pool.workers").value == 2
+            assert rec.registry.gauge("pool.shared_bytes", pool="plan").value > 0
 
 
 def _shm_segments():
@@ -378,6 +382,11 @@ def _shm_segments():
         return set(os.listdir("/dev/shm"))
     except FileNotFoundError:  # pragma: no cover - platform without /dev/shm
         return set()
+
+
+def _worker_processes(pool):
+    """The live worker processes of a pool that has run a batch."""
+    return list(pool._resources.executor._processes.values())
 
 
 class TestPoolFallback:
@@ -404,8 +413,7 @@ class TestPoolFallback:
             try:
                 warm = roads[::17][:6]
                 system.estimate(interval, _speeds(small_dataset, warm, interval))
-                pool = system._plan_pool
-                workers = list(pool._pool._processes.values())
+                workers = _worker_processes(system._pool)
                 assert workers, "the first compile must have spawned workers"
                 os.kill(workers[0].pid, signal.SIGKILL)
                 workers[0].join(timeout=30)

@@ -35,6 +35,7 @@ from repro.core.clock import ManualClock
 from repro.core.config import PipelineConfig
 from repro.core.errors import SnapshotIntegrityError
 from repro.core.pipeline import SpeedEstimationSystem
+from repro.core.pool import SharedWorkerPool
 from repro.core.types import SpeedEstimate, Trend
 from repro.crowd.platform import CrowdsourcingPlatform
 from repro.crowd.workers import WorkerPool, WorkerPoolParams
@@ -54,7 +55,6 @@ from repro.serving import (
 from repro.speed.estimator import EstimateColumns, TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
 from repro.speed.plan import IntervalPlanner
-from repro.speed.shardplan import PlanCompilePool
 from repro.speed.uncertainty import BandColumns, SpeedBand, UncertaintyModel
 from repro.trend.propagation import TrendPropagationInference
 from tests.oracles import MonolithicPlanner, ScalarBands
@@ -277,7 +277,7 @@ class TestAgainstPerRoadPath:
     def test_sharded_two_workers_four_districts(self, fitted, tmp_path):
         dataset, hlm, params = fitted
         roads = list(dataset.graph.road_ids)
-        with PlanCompilePool(hlm, dataset.store, num_workers=2) as pool:
+        with SharedWorkerPool(2) as pool:
             estimator, inference = _estimator(
                 dataset, hlm, params, partitions=_chunks(roads, 4), pool=pool
             )

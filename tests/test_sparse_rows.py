@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pool import SharedWorkerPool
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.fidelity import (
     CSRFidelityGraph,
@@ -32,7 +33,7 @@ from repro.history.incremental import GraphDelta
 from repro.obs import FlightRecorder, set_recorder
 from repro.seeds.lazy import lazy_greedy_select
 from repro.seeds.objective import SeedSelectionObjective
-from repro.seeds.parallel import DistrictPool, _SharedArrayObjective
+from repro.seeds.parallel import DistrictStage, _SharedArrayObjective
 from repro.seeds.partition import allocate_budget, partition_graph
 from tests.oracles import propagate_fidelity
 from tests.strategies import random_graphs
@@ -308,9 +309,10 @@ def test_pool_span_reports_rows_and_nonzeros(small_dataset):
         objective = SeedSelectionObjective(
             small_dataset.graph, fidelity_service=FidelityCacheService()
         )
-        with DistrictPool(objective, num_partitions=4, num_workers=2) as pool:
-            result = pool.select(9)
-            result_again = pool.select(9)
+        with SharedWorkerPool(2) as pool:
+            stage = DistrictStage(objective, pool, num_partitions=4)
+            result = stage.select(9)
+            result_again = stage.select(9)
         spans = [s for s in rec.tracer.drain() if s.name == "seeds.parallel.select"]
     finally:
         set_recorder(previous)
