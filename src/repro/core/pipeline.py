@@ -118,11 +118,9 @@ class SpeedEstimationSystem:
         # One influence cache for the whole system: Step-1 inference,
         # seed selection and Step-2 regression all share fidelity rows.
         self._fidelity = FidelityCacheService()
-        # Compiled Step-2 serving plans live next to the fidelity cache
-        # and are invalidated with it.
-        self._plan_cache = IntervalPlanCache(
-            maxsize=config.plan_cache_size
-        ).attach(self._fidelity)
+        # Compiled Step-2 serving plans; the estimator's fidelity
+        # subscription invalidates them.
+        self._plan_cache = IntervalPlanCache(maxsize=config.plan_cache_size)
         self._inference = self._build_inference(config, self._fidelity)
         self._estimator = TwoStepEstimator(
             network,
@@ -395,8 +393,8 @@ class SpeedEstimationSystem:
         path — :meth:`bind_rolling` wires it automatically). The
         fidelity service drops only provably affected influence rows
         (see :meth:`~repro.history.fidelity.FidelityCacheService.
-        apply_graph_delta`), which cascades through the registered row
-        listeners: compiled plan shards over dropped seeds, influence
+        apply_graph_delta`), which cascades through the service's
+        subscribers: compiled plan shards over dropped seeds, influence
         indexes, CELF gains and objective memos. Everything else keeps
         serving warm; the district stage republishes its context on the
         same workers once it sees the rebuilt CSR. Returns the dropped

@@ -184,7 +184,7 @@ class CorrelationGraph:
         :class:`CorrelationEdge`, ``removed`` iterates road-id pairs).
         Mutating the existing object — rather than building a fresh
         graph — is what lets weakref-keyed caches (the fidelity
-        service, and everything attached to it) keep every row that no
+        service, and everything subscribed to it) keep every row that no
         changed edge touches. The road set never changes: deltas only
         add, drop or re-weight edges between known roads.
         """

@@ -355,29 +355,6 @@ def _transform_row(raw: SparseRow, source: int, transform: str) -> SparseRow:
 # ----------------------------------------------------------------------
 # The shared cache service
 # ----------------------------------------------------------------------
-class WeakRowListener:
-    """A row-invalidation listener that does not pin its owner.
-
-    The process-default service outlives any one consumer; registering
-    a bound method directly would keep every consumer ever built alive
-    through the listener list. Dead wrappers become no-ops, and the
-    service prunes them (see :attr:`dead`).
-    """
-
-    def __init__(self, method) -> None:
-        self._ref = weakref.WeakMethod(method)
-
-    @property
-    def dead(self) -> bool:
-        """True once the owner has been garbage-collected."""
-        return self._ref() is None
-
-    def __call__(self, graph, roads) -> None:
-        method = self._ref()
-        if method is not None:
-            method(graph, roads)
-
-
 @dataclass(frozen=True)
 class CacheStats:
     """Cumulative row/map cache accounting of a service."""
@@ -421,8 +398,7 @@ class FidelityCacheService:
         )
         self._hits = 0
         self._misses = 0
-        self._listeners: list = []
-        self._row_listeners: list = []
+        self._subscribers: list[weakref.WeakMethod] = []
 
     # -- bookkeeping ----------------------------------------------------
     def _entry(self, graph: CorrelationGraph) -> _GraphEntry:
@@ -446,37 +422,30 @@ class FidelityCacheService:
     def stats(self) -> CacheStats:
         return CacheStats(hits=self._hits, misses=self._misses)
 
-    def add_invalidation_listener(self, listener) -> None:
-        """Call ``listener(graph)`` whenever this service invalidates.
-
-        Dependent caches (e.g. compiled interval plans, which bake
-        fidelity-derived regressions into their coefficient blocks)
-        register here so they can never outlive the rows they derive
-        from.
-        """
-        self._listeners.append(listener)
-
-    def add_row_invalidation_listener(self, listener) -> None:
-        """Call ``listener(graph, roads)`` on row-level invalidations.
+    def subscribe(self, method) -> None:
+        """Call the bound ``method(graph, roads)`` on every invalidation.
 
         ``roads`` is the sorted tuple of source roads whose cached
-        influence rows were dropped, or ``None`` for a whole-graph
-        invalidation (which also fires these listeners — a coarse
-        invalidation must never look *narrower* than a fine one).
-        Incremental CELF re-selection registers here to learn which
-        candidates' cached gains are dirty. Dead
-        :class:`WeakRowListener` wrappers are pruned here and on every
-        dispatch, so short-lived consumers do not pile up.
+        influence rows were dropped, or ``None`` for a wholesale
+        invalidation of ``graph`` (``graph`` is ``None`` too when every
+        graph went). Every cache derived from fidelity rows — compiled
+        plans, influence indexes, row memos, CELF gains — subscribes
+        here once. The method is held as a :class:`weakref.WeakMethod`:
+        the process-default service outlives any one consumer, so a
+        subscription never keeps its owner alive, and dead references
+        are pruned on every subscription and dispatch.
         """
-        self._live_row_listeners().append(listener)
+        self._live_subscribers().append(weakref.WeakMethod(method))
 
-    def _live_row_listeners(self) -> list:
-        self._row_listeners = [
-            listener
-            for listener in self._row_listeners
-            if not (isinstance(listener, WeakRowListener) and listener.dead)
-        ]
-        return self._row_listeners
+    def _live_subscribers(self) -> list[weakref.WeakMethod]:
+        self._subscribers = [ref for ref in self._subscribers if ref() is not None]
+        return self._subscribers
+
+    def _notify(self, graph: CorrelationGraph | None, roads) -> None:
+        for ref in list(self._live_subscribers()):
+            method = ref()
+            if method is not None:
+                method(graph, roads)
 
     def invalidate(self, graph: CorrelationGraph | None = None) -> None:
         """Drop cached rows for ``graph`` (or everything)."""
@@ -485,17 +454,14 @@ class FidelityCacheService:
         else:
             self._graphs.pop(graph, None)
         get_recorder().count("fidelity.invalidations", scope="graph")
-        for listener in list(self._listeners):
-            listener(graph)
-        for listener in list(self._live_row_listeners()):
-            listener(graph, None)
+        self._notify(graph, None)
 
     def invalidate_rows(self, graph: CorrelationGraph, roads) -> None:
         """Drop the cached influence rows of specific source roads.
 
         Narrower than :meth:`invalidate`: only the sparse rows and maps
         of the given source roads are dropped; every other road's cache
-        survives. Row listeners receive the sorted road tuple so
+        survives. Subscribers receive the sorted road tuple so
         dependents (incremental CELF) can mark exactly those candidates
         dirty. Roads with nothing
         cached are fine to name — invalidation is idempotent.
@@ -509,8 +475,7 @@ class FidelityCacheService:
                 for road in dropped:
                     per_key.pop(road, None)
         get_recorder().count("fidelity.invalidations", len(dropped), scope="rows")
-        for listener in list(self._live_row_listeners()):
-            listener(graph, dropped)
+        self._notify(graph, dropped)
 
     def apply_graph_delta(self, graph: CorrelationGraph, delta) -> tuple[int, ...]:
         """Selective invalidation after ``delta`` was applied to ``graph``.
@@ -524,7 +489,7 @@ class FidelityCacheService:
         edge's endpoint in the old row's support. So rows (and maps)
         whose support misses every touched endpoint are provably
         unaffected and survive; the rest are dropped through
-        :meth:`invalidate_rows`, which also tells row listeners
+        :meth:`invalidate_rows`, which also tells subscribers
         (compiled plans, CELF gains, influence memos) exactly which
         sources went stale. Touched endpoints are always dropped — their
         own incident edges changed. Returns the sorted dropped sources.

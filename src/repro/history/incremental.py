@@ -28,7 +28,7 @@ directly:
   beyond a tolerance. Applying it with
   :meth:`~repro.history.correlation.CorrelationGraph.apply_delta`
   mutates the graph in place, which is what lets identity-keyed caches
-  (the fidelity service and everything attached to it) survive a
+  (the fidelity service and everything subscribed to it) survive a
   re-mine and evict selectively — see
   :meth:`repro.history.fidelity.FidelityCacheService.apply_graph_delta`.
 

@@ -57,7 +57,6 @@ from repro.history.correlation import CorrelationGraph
 from repro.history.fidelity import (
     FidelityCacheService,
     SparseRow,
-    WeakRowListener,
     get_fidelity_service,
 )
 
@@ -184,17 +183,21 @@ class SeedSelectionObjective:
         # A reference memo over the service cache (same arrays, no second
         # copy) so the CELF inner loop skips service bookkeeping.
         self._row_memo: dict[int, SparseRow] = {}
-        # Keep the memo honest without requiring a re-selector to be
-        # bound: when the service drops rows (streaming graph deltas,
-        # targeted evictions), the matching memo entries go too.
-        self._service.add_row_invalidation_listener(
-            WeakRowListener(self._on_rows_invalidated)
-        )
+        self._service.subscribe(self._on_rows_invalidated)
 
     def _on_rows_invalidated(self, graph, roads) -> None:
+        """Drop the memoized rows the service dropped (all on ``None``).
+
+        The memo holds references into the shared service cache, so
+        without this the objective would serve dropped rows forever.
+        """
         if graph is not None and graph is not self._graph:
             return
-        self.evict_rows(roads)
+        if roads is None:
+            self._row_memo.clear()
+            return
+        for road in roads:
+            self._row_memo.pop(road, None)
 
     @property
     def graph(self) -> CorrelationGraph:
@@ -255,21 +258,6 @@ class SeedSelectionObjective:
             )
             memo.update(zip(missing, fetched))
         return [memo[road] for road in roads]
-
-    def evict_rows(self, roads: Iterable[int] | None = None) -> None:
-        """Drop memoized influence rows (all, or specific sources).
-
-        The memo holds references into the shared service cache; when
-        the service invalidates rows (see
-        :meth:`~repro.history.fidelity.FidelityCacheService.
-        invalidate_rows`) the corresponding memo entries must go too,
-        or the objective would keep serving the dropped rows forever.
-        """
-        if roads is None:
-            self._row_memo.clear()
-            return
-        for road in roads:
-            self._row_memo.pop(road, None)
 
     def clone_with_weights(
         self, road_weights: dict[int, float]

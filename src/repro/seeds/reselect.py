@@ -5,9 +5,9 @@ part of CELF — the initial empty-set gain scan over every candidate
 (O(n) influence-row evaluations). But empty-set gains depend only on a
 candidate's influence row and the road weights, so on a stable network
 they are *still valid* next round. :class:`IncrementalCelfSelector`
-keeps them cached and registers for row-level invalidations on the
+keeps them cached and subscribes to the invalidations of the
 objective's :class:`~repro.history.fidelity.FidelityCacheService`
-(:meth:`~repro.history.fidelity.FidelityCacheService.invalidate_rows`):
+(:meth:`~repro.history.fidelity.FidelityCacheService.subscribe`):
 a re-selection recomputes only candidates whose influence rows were
 invalidated since the last round and warm-starts the CELF heap from the
 cache for everyone else.
@@ -42,9 +42,9 @@ class IncrementalCelfSelector:
     """Warm-started CELF: pay only for candidates whose rows changed.
 
     Bind one selector to one objective for the lifetime of a system
-    (it registers an invalidation listener on the objective's fidelity
-    service, which holds a reference to it). Every :meth:`select` call
-    runs a full CELF pass — only the empty-set scan is incremental.
+    (it subscribes, weakly, to the objective's fidelity service).
+    Every :meth:`select` call runs a full CELF pass — only the
+    empty-set scan is incremental.
     """
 
     def __init__(
@@ -58,9 +58,7 @@ class IncrementalCelfSelector:
         self._gains: dict[int, float] = {}
         self._dirty: set[int] = set(self._pool)
         self.rounds = 0
-        objective.fidelity_service.add_row_invalidation_listener(
-            self._on_rows_invalidated
-        )
+        objective.fidelity_service.subscribe(self._on_rows_invalidated)
 
     @property
     def dirty_candidates(self) -> set[int]:
@@ -70,15 +68,11 @@ class IncrementalCelfSelector:
     def _on_rows_invalidated(self, graph, roads) -> None:
         if graph is not None and graph is not self._objective.graph:
             return
+        # The objective's own subscription evicts its row memos.
         if roads is None:
-            # Whole-graph invalidation: everything is dirty, and the
-            # objective's own row memos are stale too.
             self._dirty.update(self._pool)
-            self._objective.evict_rows(None)
         else:
-            touched = [road for road in roads if road in self._pool_set]
-            self._dirty.update(touched)
-            self._objective.evict_rows(roads)
+            self._dirty.update(road for road in roads if road in self._pool_set)
 
     def select(self, budget: int) -> SelectionResult:
         """Full CELF pass with a warm-started empty-set gain heap."""

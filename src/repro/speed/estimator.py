@@ -18,11 +18,7 @@ from repro.core.types import SpeedEstimate, Trend
 from repro.history.correlation import CorrelationGraph
 from repro.history.store import HistoricalSpeedStore
 from repro.obs import get_recorder
-from repro.history.fidelity import (
-    FidelityCacheService,
-    WeakRowListener,
-    get_fidelity_service,
-)
+from repro.history.fidelity import FidelityCacheService, get_fidelity_service
 from repro.roadnet.network import RoadNetwork
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
 from repro.speed.plan import IntervalPlan, IntervalPlanCache, IntervalPlanner
@@ -129,13 +125,9 @@ class TwoStepEstimator:
         # use_sharded_plan is on; None plans the city as one district.
         self._planner_factory = planner_factory
         self._planner: IntervalPlanner | None = None
-        # Row invalidations (incremental re-mining, targeted evictions)
-        # must also drop the influence indexes and compiled structures
-        # derived from the dropped rows, or a later compile would serve
-        # stale regressions even after the plan cache evicted cleanly.
-        self._fidelity.add_row_invalidation_listener(
-            WeakRowListener(self._on_rows_invalidated)
-        )
+        # The one Step-2 subscriber: every fidelity invalidation reaches
+        # the plans, shards and influence indexes built from the rows.
+        self._fidelity.subscribe(self._on_rows_invalidated)
 
     @property
     def trend_model(self) -> TrendModel:
@@ -352,21 +344,29 @@ class TwoStepEstimator:
     # Influence caching
     # ------------------------------------------------------------------
     def _on_rows_invalidated(self, graph, roads) -> None:
-        """Drop derived state built from invalidated fidelity rows."""
+        """Drop derived state built from invalidated fidelity rows.
+
+        Wholesale (``roads`` None): flush the plan cache and forget every
+        compiled shard set. Rows: the planner marks stale the shards of
+        every live seed set that lost a row — cached plans and plans
+        held elsewhere alike — and the plan cache counts them.
+        """
         if graph is not None and graph is not self._graph:
             return
         if roads is None:
             self._influence_cache.clear()
+            self._plans.invalidate()
             if self._planner is not None:
                 self._planner.evict_structures(None)
-            self._trend_model.refresh_edges()
-            return
-        road_set = set(roads)
-        stale = [key for key in self._influence_cache if key & road_set]
-        for key in stale:
-            del self._influence_cache[key]
-        if self._planner is not None:
-            self._planner.evict_structures(road_set)
+        else:
+            road_set = set(roads)
+            stale = [key for key in self._influence_cache if key & road_set]
+            for key in stale:
+                del self._influence_cache[key]
+            if self._planner is not None:
+                self._plans.count_shard_evictions(
+                    self._planner.evict_structures(road_set)
+                )
         # In-place graph deltas invalidate the model's baked edge
         # potentials too (cheap: one pass over the edge list).
         self._trend_model.refresh_edges()

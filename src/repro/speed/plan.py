@@ -40,9 +40,9 @@ array ops:
   bit for bit (the differentials in ``tests/test_plan_sharded.py`` pin
   them against the whole-city oracle in ``tests/oracles/plan.py``).
 * :class:`IntervalPlanCache` — the small LRU keyed by (seed set,
-  bucket, params) that the pipeline owns next to its
-  :class:`~repro.history.fidelity.FidelityCacheService`; attaching it
-  to the service makes fidelity invalidation reach compiled plans too.
+  bucket, params). It registers nothing: the owning estimator's one
+  :class:`~repro.history.fidelity.FidelityCacheService` subscription
+  flushes it and has the planner mark stale shards.
 
 Delta invalidation is district-scoped: a row invalidation marks stale
 only the shards whose compiled regressions used a dropped seed's
@@ -311,11 +311,12 @@ class _ShardSet:
     def mark_stale(self, roads: set[int]) -> int:
         """Mark shards whose regressions touched dropped seed rows.
 
-        Returns the number of *newly* stale shards (idempotent: both the
-        plan cache and the estimator's row listener call this for the
-        same invalidation). Dropped seeds are also queued so the next
-        refresh can mark districts the seeds newly reach — that side
-        needs the fresh influence index, which only exists lazily.
+        Returns the number of *newly* stale shards (idempotent: a shard
+        already stale is not counted again). The planner's
+        :meth:`IntervalPlanner.evict_structures` is the one caller.
+        Dropped seeds are also queued so the next refresh can mark
+        districts the seeds newly reach — that side needs the fresh
+        influence index, which only exists lazily.
         """
         dropped = self._seed_set.intersection(roads)
         if not dropped:
@@ -339,7 +340,7 @@ class IntervalPlan:
     Immutable from the caller's point of view. The mutable state is the
     shards' incremental memos, which never change results, and the
     staleness marks a row invalidation leaves: evaluation and the band
-    columns first recompile any shard :meth:`mark_rows_stale` marked.
+    columns first recompile any shard the planner marked stale.
     """
 
     def __init__(
@@ -385,10 +386,6 @@ class IntervalPlan:
     @property
     def shards(self) -> list[PlanShard]:
         return self._shard_set.shards
-
-    def mark_rows_stale(self, roads: set[int]) -> int:
-        """Mark the shards a row invalidation touched; returns how many."""
-        return self._shard_set.mark_stale(roads)
 
     def _fresh_shard_set(self) -> _ShardSet:
         """The shard set, with stale shards recompiled first."""
@@ -566,20 +563,23 @@ class IntervalPlanner:
     def index(self) -> dict[int, int]:
         return self._index
 
-    def evict_structures(self, roads: set[int] | None = None) -> None:
+    def evict_structures(self, roads: set[int] | None = None) -> int:
         """Invalidate compiled shard sets touching ``roads`` (or all).
 
         ``None`` forgets every shard set, so the next compile rebuilds
-        from scratch. A row-scoped eviction marks the affected shards
-        stale instead (idempotently with the plan cache's own marking),
-        so the next evaluation recompiles those districts — also for a
-        plan held outside the :class:`IntervalPlanCache`.
+        from scratch. A row-scoped eviction marks the affected shards of
+        every live shard set stale instead, so the next evaluation
+        recompiles those districts — in every bucket's plan, cached in
+        an :class:`IntervalPlanCache` or held elsewhere. Returns the
+        number of newly stale shards (0 for ``None``).
         """
         if roads is None:
             self._shard_sets.clear()
-            return
-        for shard_set in list(self._shard_sets.values()):
+            return 0
+        return sum(
             shard_set.mark_stale(roads)
+            for shard_set in list(self._shard_sets.values())
+        )
 
     def compile(
         self,
@@ -761,7 +761,7 @@ class PlanCacheStats:
     ``evictions`` counts LRU capacity evictions; ``flushes``
     whole-cache invalidations (each counts every plan it dropped);
     ``shard_evictions`` district shards a row invalidation marked stale
-    inside plans that stayed cached. ``row_evictions`` is always 0: a
+    (the plans stay cached). ``row_evictions`` is always 0: a
     row invalidation marks shards and drops no plan (the field stays
     for readers that name it). A healthy streaming deployment shows
     ``shard_evictions`` growing with graph churn and ``flushes`` stuck
@@ -784,10 +784,12 @@ class PlanCacheStats:
 class IntervalPlanCache:
     """Small LRU of compiled plans keyed by (seed set, bucket, params).
 
-    Lives next to the pipeline's
-    :class:`~repro.history.fidelity.FidelityCacheService`; call
-    :meth:`attach` to register this cache as an invalidation listener so
-    dropping fidelity rows also reaches the plans compiled from them.
+    A passive store: the owning
+    :class:`~repro.speed.estimator.TwoStepEstimator` subscribes to its
+    :class:`~repro.history.fidelity.FidelityCacheService` and, on an
+    invalidation of its graph, calls :meth:`invalidate` (wholesale) or
+    has its planner mark the stale shards and reports them through
+    :meth:`count_shard_evictions` (rows).
     """
 
     def __init__(self, maxsize: int = 128) -> None:
@@ -847,53 +849,13 @@ class IntervalPlanCache:
         """
         return self._plans.get(key)
 
-    def invalidate(self, graph: object | None = None) -> None:
-        """Drop every cached plan.
-
-        Accepts (and ignores) the graph argument so the method doubles
-        as a :class:`~repro.history.fidelity.FidelityCacheService`
-        invalidation listener — plans derive from fidelity rows, so any
-        fidelity invalidation must drop them all.
-        """
-        del graph
+    def invalidate(self) -> None:
+        """Drop every cached plan (a wholesale fidelity invalidation)."""
         if self._plans:
             self._flushes += 1
             get_recorder().count("plan.cache_flushes", len(self._plans))
         self._plans.clear()
 
-    def invalidate_rows(self, graph: object | None, roads) -> None:
-        """Mark stale the plan shards whose seed rows were invalidated.
-
-        The row-level counterpart of :meth:`invalidate`, with the
-        :meth:`~repro.history.fidelity.FidelityCacheService.
-        add_row_invalidation_listener` signature: a plan's coefficient
-        blocks are regressions over its seeds' fidelity rows, so every
-        plan with a seed in ``roads`` marks the shards those rows fed.
-        Plans stay cached and recompile only the marked shards at their
-        next evaluation. ``roads`` of ``None`` means a whole-graph
-        invalidation — everything goes.
-        """
-        del graph
-        if roads is None:
-            self.invalidate()
-            return
-        road_set = set(roads)
-        for plan in self._plans.values():
-            if not road_set.isdisjoint(plan.seeds):
-                self._shard_evictions += plan.mark_rows_stale(road_set)
-
-    def attach(self, fidelity_service) -> "IntervalPlanCache":
-        """Invalidate this cache whenever ``fidelity_service`` is.
-
-        Registers both listener granularities: whole-graph
-        invalidations flush everything, and row invalidations (the
-        streaming path — see :meth:`~repro.history.fidelity.
-        FidelityCacheService.apply_graph_delta`) mark stale only the
-        shards of plans whose seeds lost their rows. Registering only the coarse
-        listener would let ``invalidate_rows`` drop fidelity rows
-        while compiled plans keep serving coefficients regressed from
-        them.
-        """
-        fidelity_service.add_invalidation_listener(self.invalidate)
-        fidelity_service.add_row_invalidation_listener(self.invalidate_rows)
-        return self
+    def count_shard_evictions(self, count: int) -> None:
+        """Account ``count`` shards a row invalidation marked stale."""
+        self._shard_evictions += count

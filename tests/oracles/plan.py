@@ -125,8 +125,9 @@ class MonolithicPlanner:
             [network.segment(road).free_flow_kmh for road in self._road_ids]
         ) * hlm.params.max_over_free_flow
 
-    def evict_structures(self, roads=None) -> None:
+    def evict_structures(self, roads=None) -> int:
         """Nothing to evict: every compile builds its structure afresh."""
+        return 0
 
     def compile(self, seeds, bucket, influence_provider) -> MonolithicPlan:
         params = self._hlm.params

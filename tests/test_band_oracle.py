@@ -219,7 +219,7 @@ class TestAfterGraphDelta:
             small_dataset.store, small_dataset.network, graph, params
         )
         fidelity = FidelityCacheService()
-        cache = IntervalPlanCache(maxsize=8).attach(fidelity)
+        cache = IntervalPlanCache(maxsize=8)
         est = _estimator(
             small_dataset, hlm, params,
             partitions=[first, second] if sharded else None,

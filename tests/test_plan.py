@@ -264,7 +264,7 @@ class TestPlanCache:
 
     def test_invalidated_with_fidelity_service(self, small_dataset):
         fidelity = FidelityCacheService()
-        cache = IntervalPlanCache(maxsize=8).attach(fidelity)
+        cache = IntervalPlanCache(maxsize=8)
         est = TwoStepEstimator(
             small_dataset.network,
             small_dataset.store,
@@ -395,10 +395,10 @@ class TestPosteriorArrays:
 class TestGraphDeltaEviction:
     """Regression: delta-driven row invalidation must reach stale plans.
 
-    ``IntervalPlanCache.attach`` historically registered only the
-    whole-graph listener, so ``invalidate_rows`` dropped fidelity rows
-    while compiled plans kept serving coefficients derived from the
-    pre-delta graph. The cache now marks stale exactly the shards of
+    A plan cache once registered only for whole-graph invalidations, so
+    ``invalidate_rows`` dropped fidelity rows while compiled plans kept
+    serving coefficients derived from the pre-delta graph. The
+    estimator's one subscription now marks stale exactly the shards of
     plans whose seed rows dropped (the plans stay cached), and a warm
     estimator afterwards matches a cold one built from the mutated graph
     bit for bit.
@@ -414,7 +414,7 @@ class TestGraphDeltaEviction:
             dataset.store, dataset.network, graph, params
         )
         fidelity = FidelityCacheService()
-        cache = IntervalPlanCache(maxsize=8).attach(fidelity)
+        cache = IntervalPlanCache(maxsize=8)
         est = TwoStepEstimator(
             dataset.network,
             dataset.store,
@@ -550,6 +550,60 @@ class TestGraphDeltaEviction:
             assert est.estimate_interval(interval, speeds) == (
                 cold_est.estimate_interval(interval, speeds)
             )
+
+    def test_default_plan_cache_follows_wholesale_invalidation(self, small_dataset):
+        """A default-constructed estimator's own plan cache is no longer
+        a second, unregistered cache: a wholesale invalidation of its
+        graph on the process-default service flushes it too."""
+        from repro.history.correlation import CorrelationGraph
+        from repro.history.fidelity import get_fidelity_service
+        from repro.history.incremental import GraphDelta
+        from repro.seeds.lazy import lazy_greedy_select
+        from repro.seeds.objective import SeedSelectionObjective
+
+        graph = CorrelationGraph(
+            small_dataset.graph.road_ids, list(small_dataset.graph.edges())
+        )
+        params = HlmParams()
+        hlm = HierarchicalLinearModel.fit(
+            small_dataset.store, small_dataset.network, graph, params
+        )
+        est = TwoStepEstimator(
+            small_dataset.network, small_dataset.store, graph, hlm=hlm
+        )
+        seeds = list(
+            lazy_greedy_select(
+                SeedSelectionObjective(graph, fidelity_service=FidelityCacheService()),
+                6,
+            ).seeds
+        )
+        interval = small_dataset.test_day_intervals()[0]
+        speeds = seed_speeds_for(small_dataset, seeds, interval)
+        before = est.estimate_interval(interval, speeds)
+
+        removed = sorted(
+            {
+                (edge.road_u, edge.road_v)
+                for seed in seeds[:3]
+                for edge in graph.neighbours(seed)
+            }
+        )
+        graph.apply_delta(GraphDelta(added=(), removed=tuple(removed), reweighted=()))
+        get_fidelity_service().invalidate(graph)
+
+        warm = est.estimate_interval(interval, speeds)
+        cold = TwoStepEstimator(
+            small_dataset.network,
+            small_dataset.store,
+            graph,
+            hlm=hlm,
+            fidelity_service=FidelityCacheService(),
+        ).estimate_interval(interval, speeds)
+        assert warm.road_ids == cold.road_ids
+        for column in ("speed", "trend", "p_rise", "is_seed"):
+            assert getattr(warm, column).tobytes() == getattr(cold, column).tobytes()
+        # The mutation moved estimates, so a stale plan would show.
+        assert not np.array_equal(before.speed, warm.speed)
 
 
 class TestEvictionIndexPinning:

@@ -261,7 +261,7 @@ class TestDistrictScopedEviction:
             dataset.store, dataset.network, graph, params
         )
         fidelity = FidelityCacheService()
-        cache = IntervalPlanCache(maxsize=8).attach(fidelity)
+        cache = IntervalPlanCache(maxsize=8)
 
         def factory(store, network, hlm_, road_ids):
             return IntervalPlanner(
@@ -347,7 +347,8 @@ class TestDistrictScopedEviction:
         est.estimate_interval(interval, _speeds(small_dataset, seeds, interval))
         plan = next(iter(cache._plans.values()))
         structures = {s.district: s.structure for s in plan.shards}
-        assert plan.mark_rows_stale({first[40], second[40]}) == 0
+        fidelity.invalidate_rows(graph, {first[40], second[40]})
+        assert cache.stats().shard_evictions == 0
         est.estimate_interval(interval, _speeds(small_dataset, seeds, interval))
         assert all(
             s.structure is structures[s.district] for s in plan.shards

@@ -119,3 +119,31 @@ class TestReselectValidation:
         selector = IncrementalCelfSelector(objective, candidates=pool)
         cold = lazy_greedy_select(objective, 6, candidates=pool)
         assert selector.select(6).seeds == cold.seeds
+
+
+class TestSubscriptionLifetime:
+    def test_dropped_selector_frees_graph_and_rows(self, small_dataset):
+        """The selector's subscription is weak: on the process-default
+        service, dropping the selector frees its objective, its graph
+        and every row cached for that graph."""
+        import gc
+        import weakref
+
+        from repro.history.correlation import CorrelationGraph
+        from repro.history.fidelity import get_fidelity_service
+
+        service = get_fidelity_service()
+        graph = CorrelationGraph(
+            small_dataset.graph.road_ids, list(small_dataset.graph.edges())
+        )
+        objective = SeedSelectionObjective(graph, fidelity_service=service)
+        selector = IncrementalCelfSelector(objective)
+        selector.select(6)
+        assert graph in service._graphs
+        graph_ref, objective_ref = weakref.ref(graph), weakref.ref(objective)
+        entries = len(service._graphs)
+        del selector, objective, graph
+        gc.collect()
+        assert objective_ref() is None
+        assert graph_ref() is None
+        assert len(service._graphs) <= entries - 1

@@ -376,14 +376,14 @@ def test_cached_row_bytes_scale_with_support():
 def test_dead_weak_listeners_do_not_pile_up(small_dataset):
     service = FidelityCacheService()
     keeper = SeedSelectionObjective(small_dataset.graph, fidelity_service=service)
-    baseline = len(service._row_listeners)
+    baseline = len(service._subscribers)
     for _ in range(1000):
         SeedSelectionObjective(small_dataset.graph, fidelity_service=service)
-    assert len(service._row_listeners) <= baseline + 1
+    assert len(service._subscribers) <= baseline + 1
     for _ in range(10):
         keeper.clone_with_weights({})
     service.invalidate_rows(small_dataset.graph, small_dataset.graph.road_ids[:1])
-    assert len(service._row_listeners) == baseline
+    assert len(service._subscribers) == baseline
     # A live listener still fires after pruning.
     keeper.influence_row(small_dataset.graph.road_ids[0])
     service.invalidate_rows(small_dataset.graph, small_dataset.graph.road_ids[:1])
