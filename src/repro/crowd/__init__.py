@@ -4,7 +4,6 @@ round reporting, worker health and the adaptive scheduler."""
 from repro.crowd.aggregation import (
     mad_filtered_mean,
     mean_aggregate,
-    median_aggregate,
 )
 from repro.core.breaker import BreakerState, CircuitBreaker
 from repro.crowd.health import WorkerHealth, WorkerHealthTracker, mad_outlier_mask
@@ -32,5 +31,4 @@ __all__ = [
     "mad_filtered_mean",
     "mad_outlier_mask",
     "mean_aggregate",
-    "median_aggregate",
 ]

@@ -1,9 +1,10 @@
 """Robust aggregation of crowd answers into one speed per task.
 
 Workers are noisy, biased and occasionally spamming; the aggregator's
-job is to turn a handful of their reports into a usable speed. Three
-aggregators are provided — the platform defaults to MAD-filtered mean,
-which tolerates the spammer rates the worker model produces.
+job is to turn a handful of their reports into a usable speed. The
+platform defaults to MAD-filtered mean, which tolerates the spammer
+rates the worker model produces; the plain mean is the fragile
+reference it is compared against.
 """
 
 from __future__ import annotations
@@ -17,12 +18,6 @@ def mean_aggregate(answers: list[float]) -> float:
     """Plain mean — the fragile reference aggregator."""
     _check(answers)
     return float(np.mean(answers))
-
-
-def median_aggregate(answers: list[float]) -> float:
-    """Median — robust to up to half the answers being garbage."""
-    _check(answers)
-    return float(np.median(answers))
 
 
 def mad_filtered_mean(answers: list[float], threshold: float = 3.0) -> float:

@@ -1,33 +1,20 @@
 """Synthetic datasets standing in for the paper's Beijing/Tianjin data."""
 
-from repro.datasets.splits import (
-    RUSH_WINDOWS,
-    hourly_interval_groups,
-    is_rush_hour,
-    off_peak_intervals,
-    rush_hour_intervals,
-)
+from repro.datasets.splits import RUSH_WINDOWS, is_rush_hour
 from repro.datasets.synthetic import (
     TrafficDataset,
-    both_cities,
     build_dataset,
     scaled_dataset,
     synthetic_beijing,
-    synthetic_metropolis,
     synthetic_tianjin,
 )
 
 __all__ = [
     "RUSH_WINDOWS",
     "TrafficDataset",
-    "both_cities",
     "build_dataset",
-    "hourly_interval_groups",
     "is_rush_hour",
-    "off_peak_intervals",
-    "rush_hour_intervals",
     "scaled_dataset",
     "synthetic_beijing",
-    "synthetic_metropolis",
     "synthetic_tianjin",
 ]

@@ -1,14 +1,11 @@
-"""Interval selectors over a dataset's test period.
+"""The rush-hour predicate over fractional hours of the day.
 
-The time-of-day experiment (F6) and several examples need "rush hour"
-versus "off peak" interval subsets; these selectors define them once so
+The time-of-day experiment (F6) splits the test period into "rush hour"
+and "off peak" intervals; this predicate defines the split once so
 every consumer slices time identically.
 """
 
 from __future__ import annotations
-
-from repro.core.errors import DataError
-from repro.datasets.synthetic import TrafficDataset
 
 #: Rush-hour windows as [start, end) fractional hours.
 RUSH_WINDOWS: tuple[tuple[float, float], ...] = ((7.0, 10.0), (17.0, 20.0))
@@ -17,33 +14,3 @@ RUSH_WINDOWS: tuple[tuple[float, float], ...] = ((7.0, 10.0), (17.0, 20.0))
 def is_rush_hour(hour: float) -> bool:
     """Whether a fractional hour falls inside a rush window."""
     return any(lo <= hour < hi for lo, hi in RUSH_WINDOWS)
-
-
-def rush_hour_intervals(dataset: TrafficDataset, day_offset: int = 0) -> list[int]:
-    """Test-day intervals inside the rush windows."""
-    return [
-        t
-        for t in dataset.test_day_intervals(day_offset)
-        if is_rush_hour(dataset.grid.hour_of(t))
-    ]
-
-
-def off_peak_intervals(dataset: TrafficDataset, day_offset: int = 0) -> list[int]:
-    """Test-day intervals outside the rush windows."""
-    return [
-        t
-        for t in dataset.test_day_intervals(day_offset)
-        if not is_rush_hour(dataset.grid.hour_of(t))
-    ]
-
-
-def hourly_interval_groups(
-    dataset: TrafficDataset, day_offset: int = 0
-) -> dict[int, list[int]]:
-    """Test-day intervals grouped by hour of day (0..23)."""
-    groups: dict[int, list[int]] = {}
-    for t in dataset.test_day_intervals(day_offset):
-        groups.setdefault(int(dataset.grid.hour_of(t)), []).append(t)
-    if not groups:
-        raise DataError("test day produced no intervals")
-    return groups

@@ -22,7 +22,6 @@ from repro.history.correlation import CorrelationGraph, mine_correlation_graph
 from repro.history.store import HistoricalSpeedStore
 from repro.history.timebuckets import TimeGrid
 from repro.roadnet.generators import (
-    composite_city,
     grid_city,
     ring_radial_city,
     sized_grid,
@@ -147,23 +146,6 @@ def synthetic_tianjin() -> TrafficDataset:
 
 
 @functools.lru_cache(maxsize=None)
-def synthetic_metropolis() -> TrafficDataset:
-    """A grid core with ring-radial periphery and highway links.
-
-    The largest built-in city (~600 roads across all four road classes);
-    used where structural heterogeneity matters — e.g. exercising the
-    highway profiles and class-level hierarchy end to end.
-    """
-    return build_dataset(
-        "synthetic-metropolis",
-        composite_city(core_rows=8, core_cols=8, rings=3, spokes=12),
-        history_days=14,
-        test_days=1,
-        seed=883894,  # the paper's page range, for flavour
-    )
-
-
-@functools.lru_cache(maxsize=None)
 def scaled_dataset(num_roads_target: int, history_days: int = 10) -> TrafficDataset:
     """A grid dataset sized for scalability sweeps (F3/F8)."""
     network = sized_grid(num_roads_target)
@@ -196,8 +178,3 @@ def metropolitan_dataset(
         test_days=1,
         seed=num_roads_target,
     )
-
-
-def both_cities() -> list[TrafficDataset]:
-    """The standard two-dataset evaluation set."""
-    return [synthetic_beijing(), synthetic_tianjin()]

@@ -5,18 +5,12 @@ from repro.evalkit.ascii_map import (
     render_deviation_map,
     render_road_values,
 )
-from repro.evalkit.breakdown import errors_by_road_class, worst_roads
 from repro.evalkit.calibration import (
     CalibrationReport,
     ReliabilityBin,
     calibration_report,
 )
-from repro.evalkit.harness import (
-    Evaluation,
-    EvaluationResult,
-    TwoStepMethod,
-    intervals_for_day,
-)
+from repro.evalkit.harness import Evaluation, EvaluationResult, TwoStepMethod
 from repro.evalkit.metrics import (
     SpeedErrors,
     TrendMetrics,
@@ -31,8 +25,6 @@ __all__ = [
     "DEFAULT_RAMP",
     "render_deviation_map",
     "render_road_values",
-    "errors_by_road_class",
-    "worst_roads",
     "Evaluation",
     "ReliabilityBin",
     "calibration_report",
@@ -45,7 +37,6 @@ __all__ = [
     "fmt_speedup",
     "format_table",
     "improvement_percent",
-    "intervals_for_day",
     "speed_errors",
     "trend_metrics",
 ]

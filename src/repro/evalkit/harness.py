@@ -154,13 +154,3 @@ class Evaluation:
     def run_all(self, methods: list) -> list[EvaluationResult]:
         """Evaluate several methods under identical conditions."""
         return [self.run(method) for method in methods]
-
-
-def intervals_for_day(
-    truth: SpeedField, grid, day: int, stride: int = 1
-) -> list[int]:
-    """Every ``stride``-th interval of ``day`` present in the truth field."""
-    wanted = [t for t in grid.day_range(day) if t in truth.intervals]
-    if not wanted:
-        raise DataError(f"day {day} not covered by the truth field")
-    return wanted[::stride]

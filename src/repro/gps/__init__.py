@@ -1,11 +1,6 @@
 """Probe-vehicle substrate: trips, GPS traces, map matching, speed extraction."""
 
-from repro.gps.map_matching import (
-    HmmMatcher,
-    MatchedPoint,
-    MatchedTrace,
-    NearestMatcher,
-)
+from repro.gps.map_matching import HmmMatcher, MatchedPoint, MatchedTrace
 from repro.gps.speed_extraction import (
     ProbeSample,
     ProbeSpeedTable,
@@ -22,7 +17,6 @@ __all__ = [
     "HmmMatcher",
     "MatchedPoint",
     "MatchedTrace",
-    "NearestMatcher",
     "ProbeSample",
     "ProbeSpeedTable",
     "RoadVisit",

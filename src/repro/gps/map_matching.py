@@ -1,16 +1,15 @@
 """Map matching: snap noisy GPS fixes onto road segments.
 
-Two matchers are provided:
+:class:`HmmMatcher` is a compact HMM/Viterbi matcher in the style of
+Newson & Krumm (2009): emission probability decays with snap distance,
+transition probability penalises jumps between non-adjacent segments
+and disagreement between network distance and straight-line movement.
+Independent nearest-segment snapping, which flickers between parallel
+roads under noise, is the baseline it is tested against
+(``tests/oracles/map_matching.py``).
 
-* :class:`NearestMatcher` — independent nearest-segment snapping; fast,
-  but flickers between parallel roads under noise.
-* :class:`HmmMatcher` — a compact HMM/Viterbi matcher in the style of
-  Newson & Krumm (2009): emission probability decays with snap distance,
-  transition probability penalises jumps between non-adjacent segments
-  and disagreement between network distance and straight-line movement.
-
-Both produce a road id per GPS point (or None when unmatchable); the
-speed-extraction stage consumes these assignments.
+The matcher produces a road id per GPS point (or None when
+unmatchable); the speed-extraction stage consumes these assignments.
 """
 
 from __future__ import annotations
@@ -45,32 +44,6 @@ class MatchedTrace:
             return 0.0
         matched = sum(1 for p in self.points if p.road_id is not None)
         return matched / len(self.points)
-
-
-class NearestMatcher:
-    """Match each point to its nearest segment independently."""
-
-    def __init__(
-        self, network: RoadNetwork, index: SpatialIndex | None = None,
-        search_radius_m: float = 80.0,
-    ) -> None:
-        self._network = network
-        self._index = index or SpatialIndex(network)
-        self._radius = search_radius_m
-
-    def match(self, trace: GpsTrace) -> MatchedTrace:
-        points: list[MatchedPoint] = []
-        for gps in trace.points:
-            best = self._index.nearest_segment(gps.location, self._radius)
-            if best is None:
-                points.append(MatchedPoint(gps.timestamp_s, None, math.inf, 0.0))
-            else:
-                points.append(
-                    MatchedPoint(
-                        gps.timestamp_s, best.road_id, best.distance_m, best.position
-                    )
-                )
-        return MatchedTrace(trace.trip_id, tuple(points))
 
 
 class HmmMatcher:

@@ -9,12 +9,8 @@ from repro.history.fidelity import (
     CSRFidelityGraph,
     FidelityCacheService,
     SparseRow,
-    best_fidelity_row,
-    best_fidelity_rows,
-    edge_fidelity,
     get_fidelity_service,
     set_fidelity_service,
-    sparse_fidelity_row,
     sparse_fidelity_rows,
 )
 from repro.history.incremental import (
@@ -46,12 +42,8 @@ __all__ = [
     "RollingHistory",
     "SparseRow",
     "TimeGrid",
-    "best_fidelity_row",
-    "best_fidelity_rows",
-    "edge_fidelity",
     "get_fidelity_service",
     "set_fidelity_service",
-    "sparse_fidelity_row",
     "sparse_fidelity_rows",
     "load_field",
     "load_graph",

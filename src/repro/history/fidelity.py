@@ -25,9 +25,7 @@ This module makes the structure first-class:
   Dijkstra pruning).  Each row keeps only its support as a
   :class:`SparseRow` — the one row form anything caches: influence is
   local (pruned at the floor), so a row's support is its reach, not N.
-  :func:`sparse_fidelity_row`, :func:`best_fidelity_row` and
-  :func:`best_fidelity_rows` are one-source, dense and stacked calls of
-  it.  Rows are bitwise equal to the dict/heap reference in
+  Rows are bitwise equal to the dict/heap reference in
   ``tests/oracles/fidelity.py``, which the test suite checks.
 * :class:`FidelityCacheService` — the single shared cache keyed by
   graph identity (weakly), fidelity floor, hop budget and transform.
@@ -77,14 +75,6 @@ ROW_TRANSFORMS = ("fidelity", "variance", "logodds")
 _LOGODDS_CLAMP = 1.0 - 1e-9
 
 
-def edge_fidelity(agreement: float) -> float:
-    """Channel fidelity of a correlation edge: ``2p - 1``.
-
-    Agreement at or below 0.5 carries no information and maps to 0.
-    """
-    return max(0.0, 2.0 * agreement - 1.0)
-
-
 def _validate(min_fidelity: float) -> None:
     if not 0.0 < min_fidelity < 1.0:
         raise InferenceError(f"min_fidelity {min_fidelity} must be in (0, 1)")
@@ -122,7 +112,8 @@ class CSRFidelityGraph:
         positions = np.asarray(road_ids, dtype=np.int64)
         iu = np.searchsorted(positions, road_u)
         iv = np.searchsorted(positions, road_v)
-        # Elementwise edge_fidelity: the same IEEE operations, bitwise.
+        # Channel fidelity max(0, 2p - 1) per edge: the same IEEE operations
+        # as the scalar edge_fidelity in tests/oracles/fidelity.py, bitwise.
         q = np.maximum(0.0, 2.0 * agreement - 1.0)
         u = np.concatenate([iu, iv])
         v = np.concatenate([iv, iu])
@@ -278,47 +269,6 @@ def sparse_fidelity_rows(
             relaxations=relaxations,
         )
     return rows
-
-
-def sparse_fidelity_row(
-    csr: CSRFidelityGraph,
-    source: int,
-    min_fidelity: float = 0.05,
-    max_hops: int | None = None,
-) -> SparseRow:
-    """The one-source :func:`sparse_fidelity_rows`."""
-    return sparse_fidelity_rows(csr, [source], min_fidelity, max_hops)[0]
-
-
-def best_fidelity_row(
-    csr: CSRFidelityGraph,
-    source: int,
-    min_fidelity: float = 0.05,
-    max_hops: int | None = None,
-) -> np.ndarray:
-    """Dense best-path fidelity row from CSR position ``source``.
-
-    The N-length form of :func:`sparse_fidelity_row`: entries below
-    the floor are 0; the source is 1.
-    """
-    return sparse_fidelity_row(csr, source, min_fidelity, max_hops).dense(
-        csr.num_roads
-    )
-
-
-def best_fidelity_rows(
-    csr: CSRFidelityGraph,
-    sources: list[int],
-    min_fidelity: float = 0.05,
-    max_hops: int | None = None,
-) -> np.ndarray:
-    """Stacked :func:`best_fidelity_row` for several sources: ``(S, N)``."""
-    out = np.zeros((len(sources), csr.num_roads), dtype=np.float64)
-    for i, row in enumerate(
-        sparse_fidelity_rows(csr, sources, min_fidelity, max_hops)
-    ):
-        out[i, row.indices] = row.values
-    return out
 
 
 def _transform_row(raw: SparseRow, source: int, transform: str) -> SparseRow:

@@ -3,14 +3,9 @@
 from repro.roadnet.geometry import (
     BoundingBox,
     Point,
-    heading_degrees,
-    interpolate_along,
-    point_segment_distance,
-    polyline_length,
     project_onto_segment,
 )
 from repro.roadnet.generators import (
-    composite_city,
     grid_city,
     ring_radial_city,
     sized_grid,
@@ -42,16 +37,11 @@ __all__ = [
     "RoadSegment",
     "SegmentMatch",
     "SpatialIndex",
-    "composite_city",
     "grid_city",
-    "heading_degrees",
-    "interpolate_along",
     "load_network",
     "load_network_csv",
     "network_from_dict",
     "network_to_dict",
-    "point_segment_distance",
-    "polyline_length",
     "project_onto_segment",
     "ring_radial_city",
     "save_network",

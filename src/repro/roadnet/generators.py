@@ -8,8 +8,8 @@ networks. These generators build structurally comparable stand-ins:
   resembling Beijing's ring-and-grid core at small scale.
 * :func:`ring_radial_city` — concentric ring roads connected by radial
   spokes, the classic monocentric layout.
-* :func:`composite_city` — a grid core with a ring-radial periphery
-  stitched together, for larger scalability experiments.
+* :func:`metropolitan_city` — grid districts stitched by inter-district
+  links, for the metropolitan-scale experiments.
 
 All streets are two-way: each undirected street contributes two directed
 :class:`~repro.roadnet.network.RoadSegment` instances. Generators are
@@ -140,87 +140,6 @@ def ring_radial_city(
                 "collector",
                 name=f"Radial-{spoke}",
             )
-    network.validate()
-    return network
-
-
-def composite_city(
-    core_rows: int = 8,
-    core_cols: int = 8,
-    rings: int = 3,
-    spokes: int = 12,
-    block_m: float = 400.0,
-    name: str = "composite-city",
-) -> RoadNetwork:
-    """A grid core surrounded by a ring-radial periphery.
-
-    The periphery's rings start beyond the grid's circumradius and each
-    spoke is tied to the nearest grid-boundary intersection by a highway
-    link, producing one connected network with heterogeneous structure —
-    useful for scalability sweeps (F8).
-    """
-    network = grid_city(core_rows, core_cols, block_m=block_m, name=name)
-    next_node = max(network.node_ids()) + 1
-    next_road = max(network.road_ids()) + 1
-
-    bbox = network.bounding_box()
-    centre = bbox.center
-    core_radius = math.hypot(bbox.width, bbox.height) / 2.0
-    ring_spacing = max(block_m * 2.0, core_radius * 0.4)
-
-    def node_id(ring: int, spoke: int) -> int:
-        return next_node + ring * spokes + spoke
-
-    for ring in range(rings):
-        radius = core_radius + (ring + 1) * ring_spacing
-        for spoke in range(spokes):
-            angle = 2.0 * math.pi * spoke / spokes
-            network.add_intersection(
-                node_id(ring, spoke),
-                Point(
-                    centre.x + radius * math.cos(angle),
-                    centre.y + radius * math.sin(angle),
-                ),
-            )
-
-    for ring in range(rings):
-        for spoke in range(spokes):
-            a = node_id(ring, spoke)
-            b = node_id(ring, (spoke + 1) % spokes)
-            next_road = _add_two_way(
-                network, next_road, a, b, "highway", name=f"OuterRing-{ring + 1}"
-            )
-    for spoke in range(spokes):
-        for ring in range(rings - 1):
-            next_road = _add_two_way(
-                network,
-                next_road,
-                node_id(ring, spoke),
-                node_id(ring + 1, spoke),
-                "collector",
-                name=f"OuterRadial-{spoke}",
-            )
-
-    # Stitch each innermost-ring node to its nearest boundary intersection.
-    boundary_nodes = [
-        node.node_id
-        for node in network.intersections()
-        if node.node_id < next_node
-        and (
-            node.location.x in (bbox.min_x, bbox.max_x)
-            or node.location.y in (bbox.min_y, bbox.max_y)
-        )
-    ]
-    for spoke in range(spokes):
-        inner = node_id(0, spoke)
-        inner_loc = network.intersection(inner).location
-        nearest = min(
-            boundary_nodes,
-            key=lambda n: network.intersection(n).location.distance_to(inner_loc),
-        )
-        next_road = _add_two_way(
-            network, next_road, nearest, inner, "highway", name=f"Link-{spoke}"
-        )
     network.validate()
     return network
 

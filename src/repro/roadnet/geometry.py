@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,13 +107,6 @@ class BoundingBox:
         )
 
 
-def polyline_length(points: Sequence[Point]) -> float:
-    """Total length of the polyline through ``points``, in metres."""
-    if len(points) < 2:
-        return 0.0
-    return sum(points[i].distance_to(points[i + 1]) for i in range(len(points) - 1))
-
-
 def project_onto_segment(point: Point, start: Point, end: Point) -> tuple[Point, float]:
     """Project ``point`` onto the segment ``start``–``end``.
 
@@ -130,51 +123,3 @@ def project_onto_segment(point: Point, start: Point, end: Point) -> tuple[Point,
     t = ((point.x - start.x) * dx + (point.y - start.y) * dy) / seg_len_sq
     t = max(0.0, min(1.0, t))
     return Point(start.x + t * dx, start.y + t * dy), t
-
-
-def point_segment_distance(point: Point, start: Point, end: Point) -> float:
-    """Shortest distance from ``point`` to the segment ``start``–``end``."""
-    foot, _ = project_onto_segment(point, start, end)
-    return point.distance_to(foot)
-
-
-def interpolate_along(points: Sequence[Point], fraction: float) -> Point:
-    """The point at ``fraction`` (0..1) of the way along a polyline.
-
-    Fractions outside [0, 1] are clamped. A single-point polyline returns
-    its only point.
-    """
-    if not points:
-        raise ValueError("cannot interpolate along an empty polyline")
-    if len(points) == 1:
-        return points[0]
-    fraction = max(0.0, min(1.0, fraction))
-    total = polyline_length(points)
-    if total == 0.0:
-        return points[0]
-    target = fraction * total
-    walked = 0.0
-    for i in range(len(points) - 1):
-        seg = points[i].distance_to(points[i + 1])
-        if walked + seg >= target and seg > 0.0:
-            t = (target - walked) / seg
-            return Point(
-                points[i].x + t * (points[i + 1].x - points[i].x),
-                points[i].y + t * (points[i + 1].y - points[i].y),
-            )
-        walked += seg
-    return points[-1]
-
-
-def heading_degrees(start: Point, end: Point) -> float:
-    """Compass-style heading from ``start`` to ``end`` in degrees [0, 360).
-
-    0 is +y ("north"), 90 is +x ("east"). A zero-length segment has
-    heading 0 by convention.
-    """
-    dx = end.x - start.x
-    dy = end.y - start.y
-    if dx == 0.0 and dy == 0.0:
-        return 0.0
-    angle = math.degrees(math.atan2(dx, dy))
-    return angle % 360.0

@@ -50,15 +50,26 @@ def network_to_dict(network: RoadNetwork) -> dict[str, Any]:
     }
 
 
-def network_from_dict(data: dict[str, Any]) -> RoadNetwork:
-    """Rebuild a :class:`RoadNetwork` from :func:`network_to_dict` output."""
+def network_from_dict(data: Any) -> RoadNetwork:
+    """Rebuild a :class:`RoadNetwork` from :func:`network_to_dict` output.
+
+    The document may come from outside the program, so any malformed
+    shape (not an object, a row that is not an object, a missing field,
+    a non-numeric coordinate or attribute) raises :class:`DataError`.
+    """
+    if not isinstance(data, dict):
+        raise DataError(
+            f"network document must be a JSON object, not {type(data).__name__}"
+        )
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported network format version {version!r}")
     try:
         network = RoadNetwork(name=data.get("name", "network"))
         for node in data["intersections"]:
-            network.add_intersection(node["id"], Point(node["x"], node["y"]))
+            network.add_intersection(
+                node["id"], Point(float(node["x"]), float(node["y"]))
+            )
         for seg in data["segments"]:
             network.add_segment(
                 seg["id"],
@@ -72,6 +83,8 @@ def network_from_dict(data: dict[str, Any]) -> RoadNetwork:
             )
     except KeyError as exc:
         raise DataError(f"network document missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed network document: {exc}") from exc
     network.validate()
     return network
 

@@ -22,7 +22,7 @@ class          description         free-flow (km/h)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.core.errors import NetworkError
 from repro.roadnet.geometry import BoundingBox, Point
@@ -341,12 +341,3 @@ class RoadNetwork:
             f"RoadNetwork(name={self.name!r}, intersections={self.num_intersections}, "
             f"segments={self.num_segments})"
         )
-
-
-def subnetwork_road_ids(network: RoadNetwork, road_ids: Iterable[int]) -> list[int]:
-    """Validate and sort a collection of road ids against ``network``."""
-    out = sorted(set(road_ids))
-    for road_id in out:
-        if not network.has_segment(road_id):
-            raise NetworkError(f"unknown road id {road_id}")
-    return out

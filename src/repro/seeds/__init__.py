@@ -1,12 +1,6 @@
-"""Seed selection: objective, greedy family, baselines, NP-hardness reduction."""
+"""Seed selection: objective, greedy family and baselines."""
 
-from repro.seeds.baselines import (
-    betweenness_select,
-    k_center_select,
-    make_objective,
-    random_select,
-    top_degree_select,
-)
+from repro.seeds.baselines import k_center_select, random_select, top_degree_select
 from repro.seeds.costaware import (
     DEFAULT_CLASS_COSTS,
     cost_aware_select,
@@ -19,20 +13,13 @@ from repro.seeds.greedy import (
     validate_budget,
     validate_candidates,
 )
-from repro.seeds.hardness import (
-    SeedSelectionHardnessInstance,
-    covers_all_elements,
-    min_seed_budget,
-    min_set_cover_size,
-    set_cover_to_seed_selection,
-)
 from repro.seeds.lazy import lazy_greedy_select
 from repro.seeds.objective import (
     INFLUENCE_TRANSFORMS,
     CoverageState,
     SeedSelectionObjective,
 )
-from repro.seeds.parallel import DistrictStage, parallel_partition_select
+from repro.seeds.parallel import DistrictStage
 from repro.seeds.partition import (
     allocate_budget,
     partition_graph,
@@ -49,23 +36,15 @@ __all__ = [
     "cost_aware_select",
     "default_road_costs",
     "selection_cost",
-    "SeedSelectionHardnessInstance",
     "SeedSelectionObjective",
     "SelectionResult",
     "allocate_budget",
-    "betweenness_select",
-    "covers_all_elements",
     "greedy_select",
     "k_center_select",
     "lazy_greedy_select",
-    "make_objective",
-    "min_seed_budget",
-    "min_set_cover_size",
-    "parallel_partition_select",
     "partition_graph",
     "partition_greedy_select",
     "random_select",
-    "set_cover_to_seed_selection",
     "top_degree_select",
     "validate_budget",
     "validate_candidates",

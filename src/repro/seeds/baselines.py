@@ -2,7 +2,6 @@
 
 * random — uniform without replacement (seeded);
 * top-degree — highest correlation-graph degree first;
-* betweenness — highest betweenness centrality in the correlation graph;
 * k-center — spatial farthest-point traversal over segment midpoints,
   the "spread the sensors out evenly" heuristic.
 """
@@ -12,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import SelectionError
-from repro.history.correlation import CorrelationGraph
 from repro.roadnet.network import RoadNetwork
 from repro.seeds.greedy import SelectionResult
 from repro.seeds.objective import SeedSelectionObjective
@@ -65,27 +63,6 @@ def top_degree_select(
     return _as_result("top-degree", objective, ranked[:budget])
 
 
-def betweenness_select(
-    objective: SeedSelectionObjective, budget: int
-) -> SelectionResult:
-    """Highest betweenness centrality in the correlation graph.
-
-    Uses networkx; edge weights are ignored (topological centrality),
-    which matches how this baseline is typically configured.
-    """
-    import networkx as nx
-
-    graph = objective.graph
-    roads = objective.road_ids
-    _check_budget(budget, len(roads))
-    g = nx.Graph()
-    g.add_nodes_from(roads)
-    g.add_edges_from((e.road_u, e.road_v) for e in graph.edges())
-    centrality = nx.betweenness_centrality(g)
-    ranked = sorted(roads, key=lambda r: (-centrality[r], r))
-    return _as_result("betweenness", objective, ranked[:budget])
-
-
 def k_center_select(
     objective: SeedSelectionObjective,
     budget: int,
@@ -114,9 +91,3 @@ def k_center_select(
                 min_dist[road] = d
     return _as_result("k-center", objective, chosen)
 
-
-def make_objective(
-    graph: CorrelationGraph, min_fidelity: float = 0.05
-) -> SeedSelectionObjective:
-    """Convenience constructor used by benchmarks and examples."""
-    return SeedSelectionObjective(graph, min_fidelity=min_fidelity)

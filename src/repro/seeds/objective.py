@@ -42,7 +42,7 @@ in the suite):
 
 Hence plain greedy achieves the (1 − 1/e) approximation of Nemhauser et
 al., and lazy evaluation (CELF) is valid. Maximising Q exactly is
-NP-hard — see :mod:`repro.seeds.hardness` for the machine-checked
+NP-hard — ``tests/oracles/hardness.py`` holds the machine-checked
 reduction from Set Cover.
 """
 

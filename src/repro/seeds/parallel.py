@@ -44,8 +44,6 @@ span.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.core.errors import InferenceError
@@ -62,7 +60,7 @@ from repro.seeds.lazy import lazy_greedy_select
 from repro.seeds.objective import CoverageState, SeedSelectionObjective
 from repro.seeds.partition import allocate_budget, partition_graph
 
-__all__ = ["DistrictStage", "parallel_partition_select"]
+__all__ = ["DistrictStage"]
 
 
 # ----------------------------------------------------------------------
@@ -354,19 +352,3 @@ class DistrictStage:
             "trend.propagation.parallel_votes", nonzeros, districts=len(buckets)
         )
         return votes, nonzeros
-
-
-def parallel_partition_select(
-    objective: SeedSelectionObjective,
-    budget: int,
-    num_partitions: int = 8,
-    num_workers: int = 0,
-) -> SelectionResult:
-    """One-shot district-parallel partition greedy (pool per call).
-
-    Systems running many rounds should keep one
-    :class:`~repro.core.pool.SharedWorkerPool` and :class:`DistrictStage`
-    instead and amortise the worker spawn and the shared export.
-    """
-    with SharedWorkerPool(num_workers or (os.cpu_count() or 1)) as pool:
-        return DistrictStage(objective, pool, num_partitions).select(budget)

@@ -11,8 +11,6 @@ from repro.speed.uncertainty import (
     BandColumns,
     SpeedBand,
     UncertaintyModel,
-    margin_kmh,
-    normal_confidences,
     sharpness_kmh,
     z_for_confidence,
 )
@@ -29,7 +27,6 @@ from repro.speed.hlm import (
     HlmParams,
     JointSeedRegression,
     RoadRegression,
-    SeedRegression,
 )
 
 __all__ = [
@@ -49,12 +46,9 @@ __all__ = [
     "JointSeedRegression",
     "PlanShard",
     "RoadRegression",
-    "SeedRegression",
     "SpeedBand",
     "TwoStepEstimator",
     "UncertaintyModel",
-    "margin_kmh",
-    "normal_confidences",
     "sharpness_kmh",
     "z_for_confidence",
 ]

@@ -19,10 +19,9 @@ linear blend of two evidence sources:
    observed trend. A seed contradicting the inferred trend is softly
    down-weighted rather than dropped.
 
-Per-seed regressions against every road are one vectorised pass over the
-history matrix and are cached, so fitting cost is paid once per seed —
-matching the production pattern where one seed set serves many
-intervals.
+Each road's joint regression on its seed set is fitted once and cached,
+so fitting cost is paid once per (road, seed set) — matching the
+production pattern where one seed set serves many intervals.
 
 The predicted speed is ``d̂_r × historical_mean_r(bucket)``, clamped to
 physical limits. Ablation switches reproduce experiments F7a (skip the
@@ -75,64 +74,6 @@ class HlmParams:
             raise DataError("ridge_alpha must be >= 0")
         if self.max_seeds_per_road < 1:
             raise DataError("max_seeds_per_road must be >= 1")
-
-
-class SeedRegression:
-    """Lazily fitted per-seed OLS of every road on that seed.
-
-    For seed column ``u`` with centred deviation series ``x`` and any
-    road column ``r`` with series ``y`` (both centred at the neutral
-    ratio 1):
-
-    * slope ``β_ru = ⟨x, y⟩ / ⟨x, x⟩`` (clipped),
-    * weight ``R²_ru = ⟨x, y⟩² / (⟨x, x⟩⟨y, y⟩)`` ∈ [0, 1].
-
-    One call to :meth:`for_seed` computes both arrays for *all* roads in
-    a single matrix-vector product and caches them.
-    """
-
-    def __init__(self, store: HistoricalSpeedStore, slope_clip: float = 1.5) -> None:
-        self._store = store
-        self._slope_clip = slope_clip
-        self._centred = store.deviation_matrix() - 1.0
-        self._norms = (self._centred * self._centred).sum(axis=0)
-        self._column = {road: i for i, road in enumerate(store.road_ids)}
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def for_seed(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """(slopes, r²) arrays over all roads in store column order."""
-        cached = self._cache.get(seed)
-        if cached is not None:
-            return cached
-        col = self._column.get(seed)
-        if col is None:
-            raise InferenceError(f"seed road {seed} not in historical store")
-        x = self._centred[:, col]
-        xx = self._norms[col]
-        cov = self._centred.T @ x
-        if xx <= 1e-12:
-            slopes = np.zeros(len(self._norms))
-            r2 = np.zeros(len(self._norms))
-        else:
-            slopes = np.clip(cov / xx, -self._slope_clip, self._slope_clip)
-            denom = xx * np.maximum(self._norms, 1e-12)
-            r2 = np.clip((cov * cov) / denom, 0.0, 1.0)
-        result = (slopes, r2)
-        self._cache[seed] = result
-        return result
-
-    def slope(self, seed: int, road: int) -> float:
-        """β for projecting ``seed``'s deviation onto ``road``."""
-        slopes, _ = self.for_seed(seed)
-        return float(slopes[self._column[road]])
-
-    def weight(self, seed: int, road: int) -> float:
-        """R² of the (seed → road) regression."""
-        _, r2 = self.for_seed(seed)
-        return float(r2[self._column[road]])
-
-    def column(self, road: int) -> int:
-        return self._column[road]
 
 
 @dataclass(frozen=True)

@@ -212,15 +212,3 @@ def z_for_confidence(confidence: float) -> float:
     if z is None:
         raise InferenceError(f"unsupported confidence {confidence}")
     return z
-
-
-def normal_confidences() -> list[float]:
-    """Supported confidence levels."""
-    return sorted(_Z_BY_CONFIDENCE)
-
-
-def margin_kmh(std_kmh: float, confidence: float) -> float:
-    """Half-width of a band at the given confidence."""
-    if std_kmh < 0:
-        raise InferenceError("std must be non-negative")
-    return z_for_confidence(confidence) * std_kmh

@@ -14,7 +14,6 @@ import itertools
 import numpy as np
 
 from repro.core.errors import InferenceError
-from repro.core.types import Trend
 from repro.obs import get_recorder
 from repro.trend.model import TrendInstance, TrendPosterior
 
@@ -73,30 +72,3 @@ class ExactEnumerationInference:
         for i, j, p in instance.edges:
             weight *= p if assignment[i] == assignment[j] else 1.0 - p
         return weight
-
-
-def exact_map_assignment(instance: TrendInstance) -> dict[int, Trend]:
-    """The exact MAP configuration (for tests on tiny instances)."""
-    n = instance.num_roads
-    evidence = instance.evidence_indices()
-    free = [i for i in range(n) if i not in evidence]
-    if len(free) > MAX_FREE_VARIABLES:
-        raise InferenceError("instance too large for exact MAP")
-
-    assignment = np.zeros(n, dtype=np.int8)
-    for i, trend in evidence.items():
-        assignment[i] = int(trend)
-
-    best_weight = -1.0
-    best: np.ndarray | None = None
-    for bits in itertools.product((1, -1), repeat=len(free)):
-        for i, bit in zip(free, bits):
-            assignment[i] = bit
-        weight = ExactEnumerationInference._joint_weight(instance, assignment)
-        if weight > best_weight:
-            best_weight = weight
-            best = assignment.copy()
-    assert best is not None
-    return {
-        road: Trend(int(best[i])) for i, road in enumerate(instance.road_ids)
-    }

@@ -40,15 +40,11 @@ import numpy as np
 
 from repro.core.errors import InferenceError
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
-from repro.history.fidelity import (
-    FidelityCacheService,
-    edge_fidelity,
-    get_fidelity_service,
-)
+from repro.history.fidelity import FidelityCacheService, get_fidelity_service
 from repro.obs import get_recorder
 from repro.trend.model import TrendInstance, TrendPosterior
 
-__all__ = ["TrendPropagationInference", "edge_fidelity", "instance_graph"]
+__all__ = ["TrendPropagationInference", "instance_graph"]
 
 
 def instance_graph(instance: TrendInstance) -> CorrelationGraph:

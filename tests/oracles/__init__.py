@@ -1,11 +1,13 @@
-"""Scalar reference implementations the production fast paths must match.
+"""Reference code the package is tested against; none of it ships.
 
-Each oracle is the original dict-walk form of one stage, kept with its
-arithmetic unchanged so the differential tests and benchmarks can pin
-the vectorized production code against it:
+Most oracles are the original dict-walk form of one stage, kept with
+its arithmetic unchanged so the differential tests and benchmarks can
+pin the vectorized production code against it:
 
 * :mod:`tests.oracles.fidelity` — best-path fidelity rows by dict/heap
-  Dijkstra, and by layered relaxation under a hop budget;
+  Dijkstra, and by layered relaxation under a hop budget, plus the
+  scalar channel fidelity ``edge_fidelity`` and the dense row forms
+  ``best_fidelity_row``/``best_fidelity_rows`` of the CSR kernel;
 * :mod:`tests.oracles.objective` — the influence-coverage objective
   with a dict-walk coverage state, accepted by ``greedy_select``,
   ``lazy_greedy_select`` and ``partition_greedy_select``;
@@ -15,9 +17,21 @@ the vectorized production code against it:
 * :mod:`tests.oracles.plan` — the whole-city Step-2 plan (one seed
   structure over every road), the reference for district partitions;
 * :mod:`tests.oracles.uncertainty` — the per-road prediction-band loop
-  over :meth:`~repro.speed.hlm.JointSeedRegression.for_road`;
+  over :meth:`~repro.speed.hlm.JointSeedRegression.for_road`, and
+  ``normal_confidences``, the confidence levels the band tests sweep;
 * :mod:`tests.oracles.snapshot` — the per-road ``SpeedEstimate`` round
   loop and the format-2 (one JSON row per road) snapshot writer.
+
+The others are exact or naive references the paper's claims and the
+production algorithms are checked against:
+
+* :mod:`tests.oracles.mapcut` — exact MAP trend assignments by graph
+  cut (a Dinic max-flow) and by enumeration;
+* :mod:`tests.oracles.hardness` — the executable Set Cover → seed
+  selection reduction behind the NP-hardness claim, with brute-force
+  minimum budgets;
+* :mod:`tests.oracles.map_matching` — independent nearest-segment
+  snapping, the baseline the HMM matcher is tested against.
 
 Nothing under ``src/`` may import this package.
 """

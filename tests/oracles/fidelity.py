@@ -1,11 +1,57 @@
-"""Scalar best-path fidelity rows: the reference for the CSR kernel."""
+"""Scalar best-path fidelity rows: the reference for the CSR kernel.
+
+Also the scalar channel fidelity :func:`edge_fidelity` the CSR export
+vectorizes, and :func:`best_fidelity_row` / :func:`best_fidelity_rows`,
+the dense ``N``-length forms of the kernel's sparse rows that the
+tests compare against dict rows.
+"""
 
 from __future__ import annotations
 
 import heapq
 
+import numpy as np
+
 from repro.history.correlation import CorrelationGraph
-from repro.history.fidelity import edge_fidelity
+from repro.history.fidelity import CSRFidelityGraph, sparse_fidelity_rows
+
+
+def edge_fidelity(agreement: float) -> float:
+    """Channel fidelity of a correlation edge: ``2p - 1``.
+
+    Agreement at or below 0.5 carries no information and maps to 0.
+    """
+    return max(0.0, 2.0 * agreement - 1.0)
+
+
+def best_fidelity_row(
+    csr: CSRFidelityGraph,
+    source: int,
+    min_fidelity: float = 0.05,
+    max_hops: int | None = None,
+) -> np.ndarray:
+    """Dense best-path fidelity row from CSR position ``source``.
+
+    The N-length form of one :func:`~repro.history.fidelity.
+    sparse_fidelity_rows` row: entries below the floor are 0; the source
+    is 1.
+    """
+    return best_fidelity_rows(csr, [source], min_fidelity, max_hops)[0]
+
+
+def best_fidelity_rows(
+    csr: CSRFidelityGraph,
+    sources: list[int],
+    min_fidelity: float = 0.05,
+    max_hops: int | None = None,
+) -> np.ndarray:
+    """Stacked :func:`best_fidelity_row` for several sources: ``(S, N)``."""
+    out = np.zeros((len(sources), csr.num_roads), dtype=np.float64)
+    for i, row in enumerate(
+        sparse_fidelity_rows(csr, sources, min_fidelity, max_hops)
+    ):
+        out[i, row.indices] = row.values
+    return out
 
 
 def propagate_fidelity(
@@ -16,10 +62,9 @@ def propagate_fidelity(
 ) -> dict[int, float]:
     """Best-path fidelity from ``source`` to every road at or above the floor.
 
-    Semantically identical to :func:`repro.history.fidelity.
-    best_fidelity_row`: without a hop budget it is a pruned max-product
-    Dijkstra; with one it is the same frontier-synchronous relaxation in
-    dict form, because single-label Dijkstra cannot bound hops soundly —
+    Semantically identical to :func:`best_fidelity_row`: without a hop
+    budget it is a pruned max-product Dijkstra; with one it is the same
+    frontier-synchronous relaxation in dict form, because single-label Dijkstra cannot bound hops soundly —
     a weaker-but-shorter path must survive alongside a
     stronger-but-longer one. The source itself has fidelity 1.
     """

@@ -1,11 +1,15 @@
-"""The per-road band loop: the reference for plan-column prediction bands."""
+"""The per-road band loop: the reference for plan-column prediction bands.
+
+Also :func:`normal_confidences`, the confidence levels the band tests
+sweep.
+"""
 
 from __future__ import annotations
 
 from repro.core.types import SpeedEstimate
 from repro.history.store import HistoricalSpeedStore
 from repro.speed.estimator import TwoStepEstimator
-from repro.speed.uncertainty import SpeedBand, z_for_confidence
+from repro.speed.uncertainty import _Z_BY_CONFIDENCE, SpeedBand, z_for_confidence
 
 
 class ScalarBands:
@@ -71,3 +75,8 @@ class ScalarBands:
                 confidence=self._confidence,
             )
         return bands
+
+
+def normal_confidences() -> list[float]:
+    """Supported confidence levels."""
+    return sorted(_Z_BY_CONFIDENCE)

@@ -24,8 +24,9 @@ from repro.history.incremental import GraphDelta
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
 from repro.speed.plan import IntervalPlanCache, IntervalPlanner
-from repro.speed.uncertainty import UncertaintyModel, normal_confidences
+from repro.speed.uncertainty import UncertaintyModel
 from tests.oracles import MonolithicPlanner, ScalarBands
+from tests.oracles.uncertainty import normal_confidences
 
 CONFIDENCES = normal_confidences()
 

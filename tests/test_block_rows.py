@@ -25,7 +25,6 @@ from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.fidelity import (
     CSRFidelityGraph,
     FidelityCacheService,
-    best_fidelity_rows,
     row_block_size,
     sparse_fidelity_rows,
 )
@@ -38,6 +37,7 @@ from repro.seeds.partition import (
     partition_greedy_select,
 )
 from tests.oracles import ScalarCoverageObjective, propagate_fidelity
+from tests.oracles.fidelity import best_fidelity_rows
 from tests.strategies import random_graphs
 from tests.test_sparse_rows import TRANSFORMS, dense_reference
 

@@ -9,7 +9,6 @@ from repro.core.errors import CrowdsourcingError
 from repro.crowd.aggregation import (
     mad_filtered_mean,
     mean_aggregate,
-    median_aggregate,
 )
 from repro.crowd.platform import CrowdsourcingPlatform, SpeedQueryTask
 from repro.crowd.workers import Worker, WorkerPool, WorkerPoolParams
@@ -91,9 +90,6 @@ class TestAggregation:
     def test_mean(self):
         assert mean_aggregate([10, 20, 30]) == 20
 
-    def test_median_robust_to_one_outlier(self):
-        assert median_aggregate([30, 31, 29, 500]) == pytest.approx(30.5)
-
     def test_mad_filters_spam(self):
         answers = [30.0, 31.0, 29.0, 30.5, 95.0]
         assert mad_filtered_mean(answers) == pytest.approx(30.125)
@@ -102,7 +98,7 @@ class TestAggregation:
         assert mad_filtered_mean([42.0] * 5) == 42.0
 
     def test_empty_rejected(self):
-        for agg in (mean_aggregate, median_aggregate, mad_filtered_mean):
+        for agg in (mean_aggregate, mad_filtered_mean):
             with pytest.raises(CrowdsourcingError):
                 agg([])
 

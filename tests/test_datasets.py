@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import DataError
-from repro.datasets.splits import (
-    hourly_interval_groups,
-    is_rush_hour,
-    off_peak_intervals,
-    rush_hour_intervals,
-)
+from repro.datasets.splits import is_rush_hour
 from repro.datasets.synthetic import (
     build_dataset,
     metropolitan_dataset,
@@ -85,18 +80,11 @@ class TestSplits:
         assert not is_rush_hour(12.0)
         assert not is_rush_hour(3.0)
 
-    def test_rush_and_offpeak_partition_day(self, small_dataset):
-        rush = rush_hour_intervals(small_dataset)
-        off = off_peak_intervals(small_dataset)
-        assert not set(rush) & set(off)
-        assert sorted(rush + off) == small_dataset.test_day_intervals()
-
     def test_rush_duration(self, small_dataset):
-        rush = rush_hour_intervals(small_dataset)
+        rush = [
+            t
+            for t in small_dataset.test_day_intervals()
+            if is_rush_hour(small_dataset.grid.hour_of(t))
+        ]
         # 6 rush hours at 4 intervals/hour.
         assert len(rush) == 24
-
-    def test_hourly_groups(self, small_dataset):
-        groups = hourly_interval_groups(small_dataset)
-        assert set(groups) == set(range(24))
-        assert all(len(v) == 4 for v in groups.values())

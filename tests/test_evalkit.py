@@ -5,7 +5,7 @@ import pytest
 from repro.baselines.historical import HistoricalAverageBaseline
 from repro.core.errors import DataError
 from repro.core.types import Trend
-from repro.evalkit.harness import Evaluation, TwoStepMethod, intervals_for_day
+from repro.evalkit.harness import Evaluation, TwoStepMethod
 from repro.evalkit.metrics import (
     improvement_percent,
     speed_errors,
@@ -163,12 +163,3 @@ class TestEvaluation:
             Evaluation(small_dataset.test, small_dataset.store, [0], [])
         with pytest.raises(DataError):
             Evaluation(small_dataset.test, small_dataset.store, [10**7], [0])
-
-    def test_intervals_for_day(self, small_dataset):
-        day = small_dataset.first_test_day
-        intervals = intervals_for_day(
-            small_dataset.test, small_dataset.grid, day, stride=4
-        )
-        assert len(intervals) == 24
-        with pytest.raises(DataError):
-            intervals_for_day(small_dataset.test, small_dataset.grid, 999)

@@ -20,8 +20,6 @@ from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.fidelity import (
     CSRFidelityGraph,
     FidelityCacheService,
-    best_fidelity_row,
-    best_fidelity_rows,
     get_fidelity_service,
     set_fidelity_service,
 )
@@ -29,6 +27,7 @@ from repro.seeds.objective import SeedSelectionObjective
 from repro.trend.model import TrendModel
 from repro.trend.propagation import TrendPropagationInference
 from tests.oracles import ScalarPropagationInference, propagate_fidelity
+from tests.oracles.fidelity import best_fidelity_row, best_fidelity_rows
 
 
 def line_graph(agreements):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.roadnet.generators import (
-    composite_city,
     grid_city,
     metropolitan_city,
     ring_radial_city,
@@ -91,25 +90,6 @@ class TestRingRadialCity:
                     reachable.add(seg.end_node)
                     frontier.append(seg.end_node)
         assert reachable == set(net.node_ids())
-
-
-class TestCompositeCity:
-    def test_builds_and_validates(self):
-        net = composite_city(core_rows=5, core_cols=5, rings=2, spokes=8)
-        net.validate()
-        assert net.num_segments > grid_city(5, 5).num_segments
-
-    def test_has_all_three_structures(self):
-        net = composite_city(core_rows=5, core_cols=5, rings=2, spokes=8)
-        counts = net.class_counts()
-        assert counts.get("highway", 0) > 0  # outer rings + links
-        assert counts.get("arterial", 0) > 0  # core arterials
-        assert counts.get("local", 0) > 0  # core locals
-
-    def test_core_connected_to_periphery(self):
-        net = composite_city(core_rows=4, core_cols=4, rings=2, spokes=6)
-        outer_node = max(net.node_ids())
-        assert net.shortest_path(0, outer_node) is not None
 
 
 class TestSizedGrid:

@@ -1,7 +1,5 @@
 """Unit tests for planar geometry primitives."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,10 +7,6 @@ from hypothesis import strategies as st
 from repro.roadnet.geometry import (
     BoundingBox,
     Point,
-    heading_degrees,
-    interpolate_along,
-    point_segment_distance,
-    polyline_length,
     project_onto_segment,
 )
 
@@ -85,45 +79,6 @@ class TestBoundingBox:
         assert not a.intersects(BoundingBox(11, 11, 20, 20))
 
 
-class TestPolyline:
-    def test_length_of_segments(self):
-        pts = [Point(0, 0), Point(3, 4), Point(3, 10)]
-        assert polyline_length(pts) == pytest.approx(11.0)
-
-    def test_length_short_inputs(self):
-        assert polyline_length([]) == 0.0
-        assert polyline_length([Point(1, 1)]) == 0.0
-
-    def test_interpolate_endpoints(self):
-        pts = [Point(0, 0), Point(10, 0)]
-        assert interpolate_along(pts, 0.0) == Point(0, 0)
-        assert interpolate_along(pts, 1.0) == Point(10, 0)
-
-    def test_interpolate_midway_multi_segment(self):
-        pts = [Point(0, 0), Point(10, 0), Point(10, 10)]
-        mid = interpolate_along(pts, 0.5)
-        assert mid == Point(10, 0)
-
-    def test_interpolate_clamps(self):
-        pts = [Point(0, 0), Point(10, 0)]
-        assert interpolate_along(pts, -1.0) == Point(0, 0)
-        assert interpolate_along(pts, 2.0) == Point(10, 0)
-
-    def test_interpolate_empty_raises(self):
-        with pytest.raises(ValueError):
-            interpolate_along([], 0.5)
-
-    def test_interpolate_single_point(self):
-        assert interpolate_along([Point(2, 3)], 0.7) == Point(2, 3)
-
-    @given(st.floats(min_value=0, max_value=1))
-    def test_interpolated_point_is_on_segment(self, fraction):
-        pts = [Point(0, 0), Point(10, 0)]
-        p = interpolate_along(pts, fraction)
-        assert p.y == 0.0
-        assert 0.0 <= p.x <= 10.0
-
-
 class TestProjection:
     def test_projects_inside(self):
         foot, t = project_onto_segment(Point(5, 3), Point(0, 0), Point(10, 0))
@@ -146,33 +101,14 @@ class TestProjection:
         assert t == 0.0
 
     def test_distance_perpendicular(self):
-        assert point_segment_distance(Point(5, 3), Point(0, 0), Point(10, 0)) == 3.0
+        foot, _ = project_onto_segment(Point(5, 3), Point(0, 0), Point(10, 0))
+        assert Point(5, 3).distance_to(foot) == 3.0
 
     @given(coords, coords)
     def test_projection_distance_never_exceeds_endpoint_distance(self, x, y):
         p = Point(x, y)
         a, b = Point(0, 0), Point(100, 0)
-        d = point_segment_distance(p, a, b)
+        foot, _ = project_onto_segment(p, a, b)
+        d = p.distance_to(foot)
         assert d <= p.distance_to(a) + 1e-6
         assert d <= p.distance_to(b) + 1e-6
-
-
-class TestHeading:
-    def test_north(self):
-        assert heading_degrees(Point(0, 0), Point(0, 1)) == 0.0
-
-    def test_east(self):
-        assert heading_degrees(Point(0, 0), Point(1, 0)) == 90.0
-
-    def test_south(self):
-        assert heading_degrees(Point(0, 0), Point(0, -1)) == 180.0
-
-    def test_west(self):
-        assert heading_degrees(Point(0, 0), Point(-1, 0)) == 270.0
-
-    def test_zero_length_is_zero(self):
-        assert heading_degrees(Point(3, 3), Point(3, 3)) == 0.0
-
-    def test_range(self):
-        h = heading_degrees(Point(0, 0), Point(-1, -math.sqrt(3)))
-        assert 0.0 <= h < 360.0

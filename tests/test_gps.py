@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import DataError
-from repro.gps.map_matching import HmmMatcher, NearestMatcher
+from repro.gps.map_matching import HmmMatcher
 from repro.gps.speed_extraction import (
     ProbeSample,
     ProbeSpeedTable,
@@ -17,6 +17,7 @@ from repro.gps.trips import TripPlan, generate_trips, sample_departure_hour
 from repro.history.timebuckets import TimeGrid
 from repro.roadnet.geometry import Point
 from repro.traffic.simulator import TrafficSimulator
+from tests.oracles.map_matching import NearestMatcher
 
 
 @pytest.fixture(scope="module")

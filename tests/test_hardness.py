@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import SelectionError
-from repro.seeds.hardness import (
+from tests.oracles.hardness import (
     covers_all_elements,
     min_seed_budget,
     min_set_cover_size,

@@ -5,12 +5,7 @@ import pytest
 
 from repro.core.errors import DataError, InferenceError
 from repro.core.types import Trend
-from repro.speed.hlm import (
-    HierarchicalLinearModel,
-    HlmParams,
-    JointSeedRegression,
-    SeedRegression,
-)
+from repro.speed.hlm import HierarchicalLinearModel, HlmParams, JointSeedRegression
 from repro.trend.model import TrendPosterior
 
 
@@ -45,59 +40,19 @@ class TestHlmParams:
             HlmParams(**kwargs)
 
 
-class TestSeedRegression:
-    def test_self_regression_is_identity(self, small_dataset):
-        reg = SeedRegression(small_dataset.store)
-        road = small_dataset.store.road_ids[0]
-        assert reg.slope(road, road) == pytest.approx(1.0)
-        assert reg.weight(road, road) == pytest.approx(1.0)
-
-    def test_unknown_seed(self, small_dataset):
-        reg = SeedRegression(small_dataset.store)
-        with pytest.raises(InferenceError):
-            reg.for_seed(999999)
-
-    def test_slopes_match_manual_ols(self, small_dataset):
-        store = small_dataset.store
-        reg = SeedRegression(store)
-        seed = store.road_ids[3]
-        target = store.road_ids[8]
-        centred = store.deviation_matrix() - 1.0
-        x = centred[:, store.road_column(seed)]
-        y = centred[:, store.road_column(target)]
-        assert reg.slope(seed, target) == pytest.approx(
-            float(x @ y / (x @ x)), abs=1e-9
-        )
-
-    def test_weights_are_r_squared(self, small_dataset):
-        store = small_dataset.store
-        reg = SeedRegression(store)
-        seed, target = store.road_ids[3], store.road_ids[8]
-        centred = store.deviation_matrix() - 1.0
-        x = centred[:, store.road_column(seed)]
-        y = centred[:, store.road_column(target)]
-        r2 = float((x @ y) ** 2 / ((x @ x) * (y @ y)))
-        assert reg.weight(seed, target) == pytest.approx(r2, abs=1e-9)
-
-    def test_cached(self, small_dataset):
-        reg = SeedRegression(small_dataset.store)
-        seed = small_dataset.store.road_ids[0]
-        a = reg.for_seed(seed)
-        b = reg.for_seed(seed)
-        assert a is b
-
-
 class TestJointSeedRegression:
     def test_single_seed_close_to_marginal(self, small_dataset):
         """With one seed and tiny ridge, joint slope ≈ marginal OLS slope."""
         store = small_dataset.store
         joint = JointSeedRegression(store, HlmParams(ridge_alpha=1e-9))
-        marginal = SeedRegression(store)
         seed, target = store.road_ids[3], store.road_ids[8]
+        centred = store.deviation_matrix() - 1.0
+        x = centred[:, store.road_column(seed)]
+        y = centred[:, store.road_column(target)]
         fitted = joint.for_road(target, {seed: 0.5})
         assert fitted is not None
         assert fitted.coefficients[0] == pytest.approx(
-            marginal.slope(seed, target), abs=1e-6
+            float(x @ y / (x @ x)), abs=1e-6
         )
 
     def test_no_influence_returns_none(self, small_dataset):

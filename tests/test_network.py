@@ -8,7 +8,6 @@ from repro.roadnet.network import (
     FREE_FLOW_KMH,
     RoadNetwork,
     RoadSegment,
-    subnetwork_road_ids,
 )
 
 
@@ -171,8 +170,3 @@ class TestValidation:
         net.add_segment(0, 0, 1)
         with pytest.raises(NetworkError, match="isolated"):
             net.validate()
-
-    def test_subnetwork_road_ids(self, two_way_street):
-        assert subnetwork_road_ids(two_way_street, [12, 10, 10]) == [10, 12]
-        with pytest.raises(NetworkError):
-            subnetwork_road_ids(two_way_street, [10, 999])

@@ -14,6 +14,8 @@ structures survive by object identity.
 
 from __future__ import annotations
 
+from multiprocessing.connection import wait
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -390,6 +392,17 @@ def _worker_processes(pool):
     return list(pool._resources.executor._processes.values())
 
 
+def _exited(process, timeout=30.0):
+    """Whether ``process`` exits within ``timeout`` seconds.
+
+    Waits on the process sentinel, not ``join``/``is_alive``: the
+    executor's manager thread reaps a dead worker through the same
+    ``Process`` object, and a ``waitpid`` that loses that race leaves
+    ``is_alive()`` reporting a killed worker as alive.
+    """
+    return bool(wait([process.sentinel], timeout))
+
+
 class TestPoolFallback:
     def test_killed_worker_falls_back_in_process(self, small_dataset):
         """A SIGKILLed compile worker costs a fallback, not a round."""
@@ -417,8 +430,7 @@ class TestPoolFallback:
                 workers = _worker_processes(system._pool)
                 assert workers, "the first compile must have spawned workers"
                 os.kill(workers[0].pid, signal.SIGKILL)
-                workers[0].join(timeout=30)
-                assert not workers[0].is_alive()
+                assert _exited(workers[0])
 
                 # A new seed set is a cold compile through the dead pool.
                 seeds = roads[::13][:8]

@@ -10,7 +10,8 @@ from repro.core.types import Trend
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.fidelity import FidelityCacheService
 from repro.trend.model import TrendInstance
-from repro.trend.propagation import TrendPropagationInference, edge_fidelity
+from repro.trend.propagation import TrendPropagationInference
+from tests.oracles.fidelity import edge_fidelity
 from tests.oracles import ScalarPropagationInference
 
 

@@ -66,6 +66,43 @@ class TestErrors:
         with pytest.raises(DataError, match="missing field"):
             network_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: [doc],
+            lambda doc: {**doc, "intersections": [7, *doc["intersections"][1:]]},
+            lambda doc: {
+                **doc,
+                "intersections": [
+                    {**doc["intersections"][0], "x": "x"},
+                    *doc["intersections"][1:],
+                ],
+            },
+            lambda doc: {**doc, "segments": ["s", *doc["segments"][1:]]},
+            lambda doc: {
+                **doc,
+                "segments": [
+                    {**doc["segments"][0], "length_m": "long"},
+                    *doc["segments"][1:],
+                ],
+            },
+        ],
+        ids=[
+            "top-level-array",
+            "non-object-intersection",
+            "string-coordinate",
+            "non-object-segment",
+            "string-length",
+        ],
+    )
+    def test_malformed_document_raises_data_error(self, tmp_path, corrupt):
+        """Every malformed user file surfaces as DataError, never a raw
+        AttributeError/TypeError (or a silently accepted network)."""
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(corrupt(network_to_dict(grid_city(3, 3)))))
+        with pytest.raises(DataError):
+            load_network(path)
+
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):

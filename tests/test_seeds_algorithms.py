@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import SelectionError
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
-from repro.seeds.baselines import (
-    betweenness_select,
-    k_center_select,
-    random_select,
-    top_degree_select,
-)
+from repro.seeds.baselines import k_center_select, random_select, top_degree_select
 from repro.seeds.greedy import SelectionResult, greedy_select
 from repro.seeds.lazy import lazy_greedy_select
 from repro.seeds.objective import SeedSelectionObjective
@@ -373,10 +368,6 @@ class TestSelectionBaselines:
             small_dataset.graph.degree(r) for r in objective.road_ids
         )
         assert degrees[0] == max_degree
-
-    def test_betweenness_runs(self, objective):
-        result = betweenness_select(objective, 4)
-        assert len(result.seeds) == 4
 
     def test_k_center_spreads_out(self, objective, small_dataset):
         result = k_center_select(objective, 4, small_dataset.network)

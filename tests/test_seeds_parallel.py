@@ -22,9 +22,10 @@ from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.incremental import GraphDelta
 from repro.obs import recording
 from repro.seeds.objective import SeedSelectionObjective
-from repro.seeds.parallel import DistrictStage, parallel_partition_select
+from repro.seeds.parallel import DistrictStage
 from repro.seeds.partition import partition_greedy_select
 from tests.test_plan_sharded import (
+    _exited,
     _oracle,
     _shm_segments,
     _speeds,
@@ -51,19 +52,12 @@ class TestParallelVsSerialDifferential:
         assert parallel.gains == serial.gains
         assert parallel.values == serial.values
         assert parallel.evaluations == serial.evaluations
+        assert parallel.method == "partition-greedy-parallel"
 
     def test_identical_across_budgets(self, objective, pool):
         for budget in (1, 4, 13):
             serial = partition_greedy_select(objective, budget, 4)
             assert pool.select(budget).seeds == serial.seeds
-
-    def test_one_shot_helper(self, objective):
-        serial = partition_greedy_select(objective, 6, num_partitions=4)
-        parallel = parallel_partition_select(
-            objective, 6, num_partitions=4, num_workers=2
-        )
-        assert parallel.seeds == serial.seeds
-        assert parallel.method == "partition-greedy-parallel"
 
     def test_vote_accumulator_matches_matmul(
         self, objective, pool, small_dataset
@@ -240,8 +234,7 @@ class TestPoolCrash:
                 workers = _worker_processes(system._pool)
                 assert workers, "the first selection must have spawned workers"
                 os.kill(workers[0].pid, signal.SIGKILL)
-                workers[0].join(timeout=30)
-                assert not workers[0].is_alive()
+                assert _exited(workers[0])
 
                 system.select_seeds(9)
                 _assert_same_selection(system.selection, serial)

@@ -24,11 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.pool import SharedWorkerPool
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
-from repro.history.fidelity import (
-    CSRFidelityGraph,
-    FidelityCacheService,
-    edge_fidelity,
-)
+from repro.history.fidelity import CSRFidelityGraph, FidelityCacheService
 from repro.history.incremental import GraphDelta
 from repro.obs import FlightRecorder, set_recorder
 from repro.seeds.lazy import lazy_greedy_select
@@ -36,6 +32,7 @@ from repro.seeds.objective import SeedSelectionObjective
 from repro.seeds.parallel import DistrictStage, _SharedArrayObjective
 from repro.seeds.partition import allocate_budget, partition_graph
 from tests.oracles import propagate_fidelity
+from tests.oracles.fidelity import edge_fidelity
 from tests.strategies import random_graphs
 
 TRANSFORMS = ("fidelity", "variance", "logodds")

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import NetworkError
-from repro.roadnet.geometry import Point, point_segment_distance
+from repro.roadnet.geometry import Point, project_onto_segment
 from repro.roadnet.generators import grid_city
 from repro.roadnet.network import RoadNetwork
 from repro.roadnet.spatial_index import SpatialIndex
@@ -85,7 +85,9 @@ class TestQueries:
         match = index.nearest_segment(point, radius_m=250)
         brute = min(
             (
-                point_segment_distance(point, *net.segment_endpoints(r))
+                point.distance_to(
+                    project_onto_segment(point, *net.segment_endpoints(r))[0]
+                )
                 for r in net.road_ids()
             ),
         )

@@ -14,13 +14,11 @@ from hypothesis import strategies as st
 from repro.core.errors import InferenceError
 from repro.core.types import Trend
 from repro.trend.bp import LoopyBeliefPropagation
-from repro.trend.exact import (
-    ExactEnumerationInference,
-    exact_map_assignment,
-)
+from repro.trend.exact import ExactEnumerationInference
 from repro.trend.gibbs import GibbsSamplingInference
 from repro.trend.model import TrendInstance
 from repro.trend.propagation import TrendPropagationInference
+from tests.oracles.mapcut import exact_map_assignment
 
 
 def chain_instance(potentials=(0.9, 0.8, 0.7), priors=None, evidence=None):

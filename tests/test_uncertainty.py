@@ -8,11 +8,10 @@ from repro.speed.estimator import TwoStepEstimator
 from repro.speed.uncertainty import (
     SpeedBand,
     UncertaintyModel,
-    margin_kmh,
-    normal_confidences,
     sharpness_kmh,
     z_for_confidence,
 )
+from tests.oracles.uncertainty import normal_confidences
 
 
 @pytest.fixture(scope="module")
@@ -36,11 +35,6 @@ class TestHelpers:
         assert z_for_confidence(0.99) > z_for_confidence(0.80)
         with pytest.raises(InferenceError):
             z_for_confidence(0.5)
-
-    def test_margin(self):
-        assert margin_kmh(2.0, 0.90) == pytest.approx(2.0 * 1.6449)
-        with pytest.raises(InferenceError):
-            margin_kmh(-1.0, 0.90)
 
     def test_confidence_list(self):
         assert 0.90 in normal_confidences()
