@@ -21,23 +21,50 @@ beijing`` by default) and print plain-text tables.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import Sequence
+import tempfile
+from collections import Counter
+from typing import Callable, Iterator, Sequence
 
+from repro.core.breaker import CircuitBreaker
+from repro.core.clock import ManualClock
 from repro.core.config import PipelineConfig
+from repro.core.errors import CrowdsourcingError, DataError
 from repro.core.pipeline import SpeedEstimationSystem
 from repro.core.routing import RoutePlanner, route_travel_time_s
+from repro.crowd.health import WorkerHealthTracker
+from repro.crowd.platform import CrowdsourcingPlatform
+from repro.crowd.workers import WorkerPool, WorkerPoolParams
 from repro.datasets.synthetic import (
     TrafficDataset,
     synthetic_beijing,
     synthetic_tianjin,
 )
 from repro.evalkit.reporting import fmt, format_table
+from repro.obs import (
+    OK,
+    PAGE,
+    FlightRecorder,
+    SLOEngine,
+    dashboard_file,
+    default_serving_slos,
+    recording,
+    report_file,
+    to_json,
+    to_prometheus_text,
+    verify_recording,
+)
 
 CITIES = {
     "beijing": synthetic_beijing,
     "tianjin": synthetic_tianjin,
 }
+
+
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """An argparse ``parents=`` group: flags several commands share."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,93 +73,90 @@ def build_parser() -> argparse.ArgumentParser:
         description="Crowdsourcing-based real-time traffic speed estimation "
         "(ICDE 2016 reproduction)",
     )
-    parser.add_argument(
-        "--city",
-        choices=sorted(CITIES),
-        default="beijing",
-        help="which synthetic city to operate on",
-    )
+    parser.add_argument("--city", choices=sorted(CITIES), default="beijing",
+                        help="which synthetic city to operate on")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    commands.add_parser("info", help="print dataset statistics")
-
-    select = commands.add_parser("select", help="select crowdsourcing seeds")
-    select.add_argument("--budget", type=int, default=None,
+    budget = _flags()
+    budget.add_argument("--budget", type=int, default=None,
                         help="number of seeds (default: 5%% of roads)")
-    select.add_argument(
-        "--method",
-        choices=["greedy", "lazy", "partition", "random", "top-degree",
-                 "k-center"],
-        default="lazy",
+    test_hour = _flags(budget)
+    test_hour.add_argument("--hour", type=float, default=8.5,
+                           help="time of day on the first test day")
+    round_hour = _flags(budget)
+    round_hour.add_argument("--hour", type=float, default=8.0,
+                            help="time of day of the first round")
+    metrics = _flags()
+    metrics.add_argument("--metrics-out", default=None,
+                         help="dump the final metrics registry "
+                         "(.prom -> Prometheus text, otherwise JSON)")
+    faults = _flags()
+    faults.add_argument("--scenario", default=None,
+                        help="worker-level fault scenario to inject "
+                        "(see repro.faults.bundled_scenarios)")
+    plan = _flags()
+    plan.add_argument("--plan-shards", type=int, default=1, metavar="D",
+                      help="split the Step-2 interval plan into D partition "
+                      "districts (bitwise identical to one district; graph "
+                      "deltas recompile per district)")
+    plan.add_argument("--plan-workers", type=int, default=0, metavar="N",
+                      help="worker-pool size for D > 1: one pool runs every "
+                      "district compile (0 = one per CPU, 1 = in-process)")
+
+    info = commands.add_parser("info", help="print dataset statistics")
+    info.set_defaults(run=cmd_info)
+
+    select = commands.add_parser(
+        "select", parents=[budget], help="select crowdsourcing seeds"
     )
-    select.add_argument(
-        "--parallel", action="store_true",
-        help="run partitioned selection across a process pool with the "
-             "CSR fidelity arrays in shared memory (implies "
-             "--method partition)",
-    )
-    select.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="worker-pool size for --parallel: one pool runs district "
-             "selection and Step-1 votes (0 = one per CPU, 1 = in-process)",
-    )
-    select.add_argument(
-        "--partitions", type=int, default=8, metavar="P",
-        help="number of BFS-grown districts for partitioned selection",
-    )
-    select.add_argument(
-        "--rounds", type=int, default=1, metavar="R",
-        help="re-select R times with the warm-started incremental CELF "
-             "and report how much of the scan stayed cached",
-    )
+    select.add_argument("--method", default="lazy", choices=[
+        "greedy", "lazy", "partition", "random", "top-degree", "k-center"])
+    select.add_argument("--parallel", action="store_true",
+                        help="run partitioned selection across a process "
+                        "pool with the CSR fidelity arrays in shared memory "
+                        "(implies --method partition)")
+    select.add_argument("--workers", type=int, default=0, metavar="N",
+                        help="worker-pool size for --parallel: one pool runs "
+                        "district selection and Step-1 votes (0 = one per "
+                        "CPU, 1 = in-process)")
+    select.add_argument("--partitions", type=int, default=8, metavar="P",
+                        help="number of BFS-grown districts for partitioned "
+                        "selection")
+    select.add_argument("--rounds", type=int, default=1, metavar="R",
+                        help="re-select R times with the warm-started "
+                        "incremental CELF and report how much of the scan "
+                        "stayed cached")
+    select.set_defaults(run=cmd_select)
 
     estimate = commands.add_parser(
-        "estimate", help="run one estimation round against ground truth"
+        "estimate", parents=[test_hour, plan],
+        help="run one estimation round against ground truth",
     )
-    estimate.add_argument("--budget", type=int, default=None)
-    estimate.add_argument("--hour", type=float, default=8.5,
-                          help="time of day on the first test day")
     estimate.add_argument("--show", type=int, default=10,
                           help="number of sample roads to print")
     estimate.add_argument("--map", action="store_true", dest="show_map",
                           help="print an ASCII congestion map")
-    estimate.add_argument(
-        "--sharded-plan", action="store_true",
-        help="split the Step-2 interval plan into partition districts "
-             "(bitwise identical to the one-district plan)")
-    estimate.add_argument(
-        "--plan-shards", type=int, default=0, metavar="D",
-        help="district count for --sharded-plan (0 = num_partitions)")
-    estimate.add_argument(
-        "--plan-workers", type=int, default=0, metavar="N",
-        help="worker-pool size: one pool runs every district compile "
-             "(0 = one per CPU, 1 = in-process)")
+    estimate.set_defaults(run=cmd_estimate)
 
     route = commands.add_parser(
-        "route", help="plan a route on estimated speeds"
+        "route", parents=[test_hour], help="plan a route on estimated speeds"
     )
     route.add_argument("--from", dest="origin", type=int, required=True,
                        help="origin intersection id")
     route.add_argument("--to", dest="destination", type=int, required=True,
                        help="destination intersection id")
-    route.add_argument("--budget", type=int, default=None)
-    route.add_argument("--hour", type=float, default=8.5)
+    route.set_defaults(run=cmd_route)
 
     serve = commands.add_parser(
-        "serve",
+        "serve", parents=[round_hour, metrics, faults, plan],
         help="run the snapshot publisher/store serving loop "
         "(optionally under an infrastructure fault scenario)",
     )
     serve.add_argument("--rounds", type=int, default=8,
                        help="number of publish rounds to drive")
-    serve.add_argument("--budget", type=int, default=None)
-    serve.add_argument("--hour", type=float, default=8.0,
-                       help="time of day of the first round")
     serve.add_argument("--infra-scenario", default=None,
                        help="infrastructure fault scenario to inject "
                        "(see repro.faults.bundled_infra_scenarios)")
-    serve.add_argument("--scenario", default=None,
-                       help="worker-level fault scenario to inject alongside")
     serve.add_argument("--snapshot-dir", default=None,
                        help="directory for persisted snapshots "
                        "(default: a temporary directory)")
@@ -153,23 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--explain", type=int, default=None, metavar="ROAD",
                        help="print the provenance chain for one road's "
                        "read after the loop")
-    serve.add_argument("--metrics-out", default=None,
-                       help="dump the final metrics registry "
-                       "(.prom -> Prometheus text, otherwise JSON)")
-    serve.add_argument(
-        "--sharded-plan", action="store_true",
-        help="serve Step-2 through district-sharded interval plans "
-             "(bitwise identical; graph deltas recompile per district)")
-    serve.add_argument(
-        "--plan-shards", type=int, default=0, metavar="D",
-        help="district count for --sharded-plan (0 = num_partitions)")
-    serve.add_argument(
-        "--plan-workers", type=int, default=0, metavar="N",
-        help="worker-pool size: one pool runs every district compile "
-             "(0 = one per CPU, 1 = in-process)")
+    serve.set_defaults(run=cmd_serve)
 
     stream = commands.add_parser(
-        "stream",
+        "stream", parents=[budget, metrics],
         help="drive the streaming ingest loop: rolling window, "
         "incremental re-mining and delta-scoped cache eviction",
     )
@@ -177,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulated days streamed after the warmup window")
     stream.add_argument("--window", type=int, default=7,
                         help="rolling-history window in days")
-    stream.add_argument("--budget", type=int, default=None)
     stream.add_argument("--serve-rounds", type=int, default=2,
                         help="estimation rounds served per streamed day")
     stream.add_argument("--sim-seed", type=int, default=123,
@@ -185,9 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--check", action="store_true",
                         help="exit non-zero on any wholesale cache "
                         "invalidation or incremental/batch mining mismatch")
-    stream.add_argument("--metrics-out", default=None,
-                        help="dump the final metrics registry "
-                        "(.prom -> Prometheus text, otherwise JSON)")
+    stream.set_defaults(run=cmd_stream)
 
     obs = commands.add_parser(
         "obs", help="pipeline telemetry: record and inspect flight logs"
@@ -195,33 +203,28 @@ def build_parser() -> argparse.ArgumentParser:
     obs_commands = obs.add_subparsers(dest="obs_command", required=True)
 
     record = obs_commands.add_parser(
-        "record",
+        "record", parents=[round_hour, metrics, faults],
         help="run crowdsourced estimation rounds with the flight recorder on",
     )
     record.add_argument("--out", required=True,
                         help="JSONL event log to write")
     record.add_argument("--rounds", type=int, default=6,
                         help="number of consecutive crowdsourcing rounds")
-    record.add_argument("--budget", type=int, default=None)
-    record.add_argument("--hour", type=float, default=8.0,
-                        help="time of day of the first round")
-    record.add_argument("--scenario", default=None,
-                        help="optional fault scenario to inject "
-                        "(see repro.faults.bundled_scenarios)")
-    record.add_argument("--metrics-out", default=None,
-                        help="also dump the final metrics registry "
-                        "(.prom -> Prometheus text, otherwise JSON)")
+    record.set_defaults(run=cmd_obs_record)
 
+    # The log-file commands read one file and need no dataset.
     report = obs_commands.add_parser(
         "report", help="render a recording as a round-by-round summary"
     )
     report.add_argument("recording", help="JSONL event log to render")
+    report.set_defaults(run=cmd_obs_report, needs_dataset=False)
 
     verify = obs_commands.add_parser(
         "verify",
         help="validate a recording (non-zero exit if empty or malformed)",
     )
     verify.add_argument("recording", help="JSONL event log to check")
+    verify.set_defaults(run=cmd_obs_verify, needs_dataset=False)
 
     top = obs_commands.add_parser(
         "top",
@@ -229,34 +232,47 @@ def build_parser() -> argparse.ArgumentParser:
         "(serve --metrics-out) or a JSONL recording",
     )
     top.add_argument("source", help="metrics JSON or JSONL recording")
+    top.set_defaults(run=cmd_obs_top, needs_dataset=False)
     return parser
 
 
 def _default_budget(dataset: TrafficDataset, budget: int | None) -> int:
     if budget is not None:
-        if budget < 1:
-            raise SystemExit("error: --budget must be >= 1")
         return budget
     return max(1, round(dataset.network.num_segments * 0.05))
 
 
-def _fitted_system(
-    dataset: TrafficDataset, config: PipelineConfig | None = None
-) -> SpeedEstimationSystem:
-    return SpeedEstimationSystem.from_parts(
+@contextlib.contextmanager
+def _seeded_system(
+    dataset: TrafficDataset,
+    budget: int | None,
+    hour: float,
+    config: PipelineConfig | None = None,
+    recorder: FlightRecorder | None = None,
+) -> Iterator[tuple[SpeedEstimationSystem, int, int]]:
+    """The fitted system with its K seeds selected, K, and the interval
+    at ``hour`` on the first test day; the system closes on exit.
+
+    With a ``recorder``, selection and the body run under it.
+    """
+    k = _default_budget(dataset, budget)
+    with SpeedEstimationSystem.from_parts(
         dataset.network, dataset.store, dataset.graph, config
-    )
+    ) as system, (
+        recording(recorder) if recorder is not None
+        else contextlib.nullcontext()
+    ):
+        system.select_seeds(k)
+        yield system, k, dataset.grid.interval_at(dataset.first_test_day, hour)
 
 
-def _plan_config(
-    sharded_plan: bool, plan_shards: int, plan_workers: int = 0
-) -> PipelineConfig | None:
-    """The pipeline config for the --sharded-plan family of flags."""
-    if not sharded_plan:
-        if plan_shards or plan_workers:
-            raise SystemExit(
-                "error: --plan-shards/--plan-workers require --sharded-plan"
-            )
+def _plan_config(plan_shards: int, plan_workers: int) -> PipelineConfig | None:
+    """The pipeline config for ``--plan-shards D --plan-workers N``."""
+    if plan_shards < 1:
+        raise SystemExit("error: --plan-shards must be >= 1")
+    if plan_shards == 1:
+        if plan_workers:
+            raise SystemExit("error: --plan-workers requires --plan-shards > 1")
         return None
     return PipelineConfig(
         use_sharded_plan=True,
@@ -265,22 +281,65 @@ def _plan_config(
     )
 
 
-def cmd_info(dataset: TrafficDataset) -> str:
+def _crowd_platform(scenario: str | None) -> CrowdsourcingPlatform:
+    """The simulated crowd (200 workers, five answers a task), optionally
+    under a bundled worker-level fault scenario."""
+    pool = WorkerPool.sample(
+        200,
+        WorkerPoolParams(noise_std_frac=0.10, spammer_fraction=0.05),
+        seed=7,
+    )
+    if scenario is not None:
+        from repro.faults import get_scenario, inject_faults
+
+        try:
+            pool = inject_faults(pool, get_scenario(scenario))
+        except CrowdsourcingError as exc:
+            raise SystemExit(f"error: {exc}")
+    return CrowdsourcingPlatform(
+        pool,
+        workers_per_task=5,
+        cost_per_answer=0.05,
+        health=WorkerHealthTracker(),
+        circuit_breaker=CircuitBreaker(),
+    )
+
+
+def _dump_metrics(
+    recorder: FlightRecorder | None, path: str | None
+) -> list[str]:
+    """Write the recorder's metrics registry to ``path`` (Prometheus text
+    for ``.prom``, JSON otherwise) and return the output line saying so;
+    without a path (the only case with no recorder), nothing."""
+    if path is None:
+        return []
+    registry = recorder.registry
+    text = (
+        to_prometheus_text(registry)
+        if path.endswith(".prom")
+        else to_json(registry)
+    )
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    return [f"Final metrics registry -> {path}"]
+
+
+def cmd_info(dataset: TrafficDataset) -> tuple[str, int]:
     info = dataset.describe()
     rows = [[key, str(value)] for key, value in info.items()]
     return format_table(["property", "value"], rows,
-                        title=f"Dataset: {dataset.name}")
+                        title=f"Dataset: {dataset.name}"), 0
 
 
 def cmd_select(
     dataset: TrafficDataset,
     budget: int | None,
     method: str,
-    parallel: bool = False,
-    workers: int = 0,
-    partitions: int = 8,
-    rounds: int = 1,
-) -> str:
+    parallel: bool,
+    workers: int,
+    partitions: int,
+    rounds: int,
+) -> tuple[str, int]:
     if parallel:
         method = "partition"
     config = PipelineConfig(
@@ -291,7 +350,9 @@ def cmd_select(
     )
     k = _default_budget(dataset, budget)
     lines = []
-    with _fitted_system(dataset, config) as system:
+    with SpeedEstimationSystem.from_parts(
+        dataset.network, dataset.store, dataset.graph, config
+    ) as system:
         if rounds > 1:
             # Warm-started incremental CELF: round 1 pays the full scan,
             # stable rounds re-evaluate nothing.
@@ -303,23 +364,20 @@ def cmd_select(
                     f"evaluations ({result.method})"
                 )
         else:
-            seeds = system.select_seeds(k, method=method)
+            seeds = system.select_seeds(k)
         result = system.selection
     rows = [
         [i + 1, seed, dataset.network.segment(seed).road_class,
          fmt(result.gains[i], 2)]
         for i, seed in enumerate(seeds)
     ]
-    header = (
+    lines.append(
         f"Selected {k} seeds with {result.method} "
         f"(objective {result.final_value:.1f}, "
         f"{result.evaluations} gain evaluations)"
     )
-    if lines:
-        header = "\n".join(lines) + "\n" + header
-    return header + "\n" + format_table(
-        ["#", "road", "class", "marginal gain"], rows
-    )
+    lines.append(format_table(["#", "road", "class", "marginal gain"], rows))
+    return "\n".join(lines), 0
 
 
 def cmd_estimate(
@@ -327,44 +385,33 @@ def cmd_estimate(
     budget: int | None,
     hour: float,
     show: int,
-    show_map: bool = False,
-    sharded_plan: bool = False,
-    plan_shards: int = 0,
-    plan_workers: int = 0,
-) -> str:
-    if not 0.0 <= hour < 24.0:
-        raise SystemExit("error: --hour must be in [0, 24)")
-    with _fitted_system(
-        dataset, _plan_config(sharded_plan, plan_shards, plan_workers)
-    ) as system:
-        k = _default_budget(dataset, budget)
-        seeds = system.select_seeds(k)
-        interval = dataset.grid.interval_at(dataset.first_test_day, hour)
+    show_map: bool,
+    plan_shards: int,
+    plan_workers: int,
+) -> tuple[str, int]:
+    config = _plan_config(plan_shards, plan_workers)
+    with _seeded_system(dataset, budget, hour, config) as (system, k, interval):
         truth = dataset.test.speeds_at(interval)
-        crowd = {r: truth[r] for r in seeds}
+        crowd = {r: truth[r] for r in system.seeds}
         estimates = system.estimate(interval, crowd)
 
-    rows = []
-    errors = []
-    ha_errors = []
-    for road in dataset.network.road_ids():
-        if road in crowd:
-            continue
-        estimate = estimates[road]
-        errors.append(abs(estimate.speed_kmh - truth[road]))
-        ha_errors.append(
-            abs(dataset.store.historical_speed(road, interval) - truth[road])
-        )
-        if len(rows) < show:
-            rows.append(
-                [
-                    road,
-                    fmt(truth[road], 1),
-                    fmt(estimate.speed_kmh, 1),
-                    estimate.trend.name,
-                    fmt(estimate.trend_probability, 2),
-                ]
-            )
+    historical = {
+        r: dataset.store.historical_speed(r, interval)
+        for r in dataset.network.road_ids()
+    }
+    others = [r for r in historical if r not in crowd]
+    errors = [abs(estimates[r].speed_kmh - truth[r]) for r in others]
+    ha_errors = [abs(historical[r] - truth[r]) for r in others]
+    rows = [
+        [
+            r,
+            fmt(truth[r], 1),
+            fmt(estimates[r].speed_kmh, 1),
+            estimates[r].trend.name,
+            fmt(estimates[r].trend_probability, 2),
+        ]
+        for r in others[: max(0, show)]
+    ]
     mae = sum(errors) / len(errors)
     ha_mae = sum(ha_errors) / len(ha_errors)
     table = format_table(
@@ -381,15 +428,11 @@ def cmd_estimate(
         from repro.evalkit.ascii_map import render_deviation_map
 
         estimated = {r: e.speed_kmh for r, e in estimates.items()}
-        historical = {
-            r: dataset.store.historical_speed(r, interval)
-            for r in dataset.network.road_ids()
-        }
         output += "\n\nEstimated congestion (dense = far below usual speed):\n"
         output += render_deviation_map(
             dataset.network, estimated, historical, width=48
         )
-    return output
+    return output, 0
 
 
 def cmd_route(
@@ -398,14 +441,11 @@ def cmd_route(
     destination: int,
     budget: int | None,
     hour: float,
-) -> str:
-    system = _fitted_system(dataset)
-    k = _default_budget(dataset, budget)
-    seeds = system.select_seeds(k)
-    interval = dataset.grid.interval_at(dataset.first_test_day, hour)
-    truth = dataset.test.speeds_at(interval)
-    crowd = {r: truth[r] for r in seeds}
-    estimates = system.estimate(interval, crowd)
+) -> tuple[str, int]:
+    with _seeded_system(dataset, budget, hour) as (system, _, interval):
+        truth = dataset.test.speeds_at(interval)
+        crowd = {r: truth[r] for r in system.seeds}
+        estimates = system.estimate(interval, crowd)
     est_speeds = {r: e.speed_kmh for r, e in estimates.items()}
 
     planner = RoutePlanner(dataset.network)
@@ -426,7 +466,7 @@ def cmd_route(
         f"Actual time at true speeds: {actual / 60.0:.1f} min",
         f"ETA error: {abs(plan.eta_s - actual):.0f} s",
     ]
-    return "\n".join(lines)
+    return "\n".join(lines), 0
 
 
 def cmd_obs_record(
@@ -437,65 +477,29 @@ def cmd_obs_record(
     hour: float,
     scenario: str | None,
     metrics_out: str | None,
-) -> str:
+) -> tuple[str, int]:
     """Flight-record ``rounds`` consecutive crowdsourced rounds."""
     if rounds < 1:
         raise SystemExit("error: --rounds must be >= 1")
-    if not 0.0 <= hour < 24.0:
-        raise SystemExit("error: --hour must be in [0, 24)")
-    from repro.core.breaker import CircuitBreaker
-    from repro.crowd.health import WorkerHealthTracker
-    from repro.crowd.platform import CrowdsourcingPlatform
-    from repro.crowd.workers import WorkerPool, WorkerPoolParams
-    from repro.obs import FlightRecorder, recording, to_json, to_prometheus_text
-
-    system = _fitted_system(dataset)
-    k = _default_budget(dataset, budget)
-    pool = WorkerPool.sample(
-        200,
-        WorkerPoolParams(noise_std_frac=0.10, spammer_fraction=0.05),
-        seed=7,
-    )
-    if scenario is not None:
-        from repro.faults import get_scenario, inject_faults
-
-        try:
-            pool = inject_faults(pool, get_scenario(scenario))
-        except Exception as exc:
-            raise SystemExit(f"error: unknown fault scenario: {exc}")
-    platform = CrowdsourcingPlatform(
-        pool,
-        workers_per_task=5,
-        cost_per_answer=0.05,
-        health=WorkerHealthTracker(),
-        circuit_breaker=CircuitBreaker(),
-    )
-
-    start = dataset.grid.interval_at(dataset.first_test_day, hour)
-    with recording(FlightRecorder(path=out)) as recorder:
-        system.select_seeds(k)
+    platform = _crowd_platform(scenario)
+    recorder = FlightRecorder(path=out)
+    with _seeded_system(dataset, budget, hour, recorder=recorder) as (
+        system, k, start
+    ):
         degraded = 0
         for i in range(rounds):
             outcome = system.run_round(
                 start + i, dataset.test, platform, crowd_seed=start + i
             )
             degraded += outcome.degraded
-        if metrics_out is not None:
-            text = (
-                to_prometheus_text(recorder.registry)
-                if metrics_out.endswith(".prom")
-                else to_json(recorder.registry)
-            )
-            with open(metrics_out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+        dumped = _dump_metrics(recorder, metrics_out)
     lines = [
         f"Recorded {rounds} rounds ({degraded} degraded) with K={k} seeds "
         f"on {dataset.name} -> {out}",
+        *dumped,
+        f"Render with: repro-traffic obs report {out}",
     ]
-    if metrics_out is not None:
-        lines.append(f"Final metrics registry -> {metrics_out}")
-    lines.append(f"Render with: repro-traffic obs report {out}")
-    return "\n".join(lines)
+    return "\n".join(lines), 0
 
 
 def cmd_serve(
@@ -508,46 +512,23 @@ def cmd_serve(
     snapshot_dir: str | None,
     readers: int,
     check: bool,
-    slo: bool = False,
-    slo_check: bool = False,
-    expect_page: str | None = None,
-    explain: int | None = None,
-    metrics_out: str | None = None,
-    sharded_plan: bool = False,
-    plan_shards: int = 0,
-    plan_workers: int = 0,
+    slo: bool,
+    slo_check: bool,
+    expect_page: str | None,
+    explain: int | None,
+    metrics_out: str | None,
+    plan_shards: int,
+    plan_workers: int,
 ) -> tuple[str, int]:
     """Drive the publisher/store serving loop and sweep readers.
 
-    Returns ``(output, exit_code)``; the exit code is non-zero only
-    with ``--check`` when a serving invariant was violated (a reader
-    saw an exception, or an unverified snapshot was served), or with
-    ``--slo-check`` / ``--expect-page`` when the SLO arc did not play
-    out as required.
+    The exit code is non-zero only with ``--check`` when a serving
+    invariant was violated (a reader saw an exception, or an unverified
+    snapshot was served), or with ``--slo-check`` / ``--expect-page``
+    when the SLO arc did not play out as required.
     """
     if rounds < 1:
         raise SystemExit("error: --rounds must be >= 1")
-    if not 0.0 <= hour < 24.0:
-        raise SystemExit("error: --hour must be in [0, 24)")
-    import contextlib
-    import tempfile
-    from collections import Counter
-
-    from repro.core.clock import ManualClock
-    from repro.core.breaker import CircuitBreaker
-    from repro.crowd.health import WorkerHealthTracker
-    from repro.crowd.platform import CrowdsourcingPlatform
-    from repro.crowd.workers import WorkerPool, WorkerPoolParams
-    from repro.obs import (
-        OK,
-        PAGE,
-        FlightRecorder,
-        SLOEngine,
-        default_serving_slos,
-        recording,
-        to_json,
-        to_prometheus_text,
-    )
     from repro.serving import (
         EstimateStore,
         SnapshotPublisher,
@@ -558,31 +539,8 @@ def cmd_serve(
 
     slo_check = slo_check or expect_page is not None
     slo = slo or slo_check
-
-    system = _fitted_system(
-        dataset, _plan_config(sharded_plan, plan_shards, plan_workers)
-    )
-    k = _default_budget(dataset, budget)
-    system.select_seeds(k)
-    pool = WorkerPool.sample(
-        200,
-        WorkerPoolParams(noise_std_frac=0.10, spammer_fraction=0.05),
-        seed=7,
-    )
-    if scenario is not None:
-        from repro.faults import get_scenario, inject_faults
-
-        try:
-            pool = inject_faults(pool, get_scenario(scenario))
-        except Exception as exc:
-            raise SystemExit(f"error: unknown fault scenario: {exc}")
-    platform = CrowdsourcingPlatform(
-        pool,
-        workers_per_task=5,
-        cost_per_answer=0.05,
-        health=WorkerHealthTracker(),
-        circuit_breaker=CircuitBreaker(),
-    )
+    config = _plan_config(plan_shards, plan_workers)
+    platform = _crowd_platform(scenario)
 
     clock = ManualClock()
     interval_s = dataset.grid.interval_minutes * 60.0
@@ -592,7 +550,7 @@ def cmd_serve(
 
         try:
             infra = get_infra_scenario(infra_scenario, interval_s)
-        except Exception as exc:
+        except CrowdsourcingError as exc:
             raise SystemExit(f"error: {exc}")
         injector = InfraInjector(infra, clock)
     store = EstimateStore(
@@ -603,79 +561,72 @@ def cmd_serve(
             soft_after_s=1.5 * interval_s, hard_after_s=4.0 * interval_s
         ),
     )
-    publisher = SnapshotPublisher(
-        system,
-        store,
-        UncertaintyModel(system.estimator, dataset.store),
-        watchdog=default_watchdog(interval_s, clock=clock),
-        clock=clock,
-        snapshot_dir=snapshot_dir or tempfile.mkdtemp(prefix="repro-serve-"),
-        injector=injector,
-    )
 
-    start = dataset.grid.interval_at(dataset.first_test_day, hour)
     sweep = dataset.network.road_ids()[: max(1, readers)]
     reader_errors = 0
     unverified_served = 0
     status_totals: Counter = Counter()
     rows = []
     state_history: dict[str, list[str]] = {}
-    record_metrics = slo or metrics_out is not None
     recorder_ctx = (
         recording(FlightRecorder())
-        if record_metrics
+        if slo or metrics_out is not None
         else contextlib.nullcontext(None)
     )
-    with recorder_ctx as recorder:
-        engine = None
-        if slo:
-            engine = SLOEngine(
-                recorder.registry,
-                default_serving_slos(
-                    interval_s, soft_after_s=1.5 * interval_s
-                ),
-                clock=clock,
-            )
-        for i in range(rounds):
-            report = publisher.publish_round(
-                start + i, dataset.test, platform, crowd_seed=start + i
-            )
-            try:
-                served = store.get_many(sweep)
-                statuses = Counter(s.status for s in served.values())
-            except Exception:  # the invariant --check guards
-                reader_errors += 1
-                statuses = Counter()
-            snapshot = store.latest()
-            if snapshot is not None and not snapshot.verify():
-                unverified_served += 1
-            status_totals.update(statuses)
-            row = [
-                i,
-                report.outcome,
-                "-" if report.version is None else report.version,
-                " ".join(f"{s}:{n}" for s, n in sorted(statuses.items())) or "-",
-                (report.error or "")[:44],
-            ]
-            if engine is not None:
-                states = engine.tick()
-                for name, state in states.items():
-                    state_history.setdefault(name, []).append(state)
-                alerting = [f"{n}={s}" for n, s in states.items() if s != OK]
-                row.append(" ".join(alerting) or "ok")
-            rows.append(row)
-            clock.advance(interval_s)
-        if metrics_out is not None:
-            text = (
-                to_prometheus_text(recorder.registry)
-                if metrics_out.endswith(".prom")
-                else to_json(recorder.registry)
-            )
-            with open(metrics_out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        explanation = store.explain(explain) if explain is not None else None
-        slo_statuses = engine.statuses() if engine is not None else None
-    system.close()  # stops the worker pool when sharded
+    with _seeded_system(dataset, budget, hour, config) as (system, k, start):
+        publisher = SnapshotPublisher(
+            system,
+            store,
+            UncertaintyModel(system.estimator, dataset.store),
+            watchdog=default_watchdog(interval_s, clock=clock),
+            clock=clock,
+            snapshot_dir=snapshot_dir or tempfile.mkdtemp(prefix="repro-serve-"),
+            injector=injector,
+        )
+        with recorder_ctx as recorder:
+            engine = None
+            if slo:
+                engine = SLOEngine(
+                    recorder.registry,
+                    default_serving_slos(
+                        interval_s, soft_after_s=1.5 * interval_s
+                    ),
+                    clock=clock,
+                )
+            for i in range(rounds):
+                report = publisher.publish_round(
+                    start + i, dataset.test, platform, crowd_seed=start + i
+                )
+                try:
+                    served = store.get_many(sweep)
+                    statuses = Counter(s.status for s in served.values())
+                except Exception:  # the invariant --check guards
+                    reader_errors += 1
+                    statuses = Counter()
+                snapshot = store.latest()
+                if snapshot is not None and not snapshot.verify():
+                    unverified_served += 1
+                status_totals.update(statuses)
+                row = [
+                    i,
+                    report.outcome,
+                    "-" if report.version is None else report.version,
+                    " ".join(f"{s}:{n}" for s, n in sorted(statuses.items()))
+                    or "-",
+                    (report.error or "")[:44],
+                ]
+                if engine is not None:
+                    states = engine.tick()
+                    for name, state in states.items():
+                        state_history.setdefault(name, []).append(state)
+                    alerting = [
+                        f"{n}={s}" for n, s in states.items() if s != OK
+                    ]
+                    row.append(" ".join(alerting) or "ok")
+                rows.append(row)
+                clock.advance(interval_s)
+            dumped = _dump_metrics(recorder, metrics_out)
+            explanation = store.explain(explain) if explain is not None else None
     answered = sum(
         n for s, n in status_totals.items()
         if s in ("fresh", "stale", "baseline")
@@ -700,7 +651,7 @@ def cmd_serve(
         f"unverified snapshots served: {unverified_served}",
     ]
     slo_failures: list[str] = []
-    if slo_statuses is not None:
+    if engine is not None:
         lines.append("")
         lines.append(
             format_table(
@@ -717,32 +668,28 @@ def cmd_serve(
                 title="SLO arc over the run",
             )
         )
-        if expect_page is not None:
-            history = state_history.get(expect_page)
-            if history is None:
+        expected = state_history.get(expect_page)
+        if expect_page is not None and expected is None:
+            slo_failures.append(
+                f"unknown SLO {expect_page!r} (have: {sorted(state_history)})"
+            )
+        elif expected is not None:
+            if PAGE not in expected:
+                slo_failures.append(f"SLO {expect_page} never reached page")
+            if expected[-1] != OK:
                 slo_failures.append(
-                    f"unknown SLO {expect_page!r} "
-                    f"(have: {sorted(state_history)})"
+                    f"SLO {expect_page} did not return to ok "
+                    f"(ended {expected[-1]})"
                 )
-            else:
-                if PAGE not in history:
-                    slo_failures.append(f"SLO {expect_page} never reached page")
-                if history and history[-1] != OK:
-                    slo_failures.append(
-                        f"SLO {expect_page} did not return to ok "
-                        f"(ended {history[-1]})"
-                    )
-        if slo_check:
-            for name, history in sorted(state_history.items()):
-                if name == expect_page:
-                    continue
-                if history and history[-1] != OK:
-                    slo_failures.append(f"SLO {name} ended {history[-1]}")
+        slo_failures.extend(
+            f"SLO {name} ended {history[-1]}"
+            for name, history in sorted(state_history.items())
+            if slo_check and name != expect_page and history[-1] != OK
+        )
     if explanation is not None:
         lines.append("")
         lines.append(_render_explanation(explanation))
-    if metrics_out is not None:
-        lines.append(f"Final metrics registry -> {metrics_out}")
+    lines.extend(dumped)
     failed = check and (reader_errors > 0 or unverified_served > 0)
     if failed:
         lines.append("CHECK FAILED: serving invariant violated")
@@ -758,51 +705,44 @@ def cmd_serve(
 def _render_explanation(explanation) -> str:
     """Plain-text rendering of one :class:`ReadExplanation`."""
     detail = explanation.to_dict()
-    head = (
+    speed = detail["speed_kmh"]
+    version = detail["snapshot_version"]
+    lines = [
         f"Explain road {detail['road_id']}: {detail['status']}"
+        + ("" if speed is None else f" {speed:.1f} km/h")
         + (
-            f" {detail['speed_kmh']:.1f} km/h"
-            if detail["speed_kmh"] is not None
-            else ""
-        )
-        + (
-            f" (snapshot v{detail['snapshot_version']}, "
-            f"age {detail['snapshot_age_s']:.0f}s)"
-            if detail["snapshot_version"] is not None
-            else " (no snapshot)"
-        )
-    )
-    chain = format_table(
-        ["rung", "taken", "reason"],
-        [
-            [entry["rung"], "yes" if entry["taken"] else "-", entry["reason"]]
-            for entry in detail["chain"]
-        ],
-    )
-    lines = [head, chain]
+            " (no snapshot)" if version is None else
+            f" (snapshot v{version}, age {detail['snapshot_age_s']:.0f}s)"
+        ),
+        format_table(
+            ["rung", "taken", "reason"],
+            [
+                [entry["rung"], "yes" if entry["taken"] else "-",
+                 entry["reason"]]
+                for entry in detail["chain"]
+            ],
+        ),
+    ]
     provenance = detail["provenance"]
-    if provenance is not None:
-        lines.append(
-            f"Produced by round {provenance['round_index']} "
-            f"(seed budget {provenance['seed_budget']}, "
-            f"degraded={provenance['degraded']}, "
-            f"substituted={provenance['substituted']}, "
-            f"elapsed {provenance['elapsed_s']:.2f}s"
-            + (
-                f" of {provenance['deadline_s']:.0f}s deadline)"
-                if provenance["deadline_s"] is not None
-                else ")"
-            )
-        )
-        for stage in provenance["stages"]:
-            lines.append(
-                f"  stage {stage['stage']}: "
-                f"{1000.0 * stage['seconds']:.2f} ms, "
-                f"{stage['attempts']} attempt(s), "
-                f"{'ok' if stage['ok'] else 'FAILED'}"
-            )
-    else:
+    if provenance is None:
         lines.append("Produced by: (snapshot carries no provenance)")
+        return "\n".join(lines)
+    deadline = provenance["deadline_s"]
+    lines.append(
+        f"Produced by round {provenance['round_index']} "
+        f"(seed budget {provenance['seed_budget']}, "
+        f"degraded={provenance['degraded']}, "
+        f"substituted={provenance['substituted']}, "
+        f"elapsed {provenance['elapsed_s']:.2f}s"
+        + (")" if deadline is None else f" of {deadline:.0f}s deadline)")
+    )
+    for stage in provenance["stages"]:
+        lines.append(
+            f"  stage {stage['stage']}: "
+            f"{1000.0 * stage['seconds']:.2f} ms, "
+            f"{stage['attempts']} attempt(s), "
+            f"{'ok' if stage['ok'] else 'FAILED'}"
+        )
     return "\n".join(lines)
 
 
@@ -814,7 +754,7 @@ def cmd_stream(
     serve_rounds: int,
     sim_seed: int,
     check: bool,
-    metrics_out: str | None = None,
+    metrics_out: str | None,
 ) -> tuple[str, int]:
     """Drive the incremental streaming loop for ``days`` simulated days.
 
@@ -822,10 +762,10 @@ def cmd_stream(
     ingests one fresh day at a time: each ingest re-mines the co-trend
     statistics incrementally, flows the resulting edge delta through
     the cache stack (dropping only provably affected fidelity rows and
-    plans) and serves estimation rounds from the live system. Returns
-    ``(output, exit_code)``; with ``--check`` the exit code is non-zero
-    if any wholesale cache invalidation happened or the incremental
-    graph ever diverged from a batch re-mine of the same window.
+    plans) and serves estimation rounds from the live system. With
+    ``--check`` the exit code is non-zero if any wholesale cache
+    invalidation happened or the incremental graph ever diverged from a
+    batch re-mine of the same window.
     """
     if days < 1:
         raise SystemExit("error: --days must be >= 1")
@@ -833,10 +773,8 @@ def cmd_stream(
         raise SystemExit("error: --window must be >= 1")
     if serve_rounds < 0:
         raise SystemExit("error: --serve-rounds must be >= 0")
-    from repro.core.errors import DataError
     from repro.core.field import SpeedField
     from repro.history.online import RollingHistory
-    from repro.obs import recording, to_json, to_prometheus_text
 
     total_days = window + days
     field, _ = dataset.simulator.simulate(0, total_days, seed=sim_seed)
@@ -863,11 +801,7 @@ def cmd_stream(
         )
         for day in day_fields[:window]:
             rolling.ingest_day(day)
-        system = SpeedEstimationSystem.from_parts(
-            dataset.network, rolling.store, rolling.graph
-        ).bind_rolling(rolling)
         k = _default_budget(dataset, budget)
-        system.reselect_seeds(k)
 
         def counter(name, **labels):
             return rec.registry.counter(name, **labels).value
@@ -878,55 +812,52 @@ def cmd_stream(
                 for _, series in rec.registry.series("plan.shard_compiles")
             )
 
-        for day_index in range(window, total_days):
-            day = day_fields[day_index]
-            dropped_before = counter("fidelity.invalidations", scope="rows")
-            evicted_before = counter("plan.shards_evicted")
-            compiles_before = shard_compiles()
-            rolling.ingest_day(day)
-            try:
-                rolling.verify_incremental()
-            except DataError as exc:
-                mismatches.append(f"day {day_index}: {exc}")
-            delta = rolling.last_delta
-            seeds = system.reselect_seeds(k)
-            errors: list[float] = []
-            for r in range(serve_rounds):
-                offset = (r + 1) * per_day // (serve_rounds + 1)
-                interval = day.intervals.start + offset
-                crowd = {road: day.speed(road, interval) for road in seeds}
-                estimates = system.estimate(interval, crowd)
-                truth = day.speeds_at(interval)
-                errors.extend(
-                    abs(est.speed_kmh - truth[road])
-                    for road, est in estimates.items()
-                    if road not in crowd
-                )
-            rows.append([
-                day_index,
-                "-" if delta is None else (
-                    f"+{len(delta.added)}/-{len(delta.removed)}"
-                    f"/~{len(delta.reweighted)}"
-                ),
-                int(counter("fidelity.invalidations", scope="rows")
-                    - dropped_before),
-                int(counter("plan.shards_evicted") - evicted_before),
-                int(shard_compiles() - compiles_before),
-                fmt(sum(errors) / len(errors)) if errors else "-",
-            ])
+        with SpeedEstimationSystem.from_parts(
+            dataset.network, rolling.store, rolling.graph
+        ).bind_rolling(rolling) as system:
+            system.reselect_seeds(k)
+            for day_index in range(window, total_days):
+                day = day_fields[day_index]
+                dropped_before = counter("fidelity.invalidations", scope="rows")
+                evicted_before = counter("plan.shards_evicted")
+                compiles_before = shard_compiles()
+                rolling.ingest_day(day)
+                try:
+                    rolling.verify_incremental()
+                except DataError as exc:
+                    mismatches.append(f"day {day_index}: {exc}")
+                delta = rolling.last_delta
+                seeds = system.reselect_seeds(k)
+                errors: list[float] = []
+                for r in range(serve_rounds):
+                    offset = (r + 1) * per_day // (serve_rounds + 1)
+                    interval = day.intervals.start + offset
+                    crowd = {road: day.speed(road, interval) for road in seeds}
+                    estimates = system.estimate(interval, crowd)
+                    truth = day.speeds_at(interval)
+                    errors.extend(
+                        abs(est.speed_kmh - truth[road])
+                        for road, est in estimates.items()
+                        if road not in crowd
+                    )
+                rows.append([
+                    day_index,
+                    "-" if delta is None else (
+                        f"+{len(delta.added)}/-{len(delta.removed)}"
+                        f"/~{len(delta.reweighted)}"
+                    ),
+                    int(counter("fidelity.invalidations", scope="rows")
+                        - dropped_before),
+                    int(counter("plan.shards_evicted") - evicted_before),
+                    int(shard_compiles() - compiles_before),
+                    fmt(sum(errors) / len(errors)) if errors else "-",
+                ])
 
         wholesale = counter("fidelity.invalidations", scope="graph")
         flushes = counter("plan.cache_flushes")
         hits = counter("plan.cache", hit="true")
         misses = counter("plan.cache", hit="false")
-        if metrics_out is not None:
-            payload = (
-                to_prometheus_text(rec.registry)
-                if metrics_out.endswith(".prom")
-                else to_json(rec.registry)
-            )
-            with open(metrics_out, "w", encoding="utf-8") as handle:
-                handle.write(payload)
+        dumped = _dump_metrics(rec, metrics_out)
 
     lines.append(
         format_table(
@@ -942,8 +873,7 @@ def cmd_stream(
         f"{int(wholesale)}  plan flushes: {int(flushes)}  plan cache hit "
         f"rate: {100.0 * hits / total if total else 0.0:.1f}%"
     )
-    if metrics_out is not None:
-        lines.append(f"Final metrics registry -> {metrics_out}")
+    lines.extend(dumped)
     failures = list(mismatches)
     if wholesale > 0:
         failures.append(f"{int(wholesale)} wholesale fidelity invalidation(s)")
@@ -960,124 +890,41 @@ def cmd_stream(
     return "\n".join(lines), 1 if (check and failures) else 0
 
 
-def cmd_obs_report(recording_path: str) -> str:
-    from repro.core.errors import DataError
-    from repro.obs import report_file
-
+def _read_log(render: Callable[[str], str], path: str) -> tuple[str, int]:
+    """Run a log-file command; a missing or malformed file exits."""
     try:
-        return report_file(recording_path)
+        return render(path), 0
     except DataError as exc:
         raise SystemExit(f"error: {exc}")
 
 
-def cmd_obs_verify(recording_path: str) -> str:
-    from repro.core.errors import DataError
-    from repro.obs import verify_recording
-
-    try:
-        return "ok: " + verify_recording(recording_path)
-    except DataError as exc:
-        raise SystemExit(f"error: {exc}")
+def cmd_obs_report(_dataset: None, recording: str) -> tuple[str, int]:
+    return _read_log(report_file, recording)
 
 
-def cmd_obs_top(source_path: str) -> str:
-    from repro.core.errors import DataError
-    from repro.obs.dashboard import dashboard_file
+def cmd_obs_verify(_dataset: None, recording: str) -> tuple[str, int]:
+    return _read_log(lambda path: "ok: " + verify_recording(path), recording)
 
-    try:
-        return dashboard_file(source_path)
-    except DataError as exc:
-        raise SystemExit(f"error: {exc}")
+
+def cmd_obs_top(_dataset: None, source: str) -> tuple[str, int]:
+    return _read_log(dashboard_file, source)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "obs" and args.obs_command in ("report", "verify", "top"):
-        # Pure log-file commands: no dataset build needed.
-        if args.obs_command == "report":
-            print(cmd_obs_report(args.recording))
-        elif args.obs_command == "verify":
-            print(cmd_obs_verify(args.recording))
-        else:
-            print(cmd_obs_top(args.source))
-        return 0
-    dataset = CITIES[args.city]()
-    if args.command == "info":
-        output = cmd_info(dataset)
-    elif args.command == "select":
-        output = cmd_select(
-            dataset,
-            args.budget,
-            args.method,
-            parallel=args.parallel,
-            workers=args.workers,
-            partitions=args.partitions,
-            rounds=args.rounds,
-        )
-    elif args.command == "estimate":
-        output = cmd_estimate(
-            dataset,
-            args.budget,
-            args.hour,
-            args.show,
-            args.show_map,
-            sharded_plan=args.sharded_plan,
-            plan_shards=args.plan_shards,
-            plan_workers=args.plan_workers,
-        )
-    elif args.command == "route":
-        output = cmd_route(
-            dataset, args.origin, args.destination, args.budget, args.hour
-        )
-    elif args.command == "serve":
-        output, code = cmd_serve(
-            dataset,
-            args.rounds,
-            args.budget,
-            args.hour,
-            args.infra_scenario,
-            args.scenario,
-            args.snapshot_dir,
-            args.readers,
-            args.check,
-            slo=args.slo,
-            slo_check=args.slo_check,
-            expect_page=args.expect_page,
-            explain=args.explain,
-            metrics_out=args.metrics_out,
-            sharded_plan=args.sharded_plan,
-            plan_shards=args.plan_shards,
-            plan_workers=args.plan_workers,
-        )
-        print(output)
-        return code
-    elif args.command == "stream":
-        output, code = cmd_stream(
-            dataset,
-            args.days,
-            args.window,
-            args.budget,
-            args.serve_rounds,
-            args.sim_seed,
-            args.check,
-            metrics_out=args.metrics_out,
-        )
-        print(output)
-        return code
-    elif args.command == "obs":  # only "record" reaches here
-        output = cmd_obs_record(
-            dataset,
-            args.out,
-            args.rounds,
-            args.budget,
-            args.hour,
-            args.scenario,
-            args.metrics_out,
-        )
-    else:  # pragma: no cover - argparse enforces the choices
-        raise SystemExit(f"unknown command {args.command!r}")
+    args = vars(build_parser().parse_args(argv))
+    for parsed_only in ("command", "obs_command"):
+        args.pop(parsed_only, None)
+    run = args.pop("run")
+    city = args.pop("city")
+    # The shared --budget/--hour checks run before any dataset build.
+    if args.get("budget") is not None and args["budget"] < 1:
+        raise SystemExit("error: --budget must be >= 1")
+    if "hour" in args and not 0.0 <= args["hour"] < 24.0:
+        raise SystemExit("error: --hour must be in [0, 24)")
+    dataset = CITIES[city]() if args.pop("needs_dataset", True) else None
+    output, code = run(dataset, **args)
     print(output)
-    return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -55,7 +55,8 @@ def network_from_dict(data: Any) -> RoadNetwork:
 
     The document may come from outside the program, so any malformed
     shape (not an object, a row that is not an object, a missing field,
-    a non-numeric coordinate or attribute) raises :class:`DataError`.
+    a non-integer id, a non-numeric coordinate or attribute) raises
+    :class:`DataError`.
     """
     if not isinstance(data, dict):
         raise DataError(
@@ -68,13 +69,13 @@ def network_from_dict(data: Any) -> RoadNetwork:
         network = RoadNetwork(name=data.get("name", "network"))
         for node in data["intersections"]:
             network.add_intersection(
-                node["id"], Point(float(node["x"]), float(node["y"]))
+                _int_id(node, "id"), Point(float(node["x"]), float(node["y"]))
             )
         for seg in data["segments"]:
             network.add_segment(
-                seg["id"],
-                seg["start"],
-                seg["end"],
+                _int_id(seg, "id"),
+                _int_id(seg, "start"),
+                _int_id(seg, "end"),
                 road_class=seg["class"],
                 length_m=seg["length_m"],
                 free_flow_kmh=seg["free_flow_kmh"],
@@ -87,6 +88,14 @@ def network_from_dict(data: Any) -> RoadNetwork:
         raise DataError(f"malformed network document: {exc}") from exc
     network.validate()
     return network
+
+
+def _int_id(row: dict[str, Any], key: str) -> int:
+    """``row[key]`` as an id: an ``int`` and not a ``bool``."""
+    value = row[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"network {key} must be an integer, not {value!r}")
+    return value
 
 
 def save_network(network: RoadNetwork, path: str | Path) -> None:

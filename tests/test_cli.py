@@ -72,18 +72,16 @@ class TestParser:
 
     def test_sharded_plan_options(self):
         args = build_parser().parse_args(
-            [
-                "estimate", "--sharded-plan",
-                "--plan-shards", "4", "--plan-workers", "1",
-            ]
+            ["estimate", "--plan-shards", "4", "--plan-workers", "1"]
         )
-        assert args.sharded_plan is True
         assert args.plan_shards == 4
         assert args.plan_workers == 1
-        serve = build_parser().parse_args(["serve", "--sharded-plan"])
-        assert serve.sharded_plan is True
-        assert serve.plan_shards == 0
+        serve = build_parser().parse_args(["serve", "--plan-shards", "4"])
+        assert serve.plan_shards == 4
         assert serve.plan_workers == 0
+        assert build_parser().parse_args(["serve"]).plan_shards == 1
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["estimate", "--sharded-plan"])
 
     def test_obs_top_source(self):
         args = build_parser().parse_args(["obs", "top", "metrics.json"])
@@ -135,26 +133,62 @@ class TestCommands:
         assert main(
             [
                 "--city", "tianjin", "estimate", "--budget", "8",
-                "--show", "4", "--sharded-plan",
-                "--plan-shards", "4", "--plan-workers", "1",
+                "--show", "4", "--plan-shards", "4", "--plan-workers", "1",
             ]
         ) == 0
         out = capsys.readouterr().out
         assert "MAE" in out
 
-    def test_plan_shards_requires_sharded_plan(self):
-        with pytest.raises(SystemExit, match="sharded-plan"):
+    def test_plan_workers_require_plan_shards(self):
+        with pytest.raises(SystemExit, match="plan-shards"):
             main(
-                ["--city", "tianjin", "estimate", "--plan-shards", "4"]
+                ["--city", "tianjin", "estimate", "--plan-workers", "2"]
             )
+        with pytest.raises(SystemExit, match="plan-shards"):
+            main(["--city", "tianjin", "serve", "--plan-shards", "0"])
 
     def test_bad_budget(self):
         with pytest.raises(SystemExit, match="budget"):
             main(["--city", "tianjin", "select", "--budget", "0"])
 
-    def test_bad_hour(self):
-        with pytest.raises(SystemExit, match="hour"):
-            main(["--city", "tianjin", "estimate", "--hour", "25"])
+    def test_bad_hour(self, tmp_path):
+        log = tmp_path / "run.jsonl"
+        for argv in (
+            ["estimate", "--hour", "25"],
+            ["route", "--from", "0", "--to", "30", "--hour", "25"],
+            ["route", "--from", "0", "--to", "30", "--hour", "-3"],
+            ["serve", "--hour", "24"],
+            ["obs", "record", "--out", str(log), "--hour", "-1"],
+        ):
+            with pytest.raises(SystemExit, match=r"--hour must be in \[0, 24\)"):
+                main(["--city", "tianjin", *argv])
+        assert not log.exists(), "a rejected hour must not open the log"
+
+    def test_select_rounds(self, capsys):
+        assert main(
+            ["--city", "tianjin", "select", "--budget", "5", "--rounds", "2"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "round 2:" in out
+        assert "Selected 5 seeds" in out
+
+    def test_select_parallel(self, capsys):
+        assert main(
+            [
+                "--city", "tianjin", "select", "--budget", "5", "--parallel",
+                "--workers", "1", "--partitions", "4",
+            ]
+        ) == 0
+        assert "Selected 5 seeds" in capsys.readouterr().out
+
+    def test_stream_check(self, capsys):
+        assert main(
+            [
+                "--city", "tianjin", "stream", "--days", "2", "--window", "2",
+                "--budget", "5", "--check",
+            ]
+        ) == 0
+        assert "stream check ok" in capsys.readouterr().out
 
     def test_unroutable(self):
         with pytest.raises(SystemExit, match="no route"):
@@ -261,6 +295,38 @@ class TestServeSLOCommands:
         ) == 0
         out = capsys.readouterr().out
         assert "slo check ok" in out
+
+    def test_serve_sharded_plan_leaves_no_shared_memory(self, capsys):
+        from tests.test_plan_sharded import _shm_segments
+
+        before = _shm_segments()
+        assert main(
+            [
+                "--city", "tianjin", "serve", "--rounds", "2", "--budget", "5",
+                "--plan-shards", "4", "--plan-workers", "2",
+            ]
+        ) == 0
+        assert "Serving loop: 2 rounds" in capsys.readouterr().out
+        assert not (_shm_segments() - before), "a shared-memory segment survived"
+
+    def test_unknown_infra_scenario(self):
+        with pytest.raises(SystemExit, match="unknown infrastructure scenario"):
+            main(["--city", "tianjin", "serve", "--infra-scenario", "nope"])
+
+    @pytest.mark.parametrize(
+        "command",
+        [["serve"], ["obs", "record", "--out", "never-written.jsonl"]],
+        ids=["serve", "obs-record"],
+    )
+    def test_unknown_fault_scenario_reported_once(
+        self, command, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--city", "tianjin", *command, "--scenario", "nope"])
+        message = str(excinfo.value)
+        assert message.startswith("error: unknown fault scenario 'nope'")
+        assert message.count("unknown fault scenario") == 1
 
     def test_obs_top_missing_file(self, tmp_path):
         with pytest.raises(SystemExit, match="does not exist"):

@@ -14,6 +14,11 @@ from repro.roadnet.io import (
 )
 
 
+def _with_field(doc, rows, key, value):
+    """``doc`` with ``key`` of the first ``rows`` entry set to ``value``."""
+    return {**doc, rows: [{**doc[rows][0], key: value}, *doc[rows][1:]]}
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "network", [grid_city(4, 4), ring_radial_city(rings=2, spokes=6)],
@@ -86,6 +91,12 @@ class TestErrors:
                     *doc["segments"][1:],
                 ],
             },
+            lambda doc: _with_field(doc, "intersections", "id", "0"),
+            lambda doc: _with_field(doc, "intersections", "id", 0.0),
+            lambda doc: _with_field(doc, "segments", "id", "7"),
+            lambda doc: _with_field(doc, "segments", "id", True),
+            lambda doc: _with_field(doc, "segments", "start", "0"),
+            lambda doc: _with_field(doc, "segments", "end", None),
         ],
         ids=[
             "top-level-array",
@@ -93,6 +104,12 @@ class TestErrors:
             "string-coordinate",
             "non-object-segment",
             "string-length",
+            "string-intersection-id",
+            "float-intersection-id",
+            "string-segment-id",
+            "bool-segment-id",
+            "string-start",
+            "null-end",
         ],
     )
     def test_malformed_document_raises_data_error(self, tmp_path, corrupt):
