@@ -573,14 +573,23 @@ def cmd_serve(
         if slo or metrics_out is not None
         else contextlib.nullcontext(None)
     )
-    with _seeded_system(dataset, budget, hour, config) as (system, k, start):
+    # Without --snapshot-dir the snapshots go to a directory removed on return.
+    snapshots = (
+        contextlib.nullcontext(snapshot_dir)
+        if snapshot_dir
+        else tempfile.TemporaryDirectory(prefix="repro-serve-")
+    )
+    with (
+        _seeded_system(dataset, budget, hour, config) as (system, k, start),
+        snapshots as directory,
+    ):
         publisher = SnapshotPublisher(
             system,
             store,
             UncertaintyModel(system.estimator, dataset.store),
             watchdog=default_watchdog(interval_s, clock=clock),
             clock=clock,
-            snapshot_dir=snapshot_dir or tempfile.mkdtemp(prefix="repro-serve-"),
+            snapshot_dir=directory,
             injector=injector,
         )
         with recorder_ctx as recorder:

@@ -24,6 +24,7 @@ Typical use::
 from __future__ import annotations
 
 import os
+import weakref
 from collections.abc import Mapping
 from typing import Iterator, Sequence
 
@@ -122,6 +123,11 @@ class SpeedEstimationSystem:
         # subscription invalidates them.
         self._plan_cache = IntervalPlanCache(maxsize=config.plan_cache_size)
         self._inference = self._build_inference(config, self._fidelity)
+        # The estimator gets the planner factory through a weak method:
+        # a bound method would close the cycle system -> estimator ->
+        # system, and a dropped system would keep its rows and plans
+        # until the cyclic collector's next full pass.
+        make_planner = weakref.WeakMethod(self._make_sharded_planner)
         self._estimator = TwoStepEstimator(
             network,
             store,
@@ -131,7 +137,9 @@ class SpeedEstimationSystem:
             fidelity_service=self._fidelity,
             plan_cache=self._plan_cache,
             planner_factory=(
-                self._make_sharded_planner if config.use_sharded_plan else None
+                (lambda *args: make_planner()(*args))
+                if config.use_sharded_plan
+                else None
             ),
         )
         self._objective = SeedSelectionObjective(

@@ -2,11 +2,12 @@
 round reporting, worker health and the adaptive scheduler."""
 
 from repro.crowd.aggregation import (
+    mad_filter_rows,
     mad_filtered_mean,
     mean_aggregate,
 )
 from repro.core.breaker import BreakerState, CircuitBreaker
-from repro.crowd.health import WorkerHealth, WorkerHealthTracker, mad_outlier_mask
+from repro.crowd.health import WorkerHealth, WorkerHealthTracker
 from repro.crowd.platform import CrowdRound, CrowdsourcingPlatform, SpeedQueryTask
 from repro.crowd.report import RoundReport, TaskOutcome, TaskStatus
 from repro.crowd.scheduler import AdaptiveBudgetScheduler, RoundPlan
@@ -28,7 +29,7 @@ __all__ = [
     "WorkerHealthTracker",
     "WorkerPool",
     "WorkerPoolParams",
+    "mad_filter_rows",
     "mad_filtered_mean",
-    "mad_outlier_mask",
     "mean_aggregate",
 ]

@@ -1,7 +1,9 @@
 """Worker reputation tracking, one of two defences against a bad crowd.
 
 :class:`WorkerHealthTracker` keeps per-worker response and MAD-outlier
-rates and **quarantines** chronic non-responders and spammers once they
+rates (an outlier is an answer the platform's one-pass filter,
+:func:`~repro.crowd.aggregation.mad_filter_rows`, dropped) and
+**quarantines** chronic non-responders and spammers once they
 have enough history to be judged. The platform excludes quarantined
 workers from task assignment (falling back to the full pool if
 quarantine would starve a draw — availability beats purity).
@@ -19,37 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.errors import CrowdsourcingError
 
 __all__ = [
     "WorkerHealth",
     "WorkerHealthTracker",
-    "mad_outlier_mask",
 ]
-
-#: Consistency factor making the MAD comparable to a normal std.
-_MAD_SCALE = 1.4826
-
-
-def mad_outlier_mask(
-    answers: list[float], threshold: float = 3.0
-) -> list[bool]:
-    """Which answers are further than ``threshold`` scaled MADs from the
-    median — the same criterion :func:`~repro.crowd.aggregation.mad_filtered_mean`
-    uses to drop spam, exposed as a mask for worker attribution."""
-    if not answers:
-        return []
-    if threshold <= 0:
-        raise CrowdsourcingError("MAD threshold must be positive")
-    values = np.asarray(answers, dtype=np.float64)
-    med = np.median(values)
-    mad = np.median(np.abs(values - med))
-    if mad == 0.0:
-        return [False] * len(answers)
-    deviation = np.abs(values - med)
-    return [bool(d > threshold * _MAD_SCALE * mad) for d in deviation]
 
 
 @dataclass(frozen=True, slots=True)

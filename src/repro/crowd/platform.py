@@ -1,9 +1,10 @@
 """The budgeted, fault-tolerant crowdsourcing platform.
 
 One :meth:`CrowdsourcingPlatform.collect` call is one crowdsourcing
-round: for every seed road it assigns ``workers_per_task`` workers,
-gathers their noisy answers against the true speed, aggregates them
-robustly, and returns a :class:`CrowdRound` — the aggregated
+round: for every seed road it assigns ``workers_per_task`` workers and
+gathers their noisy answers against the true speed, then aggregates
+every answered task robustly in one array pass, and returns a
+:class:`CrowdRound` — the aggregated
 :class:`~repro.core.types.CrowdAnswer` per answered task plus a
 :class:`~repro.crowd.report.RoundReport` recording what happened to
 every task. This is the layer that turns "true speeds of the K seeds"
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -31,8 +31,8 @@ import numpy as np
 from repro.core.breaker import BreakerState, CircuitBreaker
 from repro.core.errors import CrowdsourcingError
 from repro.core.types import CrowdAnswer
-from repro.crowd.aggregation import mad_filtered_mean
-from repro.crowd.health import WorkerHealthTracker, mad_outlier_mask
+from repro.crowd.aggregation import mad_filter_rows
+from repro.crowd.health import WorkerHealthTracker
 from repro.crowd.report import RoundReport, TaskOutcome, TaskStatus
 from repro.crowd.workers import WorkerPool
 from repro.obs import get_recorder
@@ -112,15 +112,13 @@ class CrowdsourcingPlatform:
         self._pool = pool
         self._workers_per_task = workers_per_task
         self._cost_per_answer = cost_per_answer
-        # The same threshold drives the default aggregator's spam filter
-        # and the worker-attribution mask fed to the health tracker, so
-        # a worker is blamed for an outlier iff its answer was dropped.
-        # Callers supplying a custom aggregator should pass the
-        # threshold (if any) it filters with.
+        # The same threshold drives the default MAD filter and the
+        # worker-attribution mask fed to the health tracker, so a worker
+        # is blamed for an outlier iff its answer was dropped. A custom
+        # aggregator runs per answered task; callers supplying one should
+        # pass the threshold (if any) it filters with.
         self._outlier_threshold = outlier_threshold
-        self._aggregator = aggregator or partial(
-            mad_filtered_mean, threshold=outlier_threshold
-        )
+        self._aggregator = aggregator
         self._max_postings = max_postings
         self._health = health
         self._breaker = circuit_breaker
@@ -137,25 +135,24 @@ class CrowdsourcingPlatform:
         return self._breaker
 
     # ------------------------------------------------------------------
-    # Single-task path
+    # Posting and settling tasks
     # ------------------------------------------------------------------
-    def _run_task(
+    def _post(
         self,
         task: SpeedQueryTask,
         rng: np.random.Generator,
         quarantined: frozenset[int],
-    ) -> tuple[TaskOutcome, CrowdAnswer | None]:
+    ) -> tuple[TaskStatus, int, list[tuple[int, float]]]:
         """Post one task with a capped retry budget; never raises.
 
-        Returns the task's outcome and, when answered, the aggregated
-        answer. Only delivered answers are paid for.
+        Returns the task's status, its postings and the (worker id,
+        answer) pairs delivered. Aggregation, blame and payment happen
+        later in :meth:`_settle`, so a round filters all its answers at
+        once.
         """
         dropped = getattr(self._pool, "task_dropped", None)
         if dropped is not None and dropped(task.road_id):
-            return (
-                TaskOutcome(task.road_id, TaskStatus.DROPPED, 0, 0, 0, 0.0),
-                None,
-            )
+            return TaskStatus.DROPPED, 0, []
         by_worker: list[tuple[int, float]] = []
         postings = 0
         while not by_worker and postings < self._max_postings:
@@ -170,38 +167,52 @@ class CrowdsourcingPlatform:
                     )
                 if answer is not None:
                     by_worker.append((worker.worker_id, answer))
-        if not by_worker:
-            return (
-                TaskOutcome(
-                    task.road_id, TaskStatus.NO_RESPONSE, postings, 0, 0, 0.0
-                ),
-                None,
-            )
-        answers = [value for _, value in by_worker]
-        outliers = mad_outlier_mask(answers, self._outlier_threshold)
+        status = TaskStatus.ANSWERED if by_worker else TaskStatus.NO_RESPONSE
+        return status, postings, by_worker
+
+    def _settle(
+        self, answered: list[tuple[SpeedQueryTask, int, list[tuple[int, float]]]]
+    ) -> list[tuple[TaskOutcome, CrowdAnswer]]:
+        """Aggregate, blame and pay for answered tasks in one pass.
+
+        ``answered`` holds (task, postings, (worker id, answer) pairs)
+        per task. One :func:`~repro.crowd.aggregation.mad_filter_rows`
+        call filters every task's answers; a worker is blamed for an
+        outlier iff its answer was dropped. Only delivered answers are
+        paid for.
+        """
+        rows = [[value for _, value in by_worker] for _, _, by_worker in answered]
+        means, outliers = mad_filter_rows(rows, self._outlier_threshold)
         if self._health is not None:
-            for (worker_id, _), is_outlier in zip(by_worker, outliers):
-                if is_outlier:
-                    self._health.record_outlier(worker_id)
-        cost = len(answers) * self._cost_per_answer
-        self.total_cost += cost
-        self.total_answers += len(answers)
-        outcome = TaskOutcome(
-            road_id=task.road_id,
-            status=TaskStatus.ANSWERED,
-            postings=postings,
-            num_answers=len(answers),
-            num_outliers=sum(outliers),
-            cost=cost,
-        )
-        answer = CrowdAnswer(
-            road_id=task.road_id,
-            interval=task.interval,
-            speed_kmh=self._aggregator(answers),
-            num_workers=len(answers),
-            cost=cost,
-        )
-        return outcome, answer
+            for i, j in zip(*np.nonzero(outliers)):
+                self._health.record_outlier(answered[i][2][j][0])
+        num_outliers = outliers.sum(axis=1).tolist()
+        settled = []
+        for (task, postings, _), answers, mean, flagged in zip(
+            answered, rows, means, num_outliers
+        ):
+            cost = len(answers) * self._cost_per_answer
+            self.total_cost += cost
+            self.total_answers += len(answers)
+            outcome = TaskOutcome(
+                road_id=task.road_id,
+                status=TaskStatus.ANSWERED,
+                postings=postings,
+                num_answers=len(answers),
+                num_outliers=flagged,
+                cost=cost,
+            )
+            answer = CrowdAnswer(
+                road_id=task.road_id,
+                interval=task.interval,
+                speed_kmh=(
+                    mean if self._aggregator is None else self._aggregator(answers)
+                ),
+                num_workers=len(answers),
+                cost=cost,
+            )
+            settled.append((outcome, answer))
+        return settled
 
     def collect_one(
         self, task: SpeedQueryTask, rng: np.random.Generator
@@ -215,13 +226,13 @@ class CrowdsourcingPlatform:
         quarantined = (
             self._health.quarantined() if self._health is not None else frozenset()
         )
-        outcome, answer = self._run_task(task, rng, quarantined)
-        if answer is None:
+        status, postings, by_worker = self._post(task, rng, quarantined)
+        if status is not TaskStatus.ANSWERED:
             raise CrowdsourcingError(
                 f"no worker answered the task on road {task.road_id} "
-                f"after {outcome.postings} postings"
+                f"after {postings} postings"
             )
-        return answer
+        return self._settle([(task, postings, by_worker)])[0][1]
 
     # ------------------------------------------------------------------
     # Round path
@@ -273,8 +284,9 @@ class CrowdsourcingPlatform:
                 else frozenset()
             )
 
-            answers: dict[int, CrowdAnswer] = {}
-            outcomes: list[TaskOutcome] = []
+            # Outcome slots of answered tasks stay None until _settle.
+            outcomes: list[TaskOutcome | None] = []
+            answered: list[tuple[SpeedQueryTask, int, list[tuple[int, float]]]] = []
             tripped = False
             for task in tasks:
                 if self._breaker is not None and not self._breaker.allow():
@@ -289,23 +301,40 @@ class CrowdsourcingPlatform:
                         )
                     )
                     continue
-                outcome, answer = self._run_task(task, rng, quarantined)
-                outcomes.append(outcome)
-                if answer is not None:
-                    answers[task.road_id] = answer
+                status, postings, by_worker = self._post(task, rng, quarantined)
+                if status is TaskStatus.ANSWERED:
+                    outcomes.append(None)
+                    answered.append((task, postings, by_worker))
+                else:
+                    outcomes.append(
+                        TaskOutcome(task.road_id, status, postings, 0, 0, 0.0)
+                    )
                 if self._breaker is not None:
-                    if outcome.status is TaskStatus.ANSWERED:
+                    if status is TaskStatus.ANSWERED:
                         self._breaker.record_success()
-                    elif outcome.status is TaskStatus.NO_RESPONSE:
+                    elif status is TaskStatus.NO_RESPONSE:
                         self._breaker.record_failure()
                         tripped = (
                             tripped
                             or self._breaker.state is BreakerState.OPEN
                         )
-                    elif outcome.status is TaskStatus.DROPPED:
+                    elif status is TaskStatus.DROPPED:
                         # Lost in transit before any worker saw it — no
                         # verdict on platform health; re-arm a spent probe.
                         self._breaker.record_inconclusive()
+            # The quarantine set was frozen above, so blaming workers
+            # after every draw leaves the draws unchanged.
+            with recorder.span(
+                "crowd.aggregate",
+                answers=sum(len(by_worker) for _, _, by_worker in answered),
+            ):
+                settled = iter(self._settle(answered))
+            answers: dict[int, CrowdAnswer] = {}
+            for slot, outcome in enumerate(outcomes):
+                if outcome is None:
+                    outcome, answer = next(settled)
+                    outcomes[slot] = outcome
+                    answers[answer.road_id] = answer
             report = RoundReport(
                 interval=interval,
                 outcomes=tuple(outcomes),

@@ -167,10 +167,17 @@ def _counter_value(counters: dict[str, float], prefix: str) -> float:
 
 
 def summarize_rounds(events: list[dict]) -> list[dict]:
-    """One flat summary dict per round event, with counter deltas."""
+    """One flat summary dict per round event, with counter deltas.
+
+    A log can hold several runs appended one after another; each starts
+    with a ``meta`` event and its counters restart from zero, so the
+    delta baseline resets there.
+    """
     rows: list[dict] = []
     previous: dict[str, float] = {}
     for event in events:
+        if event.get("type") == "meta":
+            previous = {}
         if event.get("type") != "round":
             continue
         counters = event.get("counters", {})

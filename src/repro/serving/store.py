@@ -22,11 +22,14 @@ no snapshot, no history ``unavailable`` — a typed response, not an
                         exception
 ======================  ================================================
 
-A snapshot's numbers reach readers through per-publish read rows:
-publishing builds one tuple per road from the snapshot's columns
-(``.tolist()``, so no numpy scalar is touched per read) and reuses the
-road -> position map while consecutive snapshots cover the same roads.
-A read is one dict lookup and one list index; no per-road
+A snapshot's numbers reach readers through per-publish read columns:
+publishing turns each of the snapshot's eight served columns into one
+Python list (``.tolist()``, trends mapped to
+:class:`~repro.core.types.Trend`), so no numpy scalar is touched per
+read and no per-road tuple is built per publish. The road -> position
+map is reused while consecutive snapshots cover the same roads. A read
+judges the snapshot's age once, then costs each road one dict lookup and
+one index into each column list; no per-road
 :class:`~repro.core.types.SpeedEstimate` is ever built.
 
 Overload is degraded the same way: a bounded in-flight admission gate
@@ -41,6 +44,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.breaker import BreakerState, CircuitBreaker
 from repro.core.clock import Clock, get_clock
@@ -62,10 +67,14 @@ UNAVAILABLE = "unavailable"
 
 READ_STATUSES = (FRESH, STALE, BASELINE, SHED, UNAVAILABLE)
 
-_TRENDS = {int(trend): trend for trend in Trend}
+#: :class:`Trend` by ``trend + 1`` for a snapshot's int8 trends (always
+#: ±1: built ones by construction, loaded ones by validation).
+_TRENDS = np.array([Trend.FALL, None, Trend.RISE], dtype=object)
 
-#: What readers see: (snapshot, received_at, road -> position, read rows).
-_Current = tuple[EstimateSnapshot, float, dict[int, int], list[tuple]]
+#: What readers see: (snapshot, received_at, road -> position, read
+#: columns). The columns are (speed, lower, upper, std, trend, p_rise,
+#: is_seed, degraded), one Python list each.
+_Current = tuple[EstimateSnapshot, float, dict[int, int], tuple[list, ...]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,9 +265,9 @@ class EstimateStore:
         self._z = z_for_confidence(confidence)
         self._publish_lock = threading.Lock()
         # The one mutable cell readers touch: (snapshot, received_at,
-        # position, rows). Swapped atomically by publish; readers copy
-        # the reference once per read and work off the immutable
-        # snapshot and read rows it points to.
+        # position, columns). Swapped atomically by publish; readers
+        # copy the reference once per read and work off the immutable
+        # snapshot and read columns it points to.
         self._current: _Current | None = None
         # (road ids, road -> position) of the last published snapshot.
         self._positions: tuple[tuple[int, ...], dict[int, int]] | None = None
@@ -325,8 +334,8 @@ class EstimateStore:
             if current is not None and snapshot.version <= current[0].version:
                 recorder.count("serving.publish_rejected", reason="version")
                 return False
-            position, rows = self._read_rows(snapshot)
-            self._current = (snapshot, self._now(), position, rows)
+            position, columns = self._read_columns(snapshot)
+            self._current = (snapshot, self._now(), position, columns)
         if self._breaker is not None:
             # A fresh snapshot is a new round for the serving breaker:
             # an open breaker gets its half-open probe.
@@ -335,14 +344,15 @@ class EstimateStore:
         recorder.gauge("serving.snapshot_version", snapshot.version)
         return True
 
-    def _read_rows(
+    def _read_columns(
         self, snapshot: EstimateSnapshot
-    ) -> tuple[dict[int, int], list[tuple]]:
-        """Road -> position and one read row per road for ``snapshot``.
+    ) -> tuple[dict[int, int], tuple[list, ...]]:
+        """Road -> position and the read columns for ``snapshot``.
 
-        A row is (speed, lower, upper, std, trend, p_rise, is_seed,
-        degraded) as Python objects. The position map is rebuilt only
-        when the snapshot's road ids differ from the previous one's.
+        The columns are (speed, lower, upper, std, trend, p_rise,
+        is_seed, degraded), each a list of Python objects in road
+        order. The position map is rebuilt only when the snapshot's
+        road ids differ from the previous one's.
         """
         estimates, bands = snapshot.estimates, snapshot.bands
         roads = estimates.road_ids
@@ -350,19 +360,17 @@ class EstimateStore:
         if cached is None or not (cached[0] is roads or cached[0] == roads):
             cached = (roads, {road: i for i, road in enumerate(roads)})
             self._positions = cached
-        rows = list(
-            zip(
-                estimates.speed.tolist(),
-                bands.lower.tolist(),
-                bands.upper.tolist(),
-                bands.std.tolist(),
-                map(_TRENDS.__getitem__, estimates.trend.tolist()),
-                estimates.p_rise.tolist(),
-                estimates.is_seed.tolist(),
-                estimates.degraded.tolist(),
-            )
+        columns = (
+            estimates.speed.tolist(),
+            bands.lower.tolist(),
+            bands.upper.tolist(),
+            bands.std.tolist(),
+            _TRENDS[estimates.trend + 1].tolist(),
+            estimates.p_rise.tolist(),
+            estimates.is_seed.tolist(),
+            estimates.degraded.tolist(),
         )
-        return cached[1], rows
+        return cached[1], columns
 
     # ------------------------------------------------------------------
     # Read path
@@ -435,7 +443,7 @@ class EstimateStore:
             served = self._baseline_or_unavailable(road_id, current, now)
         else:
             try:
-                served = self._serve(road_id, current, now)
+                served = self._serve([road_id], current, now)[road_id]
             except Exception:  # noqa: BLE001 - same invariant as reads
                 served = self._baseline_or_unavailable(road_id, current, now)
         snapshot = current[0] if current is not None else None
@@ -569,7 +577,7 @@ class EstimateStore:
             }
             return self._account_read(recorder, out, current, now)
         try:
-            out = {r: self._serve(r, current, now) for r in road_ids}
+            out = self._serve(road_ids, current, now)
         except Exception:  # noqa: BLE001 - the reader never sees this
             if self._breaker is not None:
                 self._breaker.record_failure()
@@ -629,42 +637,54 @@ class EstimateStore:
 
     def _serve(
         self,
-        road: int,
+        roads: list[int] | tuple[int, ...],
         current: _Current | None,
         now: float,
-    ) -> ServedEstimate:
+    ) -> dict[int, ServedEstimate]:
+        """Each road's read from ``current``, or its fallback.
+
+        Age and staleness are judged once for the whole read; each road
+        then costs one position lookup and one index per column.
+        """
         if current is None:
-            return self._baseline_or_unavailable(road, current, now)
-        snapshot, received_at, position, rows = current
+            return {r: self._baseline_or_unavailable(r, current, now) for r in roads}
+        snapshot, received_at, position, columns = current
         age = max(0.0, now - received_at)
         if age > self._staleness.hard_after_s:
-            return self._baseline_or_unavailable(road, current, now)
-        i = position.get(road)
-        if i is None:
-            return self._baseline_or_unavailable(road, current, now)
-        speed, lower, upper, std, trend, p_rise, is_seed, degraded = rows[i]
+            return {r: self._baseline_or_unavailable(r, current, now) for r in roads}
+        speeds, lowers, uppers, stds, trends, p_rises, seeds, degraded = columns
         stale = age > self._staleness.soft_after_s
-        if stale:
-            inflate = self._staleness.stale_inflation
-            std = std * inflate
-            lower = max(0.0, speed - (speed - lower) * inflate)
-            upper = speed + (upper - speed) * inflate
-        return ServedEstimate(
-            road_id=road,
-            status=STALE if stale else FRESH,
-            speed_kmh=speed,
-            lower_kmh=lower,
-            upper_kmh=upper,
-            std_kmh=std,
-            trend=trend,
-            trend_probability=p_rise,
-            is_seed=is_seed,
-            degraded=degraded or stale,
-            stale=stale,
-            snapshot_version=snapshot.version,
-            age_s=age,
-            interval=snapshot.interval,
-        )
+        status = STALE if stale else FRESH
+        inflate = self._staleness.stale_inflation
+        version, interval = snapshot.version, snapshot.interval
+        out: dict[int, ServedEstimate] = {}
+        for road in roads:
+            i = position.get(road)
+            if i is None:
+                out[road] = self._baseline_or_unavailable(road, current, now)
+                continue
+            speed, lower, upper, std = speeds[i], lowers[i], uppers[i], stds[i]
+            if stale:
+                std = std * inflate
+                lower = max(0.0, speed - (speed - lower) * inflate)
+                upper = speed + (upper - speed) * inflate
+            out[road] = ServedEstimate(
+                road_id=road,
+                status=status,
+                speed_kmh=speed,
+                lower_kmh=lower,
+                upper_kmh=upper,
+                std_kmh=std,
+                trend=trends[i],
+                trend_probability=p_rises[i],
+                is_seed=seeds[i],
+                degraded=degraded[i] or stale,
+                stale=stale,
+                snapshot_version=version,
+                age_s=age,
+                interval=interval,
+            )
+        return out
 
     def _baseline_or_unavailable(
         self,

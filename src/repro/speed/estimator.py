@@ -10,6 +10,8 @@ for every road in the correlation graph, carried as the columns of one
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.core.columns import RoadColumns
@@ -325,9 +327,12 @@ class TwoStepEstimator:
             )
         # The provider re-reads the influence index *after* a delta has
         # dropped the memoised one, so shard refreshes see fresh rows.
+        # It holds the estimator weakly (the plan lives in the
+        # estimator's own cache), so the two form no reference cycle.
         key = frozenset(seeds)
+        influence_index = weakref.WeakMethod(self._influence_index)
         return self._planner.compile(
-            seeds, bucket, lambda: self._influence_index(key)
+            seeds, bucket, lambda: influence_index()(key)
         )
 
     def influence_index(

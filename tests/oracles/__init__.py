@@ -20,7 +20,10 @@ pin the vectorized production code against it:
   over :meth:`~repro.speed.hlm.JointSeedRegression.for_road`, and
   ``normal_confidences``, the confidence levels the band tests sweep;
 * :mod:`tests.oracles.snapshot` — the per-road ``SpeedEstimate`` round
-  loop and the format-2 (one JSON row per road) snapshot writer.
+  loop and the format-2 (one JSON row per road) snapshot writer;
+* :mod:`tests.oracles.crowd` — the per-task MAD filter and outlier mask
+  (``np.median`` per task) and ``PerTaskPlatform``, a crowd round that
+  aggregates each task right after its draws.
 
 The others are exact or naive references the paper's claims and the
 production algorithms are checked against:
@@ -36,6 +39,7 @@ production algorithms are checked against:
 Nothing under ``src/`` may import this package.
 """
 
+from tests.oracles.crowd import PerTaskPlatform
 from tests.oracles.estimator import ScalarTwoStep
 from tests.oracles.fidelity import propagate_fidelity
 from tests.oracles.objective import ScalarCoverageObjective
@@ -45,6 +49,7 @@ from tests.oracles.uncertainty import ScalarBands
 
 __all__ = [
     "MonolithicPlanner",
+    "PerTaskPlatform",
     "ScalarBands",
     "ScalarCoverageObjective",
     "ScalarPropagationInference",

@@ -226,6 +226,26 @@ class TestObsCommands:
         assert main(["obs", "verify", str(out)]) == 0
         assert "round" in capsys.readouterr().out
 
+    def test_report_of_two_appended_runs(self, tmp_path, capsys):
+        from repro.obs.report import load_events, summarize_rounds
+
+        out = tmp_path / "twice.jsonl"
+        record = [
+            "--city", "tianjin", "obs", "record",
+            "--out", str(out), "--rounds", "2", "--budget", "5",
+        ]
+        assert main(record) == 0
+        once = [row["tasks_answered"] for row in summarize_rounds(load_events(out))]
+        assert main(record) == 0
+        capsys.readouterr()
+        # The second run's counters restart at its meta event.
+        twice = [row["tasks_answered"] for row in summarize_rounds(load_events(out))]
+        assert len(once) == 2 and min(once) > 0
+        assert twice == once + once
+        assert main(["obs", "report", str(out)]) == 0
+        report = capsys.readouterr().out
+        assert f"totals: {int(2 * sum(once))} answered" in report
+
     def test_record_with_fault_scenario(self, tmp_path, capsys):
         out = tmp_path / "faulty.jsonl"
         assert main(
@@ -308,6 +328,29 @@ class TestServeSLOCommands:
         ) == 0
         assert "Serving loop: 2 rounds" in capsys.readouterr().out
         assert not (_shm_segments() - before), "a shared-memory segment survived"
+
+    def test_serve_removes_its_default_snapshot_dir(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(
+            ["--city", "tianjin", "serve", "--rounds", "2", "--budget", "5"]
+        ) == 0
+        assert "Serving loop: 2 rounds" in capsys.readouterr().out
+        assert not list(tmp_path.glob("repro-serve-*"))
+
+    def test_serve_keeps_a_given_snapshot_dir(self, tmp_path, capsys):
+        snapshots = tmp_path / "snapshots"
+        assert main(
+            [
+                "--city", "tianjin", "serve", "--rounds", "2", "--budget", "5",
+                "--snapshot-dir", str(snapshots),
+            ]
+        ) == 0
+        capsys.readouterr()
+        assert len(list(snapshots.glob("snapshot-v*"))) == 2
 
     def test_unknown_infra_scenario(self):
         with pytest.raises(SystemExit, match="unknown infrastructure scenario"):

@@ -447,6 +447,26 @@ class TestReport:
         assert rows[1]["substitutions"] == 2
         assert rows[1]["degraded"] is True
 
+    def test_summarize_rounds_resets_deltas_at_each_run(self):
+        def round_event(index, answered):
+            return {
+                "type": "round", "round": index, "interval": index,
+                "wall_s": 0.1, "stages": {}, "fields": {},
+                "counters": {"crowd.tasks{status=answered}": answered},
+            }
+
+        events = [
+            {"type": "meta", "version": 1},
+            round_event(0, 5),
+            round_event(1, 10),
+            # A second run appended to the same log restarts its counters.
+            {"type": "meta", "version": 1},
+            round_event(0, 5),
+            round_event(1, 10),
+        ]
+        rows = summarize_rounds(events)
+        assert [row["tasks_answered"] for row in rows] == [5, 5, 5, 5]
+
     def test_render_report_round_table(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with FlightRecorder(path=path) as rec:

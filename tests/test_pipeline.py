@@ -1,5 +1,8 @@
 """Tests for the end-to-end SpeedEstimationSystem."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.config import PipelineConfig
@@ -165,3 +168,38 @@ class TestEstimation:
         truth = {r: small_dataset.test.speed(r, interval) for r in seeds}
         estimates = system.estimate(interval, truth)
         assert len(estimates) == small_dataset.network.num_segments
+
+
+class TestRelease:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PipelineConfig(),
+            PipelineConfig(
+                use_sharded_plan=True, plan_shards=2, num_partition_workers=1
+            ),
+        ],
+        ids=["one-district", "sharded"],
+    )
+    def test_dropped_system_is_freed_without_the_cycle_collector(
+        self, small_dataset, config
+    ):
+        """A system, its estimator and its compiled plans form no
+        reference cycle, so dropping the last reference frees their rows
+        and plans at once instead of at the collector's next full pass."""
+        interval = small_dataset.test_day_intervals()[40]
+        gc.collect()
+        gc.disable()
+        try:
+            with SpeedEstimationSystem.from_parts(
+                small_dataset.network, small_dataset.store, small_dataset.graph,
+                config,
+            ) as system:
+                seeds = system.select_seeds(6)
+                truth = {r: small_dataset.test.speed(r, interval) for r in seeds}
+                system.estimate(interval, truth)
+            released = [weakref.ref(system), weakref.ref(system.estimator)]
+            del system
+            assert [ref() for ref in released] == [None, None]
+        finally:
+            gc.enable()

@@ -3,7 +3,7 @@
 A round travels as columns from the compiled plan to the store:
 :class:`~repro.speed.estimator.EstimateColumns`, then
 :class:`~repro.speed.uncertainty.BandColumns`, then a binary snapshot
-body, then per-publish read rows. The per-road path it replaced is kept
+body, then per-publish read columns. The per-road path it replaced is kept
 in ``tests/oracles``: the ``SpeedEstimate`` loop
 (:func:`tests.oracles.snapshot.per_road_round`), the band loop
 (:class:`tests.oracles.uncertainty.ScalarBands`) and the format-2 JSON
@@ -24,6 +24,7 @@ round builds no per-road record objects.
 from __future__ import annotations
 
 import tempfile
+from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,6 +45,7 @@ from repro.obs import FlightRecorder, recording
 from repro.serving import (
     EstimateSnapshot,
     EstimateStore,
+    ServedEstimate,
     SnapshotPublisher,
     StalenessPolicy,
     default_watchdog,
@@ -330,6 +332,82 @@ class TestColumns:
 
 
 # ----------------------------------------------------------------------
+# The store's read columns
+# ----------------------------------------------------------------------
+def _served_from_records(snapshot, road, age, policy):
+    """The read a store must serve, built from the snapshot's records."""
+    est, band = snapshot.estimates[road], snapshot.bands[road]
+    speed, lower, upper, std = (
+        est.speed_kmh, band.lower_kmh, band.upper_kmh, band.std_kmh
+    )
+    stale = age > policy.soft_after_s
+    if stale:
+        inflate = policy.stale_inflation
+        std = std * inflate
+        lower = max(0.0, speed - (speed - lower) * inflate)
+        upper = speed + (upper - speed) * inflate
+    return ServedEstimate(
+        road_id=road,
+        status="stale" if stale else "fresh",
+        speed_kmh=speed,
+        lower_kmh=lower,
+        upper_kmh=upper,
+        std_kmh=std,
+        trend=est.trend,
+        trend_probability=est.trend_probability,
+        is_seed=est.is_seed,
+        degraded=est.degraded or stale,
+        stale=stale,
+        snapshot_version=snapshot.version,
+        age_s=age,
+        interval=snapshot.interval,
+    )
+
+
+class TestStoreColumns:
+    def test_reads_equal_records_fresh_stale_and_absent(self, fitted):
+        dataset, hlm, params = fitted
+        estimator, _ = _estimator(dataset, hlm, params)
+        roads = list(dataset.graph.road_ids)
+        seeds = roads[::13][:8]
+        interval = dataset.test_day_intervals()[5]
+        speeds = _speeds(dataset, seeds, interval)
+        present, absent = roads[:-6], roads[-6:] + [max(roads) + 1]
+        estimates = estimator.estimate_roads(interval, speeds, present)
+        estimates = estimates.with_degraded([seeds[1]])
+        bands = UncertaintyModel(estimator, dataset.store).bands_for(
+            estimates, speeds
+        )
+        snapshot = EstimateSnapshot.build(
+            7, interval, estimates, bands, substituted={seeds[1]: "prior"}
+        )
+        policy = StalenessPolicy(
+            soft_after_s=100.0, hard_after_s=1000.0, stale_inflation=STALE_INFLATION
+        )
+        store = EstimateStore(clock=(clock := ManualClock()), staleness=policy)
+        assert store.publish(snapshot)
+        statuses = set()
+        for age in (0.0, 60.0, 400.0):  # fresh, fresh, stale
+            served = store.get_many(roads + absent[-1:])
+            for road in estimates:
+                want = _served_from_records(snapshot, road, age, policy)
+                got = served[road]
+                assert got == want, f"road {road} age {age}"
+                assert _bits(astuple(got)) == _bits(astuple(want))
+                assert type(got.is_seed) is bool and type(got.degraded) is bool
+                assert isinstance(got.trend, Trend)
+                statuses.add(got.status)
+            for road in absent:
+                assert served[road] == ServedEstimate(
+                    road_id=road, status="unavailable",
+                    snapshot_version=7, age_s=age,
+                )
+            assert store.explain(seeds[1]).served == served[seeds[1]]
+            clock.advance(60.0 if age == 0.0 else 340.0)
+        assert statuses == {"fresh", "stale"}
+
+
+# ----------------------------------------------------------------------
 # Integrity of format-3 files
 # ----------------------------------------------------------------------
 def _small_snapshot(version, speed):
@@ -500,7 +578,7 @@ class TestPublisherRound:
         served = store.get_many(roads)
         assert all(served[road].status == "fresh" for road in roads)
         store.explain(roads[0])
-        # Reads and explains answer from the read rows, not the records.
+        # Reads and explains answer from the read columns, not the records.
         assert built == {"estimates": 0, "bands": 0}
         monkeypatch.undo()
         snapshot = store.latest()
