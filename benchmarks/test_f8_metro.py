@@ -3,8 +3,9 @@
 Grows the F8 scalability story from the 2k-road scaled city to a
 metropolitan district city (:func:`~repro.datasets.synthetic.
 metropolitan_dataset`): district-parallel seed selection over shared
-CSR arrays, district-accumulated Step-1 votes, and compiled Step-2
-serving, with the end-to-end round latency bounded at 900 s.
+CSR arrays, Step-1 votes as one sparse sum over the seeds' log-odds
+rows in the parent, and compiled Step-2 serving, with the end-to-end
+round latency bounded at 900 s.
 
 Marked ``slow``: the module builds two metropolitan datasets and runs
 full selection at 50k+ roads (minutes, not seconds), so it is excluded

@@ -117,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(implies --method partition)")
     select.add_argument("--workers", type=int, default=0, metavar="N",
                         help="worker-pool size for --parallel: one pool runs "
-                        "district selection and Step-1 votes (0 = one per "
-                        "CPU, 1 = in-process)")
+                        "district selection (0 = one per CPU, "
+                        "1 = in-process)")
     select.add_argument("--partitions", type=int, default=8, metavar="P",
                         help="number of BFS-grown districts for partitioned "
                         "selection")

@@ -150,9 +150,9 @@ class SpeedEstimationSystem:
         self._seeds: list[int] = []
         self._selection: SelectionResult | None = None
         self._degradation = DegradationPolicy(store, config.degradation)
-        # Lazy: the one worker pool (pooled district selection, Step-1
-        # votes and plan compiles), the district stage on it and the
-        # warm-started incremental re-selector.
+        # Lazy: the one worker pool (pooled district selection and plan
+        # compiles), the district stage on it and the warm-started
+        # incremental re-selector.
         self._pool: SharedWorkerPool | None = None
         self._districts = None
         self._reselector = None
@@ -331,10 +331,10 @@ class SpeedEstimationSystem:
         return self._pool
 
     def district_stage(self):
-        """The district selection and Step-1 vote stage (parallel configs).
+        """The district seed-selection stage (parallel configs).
 
-        Created on first use and reused for every subsequent selection
-        and Step-1 round; its tasks run on the system's worker pool. Call
+        Created on first use and reused for every subsequent selection;
+        its tasks run on the system's worker pool. Call
         :meth:`close` (or use the system as a context manager) to
         release the workers and the shared-memory segments.
         """
@@ -350,10 +350,6 @@ class SpeedEstimationSystem:
                 self._worker_pool(),
                 num_partitions=self._config.num_partitions,
             )
-            if isinstance(self._inference, TrendPropagationInference):
-                self._inference.set_vote_accumulator(
-                    self._districts.vote_accumulator
-                )
         return self._districts
 
     def _make_sharded_planner(self, store, network, hlm, road_ids):

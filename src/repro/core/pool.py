@@ -1,8 +1,9 @@
 """One crash-safe process pool that every pooled stage submits tasks to.
 
-District seed selection, Step-1 district votes
-(:mod:`repro.seeds.parallel`) and Step-2 district plan compiles
-(:mod:`repro.speed.plan`) all run on one :class:`SharedWorkerPool`:
+District seed selection (:mod:`repro.seeds.parallel`) and Step-2
+district plan compiles (:mod:`repro.speed.plan`) both run on one
+:class:`SharedWorkerPool`; Step-1 votes are a sparse sum in the parent
+and never use it:
 
 * A stage **publishes a named context**: read-only numpy arrays plus a
   module-level ``builder(arrays, *args)`` that turns them into the

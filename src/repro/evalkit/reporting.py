@@ -6,46 +6,11 @@ figures report; these helpers keep that output aligned and consistent.
 
 from __future__ import annotations
 
-from typing import Sequence
+# The one table formatter lives in the leaf repro.obs.report (every
+# instrumented layer imports repro.obs); it is re-exported here.
+from repro.obs.report import fmt, format_table
 
-from repro.core.errors import DataError
-
-
-def format_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    title: str | None = None,
-) -> str:
-    """An aligned monospace table.
-
-    Cells are stringified with ``str``; floats should be pre-formatted
-    by the caller so each experiment controls its own precision.
-    """
-    if not headers:
-        raise DataError("table needs headers")
-    str_rows = [[str(cell) for cell in row] for row in rows]
-    for i, row in enumerate(str_rows):
-        if len(row) != len(headers):
-            raise DataError(
-                f"row {i} has {len(row)} cells for {len(headers)} headers"
-            )
-    widths = [
-        max(len(headers[c]), *(len(r[c]) for r in str_rows)) if str_rows else len(headers[c])
-        for c in range(len(headers))
-    ]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in str_rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def fmt(value: float, digits: int = 2) -> str:
-    """Fixed-point float formatting for table cells."""
-    return f"{value:.{digits}f}"
+__all__ = ["fmt", "fmt_pct", "fmt_speedup", "format_table"]
 
 
 def fmt_pct(value: float, digits: int = 1) -> str:

@@ -36,11 +36,12 @@ This module makes the structure first-class:
   service, so a fidelity row computed by any stage is a cache hit for
   every other stage.  Rows are stored as read-only ``(indices,
   values)`` pairs whose raw and transformed forms share one index
-  array; returned maps are :class:`types.MappingProxyType` views, so
-  callers cannot poison the cache by mutating results.
+  array, so callers cannot poison the cache by mutating results; the
+  sparse row is the only form cached or handed out.
   :meth:`FidelityCacheService.sparse_rows` fetches many rows at once,
-  computing the missing ones in kernel blocks; CELF scans and Step-1
-  votes go through it (district workers batch the kernel directly).
+  computing the missing ones in kernel blocks; CELF scans, Step-1
+  votes and the Step-2 influence index go through it (district
+  selection workers batch the kernel directly).
 
 Cache hits and misses flow into the existing :mod:`repro.obs` metrics
 as ``fidelity.cache`` counts (see ``docs/OBSERVABILITY.md``).
@@ -51,8 +52,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -307,7 +307,7 @@ def _transform_row(raw: SparseRow, source: int, transform: str) -> SparseRow:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CacheStats:
-    """Cumulative row/map cache accounting of a service."""
+    """Cumulative row cache accounting of a service."""
 
     hits: int
     misses: int
@@ -320,7 +320,7 @@ class CacheStats:
 class _GraphEntry:
     """Everything cached for one correlation graph."""
 
-    __slots__ = ("csr", "rows", "maps")
+    __slots__ = ("csr", "rows")
 
     def __init__(self) -> None:
         self.csr: CSRFidelityGraph | None = None
@@ -328,8 +328,6 @@ class _GraphEntry:
         # Invariant: every cached transformed row has its raw
         # ("fidelity") sibling cached too, sharing its index array.
         self.rows: dict[tuple, dict[int, SparseRow]] = {}
-        # same key -> {road -> MappingProxyType}
-        self.maps: dict[tuple, dict[int, Mapping[int, float]]] = {}
 
 
 class FidelityCacheService:
@@ -409,8 +407,8 @@ class FidelityCacheService:
     def invalidate_rows(self, graph: CorrelationGraph, roads) -> None:
         """Drop the cached influence rows of specific source roads.
 
-        Narrower than :meth:`invalidate`: only the sparse rows and maps
-        of the given source roads are dropped; every other road's cache
+        Narrower than :meth:`invalidate`: only the sparse rows of the
+        given source roads are dropped; every other road's cache
         survives. Subscribers receive the sorted road tuple so
         dependents (incremental CELF) can mark exactly those candidates
         dirty. Roads with nothing
@@ -421,7 +419,7 @@ class FidelityCacheService:
             return
         entry = self._graphs.get(graph)
         if entry is not None:
-            for per_key in (*entry.rows.values(), *entry.maps.values()):
+            for per_key in entry.rows.values():
                 for road in dropped:
                     per_key.pop(road, None)
         get_recorder().count("fidelity.invalidations", len(dropped), scope="rows")
@@ -436,8 +434,7 @@ class FidelityCacheService:
         lies on one of its (new or old) best paths, and any such path's
         prefix up to the *first* changed edge is an all-old-edges path
         whose running product — never below the row's floor — puts that
-        edge's endpoint in the old row's support. So rows (and maps)
-        whose support misses every touched endpoint are provably
+        edge's endpoint in the old row's support. So rows whose support misses every touched endpoint are provably
         unaffected and survive; the rest are dropped through
         :meth:`invalidate_rows`, which also tells subscribers
         (compiled plans, CELF gains, influence memos) exactly which
@@ -457,8 +454,8 @@ class FidelityCacheService:
                 np.asarray(graph.road_ids, dtype=np.int64),
                 np.fromiter(touched, dtype=np.int64, count=len(touched)),
             )
-            # Transformed rows share their raw sibling's indices and
-            # maps derive from cached rows, so the raw rows decide all.
+            # Transformed rows share their raw sibling's indices, so the
+            # raw rows decide all.
             for (_, _, transform), per_key in entry.rows.items():
                 if transform != "fidelity":
                     continue
@@ -525,63 +522,6 @@ class FidelityCacheService:
         if missing:
             recorder.count("fidelity.cache", len(missing), hit="false")
         return [per_key[road] for road in roads]
-
-    def rows(
-        self,
-        graph: CorrelationGraph,
-        roads: list[int],
-        min_fidelity: float = 0.05,
-        max_hops: int | None = None,
-        transform: str = "fidelity",
-    ) -> np.ndarray:
-        """Stacked dense ``(S, N)`` rows, densified from the cached rows.
-
-        The one dense form, built per call and never cached: Step-1's
-        ``signs @ matrix`` vote product consumes it, and densifying
-        keeps that product bitwise equal to the dense-row
-        implementation. Read-only, like every returned row.
-        """
-        matrix = np.zeros((len(roads), self.csr(graph).num_roads), dtype=np.float64)
-        for i, (indices, values) in enumerate(
-            self.sparse_rows(graph, roads, min_fidelity, max_hops, transform)
-        ):
-            matrix[i, indices] = values
-        matrix.setflags(write=False)
-        return matrix
-
-    def fidelity_map(
-        self,
-        graph: CorrelationGraph,
-        road: int,
-        min_fidelity: float = 0.05,
-        max_hops: int | None = None,
-        transform: str = "fidelity",
-    ) -> Mapping[int, float]:
-        """Sparse ``{road id -> influence}`` view (read-only, cached).
-
-        The dict form of :meth:`row`, for scalar consumers: only roads
-        at or above the fidelity floor appear (the source always does,
-        except under the ``"logodds"`` transform, which zeroes it).
-        """
-        key = self._key(min_fidelity, max_hops, transform)
-        entry = self._entry(graph)
-        per_key = entry.maps.get(key)
-        if per_key is None:
-            per_key = entry.maps[key] = {}
-        cached = per_key.get(road)
-        if cached is not None:
-            return cached
-        indices, values = self.row(graph, road, min_fidelity, max_hops, transform)
-        road_ids = self.csr(graph).road_ids
-        proxy = MappingProxyType(
-            {
-                road_ids[i]: q
-                for i, q in zip(indices.tolist(), values.tolist())
-                if q != 0.0
-            }
-        )
-        per_key[road] = proxy
-        return proxy
 
     # -- computation ----------------------------------------------------
     def _compute_rows(

@@ -16,21 +16,33 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Sequence
 
 from repro.core.errors import DataError
 
 # repro.obs is imported by every instrumented layer, so this module
-# must stay a leaf: it reuses nothing from evalkit and formats its own
-# tables (same aligned-monospace style as evalkit.reporting).
+# must stay a leaf: the package's one table formatter lives here, and
+# repro.evalkit.reporting re-exports it for the benchmarks.
 
 
 def format_table(
-    headers: list[str],
-    rows: list[list[object]],
+    headers: Sequence[str],
+    rows: Sequence[Sequence[object]],
     title: str | None = None,
 ) -> str:
-    """An aligned monospace table (obs-local, evalkit-compatible)."""
+    """An aligned monospace table.
+
+    Cells are stringified with ``str``; floats should be pre-formatted
+    by the caller so each table controls its own precision.
+    """
+    if not headers:
+        raise DataError("table needs headers")
     str_rows = [[str(cell) for cell in row] for row in rows]
+    for i, row in enumerate(str_rows):
+        if len(row) != len(headers):
+            raise DataError(
+                f"row {i} has {len(row)} cells for {len(headers)} headers"
+            )
     widths = [
         max(len(headers[c]), *(len(r[c]) for r in str_rows))
         if str_rows
@@ -48,7 +60,9 @@ def format_table(
 
 
 def fmt(value: float, digits: int = 2) -> str:
+    """Fixed-point float formatting for table cells."""
     return f"{value:.{digits}f}"
+
 
 #: Span name -> report column for the per-round stage timing table.
 STAGE_COLUMNS: tuple[tuple[str, str], ...] = (

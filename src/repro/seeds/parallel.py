@@ -1,4 +1,4 @@
-"""District selection and Step-1 voting as tasks on the shared worker pool.
+"""District seed selection as tasks on the shared worker pool.
 
 The single-process partition path (:mod:`repro.seeds.partition`) already
 restricts every marginal-gain evaluation to one district; at 50k+ roads
@@ -24,19 +24,13 @@ turns them into tasks on a :class:`~repro.core.pool.SharedWorkerPool`:
   district order (the same order the serial loop uses), never in
   completion order, and the final global rescoring runs in the parent.
 
-The same stage also accumulates Step-1 propagation votes per district
-(:meth:`DistrictStage.vote_accumulator`): each task sums its district
-seeds' signed log-odds rows into one partial vote vector and the parent
-adds the partials in district order — exact up to float re-association
-(asserted ≤ 1e-9 against the serial kernel in the differential tests).
+Step-1 votes do not run here: they are one sparse sum in the parent
+(:class:`~repro.trend.propagation.TrendPropagationInference`) for
+every config, over the same cached rows Step 2 reads.
 
 Rows are :class:`~repro.history.fidelity.SparseRow` pairs, so a row
 costs its reach, not N: a district task keeps every row it computes
-(each candidate's row is computed exactly once per task), and the
-vote path keeps a seed-keyed row memo in the context state — warm
-rounds on the same seeds compute no rows at all. That memo is safe
-because the context is republished, and the memo dropped, whenever
-the fidelity service hands out a new CSR for the graph. Tasks report
+(each candidate's row is computed exactly once per task). Tasks report
 ``rows_computed`` and ``nonzeros`` (total row support) alongside
 ``evaluations``; the parent puts them on the ``seeds.parallel.select``
 span.
@@ -46,7 +40,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.errors import InferenceError
 from repro.core.pool import SharedWorkerPool
 from repro.history.fidelity import (
     CSRFidelityGraph,
@@ -67,12 +60,7 @@ __all__ = ["DistrictStage"]
 # Worker side: the "district" context and its tasks
 # ----------------------------------------------------------------------
 class _DistrictState:
-    """One worker's district context: the CSR view, weights and vote memo.
-
-    The vote memo (seed road -> sparse log-odds row) lives exactly as
-    long as the context, and the context is republished whenever the
-    parent's CSR changes, so a memoised row never outlives its CSR.
-    """
+    """One worker's district context: the CSR view and the road weights."""
 
     def __init__(
         self, arrays: dict[str, np.ndarray], min_fidelity: float, transform: str
@@ -88,7 +76,6 @@ class _DistrictState:
         self.weights = arrays["weights"]
         self.min_fidelity = float(min_fidelity)
         self.transform = transform
-        self.vote_rows: dict[int, SparseRow] = {}
 
 
 class _SharedArrayObjective:
@@ -172,33 +159,11 @@ def _select_chunk(
     )
 
 
-def _vote_chunk(
-    state: _DistrictState, pairs: tuple[tuple[int, float], ...]
-) -> tuple[np.ndarray, int]:
-    """Task: partial Step-1 vote vector for one district's seeds."""
-    csr = state.csr
-    memo = state.vote_rows
-    seeds = dict.fromkeys(road for road, _ in pairs)
-    missing = [road for road in seeds if road not in memo]
-    positions = [csr.index[road] for road in missing]
-    raws = sparse_fidelity_rows(csr, positions, state.min_fidelity)
-    for road, position, raw in zip(missing, positions, raws):
-        memo[road] = _transform_row(raw, position, "logodds")
-    votes = np.zeros(csr.num_roads, dtype=np.float64)
-    nonzeros = 0
-    for road, sign in pairs:
-        row = memo[road]
-        nonzeros += int(np.count_nonzero(row.values))
-        # Off the support a dense add would add +-0.0: a no-op here.
-        votes[row.indices] += sign * row.values
-    return votes, nonzeros
-
-
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
 class DistrictStage:
-    """District selection and Step-1 votes as tasks on a worker pool.
+    """District selection as tasks on a worker pool.
 
     Bound to one objective's graph. Before each batch the stage checks
     the fidelity service's CSR export of that graph: when it is a new
@@ -219,19 +184,13 @@ class DistrictStage:
         self._num_partitions = num_partitions
         self._csr: CSRFidelityGraph | None = None
         self._partitions: list[list[int]] = []
-        self._district_of: dict[int, int] = {}
 
-    def _publish(self) -> CSRFidelityGraph:
+    def _publish(self) -> None:
         """Bind the stage to the current CSR, republishing if it changed."""
         csr = self._objective.fidelity_service.csr(self._graph)
         if csr is self._csr:
-            return csr
+            return
         self._partitions = partition_graph(self._objective, self._num_partitions)
-        self._district_of = {
-            road: district
-            for district, chunk in enumerate(self._partitions)
-            for road in chunk
-        }
         self._pool.publish(
             "district",
             {
@@ -247,7 +206,6 @@ class DistrictStage:
         )
         self._csr = csr
         get_recorder().gauge("seeds.parallel.districts", len(self._partitions))
-        return csr
 
     @property
     def csr(self) -> CSRFidelityGraph | None:
@@ -315,40 +273,3 @@ class DistrictStage:
             values=tuple(values),
             evaluations=evaluations,
         )
-
-    def vote_accumulator(
-        self, graph, seeds: list[int], signs: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        """District-partial Step-1 vote accumulation.
-
-        Drop-in for the serial ``signs @ logodds_rows`` matmul in
-        :class:`~repro.trend.propagation.TrendPropagationInference`:
-        each district's partial vote vector is one task and the
-        partials are summed in district order, so the result is
-        deterministic and within float re-association (≤ 1e-9) of the
-        serial kernel. Never materialises the (S, N) stacked matrix.
-        """
-        if graph is not self._graph:
-            raise InferenceError(
-                "district stage is bound to a different correlation graph"
-            )
-        csr = self._publish()
-        buckets: dict[int, list[tuple[int, float]]] = {}
-        for road, sign in zip(seeds, signs):
-            buckets.setdefault(self._district_of[road], []).append(
-                (road, float(sign))
-            )
-        partials = self._pool.map(
-            "district",
-            _vote_chunk,
-            [tuple(buckets[district]) for district in sorted(buckets)],
-        )
-        votes = np.zeros(csr.num_roads, dtype=np.float64)
-        nonzeros = 0
-        for partial, partial_nonzeros in partials:
-            votes += partial
-            nonzeros += partial_nonzeros
-        get_recorder().count(
-            "trend.propagation.parallel_votes", nonzeros, districts=len(buckets)
-        )
-        return votes, nonzeros

@@ -401,12 +401,13 @@ class EstimateStore:
             recorder.count("serving.reads", status=SHED, value=len(road_ids))
             out = {r: ServedEstimate(road_id=r, status=SHED) for r in road_ids}
             counts = {SHED: len(road_ids)}
+            current = self._current
         else:
             try:
-                out, counts = self._read(road_ids)
+                out, counts, current = self._read(road_ids)
             finally:
                 self._admission.release()
-        self._trace(recorder, counts, self._now() - start)
+        self._trace(recorder, current, counts, self._now() - start)
         return out
 
     def query_bbox(
@@ -563,7 +564,13 @@ class EstimateStore:
 
     def _read(
         self, road_ids
-    ) -> tuple[dict[int, ServedEstimate], dict[str, int]]:
+    ) -> tuple[dict[int, ServedEstimate], dict[str, int], _Current | None]:
+        """Serve ``road_ids``: (reads, status counts, served state).
+
+        The served state is returned so the read's trace names the
+        snapshot it was served from, even if a publish lands before the
+        trace is written.
+        """
         recorder = get_recorder()
         # One reference copy: every road in this read sees the same
         # snapshot even if a publish lands mid-loop.
@@ -597,7 +604,7 @@ class EstimateStore:
         out: dict[int, ServedEstimate],
         current: _Current | None,
         now: float,
-    ) -> tuple[dict[int, ServedEstimate], dict[str, int]]:
+    ) -> tuple[dict[int, ServedEstimate], dict[str, int], _Current | None]:
         """Count statuses once per read (batched per-status increments)."""
         counts: dict[str, int] = {}
         for served in out.values():
@@ -606,14 +613,19 @@ class EstimateStore:
             recorder.count("serving.reads", status=status, value=n)
         if current is not None:
             recorder.gauge("serving.snapshot_age_seconds", now - current[1])
-        return out, counts
+        return out, counts, current
 
     def _breaker_open(self) -> bool:
         return self._breaker is not None and self._breaker.state is BreakerState.OPEN
 
-    def _trace(self, recorder, status_counts: dict[str, int], latency_s: float) -> None:
-        """Account one finished read to the tracer and latency histograms."""
-        current = self._current
+    def _trace(
+        self,
+        recorder,
+        current: _Current | None,
+        status_counts: dict[str, int],
+        latency_s: float,
+    ) -> None:
+        """Account one finished read of ``current`` to the tracer and histograms."""
         if current is not None:
             version: int | None = current[0].version
             age: float | None = max(0.0, self._now() - current[1])

@@ -376,23 +376,26 @@ class TwoStepEstimator:
         # potentials too (cheap: one pass over the edge list).
         self._trend_model.refresh_edges()
 
-    def _fidelity_map(self, seed: int):
-        """Per-seed fidelity map from the shared cross-stage cache."""
-        return self._fidelity.fidelity_map(
-            self._graph, seed, min_fidelity=self._params.min_fidelity
-        )
-
     def _influence_index(
         self, seeds: frozenset[int]
     ) -> dict[int, dict[int, float]]:
-        """road id -> {seed -> fidelity} for the given seed set."""
+        """road id -> {seed -> fidelity} for the given seed set.
+
+        Built from one batch of the shared cache's sparse rows, seeds in
+        sorted order; a seed's own entry and zero entries are left out.
+        """
         cached = self._influence_cache.get(seeds)
         if cached is None:
             cached = {}
-            for seed in sorted(seeds):
-                for road, q in self._fidelity_map(seed).items():
-                    if road == seed:
-                        continue
-                    cached.setdefault(road, {})[seed] = q
+            ordered = sorted(seeds)
+            rows = self._fidelity.sparse_rows(
+                self._graph, ordered, min_fidelity=self._params.min_fidelity
+            )
+            road_ids = self._fidelity.csr(self._graph).road_ids
+            for seed, (indices, values) in zip(ordered, rows):
+                for i, q in zip(indices.tolist(), values.tolist()):
+                    road = road_ids[i]
+                    if q != 0.0 and road != seed:
+                        cached.setdefault(road, {})[seed] = q
             self._influence_cache[seeds] = cached
         return cached

@@ -23,13 +23,16 @@ small constant neighbourhood, making inference near-linear in the number
 of seeds and independent of total network size — which is exactly the
 scaling experiment F3 demonstrates.
 
-The hot path is fully vectorized: per-seed ``log((1+q)/(1-q))`` vote
-rows are served by the shared
+The hot path is one sparse sum in the calling process: per-seed
+``log((1+q)/(1-q))`` vote rows are served by the shared
 :class:`~repro.history.fidelity.FidelityCacheService` (one cache across
-inference, seed selection and Step-2 regression) as a stacked dense
-matrix densified from its sparse rows, and one interval's inference
-collapses to ``log_odds += signs @ vote_rows``. The original
-dict/heap vote loop lives on as a test oracle
+inference, seed selection and Step-2 regression) as
+:class:`~repro.history.fidelity.SparseRow` supports, and one interval's
+votes are a single ``np.bincount`` over the concatenated supports,
+weighted by the signed row values. Each road's votes add up in seed
+order, so the result does not depend on any worker count, and no
+``(S, N)`` matrix is ever built: the work is the seeds' total reach.
+The original dict/heap vote loop lives on as a test oracle
 (``tests/oracles/propagation.py``): experiment F3 asserts this path
 matches it to 1e-9 while being several times faster.
 """
@@ -40,7 +43,11 @@ import numpy as np
 
 from repro.core.errors import InferenceError
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
-from repro.history.fidelity import FidelityCacheService, get_fidelity_service
+from repro.history.fidelity import (
+    CSRFidelityGraph,
+    FidelityCacheService,
+    get_fidelity_service,
+)
 from repro.obs import get_recorder
 from repro.trend.model import TrendInstance, TrendPosterior
 
@@ -83,23 +90,10 @@ class TrendPropagationInference:
         self._max_hops = max_hops
         self._prior_weight = prior_weight
         self._service = fidelity_service or get_fidelity_service()
-        self._vote_accumulator = None
 
     @property
     def fidelity_service(self) -> FidelityCacheService:
         return self._service
-
-    def set_vote_accumulator(self, accumulator) -> None:
-        """Install a district-parallel vote backend (or None to clear).
-
-        ``accumulator(graph, seeds, signs)`` must return the CSR-ordered
-        vote vector and its nonzero count — the contract of
-        :meth:`repro.seeds.parallel.DistrictStage.vote_accumulator`. Used
-        only when the hop budget is unbounded; partial
-        sums may differ from the serial matmul by float re-association
-        (≤ 1e-9), which the differential tests pin.
-        """
-        self._vote_accumulator = accumulator
 
     def infer(self, instance: TrendInstance) -> TrendPosterior:
         """Posterior P(RISE) per road from prior + seed votes."""
@@ -119,7 +113,7 @@ class TrendPropagationInference:
             else:
                 index = instance.index
             misses_before = self._service.stats().misses
-            votes = self._accumulate(graph, instance, index, log_odds)
+            votes = self._accumulate(graph, csr, instance, index, log_odds)
             cache_misses = self._service.stats().misses - misses_before
 
             p_rise = 1.0 / (1.0 + np.exp(-np.clip(log_odds, -500, 500)))
@@ -142,11 +136,12 @@ class TrendPropagationInference:
     def _accumulate(
         self,
         graph: CorrelationGraph,
+        csr: CSRFidelityGraph,
         instance: TrendInstance,
         index: dict[int, int],
         log_odds: np.ndarray,
     ) -> int:
-        """One matmul: ``log_odds += signs @ log((1+Q)/(1-Q))`` rows."""
+        """One sparse sum: ``log_odds += sum_s sign_s * log((1+q)/(1-q))``."""
         # Evidence roads missing from the instance index or from the
         # correlation graph do not vote — the same unknown-evidence
         # policy the clamp stage applies. Sorted: the canonical order.
@@ -157,26 +152,24 @@ class TrendPropagationInference:
         ]
         if not seeds:
             return 0
+        rows = self._service.sparse_rows(
+            graph, seeds, self._min_fidelity, self._max_hops, "logodds"
+        )
         signs = np.fromiter(
             (float(int(instance.evidence[s])) for s in seeds),
             dtype=np.float64,
             count=len(seeds),
         )
-        # District tasks compute rows with an unbounded hop budget,
-        # so the parallel backend only serves the max_hops=None case.
-        if self._vote_accumulator is not None and self._max_hops is None:
-            votes_csr, nonzeros = self._vote_accumulator(graph, seeds, signs)
-        else:
-            matrix = self._service.rows(
-                graph,
-                seeds,
-                min_fidelity=self._min_fidelity,
-                max_hops=self._max_hops,
-                transform="logodds",
-            )
-            votes_csr = signs @ matrix
-            nonzeros = np.count_nonzero(matrix)
-        csr = self._service.csr(graph)
+        sizes = np.fromiter(
+            (row.indices.size for row in rows), dtype=np.int64, count=len(rows)
+        )
+        weights = np.repeat(signs, sizes) * np.concatenate([row.values for row in rows])
+        # bincount adds each road's weights in array order: seed order.
+        votes_csr = np.bincount(
+            np.concatenate([row.indices for row in rows]),
+            weights=weights,
+            minlength=csr.num_roads,
+        )
         if csr.index is index:
             log_odds += votes_csr
         else:
@@ -187,4 +180,4 @@ class TrendPropagationInference:
             )
             valid = gather >= 0
             log_odds[gather[valid]] += votes_csr[valid]
-        return int(nonzeros)
+        return int(np.count_nonzero(weights))

@@ -96,11 +96,14 @@ def covers_all_elements(
 ) -> bool:
     """Whether every element road has influence ≥ θ from ``seeds``."""
     service = get_fidelity_service()
+    road_ids = service.csr(instance.graph).road_ids
     best: dict[int, float] = {}
     for seed in seeds:
-        for road, fidelity in service.fidelity_map(
+        indices, values = service.row(
             instance.graph, seed, min_fidelity=instance.min_fidelity
-        ).items():
+        )
+        for i, fidelity in zip(indices.tolist(), values.tolist()):
+            road = road_ids[i]
             if fidelity > best.get(road, 0.0):
                 best[road] = fidelity
     return all(

@@ -174,14 +174,6 @@ class TestService:
         stats = service.stats()
         assert stats.misses == 1 and stats.hits == 1
 
-    def test_maps_are_read_only_views(self):
-        service = FidelityCacheService()
-        graph = line_graph([0.8])
-        mapping = service.fidelity_map(graph, 0, min_fidelity=0.01)
-        with pytest.raises(TypeError):
-            mapping[0] = 99.0
-        assert service.fidelity_map(graph, 0, min_fidelity=0.01) is mapping
-
     def test_keys_isolate_floor_hops_and_transform(self):
         service = FidelityCacheService()
         graph = line_graph([0.8, 0.8, 0.8])
@@ -339,11 +331,9 @@ class TestCrossStageSharing:
             row.values[:] = 123.0
         with pytest.raises(ValueError):
             row.indices[:] = 0
-        with pytest.raises(TypeError):
-            shared.fidelity_map(city.graph, road)[road] = 123.0
-        matrix = shared.rows(city.graph, [road], transform="logodds")
+        (logodds,) = shared.sparse_rows(city.graph, [road], transform="logodds")
         with pytest.raises(ValueError):
-            matrix[0, 0] = 1.0
+            logodds.values[0] = 1.0
         assert objective.influence_row(road) is row
 
 

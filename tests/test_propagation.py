@@ -16,10 +16,15 @@ from tests.oracles import ScalarPropagationInference
 
 
 def propagate_fidelity(graph, source, min_fidelity=0.05, max_hops=None):
-    """Production best-path fidelity map (road id -> q) from ``source``."""
-    return FidelityCacheService().fidelity_map(
-        graph, source, min_fidelity, max_hops
-    )
+    """Production best-path fidelity (road id -> q) from ``source``.
+
+    The cached sparse row read back as a dict: every entry of a raw row
+    is at or above the floor, so the support is exactly the map's keys.
+    """
+    service = FidelityCacheService()
+    indices, values = service.row(graph, source, min_fidelity, max_hops)
+    road_ids = service.csr(graph).road_ids
+    return {road_ids[i]: q for i, q in zip(indices.tolist(), values.tolist())}
 
 
 def line_graph(agreements):

@@ -5,10 +5,13 @@ on a :class:`~repro.core.pool.SharedWorkerPool` over shared CSR arrays
 returns the **identical** seed sequence, gains and values as the
 single-process partition path — workers recompute influence rows from
 the same arrays with the same kernel and transform math, and districts
-stitch in district order. That holds after a worker is killed (the pool
-re-runs the batch in-process) and after a graph delta (the stage
-republishes its context on the same workers). The pool here is small
-(2 workers, 4 districts) so the differential runs in tier-1 CI.
+stitch in district order. Step 1 runs in the parent for every config,
+so a pooled system's estimate columns (Step-1 posteriors included) are
+byte-identical to an unpooled system's for the same seeds. Both hold
+after a worker is killed (the pool re-runs the batch in-process) and
+after a graph delta (the stage republishes its context on the same
+workers). The pool here is small (2 workers, 4 districts) so the
+differential runs in tier-1 CI.
 """
 
 import numpy as np
@@ -24,6 +27,7 @@ from repro.obs import recording
 from repro.seeds.objective import SeedSelectionObjective
 from repro.seeds.parallel import DistrictStage
 from repro.seeds.partition import partition_greedy_select
+from repro.speed.estimator import EstimateColumns
 from tests.test_plan_sharded import (
     _exited,
     _oracle,
@@ -59,24 +63,6 @@ class TestParallelVsSerialDifferential:
             serial = partition_greedy_select(objective, budget, 4)
             assert pool.select(budget).seeds == serial.seeds
 
-    def test_vote_accumulator_matches_matmul(
-        self, objective, pool, small_dataset
-    ):
-        seeds = objective.road_ids[::7][:12]
-        signs = np.array(
-            [1.0 if i % 3 else -1.0 for i in range(len(seeds))]
-        )
-        votes, nonzeros = pool.vote_accumulator(
-            small_dataset.graph, seeds, signs
-        )
-        matrix = objective.fidelity_service.rows(
-            small_dataset.graph, seeds, transform="logodds"
-        )
-        serial = signs @ matrix
-        assert np.abs(votes - serial).max() <= 1e-9
-        assert nonzeros == int(np.count_nonzero(matrix))
-
-
 class TestDistrictPoolLifecycle:
     def test_partitions_match_partition_graph(self, objective, pool):
         from repro.seeds.partition import partition_graph
@@ -106,11 +92,6 @@ class TestDistrictPoolLifecycle:
             stage.select(2)
         pool.close()  # idempotent
 
-    def test_vote_accumulator_wrong_graph(self, pool, tiny_dataset):
-        with pytest.raises(Exception, match="different correlation graph"):
-            pool.vote_accumulator(tiny_dataset.graph, [0], np.array([1.0]))
-
-
 class TestPipelineParallelIntegration:
     def test_parallel_system_matches_serial_system(self, small_dataset):
         parts = (
@@ -133,17 +114,15 @@ class TestPipelineParallelIntegration:
             ),
         ) as parallel_system:
             assert parallel_system.select_seeds(8) == serial_seeds
-            # Step-1 runs through the district vote accumulator and must
-            # match the serial estimate to float re-association.
+            # Step 1 runs in the parent for every config: the pooled
+            # estimate is the serial one, byte for byte.
             interval = small_dataset.test_day_intervals()[32]
             truth = small_dataset.test.speeds_at(interval)
             crowd = {road: truth[road] for road in serial_seeds}
             parallel_estimates = parallel_system.estimate(interval, crowd)
-        serial_estimates = serial_system.estimate(interval, crowd)
-        for road in small_dataset.network.road_ids():
-            assert parallel_estimates[road].speed_kmh == pytest.approx(
-                serial_estimates[road].speed_kmh, abs=1e-6
-            )
+        _assert_same_columns(
+            parallel_estimates, serial_system.estimate(interval, crowd)
+        )
 
     def test_district_pool_requires_flag(self, small_dataset):
         system = SpeedEstimationSystem.from_parts(
@@ -169,15 +148,32 @@ def _parallel_config(workers=2, **overrides):
     )
 
 
-def _signs(seeds):
-    return np.array([1.0 if i % 3 else -1.0 for i in range(len(seeds))])
+def _assert_same_columns(got, want):
+    assert got.road_ids == want.road_ids
+    for column in EstimateColumns.COLUMNS:
+        assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), (
+            f"column {column} differs"
+        )
 
 
-def _assert_votes_match_matmul(system, graph, seeds):
-    signs = _signs(seeds)
-    votes, _ = system.district_stage().vote_accumulator(graph, seeds, signs)
-    matrix = system.fidelity_service.rows(graph, seeds, transform="logodds")
-    assert np.abs(votes - signs @ matrix).max() <= 1e-9
+def _assert_estimates_match_unpooled(system, dataset, graph, seeds, interval):
+    """The pooled system serves an unpooled system's estimates bytewise.
+
+    The unpooled system is built on the same (possibly mutated) graph
+    with its own fidelity cache and an in-process whole-city planner;
+    the Step-1 posteriors (``p_rise``) and every other column must be
+    byte-identical, whatever the pool did before.
+    """
+    speeds = _speeds(dataset, seeds, interval)
+    unpooled = SpeedEstimationSystem.from_parts(
+        dataset.network,
+        dataset.store,
+        graph,
+        PipelineConfig(selection_method="partition", num_partitions=4),
+    )
+    _assert_same_columns(
+        system.estimate(interval, speeds), unpooled.estimate(interval, speeds)
+    )
 
 
 def _assert_same_selection(got, serial):
@@ -190,9 +186,8 @@ def _assert_same_selection(got, serial):
 def _assert_plan_matches_oracle(system, dataset, config, interval, speeds):
     """The system's compiled plan is bitwise the whole-city oracle plan.
 
-    Compared on the plan itself, with one shared posterior: the system's
-    Step-1 votes are district partial sums, equal to the serial matmul
-    only up to float re-association.
+    Compared on the plan itself, with one shared posterior, so only the
+    pooled Step-2 compile is under test.
     """
     oracle = _oracle(dataset, system.estimator.hlm, config.hlm)
     plan = system.estimator.plan_for(interval, speeds)
@@ -242,9 +237,10 @@ class TestPoolCrash:
                 assert fallbacks.value == 1
 
                 seeds = list(serial.seeds)
-                _assert_votes_match_matmul(system, graph, seeds)
+                _assert_estimates_match_unpooled(
+                    system, small_dataset, graph, seeds, interval
+                )
                 speeds = _speeds(small_dataset, seeds, interval)
-                system.estimate(interval, speeds)
                 _assert_plan_matches_oracle(
                     system, small_dataset, config, interval, speeds
                 )
@@ -291,17 +287,19 @@ class TestPooledGraphDelta:
                 "the delta must change a seed's row"
             )
 
-            _assert_votes_match_matmul(system, graph, seeds)
-            assert stage.csr is system.fidelity_service.csr(graph)
-            assert stage.csr is not old_csr
-            workers = _worker_processes(system._pool)
-            assert {p.pid for p in workers} == pids
-            assert all(p.is_alive() for p in workers)
+            _assert_estimates_match_unpooled(
+                system, small_dataset, graph, seeds, interval
+            )
 
             serial = partition_greedy_select(
                 SeedSelectionObjective(graph), 8, num_partitions=4
             )
             _assert_same_selection(system.district_stage().select(8), serial)
+            assert stage.csr is system.fidelity_service.csr(graph)
+            assert stage.csr is not old_csr
+            workers = _worker_processes(system._pool)
+            assert {p.pid for p in workers} == pids
+            assert all(p.is_alive() for p in workers)
 
 
 class TestOneWorkerInProcess:
@@ -319,8 +317,9 @@ class TestOneWorkerInProcess:
         ) as system:
             system.select_seeds(6)
             _assert_same_selection(system.selection, serial)
-            _assert_votes_match_matmul(system, graph, list(serial.seeds))
             interval = small_dataset.test_day_intervals()[0]
-            system.estimate(interval, _speeds(small_dataset, serial.seeds, interval))
+            _assert_estimates_match_unpooled(
+                system, small_dataset, graph, list(serial.seeds), interval
+            )
             assert system._pool._resources.executor is None
             assert not (_shm_segments() - before)

@@ -216,3 +216,47 @@ def test_concurrent_healthy_reads_sample_deterministically():
     ids = [e["trace_id"] for e in events]
     assert len(ids) == len(set(ids)), "duplicate trace ids"
     assert all(1 <= i <= total for i in ids)
+
+
+class _PublishingClock(ManualClock):
+    """A clock that publishes a snapshot on its n-th call once armed."""
+
+    def __init__(self, publish_on_call: int) -> None:
+        super().__init__()
+        self.store: EstimateStore | None = None
+        self.snapshot: EstimateSnapshot | None = None
+        self._calls_left = publish_on_call
+
+    def monotonic(self) -> float:
+        if self.snapshot is not None:
+            self._calls_left -= 1
+            if self._calls_left == 0:
+                snapshot, self.snapshot = self.snapshot, None
+                self.store.publish(snapshot)
+        return super().monotonic()
+
+
+def test_read_trace_names_the_snapshot_the_read_served():
+    """A publish between serving and tracing cannot relabel the read.
+
+    The traced read takes a start time, serves at a second clock call
+    and measures its latency at the third; v2 lands inside that third
+    call, after the read served v1 and before its trace is written.
+    """
+    clock = _PublishingClock(publish_on_call=3)
+    store = EstimateStore(
+        clock=clock,
+        staleness=StalenessPolicy(soft_after_s=1e9, hard_after_s=2e9),
+        tracer=ReadTracer(sample_every=1),
+    )
+    store.publish(snapshot_for_version(1))
+    clock.store, clock.snapshot = store, snapshot_for_version(2)
+    rec = FlightRecorder()
+    with recording(rec):
+        served = store.get_many(list(ROADS))
+    assert store.version == 2, "the publish must land during the read"
+    assert {int(s.speed_kmh) for s in served.values()} == {1}
+    traced = [
+        e["snapshot_version"] for e in rec.events if e.get("kind") == "read_trace"
+    ]
+    assert traced == [1]

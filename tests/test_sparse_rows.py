@@ -128,29 +128,6 @@ def test_sparse_rows_bitwise_equal_dense_scalar(
         )
 
 
-def test_logodds_map_omits_the_source():
-    graph = CorrelationGraph(
-        [0, 1, 2], [CorrelationEdge(0, 1, 0.9), CorrelationEdge(1, 2, 0.8)]
-    )
-    service = FidelityCacheService()
-    mapping = service.fidelity_map(graph, 1, min_fidelity=0.01, transform="logodds")
-    assert set(mapping) == {0, 2}
-    assert mapping[0] == math.log(1.8 / 0.2)
-    raw = service.fidelity_map(graph, 1, min_fidelity=0.01)
-    assert set(raw) == {0, 1, 2} and raw[1] == 1.0
-
-
-def test_stacked_rows_equal_dense_stack(small_dataset):
-    graph = small_dataset.graph
-    service = FidelityCacheService()
-    roads = graph.road_ids[::9]
-    matrix = service.rows(graph, roads, transform="logodds")
-    for road, stacked in zip(roads, matrix):
-        _, dense = dense_reference(graph, road, 0.05, None, "logodds")
-        assert np.array_equal(stacked, dense)
-    assert not matrix.flags.writeable
-
-
 @settings(max_examples=40, deadline=None)
 @given(graph=random_graphs(), data=st.data())
 def test_support_only_coverage_matches_dense_reference(graph, data):
@@ -203,17 +180,13 @@ def test_export_of_edgeless_graph():
 # Delta eviction over the support
 # ----------------------------------------------------------------------
 def dense_scan_dropped(service, graph, touched):
-    """Reference eviction: scan every cached row and map densely."""
+    """Reference eviction: scan every cached row densely."""
     entry = service._graphs[graph]
     positions = [graph.road_ids.index(r) for r in touched]
     affected = set(touched)
     for per_key in entry.rows.values():
         for source, row in per_key.items():
             if np.any(row.dense(graph.num_roads)[positions] != 0.0):
-                affected.add(source)
-    for per_key in entry.maps.values():
-        for source, mapping in per_key.items():
-            if any(road in mapping for road in touched):
                 affected.add(source)
     return tuple(sorted(affected))
 
@@ -227,10 +200,7 @@ def test_delta_eviction_matches_dense_scan(graph, data):
         floor = data.draw(st.sampled_from([0.05, 0.3]))
         hops = data.draw(st.sampled_from([None, 2]))
         transform = data.draw(st.sampled_from(TRANSFORMS))
-        if data.draw(st.booleans()):
-            service.fidelity_map(graph, source, floor, hops, transform)
-        else:
-            service.row(graph, source, floor, hops, transform)
+        service.row(graph, source, floor, hops, transform)
     u = data.draw(st.sampled_from(roads))
     v = data.draw(st.sampled_from([r for r in roads if r != u]))
     key = (min(u, v), max(u, v))
