@@ -29,6 +29,7 @@ graph identity survive a re-mine.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
@@ -187,45 +188,56 @@ class CorrelationGraph:
         service, and everything subscribed to it) keep every row that no
         changed edge touches. The road set never changes: deltas only
         add, drop or re-weight edges between known roads.
+
+        The apply is atomic: the whole delta is validated first (absent
+        removals or reweights, duplicate or unknown-road adds, a key
+        named twice), and a rejected delta raises
+        :class:`~repro.core.errors.DataError` with the graph untouched.
+        Changes are then grouped by road, so each touched road's
+        adjacency is rebuilt and sorted once. The work is O(changed
+        edges + touched roads' degrees); the re-mine's ``edges_built``
+        counter and ``tests/test_delta_oracle.py`` back that claim.
         """
-        touched: set[int] = set()
-        for road_u, road_v in delta.removed:
-            key = self._key(road_u, road_v)
+        removed = [self._key(u, v) for u, v in delta.removed]
+        added = [self._key(e.road_u, e.road_v) for e in delta.added]
+        reweighted = [self._key(e.road_u, e.road_v) for e in delta.reweighted]
+        named = Counter(removed + added + reweighted)
+        if len(named) != len(removed) + len(added) + len(reweighted):
+            twice = next(key for key, n in named.items() if n > 1)
+            raise DataError(f"correlation edge {twice} appears twice in one delta")
+        for key in removed:
             if key not in self._weights:
                 raise DataError(f"cannot remove absent correlation edge {key}")
-            del self._weights[key]
-            for road in key:
-                self._adjacency[road] = [
-                    e
-                    for e in self._adjacency[road]
-                    if self._key(e.road_u, e.road_v) != key
-                ]
-            touched.update(key)
-        for edge in delta.added:
-            if edge.road_u not in self._adjacency or edge.road_v not in self._adjacency:
-                raise DataError(
-                    f"edge ({edge.road_u}, {edge.road_v}) references unknown road"
-                )
-            key = self._key(edge.road_u, edge.road_v)
+        for key in added:
+            if key[0] not in self._adjacency or key[1] not in self._adjacency:
+                raise DataError(f"edge {key} references unknown road")
             if key in self._weights:
                 raise DataError(f"cannot add duplicate correlation edge {key}")
-            self._weights[key] = edge.agreement
-            self._adjacency[edge.road_u].append(edge)
-            self._adjacency[edge.road_v].append(edge)
-            touched.update(key)
-        for edge in delta.reweighted:
-            key = self._key(edge.road_u, edge.road_v)
+        for key in reweighted:
             if key not in self._weights:
                 raise DataError(f"cannot reweight absent correlation edge {key}")
-            self._weights[key] = edge.agreement
+
+        # Valid: mutate. Old entries of removed and reweighted keys leave
+        # each touched road's list; added and reweighted edges join it.
+        dropped = set(removed) | set(reweighted)
+        incoming: dict[int, list[CorrelationEdge]] = {}
+        for key in removed:
+            del self._weights[key]
             for road in key:
-                self._adjacency[road] = [
-                    edge if self._key(e.road_u, e.road_v) == key else e
-                    for e in self._adjacency[road]
-                ]
-            touched.update(key)
-        for road in touched:
-            self._adjacency[road].sort(key=lambda e: (-e.agreement, e.road_u, e.road_v))
+                incoming.setdefault(road, [])
+        for edge in chain(delta.added, delta.reweighted):
+            self._weights[self._key(edge.road_u, edge.road_v)] = edge.agreement
+            incoming.setdefault(edge.road_u, []).append(edge)
+            incoming.setdefault(edge.road_v, []).append(edge)
+        for road, edges in incoming.items():
+            adjacency = [
+                e
+                for e in self._adjacency[road]
+                if self._key(e.road_u, e.road_v) not in dropped
+            ]
+            adjacency += edges
+            adjacency.sort(key=lambda e: (-e.agreement, e.road_u, e.road_v))
+            self._adjacency[road] = adjacency
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return f"CorrelationGraph(roads={self.num_roads}, edges={self.num_edges})"

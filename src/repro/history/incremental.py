@@ -15,17 +15,19 @@ directly:
   current window. :meth:`IncrementalCoTrendStats.advance` updates them
   by subtracting evicted rows, re-scoring only trend-flipped retained
   rows, and adding the new day's rows.
-* :meth:`IncrementalCoTrendStats.mine_edges` — turns the counts into
-  the kept edge list using **the same float expressions, in the same
-  order, on the same integer inputs** as batch mining, so the result is
-  bit-for-bit the edge set ``mine_correlation_graph`` would produce on
-  the current window. That is the differential guarantee
+* :meth:`IncrementalCoTrendStats.mine_arrays` — turns the counts into
+  the kept edges' ``(road_u, road_v, agreement)`` arrays using **the
+  same float expressions, in the same order, on the same integer
+  inputs** as batch mining, so the result is bit-for-bit the edge set
+  ``mine_correlation_graph`` would produce on the current window. That
+  is the differential guarantee
   :meth:`repro.history.online.RollingHistory.verify_incremental`
   asserts.
 * :class:`GraphDelta` / :func:`diff_edges` — the edge-level difference
   between a live :class:`~repro.history.correlation.CorrelationGraph`
-  and a freshly mined edge list: edges added, removed, and re-weighted
-  beyond a tolerance. Applying it with
+  and freshly mined edge arrays: edges added, removed, and re-weighted
+  beyond a tolerance, found by sorted-key array matching so edge
+  objects are built only for the edges that changed. Applying it with
   :meth:`~repro.history.correlation.CorrelationGraph.apply_delta`
   mutates the graph in place, which is what lets identity-keyed caches
   (the fidelity service and everything subscribed to it) survive a
@@ -45,6 +47,7 @@ keep identical edge sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -108,10 +111,13 @@ EMPTY_DELTA = GraphDelta(added=(), removed=(), reweighted=())
 
 def diff_edges(
     graph: CorrelationGraph,
-    edges: list[CorrelationEdge],
+    road_u: np.ndarray,
+    road_v: np.ndarray,
+    agreement: np.ndarray,
     tolerance: float = 0.0,
 ) -> GraphDelta:
-    """The :class:`GraphDelta` turning ``graph`` into the mined ``edges``.
+    """The :class:`GraphDelta` turning ``graph`` into the mined edges
+    ``(road_u, road_v, agreement)`` (one array entry per edge).
 
     ``tolerance`` bounds weight churn: a surviving edge whose new
     agreement differs from the current one by at most ``tolerance``
@@ -119,30 +125,78 @@ def diff_edges(
     downstream caches are not evicted for sub-tolerance drift. The
     default 0.0 reports every weight change, which is what makes the
     applied graph exactly equal to a batch re-mine.
+
+    Both edge sets are compared as arrays: each ``(u, v)`` pair becomes
+    one integer key from the roads' positions in ``graph.road_ids``
+    (sorted, so key order is ``(u, v)`` order, for any int road ids),
+    and ``searchsorted`` matches the mined keys against
+    ``graph.edge_arrays()``. Python objects are built only for changed
+    edges, so a re-mine that changes nothing builds none; the
+    ``history.remine`` span's ``edges_built`` counts them and
+    ``tests/test_delta_oracle.py`` pins that count and the delta (order
+    included) to the list-form oracle in ``tests/oracles/delta.py``.
     """
     if tolerance < 0.0:
         raise DataError(f"delta tolerance must be >= 0, got {tolerance}")
-    old = {(e.road_u, e.road_v): e.agreement for e in graph.edges()}
-    new: dict[tuple[int, int], float] = {}
-    for edge in edges:
-        key = (
-            (edge.road_u, edge.road_v)
-            if edge.road_u < edge.road_v
-            else (edge.road_v, edge.road_u)
+    road_ids = graph.road_ids
+    roads = np.asarray(road_ids, dtype=np.int64)
+    new_keys = _edge_keys(roads, road_u, road_v)
+    order = np.argsort(new_keys, kind="stable")
+    new_keys = new_keys[order]
+    new_p = np.asarray(agreement, dtype=np.float64)[order]
+    old_u, old_v, old_p = graph.edge_arrays()
+    old_keys = _edge_keys(roads, old_u, old_v)
+    order = np.argsort(old_keys, kind="stable")
+    old_keys, old_p = old_keys[order], old_p[order]
+
+    at, kept = _lookup(old_keys, new_keys)
+    moved = np.zeros_like(kept)
+    moved[kept] = np.abs(new_p[kept] - old_p[at[kept]]) > tolerance
+    _, survives = _lookup(new_keys, old_keys)
+
+    def edges(mask: np.ndarray) -> tuple[CorrelationEdge, ...]:
+        ends = _key_ends(road_ids, new_keys[mask])
+        return tuple(
+            CorrelationEdge(u, v, p) for (u, v), p in zip(ends, new_p[mask].tolist())
         )
-        new[key] = edge.agreement
-    added = tuple(
-        CorrelationEdge(u, v, p)
-        for (u, v), p in sorted(new.items())
-        if (u, v) not in old
+
+    return GraphDelta(
+        added=edges(~kept),
+        removed=tuple(_key_ends(road_ids, old_keys[~survives])),
+        reweighted=edges(moved),
     )
-    removed = tuple(key for key in sorted(old) if key not in new)
-    reweighted = tuple(
-        CorrelationEdge(u, v, new[(u, v)])
-        for (u, v) in sorted(new.keys() & old.keys())
-        if abs(new[(u, v)] - old[(u, v)]) > tolerance
-    )
-    return GraphDelta(added=added, removed=removed, reweighted=reweighted)
+
+
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``keys`` sits in ``sorted_keys``, and whether it is there."""
+    at = np.searchsorted(sorted_keys, keys)
+    found = at < sorted_keys.size
+    found[found] = sorted_keys[at[found]] == keys[found]
+    return at, found
+
+
+def _edge_keys(roads: np.ndarray, road_u, road_v) -> np.ndarray:
+    """One int64 key per edge, ``pos(low) * n + pos(high)`` over the
+    ``n`` sorted road ids ``roads``; raises on a road not among them."""
+    road_u = np.asarray(road_u, dtype=np.int64)
+    road_v = np.asarray(road_v, dtype=np.int64)
+    ends = np.stack([np.minimum(road_u, road_v), np.maximum(road_u, road_v)])
+    pos = np.searchsorted(roads, ends)
+    known = pos < roads.size
+    known[known] = roads[pos[known]] == ends[known]
+    if not known.all():
+        raise DataError(
+            f"mined edge references unknown road {int(ends[~known][0])}"
+        )
+    return pos[0] * roads.size + pos[1]
+
+
+def _key_ends(road_ids: list[int], keys: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The ``(road_u, road_v)`` pairs that :func:`_edge_keys` encoded,
+    as the graph's own road-id objects (no fresh int per edge end)."""
+    n = len(road_ids)
+    for low, high in zip((keys // n).tolist(), (keys % n).tolist()):
+        yield road_ids[low], road_ids[high]
 
 
 class IncrementalCoTrendStats:
@@ -249,16 +303,18 @@ class IncrementalCoTrendStats:
     # ------------------------------------------------------------------
     # Mining
     # ------------------------------------------------------------------
-    def mine_edges(
+    def mine_arrays(
         self, min_agreement: float = 0.6, min_valid_fraction: float = 0.1
-    ) -> list[CorrelationEdge]:
-        """The kept edges for the current window — bitwise equal to what
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The kept edges for the current window as ``(road_u, road_v,
+        agreement)`` arrays — bitwise equal to the edges
         :func:`~repro.history.correlation.mine_correlation_graph` keeps.
 
         The two agreement formulas below are the batch miner's own,
         selected by the same window-global ``has_zeros`` flag and fed
         the same integers, so the float results (and therefore the
-        threshold decisions) are identical.
+        threshold decisions) are identical. ``road_u < road_v`` on every
+        entry, in pair-enumeration order; no edge object is built.
         """
         if self._trends is None:
             raise DataError("no window ingested yet")
@@ -281,16 +337,12 @@ class IncrementalCoTrendStats:
             keep = (agreements >= min_agreement) & (
                 self._valid >= min_valid_fraction * num_intervals
             )
-        edges: list[CorrelationEdge] = []
-        for k in np.flatnonzero(keep):
-            edges.append(
-                CorrelationEdge(
-                    self._road_ids[self._pair_u[k]],
-                    self._road_ids[self._pair_v[k]],
-                    float(agreements[k]),
-                )
-            )
-        return edges
+        roads = np.asarray(self._road_ids, dtype=np.int64)
+        return (
+            roads[self._pair_u[keep]],
+            roads[self._pair_v[keep]],
+            agreements[keep],
+        )
 
     # ------------------------------------------------------------------
     # Internals
@@ -305,14 +357,22 @@ class IncrementalCoTrendStats:
         return trends
 
     def _accumulate(self, rows: np.ndarray, sign: int) -> None:
-        """Add (``sign=+1``) or subtract (``-1``) a block of trend rows."""
+        """Add (``sign=+1``) or subtract (``-1``) a block of trend rows.
+
+        The block is transposed once so each pair gathers two contiguous
+        per-road rows. With products ``t_u·t_v`` in ``{-1, 0, 1}``, the
+        valid count is the nonzero count and ``same = (valid + Σ t_u·t_v) / 2``.
+        """
         if rows.shape[0] == 0 or self._pair_u.size == 0:
             return
+        by_road = np.ascontiguousarray(rows.T)
         chunk = max(1, _CELL_BUDGET // rows.shape[0])
         for start in range(0, self._pair_u.size, chunk):
             end = min(start + chunk, self._pair_u.size)
             products = (
-                rows[:, self._pair_u[start:end]] * rows[:, self._pair_v[start:end]]
+                by_road[self._pair_u[start:end]] * by_road[self._pair_v[start:end]]
             )
-            self._valid[start:end] += sign * np.count_nonzero(products, axis=0)
-            self._same[start:end] += sign * (products > 0).sum(axis=0)
+            valid = np.count_nonzero(products, axis=1)
+            same = (valid + products.sum(axis=1, dtype=np.int64)) // 2
+            self._valid[start:end] += sign * valid
+            self._same[start:end] += sign * same

@@ -25,7 +25,11 @@ current window (up to ``delta_tolerance`` on surviving edge weights);
 
 Re-mine activity is observable: each re-mine runs in a
 ``history.remine`` span and reports per-kind ``mining.delta_edges``
-counts (see ``docs/STREAMING.md``).
+counts (see ``docs/STREAMING.md``). The span's work counters are
+``pairs`` (candidate pairs scored) and ``edges_built``
+(:class:`~repro.history.correlation.CorrelationEdge` objects created):
+the bootstrap builds one per mined edge, a later re-mine one per added
+or re-weighted edge, so a re-mine that changes nothing builds none.
 """
 
 from __future__ import annotations
@@ -34,7 +38,11 @@ from collections import deque
 
 from repro.core.errors import DataError
 from repro.core.field import SpeedField
-from repro.history.correlation import CorrelationGraph, mine_correlation_graph
+from repro.history.correlation import (
+    CorrelationEdge,
+    CorrelationGraph,
+    mine_correlation_graph,
+)
 from repro.history.incremental import (
     GraphDelta,
     IncrementalCoTrendStats,
@@ -293,18 +301,35 @@ class RollingHistory:
                     min_valid_fraction=self._min_valid_fraction,
                 )
                 self._last_delta = None
+                span.set(edges_built=self._graph.num_edges)
             else:
-                edges = self._stats.mine_edges(
+                road_u, road_v, agreement = self._stats.mine_arrays(
                     self._min_agreement, self._min_valid_fraction
                 )
+                span.set(pairs=self._stats.num_pairs)
                 if self._graph is None:
+                    # The bootstrap is the one place every mined pair
+                    # becomes an edge object. Endpoints reuse the store's
+                    # road-id ints instead of a fresh int per edge end.
+                    road = {r: r for r in self._store.road_ids}
                     self._graph = CorrelationGraph(
-                        self._store.road_ids, edges
+                        self._store.road_ids,
+                        [
+                            CorrelationEdge(road[u], road[v], p)
+                            for u, v, p in zip(
+                                road_u.tolist(), road_v.tolist(), agreement.tolist()
+                            )
+                        ],
                     )
                     self._last_delta = None
+                    span.set(edges_built=self._graph.num_edges)
                 else:
                     delta = diff_edges(
-                        self._graph, edges, tolerance=self._delta_tolerance
+                        self._graph,
+                        road_u,
+                        road_v,
+                        agreement,
+                        tolerance=self._delta_tolerance,
                     )
                     self._graph.apply_delta(delta)
                     self._last_delta = delta
@@ -319,7 +344,10 @@ class RollingHistory:
                         len(delta.reweighted),
                         kind="reweighted",
                     )
-                    span.set(delta_edges=delta.num_changes)
+                    span.set(
+                        delta_edges=delta.num_changes,
+                        edges_built=len(delta.added) + len(delta.reweighted),
+                    )
                     for listener in list(self._delta_listeners):
                         listener(self._graph, delta)
             self._mining_epoch += 1

@@ -112,9 +112,11 @@ class TrendPropagationInference:
                 index = csr.index
             else:
                 index = instance.index
-            misses_before = self._service.stats().misses
+            before = self._service.stats()
             votes = self._accumulate(graph, csr, instance, index, log_odds)
-            cache_misses = self._service.stats().misses - misses_before
+            after = self._service.stats()
+            cache_hits = after.hits - before.hits
+            cache_misses = after.misses - before.misses
 
             p_rise = 1.0 / (1.0 + np.exp(-np.clip(log_odds, -500, 500)))
             for road, trend in instance.evidence.items():
@@ -124,9 +126,8 @@ class TrendPropagationInference:
                 p_rise[i] = 1.0 if trend.value == 1 else 0.0
             span.set(votes=votes, cache_misses=cache_misses)
             recorder.count("trend.propagation.votes", votes)
-            hits = len(instance.evidence) - cache_misses
-            if hits > 0:
-                recorder.count("trend.propagation.cache", hits, hit="true")
+            if cache_hits:
+                recorder.count("trend.propagation.cache", cache_hits, hit="true")
             if cache_misses:
                 recorder.count(
                     "trend.propagation.cache", cache_misses, hit="false"

@@ -21,6 +21,9 @@ pin the vectorized production code against it:
   ``normal_confidences``, the confidence levels the band tests sweep;
 * :mod:`tests.oracles.snapshot` — the per-road ``SpeedEstimate`` round
   loop and the format-2 (one JSON row per road) snapshot writer;
+* :mod:`tests.oracles.delta` — the list-form graph diff
+  ``diff_edges`` (dicts over materialised edge objects), the reference
+  for the array diff of a streamed re-mine;
 * :mod:`tests.oracles.crowd` — the per-task MAD filter and outlier mask
   (``np.median`` per task) and ``PerTaskPlatform``, a crowd round that
   aggregates each task right after its draws.

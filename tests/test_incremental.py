@@ -24,12 +24,12 @@ from repro.history.incremental import (
     EMPTY_DELTA,
     GraphDelta,
     IncrementalCoTrendStats,
-    diff_edges,
 )
 from repro.history.online import RollingHistory
 from repro.history.store import HistoricalSpeedStore
 from repro.history.timebuckets import TimeGrid
 from repro.traffic.simulator import TrafficSimulator
+from tests.oracles.delta import diff_edges
 
 
 class _StubStore:
@@ -59,13 +59,25 @@ def _graph_weights(graph):
     return {(e.road_u, e.road_v): e.agreement for e in graph.edges()}
 
 
+def _mined_graph(roads, stats, **thresholds):
+    road_u, road_v, agreement = stats.mine_arrays(**thresholds)
+    return CorrelationGraph(
+        roads,
+        [
+            CorrelationEdge(u, v, p)
+            for u, v, p in zip(road_u.tolist(), road_v.tolist(), agreement.tolist())
+        ],
+    )
+
+
 def _assert_graphs_equal(actual, expected):
     assert actual.road_ids == expected.road_ids
     assert _graph_weights(actual) == _graph_weights(expected)
 
 
 # ----------------------------------------------------------------------
-# GraphDelta + diff_edges
+# GraphDelta + the list-form diff oracle (the array diff is pinned to it
+# in tests/test_delta_oracle.py)
 # ----------------------------------------------------------------------
 class TestGraphDelta:
     def test_empty(self):
@@ -200,6 +212,87 @@ class TestApplyDelta:
             )
 
 
+    @pytest.mark.parametrize(
+        "delta, message",
+        [
+            (
+                GraphDelta(
+                    added=(),
+                    removed=((1, 2),),
+                    reweighted=(CorrelationEdge(3, 4, 0.7),),
+                ),
+                "reweight absent",
+            ),
+            (
+                GraphDelta(
+                    added=(CorrelationEdge(3, 4, 0.8),),
+                    removed=((1, 2),),
+                    reweighted=(CorrelationEdge(2, 3, 0.6),),
+                ),
+                "remove absent",
+            ),
+            (
+                GraphDelta(
+                    added=(CorrelationEdge(2, 4, 0.8), CorrelationEdge(1, 9, 0.8)),
+                    removed=((1, 3),),
+                    reweighted=(),
+                ),
+                "unknown road",
+            ),
+            (
+                GraphDelta(
+                    added=(CorrelationEdge(3, 4, 0.8), CorrelationEdge(1, 2, 0.6)),
+                    removed=(),
+                    reweighted=(),
+                ),
+                "duplicate",
+            ),
+            (
+                GraphDelta(
+                    added=(CorrelationEdge(2, 1, 0.6),),
+                    removed=((1, 2),),
+                    reweighted=(),
+                ),
+                "twice",
+            ),
+            (
+                GraphDelta(
+                    added=(),
+                    removed=(),
+                    reweighted=(CorrelationEdge(2, 3, 0.6), CorrelationEdge(3, 2, 0.8)),
+                ),
+                "twice",
+            ),
+        ],
+        ids=[
+            "reweight-absent",
+            "remove-absent",
+            "add-unknown-road",
+            "add-existing",
+            "remove-and-add",
+            "reweight-twice",
+        ],
+    )
+    def test_rejected_delta_leaves_graph_untouched(self, delta, message):
+        """A delta is validated whole before anything mutates."""
+        graph = CorrelationGraph(
+            [1, 2, 3, 4],
+            [
+                CorrelationEdge(1, 2, 0.9),
+                CorrelationEdge(2, 3, 0.7),
+                CorrelationEdge(1, 3, 0.8),
+            ],
+        )
+        if message == "remove absent":
+            graph.apply_delta(GraphDelta(added=(), removed=((1, 2),), reweighted=()))
+        edges = list(graph.edges())
+        adjacency = {road: graph.neighbours(road) for road in graph.road_ids}
+        with pytest.raises(DataError, match=message):
+            graph.apply_delta(delta)
+        assert list(graph.edges()) == edges
+        assert {road: graph.neighbours(road) for road in graph.road_ids} == adjacency
+
+
 # ----------------------------------------------------------------------
 # IncrementalCoTrendStats
 # ----------------------------------------------------------------------
@@ -216,9 +309,7 @@ class TestCoTrendStats:
         net = _line_network(5)
         stats = IncrementalCoTrendStats(net, [0, 1, 2, 3, 4], max_hops=2)
         stats.reset(trends)
-        mined = CorrelationGraph(
-            [0, 1, 2, 3, 4], stats.mine_edges(min_agreement=0.5)
-        )
+        mined = _mined_graph([0, 1, 2, 3, 4], stats, min_agreement=0.5)
         batch = mine_correlation_graph(
             net, _StubStore([0, 1, 2, 3, 4], trends), max_hops=2, min_agreement=0.5
         )
@@ -247,8 +338,8 @@ class TestCoTrendStats:
             if step % 2:
                 window[0, step % 6] *= -1
             stats.advance(window, evict)
-            mined = CorrelationGraph(
-                roads, stats.mine_edges(min_agreement=0.5, min_valid_fraction=0.1)
+            mined = _mined_graph(
+                roads, stats, min_agreement=0.5, min_valid_fraction=0.1
             )
             batch = mine_correlation_graph(
                 net,
@@ -262,7 +353,7 @@ class TestCoTrendStats:
     def test_mine_before_reset_rejected(self):
         stats = IncrementalCoTrendStats(_line_network(2), [0, 1])
         with pytest.raises(DataError, match="no window"):
-            stats.mine_edges()
+            stats.mine_arrays()
 
     def test_bad_shapes_rejected(self):
         stats = IncrementalCoTrendStats(_line_network(2), [0, 1])

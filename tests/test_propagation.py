@@ -9,6 +9,7 @@ from repro.core.errors import InferenceError
 from repro.core.types import Trend
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.fidelity import FidelityCacheService
+from repro.obs import FlightRecorder, recording
 from repro.trend.model import TrendInstance
 from repro.trend.propagation import TrendPropagationInference
 from tests.oracles.fidelity import edge_fidelity
@@ -214,3 +215,25 @@ class TestUnknownEvidenceRoads:
             assert posterior.p_rise(0) == 1.0
             assert posterior.p_rise(2) == 0.0  # clamped despite no vote
             assert posterior.p_rise(1) > 0.5  # road 0's vote arrived
+
+    def test_cache_counts_match_the_fidelity_service(self):
+        """Regression: evidence outside the graph fetches no row, so it is
+        neither a cache hit nor a miss; the counter takes the hit count
+        from the fidelity service's own stats."""
+        graph = CorrelationGraph(
+            [0, 1, 2], [CorrelationEdge(0, 1, 0.9), CorrelationEdge(1, 2, 0.8)]
+        )
+        instance = TrendInstance(
+            road_ids=(0, 1, 2, 3, 4),
+            prior_rise=np.full(5, 0.5),
+            edges=tuple(),
+            evidence={0: Trend.RISE, 3: Trend.FALL, 4: Trend.RISE},
+            graph=graph,
+        )
+        service = FidelityCacheService()
+        with recording(FlightRecorder()) as recorder:
+            TrendPropagationInference(fidelity_service=service).infer(instance)
+        counter = recorder.registry.counter
+        assert counter("trend.propagation.cache", hit="true").value == 0
+        assert counter("trend.propagation.cache", hit="false").value == 1
+        assert (service.stats().hits, service.stats().misses) == (0, 1)
