@@ -23,6 +23,10 @@ fails when the *current* snapshot has no ``*_seconds`` gauge whose
 family starts with the prefix. Present-in-both matching silently drops
 a benchmark that stopped emitting its gauges; a required prefix turns
 that silence into a failure.
+
+:func:`write_timings` is how a benchmark run updates the committed
+file: it merges per ``(family, labels)`` series, so a partial run
+refreshes what it measured and keeps every other series.
 """
 
 from __future__ import annotations
@@ -49,6 +53,41 @@ def load_timing_gauges(path: Path) -> dict[tuple[str, tuple[tuple[str, str], ...
             if value is not None:
                 gauges[(family, labels)] = float(value)
     return gauges
+
+
+def _labels_key(series: dict) -> tuple[tuple[str, str], ...]:
+    return tuple(sorted(series.get("labels", {}).items()))
+
+
+def merge_snapshots(committed: dict, current: dict) -> dict:
+    """``committed`` with each series of ``current`` replacing or joining it.
+
+    Series are keyed by ``(family, labels)``. A family whose kind changed
+    keeps only the current run's series.
+    """
+    merged = dict(committed)
+    for family, payload in current.items():
+        old = merged.get(family)
+        if old is None or old.get("kind") != payload["kind"]:
+            merged[family] = payload
+            continue
+        fresh = {_labels_key(series) for series in payload["series"]}
+        kept = [s for s in old["series"] if _labels_key(s) not in fresh]
+        merged[family] = {
+            "kind": payload["kind"],
+            "series": sorted(kept + payload["series"], key=_labels_key),
+        }
+    return merged
+
+
+def write_timings(path: Path, snapshot: dict) -> None:
+    """Merge ``snapshot`` into the timings file at ``path`` (made if absent)."""
+    committed = json.loads(path.read_text()) if path.exists() else {}
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(
+        json.dumps(merge_snapshots(committed, snapshot), indent=2, sort_keys=True)
+        + "\n"
+    )
 
 
 def compare(

@@ -9,18 +9,19 @@ stable artefacts.
 
 Every run additionally seeds the BENCH trajectory: per-benchmark wall
 times (and pytest-benchmark kernel statistics when available) are
-funnelled through a :class:`repro.obs.MetricsRegistry` and written to
-``benchmarks/results/bench_timings.json``, so successive PRs have a
-machine-readable baseline to diff against.
+funnelled through a :class:`repro.obs.MetricsRegistry` and merged into
+``benchmarks/results/bench_timings.json`` per ``(family, labels)``
+series, so a partial run refreshes only what it measured and successive
+changes keep a machine-readable baseline to diff against.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
 
+from benchmarks.bench_gate import write_timings
 from repro.core.pipeline import SpeedEstimationSystem
 from repro.datasets.synthetic import synthetic_beijing, synthetic_tianjin
 from repro.obs import MetricsRegistry
@@ -81,11 +82,7 @@ def _harvest_benchmark_stats(config) -> None:
 def pytest_terminal_summary(terminalreporter):
     _harvest_benchmark_stats(terminalreporter.config)
     if _bench_registry.families():
-        RESULTS_DIR.mkdir(exist_ok=True)
-        BENCH_TIMINGS.write_text(
-            json.dumps(_bench_registry.snapshot(), indent=2, sort_keys=True)
-            + "\n"
-        )
+        write_timings(BENCH_TIMINGS, _bench_registry.snapshot())
     if not _collected_reports:
         return
     terminalreporter.write_sep("=", "experiment tables")

@@ -17,8 +17,8 @@ from repro.history.fidelity import FidelityCacheService
 from repro.seeds.greedy import greedy_select
 from repro.seeds.lazy import lazy_greedy_select
 from repro.seeds.objective import SeedSelectionObjective
-from repro.seeds.partition import partition_greedy_select
-from tests.oracles import ScalarCoverageObjective
+from repro.seeds.parallel import DistrictStage
+from tests.oracles import ScalarCoverageObjective, partition_greedy_select
 
 K_PERCENTS = (2.0, 5.0, 10.0)
 
@@ -29,6 +29,8 @@ def f4_results(beijing):
     # Warm the influence cache so timing isolates selection logic.
     for road in objective.road_ids:
         objective.influence_row(road)
+    # The production partition selector, tasks in the parent.
+    districts = DistrictStage(objective, num_partitions=8)
 
     rows = []
     for percent in K_PERCENTS:
@@ -37,7 +39,7 @@ def f4_results(beijing):
         for name, select in (
             ("greedy", lambda b: greedy_select(objective, b)),
             ("lazy", lambda b: lazy_greedy_select(objective, b)),
-            ("partition", lambda b: partition_greedy_select(objective, b, 8)),
+            ("partition", districts.select),
         ):
             start = time.perf_counter()
             result = select(budget)
@@ -89,12 +91,14 @@ def test_f4_selection_efficiency(f4_results, beijing, report, benchmark):
 
 
 def test_f4_kernel_vs_scalar_seed_sequences(beijing, report):
-    """Greedy and CELF pick *byte-identical* seed sequences either way.
+    """Greedy, CELF and partition pick *byte-identical* seed sequences.
 
     The differential guarantee for selection, production vs
     ``tests/oracles``: the sparse-row gain path and the scalar dict-walk
     oracle produce exactly the same seed orderings (not merely the same
-    objective value) at every budget.
+    objective value) at every budget. Partition compares the production
+    district stage on the kernel objective against the partition oracle
+    on the scalar objective.
     """
     kernel = SeedSelectionObjective(
         beijing.graph, fidelity_service=FidelityCacheService()
@@ -104,19 +108,24 @@ def test_f4_kernel_vs_scalar_seed_sequences(beijing, report):
         kernel.influence_row(road)
         scalar.influence_map(road)
 
+    districts = DistrictStage(kernel, num_partitions=8)
     rows = []
     for percent in K_PERCENTS:
         budget = budget_for(beijing, percent)
-        for name, select in (
-            ("greedy", greedy_select),
-            ("lazy", lazy_greedy_select),
-            ("partition", lambda o, b: partition_greedy_select(o, b, 8)),
+        for name, kernel_select, scalar_select in (
+            ("greedy", lambda b: greedy_select(kernel, b), greedy_select),
+            ("lazy", lambda b: lazy_greedy_select(kernel, b), lazy_greedy_select),
+            (
+                "partition",
+                districts.select,
+                lambda o, b: partition_greedy_select(o, b, 8),
+            ),
         ):
             start = time.perf_counter()
-            kernel_result = select(kernel, budget)
+            kernel_result = kernel_select(budget)
             kernel_s = time.perf_counter() - start
             start = time.perf_counter()
-            scalar_result = select(scalar, budget)
+            scalar_result = scalar_select(scalar, budget)
             scalar_s = time.perf_counter() - start
             assert list(kernel_result.seeds) == list(scalar_result.seeds), (
                 f"{name} @ K={budget}: kernel and scalar disagree"

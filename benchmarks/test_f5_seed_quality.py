@@ -19,7 +19,7 @@ from repro.evalkit.reporting import fmt, format_table
 from repro.seeds.baselines import k_center_select, random_select, top_degree_select
 from repro.seeds.greedy import greedy_select
 from repro.seeds.objective import SeedSelectionObjective
-from repro.seeds.partition import partition_greedy_select
+from repro.seeds.parallel import DistrictStage
 
 K_PERCENTS = (1.0, 2.0, 5.0)
 
@@ -40,12 +40,13 @@ def downstream_mae(dataset, seeds) -> float:
 @pytest.fixture(scope="module")
 def f5_results(beijing):
     objective = SeedSelectionObjective(beijing.graph)
+    districts = DistrictStage(objective, num_partitions=8)
     results = {}
     for percent in K_PERCENTS:
         budget = budget_for(beijing, percent)
         selections = {
             "greedy": greedy_select(objective, budget),
-            "partition-greedy": partition_greedy_select(objective, budget, 8),
+            "partition-greedy": districts.select(budget),
             "random": random_select(objective, budget, seed=0),
             "top-degree": top_degree_select(objective, budget),
             "k-center": k_center_select(objective, budget, beijing.network),

@@ -25,7 +25,7 @@ from repro.evalkit.reporting import fmt, format_table
 from repro.history.correlation import mine_correlation_graph
 from repro.seeds.objective import SeedSelectionObjective
 from repro.seeds.parallel import DistrictStage
-from repro.seeds.partition import partition_graph, partition_greedy_select
+from repro.seeds.partition import partition_graph
 
 pytestmark = pytest.mark.slow
 
@@ -182,24 +182,23 @@ def test_f8_metro_round_latency(metro, report):
 
 
 def test_f8_metro_parallel_vs_serial_differential(metro):
-    """District workers reproduce serial partition selection at 50k+.
+    """District workers reproduce in-parent district selection at 50k+.
 
-    The tier-1 suite proves this on the 6x6 grid; this is the same
-    differential at metropolitan scale, with a modest budget so the
-    CELF loops stay bounded while every evaluated row still crosses the
-    shared-memory path.
+    The tier-1 suite pins both against the partition oracle on the 6x6
+    grid; this is the same differential at metropolitan scale, with a
+    modest budget so the CELF loops stay bounded while every evaluated
+    row still crosses the shared-memory path.
     """
     budget = 50
     objective = SeedSelectionObjective(metro.graph)
-    serial = partition_greedy_select(
-        objective, budget, num_partitions=NUM_DISTRICTS
-    )
+    serial = DistrictStage(objective, num_partitions=NUM_DISTRICTS).select(budget)
     with SharedWorkerPool(2) as pool:
         parallel = DistrictStage(
             objective, pool, num_partitions=NUM_DISTRICTS
         ).select(budget)
     assert parallel.seeds == serial.seeds
     assert parallel.gains == serial.gains
+    assert parallel.values == serial.values
     assert parallel.evaluations == serial.evaluations
     _gauge("differential_evaluations", parallel.evaluations, budget=budget)
 

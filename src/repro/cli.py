@@ -99,9 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="split the Step-2 interval plan into D partition "
                       "districts (bitwise identical to one district; graph "
                       "deltas recompile per district)")
-    plan.add_argument("--plan-workers", type=int, default=0, metavar="N",
+    plan.add_argument("--plan-workers", type=int, default=1, metavar="N",
                       help="worker-pool size for D > 1: one pool runs every "
-                      "district compile (0 = one per CPU, 1 = in-process)")
+                      "district compile (1 = in-process)")
 
     info = commands.add_parser("info", help="print dataset statistics")
     info.set_defaults(run=cmd_info)
@@ -111,14 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     select.add_argument("--method", default="lazy", choices=[
         "greedy", "lazy", "partition", "random", "top-degree", "k-center"])
-    select.add_argument("--parallel", action="store_true",
-                        help="run partitioned selection across a process "
-                        "pool with the CSR fidelity arrays in shared memory "
-                        "(implies --method partition)")
-    select.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="worker-pool size for --parallel: one pool runs "
-                        "district selection (0 = one per CPU, "
-                        "1 = in-process)")
+    select.add_argument("--workers", type=int, default=1, metavar="N",
+                        help="worker-pool size for --method partition: N > 1 "
+                        "runs district selection on a process pool with the "
+                        "CSR fidelity arrays in shared memory (1 = in-process)")
     select.add_argument("--partitions", type=int, default=8, metavar="P",
                         help="number of BFS-grown districts for partitioned "
                         "selection")
@@ -271,7 +267,7 @@ def _plan_config(plan_shards: int, plan_workers: int) -> PipelineConfig | None:
     if plan_shards < 1:
         raise SystemExit("error: --plan-shards must be >= 1")
     if plan_shards == 1:
-        if plan_workers:
+        if plan_workers > 1:
             raise SystemExit("error: --plan-workers requires --plan-shards > 1")
         return None
     return PipelineConfig(
@@ -335,17 +331,14 @@ def cmd_select(
     dataset: TrafficDataset,
     budget: int | None,
     method: str,
-    parallel: bool,
     workers: int,
     partitions: int,
     rounds: int,
 ) -> tuple[str, int]:
-    if parallel:
-        method = "partition"
     config = PipelineConfig(
         selection_method=method,
         num_partitions=partitions,
-        use_parallel_partitions=parallel,
+        use_parallel_partitions=workers > 1,
         num_partition_workers=workers,
     )
     k = _default_budget(dataset, budget)
@@ -925,11 +918,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.pop(parsed_only, None)
     run = args.pop("run")
     city = args.pop("city")
-    # The shared --budget/--hour checks run before any dataset build.
+    # The shared --budget/--hour/worker-count checks run before any
+    # dataset build.
     if args.get("budget") is not None and args["budget"] < 1:
         raise SystemExit("error: --budget must be >= 1")
     if "hour" in args and not 0.0 <= args["hour"] < 24.0:
         raise SystemExit("error: --hour must be in [0, 24)")
+    for workers in ("workers", "plan_workers"):
+        if args.get(workers, 1) < 1:
+            flag = workers.replace("_", "-")
+            raise SystemExit(f"error: --{flag} must be >= 1")
     dataset = CITIES[city]() if args.pop("needs_dataset", True) else None
     output, code = run(dataset, **args)
     print(output)

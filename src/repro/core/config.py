@@ -39,14 +39,13 @@ class PipelineConfig:
     #: bucket; 128 covers a full day of 15-minute buckets with room for
     #: a second seed set).
     plan_cache_size: int = 128
-    #: Run partitioned seed selection across a process pool with the CSR
-    #: fidelity arrays shared read-only (repro.seeds.parallel). Only
-    #: meaningful with selection_method="partition"; the parallel path
-    #: returns the identical seed sequence to the single-process one.
+    #: Let partitioned selection's district tasks use the system's worker
+    #: pool (repro.seeds.parallel); False keeps them in the parent. This
+    #: picks where tasks run, not a code path: the seeds are identical.
     use_parallel_partitions: bool = False
-    #: Worker count for the partition pool; 0 means "one per CPU, capped
-    #: at the partition count".
-    num_partition_workers: int = 0
+    #: Worker count for the system's pool, capped at the district count;
+    #: 1 runs every pooled task in the parent.
+    num_partition_workers: int = 1
     #: Partition the Step-2 interval plan into partition_graph districts
     #: instead of planning the city as one district. Districts are
     #: compiled independently (across the plan-compile process pool,
@@ -83,8 +82,8 @@ class PipelineConfig:
             raise ConfigError("correlation_min_valid_fraction must be in [0, 1]")
         if self.num_partitions < 1:
             raise ConfigError("num_partitions must be >= 1")
-        if self.num_partition_workers < 0:
-            raise ConfigError("num_partition_workers must be >= 0 (0 = auto)")
+        if self.num_partition_workers < 1:
+            raise ConfigError("num_partition_workers must be >= 1")
         if self.plan_cache_size < 1:
             raise ConfigError("plan_cache_size must be >= 1")
         if self.plan_shards < 0:

@@ -23,7 +23,6 @@ Typical use::
 
 from __future__ import annotations
 
-import os
 import weakref
 from collections.abc import Mapping
 from typing import Iterator, Sequence
@@ -45,7 +44,7 @@ from repro.seeds.baselines import k_center_select, random_select, top_degree_sel
 from repro.seeds.greedy import SelectionResult, greedy_select
 from repro.seeds.lazy import lazy_greedy_select
 from repro.seeds.objective import SeedSelectionObjective
-from repro.seeds.partition import partition_greedy_select
+from repro.seeds.parallel import DistrictStage
 from repro.speed.degradation import DegradationParams, DegradationPolicy
 from repro.speed.estimator import EstimateColumns, TwoStepEstimator
 from repro.speed.plan import IntervalPlanCache, IntervalPlanner
@@ -151,10 +150,10 @@ class SpeedEstimationSystem:
         self._selection: SelectionResult | None = None
         self._degradation = DegradationPolicy(store, config.degradation)
         # Lazy: the one worker pool (pooled district selection and plan
-        # compiles), the district stage on it and the warm-started
-        # incremental re-selector.
+        # compiles), the district stage and the warm-started incremental
+        # re-selector.
         self._pool: SharedWorkerPool | None = None
-        self._districts = None
+        self._districts: DistrictStage | None = None
         self._reselector = None
 
     # ------------------------------------------------------------------
@@ -285,14 +284,7 @@ class SpeedEstimationSystem:
             elif method == "lazy":
                 result = lazy_greedy_select(self._objective, budget)
             elif method == "partition":
-                if self._config.use_parallel_partitions:
-                    result = self.district_stage().select(budget)
-                else:
-                    result = partition_greedy_select(
-                        self._objective,
-                        budget,
-                        num_partitions=self._config.num_partitions,
-                    )
+                result = self.district_stage().select(budget)
             elif method == "random":
                 result = random_select(self._objective, budget, seed=random_seed)
             elif method == "top-degree":
@@ -313,10 +305,10 @@ class SpeedEstimationSystem:
     def _worker_pool(self) -> SharedWorkerPool:
         """The system's one worker pool, created on first pooled work.
 
-        ``num_partition_workers`` workers (0 = one per CPU), capped at
-        the largest district count a pooled stage of this config asks
-        for, since a worker beyond it never receives a task; one worker
-        runs every task in-process.
+        ``num_partition_workers`` workers, capped at the largest
+        district count a pooled stage of this config asks for, since a
+        worker beyond it never receives a task; one worker runs every
+        task in-process.
         """
         if self._pool is None:
             config = self._config
@@ -326,28 +318,22 @@ class SpeedEstimationSystem:
                 if config.use_sharded_plan
                 else 1,
             )
-            workers = config.num_partition_workers or (os.cpu_count() or 1)
-            self._pool = SharedWorkerPool(min(workers, districts))
+            self._pool = SharedWorkerPool(min(config.num_partition_workers, districts))
         return self._pool
 
-    def district_stage(self):
-        """The district seed-selection stage (parallel configs).
+    def district_stage(self) -> DistrictStage:
+        """The partition seed-selection stage, created on first use.
 
-        Created on first use and reused for every subsequent selection;
-        its tasks run on the system's worker pool. Call
-        :meth:`close` (or use the system as a context manager) to
-        release the workers and the shared-memory segments.
+        Its district tasks run on the system's worker pool when
+        ``use_parallel_partitions`` is set, in the parent otherwise; the
+        selection is the same either way. Call :meth:`close` (or use the
+        system as a context manager) to release the workers and the
+        shared-memory segments.
         """
-        if not self._config.use_parallel_partitions:
-            raise ConfigError(
-                "district_stage requires use_parallel_partitions=True"
-            )
         if self._districts is None:
-            from repro.seeds.parallel import DistrictStage
-
             self._districts = DistrictStage(
                 self._objective,
-                self._worker_pool(),
+                self._worker_pool() if self._config.use_parallel_partitions else None,
                 num_partitions=self._config.num_partitions,
             )
         return self._districts

@@ -154,6 +154,16 @@ class SharedWorkerPool:
         if not self._finalizer.alive:
             raise ReproError("worker pool is closed")
 
+    @property
+    def in_process(self) -> bool:
+        """Whether tasks run in the parent: one worker, or after a fallback.
+
+        Once true it stays true. Raises :class:`ReproError` on a closed
+        pool, like every other use.
+        """
+        self._check_open()
+        return self._in_process
+
     def publish(
         self,
         name: str,

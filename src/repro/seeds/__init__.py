@@ -20,11 +20,7 @@ from repro.seeds.objective import (
     SeedSelectionObjective,
 )
 from repro.seeds.parallel import DistrictStage
-from repro.seeds.partition import (
-    allocate_budget,
-    partition_graph,
-    partition_greedy_select,
-)
+from repro.seeds.partition import allocate_budget, partition_graph
 from repro.seeds.reselect import IncrementalCelfSelector
 
 __all__ = [
@@ -43,7 +39,6 @@ __all__ = [
     "k_center_select",
     "lazy_greedy_select",
     "partition_graph",
-    "partition_greedy_select",
     "random_select",
     "top_degree_select",
     "validate_budget",

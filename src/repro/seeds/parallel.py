@@ -1,39 +1,51 @@
-"""District seed selection as tasks on the shared worker pool.
+"""Partitioned seed selection: the district stage.
 
-The single-process partition path (:mod:`repro.seeds.partition`) already
-restricts every marginal-gain evaluation to one district; at 50k+ roads
-the districts themselves become the unit of parallelism. This module
-turns them into tasks on a :class:`~repro.core.pool.SharedWorkerPool`:
+The paper picks its crowdsourcing seeds by greedy influence coverage
+under a budget K; :class:`DistrictStage` approximates that district by
+district. The correlation graph is split into BFS-grown districts
+(:func:`~repro.seeds.partition.partition_graph`), the budget is split
+across them (:func:`~repro.seeds.partition.allocate_budget`), each
+district with a share runs the *unchanged*
+:func:`~repro.seeds.lazy.lazy_greedy_select` with influence restricted
+to its members, and the picks are stitched in district order and
+rescored against the global objective in the parent.
 
-* The ``"district"`` context is the CSR fidelity arrays
-  (``indptr``/``indices``/``data``), the road ids and the objective's
-  road weights, exported **once** to shared memory — a pool over a
-  50k-road graph costs one copy of the graph, not one per worker.
-* A worker builds the context state once per context: a
-  :class:`~repro.history.fidelity.CSRFidelityGraph` view over the shared
-  buffers. A selection task runs the *unchanged*
-  :func:`~repro.seeds.lazy.lazy_greedy_select` against a duck-typed
-  objective that computes sparse influence rows with the block kernel
-  (CELF's empty-set scan fetches a whole district in one batch) and
-  memoises them for the duration of one district task. Because the
-  kernel, the transform math and the weight construction are
-  byte-identical to the parent's, each district returns the **identical
-  seed sequence** the single-process path would have produced for that
-  chunk.
-* Stitching is deterministic: district results are concatenated in
-  district order (the same order the serial loop uses), never in
-  completion order, and the final global rescoring runs in the parent.
+Where a district's CELF runs is the only thing that varies, and the
+stage decides it per selection from its pool:
+
+* **In the parent** — no pool, a one-worker pool, or a pool that has
+  fallen back to in-process. The objective is
+  ``objective.clone_with_weights(...)``, so every row the district
+  computes lands in the shared
+  :class:`~repro.history.fidelity.FidelityCacheService` for Step 2 and
+  later selections to reuse.
+* **On the pool** — the ``"district"`` context is the CSR fidelity
+  arrays (``indptr``/``indices``/``data``), the road ids and the
+  objective's road weights, exported **once** to shared memory, so a
+  pool over a 50k-road graph costs one copy of the graph, not one per
+  worker. A worker builds a
+  :class:`~repro.history.fidelity.CSRFidelityGraph` view once per
+  context, and each task runs CELF against a duck-typed objective that
+  computes sparse influence rows with the block kernel and memoises
+  them for the duration of one district task.
+
+The kernel, the transform math and the weight construction are
+byte-identical either way, so both return the identical seed sequence,
+gains and values; ``tests/oracles/partition.py`` keeps the original
+single-process loop as the reference. Stitching follows district
+order, never completion order.
 
 Step-1 votes do not run here: they are one sparse sum in the parent
 (:class:`~repro.trend.propagation.TrendPropagationInference`) for
 every config, over the same cached rows Step 2 reads.
 
 Rows are :class:`~repro.history.fidelity.SparseRow` pairs, so a row
-costs its reach, not N: a district task keeps every row it computes
-(each candidate's row is computed exactly once per task). Tasks report
-``rows_computed`` and ``nonzeros`` (total row support) alongside
-``evaluations``; the parent puts them on the ``seeds.parallel.select``
-span.
+costs its reach, not N: a pooled district task keeps every row it
+computes (each candidate's row is computed exactly once per task).
+Pooled tasks report ``rows_computed`` and ``nonzeros`` (total row
+support) on the ``seeds.parallel.select`` span; in the parent the
+fidelity service counts them (``fidelity.cache``,
+``fidelity.row_nonzeros``).
 """
 
 from __future__ import annotations
@@ -141,41 +153,38 @@ class _SharedArrayObjective:
 
 def _select_chunk(
     state: _DistrictState, task: tuple[list[int], int]
-) -> tuple[tuple[int, ...], int, int, int]:
-    """Task: CELF inside one district.
+) -> tuple[SelectionResult, int, int]:
+    """Task: CELF inside one district over the shared arrays.
 
-    Returns ``(seeds, evaluations, rows_computed, nonzeros)``.
+    Returns ``(result, rows_computed, nonzeros)``.
     """
     chunk, share = task
     objective = _SharedArrayObjective(
         state.csr, state.weights, chunk, state.min_fidelity, state.transform
     )
     result = lazy_greedy_select(objective, share, candidates=chunk)  # type: ignore[arg-type]
-    return (
-        result.seeds,
-        result.evaluations,
-        objective.rows_computed,
-        objective.nonzeros,
-    )
+    return result, objective.rows_computed, objective.nonzeros
 
 
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
 class DistrictStage:
-    """District selection as tasks on a worker pool.
+    """The partition selector, bound to one objective's graph.
 
-    Bound to one objective's graph. Before each batch the stage checks
-    the fidelity service's CSR export of that graph: when it is a new
-    object (a graph delta or a wholesale invalidation rebuilt it), the
-    districts are re-partitioned and the ``"district"`` context is
-    republished on the same workers.
+    ``pool`` decides where district tasks run (see the module
+    docstring); ``None`` runs them in the parent. Before each selection
+    the stage checks the fidelity service's CSR export of the graph:
+    when it is a new object (a graph delta or a wholesale invalidation
+    rebuilt it), the districts are re-partitioned and, for pooled
+    tasks, the ``"district"`` context is republished on the same
+    workers.
     """
 
     def __init__(
         self,
         objective: SeedSelectionObjective,
-        pool: SharedWorkerPool,
+        pool: SharedWorkerPool | None = None,
         num_partitions: int = 8,
     ) -> None:
         self._objective = objective
@@ -185,89 +194,97 @@ class DistrictStage:
         self._csr: CSRFidelityGraph | None = None
         self._partitions: list[list[int]] = []
 
-    def _publish(self) -> None:
-        """Bind the stage to the current CSR, republishing if it changed."""
+    def _pooled(self) -> bool:
+        """Whether district tasks go to worker processes this time.
+
+        A pool never leaves in-process mode once in it, so a stage that
+        bound in the parent never needs the context published later.
+        """
+        return self._pool is not None and not self._pool.in_process
+
+    def _bind(self, pooled: bool) -> None:
+        """Bind the stage to the current CSR, re-partitioning if it changed."""
         csr = self._objective.fidelity_service.csr(self._graph)
         if csr is self._csr:
             return
         self._partitions = partition_graph(self._objective, self._num_partitions)
-        self._pool.publish(
-            "district",
-            {
-                "indptr": csr.indptr,
-                "indices": csr.indices,
-                "data": csr.data,
-                "road_ids": np.asarray(csr.road_ids, dtype=np.int64),
-                "weights": np.asarray(self._objective.weights, dtype=np.float64),
-            },
-            _DistrictState,
-            self._objective.min_fidelity,
-            self._objective.transform,
-        )
+        if pooled:
+            self._pool.publish(
+                "district",
+                {
+                    "indptr": csr.indptr,
+                    "indices": csr.indices,
+                    "data": csr.data,
+                    "road_ids": np.asarray(csr.road_ids, dtype=np.int64),
+                    "weights": np.asarray(self._objective.weights, dtype=np.float64),
+                },
+                _DistrictState,
+                self._objective.min_fidelity,
+                self._objective.transform,
+            )
         self._csr = csr
         get_recorder().gauge("seeds.parallel.districts", len(self._partitions))
 
     @property
     def csr(self) -> CSRFidelityGraph | None:
-        """The CSR export the published context was built from."""
+        """The CSR export the current districts were built from."""
         return self._csr
 
     @property
     def partitions(self) -> list[list[int]]:
-        self._publish()
+        self._bind(self._pooled())
         return [list(chunk) for chunk in self._partitions]
 
     def select(self, budget: int) -> SelectionResult:
-        """District-parallel partition greedy; deterministic stitching.
-
-        Identical output to :func:`~repro.seeds.partition.
-        partition_greedy_select` with the same ``num_partitions`` —
-        same seed sequence, same gains/values — because each task runs
-        the same CELF on bitwise-equal rows and districts are stitched
-        in district order, not completion order.
-        """
+        """Partitioned lazy greedy; deterministic district-order stitching."""
         validate_budget(self._objective, budget)
-        self._publish()
-        shares = allocate_budget(self._partitions, budget)
-        recorder = get_recorder()
-        with recorder.span(
+        pooled = self._pooled()
+        self._bind(pooled)
+        partitions = self._partitions
+        shares = allocate_budget(partitions, budget)
+        tasks = [(chunk, share) for chunk, share in zip(partitions, shares) if share]
+        objective = self._objective
+        with get_recorder().span(
             "seeds.parallel.select",
             budget=budget,
-            districts=len(self._partitions),
-            workers=self._pool.num_workers,
+            districts=len(partitions),
+            workers=self._pool.num_workers if pooled else 1,
         ) as span:
-            results = self._pool.map(
-                "district",
-                _select_chunk,
-                [
-                    (chunk, share)
-                    for chunk, share in zip(self._partitions, shares)
-                    if share > 0
-                ],
-            )
-            seeds: list[int] = []
-            evaluations = rows_computed = nonzeros = 0
-            for chunk_seeds, chunk_evaluations, chunk_rows, chunk_nonzeros in results:
-                seeds.extend(chunk_seeds)
-                evaluations += chunk_evaluations
-                rows_computed += chunk_rows
-                nonzeros += chunk_nonzeros
+            if pooled:
+                outcomes = self._pool.map("district", _select_chunk, tasks)
+                results = [result for result, _, _ in outcomes]
+                span.set(
+                    rows_computed=sum(rows for _, rows, _ in outcomes),
+                    nonzeros=sum(nonzeros for _, _, nonzeros in outcomes),
+                )
+            else:
+                results = [
+                    lazy_greedy_select(
+                        objective.clone_with_weights(
+                            {
+                                road: float(objective.weights[objective.index[road]])
+                                for road in chunk
+                            }
+                        ),
+                        share,
+                        candidates=chunk,
+                    )
+                    for chunk, share in tasks
+                ]
+            seeds = [seed for result in results for seed in result.seeds]
+            evaluations = sum(result.evaluations for result in results)
 
-            # Global rescoring in the parent, exactly as the serial path.
-            state = self._objective.new_state()
+            # Score the stitched set against the *global* objective so
+            # results are comparable across methods.
+            state = objective.new_state()
             gains: list[float] = []
             values: list[float] = []
             for seed in seeds:
                 gains.append(state.add(seed))
                 values.append(state.value)
-            span.set(
-                evaluations=evaluations,
-                rows_computed=rows_computed,
-                nonzeros=nonzeros,
-                objective=round(state.value, 3),
-            )
+            span.set(evaluations=evaluations, objective=round(state.value, 3))
         return SelectionResult(
-            method="partition-greedy-parallel",
+            method="partition-greedy",
             seeds=tuple(seeds),
             gains=tuple(gains),
             values=tuple(values),

@@ -1,9 +1,10 @@
-"""Partition-based approximate seed selection.
+"""District partition and budget split for partitioned seed selection.
 
-The fastest selection variant: split the correlation graph into
-``num_partitions`` connected chunks (BFS-grown, deterministic), give
-each chunk a budget share proportional to its size, and run lazy greedy
-*inside* each chunk with influence restricted to chunk members.
+:class:`~repro.seeds.parallel.DistrictStage` splits the correlation
+graph into connected chunks (:func:`partition_graph`), gives each chunk
+a budget share proportional to its size (:func:`allocate_budget`) and
+runs lazy greedy *inside* each chunk with influence restricted to chunk
+members; the sharded Step-2 plan reuses the same districts.
 
 Rationale: influence is local (pruned at a fidelity floor), so the gain
 a seed earns outside its own neighbourhood is limited; ignoring
@@ -17,8 +18,6 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core.errors import SelectionError
-from repro.seeds.greedy import SelectionResult, validate_budget
-from repro.seeds.lazy import lazy_greedy_select
 from repro.seeds.objective import SeedSelectionObjective
 
 
@@ -101,44 +100,3 @@ def allocate_budget(partitions: list[list[int]], budget: int) -> list[int]:
             if shortfall == 0:
                 break
     return shares
-
-
-def partition_greedy_select(
-    objective: SeedSelectionObjective,
-    budget: int,
-    num_partitions: int = 8,
-) -> SelectionResult:
-    """Partitioned lazy greedy; near-greedy quality at a fraction of cost."""
-    validate_budget(objective, budget)
-    partitions = partition_graph(objective, num_partitions)
-    shares = allocate_budget(partitions, budget)
-
-    seeds: list[int] = []
-    evaluations = 0
-    for chunk, share in zip(partitions, shares):
-        if share == 0:
-            continue
-        member_weights = {
-            road: float(objective.weights[objective.index[road]]) for road in chunk
-        }
-        local = objective.clone_with_weights(member_weights)
-        result = lazy_greedy_select(local, share, candidates=chunk)
-        seeds.extend(result.seeds)
-        evaluations += result.evaluations
-
-    # Score the combined set against the *global* objective so results
-    # are comparable across methods.
-    state = objective.new_state()
-    gains: list[float] = []
-    values: list[float] = []
-    for seed in seeds:
-        gains.append(state.add(seed))
-        values.append(state.value)
-    return SelectionResult(
-        method="partition-greedy",
-        seeds=tuple(seeds),
-        gains=tuple(gains),
-        values=tuple(values),
-        evaluations=evaluations,
-    )
-

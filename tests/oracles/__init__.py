@@ -11,6 +11,9 @@ pin the vectorized production code against it:
 * :mod:`tests.oracles.objective` — the influence-coverage objective
   with a dict-walk coverage state, accepted by ``greedy_select``,
   ``lazy_greedy_select`` and ``partition_greedy_select``;
+* :mod:`tests.oracles.partition` — ``partition_greedy_select``, the
+  single-process partitioned greedy loop, the reference for
+  :class:`~repro.seeds.parallel.DistrictStage` with or without a pool;
 * :mod:`tests.oracles.propagation` — the Step-1 seed-vote loop;
 * :mod:`tests.oracles.estimator` — the per-road Step-2 solve over
   :meth:`~repro.speed.hlm.HierarchicalLinearModel.estimate_road`;
@@ -46,6 +49,7 @@ from tests.oracles.crowd import PerTaskPlatform
 from tests.oracles.estimator import ScalarTwoStep
 from tests.oracles.fidelity import propagate_fidelity
 from tests.oracles.objective import ScalarCoverageObjective
+from tests.oracles.partition import partition_greedy_select
 from tests.oracles.plan import MonolithicPlanner
 from tests.oracles.propagation import ScalarPropagationInference
 from tests.oracles.uncertainty import ScalarBands
@@ -57,5 +61,6 @@ __all__ = [
     "ScalarCoverageObjective",
     "ScalarPropagationInference",
     "ScalarTwoStep",
+    "partition_greedy_select",
     "propagate_fidelity",
 ]

@@ -3,10 +3,10 @@
 :class:`ScalarCoverageObjective` exposes the surface the selection
 algorithms touch (``graph``, ``num_roads``, ``road_ids``, ``index``,
 ``weights``, ``new_state``, ``clone_with_weights``), so
-``greedy_select``, ``lazy_greedy_select`` and
-``partition_greedy_select`` run on it unchanged. Influence maps come
-from the scalar rows in :mod:`tests.oracles.fidelity`, iterated in road
-id order (the order the production rows are stored in).
+``greedy_select``, ``lazy_greedy_select`` and the partition reference
+(:mod:`tests.oracles.partition`) run on it unchanged. Influence maps
+come from the scalar rows in :mod:`tests.oracles.fidelity`, iterated in
+road id order (the order the production rows are stored in).
 """
 
 from __future__ import annotations

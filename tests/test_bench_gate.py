@@ -190,3 +190,61 @@ class TestRequiredFamilies:
         out = capsys.readouterr().out
         assert "bench.f8_metro_plan_" in out
         assert "bench.kernel_vs_scalar_" not in out
+
+
+class TestPartialRunMerge:
+    """A benchmark run merges into bench_timings.json per series."""
+
+    def _run(self, monkeypatch, path, observe):
+        """One benchmark session's terminal summary over a fresh registry."""
+        import types
+
+        from benchmarks import conftest
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        observe(registry)
+        monkeypatch.setattr(conftest, "_bench_registry", registry)
+        monkeypatch.setattr(conftest, "_collected_reports", [])
+        monkeypatch.setattr(conftest, "BENCH_TIMINGS", path)
+        conftest.pytest_terminal_summary(
+            types.SimpleNamespace(config=types.SimpleNamespace())
+        )
+        return json.loads(path.read_text())
+
+    def test_partial_run_keeps_other_families(self, tmp_path, monkeypatch):
+        path = tmp_path / "results" / "bench_timings.json"
+
+        def full_run(registry):
+            for test in ("f4", "f8"):
+                registry.histogram("bench.call_seconds", test=test).observe(2.0)
+            registry.gauge("bench.f4_seconds", budget="10").set(1.0)
+            registry.gauge("bench.f8_metro_plan_seconds").set(9.0)
+
+        def partial_run(registry):
+            registry.histogram("bench.call_seconds", test="f8").observe(3.0)
+            registry.gauge("bench.f8_metro_plan_seconds").set(8.0)
+            registry.gauge("bench.f8_metro_new_seconds").set(1.5)
+
+        self._run(monkeypatch, path, full_run)
+        merged = self._run(monkeypatch, path, partial_run)
+
+        calls = {
+            s["labels"]["test"]: s["sum"]
+            for s in merged["bench.call_seconds"]["series"]
+        }
+        assert calls == {"f4": 2.0, "f8": 3.0}
+        assert merged["bench.f4_seconds"]["series"] == [
+            {"labels": {"budget": "10"}, "value": 1.0}
+        ]
+        assert merged["bench.f8_metro_plan_seconds"]["series"][0]["value"] == 8.0
+        assert merged["bench.f8_metro_new_seconds"]["series"][0]["value"] == 1.5
+
+    def test_changed_kind_takes_the_current_series(self):
+        from bench_gate import merge_snapshots
+
+        committed = {"x": {"kind": "counter", "series": [{"labels": {}, "value": 1}]}}
+        current = {
+            "x": {"kind": "gauge", "series": [{"labels": {"a": "1"}, "value": 2}]}
+        }
+        assert merge_snapshots(committed, current) == current

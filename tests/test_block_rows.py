@@ -31,13 +31,10 @@ from repro.history.fidelity import (
 from repro.obs import FlightRecorder, set_recorder
 from repro.seeds.objective import SeedSelectionObjective
 from repro.seeds.parallel import DistrictStage
-from repro.seeds.partition import (
-    allocate_budget,
-    partition_graph,
-    partition_greedy_select,
-)
+from repro.seeds.partition import allocate_budget, partition_graph
 from tests.oracles import ScalarCoverageObjective, propagate_fidelity
 from tests.oracles.fidelity import best_fidelity_rows
+from tests.oracles.partition import partition_greedy_select
 from tests.strategies import random_graphs
 from tests.test_sparse_rows import TRANSFORMS, dense_reference
 

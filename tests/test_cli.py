@@ -78,7 +78,7 @@ class TestParser:
         assert args.plan_workers == 1
         serve = build_parser().parse_args(["serve", "--plan-shards", "4"])
         assert serve.plan_shards == 4
-        assert serve.plan_workers == 0
+        assert serve.plan_workers == 1
         assert build_parser().parse_args(["serve"]).plan_shards == 1
         with pytest.raises(SystemExit):
             build_parser().parse_args(["estimate", "--sharded-plan"])
@@ -173,13 +173,23 @@ class TestCommands:
         assert "Selected 5 seeds" in out
 
     def test_select_parallel(self, capsys):
-        assert main(
-            [
-                "--city", "tianjin", "select", "--budget", "5", "--parallel",
-                "--workers", "1", "--partitions", "4",
-            ]
-        ) == 0
-        assert "Selected 5 seeds" in capsys.readouterr().out
+        outputs = []
+        for workers in ("1", "2"):
+            assert main(
+                [
+                    "--city", "tianjin", "select", "--budget", "5",
+                    "--method", "partition", "--workers", workers,
+                    "--partitions", "4",
+                ]
+            ) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "Selected 5 seeds with partition-greedy" in outputs[0]
+        # The worker count moves the tasks, never the seeds.
+        assert outputs[0] == outputs[1]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["select", "--parallel"])
+        with pytest.raises(SystemExit, match="--workers must be >= 1"):
+            main(["--city", "tianjin", "select", "--workers", "0"])
 
     def test_stream_check(self, capsys):
         assert main(

