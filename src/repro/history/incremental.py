@@ -71,8 +71,8 @@ class GraphDelta:
     ``road_u < road_v``); ``removed`` carries ``(road_u, road_v)`` key
     pairs. A delta is what flows from
     :meth:`~repro.history.online.RollingHistory.ingest_day` through the
-    cache stack: only roads it touches lose cached fidelity rows and
-    compiled plans.
+    cache stack: only the cached fidelity rows its changed edges can
+    move are dropped, and only the compiled plan shards over them.
     """
 
     added: tuple[CorrelationEdge, ...]

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,12 +103,14 @@ class StalenessPolicy:
             raise ConfigError("stale_inflation must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
-class ServedEstimate:
+class ServedEstimate(NamedTuple):
     """What a reader gets back — always, for every road asked.
 
     ``status`` is one of :data:`READ_STATUSES`; numeric fields are None
     exactly when no answer could be produced (``shed``/``unavailable``).
+    A named tuple: immutable, built positionally on the read path
+    without per-field attribute writes, and equal to a plain tuple of
+    the same fields.
     """
 
     road_id: int
@@ -390,7 +393,7 @@ class EstimateStore:
         recorder = get_recorder()
         if not recorder.enabled:
             if not self._admission.try_acquire():
-                return {r: ServedEstimate(road_id=r, status=SHED) for r in road_ids}
+                return {r: ServedEstimate(r, SHED) for r in road_ids}
             try:
                 return self._read(road_ids)[0]
             finally:
@@ -399,7 +402,7 @@ class EstimateStore:
         if not self._admission.try_acquire():
             recorder.count("serving.shed", reason="capacity", value=len(road_ids))
             recorder.count("serving.reads", status=SHED, value=len(road_ids))
-            out = {r: ServedEstimate(road_id=r, status=SHED) for r in road_ids}
+            out = {r: ServedEstimate(r, SHED) for r in road_ids}
             counts = {SHED: len(road_ids)}
             current = self._current
         else:
@@ -681,20 +684,8 @@ class EstimateStore:
                 lower = max(0.0, speed - (speed - lower) * inflate)
                 upper = speed + (upper - speed) * inflate
             out[road] = ServedEstimate(
-                road_id=road,
-                status=status,
-                speed_kmh=speed,
-                lower_kmh=lower,
-                upper_kmh=upper,
-                std_kmh=std,
-                trend=trends[i],
-                trend_probability=p_rises[i],
-                is_seed=seeds[i],
-                degraded=degraded[i] or stale,
-                stale=stale,
-                snapshot_version=version,
-                age_s=age,
-                interval=interval,
+                road, status, speed, lower, upper, std, trends[i], p_rises[i],
+                seeds[i], degraded[i] or stale, stale, version, age, interval,
             )
         return out
 
@@ -715,10 +706,8 @@ class EstimateStore:
                 interval += int(age // self._interval_s)
         if self._history is None or road not in self._column:
             return ServedEstimate(
-                road_id=road,
-                status=UNAVAILABLE,
-                snapshot_version=version,
-                age_s=age,
+                road, UNAVAILABLE, None, None, None, None, None, None,
+                False, False, False, version, age,
             )
         if interval is None:
             # Cold start: no snapshot ever seen, so no notion of "now"
@@ -728,17 +717,6 @@ class EstimateStore:
         std = max(0.1, float(self._prior_dev_std[self._column[road]]) * speed)
         margin = self._z * std
         return ServedEstimate(
-            road_id=road,
-            status=BASELINE,
-            speed_kmh=speed,
-            lower_kmh=max(0.0, speed - margin),
-            upper_kmh=speed + margin,
-            std_kmh=std,
-            trend=None,
-            trend_probability=None,
-            degraded=True,
-            stale=True,
-            snapshot_version=version,
-            age_s=age,
-            interval=interval,
+            road, BASELINE, speed, max(0.0, speed - margin), speed + margin, std,
+            None, None, False, True, True, version, age, interval,
         )

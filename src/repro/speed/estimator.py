@@ -372,8 +372,9 @@ class TwoStepEstimator:
                 self._plans.count_shard_evictions(
                     self._planner.evict_structures(road_set)
                 )
-        # In-place graph deltas invalidate the model's baked edge
-        # potentials too (cheap: one pass over the edge list).
+        # In-place graph deltas (notified even when no row changed)
+        # make the model's baked edge potentials stale too; they are
+        # re-read on first use.
         self._trend_model.refresh_edges()
 
     def _influence_index(

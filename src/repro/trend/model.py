@@ -20,7 +20,8 @@ package. Inference results are returned as :class:`TrendPosterior`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -33,33 +34,60 @@ from repro.history.store import HistoricalSpeedStore
 _POTENTIAL_EPS = 0.02
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TrendInstance:
     """One interval's MRF: priors, edges and clamped evidence.
 
     ``road_ids`` fixes the variable order; ``prior_rise[i]`` is
     P(t_i = RISE) before evidence; ``edges`` holds ``(i, j, agreement)``
     index triples; ``evidence`` maps road id to its observed trend.
+    ``edges`` may also be passed as a zero-argument callable returning
+    the triples: it is called on the first read of :attr:`edges`, so an
+    algorithm that never reads them (propagation) never builds them.
     """
 
     road_ids: tuple[int, ...]
     prior_rise: np.ndarray
-    edges: tuple[tuple[int, int, float], ...]
     evidence: dict[int, Trend]
     #: The correlation graph the edges came from, when available; lets
     #: propagation inference reuse cached per-seed fidelity maps.
-    graph: "CorrelationGraph | None" = None
-    #: Trusted-construction flag: :class:`TrendModel` builds its static
-    #: parts (road order, clipped potentials, bucket priors) valid by
-    #: construction and validates evidence itself, so its per-interval
-    #: instances skip the O(roads + edges) re-validation — the serving
-    #: path builds one instance per interval. Hand-built instances keep
-    #: the default and are fully checked.
-    validate: bool = True
+    graph: "CorrelationGraph | None"
+    _edges: object = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.validate:
-            return
+    def __init__(
+        self,
+        road_ids: tuple[int, ...],
+        prior_rise: np.ndarray,
+        edges: "tuple[tuple[int, int, float], ...] | Callable[[], tuple]",
+        evidence: dict[int, Trend],
+        graph: "CorrelationGraph | None" = None,
+        validate: bool = True,
+    ) -> None:
+        """``validate=False`` is the trusted construction:
+        :class:`TrendModel` builds its static parts (road order, clipped
+        potentials, bucket priors) valid by construction and validates
+        evidence itself, so its per-interval instances skip the
+        O(roads + edges) re-validation — the serving path builds one
+        instance per interval. Hand-built instances keep the default
+        and are fully checked.
+        """
+        init = object.__setattr__
+        init(self, "road_ids", road_ids)
+        init(self, "prior_rise", prior_rise)
+        init(self, "evidence", evidence)
+        init(self, "graph", graph)
+        init(self, "_edges", edges)
+        if validate:
+            self._validate()
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The ``(i, j, agreement)`` triples (a callable is read once)."""
+        if callable(self._edges):
+            object.__setattr__(self, "_edges", self._edges())
+        return self._edges
+
+    def _validate(self) -> None:
         if self.prior_rise.shape != (len(self.road_ids),):
             raise InferenceError(
                 f"prior array shape {self.prior_rise.shape} does not match "
@@ -163,7 +191,8 @@ class TrendModel:
         self._store = store
         self._road_ids = tuple(graph.road_ids)
         self._index = {road: i for i, road in enumerate(self._road_ids)}
-        self._edges = self._read_edges()
+        # Built on first read (see _current_edges); None means stale.
+        self._edges: tuple[tuple[int, int, float], ...] | None = None
         # Priors depend only on the bucket, not on evidence, so they are
         # computed once per bucket and shared across intervals.
         self._prior_cache: dict[int, np.ndarray] = {}
@@ -199,17 +228,29 @@ class TrendModel:
             )
         )
 
+    def _current_edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The ``(i, j, clip(p))`` triples, read from the graph on first use.
+
+        Only BP, Gibbs, exact and temporal inference read them, so the
+        default propagation path never builds the tuple.
+        """
+        if self._edges is None:
+            self._edges = self._read_edges()
+        return self._edges
+
     def refresh_edges(self) -> None:
-        """Re-read edge potentials from the bound graph.
+        """Mark the edge potentials stale; the next read re-reads them.
 
         Incremental re-mining mutates the graph **in place** (see
         :meth:`~repro.history.correlation.CorrelationGraph.apply_delta`)
         while this model's edge tuple is a baked copy; deployments that
         ingest days must call this (the estimator's row-invalidation
-        hook does) so BP/Gibbs instances see the new weights. The road
-        set of a delta never changes, so the index stays valid.
+        hook does) so BP/Gibbs instances see the new weights. The tuple
+        is rebuilt at most once per delta, on the first read of an
+        instance's ``edges``. The road set of a delta never changes, so
+        the index stays valid.
         """
-        self._edges = self._read_edges()
+        self._edges = None
 
     def _bucket_prior(self, bucket: int) -> np.ndarray:
         cached = self._prior_cache.get(bucket)
@@ -244,7 +285,7 @@ class TrendModel:
         return TrendInstance(
             road_ids=self._road_ids,
             prior_rise=prior,
-            edges=self._edges,
+            edges=self._current_edges,
             evidence=dict(seed_trends),
             graph=self._graph,
             validate=False,
@@ -260,7 +301,9 @@ class TrendModel:
         """
         bucket = self._store.grid.bucket_of(interval)
         prior = self._bucket_prior(bucket)
-        edges = tuple((i, j, self._clip(agreement)) for i, j, _ in self._edges)
+        edges = tuple(
+            (i, j, self._clip(agreement)) for i, j, _ in self._current_edges()
+        )
         return TrendInstance(
             road_ids=self._road_ids,
             prior_rise=prior,

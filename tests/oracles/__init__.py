@@ -6,8 +6,10 @@ pin the vectorized production code against it:
 
 * :mod:`tests.oracles.fidelity` — best-path fidelity rows by dict/heap
   Dijkstra, and by layered relaxation under a hop budget, plus the
-  scalar channel fidelity ``edge_fidelity`` and the dense row forms
-  ``best_fidelity_row``/``best_fidelity_rows`` of the CSR kernel;
+  scalar channel fidelity ``edge_fidelity``, the dense row forms
+  ``best_fidelity_row``/``best_fidelity_rows`` of the CSR kernel, and
+  ``tight_rule_dropped``, the row-by-row, edge-by-edge form of the
+  service's graph-delta invalidation rule;
 * :mod:`tests.oracles.objective` — the influence-coverage objective
   with a dict-walk coverage state, accepted by ``greedy_select``,
   ``lazy_greedy_select`` and ``partition_greedy_select``;

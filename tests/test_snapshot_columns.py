@@ -24,7 +24,6 @@ round builds no per-road record objects.
 from __future__ import annotations
 
 import tempfile
-from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -393,7 +392,7 @@ class TestStoreColumns:
                 want = _served_from_records(snapshot, road, age, policy)
                 got = served[road]
                 assert got == want, f"road {road} age {age}"
-                assert _bits(astuple(got)) == _bits(astuple(want))
+                assert _bits(tuple(got)) == _bits(tuple(want))
                 assert type(got.is_seed) is bool and type(got.degraded) is bool
                 assert isinstance(got.trend, Trend)
                 statuses.add(got.status)

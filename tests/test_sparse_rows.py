@@ -6,8 +6,9 @@ The service stores every influence row as a ``(indices, values)``
 * sparse rows are bitwise equal (support *and* values) to the dense
   scalar oracle rows under every transform and hop budget;
 * the vectorised CSR export equals the edge-object export it replaced;
-* delta eviction over the support drops exactly the sources a dense
-  scan of the cached rows would;
+* delta eviction drops exactly the sources the scalar tight-edge rule
+  in ``tests/oracles/fidelity.py`` names, and every survivor equals a
+  cold recompute;
 * district tasks compute each candidate row once, and selection's cache
   grows with total reach, not with N per source;
 * dead weak row listeners do not accumulate in a long-lived service.
@@ -32,7 +33,7 @@ from repro.seeds.objective import SeedSelectionObjective
 from repro.seeds.parallel import DistrictStage, _SharedArrayObjective
 from repro.seeds.partition import allocate_budget, partition_graph
 from tests.oracles import propagate_fidelity
-from tests.oracles.fidelity import edge_fidelity
+from tests.oracles.fidelity import edge_fidelity, tight_rule_dropped
 from tests.strategies import random_graphs
 
 TRANSFORMS = ("fidelity", "variance", "logodds")
@@ -177,23 +178,11 @@ def test_export_of_edgeless_graph():
 
 
 # ----------------------------------------------------------------------
-# Delta eviction over the support
+# Delta eviction
 # ----------------------------------------------------------------------
-def dense_scan_dropped(service, graph, touched):
-    """Reference eviction: scan every cached row densely."""
-    entry = service._graphs[graph]
-    positions = [graph.road_ids.index(r) for r in touched]
-    affected = set(touched)
-    for per_key in entry.rows.values():
-        for source, row in per_key.items():
-            if np.any(row.dense(graph.num_roads)[positions] != 0.0):
-                affected.add(source)
-    return tuple(sorted(affected))
-
-
 @settings(max_examples=60, deadline=None)
 @given(graph=random_graphs(max_roads=10), data=st.data())
-def test_delta_eviction_matches_dense_scan(graph, data):
+def test_delta_eviction_matches_tight_rule_oracle(graph, data):
     service = FidelityCacheService()
     roads = graph.road_ids
     for source in data.draw(st.lists(st.sampled_from(roads), max_size=6)):
@@ -213,8 +202,11 @@ def test_delta_eviction_matches_dense_scan(graph, data):
     else:
         delta = GraphDelta(added=(), removed=(), reweighted=edge)
     service.csr(graph)
-    expected = dense_scan_dropped(service, graph, set(delta.touched_roads()))
+    entry = service._graphs[graph]
+    rows = {key: dict(per_key) for key, per_key in entry.rows.items()}
+    before = CorrelationGraph(graph.road_ids, list(graph.edges()))
     graph.apply_delta(delta)
+    expected, _ = tight_rule_dropped(rows, before, delta)
     assert service.apply_graph_delta(graph, delta) == expected
     # Survivors equal a cold recompute over the mutated graph.
     cold = FidelityCacheService()
