@@ -7,7 +7,8 @@ and never use it:
 
 * A stage **publishes a named context**: read-only numpy arrays plus a
   module-level ``builder(arrays, *args)`` that turns them into the
-  worker state its tasks need (a CSR view, a regression). The arrays are
+  worker state its tasks need (a CSR view; for plan fits only the
+  model params, with no arrays). The arrays are
   exported once to :mod:`multiprocessing.shared_memory`
   (:class:`~repro.core.shm.SharedArrayExport`); a worker maps them and
   runs the builder on first use, and keeps the state until the context

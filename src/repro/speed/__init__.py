@@ -26,7 +26,6 @@ from repro.speed.hlm import (
     HierarchicalLinearModel,
     HlmParams,
     JointSeedRegression,
-    RoadRegression,
 )
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "PlanCacheStats",
     "JointSeedRegression",
     "PlanShard",
-    "RoadRegression",
     "SpeedBand",
     "TwoStepEstimator",
     "UncertaintyModel",

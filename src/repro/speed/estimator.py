@@ -88,9 +88,8 @@ class TwoStepEstimator:
     Step-2 serving runs through compiled
     :class:`~repro.speed.plan.IntervalPlan` objects — one padded
     matrix-vector product per district plus a vectorized blend per
-    interval. The per-road loop over
-    :meth:`~repro.speed.hlm.HierarchicalLinearModel.estimate_road`, the
-    definition the plans compile, is the test oracle in
+    interval. The per-road loop over ``estimate_road``, the definition
+    the plans compile, is the test oracle in
     ``tests/oracles/estimator.py``.
     """
 

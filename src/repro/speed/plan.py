@@ -1,15 +1,13 @@
 """Compiled interval plans: the Step-2 serving path.
 
-Step 2 is defined per road by :meth:`~repro.speed.hlm.
-HierarchicalLinearModel.estimate_road`. Calling it in a per-road loop
-(the scalar reference, kept as the test oracle in
-``tests/oracles/estimator.py``) re-does the same bookkeeping every
-interval: rank a road's influencing seeds, look up its fitted joint
-regression, fetch two trend-conditional prior means, blend, clamp. For
-a fixed (seed set, time bucket) none of that structure changes — only
-the observed seed deviations and the Step-1 posterior do. This module
-compiles the structure once so serving an interval becomes a handful of
-array ops:
+Step 2 is defined per road by ``estimate_road`` (the test oracle in
+``tests/oracles/hlm.py``). Calling it in a per-road loop re-does the
+same bookkeeping every interval: rank a road's influencing seeds, fit
+or look up its joint regression, fetch two trend-conditional prior
+means, blend, clamp. For a fixed (seed set, time bucket) none of that
+structure changes — only the observed seed deviations and the Step-1
+posterior do. This module compiles the structure once so serving an
+interval becomes a handful of array ops:
 
 * :class:`_SeedStructure` — the seed-dependent half of one district,
   shared by every bucket: each road's fitted regression row packed into
@@ -35,9 +33,17 @@ array ops:
   bands_for` turns into prediction intervals without refitting anything.
 * :class:`IntervalPlanner` — compiles plans for one fitted system over a
   district partition of the road order; the default is one district.
-  Every per-road quantity is row-independent and the padded width comes
-  from the *global* seed tuple, so any partition serves the same speeds
-  bit for bit (the differentials in ``tests/test_plan_sharded.py`` pin
+  A compile (or a stale-shard refresh) fits its rows in a few array
+  passes: one :meth:`~repro.speed.hlm.SeedMoments.gather` computes the
+  seed × road product once in fixed column blocks and hands each
+  district its rows' Gram matrices and moments, and
+  :func:`compile_seed_structure` solves each seed count's rows in one
+  stacked solve (``speed.plan.compile`` spans carry ``rows_fitted`` and
+  ``moment_blocks``). A row's fit depends only on its road, its ranked
+  seeds and the plan's seed tuple, and the padded width comes from the
+  *global* seed tuple, so any partition, pool or compile history serves
+  the same speeds bit for bit (the differentials in
+  ``tests/test_plan_sharded.py`` and ``tests/test_batched_fits.py`` pin
   them against the whole-city oracle in ``tests/oracles/plan.py``).
 * :class:`IntervalPlanCache` — the small LRU keyed by (seed set,
   bucket, params). It registers nothing: the owning estimator's one
@@ -78,7 +84,13 @@ from repro.core.types import Trend
 from repro.history.store import HistoricalSpeedStore
 from repro.obs import get_recorder
 from repro.roadnet.network import RoadNetwork
-from repro.speed.hlm import HierarchicalLinearModel, HlmParams, JointSeedRegression
+from repro.speed.hlm import (
+    FitBatch,
+    HierarchicalLinearModel,
+    HlmParams,
+    SeedMoments,
+    fit_batch,
+)
 
 if TYPE_CHECKING:
     from repro.core.pool import SharedWorkerPool
@@ -181,74 +193,48 @@ class _SeedStructure:
         return regressed, "full"
 
 
-def compile_seed_structure(
-    regression: JointSeedRegression,
-    params: HlmParams,
-    seeds: tuple[int, ...],
-    road_ids: tuple[int, ...],
-    influence_by_road: Mapping[int, Mapping[int, float]],
-) -> _SeedStructure:
-    """Compile the padded regression block for ``road_ids``.
+def compile_seed_structure(params: HlmParams, batch: FitBatch) -> _SeedStructure:
+    """Fit one district's gathered rows and pack them as a padded block.
 
-    ``road_ids`` is one district (the whole city in the one-district
-    case); ``seeds`` is always the *global* seed tuple, so the padded
-    width and the seed-index positions are identical regardless of how
-    the rows are sliced — the property that makes every partition
-    evaluate bitwise equal. Row indices (including ``rows_by_seed``) are
-    local to ``road_ids``.
+    ``batch`` comes from :meth:`~repro.speed.hlm.SeedMoments.gather`
+    over the *global* seed tuple, so the padded width and the
+    seed-index positions are identical regardless of how the rows are
+    sliced — the property that makes every partition evaluate bitwise
+    equal. Row indices (including ``rows_by_seed``) are local to the
+    district. Runs in the parent or as a pool task: it takes no product
+    of the history, only :func:`~repro.speed.hlm.fit_batch`'s stacked
+    solves.
     """
-    n = len(road_ids)
-    num_seeds = len(seeds)
-    width = max(1, min(params.max_seeds_per_road, num_seeds))
-    seed_pos = {seed: k for k, seed in enumerate(seeds)}
-    coef = np.zeros((n, width))
-    # Padding entries point at the sentinel residual slot, which the
-    # evaluator pins to 0, so padded columns never contribute.
-    seed_idx = np.full((n, width), num_seeds, dtype=np.int64)
-    reg_weight = np.zeros(n)
-    has_reg = np.zeros(n, dtype=bool)
-    residual_std = np.zeros(n)
-    rows_by_seed: list[list[int]] = [[] for _ in seeds]
-    seed_set = set(seeds)
-    empty: dict[int, float] = {}
-    for i, road in enumerate(road_ids):
-        if road in seed_set:
-            # Seed estimates are observation pass-throughs; skipping
-            # them here matches the scalar path, which never fits a
-            # regression for a seed road.
-            continue
-        fitted = regression.for_road(road, influence_by_road.get(road, empty))
-        if fitted is None:
-            continue
-        has_reg[i] = True
-        reg_weight[i] = fitted.weight
-        residual_std[i] = fitted.residual_std
-        for j, seed in enumerate(fitted.seeds):
-            coef[i, j] = fitted.coefficients[j]
-            position = seed_pos[seed]
-            seed_idx[i, j] = position
-            rows_by_seed[position].append(i)
+    fits = fit_batch(params, batch)
+    num_seeds = len(batch.seeds)
+    rows, slots = np.nonzero(fits.seed_idx < num_seeds)
+    positions = fits.seed_idx[rows, slots]
+    # A stable sort keeps each seed's rows ascending.
+    by_seed = rows[np.argsort(positions, kind="stable")]
+    bounds = np.cumsum(np.bincount(positions, minlength=num_seeds))[:-1]
     return _SeedStructure(
-        seeds=seeds,
-        coef=coef,
-        seed_idx=seed_idx,
-        reg_weight=reg_weight,
-        has_reg=has_reg,
-        residual_std=residual_std,
-        rows_by_seed=[np.array(rows, dtype=np.int64) for rows in rows_by_seed],
+        seeds=batch.seeds,
+        coef=fits.coef,
+        seed_idx=fits.seed_idx,
+        reg_weight=fits.weight,
+        has_reg=fits.has_reg,
+        residual_std=fits.residual_std,
+        rows_by_seed=np.split(by_seed, bounds) if num_seeds else [],
     )
+
+
+def _plan_params(arrays: Mapping[str, np.ndarray], params: HlmParams) -> HlmParams:
+    """Builder of the pool's ``"plan"`` context: tasks need only the params."""
+    del arrays
+    return params
 
 
 def _compile_district(
-    regression: JointSeedRegression,
-    task: tuple[tuple[int, ...], tuple[int, ...], dict[int, dict[int, float]]],
+    params: HlmParams, batch: FitBatch
 ) -> tuple[_SeedStructure, float]:
     """Pool task: one district's structure and its compile seconds."""
-    seeds, members, influence = task
     start = time.perf_counter()
-    structure = compile_seed_structure(
-        regression, regression.params, seeds, members, influence
-    )
+    structure = compile_seed_structure(params, batch)
     return structure, time.perf_counter() - start
 
 
@@ -279,13 +265,19 @@ class _ShardSet:
 
     Shared (via the planner's weak-value cache) by every bucket's plan
     for one seed set, so marking shards stale once propagates to all
-    buckets, and a recompile refreshes them all.
+    buckets, and a recompile refreshes them all. ``moments`` keeps the
+    seed set's Gram matrix for those refreshes.
     """
 
     def __init__(
-        self, seeds: tuple[int, ...], shards: list[PlanShard], num_roads: int
+        self,
+        seeds: tuple[int, ...],
+        shards: list[PlanShard],
+        num_roads: int,
+        moments: SeedMoments,
     ) -> None:
         self.seeds = seeds
+        self.moments = moments
         self._seed_set = frozenset(seeds)
         self.shards = shards
         self.reg_weight = np.zeros(num_roads)
@@ -471,10 +463,10 @@ class IntervalPlanner:
     passes :func:`~repro.seeds.partition.partition_graph` districts for
     ``use_sharded_plan``); ``None`` is the one-district case, the whole
     road order as a single shard. With a
-    :class:`~repro.core.pool.SharedWorkerPool` the district compiles
-    are tasks on it (the planner publishes the pool's ``"plan"``
-    context: the centred history matrix and the store's column order);
-    without one they run in-process on the live regression.
+    :class:`~repro.core.pool.SharedWorkerPool` the district fits are
+    tasks on it; the parent gathers every task's Gram matrices and
+    moments first, so the pool's ``"plan"`` context exports no arrays.
+    Without a pool they run in-process.
 
     Compiled shard sets are shared across buckets through a weak-value
     cache: as long as any plan for a seed set is alive, its shards (the
@@ -522,15 +514,7 @@ class IntervalPlanner:
         }
         self._pool = pool
         if pool is not None:
-            pool.publish(
-                "plan",
-                {
-                    "centred": hlm.regression.centred,
-                    "road_ids": np.asarray(store.road_ids, dtype=np.int64),
-                },
-                JointSeedRegression.from_arrays,
-                params,
-            )
+            pool.publish("plan", {}, _plan_params, params)
         self._shard_sets: "weakref.WeakValueDictionary[tuple[int, ...], _ShardSet]" = (
             weakref.WeakValueDictionary()
         )
@@ -590,9 +574,8 @@ class IntervalPlanner:
         """Compile the plan for ``(seeds, bucket)``.
 
         ``influence_provider`` returns the *current* influence index
-        (road id -> {seed -> fidelity}, the same floor-filtered index the
-        scalar path hands to :meth:`~repro.speed.hlm.JointSeedRegression.
-        for_road`). It is read for a cold compile and again when a row
+        (road id -> {seed -> fidelity}, floor-filtered). It is read for
+        a cold compile and again when a row
         invalidation left shards stale, so refreshes see the rows a
         graph delta recomputed.
         """
@@ -610,10 +593,11 @@ class IntervalPlanner:
                     PlanShard(district, chunk, self._shard_positions[district])
                     for district, chunk in enumerate(self._partitions)
                 ]
+                moments = self._hlm.regression.moments(seeds)
                 self._compile_districts(
-                    seeds, shards, range(len(shards)), influence_provider()
+                    moments, shards, range(len(shards)), influence_provider()
                 )
-                shard_set = _ShardSet(seeds, shards, len(self._road_ids))
+                shard_set = _ShardSet(seeds, shards, len(self._road_ids), moments)
                 self._shard_sets[seeds] = shard_set
             shard_set.influence_provider = influence_provider
             prior_rise, prior_fall, historical = self._bucket_overlays(bucket)
@@ -680,7 +664,7 @@ class IntervalPlanner:
         if shard_set.stale:
             stale = sorted(shard_set.stale)
             self._compile_districts(
-                shard_set.seeds, shard_set.shards, stale, influence
+                shard_set.moments, shard_set.shards, stale, influence
             )
             for district in stale:
                 shard_set.restitch(shard_set.shards[district])
@@ -689,38 +673,29 @@ class IntervalPlanner:
 
     def _compile_districts(
         self,
-        seeds: tuple[int, ...],
+        moments: SeedMoments,
         shards: list[PlanShard],
         districts,
         influence_by_road: InfluenceIndex,
     ) -> None:
         """Compile (or recompile) the given districts' structures.
 
-        In-process compiles read the live influence index; only the pool
-        path copies each district's slice into a picklable dict.
+        One :meth:`~repro.speed.hlm.SeedMoments.gather` for all of them
+        (each column block of the seed × road product once), then one
+        fit per district: in-process, or as pool tasks that receive
+        only their rows' Gram matrices and moments.
         """
         recorder = get_recorder()
         ordered = list(districts)
+        batches = moments.gather(
+            [shards[district].members for district in ordered], influence_by_road
+        )
         compiled = None
         if self._pool is not None:
-            compiled = self._pool.map(
-                "plan",
-                _compile_district,
-                [
-                    (
-                        seeds,
-                        shards[district].members,
-                        {
-                            road: dict(influence_by_road[road])
-                            for road in shards[district].members
-                            if road in influence_by_road
-                        },
-                    )
-                    for district in ordered
-                ],
-            )
+            compiled = self._pool.map("plan", _compile_district, batches)
         for position, district in enumerate(ordered):
             shard = shards[district]
+            batch = batches[position]
             # Per-district compile span (district attr). On the pool
             # path the batch already ran as pool tasks, so the span's
             # own duration only covers unpacking; the task-measured
@@ -729,20 +704,16 @@ class IntervalPlanner:
             with recorder.span(
                 "speed.plan.compile",
                 roads=len(shard.members),
-                seeds=len(seeds),
+                seeds=len(moments.seeds),
                 district=district,
+                rows_fitted=batch.rows_fitted,
+                moment_blocks=batch.blocks,
             ) as span:
                 if compiled is not None:
                     structure, worker_s = compiled[position]
                     span.set(compile_s=worker_s)
                 else:
-                    structure = compile_seed_structure(
-                        self._hlm.regression,
-                        self._hlm.params,
-                        seeds,
-                        shard.members,
-                        influence_by_road,
-                    )
+                    structure = compile_seed_structure(self._hlm.params, batch)
             shard.structure = structure
             shard.active_seeds = frozenset().union(
                 *(

@@ -16,10 +16,10 @@ clamped to physical limits. The fitted residual stds and bucket means
 are columns of the compiled :class:`~repro.speed.plan.IntervalPlan`
 that produced the estimates, so a round's bands are a few array ops
 over those columns and the estimates' own columns, returned as one
-:class:`BandColumns`. The per-road loop over
-:meth:`~repro.speed.hlm.JointSeedRegression.for_road` that defines
-them is the test oracle in ``tests/oracles/uncertainty.py``. Empirical
-coverage of the nominal bands is verified in the test suite.
+:class:`BandColumns`. The per-road loop that defines them, fitting
+each road on its own through the batched regression kernel, is the test
+oracle in ``tests/oracles/uncertainty.py``. Empirical coverage of the
+nominal bands is verified in the test suite.
 """
 
 from __future__ import annotations

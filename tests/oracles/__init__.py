@@ -17,12 +17,19 @@ pin the vectorized production code against it:
   single-process partitioned greedy loop, the reference for
   :class:`~repro.seeds.parallel.DistrictStage` with or without a pool;
 * :mod:`tests.oracles.propagation` — the Step-1 seed-vote loop;
+* :mod:`tests.oracles.hlm` — the per-road Step-2 definition:
+  ``ScalarSeedRegression.for_road``, one joint ridge regression per
+  road with its own gather and solve, memoised per (road, seed set),
+  the reference for the batched fits of
+  :class:`~repro.speed.hlm.JointSeedRegression`, and
+  ``ScalarHlm.estimate_road``, the per-road speed the plans compile;
 * :mod:`tests.oracles.estimator` — the per-road Step-2 solve over
-  :meth:`~repro.speed.hlm.HierarchicalLinearModel.estimate_road`;
+  ``ScalarHlm.estimate_road``;
 * :mod:`tests.oracles.plan` — the whole-city Step-2 plan (one seed
   structure over every road), the reference for district partitions;
-* :mod:`tests.oracles.uncertainty` — the per-road prediction-band loop
-  over :meth:`~repro.speed.hlm.JointSeedRegression.for_road`, and
+* :mod:`tests.oracles.uncertainty` — the per-road prediction-band loop,
+  each road fitted alone as a one-road batch of the production kernel
+  (bitwise equal to its row in any plan), and
   ``normal_confidences``, the confidence levels the band tests sweep;
 * :mod:`tests.oracles.snapshot` — the per-road ``SpeedEstimate`` round
   loop and the format-2 (one JSON row per road) snapshot writer;
@@ -50,6 +57,7 @@ Nothing under ``src/`` may import this package.
 from tests.oracles.crowd import PerTaskPlatform
 from tests.oracles.estimator import ScalarTwoStep
 from tests.oracles.fidelity import propagate_fidelity
+from tests.oracles.hlm import ScalarHlm, ScalarSeedRegression
 from tests.oracles.objective import ScalarCoverageObjective
 from tests.oracles.partition import partition_greedy_select
 from tests.oracles.plan import MonolithicPlanner
@@ -61,7 +69,9 @@ __all__ = [
     "PerTaskPlatform",
     "ScalarBands",
     "ScalarCoverageObjective",
+    "ScalarHlm",
     "ScalarPropagationInference",
+    "ScalarSeedRegression",
     "ScalarTwoStep",
     "partition_greedy_select",
     "propagate_fidelity",

@@ -9,10 +9,14 @@ from repro.speed.hlm import HierarchicalLinearModel
 from repro.trend.model import TrendModel
 from repro.trend.propagation import TrendPropagationInference
 from tests.oracles.fidelity import propagate_fidelity
+from tests.oracles.hlm import ScalarHlm
 
 
 class ScalarTwoStep:
     """Step 1 as in production, then one ``estimate_road`` call per road.
+
+    Step 2 runs through :class:`~tests.oracles.hlm.ScalarHlm` over the
+    given model's hierarchy, fitting each road's regression on its own.
 
     Mirrors :class:`~repro.speed.estimator.TwoStepEstimator`'s
     ``estimate_interval``/``estimate_roads`` so a test can serve the
@@ -32,6 +36,7 @@ class ScalarTwoStep:
         self._store = store
         self._graph = graph
         self._hlm = hlm
+        self._scalar = ScalarHlm(hlm)
         self._trend_model = TrendModel(graph, store)
         self._inference = trend_inference or TrendPropagationInference(
             min_fidelity=hlm.params.min_fidelity
@@ -91,7 +96,7 @@ class ScalarTwoStep:
                     is_seed=True,
                 )
                 continue
-            speed = self._hlm.estimate_road(
+            speed = self._scalar.estimate_road(
                 road,
                 interval,
                 posterior,

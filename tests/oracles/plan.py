@@ -3,8 +3,9 @@
 :class:`~repro.speed.plan.IntervalPlanner` compiles one structure per
 district and stitches the districts' regressed rows back into road
 order. This oracle is the form it replaced: one
-:func:`~repro.speed.plan.compile_seed_structure` over every road and the
-whole-city blend, with the arithmetic unchanged. Every partition the
+:func:`~repro.speed.plan.compile_seed_structure` over every road (one
+gather, one batch) and the whole-city blend, with the arithmetic
+unchanged. Every partition the
 production planner serves must match it bit for bit.
 
 :class:`MonolithicPlanner` has the planner factory signature of
@@ -131,13 +132,11 @@ class MonolithicPlanner:
 
     def compile(self, seeds, bucket, influence_provider) -> MonolithicPlan:
         params = self._hlm.params
-        structure = compile_seed_structure(
-            self._hlm.regression,
-            params,
-            tuple(seeds),
-            self._road_ids,
-            influence_provider(),
+        seeds = tuple(seeds)
+        (batch,) = self._hlm.regression.moments(seeds).gather(
+            [self._road_ids], influence_provider()
         )
+        structure = compile_seed_structure(params, batch)
         hierarchy = self._hlm.hierarchy
         if params.use_trend and params.hierarchical:
             prior_rise = hierarchy.conditional_mean_row(bucket, Trend.RISE)[

@@ -9,6 +9,7 @@ from __future__ import annotations
 from repro.core.types import SpeedEstimate
 from repro.history.store import HistoricalSpeedStore
 from repro.speed.estimator import TwoStepEstimator
+from repro.speed.plan import compile_seed_structure
 from repro.speed.uncertainty import _Z_BY_CONFIDENCE, SpeedBand, z_for_confidence
 
 
@@ -17,10 +18,12 @@ class ScalarBands:
 
     Same constructor and ``bands_for`` as
     :class:`~repro.speed.uncertainty.UncertaintyModel`, but each
-    non-seed road re-ranks its influencing seeds through
-    :meth:`~repro.speed.hlm.JointSeedRegression.for_road` to recover the
-    fitted residual std, and reads its historical speed from the store,
-    instead of gathering both from the compiled plan.
+    non-seed road is fitted on its own, as a one-road batch of the
+    production kernel under the round's seed tuple, to recover its
+    residual std, and reads its historical speed from the store, instead
+    of gathering both from the compiled plan. A row's fit does not
+    depend on the batch it is fitted in, so the bands stay bitwise
+    equal to the plan's.
     """
 
     def __init__(
@@ -46,21 +49,22 @@ class ScalarBands:
         seed_speeds: dict[int, float],
     ) -> dict[int, SpeedBand]:
         influence_by_road = self._estimator.influence_index(set(seed_speeds))
-        regression = self._estimator.hlm.regression
+        hlm = self._estimator.hlm
+        moments = hlm.regression.moments(tuple(sorted(seed_speeds)))
         bands: dict[int, SpeedBand] = {}
         for road, estimate in estimates.items():
             if estimate.is_seed:
                 std_kmh = self._seed_std
             else:
-                influence = influence_by_road.get(road, {})
-                fitted = regression.for_road(road, influence)
+                (batch,) = moments.gather([(road,)], influence_by_road)
+                fitted = compile_seed_structure(hlm.params, batch)
                 historical = self._store.historical_speed(
                     road, estimate.interval
                 )
-                if fitted is None:
-                    dev_std = float(self._prior_dev_std[self._column[road]])
+                if fitted.has_reg[0]:
+                    dev_std = float(fitted.residual_std[0])
                 else:
-                    dev_std = fitted.residual_std
+                    dev_std = float(self._prior_dev_std[self._column[road]])
                 std_kmh = max(0.1, dev_std * historical)
             if estimate.degraded:
                 std_kmh *= self._degraded_inflation

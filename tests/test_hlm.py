@@ -5,14 +5,24 @@ import pytest
 
 from repro.core.errors import DataError, InferenceError
 from repro.core.types import Trend
-from repro.speed.hlm import HierarchicalLinearModel, HlmParams, JointSeedRegression
+from repro.speed.hlm import (
+    HierarchicalLinearModel,
+    HlmParams,
+    JointSeedRegression,
+    fit_batch,
+)
+from repro.speed.plan import compile_seed_structure
 from repro.trend.model import TrendPosterior
+from tests.oracles import ScalarHlm
 
 
 @pytest.fixture(scope="module")
 def hlm(small_dataset):
-    return HierarchicalLinearModel.fit(
-        small_dataset.store, small_dataset.network, small_dataset.graph
+    """The per-road Step-2 definition over a fitted model."""
+    return ScalarHlm(
+        HierarchicalLinearModel.fit(
+            small_dataset.store, small_dataset.network, small_dataset.graph
+        )
     )
 
 
@@ -40,68 +50,88 @@ class TestHlmParams:
             HlmParams(**kwargs)
 
 
+def fit_one(store, params, road, influence, seeds=None):
+    """``road``'s row from the batched kernel, fitted as a one-road batch."""
+    seeds = tuple(sorted(influence)) if seeds is None else seeds
+    (batch,) = JointSeedRegression(store, params).moments(seeds).gather(
+        [(road,)], {road: influence}
+    )
+    return seeds, batch, fit_batch(params, batch)
+
+
+def chosen_seeds(seeds, fits):
+    return [seeds[k] for k in fits.seed_idx[0] if k < len(seeds)]
+
+
 class TestJointSeedRegression:
     def test_single_seed_close_to_marginal(self, small_dataset):
         """With one seed and tiny ridge, joint slope ≈ marginal OLS slope."""
         store = small_dataset.store
-        joint = JointSeedRegression(store, HlmParams(ridge_alpha=1e-9))
         seed, target = store.road_ids[3], store.road_ids[8]
         centred = store.deviation_matrix() - 1.0
         x = centred[:, store.road_column(seed)]
         y = centred[:, store.road_column(target)]
-        fitted = joint.for_road(target, {seed: 0.5})
-        assert fitted is not None
-        assert fitted.coefficients[0] == pytest.approx(
-            float(x @ y / (x @ x)), abs=1e-6
-        )
+        _, _, fits = fit_one(store, HlmParams(ridge_alpha=1e-9), target, {seed: 0.5})
+        assert fits.has_reg[0]
+        assert fits.coef[0, 0] == pytest.approx(float(x @ y / (x @ x)), abs=1e-6)
 
     def test_no_influence_returns_none(self, small_dataset):
-        joint = JointSeedRegression(small_dataset.store, HlmParams())
-        assert joint.for_road(small_dataset.store.road_ids[0], {}) is None
+        store = small_dataset.store
+        _, batch, fits = fit_one(
+            store, HlmParams(), store.road_ids[0], {}, seeds=(store.road_ids[1],)
+        )
+        assert batch.rows_fitted == 0
+        assert not fits.has_reg[0]
+        assert fits.weight[0] == 0.0 and fits.residual_std[0] == 0.0
 
     def test_caps_seed_count(self, small_dataset):
         store = small_dataset.store
-        joint = JointSeedRegression(store, HlmParams(max_seeds_per_road=3))
         influence = {s: 0.5 for s in store.road_ids[1:10]}
-        fitted = joint.for_road(store.road_ids[0], influence)
-        assert len(fitted.seeds) == 3
+        seeds, _, fits = fit_one(
+            store, HlmParams(max_seeds_per_road=3), store.road_ids[0], influence
+        )
+        assert len(chosen_seeds(seeds, fits)) == 3
 
     def test_keeps_highest_fidelity_seeds(self, small_dataset):
         store = small_dataset.store
-        joint = JointSeedRegression(store, HlmParams(max_seeds_per_road=2))
         influence = {
             store.road_ids[1]: 0.9,
             store.road_ids[2]: 0.1,
             store.road_ids[3]: 0.8,
         }
-        fitted = joint.for_road(store.road_ids[0], influence)
-        assert set(fitted.seeds) == {store.road_ids[1], store.road_ids[3]}
+        seeds, _, fits = fit_one(
+            store, HlmParams(max_seeds_per_road=2), store.road_ids[0], influence
+        )
+        assert chosen_seeds(seeds, fits) == [store.road_ids[1], store.road_ids[3]]
 
     def test_r_squared_bounds(self, small_dataset):
+        """The weight R²/(1 − R²) of an R² in [0, 0.999], capped."""
         store = small_dataset.store
-        joint = JointSeedRegression(store, HlmParams())
-        fitted = joint.for_road(
-            store.road_ids[0], {s: 0.5 for s in store.road_ids[1:6]}
+        params = HlmParams()
+        _, _, fits = fit_one(
+            store, params, store.road_ids[0], {s: 0.5 for s in store.road_ids[1:6]}
         )
-        assert 0.0 <= fitted.r_squared < 1.0
-        assert fitted.weight >= 0.0
+        assert 0.0 <= fits.weight[0] <= params.max_regression_weight
+        assert fits.residual_std[0] >= 0.0
 
     def test_predict_neutral_for_neutral_seeds(self, small_dataset):
         store = small_dataset.store
-        joint = JointSeedRegression(store, HlmParams())
-        fitted = joint.for_road(
-            store.road_ids[0], {s: 0.5 for s in store.road_ids[1:4]}
+        params = HlmParams()
+        seeds, batch, _ = fit_one(
+            store, params, store.road_ids[0], {s: 0.5 for s in store.road_ids[1:4]}
         )
-        neutral = {s: 1.0 for s in fitted.seeds}
-        assert fitted.predict(neutral) == pytest.approx(1.0)
+        structure = compile_seed_structure(params, batch)
+        regressed, _ = structure.regressed(np.ones(len(seeds)))
+        assert regressed[0] == pytest.approx(1.0)
 
-    def test_cached_per_seed_set(self, small_dataset):
+    def test_refit_per_seed_set_is_bitwise(self, small_dataset):
+        """No memo: a refit in a fresh kernel has the same bits."""
         store = small_dataset.store
-        joint = JointSeedRegression(store, HlmParams())
-        influence = {store.road_ids[1]: 0.5}
-        a = joint.for_road(store.road_ids[0], influence)
-        b = joint.for_road(store.road_ids[0], influence)
-        assert a is b
+        influence = {store.road_ids[1]: 0.5, store.road_ids[4]: 0.3}
+        _, _, a = fit_one(store, HlmParams(), store.road_ids[0], influence)
+        _, _, b = fit_one(store, HlmParams(), store.road_ids[0], influence)
+        for got, want in zip(a, b):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestEstimateRoad:
@@ -176,9 +206,10 @@ class TestEstimateRoad:
 
     def test_no_trend_ablation_ignores_posterior(self, small_dataset):
         params = HlmParams(use_trend=False)
-        hlm = HierarchicalLinearModel.fit(
+        fitted = HierarchicalLinearModel.fit(
             small_dataset.store, small_dataset.network, params=params
         )
+        hlm = ScalarHlm(fitted)
         store = small_dataset.store
         road = store.road_ids[0]
         interval = small_dataset.test_day_intervals()[30]
@@ -190,9 +221,10 @@ class TestEstimateRoad:
 
     def test_flat_ablation_uses_global_mean(self, small_dataset):
         params = HlmParams(hierarchical=False)
-        hlm = HierarchicalLinearModel.fit(
+        fitted = HierarchicalLinearModel.fit(
             small_dataset.store, small_dataset.network, params=params
         )
+        hlm = ScalarHlm(fitted)
         store = small_dataset.store
         interval = small_dataset.test_day_intervals()[30]
         posterior = flat_posterior(store.road_ids, 0.99)
@@ -203,5 +235,5 @@ class TestEstimateRoad:
             ) * store.historical_speed(road, interval)
             # Prior confidence scaling applies equally; ratio must match.
             assert speed == pytest.approx(
-                hlm._clamp(road, expected), rel=1e-9
+                hlm.clamp(road, expected), rel=1e-9
             )
