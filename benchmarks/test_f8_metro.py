@@ -219,12 +219,7 @@ def _copy_graph(graph):
 
 
 def _district_compile_seconds(trace_path):
-    """Per-district ``speed.plan.compile`` compile times from a trace.
-
-    Pool-compiled shards carry the worker-measured time as the
-    ``compile_s`` span attr (the parent span only times unpacking);
-    in-process compiles are the span duration itself.
-    """
+    """Per-district ``speed.plan.compile`` span durations from a trace."""
     import json
 
     durations = []
@@ -235,9 +230,7 @@ def _district_compile_seconds(trace_path):
             and event.get("name") == "speed.plan.compile"
             and "district" in event.get("attrs", {})
         ):
-            durations.append(
-                float(event["attrs"].get("compile_s", event["dur_s"]))
-            )
+            durations.append(float(event["dur_s"]))
     return durations
 
 
@@ -245,7 +238,7 @@ def test_f8_metro_sharded_plan_compile(metro, report, tmp_path):
     """Sharded Step-2: bitwise-equal cold compile, district-scoped delta.
 
     Three timings feed the bench gate: the cold sharded compile (one
-    structure per district across the worker pool), the post-delta
+    structure per district, in the parent), the post-delta
     recompile (stale districts only), and the warm serve latency. The
     sharded estimates are asserted bitwise equal to the one-district
     plan's (the default config; ``compile_mono_seconds`` times its cold
@@ -288,7 +281,6 @@ def test_f8_metro_sharded_plan_compile(metro, report, tmp_path):
                 **config,
                 use_sharded_plan=True,
                 plan_shards=NUM_DISTRICTS,
-                num_partition_workers=2,
             ),
         ) as sharded:
             assert sharded.select_seeds(budget) == seeds
@@ -372,7 +364,7 @@ def test_f8_metro_sharded_plan_compile(metro, report, tmp_path):
             ],
             title=(
                 "F8 (metro): sharded Step-2 plan compile "
-                f"({NUM_DISTRICTS} districts, 2 workers, bitwise-checked)"
+                f"({NUM_DISTRICTS} districts, bitwise-checked)"
             ),
         ),
     )

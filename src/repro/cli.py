@@ -99,9 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="split the Step-2 interval plan into D partition "
                       "districts (bitwise identical to one district; graph "
                       "deltas recompile per district)")
-    plan.add_argument("--plan-workers", type=int, default=1, metavar="N",
-                      help="worker-pool size for D > 1: one pool runs every "
-                      "district compile (1 = in-process)")
 
     info = commands.add_parser("info", help="print dataset statistics")
     info.set_defaults(run=cmd_info)
@@ -114,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument("--workers", type=int, default=1, metavar="N",
                         help="worker-pool size for --method partition: N > 1 "
                         "runs district selection on a process pool with the "
-                        "CSR fidelity arrays in shared memory (1 = in-process)")
+                        "CSR fidelity arrays in shared memory (1 = in the parent)")
     select.add_argument("--partitions", type=int, default=8, metavar="P",
                         help="number of BFS-grown districts for partitioned "
                         "selection")
@@ -262,19 +259,13 @@ def _seeded_system(
         yield system, k, dataset.grid.interval_at(dataset.first_test_day, hour)
 
 
-def _plan_config(plan_shards: int, plan_workers: int) -> PipelineConfig | None:
-    """The pipeline config for ``--plan-shards D --plan-workers N``."""
+def _plan_config(plan_shards: int) -> PipelineConfig | None:
+    """The pipeline config for ``--plan-shards D``."""
     if plan_shards < 1:
         raise SystemExit("error: --plan-shards must be >= 1")
     if plan_shards == 1:
-        if plan_workers > 1:
-            raise SystemExit("error: --plan-workers requires --plan-shards > 1")
         return None
-    return PipelineConfig(
-        use_sharded_plan=True,
-        plan_shards=plan_shards,
-        num_partition_workers=plan_workers,
-    )
+    return PipelineConfig(use_sharded_plan=True, plan_shards=plan_shards)
 
 
 def _crowd_platform(scenario: str | None) -> CrowdsourcingPlatform:
@@ -380,9 +371,8 @@ def cmd_estimate(
     show: int,
     show_map: bool,
     plan_shards: int,
-    plan_workers: int,
 ) -> tuple[str, int]:
-    config = _plan_config(plan_shards, plan_workers)
+    config = _plan_config(plan_shards)
     with _seeded_system(dataset, budget, hour, config) as (system, k, interval):
         truth = dataset.test.speeds_at(interval)
         crowd = {r: truth[r] for r in system.seeds}
@@ -511,7 +501,6 @@ def cmd_serve(
     explain: int | None,
     metrics_out: str | None,
     plan_shards: int,
-    plan_workers: int,
 ) -> tuple[str, int]:
     """Drive the publisher/store serving loop and sweep readers.
 
@@ -532,7 +521,7 @@ def cmd_serve(
 
     slo_check = slo_check or expect_page is not None
     slo = slo or slo_check
-    config = _plan_config(plan_shards, plan_workers)
+    config = _plan_config(plan_shards)
     platform = _crowd_platform(scenario)
 
     clock = ManualClock()
@@ -918,16 +907,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.pop(parsed_only, None)
     run = args.pop("run")
     city = args.pop("city")
-    # The shared --budget/--hour/worker-count checks run before any
+    # The shared --budget/--hour/--workers checks run before any
     # dataset build.
     if args.get("budget") is not None and args["budget"] < 1:
         raise SystemExit("error: --budget must be >= 1")
     if "hour" in args and not 0.0 <= args["hour"] < 24.0:
         raise SystemExit("error: --hour must be in [0, 24)")
-    for workers in ("workers", "plan_workers"):
-        if args.get(workers, 1) < 1:
-            flag = workers.replace("_", "-")
-            raise SystemExit(f"error: --{flag} must be >= 1")
+    if args.get("workers", 1) < 1:
+        raise SystemExit("error: --workers must be >= 1")
     dataset = CITIES[city]() if args.pop("needs_dataset", True) else None
     output, code = run(dataset, **args)
     print(output)

@@ -39,21 +39,19 @@ class PipelineConfig:
     #: bucket; 128 covers a full day of 15-minute buckets with room for
     #: a second seed set).
     plan_cache_size: int = 128
-    #: Let partitioned selection's district tasks use the system's worker
-    #: pool (repro.seeds.parallel); False keeps them in the parent. This
+    #: Let partitioned selection's district tasks use a worker pool
+    #: (repro.seeds.parallel); False keeps them in the parent. This
     #: picks where tasks run, not a code path: the seeds are identical.
     use_parallel_partitions: bool = False
-    #: Worker count for the system's pool, capped at the district count;
-    #: 1 runs every pooled task in the parent.
+    #: Worker processes for pooled partitioned selection, capped at
+    #: num_partitions; 1 opens no pool and runs the tasks in the parent.
     num_partition_workers: int = 1
     #: Partition the Step-2 interval plan into partition_graph districts
     #: instead of planning the city as one district. Districts are
-    #: compiled independently (across the plan-compile process pool,
-    #: with num_partition_workers capped at the district count; one
-    #: worker compiles in-process), evaluated per district and stitched
-    #: in district order — bitwise identical to the one-district plan —
-    #: and graph deltas recompile only the affected districts' shards.
-    #: This picks a district count, not a code path.
+    #: compiled independently in the parent, evaluated per district and
+    #: stitched in district order — bitwise identical to the
+    #: one-district plan — and graph deltas recompile only the affected
+    #: districts' shards. This picks a district count, not a code path.
     use_sharded_plan: bool = False
     #: Districts requested from partition_graph for the sharded plan; 0
     #: means "follow num_partitions". The partition may return more

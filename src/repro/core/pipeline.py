@@ -23,7 +23,6 @@ Typical use::
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Mapping
 from typing import Iterator, Sequence
 
@@ -122,11 +121,11 @@ class SpeedEstimationSystem:
         # subscription invalidates them.
         self._plan_cache = IntervalPlanCache(maxsize=config.plan_cache_size)
         self._inference = self._build_inference(config, self._fidelity)
-        # The estimator gets the planner factory through a weak method:
-        # a bound method would close the cycle system -> estimator ->
-        # system, and a dropped system would keep its rows and plans
-        # until the cyclic collector's next full pass.
-        make_planner = weakref.WeakMethod(self._make_sharded_planner)
+        self._objective = SeedSelectionObjective(
+            graph,
+            min_fidelity=config.hlm.min_fidelity,
+            fidelity_service=self._fidelity,
+        )
         self._estimator = TwoStepEstimator(
             network,
             store,
@@ -136,22 +135,18 @@ class SpeedEstimationSystem:
             fidelity_service=self._fidelity,
             plan_cache=self._plan_cache,
             planner_factory=(
-                (lambda *args: make_planner()(*args))
+                _sharded_planner_factory(
+                    self._objective, config.plan_shards or config.num_partitions
+                )
                 if config.use_sharded_plan
                 else None
             ),
         )
-        self._objective = SeedSelectionObjective(
-            graph,
-            min_fidelity=config.hlm.min_fidelity,
-            fidelity_service=self._fidelity,
-        )
         self._seeds: list[int] = []
         self._selection: SelectionResult | None = None
         self._degradation = DegradationPolicy(store, config.degradation)
-        # Lazy: the one worker pool (pooled district selection and plan
-        # compiles), the district stage and the warm-started incremental
-        # re-selector.
+        # Lazy: the district stage and its worker pool, and the
+        # warm-started incremental re-selector.
         self._pool: SharedWorkerPool | None = None
         self._districts: DistrictStage | None = None
         self._reselector = None
@@ -302,59 +297,26 @@ class SpeedEstimationSystem:
         self._seeds = list(result.seeds)
         return self.seeds
 
-    def _worker_pool(self) -> SharedWorkerPool:
-        """The system's one worker pool, created on first pooled work.
-
-        ``num_partition_workers`` workers, capped at the largest
-        district count a pooled stage of this config asks for, since a
-        worker beyond it never receives a task; one worker runs every
-        task in-process.
-        """
-        if self._pool is None:
-            config = self._config
-            districts = max(
-                config.num_partitions if config.use_parallel_partitions else 1,
-                (config.plan_shards or config.num_partitions)
-                if config.use_sharded_plan
-                else 1,
-            )
-            self._pool = SharedWorkerPool(min(config.num_partition_workers, districts))
-        return self._pool
-
     def district_stage(self) -> DistrictStage:
         """The partition seed-selection stage, created on first use.
 
-        Its district tasks run on the system's worker pool when
-        ``use_parallel_partitions`` is set, in the parent otherwise; the
-        selection is the same either way. Call :meth:`close` (or use the
-        system as a context manager) to release the workers and the
-        shared-memory segments.
+        Its district tasks run on a worker pool of
+        ``min(num_partition_workers, num_partitions)`` processes when
+        ``use_parallel_partitions`` is set and that is more than one
+        (a worker beyond the district count never receives a task), in
+        the parent otherwise; the selection is the same either way.
+        Call :meth:`close` (or use the system as a context manager) to
+        release the workers and the shared-memory segments.
         """
         if self._districts is None:
+            config = self._config
+            workers = min(config.num_partition_workers, config.num_partitions)
+            if config.use_parallel_partitions and workers > 1:
+                self._pool = SharedWorkerPool(workers)
             self._districts = DistrictStage(
-                self._objective,
-                self._worker_pool() if self._config.use_parallel_partitions else None,
-                num_partitions=self._config.num_partitions,
+                self._objective, self._pool, num_partitions=config.num_partitions
             )
         return self._districts
-
-    def _make_sharded_planner(self, store, network, hlm, road_ids):
-        """Planner factory for ``use_sharded_plan`` (estimator calls it).
-
-        Districts come from the same deterministic
-        :func:`~repro.seeds.partition.partition_graph` the selection
-        path uses (``plan_shards`` districts, defaulting to
-        ``num_partitions``). The district compiles are tasks on the
-        system's worker pool. Without ``use_sharded_plan`` the
-        estimator plans the city as one district, in-process.
-        """
-        from repro.seeds.partition import partition_graph
-
-        shards = self._config.plan_shards or self._config.num_partitions
-        partitions = partition_graph(self._objective, shards)
-        return IntervalPlanner(
-            store, network, hlm, road_ids, partitions, pool=self._worker_pool()
-        )
 
     def reselect_seeds(self, budget: int) -> list[int]:
         """Re-select seeds with the warm-started incremental CELF.
@@ -506,3 +468,25 @@ class SpeedEstimationSystem:
             cost=crowd_round.report.total_cost,
         )
         return outcome
+
+
+def _sharded_planner_factory(objective: SeedSelectionObjective, shards: int):
+    """Planner factory for ``use_sharded_plan`` (the estimator calls it).
+
+    Districts come from the same deterministic
+    :func:`~repro.seeds.partition.partition_graph` the selection path
+    uses (``plan_shards`` districts, defaulting to ``num_partitions``),
+    and every district compiles in-process. The factory holds the
+    objective, not the system, so system and estimator form no
+    reference cycle. Without ``use_sharded_plan`` the estimator plans
+    the city as one district.
+    """
+
+    def make_planner(store, network, hlm, road_ids) -> IntervalPlanner:
+        from repro.seeds.partition import partition_graph
+
+        return IntervalPlanner(
+            store, network, hlm, road_ids, partition_graph(objective, shards)
+        )
+
+    return make_planner

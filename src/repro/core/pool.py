@@ -1,14 +1,13 @@
-"""One crash-safe process pool that every pooled stage submits tasks to.
+"""The crash-safe process pool that pooled district selection runs on.
 
-District seed selection (:mod:`repro.seeds.parallel`) and Step-2
-district plan compiles (:mod:`repro.speed.plan`) both run on one
-:class:`SharedWorkerPool`; Step-1 votes are a sparse sum in the parent
-and never use it:
+Only district seed selection (:mod:`repro.seeds.parallel`) submits
+tasks to a :class:`SharedWorkerPool`, and tasks run only in worker
+processes. Every other stage (Step-1 votes, Step-2 plan compiles) and
+district selection without a pool run in the parent on their one path:
 
 * A stage **publishes a named context**: read-only numpy arrays plus a
   module-level ``builder(arrays, *args)`` that turns them into the
-  worker state its tasks need (a CSR view; for plan fits only the
-  model params, with no arrays). The arrays are
+  worker state its tasks need (a CSR view). The arrays are
   exported once to :mod:`multiprocessing.shared_memory`
   (:class:`~repro.core.shm.SharedArrayExport`); a worker maps them and
   runs the builder on first use, and keeps the state until the context
@@ -17,15 +16,13 @@ and never use it:
   and returns the results in task order, never completion order. The
   ``spawn`` executor starts on the first batch and starts worker
   processes on demand.
-* **One worker means in-process**: tasks run against the state built
-  from the parent's own arrays, with no spawn and no export.
-* **A dead worker costs a fallback, not a batch.** On
+* **A dead worker ends the pool, not the batch.** On
   :class:`~concurrent.futures.process.BrokenProcessPool` the pool drops
   any partial results, counts ``pool.fallbacks{pool=<context>}``, shuts
-  the executor down, unlinks every segment and re-runs the whole batch
-  in-process; later batches stay in-process. The in-process state comes
-  from the same builder over the same bytes, so the fallback's output
-  is bitwise equal by construction.
+  the executor down, unlinks every segment, closes itself for good and
+  raises :class:`WorkerPoolBroken`. The caller re-runs the batch on its
+  own in-parent path (:class:`~repro.seeds.parallel.DistrictStage`
+  re-runs it on clones of the objective, with the same output).
 * Workers and segments are released by :meth:`close`, and by a
   :func:`weakref.finalize` when a pool is garbage-collected unclosed.
 """
@@ -46,7 +43,11 @@ from repro.core.errors import ReproError
 from repro.core.shm import SharedArrayExport, _ArraySpec, attach_shared_arrays
 from repro.obs import get_recorder
 
-__all__ = ["SharedWorkerPool"]
+__all__ = ["SharedWorkerPool", "WorkerPoolBroken"]
+
+
+class WorkerPoolBroken(ReproError):
+    """A worker died mid-batch; the pool has released everything and closed."""
 
 
 @dataclass(frozen=True)
@@ -91,21 +92,6 @@ def _run_task(ref: _ContextRef, fn: Callable[[Any, Any], Any], task: Any) -> Any
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-class _Context:
-    """A published context: its address for workers and the parent's arrays."""
-
-    def __init__(self, ref: _ContextRef, arrays: dict[str, np.ndarray]) -> None:
-        self.ref = ref
-        self._arrays = arrays
-        self._state: Any = None
-
-    def state(self) -> Any:
-        """The in-process state, built on first use from the parent's arrays."""
-        if self._state is None:
-            self._state = self.ref.builder(self._arrays, *self.ref.args)
-        return self._state
-
-
 class _Resources:
     """The OS resources of one pool: its executor and its exports.
 
@@ -117,10 +103,9 @@ class _Resources:
         self.executor: ProcessPoolExecutor | None = None
         self.exports: dict[str, SharedArrayExport] = {}
 
-    def replace_export(self, name: str, export: SharedArrayExport | None) -> None:
+    def replace_export(self, name: str, export: SharedArrayExport) -> None:
         previous = self.exports.pop(name, None)
-        if export is not None:
-            self.exports[name] = export
+        self.exports[name] = export
         if previous is not None:
             previous.close()
 
@@ -144,9 +129,8 @@ class SharedWorkerPool:
 
     def __init__(self, num_workers: int) -> None:
         self.num_workers = max(1, num_workers)
-        self._contexts: dict[str, _Context] = {}
+        self._contexts: dict[str, _ContextRef] = {}
         self._versions = itertools.count()
-        self._in_process = self.num_workers == 1
         self._resources = _Resources()
         self._finalizer = weakref.finalize(self, self._resources.release)
         get_recorder().gauge("pool.workers", self.num_workers)
@@ -154,16 +138,6 @@ class SharedWorkerPool:
     def _check_open(self) -> None:
         if not self._finalizer.alive:
             raise ReproError("worker pool is closed")
-
-    @property
-    def in_process(self) -> bool:
-        """Whether tasks run in the parent: one worker, or after a fallback.
-
-        Once true it stays true. Raises :class:`ReproError` on a closed
-        pool, like every other use.
-        """
-        self._check_open()
-        return self._in_process
 
     def publish(
         self,
@@ -175,30 +149,20 @@ class SharedWorkerPool:
         """Publish (or replace) context ``name``.
 
         ``builder(arrays, *args)`` must be a module-level function; it
-        runs once per worker on the shared views, and once in-process on
-        the parent's arrays when tasks run here. Replacing a context
+        runs once per worker on the shared views. Replacing a context
         unlinks its old segments; workers close their mappings on their
         next task of that context. A name belongs to one publisher: the
-        system's district stage publishes ``"district"`` and its planner
-        ``"plan"``.
+        system's district stage publishes ``"district"``.
         """
         self._check_open()
-        contiguous = {
-            field: np.ascontiguousarray(array) for field, array in arrays.items()
-        }
-        export = None if self._in_process else SharedArrayExport(contiguous)
+        export = SharedArrayExport(
+            {field: np.ascontiguousarray(array) for field, array in arrays.items()}
+        )
         self._resources.replace_export(name, export)
-        ref = _ContextRef(
-            name,
-            next(self._versions),
-            export.specs if export is not None else {},
-            builder,
-            args,
+        self._contexts[name] = _ContextRef(
+            name, next(self._versions), export.specs, builder, args
         )
-        self._contexts[name] = _Context(ref, contiguous)
-        get_recorder().gauge(
-            "pool.shared_bytes", export.nbytes if export is not None else 0, pool=name
-        )
+        get_recorder().gauge("pool.shared_bytes", export.nbytes, pool=name)
 
     def map(
         self, name: str, fn: Callable[[Any, Any], Any], tasks: Iterable[Any]
@@ -206,33 +170,27 @@ class SharedWorkerPool:
         """``[fn(state, task) for task in tasks]`` over context ``name``.
 
         ``fn`` must be a module-level function. Results come back in
-        task order. A worker death re-runs the whole batch in-process.
+        task order. A worker death closes the pool and raises
+        :class:`WorkerPoolBroken`; no partial result survives.
         """
         self._check_open()
-        context = self._contexts.get(name)
-        if context is None:
+        ref = self._contexts.get(name)
+        if ref is None:
             raise ReproError(f"no context {name!r} published on this worker pool")
-        tasks = list(tasks)
-        if not self._in_process:
-            try:
-                return self._map_workers(context.ref, fn, tasks)
-            except BrokenProcessPool:
-                get_recorder().count("pool.fallbacks", pool=name)
-                self._in_process = True
-                self._resources.release()
-        state = context.state()
-        return [fn(state, task) for task in tasks]
-
-    def _map_workers(
-        self, ref: _ContextRef, fn: Callable[[Any, Any], Any], tasks: list[Any]
-    ) -> list[Any]:
         executor = self._resources.executor
         if executor is None:
             executor = self._resources.executor = ProcessPoolExecutor(
                 max_workers=self.num_workers, mp_context=get_context("spawn")
             )
-        futures = [executor.submit(_run_task, ref, fn, task) for task in tasks]
-        return [future.result() for future in futures]
+        try:
+            futures = [executor.submit(_run_task, ref, fn, task) for task in tasks]
+            return [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            get_recorder().count("pool.fallbacks", pool=name)
+            self.close()
+            raise WorkerPoolBroken(
+                f"a worker died running context {name!r}; the pool is closed"
+            ) from exc
 
     def close(self) -> None:
         """Stop the workers and unlink every segment (idempotent)."""

@@ -10,24 +10,27 @@ district with a share runs the *unchanged*
 to its members, and the picks are stitched in district order and
 rescored against the global objective in the parent.
 
-Where a district's CELF runs is the only thing that varies, and the
-stage decides it per selection from its pool:
+Where a district's CELF runs is the only thing that varies:
 
-* **In the parent** — no pool, a one-worker pool, or a pool that has
-  fallen back to in-process. The objective is
-  ``objective.clone_with_weights(...)``, so every row the district
-  computes lands in the shared
+* **In the parent** — the stage has no pool, or its pool broke. The
+  objective is ``objective.clone_with_weights(...)``, so every row the
+  district computes lands in the shared
   :class:`~repro.history.fidelity.FidelityCacheService` for Step 2 and
   later selections to reuse.
-* **On the pool** — the ``"district"`` context is the CSR fidelity
-  arrays (``indptr``/``indices``/``data``), the road ids and the
-  objective's road weights, exported **once** to shared memory, so a
-  pool over a 50k-road graph costs one copy of the graph, not one per
-  worker. A worker builds a
+* **In worker processes** — the ``"district"`` context is the CSR
+  fidelity arrays (``indptr``/``indices``/``data``), the road ids and
+  the objective's road weights, exported **once** to shared memory, so
+  a pool over a 50k-road graph costs one copy of the graph, not one
+  per worker. A worker builds a
   :class:`~repro.history.fidelity.CSRFidelityGraph` view once per
   context, and each task runs CELF against a duck-typed objective that
   computes sparse influence rows with the block kernel and memoises
   them for the duration of one district task.
+
+A worker that dies mid-batch closes the pool
+(:class:`~repro.core.pool.WorkerPoolBroken`); the stage then re-runs
+the whole batch in the parent, so evaluations never double, and keeps
+every later selection there.
 
 The kernel, the transform math and the weight construction are
 byte-identical either way, so both return the identical seed sequence,
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pool import SharedWorkerPool
+from repro.core.pool import SharedWorkerPool, WorkerPoolBroken
 from repro.history.fidelity import (
     CSRFidelityGraph,
     SparseRow,
@@ -173,12 +176,12 @@ class DistrictStage:
     """The partition selector, bound to one objective's graph.
 
     ``pool`` decides where district tasks run (see the module
-    docstring); ``None`` runs them in the parent. Before each selection
-    the stage checks the fidelity service's CSR export of the graph:
-    when it is a new object (a graph delta or a wholesale invalidation
-    rebuilt it), the districts are re-partitioned and, for pooled
-    tasks, the ``"district"`` context is republished on the same
-    workers.
+    docstring); ``None`` runs them in the parent, and so does the stage
+    for good once its pool broke. Before each selection the stage
+    checks the fidelity service's CSR export of the graph: when it is a
+    new object (a graph delta or a wholesale invalidation rebuilt it),
+    the districts are re-partitioned and, for pooled tasks, the
+    ``"district"`` context is republished on the same workers.
     """
 
     def __init__(
@@ -194,21 +197,17 @@ class DistrictStage:
         self._csr: CSRFidelityGraph | None = None
         self._partitions: list[list[int]] = []
 
-    def _pooled(self) -> bool:
-        """Whether district tasks go to worker processes this time.
+    def _bind(self) -> None:
+        """Bind the stage to the current CSR, re-partitioning if it changed.
 
-        A pool never leaves in-process mode once in it, so a stage that
-        bound in the parent never needs the context published later.
+        A stage loses its pool for good, so one that bound in the parent
+        never needs the context published later.
         """
-        return self._pool is not None and not self._pool.in_process
-
-    def _bind(self, pooled: bool) -> None:
-        """Bind the stage to the current CSR, re-partitioning if it changed."""
         csr = self._objective.fidelity_service.csr(self._graph)
         if csr is self._csr:
             return
         self._partitions = partition_graph(self._objective, self._num_partitions)
-        if pooled:
+        if self._pool is not None:
             self._pool.publish(
                 "district",
                 {
@@ -232,14 +231,13 @@ class DistrictStage:
 
     @property
     def partitions(self) -> list[list[int]]:
-        self._bind(self._pooled())
+        self._bind()
         return [list(chunk) for chunk in self._partitions]
 
     def select(self, budget: int) -> SelectionResult:
         """Partitioned lazy greedy; deterministic district-order stitching."""
         validate_budget(self._objective, budget)
-        pooled = self._pooled()
-        self._bind(pooled)
+        self._bind()
         partitions = self._partitions
         shares = allocate_budget(partitions, budget)
         tasks = [(chunk, share) for chunk, share in zip(partitions, shares) if share]
@@ -248,16 +246,21 @@ class DistrictStage:
             "seeds.parallel.select",
             budget=budget,
             districts=len(partitions),
-            workers=self._pool.num_workers if pooled else 1,
+            workers=self._pool.num_workers if self._pool is not None else 1,
         ) as span:
-            if pooled:
-                outcomes = self._pool.map("district", _select_chunk, tasks)
-                results = [result for result, _, _ in outcomes]
-                span.set(
-                    rows_computed=sum(rows for _, rows, _ in outcomes),
-                    nonzeros=sum(nonzeros for _, _, nonzeros in outcomes),
-                )
-            else:
+            results = None
+            if self._pool is not None:
+                try:
+                    outcomes = self._pool.map("district", _select_chunk, tasks)
+                except WorkerPoolBroken:
+                    self._pool = None
+                else:
+                    results = [result for result, _, _ in outcomes]
+                    span.set(
+                        rows_computed=sum(rows for _, rows, _ in outcomes),
+                        nonzeros=sum(nonzeros for _, _, nonzeros in outcomes),
+                    )
+            if results is None:
                 results = [
                     lazy_greedy_select(
                         objective.clone_with_weights(

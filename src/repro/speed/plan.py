@@ -41,7 +41,7 @@ interval becomes a handful of array ops:
   stacked solve (``speed.plan.compile`` spans carry ``rows_fitted`` and
   ``moment_blocks``). A row's fit depends only on its road, its ranked
   seeds and the plan's seed tuple, and the padded width comes from the
-  *global* seed tuple, so any partition, pool or compile history serves
+  *global* seed tuple, so any partition or compile history serves
   the same speeds bit for bit (the differentials in
   ``tests/test_plan_sharded.py`` and ``tests/test_batched_fits.py`` pin
   them against the whole-city oracle in ``tests/oracles/plan.py``).
@@ -71,11 +71,10 @@ evaluation in a ``speed.solve_vectorized`` span (see
 
 from __future__ import annotations
 
-import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -91,9 +90,6 @@ from repro.speed.hlm import (
     SeedMoments,
     fit_batch,
 )
-
-if TYPE_CHECKING:
-    from repro.core.pool import SharedWorkerPool
 
 #: Influence index type: road id -> {seed -> fidelity}.
 InfluenceIndex = Mapping[int, Mapping[int, float]]
@@ -201,8 +197,7 @@ def compile_seed_structure(params: HlmParams, batch: FitBatch) -> _SeedStructure
     seed-index positions are identical regardless of how the rows are
     sliced — the property that makes every partition evaluate bitwise
     equal. Row indices (including ``rows_by_seed``) are local to the
-    district. Runs in the parent or as a pool task: it takes no product
-    of the history, only :func:`~repro.speed.hlm.fit_batch`'s stacked
+    district, through :func:`~repro.speed.hlm.fit_batch`'s stacked
     solves.
     """
     fits = fit_batch(params, batch)
@@ -221,21 +216,6 @@ def compile_seed_structure(params: HlmParams, batch: FitBatch) -> _SeedStructure
         residual_std=fits.residual_std,
         rows_by_seed=np.split(by_seed, bounds) if num_seeds else [],
     )
-
-
-def _plan_params(arrays: Mapping[str, np.ndarray], params: HlmParams) -> HlmParams:
-    """Builder of the pool's ``"plan"`` context: tasks need only the params."""
-    del arrays
-    return params
-
-
-def _compile_district(
-    params: HlmParams, batch: FitBatch
-) -> tuple[_SeedStructure, float]:
-    """Pool task: one district's structure and its compile seconds."""
-    start = time.perf_counter()
-    structure = compile_seed_structure(params, batch)
-    return structure, time.perf_counter() - start
 
 
 class PlanShard:
@@ -462,11 +442,7 @@ class IntervalPlanner:
     ``partitions`` is any disjoint cover of ``road_ids`` (the pipeline
     passes :func:`~repro.seeds.partition.partition_graph` districts for
     ``use_sharded_plan``); ``None`` is the one-district case, the whole
-    road order as a single shard. With a
-    :class:`~repro.core.pool.SharedWorkerPool` the district fits are
-    tasks on it; the parent gathers every task's Gram matrices and
-    moments first, so the pool's ``"plan"`` context exports no arrays.
-    Without a pool they run in-process.
+    road order as a single shard. Every district compiles in-process.
 
     Compiled shard sets are shared across buckets through a weak-value
     cache: as long as any plan for a seed set is alive, its shards (the
@@ -480,7 +456,6 @@ class IntervalPlanner:
         hlm: HierarchicalLinearModel,
         road_ids: list[int] | tuple[int, ...],
         partitions: Sequence[Sequence[int]] | None = None,
-        pool: "SharedWorkerPool | None" = None,
     ) -> None:
         self._store = store
         self._hlm = hlm
@@ -512,9 +487,6 @@ class IntervalPlanner:
             for district, chunk in enumerate(self._partitions)
             for road in chunk
         }
-        self._pool = pool
-        if pool is not None:
-            pool.publish("plan", {}, _plan_params, params)
         self._shard_sets: "weakref.WeakValueDictionary[tuple[int, ...], _ShardSet]" = (
             weakref.WeakValueDictionary()
         )
@@ -682,25 +654,15 @@ class IntervalPlanner:
 
         One :meth:`~repro.speed.hlm.SeedMoments.gather` for all of them
         (each column block of the seed × road product once), then one
-        fit per district: in-process, or as pool tasks that receive
-        only their rows' Gram matrices and moments.
+        fit per district.
         """
         recorder = get_recorder()
         ordered = list(districts)
         batches = moments.gather(
             [shards[district].members for district in ordered], influence_by_road
         )
-        compiled = None
-        if self._pool is not None:
-            compiled = self._pool.map("plan", _compile_district, batches)
-        for position, district in enumerate(ordered):
+        for district, batch in zip(ordered, batches):
             shard = shards[district]
-            batch = batches[position]
-            # Per-district compile span (district attr). On the pool
-            # path the batch already ran as pool tasks, so the span's
-            # own duration only covers unpacking; the task-measured
-            # compile time rides along as the ``compile_s`` attr and
-            # is the authoritative per-district number there.
             with recorder.span(
                 "speed.plan.compile",
                 roads=len(shard.members),
@@ -708,13 +670,8 @@ class IntervalPlanner:
                 district=district,
                 rows_fitted=batch.rows_fitted,
                 moment_blocks=batch.blocks,
-            ) as span:
-                if compiled is not None:
-                    structure, worker_s = compiled[position]
-                    span.set(compile_s=worker_s)
-                else:
-                    structure = compile_seed_structure(self._hlm.params, batch)
-            shard.structure = structure
+            ):
+                shard.structure = compile_seed_structure(self._hlm.params, batch)
             shard.active_seeds = frozenset().union(
                 *(
                     influence_by_road[road]

@@ -5,11 +5,11 @@ each road's residual std and historical speed from the compiled plan
 that served the round; ``tests/oracles/uncertainty.py`` recomputes them
 road by road through ``JointSeedRegression.for_road`` and the store.
 The two must agree bit for bit on ``lower``, ``upper`` and ``std`` for
-one-district and multi-district plans (including shards compiled by a
-2-worker pool over 4 districts, whose columns must also equal the
-whole-city oracle plan's), degraded observations, roads no seed
-influences, ``estimate_roads`` subsets, every supported confidence, and
-the round after a graph delta marked shards stale.
+one-district and multi-district plans (including a 4-district plan,
+whose columns must also equal the whole-city oracle plan's), degraded
+observations, roads no seed influences, ``estimate_roads`` subsets,
+every supported confidence, and the round after a graph delta marked
+shards stale.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.pool import SharedWorkerPool
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.fidelity import FidelityCacheService
 from repro.history.incremental import GraphDelta
@@ -40,14 +39,12 @@ def fitted(small_dataset):
     return small_dataset, hlm, params
 
 
-def _estimator(dataset, hlm, params, partitions=None, pool=None, graph=None,
+def _estimator(dataset, hlm, params, partitions=None, graph=None,
                fidelity=None, plan_cache=None, factory=None):
     """Production over ``partitions`` (None: one district) unless ``factory``."""
     if factory is None:
         def factory(store, network, hlm_, road_ids):
-            return IntervalPlanner(
-                store, network, hlm_, road_ids, partitions, pool=pool
-            )
+            return IntervalPlanner(store, network, hlm_, road_ids, partitions)
     return TwoStepEstimator(
         dataset.network,
         dataset.store,
@@ -162,39 +159,36 @@ class TestSharded:
     def test_two_workers_four_districts_match_oracle(self, fitted):
         dataset, hlm, params = fitted
         roads = list(dataset.graph.road_ids)
-        with SharedWorkerPool(2) as pool:
-            est = _estimator(
-                dataset, hlm, params, partitions=_chunks(roads, 4), pool=pool
+        est = _estimator(dataset, hlm, params, partitions=_chunks(roads, 4))
+        oracle = _estimator(dataset, hlm, params, factory=MonolithicPlanner)
+        seeds = roads[::13][:8]
+        for interval in dataset.test_day_intervals()[:2]:
+            speeds = _speeds(dataset, seeds, interval)
+            estimates = _degrade(
+                est.estimate_interval(interval, speeds), [seeds[2], roads[7]]
             )
-            oracle = _estimator(dataset, hlm, params, factory=MonolithicPlanner)
-            seeds = roads[::13][:8]
-            for interval in dataset.test_day_intervals()[:2]:
-                speeds = _speeds(dataset, seeds, interval)
-                estimates = _degrade(
-                    est.estimate_interval(interval, speeds), [seeds[2], roads[7]]
-                )
-                _check_round(est, dataset, estimates, speeds)
-                plan = est.plan_for(interval, speeds)
-                whole = oracle.plan_for(interval, speeds)
-                for column in ("has_reg", "residual_std", "historical"):
-                    assert (
-                        getattr(plan, column).tobytes()
-                        == getattr(whole, column).tobytes()
-                    ), column
-                _assert_bitwise(
-                    UncertaintyModel(est, dataset.store).bands_for(estimates, speeds),
-                    UncertaintyModel(oracle, dataset.store).bands_for(
-                        _degrade(
-                            oracle.estimate_interval(interval, speeds),
-                            [seeds[2], roads[7]],
-                        ),
-                        speeds,
+            _check_round(est, dataset, estimates, speeds)
+            plan = est.plan_for(interval, speeds)
+            whole = oracle.plan_for(interval, speeds)
+            for column in ("has_reg", "residual_std", "historical"):
+                assert (
+                    getattr(plan, column).tobytes()
+                    == getattr(whole, column).tobytes()
+                ), column
+            _assert_bitwise(
+                UncertaintyModel(est, dataset.store).bands_for(estimates, speeds),
+                UncertaintyModel(oracle, dataset.store).bands_for(
+                    _degrade(
+                        oracle.estimate_interval(interval, speeds),
+                        [seeds[2], roads[7]],
                     ),
-                )
-                subset = [seeds[0], roads[4], roads[90]]
-                _check_round(
-                    est, dataset, est.estimate_roads(interval, speeds, subset), speeds
-                )
+                    speeds,
+                ),
+            )
+            subset = [seeds[0], roads[4], roads[90]]
+            _check_round(
+                est, dataset, est.estimate_roads(interval, speeds, subset), speeds
+            )
 
 
 def _split_graph(road_ids):

@@ -71,14 +71,10 @@ class TestParser:
         assert args.metrics_out is None
 
     def test_sharded_plan_options(self):
-        args = build_parser().parse_args(
-            ["estimate", "--plan-shards", "4", "--plan-workers", "1"]
-        )
+        args = build_parser().parse_args(["estimate", "--plan-shards", "4"])
         assert args.plan_shards == 4
-        assert args.plan_workers == 1
         serve = build_parser().parse_args(["serve", "--plan-shards", "4"])
         assert serve.plan_shards == 4
-        assert serve.plan_workers == 1
         assert build_parser().parse_args(["serve"]).plan_shards == 1
         with pytest.raises(SystemExit):
             build_parser().parse_args(["estimate", "--sharded-plan"])
@@ -133,17 +129,20 @@ class TestCommands:
         assert main(
             [
                 "--city", "tianjin", "estimate", "--budget", "8",
-                "--show", "4", "--plan-shards", "4", "--plan-workers", "1",
+                "--show", "4", "--plan-shards", "4",
             ]
         ) == 0
         out = capsys.readouterr().out
         assert "MAE" in out
 
-    def test_plan_workers_require_plan_shards(self):
-        with pytest.raises(SystemExit, match="plan-shards"):
-            main(
-                ["--city", "tianjin", "estimate", "--plan-workers", "2"]
-            )
+    def test_plan_workers_is_an_argparse_error(self):
+        """Step 2 has no worker pool, so there is no worker count to set."""
+        for command in ("estimate", "serve"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(
+                    [command, "--plan-shards", "4", "--plan-workers", "2"]
+                )
+            assert exc.value.code == 2
         with pytest.raises(SystemExit, match="plan-shards"):
             main(["--city", "tianjin", "serve", "--plan-shards", "0"])
 
@@ -333,7 +332,7 @@ class TestServeSLOCommands:
         assert main(
             [
                 "--city", "tianjin", "serve", "--rounds", "2", "--budget", "5",
-                "--plan-shards", "4", "--plan-workers", "2",
+                "--plan-shards", "4",
             ]
         ) == 0
         assert "Serving loop: 2 rounds" in capsys.readouterr().out

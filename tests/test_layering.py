@@ -4,6 +4,9 @@
   ``repro.speed`` sit below ``repro.seeds``; shared plumbing they need
   (such as the shared-memory array export the worker pool uses) lives
   in ``repro.core``. Imports inside functions count too.
+* One pooled stage: only the district stage (``repro.seeds.parallel``)
+  and the system that builds it (``repro.core.pipeline``) import the
+  worker pool; every other stage runs in the parent.
 * No dead code: every module-level def under ``src/repro`` is used by
   the package, the benchmarks, the perf bench or the examples, except
   the few on :data:`UNCALLED_ALLOWLIST`. Reference code that only
@@ -25,6 +28,9 @@ import repro
 PACKAGE_ROOT = Path(repro.__file__).parent
 REPO_ROOT = Path(__file__).resolve().parents[1]
 LOWER_LAYERS = ("history", "speed", "trend")
+
+#: The only modules that may import the worker pool.
+POOL_IMPORTERS = ("repro.seeds.parallel", "repro.core.pipeline")
 
 #: Directories whose code counts as a caller of the package.
 CALLER_DIRS = ("benchmarks", "perfbench", "examples")
@@ -65,6 +71,18 @@ def test_layer_does_not_import_seeds(layer):
         for path in sorted((PACKAGE_ROOT / layer).rglob("*.py"))
         for module in imported_modules(path)
         if module == "repro.seeds" or module.startswith("repro.seeds.")
+    ]
+    assert not offenders, offenders
+
+
+def test_only_the_district_stage_imports_the_worker_pool():
+    offenders = [
+        f"{path.relative_to(PACKAGE_ROOT)}: {module}"
+        for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+        if ".".join(("repro", *path.relative_to(PACKAGE_ROOT).with_suffix("").parts))
+        not in POOL_IMPORTERS
+        for module in imported_modules(path)
+        if module == "repro.core.pool" or module.startswith("repro.core.pool.")
     ]
     assert not offenders, offenders
 

@@ -5,11 +5,11 @@ The Step-2 planner (``repro.speed.plan.IntervalPlanner``) must be
 (``tests/oracles/plan.py``) — not merely close: every per-road quantity
 in the evaluation is row-independent, so compiling district slices and
 stitching them back must reproduce the whole-city arrays bit for bit,
-across any partition shape (the default one district included), with or
-without the worker pool, and after a pool worker dies. Delta
-eviction must be district-scoped: a row invalidation recompiles only the
-districts a dropped seed's influence touches, and untouched districts'
-structures survive by object identity.
+across any partition shape (the default one district included). Every
+district compiles in the parent: a sharded system opens no worker pool
+for Step 2. Delta eviction must be district-scoped: a row invalidation
+recompiles only the districts a dropped seed's influence touches, and
+untouched districts' structures survive by object identity.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import InferenceError, ReproError
-from repro.core.pool import SharedWorkerPool
+from repro.core.errors import InferenceError
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.fidelity import FidelityCacheService
 from repro.history.incremental import GraphDelta
@@ -47,12 +46,10 @@ def fitted(small_dataset):
     return small_dataset, hlm, params
 
 
-def _estimator(dataset, hlm, params, partitions=None, pool=None, graph=None):
+def _estimator(dataset, hlm, params, partitions=None, graph=None):
     """A fresh production estimator over ``partitions`` (None: one district)."""
     def factory(store, network, hlm_, road_ids):
-        return IntervalPlanner(
-            store, network, hlm_, road_ids, partitions, pool=pool
-        )
+        return IntervalPlanner(store, network, hlm_, road_ids, partitions)
     return _build(dataset, hlm, params, factory, graph)
 
 
@@ -98,7 +95,7 @@ def _assert_bitwise(a, b):
 
 
 class TestShardedBitwise:
-    @pytest.mark.parametrize("num_districts", [1, 2, 7, 10_000])
+    @pytest.mark.parametrize("num_districts", [1, 2, 4, 7, 10_000])
     def test_matches_monolithic(self, fitted, num_districts):
         dataset, hlm, params = fitted
         roads = list(dataset.graph.road_ids)
@@ -203,37 +200,6 @@ class TestShardedBitwise:
         with pytest.raises(InferenceError, match="cover"):
             IntervalPlanner(
                 dataset.store, dataset.network, hlm, roads, [tuple(roads[:10])]
-            )
-
-
-class TestPoolDifferential:
-    def test_two_workers_four_districts_bitwise(self, fitted):
-        """The CI differential: worker-compiled shards == whole-city oracle."""
-        dataset, hlm, params = fitted
-        roads = list(dataset.graph.road_ids)
-        mono = _oracle(dataset, hlm, params)
-        with SharedWorkerPool(2) as pool:
-            shard = _estimator(
-                dataset, hlm, params,
-                partitions=_chunks(roads, 4), pool=pool,
-            )
-            seeds = roads[::13][:8]
-            for interval in dataset.test_day_intervals()[:2]:
-                speeds = _speeds(dataset, seeds, interval)
-                _assert_bitwise(
-                    mono.estimate_interval(interval, speeds),
-                    shard.estimate_interval(interval, speeds),
-                )
-
-    def test_closed_pool_raises(self, fitted):
-        dataset, hlm, params = fitted
-        pool = SharedWorkerPool(1)
-        pool.close()
-        pool.close()  # idempotent
-        with pytest.raises(ReproError, match="closed"):
-            IntervalPlanner(
-                dataset.store, dataset.network, hlm,
-                list(dataset.graph.road_ids), pool=pool,
             )
 
 
@@ -357,27 +323,29 @@ class TestDistrictScopedEviction:
         )
 
 
-class TestPipelinePlanPool:
-    def test_workers_capped_at_district_count(self, small_dataset):
-        """A worker beyond the district count would never get a task."""
+class TestPipelineShardedPlan:
+    def test_opens_no_pool(self, small_dataset):
+        """Step 2 never uses a worker pool, whatever the worker count."""
         from repro.core.config import PipelineConfig
         from repro.core.pipeline import SpeedEstimationSystem
-        from repro.obs import recording
 
         config = PipelineConfig(
-            use_sharded_plan=True, plan_shards=2, num_partition_workers=8
+            use_sharded_plan=True, plan_shards=4, num_partition_workers=8
         )
-        with recording() as rec, SpeedEstimationSystem.from_parts(
+        interval = small_dataset.test_day_intervals()[0]
+        before = _shm_segments()
+        with SpeedEstimationSystem.from_parts(
             small_dataset.network, small_dataset.store, small_dataset.graph, config
         ) as system:
-            seeds = system.select_seeds(4)
-            interval = small_dataset.test_day_intervals()[0]
-            system.estimate(interval, _speeds(small_dataset, seeds, interval))
-            assert system._pool.num_workers == 2
-            assert rec.registry.gauge("pool.workers").value == 2
-            # The parent gathers every task's Gram matrices and moments,
-            # so the plan context exports no arrays.
-            assert rec.registry.gauge("pool.shared_bytes", pool="plan").value == 0
+            seeds = system.select_seeds(8)
+            assert system.config.selection_method == "lazy"
+            speeds = _speeds(small_dataset, seeds, interval)
+            got = system.estimate(interval, speeds)
+            assert len(system.estimator.plan_for(interval, speeds).shards) > 1
+            assert system._pool is None
+            oracle = _oracle(small_dataset, system.estimator.hlm, config.hlm)
+            _assert_bitwise(oracle.estimate_interval(interval, speeds), got)
+        assert not (_shm_segments() - before), "a shared-memory segment appeared"
 
 
 def _shm_segments():
@@ -403,52 +371,6 @@ def _exited(process, timeout=30.0):
     ``is_alive()`` reporting a killed worker as alive.
     """
     return bool(wait([process.sentinel], timeout))
-
-
-class TestPoolFallback:
-    def test_killed_worker_falls_back_in_process(self, small_dataset):
-        """A SIGKILLed compile worker costs a fallback, not a round."""
-        import os
-        import signal
-
-        from repro.core.config import PipelineConfig
-        from repro.core.pipeline import SpeedEstimationSystem
-        from repro.obs import recording
-
-        config = PipelineConfig(
-            use_sharded_plan=True, plan_shards=4, num_partition_workers=2
-        )
-        roads = list(small_dataset.graph.road_ids)
-        interval = small_dataset.test_day_intervals()[0]
-        before = _shm_segments()
-        with recording() as rec:
-            system = SpeedEstimationSystem.from_parts(
-                small_dataset.network, small_dataset.store,
-                small_dataset.graph, config,
-            )
-            try:
-                warm = roads[::17][:6]
-                system.estimate(interval, _speeds(small_dataset, warm, interval))
-                workers = _worker_processes(system._pool)
-                assert workers, "the first compile must have spawned workers"
-                os.kill(workers[0].pid, signal.SIGKILL)
-                assert _exited(workers[0])
-
-                # A new seed set is a cold compile through the dead pool.
-                seeds = roads[::13][:8]
-                speeds = _speeds(small_dataset, seeds, interval)
-                got = system.estimate(interval, speeds)
-                assert rec.registry.counter("pool.fallbacks", pool="plan").value == 1
-                # Later compiles stay in-process: no second fallback.
-                system.estimate(interval, _speeds(small_dataset, roads[:5], interval))
-                assert rec.registry.counter("pool.fallbacks", pool="plan").value == 1
-                oracle = _oracle(
-                    small_dataset, system.estimator.hlm, config.hlm
-                )
-                _assert_bitwise(oracle.estimate_interval(interval, speeds), got)
-            finally:
-                system.close()
-        assert not (_shm_segments() - before), "a shared-memory segment survived"
 
 
 class TestDefaultConfigDelta:

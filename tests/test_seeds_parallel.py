@@ -3,18 +3,18 @@
 The contract under test: a :class:`~repro.seeds.parallel.DistrictStage`
 returns the **identical** seed sequence, gains, values and evaluations
 as the single-process reference in ``tests/oracles/partition.py``,
-wherever its tasks run: in the parent (no pool, or a one-worker pool)
-on clones of the objective that fill the shared fidelity cache exactly
-as the reference does, or on a :class:`~repro.core.pool.
+wherever its tasks run: in the parent (no pool) on clones of the
+objective that fill the shared fidelity cache exactly as the reference
+does, or in the worker processes of a :class:`~repro.core.pool.
 SharedWorkerPool` over shared CSR arrays, where workers recompute
 influence rows with the same kernel and transform math. Districts
-stitch in district order. Step 1 runs in the parent for every config,
-so a pooled system's estimate columns (Step-1 posteriors included) are
-byte-identical to an unpooled system's for the same seeds. All of it
-holds after a worker is killed (the pool re-runs the batch in-process)
-and after a graph delta (the stage re-partitions, and republishes its
-context on the same workers). The pools here are small (at most 2
-workers) so the differential runs in tier-1 CI.
+stitch in district order. Step 1 and Step 2 run in the parent for every
+config, so a pooled system's estimate columns (Step-1 posteriors
+included) are byte-identical to an unpooled system's for the same
+seeds. All of it holds after a worker is killed (the stage re-runs the
+batch in the parent) and after a graph delta (the stage re-partitions,
+and republishes its context on the same workers). The pools here are
+small (at most 2 workers) so the differential runs in tier-1 CI.
 """
 
 import numpy as np
@@ -71,7 +71,7 @@ class TestParallelVsSerialDifferential:
 
 @pytest.fixture(scope="module", params=["no-pool", "one-worker", "two-workers"])
 def stage_pool(request):
-    """Where district tasks run: the parent, a one-worker pool, two workers."""
+    """Where district tasks run: the parent, one worker process, two."""
     if request.param == "no-pool":
         yield None
         return
@@ -280,7 +280,7 @@ def _assert_plan_matches_oracle(system, dataset, config, interval, speeds):
     """The system's compiled plan is bitwise the whole-city oracle plan.
 
     Compared on the plan itself, with one shared posterior, so only the
-    pooled Step-2 compile is under test.
+    sharded Step-2 compile is under test.
     """
     oracle = _oracle(dataset, system.estimator.hlm, config.hlm)
     plan = system.estimator.plan_for(interval, speeds)
@@ -299,9 +299,10 @@ class TestPoolCrash:
     def test_killed_worker_falls_back_for_both_stages(self, small_dataset):
         """A SIGKILLed worker costs one district fallback, not a round.
 
-        The select batch re-runs whole in-process (so evaluations never
-        double), later votes and plan compiles stay in-process without
-        a second fallback, and close() leaves no segment behind.
+        The select batch re-runs whole in the parent (so evaluations
+        never double), later selections stay there without a second
+        fallback, the sharded plan (always compiled in the parent)
+        still equals the oracle, and close() leaves no segment behind.
         """
         import os
         import signal
@@ -328,8 +329,10 @@ class TestPoolCrash:
                 _assert_same_selection(system.selection, serial)
                 fallbacks = rec.registry.counter("pool.fallbacks", pool="district")
                 assert fallbacks.value == 1
-                # The fallen-back pool runs later selections in the parent.
-                assert system._pool.in_process
+                # The broken pool closed itself; the stage runs later
+                # selections in the parent.
+                assert system._pool._resources.executor is None
+                assert system.district_stage()._pool is None
                 system.select_seeds(9)
                 _assert_same_selection(system.selection, serial)
 
@@ -342,7 +345,6 @@ class TestPoolCrash:
                     system, small_dataset, config, interval, speeds
                 )
                 assert fallbacks.value == 1
-                assert rec.registry.counter("pool.fallbacks", pool="plan").value == 0
             finally:
                 system.close()
         assert not (_shm_segments() - before), "a shared-memory segment survived"
@@ -451,5 +453,5 @@ class TestOneWorkerInProcess:
             _assert_estimates_match_unpooled(
                 system, small_dataset, graph, list(serial.seeds), interval
             )
-            assert system._pool._resources.executor is None
+            assert system._pool is None
             assert not (_shm_segments() - before)

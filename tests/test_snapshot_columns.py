@@ -13,7 +13,7 @@ oracle's — speed, trend, probability, seed and degraded flags, lower,
 upper, std and confidence — in memory, after a reload from a format-3
 file, and through the oracle's own format-2 file, which must re-checksum
 to the same format-3 checksum. Cases: the default one-district plan and
-a 2-worker x 4-district plan, substituted seeds, ``estimate_roads``
+a 4-district plan, substituted seeds, ``estimate_roads``
 subsets and stale-inflated reads.
 
 Integrity: any single flipped byte or any truncation of a format-3 file
@@ -35,7 +35,6 @@ from repro.core.clock import ManualClock
 from repro.core.config import PipelineConfig
 from repro.core.errors import SnapshotIntegrityError
 from repro.core.pipeline import SpeedEstimationSystem
-from repro.core.pool import SharedWorkerPool
 from repro.core.types import SpeedEstimate, Trend
 from repro.crowd.platform import CrowdsourcingPlatform
 from repro.crowd.workers import WorkerPool, WorkerPoolParams
@@ -73,15 +72,13 @@ def fitted(small_dataset):
     return small_dataset, hlm, params
 
 
-def _estimator(dataset, hlm, params, partitions=None, pool=None):
+def _estimator(dataset, hlm, params, partitions=None):
     """A production estimator and the Step-1 inference it runs on.
 
     ``partitions`` None is the default one-district plan.
     """
     def factory(store, network, hlm_, road_ids):
-        return IntervalPlanner(
-            store, network, hlm_, road_ids, partitions, pool=pool
-        )
+        return IntervalPlanner(store, network, hlm_, road_ids, partitions)
     fidelity = FidelityCacheService()
     inference = TrendPropagationInference(
         min_fidelity=params.min_fidelity, fidelity_service=fidelity
@@ -278,21 +275,20 @@ class TestAgainstPerRoadPath:
     def test_sharded_two_workers_four_districts(self, fitted, tmp_path):
         dataset, hlm, params = fitted
         roads = list(dataset.graph.road_ids)
-        with SharedWorkerPool(2) as pool:
-            estimator, inference = _estimator(
-                dataset, hlm, params, partitions=_chunks(roads, 4), pool=pool
+        estimator, inference = _estimator(
+            dataset, hlm, params, partitions=_chunks(roads, 4)
+        )
+        seeds = roads[::13][:8]
+        for k, interval in enumerate(dataset.test_day_intervals()[:2]):
+            speeds = _speeds(dataset, seeds, interval)
+            _check_round(
+                tmp_path / f"all{k}", dataset, estimator, inference,
+                interval, speeds, substituted=(seeds[2],),
             )
-            seeds = roads[::13][:8]
-            for k, interval in enumerate(dataset.test_day_intervals()[:2]):
-                speeds = _speeds(dataset, seeds, interval)
-                _check_round(
-                    tmp_path / f"all{k}", dataset, estimator, inference,
-                    interval, speeds, substituted=(seeds[2],),
-                )
-                _check_round(
-                    tmp_path / f"sub{k}", dataset, estimator, inference,
-                    interval, speeds, roads=[seeds[0], roads[4], roads[90]],
-                )
+            _check_round(
+                tmp_path / f"sub{k}", dataset, estimator, inference,
+                interval, speeds, roads=[seeds[0], roads[4], roads[90]],
+            )
 
 
 class TestColumns:

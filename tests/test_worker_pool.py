@@ -1,11 +1,12 @@
-"""The shared worker pool's lifecycle: in-process mode, republish, cleanup.
+"""The shared worker pool's lifecycle: republish, crash, cleanup.
 
-The stage-level differentials (bitwise selections, votes, plans, and the
-SIGKILL chaos test) live in ``tests/test_seeds_parallel.py`` and
-``tests/test_plan_sharded.py``; this module pins what the pool itself
-promises: one worker never spawns or exports, a republished context
-releases the workers' old mappings, and a pool dropped without
-``close()`` still stops its workers and unlinks its segments.
+The stage-level differentials (bitwise selections and the SIGKILL chaos
+test) live in ``tests/test_seeds_parallel.py``; this module pins what
+the pool itself promises: tasks run in worker processes and come back
+in task order, a republished context releases the workers' old
+mappings, a dead worker closes the pool with a typed error and no
+leaked segment, and a pool dropped without ``close()`` still stops its
+workers and unlinks its segments.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ReproError
-from repro.core.pool import SharedWorkerPool
+from repro.core.pool import SharedWorkerPool, WorkerPoolBroken
+from repro.obs import recording
 from tests.test_plan_sharded import _shm_segments, _worker_processes
 
 
@@ -28,6 +30,15 @@ def _total(arrays: dict[str, np.ndarray], offset: float) -> float:
 
 def _add(state: float, task: int) -> float:
     return state + task
+
+
+def _pid(state: float, task: int) -> int:
+    return os.getpid()
+
+
+def _die(state: float, task: int) -> None:
+    """Task: end the worker process without a result."""
+    os._exit(1)
 
 
 def _mapped_segments(state: float, task: int) -> list[str]:
@@ -43,13 +54,7 @@ def _publish(pool: SharedWorkerPool, size: int, offset: float = 0.0) -> None:
 
 
 class TestInProcess:
-    def test_one_worker_never_spawns_or_exports(self):
-        before = _shm_segments()
-        with SharedWorkerPool(1) as pool:
-            _publish(pool, 10, offset=0.5)
-            assert not (_shm_segments() - before)
-            assert pool.map("ctx", _add, [1, 2, 3]) == [46.5, 47.5, 48.5]
-            assert pool._resources.executor is None
+    """The checks the parent makes before any task leaves it."""
 
     def test_closed_pool_rejects_publish_and_map(self):
         pool = SharedWorkerPool(2)
@@ -68,11 +73,14 @@ class TestInProcess:
 
 class TestWorkers:
     def test_results_in_task_order_and_equal_to_in_process(self):
-        with SharedWorkerPool(2) as pooled, SharedWorkerPool(1) as local:
-            for pool in (pooled, local):
-                _publish(pool, 100, offset=0.25)
-            tasks = list(range(12))
-            assert pooled.map("ctx", _add, tasks) == local.map("ctx", _add, tasks)
+        """Worker results equal the same builder and task run here."""
+        values = np.arange(100, dtype=np.float64)
+        state = _total({"values": values}, 0.25)
+        tasks = list(range(12))
+        with SharedWorkerPool(2) as pool:
+            _publish(pool, 100, offset=0.25)
+            assert pool.map("ctx", _add, tasks) == [_add(state, t) for t in tasks]
+            assert os.getpid() not in pool.map("ctx", _pid, tasks)
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps"
@@ -93,6 +101,21 @@ class TestWorkers:
 
 
 class TestAbnormalExit:
+    def test_dead_worker_closes_the_pool(self):
+        """A worker death counts a fallback, releases all, and raises."""
+        before = _shm_segments()
+        with recording() as rec:
+            pool = SharedWorkerPool(2)
+            _publish(pool, 1000)
+            with pytest.raises(WorkerPoolBroken):
+                pool.map("ctx", _die, [0, 1])
+            assert rec.registry.counter("pool.fallbacks", pool="ctx").value == 1
+        assert pool._resources.executor is None
+        assert not (_shm_segments() - before), "a shared-memory segment survived"
+        with pytest.raises(ReproError, match="closed"):
+            pool.map("ctx", _add, [1])
+        pool.close()  # idempotent
+
     def test_unclosed_pool_is_released_on_gc(self):
         """Dropping the last reference stops the workers and unlinks."""
         before = _shm_segments()
