@@ -17,18 +17,14 @@ This module makes the structure first-class:
   *edge fidelities* ``q = max(0, 2p - 1)``, not raw agreements.
 * :func:`sparse_fidelity_rows` — the one vectorized multi-source
   kernel: frontier-synchronous max-product relaxation over the CSR
-  arrays for a block of sources at once, pruned at ``min_fidelity``
-  and (optionally) ``max_hops``.  After ``h`` frontier rounds a row is
-  exactly the optimum over all paths of at most ``h`` hops, which is
-  the *sound* ``max_hops`` semantics (a weaker-but-shorter path is
-  never shadowed by a stronger-but-longer one, unlike single-label
-  Dijkstra pruning).  Each row keeps only its support as a
+  arrays for a block of sources at once, pruned at ``min_fidelity``.
+  Each row keeps only its support as a
   :class:`SparseRow` — the one row form anything caches: influence is
   local (pruned at the floor), so a row's support is its reach, not N.
   Rows are bitwise equal to the dict/heap reference in
   ``tests/oracles/fidelity.py``, which the test suite checks.
 * :class:`FidelityCacheService` — the single shared cache keyed by
-  graph identity (weakly), fidelity floor, hop budget and transform.
+  graph identity (weakly), fidelity floor and transform.
   :class:`~repro.trend.propagation.TrendPropagationInference`,
   :class:`~repro.seeds.objective.SeedSelectionObjective` (including
   clones and partitioned selection) and
@@ -40,7 +36,7 @@ This module makes the structure first-class:
   sparse row is the only form cached or handed out.
   :meth:`FidelityCacheService.sparse_rows` fetches many rows at once,
   computing the missing ones in kernel blocks; CELF scans, Step-1
-  votes and the Step-2 influence index go through it (district
+  votes and Step-2 regressions read their rows through it (district
   selection workers batch the kernel directly).
   :meth:`FidelityCacheService.apply_graph_delta` drops only the rows
   a streamed graph delta may change, by a sound tight-edge test
@@ -191,15 +187,14 @@ def sparse_fidelity_rows(
     csr: CSRFidelityGraph,
     sources: Sequence[int],
     min_fidelity: float = 0.05,
-    max_hops: int | None = None,
 ) -> list[SparseRow]:
     """Best-path fidelity rows from CSR positions ``sources``, one per source.
 
-    Frontier-synchronous max-product relaxation: after round ``h`` a
-    row holds the optimum over all paths of at most ``h`` hops whose
-    running product never drops below ``min_fidelity`` (products only
-    shrink along a path, so prefix pruning is exact). Each row keeps
-    its support only — entries at or above the floor, the source at 1.
+    Frontier-synchronous max-product relaxation until no entry improves:
+    a row holds the optimum over all paths whose running product never
+    drops below ``min_fidelity`` (products only shrink along a path, so
+    prefix pruning is exact). Each row keeps its support only — entries
+    at or above the floor, the source at 1.
 
     Sources are relaxed in blocks of :func:`row_block_size`: source
     ``s`` of a block owns keys ``s * N + v`` of one dense scratch, so
@@ -240,8 +235,7 @@ def sparse_fidelity_rows(
             keys = sources[lo : lo + m] + np.arange(m, dtype=np.int64) * n
             best[keys] = 1.0
             reached = [keys]
-            hop = 0
-            while keys.size and (max_hops is None or hop < max_hops):
+            while keys.size:
                 nodes = keys % n
                 starts = indptr[nodes]
                 counts = indptr[nodes + 1] - starts
@@ -265,7 +259,6 @@ def sparse_fidelity_rows(
                 reached.append(keys[best[keys] == unreached])
                 best[keys] = peak[keys]
                 peak[keys] = 0.0
-                hop += 1
             support = np.sort(np.concatenate(reached))
             values = best[support]
             best[support] = unreached
@@ -399,16 +392,14 @@ def _stale_rows(
     rows: list[SparseRow],
     edges: _ChangedEdges,
     min_fidelity: float,
-    max_hops: int | None,
     num_roads: int,
 ) -> tuple[int, np.ndarray]:
     """Which cached raw ``rows`` the changed ``edges`` may change.
 
     Returns the number of rows whose support holds a changed edge's
     endpoint (the rows checked) and the sorted positions in ``rows`` of
-    those that are dropped: with a ``max_hops`` budget all of them,
-    otherwise those where some edge passes the tight-edge test of
-    :meth:`FidelityCacheService.apply_graph_delta`.
+    those that are dropped: those where some edge passes the tight-edge
+    test of :meth:`FidelityCacheService.apply_graph_delta`.
 
     The support gather reads every cached entry once, in chunks of
     about 2^18 entries, and keeps those at an endpoint. Checked rows
@@ -443,8 +434,6 @@ def _stale_rows(
         return 0, np.zeros(0, dtype=np.int64)
     hit_row = np.concatenate(hit_row)
     checked = np.unique(hit_row)
-    if max_hops is not None:
-        return checked.size, checked
     hit_col = np.concatenate(hit_col)
     hit_val = np.concatenate(hit_val)
     cu, cv = column[edges.u], column[edges.v]
@@ -511,21 +500,21 @@ class _GraphEntry:
         # cached rows were computed on; apply_graph_delta reads the old
         # edge fidelities from it, then replaces it with the new export.
         self.csr: CSRFidelityGraph | None = None
-        # (min_fidelity, max_hops, transform) -> {road -> SparseRow}.
+        # (min_fidelity, transform) -> {road -> SparseRow}.
         # Invariant: every cached transformed row has its raw
         # ("fidelity") sibling cached too, sharing its index array.
         self.rows: dict[tuple, dict[int, SparseRow]] = {}
-        # (min_fidelity, max_hops) -> {road -> (raw, {transform: row})}:
+        # min_fidelity -> {road -> (raw, {transform: row})}:
         # the transformed rows the last graph delta dropped, with their
         # raw sibling, kept until a re-fetch consumes them.
-        self.stash: dict[tuple, dict[int, tuple[SparseRow, dict[str, SparseRow]]]] = {}
+        self.stash: dict[float, dict[int, tuple[SparseRow, dict[str, SparseRow]]]] = {}
 
 
 class FidelityCacheService:
     """The single cross-stage cache of best-fidelity influence rows.
 
     Caches are keyed by graph *identity* (weakly, so dropped graphs
-    free their rows), fidelity floor, hop budget and transform — mining
+    free their rows), fidelity floor and transform — mining
     a new correlation graph or changing a floor can never serve stale
     rows. Rows are held as :class:`SparseRow` pairs only, so the cache
     grows with total reach, not with N per source.
@@ -548,15 +537,13 @@ class FidelityCacheService:
         return entry
 
     @staticmethod
-    def _key(
-        min_fidelity: float, max_hops: int | None, transform: str
-    ) -> tuple:
+    def _key(min_fidelity: float, transform: str) -> tuple:
         if transform not in ROW_TRANSFORMS:
             raise InferenceError(
                 f"unknown fidelity transform {transform!r}; "
                 f"choose from {ROW_TRANSFORMS}"
             )
-        return (float(min_fidelity), max_hops, transform)
+        return (float(min_fidelity), transform)
 
     def stats(self) -> CacheStats:
         return CacheStats(hits=self._hits, misses=self._misses)
@@ -569,7 +556,7 @@ class FidelityCacheService:
         no cached row: the graph itself still changed), or ``None`` for
         a wholesale invalidation of ``graph`` (``graph`` is ``None`` too
         when every graph went). Every cache derived from fidelity rows
-        — compiled plans, influence indexes, row memos, CELF gains —
+        — compiled plans, row memos, CELF gains —
         subscribes here once. The method is held as a :class:`weakref.WeakMethod`:
         the process-default service outlives any one consumer, so a
         subscription never keeps its owner alive, and dead references
@@ -670,9 +657,7 @@ class FidelityCacheService:
 
         Only rows whose support holds a changed edge's endpoint can
         pass (an unreached ``b[u]`` passes neither test), so those are
-        checked, in blocks (:func:`_stale_rows`). Rows with a
-        ``max_hops`` budget are dropped on any such support hit: their
-        entries are hop-bounded optima, not the fixpoint above.
+        checked, in blocks (:func:`_stale_rows`).
 
         Dropped rows, with their transformed siblings, move to a stash
         that replaces the previous delta's; a re-fetch re-transforms
@@ -702,15 +687,15 @@ class FidelityCacheService:
                 up = int(np.count_nonzero(edges.q1 > edges.q0))
                 span.set(edges_up=up, edges_down=edges.q0.size - up)
                 stash = {}
-                for (floor, hops, transform), raw_rows in list(entry.rows.items()):
+                for (floor, transform), raw_rows in list(entry.rows.items()):
                     if transform != "fidelity" or not raw_rows or not edges.u.size:
                         continue
                     hits, stale = _stale_rows(
-                        list(raw_rows.values()), edges, floor, hops, entry.csr.num_roads
+                        list(raw_rows.values()), edges, floor, entry.csr.num_roads
                     )
                     sources = list(raw_rows)
                     gone = [sources[i] for i in stale.tolist()]
-                    stash[(floor, hops)] = self._evict(entry, floor, hops, gone)
+                    stash[floor] = self._evict(entry, floor, gone)
                     checked += hits
                     removed += len(gone)
                     dropped.update(gone)
@@ -723,13 +708,13 @@ class FidelityCacheService:
         return roads
 
     @staticmethod
-    def _evict(entry: _GraphEntry, floor: float, hops, gone: list[int]) -> dict:
-        """Pop ``gone``'s rows of one (floor, hops); return their stash."""
-        raw = entry.rows[(floor, hops, "fidelity")]
+    def _evict(entry: _GraphEntry, floor: float, gone: list[int]) -> dict:
+        """Pop ``gone``'s rows of one floor; return their stash."""
+        raw = entry.rows[(floor, "fidelity")]
         old_raw = {road: raw.pop(road) for road in gone}
         stash: dict[int, tuple[SparseRow, dict[str, SparseRow]]] = {}
-        for (f, h, transform), per_key in entry.rows.items():
-            if (f, h) != (floor, hops) or transform == "fidelity":
+        for (f, transform), per_key in entry.rows.items():
+            if f != floor or transform == "fidelity":
                 continue
             for road in gone:
                 row = per_key.pop(road, None)
@@ -750,7 +735,6 @@ class FidelityCacheService:
         graph: CorrelationGraph,
         road: int,
         min_fidelity: float = 0.05,
-        max_hops: int | None = None,
         transform: str = "fidelity",
     ) -> SparseRow:
         """Influence row for ``road`` as a read-only :class:`SparseRow`.
@@ -758,14 +742,13 @@ class FidelityCacheService:
         ``indices`` are CSR positions (sorted road-id order); use
         :meth:`SparseRow.dense` for the N-length form.
         """
-        return self.sparse_rows(graph, [road], min_fidelity, max_hops, transform)[0]
+        return self.sparse_rows(graph, [road], min_fidelity, transform)[0]
 
     def sparse_rows(
         self,
         graph: CorrelationGraph,
         roads: Sequence[int],
         min_fidelity: float = 0.05,
-        max_hops: int | None = None,
         transform: str = "fidelity",
     ) -> list[SparseRow]:
         """Influence rows for several roads, in order: the batch :meth:`row`.
@@ -776,7 +759,7 @@ class FidelityCacheService:
         yet cached is one miss, every other entry (repeats included) a
         hit.
         """
-        key = self._key(min_fidelity, max_hops, transform)
+        key = self._key(min_fidelity, transform)
         entry = self._entry(graph)
         per_key = entry.rows.setdefault(key, {})
         missing = [road for road in dict.fromkeys(roads) if road not in per_key]
@@ -802,7 +785,7 @@ class FidelityCacheService:
     ) -> None:
         """Cache the ``key`` rows of ``roads`` (distinct, none cached yet).
 
-        Every transform of the same (graph, floor, hops) derives from
+        Every transform of the same (graph, floor) derives from
         one cached raw propagation; raw rows fetched here do not touch
         the hit/miss stats, so one cold transformed row counts as
         exactly one miss. A transformed row the last graph delta dropped
@@ -810,14 +793,14 @@ class FidelityCacheService:
         the stash; the ``fidelity.retransform`` count tags those entries
         ``reused`` or ``transformed``.
         """
-        min_fidelity, max_hops, transform = key
+        min_fidelity, transform = key
         csr = self.csr(graph)
         unknown = [road for road in roads if road not in csr.index]
         if unknown:
             raise InferenceError(f"source road {unknown[0]} not in correlation graph")
-        raw_rows = entry.rows.setdefault((min_fidelity, max_hops, "fidelity"), {})
+        raw_rows = entry.rows.setdefault((min_fidelity, "fidelity"), {})
         per_key = entry.rows[key]
-        stash = entry.stash.get((min_fidelity, max_hops), {})
+        stash = entry.stash.get(min_fidelity, {})
         reused = transformed = 0
         # A few kernel blocks at a time, each transformed (freeing its
         # stash entries) before the next: a re-fetch after a delta never
@@ -828,7 +811,7 @@ class FidelityCacheService:
             cold = [road for road in part if road not in raw_rows]
             if cold:
                 computed = sparse_fidelity_rows(
-                    csr, [csr.index[road] for road in cold], min_fidelity, max_hops
+                    csr, [csr.index[road] for road in cold], min_fidelity
                 )
                 raw_rows.update(zip(cold, computed))
                 get_recorder().count(

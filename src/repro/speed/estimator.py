@@ -10,8 +10,6 @@ for every road in the correlation graph, carried as the columns of one
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 from repro.core.columns import RoadColumns
@@ -80,10 +78,12 @@ class TwoStepEstimator:
 
     The trend-inference algorithm is pluggable (any object with an
     ``infer(TrendInstance) -> TrendPosterior`` method); the default is
-    the fast propagation method. Per-seed influence maps are cached, so
-    repeated estimation with a fixed seed set (the production pattern —
-    one seed set serves a whole day) costs one pruned Dijkstra per seed
-    total, not per interval.
+    the fast propagation method. Both steps read each seed's influence
+    as its sparse row in the shared
+    :class:`~repro.history.fidelity.FidelityCacheService`, so repeated
+    estimation with a fixed seed set (the production pattern — one seed
+    set serves a whole day) computes each seed's row once, not once per
+    interval.
 
     Step-2 serving runs through compiled
     :class:`~repro.speed.plan.IntervalPlan` objects — one padded
@@ -118,7 +118,6 @@ class TwoStepEstimator:
         self._hlm = hlm or HierarchicalLinearModel.fit(
             store, network, graph, self._params
         )
-        self._influence_cache: dict[frozenset[int], dict[int, dict[int, float]]] = {}
         # `is not None`, not truthiness: an empty cache has len() == 0.
         self._plans = plan_cache if plan_cache is not None else IntervalPlanCache()
         # Pluggable planner construction: the pipeline passes a factory
@@ -127,7 +126,7 @@ class TwoStepEstimator:
         self._planner_factory = planner_factory
         self._planner: IntervalPlanner | None = None
         # The one Step-2 subscriber: every fidelity invalidation reaches
-        # the plans, shards and influence indexes built from the rows.
+        # the plans and shards built from the rows.
         self._fidelity.subscribe(self._on_rows_invalidated)
 
     @property
@@ -324,28 +323,20 @@ class TwoStepEstimator:
             self._planner = factory(
                 self._store, self._network, self._hlm, self._graph.road_ids
             )
-        # The provider re-reads the influence index *after* a delta has
-        # dropped the memoised one, so shard refreshes see fresh rows.
-        # It holds the estimator weakly (the plan lives in the
+        # The provider re-reads the seeds' rows, so a shard refresh
+        # after a delta sees the recomputed ones. It closes over the
+        # service and graph, not the estimator (the plan lives in the
         # estimator's own cache), so the two form no reference cycle.
-        key = frozenset(seeds)
-        influence_index = weakref.WeakMethod(self._influence_index)
+        service, graph = self._fidelity, self._graph
+        floor = self._params.min_fidelity
         return self._planner.compile(
-            seeds, bucket, lambda: influence_index()(key)
+            seeds,
+            bucket,
+            lambda: service.sparse_rows(graph, seeds, min_fidelity=floor),
         )
 
-    def influence_index(
-        self, seeds: frozenset[int] | set[int]
-    ) -> dict[int, dict[int, float]]:
-        """road id -> {seed -> fidelity} for a seed set (cached).
-
-        Public accessor for diagnostics and the reference band loop in
-        ``tests/oracles/uncertainty.py``.
-        """
-        return self._influence_index(frozenset(seeds))
-
     # ------------------------------------------------------------------
-    # Influence caching
+    # Invalidation
     # ------------------------------------------------------------------
     def _on_rows_invalidated(self, graph, roads) -> None:
         """Drop derived state built from invalidated fidelity rows.
@@ -358,44 +349,14 @@ class TwoStepEstimator:
         if graph is not None and graph is not self._graph:
             return
         if roads is None:
-            self._influence_cache.clear()
             self._plans.invalidate()
             if self._planner is not None:
                 self._planner.evict_structures(None)
-        else:
-            road_set = set(roads)
-            stale = [key for key in self._influence_cache if key & road_set]
-            for key in stale:
-                del self._influence_cache[key]
-            if self._planner is not None:
-                self._plans.count_shard_evictions(
-                    self._planner.evict_structures(road_set)
-                )
+        elif self._planner is not None:
+            self._plans.count_shard_evictions(
+                self._planner.evict_structures(set(roads))
+            )
         # In-place graph deltas (notified even when no row changed)
         # make the model's baked edge potentials stale too; they are
         # re-read on first use.
         self._trend_model.refresh_edges()
-
-    def _influence_index(
-        self, seeds: frozenset[int]
-    ) -> dict[int, dict[int, float]]:
-        """road id -> {seed -> fidelity} for the given seed set.
-
-        Built from one batch of the shared cache's sparse rows, seeds in
-        sorted order; a seed's own entry and zero entries are left out.
-        """
-        cached = self._influence_cache.get(seeds)
-        if cached is None:
-            cached = {}
-            ordered = sorted(seeds)
-            rows = self._fidelity.sparse_rows(
-                self._graph, ordered, min_fidelity=self._params.min_fidelity
-            )
-            road_ids = self._fidelity.csr(self._graph).road_ids
-            for seed, (indices, values) in zip(ordered, rows):
-                for i, q in zip(indices.tolist(), values.tolist()):
-                    road = road_ids[i]
-                    if q != 0.0 and road != seed:
-                        cached.setdefault(road, {})[seed] = q
-            self._influence_cache[seeds] = cached
-        return cached

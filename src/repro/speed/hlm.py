@@ -34,7 +34,7 @@ entirely) and F7b (flat, non-hierarchical prior).
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.core.errors import DataError, InferenceError
 from repro.history.correlation import CorrelationGraph
+from repro.history.fidelity import SparseRow
 from repro.history.store import HistoricalSpeedStore
 from repro.obs import get_recorder
 from repro.roadnet.network import RoadNetwork
@@ -112,9 +113,24 @@ class JointSeedRegression:
     def params(self) -> HlmParams:
         return self._params
 
-    def moments(self, seeds: tuple[int, ...]) -> "SeedMoments":
-        """The product inputs of every fit under the plan seed tuple ``seeds``."""
-        return SeedMoments(self, seeds)
+    def columns(self, roads: Sequence[int]) -> np.ndarray:
+        """The store columns of ``roads``; every road must be in the store."""
+        try:
+            return np.fromiter(map(self._column.__getitem__, roads), np.int64)
+        except KeyError as missing:
+            road = missing.args[0]
+            raise InferenceError(f"road {road} not in historical store") from None
+
+    def moments(
+        self, seeds: tuple[int, ...], road_ids: Sequence[int]
+    ) -> "SeedMoments":
+        """The product inputs of every fit under the plan seed tuple ``seeds``.
+
+        ``road_ids`` is the road order the seeds' influence rows index:
+        a :class:`~repro.history.fidelity.SparseRow` position ``i`` is
+        road ``road_ids[i]``.
+        """
+        return SeedMoments(self, seeds, road_ids)
 
 
 @dataclass(frozen=True)
@@ -168,83 +184,85 @@ class SeedMoments:
     """
 
     def __init__(
-        self, regression: JointSeedRegression, seeds: tuple[int, ...]
+        self,
+        regression: JointSeedRegression,
+        seeds: tuple[int, ...],
+        road_ids: Sequence[int],
     ) -> None:
         self.seeds = seeds
         self._regression = regression
-        self._position = {seed: k for k, seed in enumerate(seeds)}
         self._seed_ids = np.asarray(seeds, dtype=np.int64)
-        self._sorter = np.argsort(self._seed_ids, kind="stable")
+        self._columns = regression.columns(road_ids)
+        self._on_seed = np.isin(np.asarray(road_ids, dtype=np.int64), self._seed_ids)
         self._gram: np.ndarray | None = None
 
     def _seed_columns(self) -> np.ndarray:
         """The plan seeds' centred history columns ``X`` (samples × seeds)."""
-        column = self._regression._column
-        cols = []
-        for seed in self.seeds:
-            col = column.get(seed)
-            if col is None:
-                raise InferenceError(f"seed road {seed} not in historical store")
-            cols.append(col)
-        return self._regression._centred[:, cols]
+        return self._regression._centred[:, self._regression.columns(self.seeds)]
 
-    def _positions(self, seed_ids: np.ndarray) -> np.ndarray:
-        """Plan-seed positions of ``seed_ids``; every id must be a plan seed."""
-        if not seed_ids.size:
-            return seed_ids
-        ordered = self._seed_ids[self._sorter]
-        found = np.minimum(np.searchsorted(ordered, seed_ids), len(ordered) - 1)
-        positions = self._sorter[found]
-        stray = seed_ids[self._seed_ids[positions] != seed_ids]
-        if stray.size:
+    def entries(
+        self, seed_rows: Sequence[SparseRow]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The seeds' influence entries on non-seed roads, as flat arrays.
+
+        ``seed_rows`` holds one raw fidelity row per plan seed, in
+        plan-seed order. Returns each entry's plan-seed position, road
+        position and fidelity, seed by seed. Entries on seed roads (each
+        seed's own entry among them) are left out: seed roads are
+        observation pass-throughs, never fitted.
+        """
+        if len(seed_rows) != len(self.seeds):
             raise InferenceError(
-                f"influencing seed {int(stray[0])} is not a plan seed"
+                f"{len(seed_rows)} influence rows for {len(self.seeds)} plan seeds"
             )
-        return positions
+        if not seed_rows:
+            return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+        sizes = [row.indices.size for row in seed_rows]
+        seed = np.repeat(np.arange(len(sizes)), sizes)
+        position = np.concatenate([row.indices for row in seed_rows])
+        q = np.concatenate([row.values for row in seed_rows])
+        keep = ~self._on_seed[position]
+        return seed[keep], position[keep], q[keep]
 
     def gather(
-        self,
-        districts: Sequence[Sequence[int]],
-        influence_by_road: Mapping[int, Mapping[int, float]],
+        self, districts: Sequence[np.ndarray], seed_rows: Sequence[SparseRow]
     ) -> list[FitBatch]:
-        """One :class:`FitBatch` per district of road ids.
+        """One :class:`FitBatch` per district of road positions.
 
-        A district's rows to fit are its non-seed roads that some seed
-        influences (``influence_by_road``: road -> {seed -> fidelity});
-        seed roads are observation pass-throughs and uninfluenced roads
-        keep the prior, so neither is fitted.
+        ``districts`` are disjoint arrays of positions in the road order
+        the moments were built for, which the ``seed_rows`` (see
+        :meth:`entries`) index too. A district's rows to fit are its
+        non-seed roads that some seed reaches; seed roads are
+        observation pass-throughs and unreached roads keep the prior, so
+        neither is fitted. Each row's seeds rank by fidelity, ties by
+        seed id.
         """
         regression = self._regression
-        params = regression.params
         num_seeds = len(self.seeds)
-        width = max(1, min(params.max_seeds_per_road, num_seeds))
-        column = regression._column
+        width = max(1, min(regression.params.max_seeds_per_road, num_seeds))
         recorder = get_recorder()
         with recorder.span("speed.hlm.moments", seeds=num_seeds) as span:
-            owner: list[int] = []
-            local: list[int] = []
-            cols: list[int] = []
-            sizes: list[int] = []
-            entry_seeds: list[int] = []
-            entry_q: list[float] = []
-            for district, members in enumerate(districts):
-                for i, road in enumerate(members):
-                    influence = influence_by_road.get(road)
-                    if not influence or road in self._position:
-                        continue
-                    col = column.get(road)
-                    if col is None:
-                        raise InferenceError(f"road {road} not in historical store")
-                    owner.append(district)
-                    local.append(i)
-                    cols.append(col)
-                    sizes.append(len(influence))
-                    entry_seeds.extend(influence)
-                    entry_q.extend(influence.values())
-            num_rows = len(cols)
-            row_cols = np.asarray(cols, dtype=np.int64)
-            counts = np.minimum(np.asarray(sizes, dtype=np.int64), width)
-            seed_idx = self._ranked(sizes, entry_seeds, entry_q, width)
+            owner = np.full(self._columns.size, -1, dtype=np.int64)
+            local = np.zeros(self._columns.size, dtype=np.int64)
+            for district, positions in enumerate(districts):
+                owner[positions] = district
+                local[positions] = np.arange(len(positions))
+            seed, position, q = self.entries(seed_rows)
+            fitted = owner[position] >= 0
+            seed, position, q = seed[fitted], position[fitted], q[fitted]
+            order = np.lexsort((self._seed_ids[seed], -q, position))
+            seed, position = seed[order], position[order]
+            rows, first, sizes = np.unique(
+                position, return_index=True, return_counts=True
+            )
+            num_rows = rows.size
+            entry_row = np.repeat(np.arange(num_rows), sizes)
+            rank = np.arange(position.size) - first[entry_row]
+            top = rank < width
+            seed_idx = np.full((num_rows, width), num_seeds, dtype=np.int64)
+            seed_idx[entry_row[top], rank[top]] = seed[top]
+            counts = np.minimum(sizes, width)
+            row_cols = self._columns[rows]
             block_of = row_cols // MOMENT_BLOCK_COLUMNS
             blocks = np.unique(block_of)
             moment = np.zeros((num_rows, width))
@@ -257,29 +275,29 @@ class SeedMoments:
                 for block in blocks.tolist():
                     lo = block * MOMENT_BLOCK_COLUMNS
                     product = x.T @ centred[:, lo : lo + MOMENT_BLOCK_COLUMNS]
-                    rows = np.flatnonzero(block_of == block)
-                    moment[rows] = product[clipped[rows], (row_cols[rows] - lo)[:, None]]
+                    at = np.flatnonzero(block_of == block)
+                    moment[at] = product[clipped[at], (row_cols[at] - lo)[:, None]]
             totals = regression._norms[row_cols]
-            span.set(rows=num_rows, blocks=len(blocks))
+            span.set(rows=num_rows, blocks=len(blocks), entries=position.size)
         recorder.count("speed.hlm.regression_fits", num_rows)
 
-        owner_arr = np.asarray(owner, dtype=np.int64)
-        local_arr = np.asarray(local, dtype=np.int64)
+        row_owner = owner[rows]
+        row_local = local[rows]
         batches = []
-        for district, members in enumerate(districts):
-            mine = np.flatnonzero(owner_arr == district)
+        for district, positions in enumerate(districts):
+            mine = np.flatnonzero(row_owner == district)
             groups = []
             for m in np.unique(counts[mine]).tolist():
-                rows = mine[counts[mine] == m]
-                idx = seed_idx[rows, :m]
+                at = mine[counts[mine] == m]
+                idx = seed_idx[at, :m]
                 gram = self._gram[idx[:, :, None], idx[:, None, :]]
                 groups.append(
-                    (local_arr[rows], idx, gram, moment[rows, :m], totals[rows])
+                    (row_local[at], idx, gram, moment[at, :m], totals[at])
                 )
             batches.append(
                 FitBatch(
                     seeds=self.seeds,
-                    num_roads=len(members),
+                    num_roads=len(positions),
                     width=width,
                     num_samples=regression._centred.shape[0],
                     groups=tuple(groups),
@@ -287,31 +305,6 @@ class SeedMoments:
                 )
             )
         return batches
-
-    def _ranked(
-        self,
-        sizes: list[int],
-        entry_seeds: list[int],
-        entry_q: list[float],
-        width: int,
-    ) -> np.ndarray:
-        """Each row's top ``width`` plan-seed positions, padded with ``len(seeds)``.
-
-        Seeds rank by fidelity, ties by seed id. The flattened entries
-        are grouped by row in row order.
-        """
-        sizes_arr = np.asarray(sizes, dtype=np.int64)
-        seed_ids = np.asarray(entry_seeds, dtype=np.int64)
-        q = np.asarray(entry_q, dtype=np.float64)
-        entry_row = np.repeat(np.arange(len(sizes_arr)), sizes_arr)
-        # Rows stay grouped in order, so ``entry_row`` holds for the
-        # sorted entries too.
-        order = np.lexsort((seed_ids, -q, entry_row))
-        rank = np.arange(len(order)) - (np.cumsum(sizes_arr) - sizes_arr)[entry_row]
-        keep = rank < width
-        seed_idx = np.full((len(sizes_arr), width), len(self.seeds), dtype=np.int64)
-        seed_idx[entry_row[keep], rank[keep]] = self._positions(seed_ids[order[keep]])
-        return seed_idx
 
 
 def _row_sum(terms: np.ndarray) -> np.ndarray:

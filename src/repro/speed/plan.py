@@ -50,18 +50,22 @@ interval becomes a handful of array ops:
   :class:`~repro.history.fidelity.FidelityCacheService` subscription
   flushes it and has the planner mark stale shards.
 
+Step 2 reads influence straight from the plan seeds' cached raw
+fidelity rows (:class:`~repro.history.fidelity.SparseRow`), whose
+positions follow the planner's road order (the correlation graph's):
+no per-road influence map is built or kept.
+
 Delta invalidation is district-scoped: a row invalidation marks stale
 only the shards whose compiled regressions used a dropped seed's
 influence rows (``plan.shards_evicted``); the next evaluation recompiles
 exactly those shards (``plan.shard_compiles{district}``,
 ``speed.plan.compile`` spans carrying a ``district`` attribute) after
-re-checking the *fresh* influence index for districts the dropped seeds
-newly reach. Soundness: a changed fidelity row for seed ``s`` can only
-change road ``r``'s regression if ``s`` influenced ``r`` before the
-delta (then ``s`` is in ``r``'s shard's ``active_seeds``) or influences
-it after (then ``r`` shows up in the refreshed influence index with
-``s`` among its seeds, which the refresh pass scans). Untouched
-districts' shards survive by object identity.
+checking the dropped seeds' *fresh* rows for districts they newly
+reach. Soundness: a changed fidelity row for seed ``s`` can only
+change the regression of a non-seed road ``r`` if ``s`` reached ``r``
+before the delta (then ``s`` is in ``r``'s shard's ``active_seeds``) or
+reaches it after (then ``s``'s fresh row holds ``r``, which the refresh
+pass scans). Untouched districts' shards survive by object identity.
 
 Cache traffic is exported as ``plan.cache`` counts and evaluations as
 ``plan.eval`` (mode = full / incremental / cached); the estimator wraps
@@ -74,12 +78,13 @@ from __future__ import annotations
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from repro.core.errors import InferenceError
 from repro.core.types import Trend
+from repro.history.fidelity import SparseRow
 from repro.history.store import HistoricalSpeedStore
 from repro.obs import get_recorder
 from repro.roadnet.network import RoadNetwork
@@ -90,10 +95,6 @@ from repro.speed.hlm import (
     SeedMoments,
     fit_batch,
 )
-
-#: Influence index type: road id -> {seed -> fidelity}.
-InfluenceIndex = Mapping[int, Mapping[int, float]]
-
 
 class _SeedStructure:
     """The bucket-independent half of a plan: regression rows + state.
@@ -224,8 +225,9 @@ class PlanShard:
     ``positions`` are the members' row positions in the planner's road
     order — the scatter targets of the stitched evaluation.
     ``active_seeds`` is the set of plan seeds whose influence reached
-    any member at compile time (the seed's *old support* restricted to
-    this district), the key row invalidations are tested against.
+    a non-seed member at compile time (the seed's *old support*
+    restricted to this district's fitted rows), the key row
+    invalidations are tested against.
     """
 
     __slots__ = ("district", "members", "positions", "structure", "active_seeds")
@@ -267,7 +269,7 @@ class _ShardSet:
             self.restitch(shard)
         self.stale: set[int] = set()
         self.pending_dropped: set[int] = set()
-        self.influence_provider: Callable[[], InfluenceIndex] | None = None
+        self.influence_provider: Callable[[], Sequence[SparseRow]] | None = None
 
     def restitch(self, shard: PlanShard) -> None:
         """Scatter one shard's per-row columns into the global arrays."""
@@ -287,8 +289,8 @@ class _ShardSet:
         already stale is not counted again). The planner's
         :meth:`IntervalPlanner.evict_structures` is the one caller.
         Dropped seeds are also queued so the next refresh can mark
-        districts the seeds newly reach — that side needs the fresh
-        influence index, which only exists lazily.
+        districts the seeds newly reach — that side needs the seeds'
+        fresh rows, which are fetched only then.
         """
         dropped = self._seed_set.intersection(roads)
         if not dropped:
@@ -482,11 +484,9 @@ class IntervalPlanner:
             )
             for chunk in self._partitions
         ]
-        self._district_of = {
-            road: district
-            for district, chunk in enumerate(self._partitions)
-            for road in chunk
-        }
+        self._district_at = np.empty(len(self._road_ids), dtype=np.int64)
+        for district, positions in enumerate(self._shard_positions):
+            self._district_at[positions] = district
         self._shard_sets: "weakref.WeakValueDictionary[tuple[int, ...], _ShardSet]" = (
             weakref.WeakValueDictionary()
         )
@@ -541,15 +541,15 @@ class IntervalPlanner:
         self,
         seeds: tuple[int, ...],
         bucket: int,
-        influence_provider: Callable[[], InfluenceIndex],
+        influence_provider: Callable[[], Sequence[SparseRow]],
     ) -> IntervalPlan:
         """Compile the plan for ``(seeds, bucket)``.
 
-        ``influence_provider`` returns the *current* influence index
-        (road id -> {seed -> fidelity}, floor-filtered). It is read for
-        a cold compile and again when a row
-        invalidation left shards stale, so refreshes see the rows a
-        graph delta recomputed.
+        ``influence_provider`` returns the *current* raw fidelity rows
+        of ``seeds``, in seed order, over the planner's road order. It
+        is called for a cold compile and again when a row invalidation
+        left shards stale, so refreshes see the rows a graph delta
+        recomputed.
         """
         params = self._hlm.params
         with get_recorder().span(
@@ -565,7 +565,7 @@ class IntervalPlanner:
                     PlanShard(district, chunk, self._shard_positions[district])
                     for district, chunk in enumerate(self._partitions)
                 ]
-                moments = self._hlm.regression.moments(seeds)
+                moments = self._hlm.regression.moments(seeds, self._road_ids)
                 self._compile_districts(
                     moments, shards, range(len(shards)), influence_provider()
                 )
@@ -617,26 +617,24 @@ class IntervalPlanner:
         """Recompile exactly the stale shards of one seed set.
 
         Two-sided staleness: shards already marked (a dropped seed's
-        *old* support touched them) plus districts the dropped seeds
-        newly reach in the refreshed influence index (*new* support).
-        Untouched districts keep their structures — and their
-        incremental memos — by object identity.
+        *old* support touched them) plus districts the dropped seeds'
+        fresh rows newly reach (*new* support). Untouched districts keep
+        their structures — and their incremental memos — by object
+        identity.
         """
         provider = shard_set.influence_provider
         assert provider is not None  # set on every compile
-        influence = provider()
+        seed_rows = provider()
         pending = shard_set.pending_dropped
         if pending and len(shard_set.stale) < len(shard_set.shards):
-            for road, seed_influence in influence.items():
-                if pending.isdisjoint(seed_influence):
-                    continue
-                district = self._district_of.get(road)
-                if district is not None:
-                    shard_set.stale.add(district)
+            seed, position, _ = shard_set.moments.entries(seed_rows)
+            dropped = [k for k, s in enumerate(shard_set.seeds) if s in pending]
+            reached = self._district_at[position[np.isin(seed, dropped)]]
+            shard_set.stale.update(np.unique(reached).tolist())
         if shard_set.stale:
             stale = sorted(shard_set.stale)
             self._compile_districts(
-                shard_set.moments, shard_set.shards, stale, influence
+                shard_set.moments, shard_set.shards, stale, seed_rows
             )
             for district in stale:
                 shard_set.restitch(shard_set.shards[district])
@@ -648,7 +646,7 @@ class IntervalPlanner:
         moments: SeedMoments,
         shards: list[PlanShard],
         districts,
-        influence_by_road: InfluenceIndex,
+        seed_rows: Sequence[SparseRow],
     ) -> None:
         """Compile (or recompile) the given districts' structures.
 
@@ -659,8 +657,12 @@ class IntervalPlanner:
         recorder = get_recorder()
         ordered = list(districts)
         batches = moments.gather(
-            [shards[district].members for district in ordered], influence_by_road
+            [shards[district].positions for district in ordered], seed_rows
         )
+        # (district, seed) pairs of every entry on a non-seed road.
+        num_seeds = len(moments.seeds)
+        seed, position, _ = moments.entries(seed_rows)
+        reach = np.unique(self._district_at[position] * num_seeds + seed)
         for district, batch in zip(ordered, batches):
             shard = shards[district]
             with recorder.span(
@@ -672,13 +674,8 @@ class IntervalPlanner:
                 moment_blocks=batch.blocks,
             ):
                 shard.structure = compile_seed_structure(self._hlm.params, batch)
-            shard.active_seeds = frozenset().union(
-                *(
-                    influence_by_road[road]
-                    for road in shard.members
-                    if road in influence_by_road
-                )
-            )
+            active = reach[reach // num_seeds == district] % num_seeds
+            shard.active_seeds = frozenset(moments.seeds[k] for k in active.tolist())
             recorder.count("plan.shard_compiles", district=str(district))
 
 

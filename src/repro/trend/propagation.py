@@ -80,14 +80,12 @@ class TrendPropagationInference:
     def __init__(
         self,
         min_fidelity: float = 0.05,
-        max_hops: int | None = None,
         prior_weight: float = 1.0,
         fidelity_service: FidelityCacheService | None = None,
     ) -> None:
         if prior_weight < 0.0:
             raise InferenceError("prior_weight must be non-negative")
         self._min_fidelity = min_fidelity
-        self._max_hops = max_hops
         self._prior_weight = prior_weight
         self._service = fidelity_service or get_fidelity_service()
 
@@ -154,7 +152,7 @@ class TrendPropagationInference:
         if not seeds:
             return 0
         rows = self._service.sparse_rows(
-            graph, seeds, self._min_fidelity, self._max_hops, "logodds"
+            graph, seeds, self._min_fidelity, "logodds"
         )
         signs = np.fromiter(
             (float(int(instance.evidence[s])) for s in seeds),

@@ -5,11 +5,13 @@ its arithmetic unchanged so the differential tests and benchmarks can
 pin the vectorized production code against it:
 
 * :mod:`tests.oracles.fidelity` — best-path fidelity rows by dict/heap
-  Dijkstra, and by layered relaxation under a hop budget, plus the
-  scalar channel fidelity ``edge_fidelity``, the dense row forms
-  ``best_fidelity_row``/``best_fidelity_rows`` of the CSR kernel, and
-  ``tight_rule_dropped``, the row-by-row, edge-by-edge form of the
-  service's graph-delta invalidation rule;
+  Dijkstra, plus the scalar channel fidelity ``edge_fidelity``, the
+  dense row forms ``best_fidelity_row``/``best_fidelity_rows`` of the
+  CSR kernel, ``tight_rule_dropped``, the row-by-row, edge-by-edge
+  form of the service's graph-delta invalidation rule, and the
+  per-road influence index ``influence_index`` (road -> {seed ->
+  fidelity}) Step 2 once kept, with ``influence_rows`` turning such an
+  index into the seed rows the batched gather reads;
 * :mod:`tests.oracles.objective` — the influence-coverage objective
   with a dict-walk coverage state, accepted by ``greedy_select``,
   ``lazy_greedy_select`` and ``partition_greedy_select``;

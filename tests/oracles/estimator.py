@@ -8,7 +8,7 @@ from repro.history.store import HistoricalSpeedStore
 from repro.speed.hlm import HierarchicalLinearModel
 from repro.trend.model import TrendModel
 from repro.trend.propagation import TrendPropagationInference
-from tests.oracles.fidelity import propagate_fidelity
+from tests.oracles.fidelity import influence_index
 from tests.oracles.hlm import ScalarHlm
 
 
@@ -58,14 +58,9 @@ class ScalarTwoStep:
         key = frozenset(seeds)
         index = self._influence.get(key)
         if index is None:
-            index = {}
-            for seed in sorted(key):
-                for road, q in propagate_fidelity(
-                    self._graph, seed, self._hlm.params.min_fidelity
-                ).items():
-                    if road != seed:
-                        index.setdefault(road, {})[seed] = q
-            self._influence[key] = index
+            index = self._influence[key] = influence_index(
+                self._graph, key, self._hlm.params.min_fidelity
+            )
         return index
 
     def _estimate(

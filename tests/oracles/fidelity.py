@@ -3,8 +3,11 @@
 Also the scalar channel fidelity :func:`edge_fidelity` the CSR export
 vectorizes, :func:`best_fidelity_row` / :func:`best_fidelity_rows`,
 the dense ``N``-length forms of the kernel's sparse rows that the
-tests compare against dict rows, and :func:`tight_rule_dropped`, the
-one-row-one-edge form of the delta invalidation rule.
+tests compare against dict rows, :func:`tight_rule_dropped`, the
+one-row-one-edge form of the delta invalidation rule, and the per-road
+influence index of Step 2 (:func:`influence_index`) with
+:func:`influence_rows`, which turns such an index back into the seed
+rows :meth:`~repro.speed.hlm.SeedMoments.gather` reads.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import heapq
 import numpy as np
 
 from repro.history.correlation import CorrelationGraph
-from repro.history.fidelity import CSRFidelityGraph, sparse_fidelity_rows
+from repro.history.fidelity import CSRFidelityGraph, SparseRow, sparse_fidelity_rows
 
 
 def edge_fidelity(agreement: float) -> float:
@@ -29,7 +32,6 @@ def best_fidelity_row(
     csr: CSRFidelityGraph,
     source: int,
     min_fidelity: float = 0.05,
-    max_hops: int | None = None,
 ) -> np.ndarray:
     """Dense best-path fidelity row from CSR position ``source``.
 
@@ -37,20 +39,17 @@ def best_fidelity_row(
     sparse_fidelity_rows` row: entries below the floor are 0; the source
     is 1.
     """
-    return best_fidelity_rows(csr, [source], min_fidelity, max_hops)[0]
+    return best_fidelity_rows(csr, [source], min_fidelity)[0]
 
 
 def best_fidelity_rows(
     csr: CSRFidelityGraph,
     sources: list[int],
     min_fidelity: float = 0.05,
-    max_hops: int | None = None,
 ) -> np.ndarray:
     """Stacked :func:`best_fidelity_row` for several sources: ``(S, N)``."""
     out = np.zeros((len(sources), csr.num_roads), dtype=np.float64)
-    for i, row in enumerate(
-        sparse_fidelity_rows(csr, sources, min_fidelity, max_hops)
-    ):
+    for i, row in enumerate(sparse_fidelity_rows(csr, sources, min_fidelity)):
         out[i, row.indices] = row.values
     return out
 
@@ -59,19 +58,12 @@ def propagate_fidelity(
     graph: CorrelationGraph,
     source: int,
     min_fidelity: float = 0.05,
-    max_hops: int | None = None,
 ) -> dict[int, float]:
     """Best-path fidelity from ``source`` to every road at or above the floor.
 
-    Semantically identical to :func:`best_fidelity_row`: without a hop
-    budget it is a pruned max-product Dijkstra; with one it is the same
-    frontier-synchronous relaxation in dict form, because single-label Dijkstra cannot bound hops soundly —
-    a weaker-but-shorter path must survive alongside a
-    stronger-but-longer one. The source itself has fidelity 1.
+    Semantically identical to :func:`best_fidelity_row`: a pruned
+    max-product Dijkstra. The source itself has fidelity 1.
     """
-    if max_hops is not None:
-        return _bounded(graph, source, min_fidelity, max_hops)
-
     best: dict[int, float] = {source: 1.0}
     # Max-heap via negated fidelity.
     heap: list[tuple[float, int]] = [(-1.0, source)]
@@ -91,35 +83,45 @@ def propagate_fidelity(
     return best
 
 
-def _bounded(
-    graph: CorrelationGraph, source: int, min_fidelity: float, max_hops: int
-) -> dict[int, float]:
-    """Hop-bounded best fidelity: synchronous layered relaxation.
+def influence_index(
+    graph: CorrelationGraph, seeds, min_fidelity: float
+) -> dict[int, dict[int, float]]:
+    """road id -> {seed -> fidelity} over the scalar rows of ``seeds``.
 
-    After layer ``h``, ``best`` is the optimum over paths of <= ``h``
-    hops — the candidate path's own hop count is what gets bounded, so
-    a road reachable only through a short weak path is never dropped
-    because a longer strong path reached it first.
+    Seeds are walked in sorted order; a seed's own entry is left out.
     """
-    best: dict[int, float] = {source: 1.0}
-    frontier: dict[int, float] = {source: 1.0}
-    for _ in range(max_hops):
-        improved: dict[int, float] = {}
-        for road, fidelity in frontier.items():
-            for edge in graph.neighbours(road):
-                other = edge.other(road)
-                candidate = fidelity * edge_fidelity(edge.agreement)
-                if candidate < min_fidelity:
-                    continue
-                if candidate > best.get(other, 0.0) and candidate > improved.get(
-                    other, 0.0
-                ):
-                    improved[other] = candidate
-        if not improved:
-            break
-        best.update(improved)
-        frontier = improved
-    return best
+    index: dict[int, dict[int, float]] = {}
+    for seed in sorted(seeds):
+        for road, q in propagate_fidelity(graph, seed, min_fidelity).items():
+            if road != seed:
+                index.setdefault(road, {})[seed] = q
+    return index
+
+
+def influence_rows(
+    influence_by_road: dict[int, dict[int, float]], seeds, road_ids
+) -> list[SparseRow]:
+    """The seed rows an influence index holds, over positions in ``road_ids``.
+
+    One :class:`~repro.history.fidelity.SparseRow` per seed, in
+    ``seeds`` order, with sorted positions: the form
+    :meth:`~repro.speed.hlm.SeedMoments.gather` reads.
+    """
+    position = {road: i for i, road in enumerate(road_ids)}
+    by_seed: dict[int, dict[int, float]] = {seed: {} for seed in seeds}
+    for road, row in influence_by_road.items():
+        for seed, q in row.items():
+            by_seed[seed][position[road]] = q
+    rows = []
+    for seed in seeds:
+        entries = sorted(by_seed[seed].items())
+        rows.append(
+            SparseRow.frozen(
+                np.array([i for i, _ in entries], dtype=np.int64),
+                np.array([q for _, q in entries], dtype=np.float64),
+            )
+        )
+    return rows
 
 
 def tight_rule_dropped(
@@ -129,17 +131,16 @@ def tight_rule_dropped(
 ) -> tuple[tuple[int, ...], dict[str, int]]:
     """The sources the tight-edge delta rule drops, and its work counts.
 
-    ``rows`` is a service's row cache before the delta (``(floor, hops,
+    ``rows`` is a service's row cache before the delta (``(floor,
     transform) -> {road -> SparseRow}``), ``before`` the graph before
     the delta. One changed edge and one cached raw row at a time: ``q0``
     is the edge fidelity in ``before`` and ``q1`` after the delta (0
     where absent), ``b`` the row with unreached entries at
     ``nextafter(floor, 0)``. A row whose support holds no endpoint of an
-    edge with ``q0 != q1`` is not checked. A checked row with a hop
-    budget is dropped; otherwise it is dropped iff some edge went up
-    with ``b[u]·q1 > b[v]`` or ``b[v]·q1 > b[u]``, or went down and was
-    tight at a reached target: ``b[v] == b[u]·q0`` with ``b[v] >=
-    floor``, or the mirror case.
+    edge with ``q0 != q1`` is not checked. A checked row is dropped iff
+    some edge went up with ``b[u]·q1 > b[v]`` or ``b[v]·q1 > b[u]``, or
+    went down and was tight at a reached target: ``b[v] == b[u]·q0``
+    with ``b[v] >= floor``, or the mirror case.
 
     Returns the sorted dropped sources and the counts the
     ``fidelity.apply_delta`` span reports: ``edges_up``,
@@ -163,7 +164,7 @@ def tight_rule_dropped(
         "rows_dropped": 0,
     }
     dropped: set[int] = set()
-    for (floor, hops, transform), per_key in rows.items():
+    for (floor, transform), per_key in rows.items():
         if transform != "fidelity":
             continue
         unreached = float(np.nextafter(floor, 0.0))
@@ -172,7 +173,7 @@ def tight_rule_dropped(
             if not any(u in b or v in b for u, v, _, _ in changes):
                 continue
             counts["rows_checked"] += 1
-            if hops is None and not any(
+            if not any(
                 _passes(b.get(u, unreached), b.get(v, unreached), q0, q1, floor)
                 for u, v, q0, q1 in changes
             ):

@@ -133,8 +133,8 @@ class MonolithicPlanner:
     def compile(self, seeds, bucket, influence_provider) -> MonolithicPlan:
         params = self._hlm.params
         seeds = tuple(seeds)
-        (batch,) = self._hlm.regression.moments(seeds).gather(
-            [self._road_ids], influence_provider()
+        (batch,) = self._hlm.regression.moments(seeds, self._road_ids).gather(
+            [np.arange(len(self._road_ids))], influence_provider()
         )
         structure = compile_seed_structure(params, batch)
         hierarchy = self._hlm.hierarchy

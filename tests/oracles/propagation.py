@@ -24,11 +24,9 @@ class ScalarPropagationInference:
     def __init__(
         self,
         min_fidelity: float = 0.05,
-        max_hops: int | None = None,
         prior_weight: float = 1.0,
     ) -> None:
         self._min_fidelity = min_fidelity
-        self._max_hops = max_hops
         self._prior_weight = prior_weight
         self._rows: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -45,7 +43,7 @@ class ScalarPropagationInference:
             fidelities = rows.get(seed_road)
             if fidelities is None:
                 fidelities = rows[seed_road] = propagate_fidelity(
-                    graph, seed_road, self._min_fidelity, self._max_hops
+                    graph, seed_road, self._min_fidelity
                 )
             for road, q in fidelities.items():
                 if road == seed_road:

@@ -6,11 +6,14 @@ sweep.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.types import SpeedEstimate
 from repro.history.store import HistoricalSpeedStore
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.plan import compile_seed_structure
 from repro.speed.uncertainty import _Z_BY_CONFIDENCE, SpeedBand, z_for_confidence
+from tests.oracles.fidelity import influence_index, influence_rows
 
 
 class ScalarBands:
@@ -19,11 +22,11 @@ class ScalarBands:
     Same constructor and ``bands_for`` as
     :class:`~repro.speed.uncertainty.UncertaintyModel`, but each
     non-seed road is fitted on its own, as a one-road batch of the
-    production kernel under the round's seed tuple, to recover its
-    residual std, and reads its historical speed from the store, instead
-    of gathering both from the compiled plan. A row's fit does not
-    depend on the batch it is fitted in, so the bands stay bitwise
-    equal to the plan's.
+    production kernel under the round's seed tuple over the seeds'
+    scalar influence rows, to recover its residual std, and reads its
+    historical speed from the store, instead of gathering both from the
+    compiled plan. A row's fit does not depend on the batch it is
+    fitted in, so the bands stay bitwise equal to the plan's.
     """
 
     def __init__(
@@ -48,15 +51,21 @@ class ScalarBands:
         estimates: dict[int, SpeedEstimate],
         seed_speeds: dict[int, float],
     ) -> dict[int, SpeedBand]:
-        influence_by_road = self._estimator.influence_index(set(seed_speeds))
         hlm = self._estimator.hlm
-        moments = hlm.regression.moments(tuple(sorted(seed_speeds)))
+        graph = self._estimator.trend_model.graph
+        seeds = tuple(sorted(seed_speeds))
+        road_ids = graph.road_ids
+        position = {road: i for i, road in enumerate(road_ids)}
+        seed_rows = influence_rows(
+            influence_index(graph, seeds, hlm.params.min_fidelity), seeds, road_ids
+        )
+        moments = hlm.regression.moments(seeds, road_ids)
         bands: dict[int, SpeedBand] = {}
         for road, estimate in estimates.items():
             if estimate.is_seed:
                 std_kmh = self._seed_std
             else:
-                (batch,) = moments.gather([(road,)], influence_by_road)
+                (batch,) = moments.gather([np.array([position[road]])], seed_rows)
                 fitted = compile_seed_structure(hlm.params, batch)
                 historical = self._store.historical_speed(
                     road, estimate.interval

@@ -17,8 +17,13 @@ roads no seed reaches and seed roads):
   or one per district (in reverse order, on fresh moments), and the
   stacked solve split into chunks in any row order;
 * the work counters: a one-edge delta in one district of a 4-district
-  plan fits exactly that district's influenced non-seed rows, and a
-  gather computes each column block of the product at most once.
+  plan fits exactly that district's influenced non-seed rows, reads
+  exactly their influence entries, fetches each plan seed's row once,
+  and a gather computes each column block of the product at most once.
+
+Influence is handed to the kernel as the plan seeds' sparse rows; the
+tests build those rows from a road -> {seed -> fidelity} index with
+``tests/oracles/fidelity.py::influence_rows``.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ from repro.speed.hlm import (
     fit_batch,
 )
 from repro.speed.plan import IntervalPlanCache, IntervalPlanner
-from tests.oracles import ScalarSeedRegression
+from tests.oracles import ScalarSeedRegression, ScalarTwoStep
+from tests.oracles.fidelity import influence_rows
 
 #: Fidelities with frequent ties, so the seed-id tie-break is exercised.
 FIDELITIES = (0.25, 0.5, 0.75, 1.0)
@@ -80,9 +86,18 @@ def fit_cases(draw):
     return store, params, seeds, influence
 
 
-def _fit_rows(regression, seeds, districts, influence):
+def _gather(regression, seeds, roads, districts, influence):
+    """``gather`` of ``districts`` (road-id tuples) over the road order ``roads``."""
+    position = {road: i for i, road in enumerate(roads)}
+    return regression.moments(seeds, roads).gather(
+        [np.array([position[road] for road in d], dtype=np.int64) for d in districts],
+        influence_rows(influence, seeds, roads),
+    )
+
+
+def _fit_rows(regression, seeds, roads, districts, influence):
     """road -> its fitted row's bytes, gathering ``districts`` in one call."""
-    batches = regression.moments(seeds).gather(districts, influence)
+    batches = _gather(regression, seeds, roads, districts, influence)
     rows = {}
     for members, batch in zip(districts, batches):
         fits = fit_batch(regression.params, batch)
@@ -113,7 +128,7 @@ class TestAgainstOracle:
         store, params, seeds, influence = case
         roads = tuple(store.road_ids)
         regression = JointSeedRegression(store, params)
-        (batch,) = regression.moments(seeds).gather([roads], influence)
+        (batch,) = _gather(regression, seeds, roads, [roads], influence)
         fits = fit_batch(params, batch)
         oracle = ScalarSeedRegression(store, params)
         for i, road in enumerate(roads):
@@ -154,7 +169,7 @@ class TestAgainstOracle:
         seeds = (10, 11, 12)
         influence = {13: {10: 0.5, 11: 0.5}, 14: {10: 0.9, 12: 0.4}}
         regression = JointSeedRegression(store, params)
-        (batch,) = regression.moments(seeds).gather([tuple(road_ids)], influence)
+        (batch,) = _gather(regression, seeds, road_ids, [tuple(road_ids)], influence)
         fits = fit_batch(params, batch)
         oracle = ScalarSeedRegression(store, params)
         singular = oracle.for_road(13, influence[13])
@@ -164,7 +179,7 @@ class TestAgainstOracle:
         np.testing.assert_allclose(fits.coef[4, :2], regular.coefficients, rtol=1e-9)
         # The regular row has the bits it has when fitted with no
         # singular row beside it.
-        alone = _fit_rows(regression, seeds, [(14,)], influence)
+        alone = _fit_rows(regression, seeds, road_ids, [(14,)], influence)
         assert alone[14] == _row_bytes(fits, 4)
 
 
@@ -179,22 +194,22 @@ class TestBatchInvariance:
         store, params, seeds, influence = case
         roads = list(store.road_ids)
         regression = JointSeedRegression(store, params)
-        reference = _fit_rows(regression, seeds, [tuple(roads)], influence)
+        reference = _fit_rows(regression, seeds, roads, [tuple(roads)], influence)
 
         # Any partition of any road order, gathered in one call.
         shuffled = data.draw(st.permutations(roads))
         cuts = data.draw(st.lists(st.integers(min_value=1, max_value=len(roads))))
         districts = _partition(shuffled, cuts)
-        assert _fit_rows(regression, seeds, districts, influence) == reference
+        assert _fit_rows(regression, seeds, roads, districts, influence) == reference
 
         # One gather per district, in reverse order, each on fresh moments.
         separate = {}
         for district in reversed(districts):
-            separate.update(_fit_rows(regression, seeds, [district], influence))
+            separate.update(_fit_rows(regression, seeds, roads, [district], influence))
         assert separate == reference
 
         # The stacked solves split into chunks of shuffled rows.
-        (batch,) = regression.moments(seeds).gather([tuple(roads)], influence)
+        (batch,) = _gather(regression, seeds, roads, [tuple(roads)], influence)
         size = data.draw(st.integers(min_value=1, max_value=5))
         for rows, idx, gram, moment, total in batch.groups:
             order = data.draw(st.permutations(range(len(rows))))
@@ -251,8 +266,12 @@ class TestWorkCounters:
             return store.road_column(road) // 16
 
         def fitted_roads(part):
-            index = est.influence_index(set(seeds))
+            index = ScalarTwoStep(store, graph, hlm).influence_index(seeds)
             return [r for r in part if r not in speeds and index.get(r)]
+
+        def entries(roads):
+            index = ScalarTwoStep(store, graph, hlm).influence_index(seeds)
+            return sum(len(index[r]) for r in roads)
 
         rec = FlightRecorder()
         previous = set_recorder(rec)
@@ -263,6 +282,7 @@ class TestWorkCounters:
             cold = [s for s in spans if "district" in s.attrs]
             every_row = [r for part in parts for r in fitted_roads(part)]
             assert moments.attrs["rows"] == len(every_row)
+            assert moments.attrs["entries"] == entries(every_row)
             # One gather for all four districts: each block once.
             assert moments.attrs["blocks"] == len({block_of(r) for r in every_row})
             assert sum(s.attrs["moment_blocks"] for s in cold) >= moments.attrs["blocks"]
@@ -283,8 +303,23 @@ class TestWorkCounters:
                 reweighted=(CorrelationEdge(edge.road_u, edge.road_v, 0.93),),
             )
             graph.apply_delta(delta)
-            fidelity.apply_graph_delta(graph, delta)
-            after = est.estimate_interval(interval, speeds)
+            lost = set(fidelity.apply_graph_delta(graph, delta)) & set(seeds)
+            assert lost
+            # The refresh fetches each plan seed's row once: the rows the
+            # delta dropped miss, the others hit.
+            plan = est.plan_for(interval, seeds)
+            rec.tracer.drain()
+            hits = rec.registry.counter("fidelity.cache", hit="true").value
+            misses = rec.registry.counter("fidelity.cache", hit="false").value
+            plan.has_reg
+            assert (
+                rec.registry.counter("fidelity.cache", hit="false").value - misses
+                == len(lost)
+            )
+            assert (
+                rec.registry.counter("fidelity.cache", hit="true").value - hits
+                == len(seeds) - len(lost)
+            )
             spans = rec.tracer.drain()
             (moments,) = [s for s in spans if s.name == "speed.hlm.moments"]
             (refresh,) = [s for s in spans if "district" in s.attrs]
@@ -292,12 +327,14 @@ class TestWorkCounters:
             assert refresh.attrs["district"] == 2
             assert refresh.attrs["rows_fitted"] == len(touched)
             assert moments.attrs["rows"] == len(touched)
+            assert moments.attrs["entries"] == entries(touched)
             blocks = len({block_of(r) for r in touched})
             assert moments.attrs["blocks"] == refresh.attrs["moment_blocks"] == blocks
             assert (
                 rec.registry.counter("speed.hlm.regression_fits").value
                 == fits_before + len(touched)
             )
+            after = est.estimate_interval(interval, speeds)
         finally:
             set_recorder(previous)
 

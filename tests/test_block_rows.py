@@ -39,23 +39,22 @@ from tests.strategies import random_graphs
 from tests.test_sparse_rows import TRANSFORMS, dense_reference
 
 FLOORS = (0.01, 0.05, 0.5)
-HOPS = (None, 1, 2, 3)
 
 
-def oracle_row(graph, csr, position, floor, hops):
+def oracle_row(graph, csr, position, floor):
     """The scalar oracle row as sorted ``(indices, values)`` arrays."""
-    fidelities = propagate_fidelity(graph, csr.road_ids[position], floor, hops)
+    fidelities = propagate_fidelity(graph, csr.road_ids[position], floor)
     indices = np.array(sorted(csr.index[road] for road in fidelities), dtype=np.int64)
     values = np.array([fidelities[csr.road_ids[i]] for i in indices.tolist()])
     return indices, values
 
 
-def assert_rows_match_oracle(graph, csr, sources, rows, floor, hops):
+def assert_rows_match_oracle(graph, csr, sources, rows, floor):
     assert len(rows) == len(sources)
     expected = {}
     for source, row in zip(sources, rows):
         if source not in expected:
-            expected[source] = oracle_row(graph, csr, source, floor, hops)
+            expected[source] = oracle_row(graph, csr, source, floor)
         indices, values = expected[source]
         assert row.indices.dtype == np.int64
         assert np.array_equal(row.indices, indices)
@@ -63,13 +62,12 @@ def assert_rows_match_oracle(graph, csr, sources, rows, floor, hops):
         assert not row.indices.flags.writeable and not row.values.flags.writeable
 
 
-def frontier_relaxations(graph, source, floor, hops):
+def frontier_relaxations(graph, source, floor):
     """Candidate edges a frontier-synchronous relaxation examines."""
     best = {source: 1.0}
     frontier = {source: 1.0}
     examined = 0
-    hop = 0
-    while frontier and (hops is None or hop < hops):
+    while frontier:
         improved: dict[int, float] = {}
         for road, fidelity in frontier.items():
             for edge in graph.neighbours(road):
@@ -82,7 +80,6 @@ def frontier_relaxations(graph, source, floor, hops):
                     improved[other] = candidate
         best.update(improved)
         frontier = improved
-        hop += 1
     return examined
 
 
@@ -93,10 +90,9 @@ def frontier_relaxations(graph, source, floor, hops):
 @given(
     graph=random_graphs(),
     floor=st.sampled_from(FLOORS),
-    hops=st.sampled_from(HOPS),
     data=st.data(),
 )
-def test_block_rows_bitwise_equal_oracle(graph, floor, hops, data):
+def test_block_rows_bitwise_equal_oracle(graph, floor, data):
     csr = CSRFidelityGraph.from_graph(graph)
     n = csr.num_roads
     block = row_block_size(n)
@@ -107,8 +103,8 @@ def test_block_rows_bitwise_equal_oracle(graph, floor, hops, data):
     full = [i % n for i in range(block)]
     more = full + data.draw(st.lists(positions, min_size=1, max_size=2 * n))
     for sources in (single, full, more):
-        rows = sparse_fidelity_rows(csr, sources, floor, hops)
-        assert_rows_match_oracle(graph, csr, sources, rows, floor, hops)
+        rows = sparse_fidelity_rows(csr, sources, floor)
+        assert_rows_match_oracle(graph, csr, sources, rows, floor)
 
 
 def test_duplicates_isolated_roads_and_extreme_edges():
@@ -126,9 +122,8 @@ def test_duplicates_isolated_roads_and_extreme_edges():
     csr = CSRFidelityGraph.from_graph(graph)
     sources = [5, 0, 0, 2, 5, 4, 1, 0]
     for floor in FLOORS:
-        for hops in HOPS:
-            rows = sparse_fidelity_rows(csr, sources, floor, hops)
-            assert_rows_match_oracle(graph, csr, sources, rows, floor, hops)
+        rows = sparse_fidelity_rows(csr, sources, floor)
+        assert_rows_match_oracle(graph, csr, sources, rows, floor)
     # Through q == 1 edges the whole 0-1-3 triangle is at fidelity 1.
     row = sparse_fidelity_rows(csr, [0], 0.05)[0]
     assert row.indices.tolist() == [0, 1, 3] and row.values.tolist() == [1.0] * 3
@@ -155,16 +150,15 @@ def test_dense_stack_and_empty_batch():
 @given(
     graph=random_graphs(),
     floor=st.sampled_from(FLOORS),
-    hops=st.sampled_from(HOPS),
     data=st.data(),
 )
-def test_service_batches_equal_oracle_under_every_transform(graph, floor, hops, data):
+def test_service_batches_equal_oracle_under_every_transform(graph, floor, data):
     roads = data.draw(st.lists(st.sampled_from(graph.road_ids), min_size=1, max_size=12))
     service = FidelityCacheService()
     for transform in TRANSFORMS:
-        rows = service.sparse_rows(graph, roads, floor, hops, transform)
+        rows = service.sparse_rows(graph, roads, floor, transform)
         for road, row in zip(roads, rows):
-            support, dense = dense_reference(graph, road, floor, hops, transform)
+            support, dense = dense_reference(graph, road, floor, transform)
             assert np.array_equal(row.indices, support)
             assert np.array_equal(row.values, dense[support])
 
@@ -180,10 +174,9 @@ def _counter(rec, name, **labels):
 @given(
     graph=random_graphs(),
     floor=st.sampled_from(FLOORS),
-    hops=st.sampled_from(HOPS),
     data=st.data(),
 )
-def test_rows_span_counts_relaxations(graph, floor, hops, data):
+def test_rows_span_counts_relaxations(graph, floor, data):
     csr = CSRFidelityGraph.from_graph(graph)
     sources = data.draw(
         st.lists(st.integers(0, csr.num_roads - 1), min_size=1, max_size=10)
@@ -191,7 +184,7 @@ def test_rows_span_counts_relaxations(graph, floor, hops, data):
     rec = FlightRecorder()
     previous = set_recorder(rec)
     try:
-        rows = sparse_fidelity_rows(csr, sources, floor, hops)
+        rows = sparse_fidelity_rows(csr, sources, floor)
         spans = [s for s in rec.tracer.drain() if s.name == "history.fidelity.rows"]
     finally:
         set_recorder(previous)
@@ -199,7 +192,7 @@ def test_rows_span_counts_relaxations(graph, floor, hops, data):
     assert spans[0].attrs["rows"] == len(sources)
     assert spans[0].attrs["nonzeros"] == sum(row.indices.size for row in rows)
     assert spans[0].attrs["relaxations"] == sum(
-        frontier_relaxations(graph, csr.road_ids[s], floor, hops) for s in sources
+        frontier_relaxations(graph, csr.road_ids[s], floor) for s in sources
     )
 
 

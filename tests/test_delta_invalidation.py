@@ -2,8 +2,7 @@
 
 :meth:`~repro.history.fidelity.FidelityCacheService.apply_graph_delta`
 drops a cached row only when the delta's tight-edge test says it can
-change (rows with a hop budget: when their support holds a changed
-edge's endpoint). Pinned here against the scalar rule in
+change. Pinned here against the scalar rule in
 ``tests/oracles/fidelity.py`` and against cold recomputes, on
 hypothesis graphs whose dyadic fidelities make equal-product ties,
 ``q = 1`` edges and entries exactly at the floor common:
@@ -97,7 +96,6 @@ def fetch_rows(data, service, graph):
             graph,
             source,
             data.draw(st.sampled_from(FLOORS)),
-            data.draw(st.sampled_from([None, None, 2])),
             data.draw(st.sampled_from(TRANSFORMS)),
         )
 
@@ -158,12 +156,12 @@ def check_refetch(service, graph, rows):
     """Every row cached before is served bitwise equal to a cold one."""
     cold = FidelityCacheService()
     csr = cold.csr(graph)
-    for key in sorted(rows, key=lambda k: k[2] != "fidelity"):
-        floor, hops, transform = key
+    for key in sorted(rows, key=lambda k: k[1] != "fidelity"):
+        floor, transform = key
         for source in rows[key]:
             row = service.row(graph, source, *key)
             assert bitwise(row, cold.row(graph, source, *key)), (key, source)
-            raw = service.row(graph, source, floor, hops)
+            raw = service.row(graph, source, floor)
             assert row.indices is raw.indices
             assert bitwise(row, _transform_row(raw, csr.index[source], transform))
 
@@ -252,26 +250,6 @@ def test_edges_at_the_floor_and_ties():
     assert service.row(graph, 0, 0.25).values.tolist() == [1.0, 0.5, 0.25, 0.25]
 
 
-def test_hop_budget_rows_keep_the_support_test():
-    graph = CorrelationGraph(
-        [0, 1, 2],
-        [
-            CorrelationEdge(0, 1, 1.0),
-            CorrelationEdge(1, 2, 1.0),
-            CorrelationEdge(0, 2, 0.75),
-        ],
-    )
-    service = FidelityCacheService()
-    service.row(graph, 0, max_hops=2)
-    service.row(graph, 0)
-    delta = GraphDelta((), (), (CorrelationEdge(0, 2, 0.625),))
-    graph.apply_delta(delta)
-    assert service.apply_graph_delta(graph, delta) == (0,)
-    entry = service._graphs[graph]
-    assert 0 not in entry.rows[(0.05, 2, "fidelity")]
-    assert 0 in entry.rows[(0.05, None, "fidelity")]
-
-
 def _fixed_graph():
     """A 60-road strip: influence reaches a few roads each way."""
     rng = random.Random(11)
@@ -322,7 +300,7 @@ def test_work_counts_match_the_oracle():
             service.sparse_rows(graph, graph.road_ids, transform=transform)
         # Entries of the re-fetched transformed rows whose raw value held.
         reused = total = 0
-        old_raw = rows[(0.05, None, "fidelity")]
+        old_raw = rows[(0.05, "fidelity")]
         for source in dropped:
             new = service.row(graph, source)
             before_row = old_raw[source]

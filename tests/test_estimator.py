@@ -110,7 +110,6 @@ class TestEstimateInterval:
         intervals = small_dataset.test_day_intervals()[30:34]
         for interval in intervals:
             estimator.estimate_interval(interval, seed_speeds)
-        assert len(estimator._influence_cache) == 1
         # Per-seed influence lives in the shared cross-stage service:
         # at most one miss per (seed, transform) across all intervals
         # (raw fidelity for Step-2 weighting, log-odds for Step-1 votes),

@@ -1,7 +1,7 @@
 """Tests for the shared CSR fidelity kernel and cross-stage cache.
 
 The kernel's contract is differential: bitwise-identical fidelity rows
-to the scalar dict/heap oracle on any graph, floor and hop budget.
+to the scalar dict/heap oracle on any graph and floor.
 The service's contract is shared caching without poisoning: every
 consumer sees the same read-only rows, and mutating a returned result
 is an error rather than a cache corruption.
@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import InferenceError
-from repro.core.types import Trend
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.fidelity import (
     CSRFidelityGraph,
@@ -115,43 +114,19 @@ class TestKernel:
         assert rows.shape == (2, 3)
         assert rows[0, 0] == 1.0 and rows[1, 2] == 1.0
 
-    def test_max_hops_bounds_candidate_paths(self):
-        """Diamond: strong 2-hop route must not shadow the weak 1-hop one.
-
-        0-1-2 carries fidelity 0.81 to road 2 in two hops while the
-        direct 0-2 edge carries 0.2 in one; road 3 hangs off road 2. At
-        ``max_hops=2`` road 3 is reachable only as 0→2→3 through the
-        *weak* edge — single-label Dijkstra pruning (the old bug)
-        settles road 2 at 0.81 with hop count 2 and drops road 3.
-        """
-        graph = CorrelationGraph(
-            [0, 1, 2, 3],
-            [
-                CorrelationEdge(0, 1, 0.95),  # q = 0.9
-                CorrelationEdge(1, 2, 0.95),  # q = 0.9 -> 0.81 at 2 hops
-                CorrelationEdge(0, 2, 0.6),  # q = 0.2 at 1 hop
-                CorrelationEdge(2, 3, 0.9),  # q = 0.8
-            ],
-        )
-        csr = CSRFidelityGraph.from_graph(graph)
-        row = best_fidelity_row(csr, 0, min_fidelity=0.01, max_hops=2)
-        assert row[csr.index[2]] == pytest.approx(0.81)
-        assert row[csr.index[3]] == pytest.approx(0.2 * 0.8)
-
 
 @settings(max_examples=60, deadline=None)
 @given(
     graph=random_graphs(),
     min_fidelity=st.sampled_from([1e-6, 0.05, 0.3]),
-    max_hops=st.sampled_from([None, 1, 2, 3]),
     data=st.data(),
 )
-def test_kernel_bitwise_equals_scalar(graph, min_fidelity, max_hops, data):
+def test_kernel_bitwise_equals_scalar(graph, min_fidelity, data):
     """The vectorized kernel and the scalar oracle agree exactly."""
     source = data.draw(st.sampled_from(graph.road_ids))
     csr = CSRFidelityGraph.from_graph(graph)
-    row = best_fidelity_row(csr, csr.index[source], min_fidelity, max_hops)
-    scalar = propagate_fidelity(graph, source, min_fidelity, max_hops)
+    row = best_fidelity_row(csr, csr.index[source], min_fidelity)
+    scalar = propagate_fidelity(graph, source, min_fidelity)
     dense_scalar = np.zeros(csr.num_roads)
     for road, fid in scalar.items():
         dense_scalar[csr.index[road]] = fid
@@ -179,12 +154,10 @@ class TestService:
         graph = line_graph([0.8, 0.8, 0.8])
         loose = service.row(graph, 0, min_fidelity=0.01).dense(4)
         tight = service.row(graph, 0, min_fidelity=0.5).dense(4)
-        bounded = service.row(graph, 0, min_fidelity=0.01, max_hops=1).dense(4)
         variance = service.row(
             graph, 0, min_fidelity=0.01, transform="variance"
         ).dense(4)
         assert np.count_nonzero(loose) > np.count_nonzero(tight)
-        assert np.count_nonzero(bounded) == 2
         assert variance[1] == pytest.approx(math.sin(math.pi * 0.6 / 2.0) ** 2)
         # Raw row unchanged by transform requests.
         assert loose[1] == pytest.approx(0.6)
@@ -357,24 +330,3 @@ class TestKernelInferenceEquivalence:
             np.testing.assert_allclose(
                 kernel.as_array(), scalar.as_array(), atol=1e-9, rtol=0
             )
-
-    def test_max_hops_respected_through_inference(self):
-        graph = line_graph([0.9, 0.9, 0.9])
-        store_roads = graph.road_ids
-        instance_evidence = {0: Trend.RISE}
-        import numpy as _np
-
-        from repro.trend.model import TrendInstance
-
-        instance = TrendInstance(
-            road_ids=tuple(store_roads),
-            prior_rise=_np.full(len(store_roads), 0.5),
-            edges=tuple(),
-            evidence=instance_evidence,
-            graph=graph,
-        )
-        bounded = TrendPropagationInference(
-            max_hops=1, fidelity_service=FidelityCacheService()
-        ).infer(instance)
-        assert bounded.p_rise(1) > 0.5  # one hop away: voted on
-        assert bounded.p_rise(2) == pytest.approx(0.5)  # beyond the budget

@@ -14,6 +14,7 @@ from repro.speed.hlm import (
 from repro.speed.plan import compile_seed_structure
 from repro.trend.model import TrendPosterior
 from tests.oracles import ScalarHlm
+from tests.oracles.fidelity import influence_rows
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +54,10 @@ class TestHlmParams:
 def fit_one(store, params, road, influence, seeds=None):
     """``road``'s row from the batched kernel, fitted as a one-road batch."""
     seeds = tuple(sorted(influence)) if seeds is None else seeds
-    (batch,) = JointSeedRegression(store, params).moments(seeds).gather(
-        [(road,)], {road: influence}
+    road_ids = store.road_ids
+    (batch,) = JointSeedRegression(store, params).moments(seeds, road_ids).gather(
+        [np.array([road_ids.index(road)])],
+        influence_rows({road: influence}, seeds, road_ids),
     )
     return seeds, batch, fit_batch(params, batch)
 

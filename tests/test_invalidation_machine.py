@@ -1,8 +1,8 @@
 """Stateful differential for the fidelity service's one subscription.
 
 Every cache derived from fidelity rows — the objective's row memos,
-the warm CELF gains, the estimator's influence indexes, the planner's
-shard sets and the plan cache — learns about graph changes from one
+the warm CELF gains, the planner's shard sets and the plan cache —
+learns about graph changes from one
 weak ``(graph, roads | None)`` subscription on the system's
 :class:`~repro.history.fidelity.FidelityCacheService`. A
 :class:`~hypothesis.stateful.RuleBasedStateMachine` interleaves graph

@@ -70,13 +70,10 @@ def test_coverage_gains_match_oracle(graph, min_fidelity, transform, data):
 @given(
     graph=random_graphs(max_roads=10),
     min_fidelity=FLOORS,
-    max_hops=st.sampled_from([None, 1, 2, 3]),
     prior_weight=st.sampled_from([0.0, 1.0, 2.5]),
     data=st.data(),
 )
-def test_step1_posteriors_match_oracle(
-    graph, min_fidelity, max_hops, prior_weight, data
-):
+def test_step1_posteriors_match_oracle(graph, min_fidelity, prior_weight, data):
     roads = tuple(sorted(graph.road_ids))
     prior = data.draw(
         st.lists(
@@ -101,11 +98,8 @@ def test_step1_posteriors_match_oracle(
     )
     got = TrendPropagationInference(
         min_fidelity,
-        max_hops,
         prior_weight,
         fidelity_service=FidelityCacheService(),
     ).infer(instance)
-    want = ScalarPropagationInference(min_fidelity, max_hops, prior_weight).infer(
-        instance
-    )
+    want = ScalarPropagationInference(min_fidelity, prior_weight).infer(instance)
     np.testing.assert_allclose(got.as_array(), want.as_array(), atol=1e-9, rtol=0)

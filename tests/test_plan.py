@@ -21,6 +21,7 @@ from repro.speed.estimator import TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
 from repro.speed.plan import IntervalPlanCache
 from tests.oracles import ScalarTwoStep
+from tests.oracles.fidelity import influence_rows
 
 SPEED_TOL = 1e-9
 
@@ -225,7 +226,9 @@ class TestIncrementalUpdates:
         bumped = dict(speeds)
         bumped[seeds[0]] *= 1.2
         shifted = est.estimate_interval(interval, bumped)
-        influence = est.influence_index(frozenset(seeds))
+        influence = ScalarTwoStep(
+            small_dataset.store, small_dataset.graph, est.hlm
+        ).influence_index(seeds)
         for road, estimate in shifted.items():
             if road == seeds[0]:
                 continue
@@ -624,8 +627,8 @@ class TestEvictionIndexPinning:
 
     def _compile(self, planner, roads, seeds):
         seeds = tuple(seeds)
-        influence = {roads[0]: {seeds[0]: 0.9}}
-        return planner.compile(seeds, 0, lambda: influence)
+        rows = influence_rows({roads[0]: {seeds[0]: 0.9}}, seeds, roads)
+        return planner.compile(seeds, 0, lambda: rows)
 
     def test_indexed_eviction_matches_linear_scan(self, pair):
         dataset, _, _ = pair

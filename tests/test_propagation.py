@@ -16,14 +16,14 @@ from tests.oracles.fidelity import edge_fidelity
 from tests.oracles import ScalarPropagationInference
 
 
-def propagate_fidelity(graph, source, min_fidelity=0.05, max_hops=None):
+def propagate_fidelity(graph, source, min_fidelity=0.05):
     """Production best-path fidelity (road id -> q) from ``source``.
 
     The cached sparse row read back as a dict: every entry of a raw row
     is at or above the floor, so the support is exactly the map's keys.
     """
     service = FidelityCacheService()
-    indices, values = service.row(graph, source, min_fidelity, max_hops)
+    indices, values = service.row(graph, source, min_fidelity)
     road_ids = service.csr(graph).road_ids
     return {road_ids[i]: q for i, q in zip(indices.tolist(), values.tolist())}
 
@@ -73,38 +73,6 @@ class TestPropagation:
         fid = propagate_fidelity(graph, 0, min_fidelity=0.1)
         # 0.4, 0.16, 0.064 < 0.1 -> pruned at hop 3.
         assert set(fid) == {0, 1, 2}
-
-    def test_max_hops_prunes(self):
-        graph = line_graph([0.9, 0.9, 0.9, 0.9])
-        fid = propagate_fidelity(graph, 0, min_fidelity=0.001, max_hops=2)
-        assert set(fid) == {0, 1, 2}
-
-    def test_max_hops_counts_candidate_path_hops(self):
-        """Regression: a strong long path must not shadow a weak short one.
-
-        Roads 0-1-2 form a strong two-hop route (0.9 * 0.9 = 0.81) while
-        the direct 0-2 edge carries only 0.2; road 3 hangs off road 2.
-        With ``max_hops=2`` road 3 is reachable within budget as 0->2->3
-        through the weak edge (0.2 * 0.8 = 0.16). The old implementation
-        settled road 2 via the two-hop route first, recorded its hop
-        count as 2, and then refused to extend to road 3 — dropping a
-        road that a legal two-hop path reaches.
-        """
-        graph = CorrelationGraph(
-            [0, 1, 2, 3],
-            [
-                CorrelationEdge(0, 1, 0.95),
-                CorrelationEdge(1, 2, 0.95),
-                CorrelationEdge(0, 2, 0.6),
-                CorrelationEdge(2, 3, 0.9),
-            ],
-        )
-        fid = propagate_fidelity(graph, 0, min_fidelity=0.01, max_hops=2)
-        assert set(fid) == {0, 1, 2, 3}
-        # Road 2 still gets the *best* fidelity over <=2-hop paths ...
-        assert fid[2] == pytest.approx(0.81)
-        # ... while road 3 gets the best among paths that fit the budget.
-        assert fid[3] == pytest.approx(0.2 * 0.8)
 
     def test_unknown_source(self):
         with pytest.raises(InferenceError):

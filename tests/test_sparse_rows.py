@@ -4,7 +4,7 @@ The service stores every influence row as a ``(indices, values)``
 :class:`~repro.history.fidelity.SparseRow`. The contracts pinned here:
 
 * sparse rows are bitwise equal (support *and* values) to the dense
-  scalar oracle rows under every transform and hop budget;
+  scalar oracle rows under every transform;
 * the vectorised CSR export equals the edge-object export it replaced;
 * delta eviction drops exactly the sources the scalar tight-edge rule
   in ``tests/oracles/fidelity.py`` names, and every survivor equals a
@@ -39,13 +39,11 @@ from tests.strategies import random_graphs
 TRANSFORMS = ("fidelity", "variance", "logodds")
 
 
-def dense_reference(graph, source, min_fidelity, max_hops, transform):
+def dense_reference(graph, source, min_fidelity, transform):
     """The scalar oracle row, densified and transformed entry by entry."""
     csr = CSRFidelityGraph.from_graph(graph)
     raw = np.zeros(csr.num_roads)
-    for road, q in propagate_fidelity(
-        graph, source, min_fidelity, max_hops
-    ).items():
+    for road, q in propagate_fidelity(graph, source, min_fidelity).items():
         raw[csr.index[road]] = q
     support = np.flatnonzero(raw)
     out = np.zeros_like(raw)
@@ -104,29 +102,21 @@ def assert_same_export(graph):
 @given(
     graph=random_graphs(),
     min_fidelity=st.sampled_from([1e-6, 0.05, 0.3]),
-    max_hops=st.sampled_from([None, 1, 2, 3]),
     data=st.data(),
 )
-def test_sparse_rows_bitwise_equal_dense_scalar(
-    graph, min_fidelity, max_hops, data
-):
+def test_sparse_rows_bitwise_equal_dense_scalar(graph, min_fidelity, data):
     source = data.draw(st.sampled_from(graph.road_ids))
     service = FidelityCacheService()
     for transform in TRANSFORMS:
-        row = service.row(graph, source, min_fidelity, max_hops, transform)
-        support, dense = dense_reference(
-            graph, source, min_fidelity, max_hops, transform
-        )
+        row = service.row(graph, source, min_fidelity, transform)
+        support, dense = dense_reference(graph, source, min_fidelity, transform)
         assert np.array_equal(row.indices, support)
         assert np.array_equal(row.values, dense[support])  # bitwise
         assert np.array_equal(row.dense(graph.num_roads), dense)
     # Raw and transformed rows of one source share one index array.
-    raw = service.row(graph, source, min_fidelity, max_hops)
+    raw = service.row(graph, source, min_fidelity)
     for transform in ("variance", "logodds"):
-        assert (
-            service.row(graph, source, min_fidelity, max_hops, transform).indices
-            is raw.indices
-        )
+        assert service.row(graph, source, min_fidelity, transform).indices is raw.indices
 
 
 @settings(max_examples=40, deadline=None)
@@ -187,9 +177,8 @@ def test_delta_eviction_matches_tight_rule_oracle(graph, data):
     roads = graph.road_ids
     for source in data.draw(st.lists(st.sampled_from(roads), max_size=6)):
         floor = data.draw(st.sampled_from([0.05, 0.3]))
-        hops = data.draw(st.sampled_from([None, 2]))
         transform = data.draw(st.sampled_from(TRANSFORMS))
-        service.row(graph, source, floor, hops, transform)
+        service.row(graph, source, floor, transform)
     u = data.draw(st.sampled_from(roads))
     v = data.draw(st.sampled_from([r for r in roads if r != u]))
     key = (min(u, v), max(u, v))
@@ -210,9 +199,9 @@ def test_delta_eviction_matches_tight_rule_oracle(graph, data):
     assert service.apply_graph_delta(graph, delta) == expected
     # Survivors equal a cold recompute over the mutated graph.
     cold = FidelityCacheService()
-    for (floor, hops, transform), per_key in service._graphs[graph].rows.items():
+    for (floor, transform), per_key in service._graphs[graph].rows.items():
         for source, row in per_key.items():
-            fresh = cold.row(graph, source, floor, hops, transform)
+            fresh = cold.row(graph, source, floor, transform)
             assert np.array_equal(row.indices, fresh.indices)
             assert np.array_equal(row.values, fresh.values)
 
@@ -232,7 +221,7 @@ def test_row_nonzeros_counts_every_computed_row(small_dataset):
         graph = small_dataset.graph
         objective = SeedSelectionObjective(graph, fidelity_service=service)
         lazy_greedy_select(objective, 6)
-        raw_rows = service._graphs[graph].rows[(0.05, None, "fidelity")]
+        raw_rows = service._graphs[graph].rows[(0.05, "fidelity")]
         assert len(raw_rows) == graph.num_roads
         assert _counter(rec, "fidelity.row_nonzeros") == sum(
             row.indices.size for row in raw_rows.values()
@@ -320,7 +309,7 @@ def test_cached_row_bytes_scale_with_support():
     finally:
         tracemalloc.stop()
     rows = service._graphs[graph].rows
-    assert len(rows[(0.05, None, "variance")]) == len(candidates)
+    assert len(rows[(0.05, "variance")]) == len(candidates)
     total_support = sum(
         row.indices.size for per_key in rows.values() for row in per_key.values()
     )
