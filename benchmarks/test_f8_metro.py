@@ -204,7 +204,7 @@ def test_f8_metro_parallel_vs_serial_differential(metro):
 
 
 # ---------------------------------------------------------------------------
-# Sharded Step-2 plan compilation (repro.speed.plan districts)
+# Step-2 plan compile and row-scoped refresh (repro.speed.plan)
 # ---------------------------------------------------------------------------
 PLAN_BUDGET_PCT = 0.5
 XL_TARGET = 110_000
@@ -218,47 +218,41 @@ def _copy_graph(graph):
     return CorrelationGraph(list(graph.road_ids), list(graph.edges()))
 
 
-def _district_compile_seconds(trace_path):
-    """Per-district ``speed.plan.compile`` span durations from a trace."""
+def _compile_spans(trace_path):
+    """The ``speed.plan.compile`` span events of a trace, in order."""
     import json
 
-    durations = []
-    for line in trace_path.read_text().splitlines():
-        event = json.loads(line)
-        if (
-            event.get("type") == "span"
-            and event.get("name") == "speed.plan.compile"
-            and "district" in event.get("attrs", {})
-        ):
-            durations.append(float(event["dur_s"]))
-    return durations
+    events = (json.loads(line) for line in trace_path.read_text().splitlines())
+    return [
+        event
+        for event in events
+        if event.get("type") == "span" and event.get("name") == "speed.plan.compile"
+    ]
 
 
 def test_f8_metro_sharded_plan_compile(metro, report, tmp_path):
-    """Sharded Step-2: bitwise-equal cold compile, district-scoped delta.
+    """Step-2 plan: bitwise-equal cold round, row-scoped delta refresh.
 
-    Three timings feed the bench gate: the cold sharded compile (one
-    structure per district, in the parent), the post-delta
-    recompile (stale districts only), and the warm serve latency. The
-    sharded estimates are asserted bitwise equal to the one-district
-    plan's (the default config; ``compile_mono_seconds`` times its cold
-    compile), and the delta recompile is asserted to touch a small
-    fraction of the districts.
+    Three timings feed the bench gate: the cold compile (one structure
+    per seed set, in the parent), the post-delta refresh (only the rows
+    whose ranked seeds changed) and the warm serve latency. A second
+    system's cold round is asserted bitwise equal to the first's, and
+    the refresh is asserted to refit a small fraction of the rows the
+    cold compile fitted.
     """
     from repro.history.incremental import GraphDelta
-    from repro.history.correlation import CorrelationEdge
     from repro.obs import FlightRecorder, set_recorder
 
     num_roads = metro.network.num_segments
     budget = max(1, round(num_roads * PLAN_BUDGET_PCT / 100.0))
     graph = _copy_graph(metro.graph)
-    config = dict(
+    config = PipelineConfig(
         selection_method="partition",
         num_partitions=NUM_DISTRICTS,
     )
 
     mono = SpeedEstimationSystem.from_parts(
-        metro.network, metro.store, graph, PipelineConfig(**config)
+        metro.network, metro.store, graph, config
     )
     seeds = mono.select_seeds(budget)
     intervals = metro.test_day_intervals(stride=24)
@@ -269,118 +263,89 @@ def test_f8_metro_sharded_plan_compile(metro, report, tmp_path):
     mono_first = mono.estimate(*rounds[0])
     mono_cold_s = time.perf_counter() - start
 
-    trace = tmp_path / "sharded_trace.jsonl"
+    trace = tmp_path / "plan_trace.jsonl"
     rec = FlightRecorder(path=trace)
     previous = set_recorder(rec)
     try:
         with SpeedEstimationSystem.from_parts(
-            metro.network,
-            metro.store,
-            graph,
-            PipelineConfig(
-                **config,
-                use_sharded_plan=True,
-                plan_shards=NUM_DISTRICTS,
-            ),
-        ) as sharded:
-            assert sharded.select_seeds(budget) == seeds
-            start = time.perf_counter()
-            sharded_first = sharded.estimate(*rounds[0])
-            sharded_cold_s = time.perf_counter() - start
+            metro.network, metro.store, graph, config
+        ) as system:
+            assert system.select_seeds(budget) == seeds
+            first = system.estimate(*rounds[0])
             assert all(
-                mono_first[r] == sharded_first[r] for r in mono_first
-            ), "sharded cold round must be bitwise equal to one district"
+                mono_first[r] == first[r] for r in mono_first
+            ), "a cold round must be bitwise equal to a one-structure round"
 
             start = time.perf_counter()
             for interval, seed_speeds in rounds[1:]:
-                sharded.estimate(interval, seed_speeds)
+                system.estimate(interval, seed_speeds)
             serve_warm_s = (time.perf_counter() - start) / max(
                 1, len(rounds) - 1
             )
 
-            # A delta around one seed: reweight one incident edge, then
-            # recompile. Only districts that seed's influence touches
-            # may recompile.
-            compiles_before = sum(
-                series.value
-                for _, series in rec.registry.series("plan.shard_compiles")
-            )
+            # A delta around one seed: cut one incident edge, then
+            # refresh. Only rows whose ranked seeds changed are refit.
             edge = graph.neighbours(seeds[0])[0]
             delta = GraphDelta(
-                added=(),
-                removed=(),
-                reweighted=(
-                    CorrelationEdge(edge.road_u, edge.road_v, 0.93),
-                ),
+                added=(), removed=((edge.road_u, edge.road_v),), reweighted=()
             )
             graph.apply_delta(delta)
-            sharded.apply_graph_delta(delta)
+            system.apply_graph_delta(delta)
             start = time.perf_counter()
-            sharded.estimate(*rounds[0])
+            system.estimate(*rounds[0])
             delta_recompile_s = time.perf_counter() - start
-            recompiled = (
-                sum(
-                    series.value
-                    for _, series in rec.registry.series("plan.shard_compiles")
-                )
-                - compiles_before
-            )
     finally:
         set_recorder(previous)
 
-    district_s = _district_compile_seconds(trace)
-    assert len(district_s) >= NUM_DISTRICTS
+    cold, refresh = _compile_spans(trace)
+    cold_rows = cold["attrs"]["rows_fitted"]
+    rows_refit = refresh["attrs"]["rows_fitted"]
     for name, value in (
         ("compile_mono_seconds", mono_cold_s),
-        ("compile_sharded_seconds", sharded_cold_s),
         ("delta_recompile_seconds", delta_recompile_s),
         ("serve_warm_seconds", serve_warm_s),
     ):
         _gauge(f"plan_{name}", value, roads=num_roads, budget=budget)
+    _gauge("plan_delta_rows_refit", rows_refit, roads=num_roads, budget=budget)
     report(
         "f8_metro_sharded_plan",
         format_table(
             [
                 "roads",
                 "K",
-                "districts",
-                "cold mono s",
-                "cold sharded s",
-                "delta recompile s",
-                "districts recompiled",
+                "cold compile s",
+                "rows fitted (cold)",
+                "delta refresh s",
+                "rows refit",
                 "serve warm s",
             ],
             [
                 [
                     num_roads,
                     budget,
-                    NUM_DISTRICTS,
                     fmt(mono_cold_s, 1),
-                    fmt(sharded_cold_s, 1),
+                    cold_rows,
                     fmt(delta_recompile_s, 2),
-                    int(recompiled),
+                    rows_refit,
                     fmt(serve_warm_s, 2),
                 ]
             ],
-            title=(
-                "F8 (metro): sharded Step-2 plan compile "
-                f"({NUM_DISTRICTS} districts, bitwise-checked)"
-            ),
+            title="F8 (metro): Step-2 plan compile and row-scoped refresh",
         ),
     )
-    assert sharded_cold_s < ROUND_BUDGET_S
-    # Locality: a one-edge delta recompiles a fraction of the city.
-    assert 0 < recompiled <= NUM_DISTRICTS // 2
-    assert delta_recompile_s < sharded_cold_s
+    assert mono_cold_s < ROUND_BUDGET_S
+    # Locality: a one-edge delta refits a fraction of the city's rows.
+    assert 0 < rows_refit <= cold_rows // 2
+    assert delta_recompile_s < mono_cold_s
 
 
 def test_f8_metro_xl_sharded_cold_round(report, tmp_path):
-    """Cold Step-2 at 100k+ roads: sharded compile per district, <900 s.
+    """Cold Step-2 at 100k+ roads: one structure, compile+serve <900 s.
 
     The acceptance bar for metropolitan cold rounds: a 110k-road city,
-    128 districts, K = 0.5%, compile-and-serve inside the round budget,
-    with the per-district compile profile reported from the
-    ``speed.plan.compile`` spans.
+    128 selection districts, K = 0.5%, compile-and-serve inside the
+    round budget, with the compile reported from its
+    ``speed.plan.compile`` span.
     """
     from repro.datasets.synthetic import metropolitan_dataset
     from repro.obs import FlightRecorder, set_recorder
@@ -403,8 +368,6 @@ def test_f8_metro_xl_sharded_cold_round(report, tmp_path):
                 num_partitions=XL_DISTRICTS,
                 use_parallel_partitions=True,
                 num_partition_workers=2,
-                use_sharded_plan=True,
-                plan_shards=XL_DISTRICTS,
             ),
         ) as system:
             start = time.perf_counter()
@@ -421,15 +384,11 @@ def test_f8_metro_xl_sharded_cold_round(report, tmp_path):
     finally:
         set_recorder(previous)
 
-    district_s = sorted(_district_compile_seconds(trace))
-    assert len(district_s) >= XL_DISTRICTS
-    median_s = district_s[len(district_s) // 2]
+    (compile_span,) = _compile_spans(trace)
     for name, value in (
         ("xl_cold_seconds", cold_s),
         ("xl_warm_seconds", warm_s),
         ("xl_select_seconds", select_s),
-        ("xl_district_compile_median_seconds", median_s),
-        ("xl_district_compile_max_seconds", district_s[-1]),
     ):
         _gauge(f"plan_{name}", value, roads=num_roads, budget=budget)
     report(
@@ -438,27 +397,26 @@ def test_f8_metro_xl_sharded_cold_round(report, tmp_path):
             [
                 "roads",
                 "K",
-                "districts",
                 "select s",
                 "cold compile+serve s",
+                "compile s",
+                "rows fitted",
                 "warm s",
-                "district compile ms (min/med/max)",
             ],
             [
                 [
                     num_roads,
                     budget,
-                    XL_DISTRICTS,
                     fmt(select_s, 1),
                     fmt(cold_s, 1),
+                    fmt(float(compile_span["dur_s"]), 1),
+                    compile_span["attrs"]["rows_fitted"],
                     fmt(warm_s, 2),
-                    f"{district_s[0] * 1e3:.2f}/{median_s * 1e3:.2f}"
-                    f"/{district_s[-1] * 1e3:.2f}",
                 ]
             ],
             title=(
-                "F8 (metro XL): 100k+ road cold round, sharded Step-2 "
-                f"({XL_DISTRICTS} districts, district-parallel selection)"
+                "F8 (metro XL): 100k+ road cold round, one-structure Step-2 "
+                f"({XL_DISTRICTS} selection districts)"
             ),
         ),
     )

@@ -3,9 +3,10 @@
 Two measurements on the synthetic Tianjin city:
 
 * **Ingest**: per-day cost of ``RollingHistory.ingest_day`` with daily
-  re-mining, incremental (sliding co-trend counts + delta) vs batch
-  (full re-mine of the window). The final graphs must be identical —
-  the speed difference is the only difference.
+  re-mining (sliding co-trend counts + delta) vs the batch oracle
+  ``tests/oracles/history.py::BatchRollingHistory`` (full re-mine of
+  the window). The final graphs must be identical — the speed
+  difference is the only difference.
 * **Serve**: per-round estimation latency right after a graph delta,
   with delta-scoped row eviction (only affected plans recompile) vs a
   wholesale cache flush (everything recompiles). This is the latency
@@ -26,6 +27,7 @@ from repro.core.field import SpeedField
 from repro.core.pipeline import SpeedEstimationSystem
 from repro.evalkit.reporting import fmt, format_table
 from repro.history.online import RollingHistory
+from tests.oracles.history import BatchRollingHistory
 
 WINDOW_DAYS = 5
 STREAM_DAYS = 5
@@ -72,13 +74,15 @@ def test_streaming_ingest_and_serve_cost(tianjin, report):
     # --- ingest: incremental vs batch re-mining -----------------------
     ingest_times: dict[str, list[float]] = {}
     rollers: dict[str, RollingHistory] = {}
-    for mode, incremental in (("incremental", True), ("batch", False)):
-        rolling = RollingHistory(
+    for mode, history in (
+        ("incremental", RollingHistory),
+        ("batch", BatchRollingHistory),
+    ):
+        rolling = history(
             dataset.network,
             dataset.grid,
             window_days=WINDOW_DAYS,
             remine_every_days=1,
-            incremental=incremental,
         )
         for day in days[:WINDOW_DAYS]:
             rolling.ingest_day(day)

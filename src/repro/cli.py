@@ -94,11 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--scenario", default=None,
                         help="worker-level fault scenario to inject "
                         "(see repro.faults.bundled_scenarios)")
-    plan = _flags()
-    plan.add_argument("--plan-shards", type=int, default=1, metavar="D",
-                      help="split the Step-2 interval plan into D partition "
-                      "districts (bitwise identical to one district; graph "
-                      "deltas recompile per district)")
 
     info = commands.add_parser("info", help="print dataset statistics")
     info.set_defaults(run=cmd_info)
@@ -122,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     select.set_defaults(run=cmd_select)
 
     estimate = commands.add_parser(
-        "estimate", parents=[test_hour, plan],
+        "estimate", parents=[test_hour],
         help="run one estimation round against ground truth",
     )
     estimate.add_argument("--show", type=int, default=10,
@@ -141,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     route.set_defaults(run=cmd_route)
 
     serve = commands.add_parser(
-        "serve", parents=[round_hour, metrics, faults, plan],
+        "serve", parents=[round_hour, metrics, faults],
         help="run the snapshot publisher/store serving loop "
         "(optionally under an infrastructure fault scenario)",
     )
@@ -240,7 +235,6 @@ def _seeded_system(
     dataset: TrafficDataset,
     budget: int | None,
     hour: float,
-    config: PipelineConfig | None = None,
     recorder: FlightRecorder | None = None,
 ) -> Iterator[tuple[SpeedEstimationSystem, int, int]]:
     """The fitted system with its K seeds selected, K, and the interval
@@ -250,22 +244,13 @@ def _seeded_system(
     """
     k = _default_budget(dataset, budget)
     with SpeedEstimationSystem.from_parts(
-        dataset.network, dataset.store, dataset.graph, config
+        dataset.network, dataset.store, dataset.graph
     ) as system, (
         recording(recorder) if recorder is not None
         else contextlib.nullcontext()
     ):
         system.select_seeds(k)
         yield system, k, dataset.grid.interval_at(dataset.first_test_day, hour)
-
-
-def _plan_config(plan_shards: int) -> PipelineConfig | None:
-    """The pipeline config for ``--plan-shards D``."""
-    if plan_shards < 1:
-        raise SystemExit("error: --plan-shards must be >= 1")
-    if plan_shards == 1:
-        return None
-    return PipelineConfig(use_sharded_plan=True, plan_shards=plan_shards)
 
 
 def _crowd_platform(scenario: str | None) -> CrowdsourcingPlatform:
@@ -370,10 +355,8 @@ def cmd_estimate(
     hour: float,
     show: int,
     show_map: bool,
-    plan_shards: int,
 ) -> tuple[str, int]:
-    config = _plan_config(plan_shards)
-    with _seeded_system(dataset, budget, hour, config) as (system, k, interval):
+    with _seeded_system(dataset, budget, hour) as (system, k, interval):
         truth = dataset.test.speeds_at(interval)
         crowd = {r: truth[r] for r in system.seeds}
         estimates = system.estimate(interval, crowd)
@@ -500,7 +483,6 @@ def cmd_serve(
     expect_page: str | None,
     explain: int | None,
     metrics_out: str | None,
-    plan_shards: int,
 ) -> tuple[str, int]:
     """Drive the publisher/store serving loop and sweep readers.
 
@@ -521,7 +503,6 @@ def cmd_serve(
 
     slo_check = slo_check or expect_page is not None
     slo = slo or slo_check
-    config = _plan_config(plan_shards)
     platform = _crowd_platform(scenario)
 
     clock = ManualClock()
@@ -562,7 +543,7 @@ def cmd_serve(
         else tempfile.TemporaryDirectory(prefix="repro-serve-")
     )
     with (
-        _seeded_system(dataset, budget, hour, config) as (system, k, start),
+        _seeded_system(dataset, budget, hour) as (system, k, start),
         snapshots as directory,
     ):
         publisher = SnapshotPublisher(
@@ -797,10 +778,12 @@ def cmd_stream(
         def counter(name, **labels):
             return rec.registry.counter(name, **labels).value
 
-        def shard_compiles():
+        def rows_refit():
+            """Rows fitted by the plan compiles since the last call."""
             return sum(
-                series.value
-                for _, series in rec.registry.series("plan.shard_compiles")
+                span.attrs.get("rows_fitted", 0)
+                for span in rec.tracer.drain()
+                if span.name == "speed.plan.compile"
             )
 
         with SpeedEstimationSystem.from_parts(
@@ -811,7 +794,7 @@ def cmd_stream(
                 day = day_fields[day_index]
                 dropped_before = counter("fidelity.invalidations", scope="rows")
                 evicted_before = counter("plan.shards_evicted")
-                compiles_before = shard_compiles()
+                rows_refit()
                 rolling.ingest_day(day)
                 try:
                     rolling.verify_incremental()
@@ -819,12 +802,14 @@ def cmd_stream(
                     mismatches.append(f"day {day_index}: {exc}")
                 delta = rolling.last_delta
                 seeds = system.reselect_seeds(k)
+                refit = rows_refit()
                 errors: list[float] = []
                 for r in range(serve_rounds):
                     offset = (r + 1) * per_day // (serve_rounds + 1)
                     interval = day.intervals.start + offset
                     crowd = {road: day.speed(road, interval) for road in seeds}
                     estimates = system.estimate(interval, crowd)
+                    refit += rows_refit()
                     truth = day.speeds_at(interval)
                     errors.extend(
                         abs(est.speed_kmh - truth[road])
@@ -840,7 +825,7 @@ def cmd_stream(
                     int(counter("fidelity.invalidations", scope="rows")
                         - dropped_before),
                     int(counter("plan.shards_evicted") - evicted_before),
-                    int(shard_compiles() - compiles_before),
+                    int(refit),
                     fmt(sum(errors) / len(errors)) if errors else "-",
                 ])
 
@@ -852,8 +837,8 @@ def cmd_stream(
 
     lines.append(
         format_table(
-            ["day", "delta(+/-/~)", "rows dropped", "shards evicted",
-             "shard compiles", "mae km/h"],
+            ["day", "delta(+/-/~)", "rows dropped", "stale plans",
+             "rows refit", "mae km/h"],
             rows,
             title="Per-day streaming telemetry",
         )

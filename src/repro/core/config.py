@@ -46,18 +46,10 @@ class PipelineConfig:
     #: Worker processes for pooled partitioned selection, capped at
     #: num_partitions; 1 opens no pool and runs the tasks in the parent.
     num_partition_workers: int = 1
-    #: Partition the Step-2 interval plan into partition_graph districts
-    #: instead of planning the city as one district. Districts are
-    #: compiled independently in the parent, evaluated per district and
-    #: stitched in district order — bitwise identical to the
-    #: one-district plan — and graph deltas recompile only the affected
-    #: districts' shards. This picks a district count, not a code path.
+    #: Accepted and ignored: Step 2 compiles one structure per seed set
+    #: and refreshes only the rows a graph delta changes. Kept so older
+    #: callers that pass it still construct; nothing reads it.
     use_sharded_plan: bool = False
-    #: Districts requested from partition_graph for the sharded plan; 0
-    #: means "follow num_partitions". The partition may return more
-    #: districts than requested (a connected component smaller than a
-    #: chunk closes its chunk early) or fewer (on a small graph).
-    plan_shards: int = 0
     hlm: HlmParams = field(default_factory=HlmParams)
     degradation: DegradationParams = field(default_factory=DegradationParams)
 
@@ -84,5 +76,3 @@ class PipelineConfig:
             raise ConfigError("num_partition_workers must be >= 1")
         if self.plan_cache_size < 1:
             raise ConfigError("plan_cache_size must be >= 1")
-        if self.plan_shards < 0:
-            raise ConfigError("plan_shards must be >= 0 (0 = num_partitions)")

@@ -46,7 +46,7 @@ from repro.seeds.objective import SeedSelectionObjective
 from repro.seeds.parallel import DistrictStage
 from repro.speed.degradation import DegradationParams, DegradationPolicy
 from repro.speed.estimator import EstimateColumns, TwoStepEstimator
-from repro.speed.plan import IntervalPlanCache, IntervalPlanner
+from repro.speed.plan import IntervalPlanCache
 from repro.trend.bp import LoopyBeliefPropagation
 from repro.trend.gibbs import GibbsSamplingInference
 from repro.trend.propagation import TrendPropagationInference
@@ -134,13 +134,6 @@ class SpeedEstimationSystem:
             hlm_params=config.hlm,
             fidelity_service=self._fidelity,
             plan_cache=self._plan_cache,
-            planner_factory=(
-                _sharded_planner_factory(
-                    self._objective, config.plan_shards or config.num_partitions
-                )
-                if config.use_sharded_plan
-                else None
-            ),
         )
         self._seeds: list[int] = []
         self._selection: SelectionResult | None = None
@@ -346,8 +339,8 @@ class SpeedEstimationSystem:
         fidelity service drops only provably affected influence rows
         (see :meth:`~repro.history.fidelity.FidelityCacheService.
         apply_graph_delta`), which cascades through the service's
-        subscribers: compiled plan shards over dropped seeds, influence
-        indexes, CELF gains and objective memos. Everything else keeps
+        subscribers: compiled plan structures over dropped seeds, CELF
+        gains and objective memos. Everything else keeps
         serving warm; the district stage republishes its context on the
         same workers once it sees the rebuilt CSR. Returns the dropped
         source roads.
@@ -469,24 +462,3 @@ class SpeedEstimationSystem:
         )
         return outcome
 
-
-def _sharded_planner_factory(objective: SeedSelectionObjective, shards: int):
-    """Planner factory for ``use_sharded_plan`` (the estimator calls it).
-
-    Districts come from the same deterministic
-    :func:`~repro.seeds.partition.partition_graph` the selection path
-    uses (``plan_shards`` districts, defaulting to ``num_partitions``),
-    and every district compiles in-process. The factory holds the
-    objective, not the system, so system and estimator form no
-    reference cycle. Without ``use_sharded_plan`` the estimator plans
-    the city as one district.
-    """
-
-    def make_planner(store, network, hlm, road_ids) -> IntervalPlanner:
-        from repro.seeds.partition import partition_graph
-
-        return IntervalPlanner(
-            store, network, hlm, road_ids, partition_graph(objective, shards)
-        )
-
-    return make_planner

@@ -72,7 +72,7 @@ class GraphDelta:
     pairs. A delta is what flows from
     :meth:`~repro.history.online.RollingHistory.ingest_day` through the
     cache stack: only the cached fidelity rows its changed edges can
-    move are dropped, and only the compiled plan shards over them.
+    move are dropped, and only the compiled plan rows they re-rank.
     """
 
     added: tuple[CorrelationEdge, ...]

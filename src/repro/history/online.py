@@ -10,8 +10,8 @@ The columnar store itself is rebuilt per ingest (well under a second at
 city scale for a ≤30-day window, see F8). Correlation mining is the
 part that used to be a batch event: a fresh graph object every re-mine,
 which invalidated the identity-keyed fidelity cache — and every
-compiled serving plan — wholesale. With ``incremental=True`` (the
-default) mining instead maintains sliding-window co-trend counts
+compiled serving plan — wholesale. Mining instead maintains
+sliding-window co-trend counts
 (:class:`~repro.history.incremental.IncrementalCoTrendStats`), each
 re-mine produces a :class:`~repro.history.incremental.GraphDelta`, and
 the **same graph object** is patched in place. Delta listeners (wire
@@ -66,7 +66,6 @@ class RollingHistory:
         max_hops: int = 2,
         min_agreement: float = 0.6,
         min_valid_fraction: float = 0.1,
-        incremental: bool = True,
         delta_tolerance: float = 0.0,
     ) -> None:
         if window_days < 1:
@@ -84,7 +83,6 @@ class RollingHistory:
         self._max_hops = max_hops
         self._min_agreement = min_agreement
         self._min_valid_fraction = min_valid_fraction
-        self._incremental = incremental
         self._delta_tolerance = delta_tolerance
         self._days: deque[SpeedField] = deque()
         self._store: HistoricalSpeedStore | None = None
@@ -142,19 +140,18 @@ class RollingHistory:
         self._store = HistoricalSpeedStore.from_fields(
             self._grid, list(self._days)
         )
-        if self._incremental:
-            if self._stats is None:
-                self._stats = IncrementalCoTrendStats(
-                    self._network, self._store.road_ids, self._max_hops
-                )
-                self._stats.reset(self._store.trend_matrix())
-            else:
-                flipped = self._stats.advance(
-                    self._store.trend_matrix(), evicted_days * per_day
-                )
-                get_recorder().count(
-                    "mining.rows_rescored", flipped + evicted_days * per_day
-                )
+        if self._stats is None:
+            self._stats = IncrementalCoTrendStats(
+                self._network, self._store.road_ids, self._max_hops
+            )
+            self._stats.reset(self._store.trend_matrix())
+        else:
+            flipped = self._stats.advance(
+                self._store.trend_matrix(), evicted_days * per_day
+            )
+            get_recorder().count(
+                "mining.rows_rescored", flipped + evicted_days * per_day
+            )
         self._days_since_mining += 1
         if self._graph is None or self._days_since_mining >= self._remine_every:
             self._remine()
@@ -197,8 +194,8 @@ class RollingHistory:
     def graph(self) -> CorrelationGraph:
         """The current correlation graph; raises before any ingest.
 
-        Under incremental mining this is **one long-lived object**,
-        patched in place at every re-mine — watch :attr:`mining_epoch`
+        This is **one long-lived object**, patched in place at every
+        re-mine — watch :attr:`mining_epoch`
         (or register a delta listener) to observe refreshes.
         """
         if self._graph is None:
@@ -214,8 +211,7 @@ class RollingHistory:
     def last_delta(self) -> GraphDelta | None:
         """The delta of the latest incremental re-mine.
 
-        ``None`` before the second re-mine and always ``None`` in batch
-        mode (a fresh graph has no delta).
+        ``None`` before the second re-mine (the bootstrap has no delta).
         """
         return self._last_delta
 
@@ -224,9 +220,8 @@ class RollingHistory:
 
         Fires after the delta has been applied to the (shared) graph
         object, including when the delta is empty — listeners may rely
-        on being told about every re-mine round. Initial graph builds
-        and batch-mode re-mines do not fire (there is no delta; batch
-        consumers key caches by graph identity instead).
+        on being told about every re-mine round. The initial graph build
+        does not fire (there is no delta).
         """
         self._delta_listeners.append(listener)
 
@@ -283,73 +278,57 @@ class RollingHistory:
     # ------------------------------------------------------------------
     def _remine(self) -> None:
         recorder = get_recorder()
-        if not self._incremental:
-            mode = "batch"
-        elif self._graph is None:
-            mode = "bootstrap"
-        else:
-            mode = "incremental"
+        mode = "bootstrap" if self._graph is None else "incremental"
         with recorder.span(
             "history.remine", mode=mode, days=len(self._days)
         ) as span:
-            if not self._incremental:
-                self._graph = mine_correlation_graph(
-                    self._network,
-                    self._store,
-                    max_hops=self._max_hops,
-                    min_agreement=self._min_agreement,
-                    min_valid_fraction=self._min_valid_fraction,
+            road_u, road_v, agreement = self._stats.mine_arrays(
+                self._min_agreement, self._min_valid_fraction
+            )
+            span.set(pairs=self._stats.num_pairs)
+            if self._graph is None:
+                # The bootstrap is the one place every mined pair
+                # becomes an edge object. Endpoints reuse the store's
+                # road-id ints instead of a fresh int per edge end.
+                road = {r: r for r in self._store.road_ids}
+                self._graph = CorrelationGraph(
+                    self._store.road_ids,
+                    [
+                        CorrelationEdge(road[u], road[v], p)
+                        for u, v, p in zip(
+                            road_u.tolist(), road_v.tolist(), agreement.tolist()
+                        )
+                    ],
                 )
                 self._last_delta = None
                 span.set(edges_built=self._graph.num_edges)
             else:
-                road_u, road_v, agreement = self._stats.mine_arrays(
-                    self._min_agreement, self._min_valid_fraction
+                delta = diff_edges(
+                    self._graph,
+                    road_u,
+                    road_v,
+                    agreement,
+                    tolerance=self._delta_tolerance,
                 )
-                span.set(pairs=self._stats.num_pairs)
-                if self._graph is None:
-                    # The bootstrap is the one place every mined pair
-                    # becomes an edge object. Endpoints reuse the store's
-                    # road-id ints instead of a fresh int per edge end.
-                    road = {r: r for r in self._store.road_ids}
-                    self._graph = CorrelationGraph(
-                        self._store.road_ids,
-                        [
-                            CorrelationEdge(road[u], road[v], p)
-                            for u, v, p in zip(
-                                road_u.tolist(), road_v.tolist(), agreement.tolist()
-                            )
-                        ],
-                    )
-                    self._last_delta = None
-                    span.set(edges_built=self._graph.num_edges)
-                else:
-                    delta = diff_edges(
-                        self._graph,
-                        road_u,
-                        road_v,
-                        agreement,
-                        tolerance=self._delta_tolerance,
-                    )
-                    self._graph.apply_delta(delta)
-                    self._last_delta = delta
-                    recorder.count(
-                        "mining.delta_edges", len(delta.added), kind="added"
-                    )
-                    recorder.count(
-                        "mining.delta_edges", len(delta.removed), kind="removed"
-                    )
-                    recorder.count(
-                        "mining.delta_edges",
-                        len(delta.reweighted),
-                        kind="reweighted",
-                    )
-                    span.set(
-                        delta_edges=delta.num_changes,
-                        edges_built=len(delta.added) + len(delta.reweighted),
-                    )
-                    for listener in list(self._delta_listeners):
-                        listener(self._graph, delta)
+                self._graph.apply_delta(delta)
+                self._last_delta = delta
+                recorder.count(
+                    "mining.delta_edges", len(delta.added), kind="added"
+                )
+                recorder.count(
+                    "mining.delta_edges", len(delta.removed), kind="removed"
+                )
+                recorder.count(
+                    "mining.delta_edges",
+                    len(delta.reweighted),
+                    kind="reweighted",
+                )
+                span.set(
+                    delta_edges=delta.num_changes,
+                    edges_built=len(delta.added) + len(delta.reweighted),
+                )
+                for listener in list(self._delta_listeners):
+                    listener(self._graph, delta)
             self._mining_epoch += 1
             self._days_since_mining = 0
             span.set(edges=self._graph.num_edges)

@@ -4,7 +4,7 @@
 graph into connected chunks (:func:`partition_graph`), gives each chunk
 a budget share proportional to its size (:func:`allocate_budget`) and
 runs lazy greedy *inside* each chunk with influence restricted to chunk
-members; the sharded Step-2 plan reuses the same districts.
+members.
 
 Rationale: influence is local (pruned at a fidelity floor), so the gain
 a seed earns outside its own neighbourhood is limited; ignoring

@@ -20,7 +20,6 @@ from repro.speed.plan import (
     IntervalPlanCache,
     IntervalPlanner,
     PlanCacheStats,
-    PlanShard,
 )
 from repro.speed.hlm import (
     HierarchicalLinearModel,
@@ -43,7 +42,6 @@ __all__ = [
     "IntervalPlanner",
     "PlanCacheStats",
     "JointSeedRegression",
-    "PlanShard",
     "SpeedBand",
     "TwoStepEstimator",
     "UncertaintyModel",

@@ -87,10 +87,9 @@ class TwoStepEstimator:
 
     Step-2 serving runs through compiled
     :class:`~repro.speed.plan.IntervalPlan` objects — one padded
-    matrix-vector product per district plus a vectorized blend per
-    interval. The per-road loop over ``estimate_road``, the definition
-    the plans compile, is the test oracle in
-    ``tests/oracles/estimator.py``.
+    matrix-vector product plus a vectorized blend per interval. The
+    per-road loop over ``estimate_road``, the definition the plans
+    compile, is the test oracle in ``tests/oracles/estimator.py``.
     """
 
     def __init__(
@@ -103,7 +102,6 @@ class TwoStepEstimator:
         hlm_params: HlmParams | None = None,
         fidelity_service: FidelityCacheService | None = None,
         plan_cache: IntervalPlanCache | None = None,
-        planner_factory=None,
     ) -> None:
         self._network = network
         self._store = store
@@ -120,13 +118,9 @@ class TwoStepEstimator:
         )
         # `is not None`, not truthiness: an empty cache has len() == 0.
         self._plans = plan_cache if plan_cache is not None else IntervalPlanCache()
-        # Pluggable planner construction: the pipeline passes a factory
-        # building a planner over partition_graph districts when
-        # use_sharded_plan is on; None plans the city as one district.
-        self._planner_factory = planner_factory
         self._planner: IntervalPlanner | None = None
         # The one Step-2 subscriber: every fidelity invalidation reaches
-        # the plans and shards built from the rows.
+        # the plans and structures built from the rows.
         self._fidelity.subscribe(self._on_rows_invalidated)
 
     @property
@@ -319,11 +313,10 @@ class TwoStepEstimator:
 
     def _compile_plan(self, seeds: tuple[int, ...], bucket: int) -> IntervalPlan:
         if self._planner is None:
-            factory = self._planner_factory or IntervalPlanner
-            self._planner = factory(
+            self._planner = IntervalPlanner(
                 self._store, self._network, self._hlm, self._graph.road_ids
             )
-        # The provider re-reads the seeds' rows, so a shard refresh
+        # The provider re-reads the seeds' rows, so a refresh
         # after a delta sees the recomputed ones. It closes over the
         # service and graph, not the estimator (the plan lives in the
         # estimator's own cache), so the two form no reference cycle.
@@ -342,8 +335,8 @@ class TwoStepEstimator:
         """Drop derived state built from invalidated fidelity rows.
 
         Wholesale (``roads`` None): flush the plan cache and forget every
-        compiled shard set. Rows: the planner marks stale the shards of
-        every live seed set that lost a row — cached plans and plans
+        compiled structure. Rows: the planner marks stale the structure
+        of every live seed set that lost a row — cached plans and plans
         held elsewhere alike — and the plan cache counts them.
         """
         if graph is not None and graph is not self._graph:

@@ -99,8 +99,8 @@ class JointSeedRegression:
     Fits are batched per plan seed tuple (:meth:`moments`, then
     :func:`fit_batch`) and kept by the compiled plans, not here. A row's
     fit is a deterministic function of (road, its ranked seeds, the
-    plan's seed tuple): district partition, batch composition and
-    order, process and compile history never change its bits.
+    plan's seed tuple): batch composition and order, process and
+    compile history never change its bits.
     """
 
     def __init__(self, store: HistoricalSpeedStore, params: HlmParams) -> None:
@@ -135,35 +135,33 @@ class JointSeedRegression:
 
 @dataclass(frozen=True)
 class FitBatch:
-    """One district's regression rows with every product input gathered.
+    """Regression rows with every product input gathered.
 
-    ``groups`` holds one entry per seed count ``m``: the rows' indices
-    local to the district ``(k,)``, their plan-seed positions in rank
-    order ``(k, m)``, Gram matrices ``(k, m, m)``, moments ``(k, m)``
-    and total sums of squares ``(k,)``. ``blocks`` counts the product's
+    ``rows`` are the road positions the batch refreshes. ``groups``
+    holds one entry per seed count ``m``: the fitted rows' indices into
+    ``rows`` ``(k,)``, their plan-seed positions in rank order
+    ``(k, m)``, Gram matrices ``(k, m, m)``, moments ``(k, m)`` and
+    total sums of squares ``(k,)``. A row in no group has no seed to
+    regress on and fits as the prior. ``blocks`` counts the product's
     column blocks the rows read. Fitting a batch takes no product of
-    the history, so a worker needs nothing but the batch and the params.
+    the history, so it needs nothing but the batch and the params.
     """
 
     seeds: tuple[int, ...]
-    num_roads: int
+    rows: np.ndarray
     width: int
     num_samples: int
     groups: tuple[tuple[np.ndarray, ...], ...]
     blocks: int
 
-    @property
-    def rows_fitted(self) -> int:
-        return sum(len(group[0]) for group in self.groups)
-
 
 class FittedRows(NamedTuple):
-    """A batch's fits as padded ``(roads, width)`` rows.
+    """A batch's fits as padded ``(rows, width)`` rows, in batch order.
 
-    Row ``i`` holds road ``i``'s coefficients in rank order; padding
-    has zero coefficients and seed position ``len(seeds)``. Rows with
-    no regression (seed roads, roads no seed reaches) are all padding,
-    with weight and residual std 0.
+    Row ``i`` holds the coefficients of the batch's ``i``-th road in
+    rank order; padding has zero coefficients and seed position
+    ``len(seeds)``. Rows with no regression (seed roads, roads no seed
+    reaches) are all padding, with weight and residual std 0.
     """
 
     coef: np.ndarray
@@ -180,7 +178,7 @@ class SeedMoments:
     ``XᵀX`` is computed on first use and kept. Each :meth:`gather` call
     computes the seed × road product ``XᵀC`` only in the fixed column
     blocks (:data:`MOMENT_BLOCK_COLUMNS`) that hold a row it fits, each
-    block once, however many districts the call gathers.
+    block once.
     """
 
     def __init__(
@@ -190,83 +188,80 @@ class SeedMoments:
         road_ids: Sequence[int],
     ) -> None:
         self.seeds = seeds
+        self.params = regression.params
+        #: Padded row width: every row of the seed tuple has this width.
+        self.width = max(1, min(self.params.max_seeds_per_road, len(seeds)))
         self._regression = regression
-        self._seed_ids = np.asarray(seeds, dtype=np.int64)
+        seed_ids = np.asarray(seeds, dtype=np.int64)
+        self._seed_rank = np.argsort(np.argsort(seed_ids))
         self._columns = regression.columns(road_ids)
-        self._on_seed = np.isin(np.asarray(road_ids, dtype=np.int64), self._seed_ids)
+        self._on_seed = np.isin(np.asarray(road_ids, dtype=np.int64), seed_ids)
         self._gram: np.ndarray | None = None
 
     def _seed_columns(self) -> np.ndarray:
         """The plan seeds' centred history columns ``X`` (samples × seeds)."""
         return self._regression._centred[:, self._regression.columns(self.seeds)]
 
-    def entries(
-        self, seed_rows: Sequence[SparseRow]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The seeds' influence entries on non-seed roads, as flat arrays.
+    def rank(self, seed_rows: Sequence[SparseRow]) -> np.ndarray:
+        """Every road's ranked seeds, as a padded ``(roads, width)`` block.
 
         ``seed_rows`` holds one raw fidelity row per plan seed, in
-        plan-seed order. Returns each entry's plan-seed position, road
-        position and fidelity, seed by seed. Entries on seed roads (each
-        seed's own entry among them) are left out: seed roads are
-        observation pass-throughs, never fitted.
+        plan-seed order. Row ``i`` of the block holds the plan-seed
+        positions of the seeds reaching road ``i``, by fidelity, ties by
+        seed id, capped at :attr:`width`; the rest is the sentinel
+        ``len(seeds)``. Seed roads are observation pass-throughs, never
+        fitted: their rows, like those of roads no seed reaches, are all
+        sentinel. A row's fit depends on nothing else, so two blocks
+        differ exactly on the rows whose fits differ.
         """
-        if len(seed_rows) != len(self.seeds):
+        num_seeds = len(self.seeds)
+        if len(seed_rows) != num_seeds:
             raise InferenceError(
-                f"{len(seed_rows)} influence rows for {len(self.seeds)} plan seeds"
+                f"{len(seed_rows)} influence rows for {num_seeds} plan seeds"
             )
+        ranked = np.full((self._columns.size, self.width), num_seeds, dtype=np.int64)
         if not seed_rows:
-            return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+            return ranked
         sizes = [row.indices.size for row in seed_rows]
-        seed = np.repeat(np.arange(len(sizes)), sizes)
+        seed = np.repeat(np.arange(num_seeds), sizes)
         position = np.concatenate([row.indices for row in seed_rows])
         q = np.concatenate([row.values for row in seed_rows])
         keep = ~self._on_seed[position]
-        return seed[keep], position[keep], q[keep]
+        seed, position, q = seed[keep], position[keep], q[keep]
+        # One sort of a unique int64 key orders the entries by road,
+        # then fidelity descending, then seed id.
+        _, fidelity_rank = np.unique(-q, return_inverse=True)
+        key = (position * (q.size + 1) + fidelity_rank) * num_seeds
+        order = np.argsort(key + self._seed_rank[seed])
+        seed, position = seed[order], position[order]
+        _, first, inverse = np.unique(
+            position, return_index=True, return_inverse=True
+        )
+        rank = np.arange(position.size) - first[inverse]
+        top = rank < self.width
+        ranked[position[top], rank[top]] = seed[top]
+        return ranked
 
-    def gather(
-        self, districts: Sequence[np.ndarray], seed_rows: Sequence[SparseRow]
-    ) -> list[FitBatch]:
-        """One :class:`FitBatch` per district of road positions.
+    def gather(self, rows: np.ndarray, ranked: np.ndarray) -> FitBatch:
+        """The :class:`FitBatch` of the road positions ``rows``.
 
-        ``districts`` are disjoint arrays of positions in the road order
-        the moments were built for, which the ``seed_rows`` (see
-        :meth:`entries`) index too. A district's rows to fit are its
-        non-seed roads that some seed reaches; seed roads are
-        observation pass-throughs and unreached roads keep the prior, so
-        neither is fitted. Each row's seeds rank by fidelity, ties by
-        seed id.
+        ``ranked`` is a :meth:`rank` block. Rows with a ranked seed get
+        their Gram matrices and moments; the others (seed roads,
+        unreached roads) stay in the batch and fit as the prior.
         """
         regression = self._regression
         num_seeds = len(self.seeds)
-        width = max(1, min(regression.params.max_seeds_per_road, num_seeds))
         recorder = get_recorder()
         with recorder.span("speed.hlm.moments", seeds=num_seeds) as span:
-            owner = np.full(self._columns.size, -1, dtype=np.int64)
-            local = np.zeros(self._columns.size, dtype=np.int64)
-            for district, positions in enumerate(districts):
-                owner[positions] = district
-                local[positions] = np.arange(len(positions))
-            seed, position, q = self.entries(seed_rows)
-            fitted = owner[position] >= 0
-            seed, position, q = seed[fitted], position[fitted], q[fitted]
-            order = np.lexsort((self._seed_ids[seed], -q, position))
-            seed, position = seed[order], position[order]
-            rows, first, sizes = np.unique(
-                position, return_index=True, return_counts=True
-            )
-            num_rows = rows.size
-            entry_row = np.repeat(np.arange(num_rows), sizes)
-            rank = np.arange(position.size) - first[entry_row]
-            top = rank < width
-            seed_idx = np.full((num_rows, width), num_seeds, dtype=np.int64)
-            seed_idx[entry_row[top], rank[top]] = seed[top]
-            counts = np.minimum(sizes, width)
-            row_cols = self._columns[rows]
+            seed_idx = ranked[rows]
+            counts = (seed_idx < num_seeds).sum(axis=1)
+            fit = np.flatnonzero(counts)
+            seed_idx, counts = seed_idx[fit], counts[fit]
+            row_cols = self._columns[rows[fit]]
             block_of = row_cols // MOMENT_BLOCK_COLUMNS
             blocks = np.unique(block_of)
-            moment = np.zeros((num_rows, width))
-            if num_rows:
+            moment = np.zeros((fit.size, self.width))
+            if fit.size:
                 x = self._seed_columns()
                 if self._gram is None:
                     self._gram = x.T @ x
@@ -278,33 +273,23 @@ class SeedMoments:
                     at = np.flatnonzero(block_of == block)
                     moment[at] = product[clipped[at], (row_cols[at] - lo)[:, None]]
             totals = regression._norms[row_cols]
-            span.set(rows=num_rows, blocks=len(blocks), entries=position.size)
-        recorder.count("speed.hlm.regression_fits", num_rows)
+            span.set(rows=fit.size, blocks=len(blocks))
+        recorder.count("speed.hlm.regression_fits", fit.size)
 
-        row_owner = owner[rows]
-        row_local = local[rows]
-        batches = []
-        for district, positions in enumerate(districts):
-            mine = np.flatnonzero(row_owner == district)
-            groups = []
-            for m in np.unique(counts[mine]).tolist():
-                at = mine[counts[mine] == m]
-                idx = seed_idx[at, :m]
-                gram = self._gram[idx[:, :, None], idx[:, None, :]]
-                groups.append(
-                    (row_local[at], idx, gram, moment[at, :m], totals[at])
-                )
-            batches.append(
-                FitBatch(
-                    seeds=self.seeds,
-                    num_roads=len(positions),
-                    width=width,
-                    num_samples=regression._centred.shape[0],
-                    groups=tuple(groups),
-                    blocks=len(np.unique(block_of[mine])),
-                )
-            )
-        return batches
+        groups = []
+        for m in np.unique(counts).tolist():
+            at = np.flatnonzero(counts == m)
+            idx = seed_idx[at, :m]
+            gram = self._gram[idx[:, :, None], idx[:, None, :]]
+            groups.append((fit[at], idx, gram, moment[at, :m], totals[at]))
+        return FitBatch(
+            seeds=self.seeds,
+            rows=rows,
+            width=self.width,
+            num_samples=regression._centred.shape[0],
+            groups=tuple(groups),
+            blocks=len(blocks),
+        )
 
 
 def _row_sum(terms: np.ndarray) -> np.ndarray:
@@ -344,7 +329,7 @@ def fit_batch(params: HlmParams, batch: FitBatch) -> FittedRows:
     weight ``min(max_regression_weight, R²/(1 − R²))`` and residual std
     ``sqrt(max(‖y‖² − 2γ·b + γᵀGγ, 0) / samples)``.
     """
-    n, width = batch.num_roads, batch.width
+    n, width = batch.rows.size, batch.width
     coef = np.zeros((n, width))
     seed_idx = np.full((n, width), len(batch.seeds), dtype=np.int64)
     weight = np.zeros(n)

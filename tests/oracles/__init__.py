@@ -27,14 +27,18 @@ pin the vectorized production code against it:
   ``ScalarHlm.estimate_road``, the per-road speed the plans compile;
 * :mod:`tests.oracles.estimator` — the per-road Step-2 solve over
   ``ScalarHlm.estimate_road``;
-* :mod:`tests.oracles.plan` — the whole-city Step-2 plan (one seed
-  structure over every road), the reference for district partitions;
+* :mod:`tests.oracles.plan` — the whole-city Step-2 plan (every road
+  fitted in one batch), the reference for compiled and refreshed
+  plans, with ``oracle_estimator`` serving rounds through it;
 * :mod:`tests.oracles.uncertainty` — the per-road prediction-band loop,
   each road fitted alone as a one-road batch of the production kernel
   (bitwise equal to its row in any plan), and
   ``normal_confidences``, the confidence levels the band tests sweep;
 * :mod:`tests.oracles.snapshot` — the per-road ``SpeedEstimate`` round
   loop and the format-2 (one JSON row per road) snapshot writer;
+* :mod:`tests.oracles.history` — ``BatchRollingHistory``, the
+  rolling window that re-mines its whole window from scratch, the
+  reference for incremental mining;
 * :mod:`tests.oracles.delta` — the list-form graph diff
   ``diff_edges`` (dicts over materialised edge objects), the reference
   for the array diff of a streamed re-mine;
@@ -62,7 +66,7 @@ from tests.oracles.fidelity import propagate_fidelity
 from tests.oracles.hlm import ScalarHlm, ScalarSeedRegression
 from tests.oracles.objective import ScalarCoverageObjective
 from tests.oracles.partition import partition_greedy_select
-from tests.oracles.plan import MonolithicPlanner
+from tests.oracles.plan import MonolithicPlanner, oracle_estimator
 from tests.oracles.propagation import ScalarPropagationInference
 from tests.oracles.uncertainty import ScalarBands
 
@@ -75,6 +79,7 @@ __all__ = [
     "ScalarPropagationInference",
     "ScalarSeedRegression",
     "ScalarTwoStep",
+    "oracle_estimator",
     "partition_greedy_select",
     "propagate_fidelity",
 ]

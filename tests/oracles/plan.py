@@ -1,18 +1,19 @@
-"""The whole-city Step-2 plan: the reference for district-partitioned plans.
+"""The whole-city Step-2 plan: the reference for compiled and refreshed plans.
 
-:class:`~repro.speed.plan.IntervalPlanner` compiles one structure per
-district and stitches the districts' regressed rows back into road
-order. This oracle is the form it replaced: one
-:func:`~repro.speed.plan.compile_seed_structure` over every road (one
-gather, one batch) and the whole-city blend, with the arithmetic
-unchanged. Every partition the
-production planner serves must match it bit for bit.
+:class:`~repro.speed.plan.IntervalPlanner` compiles a seed set's
+structure as a refresh from the prior: it ranks every road's seeds,
+fits only the rows whose ranked seeds differ from the structure's and
+patches them in place, and after a graph delta refits only the rows
+the delta re-ranked. This oracle fits every road in one gather and
+one batch (:func:`compile_seed_structure`) and blends the whole city
+with the arithmetic unchanged. Every plan the production planner
+serves, cold or refreshed, must match it bit for bit.
 
-:class:`MonolithicPlanner` has the planner factory signature of
-:class:`~repro.speed.estimator.TwoStepEstimator`, so
-``TwoStepEstimator(..., planner_factory=MonolithicPlanner)`` serves
-rounds through it. It keeps no structure cache and cannot be marked
-stale: build a fresh estimator after a graph delta.
+:func:`oracle_estimator` builds a
+:class:`~repro.speed.estimator.TwoStepEstimator` that serves rounds
+through :class:`MonolithicPlanner`. The planner keeps no structure
+cache and cannot be marked stale: build a fresh estimator after a
+graph delta.
 """
 
 from __future__ import annotations
@@ -23,8 +24,17 @@ from repro.core.errors import InferenceError
 from repro.core.types import Trend
 from repro.history.store import HistoricalSpeedStore
 from repro.roadnet.network import RoadNetwork
-from repro.speed.hlm import HierarchicalLinearModel
-from repro.speed.plan import _SeedStructure, compile_seed_structure
+from repro.speed.estimator import TwoStepEstimator
+from repro.speed.hlm import FitBatch, HierarchicalLinearModel, HlmParams, fit_batch
+from repro.speed.plan import _SeedStructure
+
+
+def compile_seed_structure(params: HlmParams, batch: FitBatch) -> _SeedStructure:
+    """Fit every row of ``batch`` into a fresh structure, in batch order."""
+    rows = np.arange(batch.rows.size)
+    structure = _SeedStructure(batch.seeds, rows.size, batch.width)
+    structure.patch(rows, fit_batch(params, batch))
+    return structure
 
 
 class MonolithicPlan:
@@ -133,8 +143,9 @@ class MonolithicPlanner:
     def compile(self, seeds, bucket, influence_provider) -> MonolithicPlan:
         params = self._hlm.params
         seeds = tuple(seeds)
-        (batch,) = self._hlm.regression.moments(seeds, self._road_ids).gather(
-            [np.arange(len(self._road_ids))], influence_provider()
+        moments = self._hlm.regression.moments(seeds, self._road_ids)
+        batch = moments.gather(
+            np.arange(len(self._road_ids)), moments.rank(influence_provider())
         )
         structure = compile_seed_structure(params, batch)
         hierarchy = self._hlm.hierarchy
@@ -161,3 +172,14 @@ class MonolithicPlanner:
             prior_weight=params.prior_weight,
             use_trend=params.use_trend,
         )
+
+
+def oracle_estimator(network, store, graph, **kwargs) -> TwoStepEstimator:
+    """A :class:`~repro.speed.estimator.TwoStepEstimator` whose Step 2
+    is served through :class:`MonolithicPlanner` (``kwargs`` as the
+    estimator's)."""
+    estimator = TwoStepEstimator(network, store, graph, **kwargs)
+    estimator._planner = MonolithicPlanner(
+        store, network, estimator.hlm, graph.road_ids
+    )
+    return estimator

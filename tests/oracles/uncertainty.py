@@ -11,9 +11,9 @@ import numpy as np
 from repro.core.types import SpeedEstimate
 from repro.history.store import HistoricalSpeedStore
 from repro.speed.estimator import TwoStepEstimator
-from repro.speed.plan import compile_seed_structure
 from repro.speed.uncertainty import _Z_BY_CONFIDENCE, SpeedBand, z_for_confidence
 from tests.oracles.fidelity import influence_index, influence_rows
+from tests.oracles.plan import compile_seed_structure
 
 
 class ScalarBands:
@@ -60,12 +60,13 @@ class ScalarBands:
             influence_index(graph, seeds, hlm.params.min_fidelity), seeds, road_ids
         )
         moments = hlm.regression.moments(seeds, road_ids)
+        ranked = moments.rank(seed_rows)
         bands: dict[int, SpeedBand] = {}
         for road, estimate in estimates.items():
             if estimate.is_seed:
                 std_kmh = self._seed_std
             else:
-                (batch,) = moments.gather([np.array([position[road]])], seed_rows)
+                batch = moments.gather(np.array([position[road]]), ranked)
                 fitted = compile_seed_structure(hlm.params, batch)
                 historical = self._store.historical_speed(
                     road, estimate.interval

@@ -5,16 +5,14 @@ each road's residual std and historical speed from the compiled plan
 that served the round; ``tests/oracles/uncertainty.py`` recomputes them
 road by road through ``JointSeedRegression.for_road`` and the store.
 The two must agree bit for bit on ``lower``, ``upper`` and ``std`` for
-one-district and multi-district plans (including a 4-district plan,
-whose columns must also equal the whole-city oracle plan's), degraded
-observations, roads no seed influences, ``estimate_roads`` subsets,
-every supported confidence, and the round after a graph delta marked
-shards stale.
+degraded observations, roads no seed influences, ``estimate_roads``
+subsets, every supported confidence, and the round after a graph delta
+marked the plan's structure stale; the plan's band columns must also
+equal the whole-city oracle plan's.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
@@ -22,9 +20,9 @@ from repro.history.fidelity import FidelityCacheService
 from repro.history.incremental import GraphDelta
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
-from repro.speed.plan import IntervalPlanCache, IntervalPlanner
+from repro.speed.plan import IntervalPlanCache
 from repro.speed.uncertainty import UncertaintyModel
-from tests.oracles import MonolithicPlanner, ScalarBands
+from tests.oracles import ScalarBands, oracle_estimator
 from tests.oracles.uncertainty import normal_confidences
 
 CONFIDENCES = normal_confidences()
@@ -39,13 +37,10 @@ def fitted(small_dataset):
     return small_dataset, hlm, params
 
 
-def _estimator(dataset, hlm, params, partitions=None, graph=None,
-               fidelity=None, plan_cache=None, factory=None):
-    """Production over ``partitions`` (None: one district) unless ``factory``."""
-    if factory is None:
-        def factory(store, network, hlm_, road_ids):
-            return IntervalPlanner(store, network, hlm_, road_ids, partitions)
-    return TwoStepEstimator(
+def _estimator(dataset, hlm, params, graph=None, fidelity=None, plan_cache=None,
+               build=TwoStepEstimator):
+    """A production estimator (``build=oracle_estimator``: the oracle plan)."""
+    return build(
         dataset.network,
         dataset.store,
         graph if graph is not None else dataset.graph,
@@ -53,14 +48,7 @@ def _estimator(dataset, hlm, params, partitions=None, graph=None,
         hlm_params=params,
         fidelity_service=fidelity or FidelityCacheService(),
         plan_cache=plan_cache,
-        planner_factory=factory,
     )
-
-
-def _chunks(road_ids, num_districts):
-    roads = list(road_ids)
-    bounds = np.linspace(0, len(roads), num_districts + 1).astype(int)
-    return [tuple(roads[bounds[i]:bounds[i + 1]]) for i in range(num_districts)]
 
 
 def _speeds(dataset, seeds, interval, factor=1.0):
@@ -155,12 +143,12 @@ class TestMonolithic:
         assert (stats.hits, stats.misses) == (2, 2)
 
 
-class TestSharded:
-    def test_two_workers_four_districts_match_oracle(self, fitted):
+class TestWholeCityOracle:
+    def test_columns_match_whole_city_oracle(self, fitted):
         dataset, hlm, params = fitted
         roads = list(dataset.graph.road_ids)
-        est = _estimator(dataset, hlm, params, partitions=_chunks(roads, 4))
-        oracle = _estimator(dataset, hlm, params, factory=MonolithicPlanner)
+        est = _estimator(dataset, hlm, params)
+        oracle = _estimator(dataset, hlm, params, build=oracle_estimator)
         seeds = roads[::13][:8]
         for interval in dataset.test_day_intervals()[:2]:
             speeds = _speeds(dataset, seeds, interval)
@@ -192,7 +180,7 @@ class TestSharded:
 
 
 def _split_graph(road_ids):
-    """Two disconnected chains: a delta in one leaves the other's shard."""
+    """Two disconnected chains: a delta in one leaves the other's rows."""
     roads = sorted(road_ids)
     half = len(roads) // 2
     first, second = roads[:half], roads[half:]
@@ -205,9 +193,7 @@ def _split_graph(road_ids):
 
 
 class TestAfterGraphDelta:
-    # "monolithic" is the default one-district planner.
-    @pytest.mark.parametrize("sharded", [False, True], ids=["monolithic", "sharded"])
-    def test_round_after_delta_matches_oracle(self, small_dataset, sharded):
+    def test_round_after_delta_matches_oracle(self, small_dataset):
         graph, first, second = _split_graph(small_dataset.graph.road_ids)
         params = HlmParams()
         hlm = HierarchicalLinearModel.fit(
@@ -216,9 +202,8 @@ class TestAfterGraphDelta:
         fidelity = FidelityCacheService()
         cache = IntervalPlanCache(maxsize=8)
         est = _estimator(
-            small_dataset, hlm, params,
-            partitions=[first, second] if sharded else None,
-            graph=graph, fidelity=fidelity, plan_cache=cache,
+            small_dataset, hlm, params, graph=graph, fidelity=fidelity,
+            plan_cache=cache,
         )
         seeds = [first[5], first[20], second[5], second[20]]
         interval = small_dataset.test_day_intervals()[0]
@@ -237,8 +222,8 @@ class TestAfterGraphDelta:
             stale_oracle[r].std_kmh != fresh_oracle[r].std_kmh for r in second
         ), "the delta must change some regression's residual std"
         plan = next(iter(cache._plans.values()))
-        assert plan._shard_set.needs_refresh
-        # Bands first: the band lookup itself must refresh stale shards.
+        assert plan._structure.stale
+        # Bands first: the band lookup itself must refresh the structure.
         _check_round(est, small_dataset, before, speeds)
         after = est.estimate_interval(interval, speeds)
         assert any(before[r] != after[r] for r in second)

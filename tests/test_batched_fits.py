@@ -13,13 +13,15 @@ roads no seed reaches and seed roads):
   sums Gram entries, traces and quadratic forms in another order than
   the oracle, so the comparison uses ``rtol=1e-9`` (and ``atol=1e-12``
   for values at zero), not bit equality;
-* each row bitwise equal across district partitions, one gather call
-  or one per district (in reverse order, on fresh moments), and the
-  stacked solve split into chunks in any row order;
-* the work counters: a one-edge delta in one district of a 4-district
-  plan fits exactly that district's influenced non-seed rows, reads
-  exactly their influence entries, fetches each plan seed's row once,
-  and a gather computes each column block of the product at most once.
+* each row bitwise equal across batches: one gather of any row
+  order, one gather per chunk of rows (in reverse order, on fresh
+  moments), and the stacked solve split into chunks in any row order;
+* the work counters: after a graph delta the plan's refresh fits
+  exactly the rows whose ranked seed ids differ between cold compiles
+  before and after the delta (rows newly reached, rows no longer
+  reached, re-ranked rows), counted test-side from the scalar
+  influence index; it fetches each plan seed's row once, and a gather
+  computes each column block of the product at most once.
 
 Influence is handed to the kernel as the plan seeds' sparse rows; the
 tests build those rows from a road -> {seed -> fidelity} index with
@@ -47,7 +49,7 @@ from repro.speed.hlm import (
     JointSeedRegression,
     fit_batch,
 )
-from repro.speed.plan import IntervalPlanCache, IntervalPlanner
+from repro.speed.plan import IntervalPlanCache
 from tests.oracles import ScalarSeedRegression, ScalarTwoStep
 from tests.oracles.fidelity import influence_rows
 
@@ -86,24 +88,22 @@ def fit_cases(draw):
     return store, params, seeds, influence
 
 
-def _gather(regression, seeds, roads, districts, influence):
-    """``gather`` of ``districts`` (road-id tuples) over the road order ``roads``."""
+def _gather(regression, seeds, roads, members, influence):
+    """``gather`` of the road ids ``members`` over the road order ``roads``."""
     position = {road: i for i, road in enumerate(roads)}
-    return regression.moments(seeds, roads).gather(
-        [np.array([position[road] for road in d], dtype=np.int64) for d in districts],
-        influence_rows(influence, seeds, roads),
+    moments = regression.moments(seeds, roads)
+    return moments.gather(
+        np.array([position[road] for road in members], dtype=np.int64),
+        moments.rank(influence_rows(influence, seeds, roads)),
     )
 
 
-def _fit_rows(regression, seeds, roads, districts, influence):
-    """road -> its fitted row's bytes, gathering ``districts`` in one call."""
-    batches = _gather(regression, seeds, roads, districts, influence)
-    rows = {}
-    for members, batch in zip(districts, batches):
-        fits = fit_batch(regression.params, batch)
-        for i, road in enumerate(members):
-            rows[road] = _row_bytes(fits, i)
-    return rows
+def _fit_rows(regression, seeds, roads, members, influence):
+    """road -> its fitted row's bytes, gathering ``members`` in one call."""
+    fits = fit_batch(
+        regression.params, _gather(regression, seeds, roads, members, influence)
+    )
+    return {road: _row_bytes(fits, i) for i, road in enumerate(members)}
 
 
 def _row_bytes(fits, i):
@@ -128,8 +128,7 @@ class TestAgainstOracle:
         store, params, seeds, influence = case
         roads = tuple(store.road_ids)
         regression = JointSeedRegression(store, params)
-        (batch,) = _gather(regression, seeds, roads, [roads], influence)
-        fits = fit_batch(params, batch)
+        fits = fit_batch(params, _gather(regression, seeds, roads, roads, influence))
         oracle = ScalarSeedRegression(store, params)
         for i, road in enumerate(roads):
             want = (
@@ -169,8 +168,7 @@ class TestAgainstOracle:
         seeds = (10, 11, 12)
         influence = {13: {10: 0.5, 11: 0.5}, 14: {10: 0.9, 12: 0.4}}
         regression = JointSeedRegression(store, params)
-        (batch,) = _gather(regression, seeds, road_ids, [tuple(road_ids)], influence)
-        fits = fit_batch(params, batch)
+        fits = fit_batch(params, _gather(regression, seeds, road_ids, road_ids, influence))
         oracle = ScalarSeedRegression(store, params)
         singular = oracle.for_road(13, influence[13])
         assert not singular.coefficients.any()
@@ -179,7 +177,7 @@ class TestAgainstOracle:
         np.testing.assert_allclose(fits.coef[4, :2], regular.coefficients, rtol=1e-9)
         # The regular row has the bits it has when fitted with no
         # singular row beside it.
-        alone = _fit_rows(regression, seeds, road_ids, [(14,)], influence)
+        alone = _fit_rows(regression, seeds, road_ids, (14,), influence)
         assert alone[14] == _row_bytes(fits, 4)
 
 
@@ -194,22 +192,21 @@ class TestBatchInvariance:
         store, params, seeds, influence = case
         roads = list(store.road_ids)
         regression = JointSeedRegression(store, params)
-        reference = _fit_rows(regression, seeds, roads, [tuple(roads)], influence)
+        reference = _fit_rows(regression, seeds, roads, roads, influence)
 
-        # Any partition of any road order, gathered in one call.
+        # Any road order, gathered in one call.
         shuffled = data.draw(st.permutations(roads))
-        cuts = data.draw(st.lists(st.integers(min_value=1, max_value=len(roads))))
-        districts = _partition(shuffled, cuts)
-        assert _fit_rows(regression, seeds, roads, districts, influence) == reference
+        assert _fit_rows(regression, seeds, roads, shuffled, influence) == reference
 
-        # One gather per district, in reverse order, each on fresh moments.
+        # One gather per chunk, in reverse order, each on fresh moments.
+        cuts = data.draw(st.lists(st.integers(min_value=1, max_value=len(roads))))
         separate = {}
-        for district in reversed(districts):
-            separate.update(_fit_rows(regression, seeds, roads, [district], influence))
+        for chunk in reversed(_partition(shuffled, cuts)):
+            separate.update(_fit_rows(regression, seeds, roads, chunk, influence))
         assert separate == reference
 
         # The stacked solves split into chunks of shuffled rows.
-        (batch,) = _gather(regression, seeds, roads, [tuple(roads)], influence)
+        batch = _gather(regression, seeds, roads, roads, influence)
         size = data.draw(st.integers(min_value=1, max_value=5))
         for rows, idx, gram, moment, total in batch.groups:
             order = data.draw(st.permutations(range(len(rows))))
@@ -217,7 +214,7 @@ class TestBatchInvariance:
                 pick = np.asarray(order[start : start + size])
                 chunk = FitBatch(
                     seeds=seeds,
-                    num_roads=batch.num_roads,
+                    rows=batch.rows,
                     width=batch.width,
                     num_samples=batch.num_samples,
                     groups=((rows[pick], idx[pick], gram[pick], moment[pick], total[pick]),),
@@ -239,8 +236,18 @@ def _four_components(road_ids):
     return CorrelationGraph(roads, edges), parts
 
 
+def _ranked_seeds(store, graph, hlm, seeds, width):
+    """road -> its top-``width`` seed ids, from the scalar influence index."""
+    index = ScalarTwoStep(store, graph, hlm).influence_index(seeds)
+    return {
+        road: tuple(sorted(row, key=lambda seed: (-row[seed], seed))[:width])
+        for road, row in index.items()
+        if road not in seeds
+    }
+
+
 class TestWorkCounters:
-    def test_one_edge_delta_refits_one_district(self, small_dataset, monkeypatch):
+    def test_one_edge_delta_refits_changed_rows(self, small_dataset, monkeypatch):
         # Narrow blocks, so the 120-road history spans eight of them.
         monkeypatch.setattr(hlm_module, "MOMENT_BLOCK_COLUMNS", 16)
         dataset = small_dataset
@@ -250,61 +257,57 @@ class TestWorkCounters:
         hlm = HierarchicalLinearModel.fit(store, dataset.network, graph, params)
         fidelity = FidelityCacheService()
         cache = IntervalPlanCache(maxsize=4)
-
-        def factory(store_, network, hlm_, road_ids):
-            return IntervalPlanner(store_, network, hlm_, road_ids, parts)
-
         est = TwoStepEstimator(
             dataset.network, store, graph, hlm=hlm, hlm_params=params,
-            fidelity_service=fidelity, plan_cache=cache, planner_factory=factory,
+            fidelity_service=fidelity, plan_cache=cache,
         )
         seeds = [road for part in parts for road in (part[3], part[12])]
+        width = min(params.max_seeds_per_road, len(seeds))
         interval = dataset.test_day_intervals()[0]
         speeds = {r: dataset.test.speed(r, interval) for r in seeds}
 
         def block_of(road):
             return store.road_column(road) // 16
 
-        def fitted_roads(part):
-            index = ScalarTwoStep(store, graph, hlm).influence_index(seeds)
-            return [r for r in part if r not in speeds and index.get(r)]
-
-        def entries(roads):
-            index = ScalarTwoStep(store, graph, hlm).influence_index(seeds)
-            return sum(len(index[r]) for r in roads)
+        def spans(name):
+            return [s for s in rec.tracer.drain() if s.name == name]
 
         rec = FlightRecorder()
         previous = set_recorder(rec)
         try:
             est.estimate_interval(interval, speeds)
-            spans = rec.tracer.drain()
-            (moments,) = [s for s in spans if s.name == "speed.hlm.moments"]
-            cold = [s for s in spans if "district" in s.attrs]
-            every_row = [r for part in parts for r in fitted_roads(part)]
-            assert moments.attrs["rows"] == len(every_row)
-            assert moments.attrs["entries"] == entries(every_row)
-            # One gather for all four districts: each block once.
-            assert moments.attrs["blocks"] == len({block_of(r) for r in every_row})
-            assert sum(s.attrs["moment_blocks"] for s in cold) >= moments.attrs["blocks"]
-            for span in cold:
-                part = parts[span.attrs["district"]]
-                assert span.attrs["rows_fitted"] == len(fitted_roads(part))
-                assert span.attrs["moment_blocks"] == len(
-                    {block_of(r) for r in fitted_roads(part)}
-                )
+            drained = rec.tracer.drain()
+            (moments,) = [s for s in drained if s.name == "speed.hlm.moments"]
+            (cold,) = [s for s in drained if s.name == "speed.plan.compile"]
+            before = _ranked_seeds(store, graph, hlm, seeds, width)
+            assert cold.attrs["rows_fitted"] == moments.attrs["rows"] == len(before)
+            assert moments.attrs["blocks"] == cold.attrs["moment_blocks"] == len(
+                {block_of(r) for r in before}
+            )
             fits_before = rec.registry.counter("speed.hlm.regression_fits").value
-            assert fits_before == len(every_row)
+            assert fits_before == len(before)
 
-            # Reweight one edge inside district 2.
-            edge = graph.neighbours(parts[2][5])[0]
+            # Cut chain 2 past its second seed and bridge chain 1 to
+            # chain 2's tail: rows past the cut lose that seed, and the
+            # tail is newly reached from chain 1's second seed.
             delta = GraphDelta(
-                added=(),
-                removed=(),
-                reweighted=(CorrelationEdge(edge.road_u, edge.road_v, 0.93),),
+                added=(CorrelationEdge(parts[1][14], parts[2][25], 0.9),),
+                removed=((parts[2][15], parts[2][16]),),
+                reweighted=(),
             )
             graph.apply_delta(delta)
             lost = set(fidelity.apply_graph_delta(graph, delta)) & set(seeds)
             assert lost
+            after = _ranked_seeds(store, graph, hlm, seeds, width)
+            changed = {
+                road
+                for road in set(before) | set(after)
+                if before.get(road) != after.get(road)
+            }
+            assert set(before) - set(after), "some row is no longer reached"
+            assert set(after) - set(before), "some row is newly reached"
+            refit = changed & set(after)
+
             # The refresh fetches each plan seed's row once: the rows the
             # delta dropped miss, the others hit.
             plan = est.plan_for(interval, seeds)
@@ -320,27 +323,25 @@ class TestWorkCounters:
                 rec.registry.counter("fidelity.cache", hit="true").value - hits
                 == len(seeds) - len(lost)
             )
-            spans = rec.tracer.drain()
-            (moments,) = [s for s in spans if s.name == "speed.hlm.moments"]
-            (refresh,) = [s for s in spans if "district" in s.attrs]
-            touched = fitted_roads(parts[2])
-            assert refresh.attrs["district"] == 2
-            assert refresh.attrs["rows_fitted"] == len(touched)
-            assert moments.attrs["rows"] == len(touched)
-            assert moments.attrs["entries"] == entries(touched)
-            blocks = len({block_of(r) for r in touched})
+            drained = rec.tracer.drain()
+            (moments,) = [s for s in drained if s.name == "speed.hlm.moments"]
+            (refresh,) = [s for s in drained if s.name == "speed.plan.compile"]
+            assert refresh.attrs["rows_fitted"] == len(changed)
+            assert moments.attrs["rows"] == len(refit)
+            blocks = len({block_of(r) for r in refit})
             assert moments.attrs["blocks"] == refresh.attrs["moment_blocks"] == blocks
             assert (
                 rec.registry.counter("speed.hlm.regression_fits").value
-                == fits_before + len(touched)
+                == fits_before + len(refit)
             )
-            after = est.estimate_interval(interval, speeds)
+            served = est.estimate_interval(interval, speeds)
+            assert not spans("speed.plan.compile")
         finally:
             set_recorder(previous)
 
         # The refreshed plan serves what a cold compile serves, bit for bit.
         cold_est = TwoStepEstimator(
             dataset.network, store, graph, hlm=hlm, hlm_params=params,
-            fidelity_service=FidelityCacheService(), planner_factory=factory,
+            fidelity_service=FidelityCacheService(),
         )
-        assert cold_est.estimate_interval(interval, speeds) == after
+        assert cold_est.estimate_interval(interval, speeds) == served

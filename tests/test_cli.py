@@ -71,13 +71,12 @@ class TestParser:
         assert args.metrics_out is None
 
     def test_sharded_plan_options(self):
-        args = build_parser().parse_args(["estimate", "--plan-shards", "4"])
-        assert args.plan_shards == 4
-        serve = build_parser().parse_args(["serve", "--plan-shards", "4"])
-        assert serve.plan_shards == 4
-        assert build_parser().parse_args(["serve"]).plan_shards == 1
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["estimate", "--sharded-plan"])
+        """Step 2 plans one structure per seed set: no district option."""
+        for command in ("estimate", "serve"):
+            for flag in ("--plan-shards", "--sharded-plan"):
+                with pytest.raises(SystemExit) as exc:
+                    build_parser().parse_args([command, flag, "4"])
+                assert exc.value.code == 2
 
     def test_obs_top_source(self):
         args = build_parser().parse_args(["obs", "top", "metrics.json"])
@@ -125,26 +124,12 @@ class TestCommands:
         assert "Planned ETA" in out
         assert "ETA error" in out
 
-    def test_estimate_sharded_plan(self, capsys):
-        assert main(
-            [
-                "--city", "tianjin", "estimate", "--budget", "8",
-                "--show", "4", "--plan-shards", "4",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "MAE" in out
-
     def test_plan_workers_is_an_argparse_error(self):
         """Step 2 has no worker pool, so there is no worker count to set."""
         for command in ("estimate", "serve"):
             with pytest.raises(SystemExit) as exc:
-                build_parser().parse_args(
-                    [command, "--plan-shards", "4", "--plan-workers", "2"]
-                )
+                build_parser().parse_args([command, "--plan-workers", "2"])
             assert exc.value.code == 2
-        with pytest.raises(SystemExit, match="plan-shards"):
-            main(["--city", "tianjin", "serve", "--plan-shards", "0"])
 
     def test_bad_budget(self):
         with pytest.raises(SystemExit, match="budget"):
@@ -324,19 +309,6 @@ class TestServeSLOCommands:
         ) == 0
         out = capsys.readouterr().out
         assert "slo check ok" in out
-
-    def test_serve_sharded_plan_leaves_no_shared_memory(self, capsys):
-        from tests.test_plan_sharded import _shm_segments
-
-        before = _shm_segments()
-        assert main(
-            [
-                "--city", "tianjin", "serve", "--rounds", "2", "--budget", "5",
-                "--plan-shards", "4",
-            ]
-        ) == 0
-        assert "Serving loop: 2 rounds" in capsys.readouterr().out
-        assert not (_shm_segments() - before), "a shared-memory segment survived"
 
     def test_serve_removes_its_default_snapshot_dir(
         self, tmp_path, monkeypatch, capsys

@@ -11,10 +11,10 @@ from repro.speed.hlm import (
     JointSeedRegression,
     fit_batch,
 )
-from repro.speed.plan import compile_seed_structure
 from repro.trend.model import TrendPosterior
 from tests.oracles import ScalarHlm
 from tests.oracles.fidelity import influence_rows
+from tests.oracles.plan import compile_seed_structure
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +55,10 @@ def fit_one(store, params, road, influence, seeds=None):
     """``road``'s row from the batched kernel, fitted as a one-road batch."""
     seeds = tuple(sorted(influence)) if seeds is None else seeds
     road_ids = store.road_ids
-    (batch,) = JointSeedRegression(store, params).moments(seeds, road_ids).gather(
-        [np.array([road_ids.index(road)])],
-        influence_rows({road: influence}, seeds, road_ids),
+    moments = JointSeedRegression(store, params).moments(seeds, road_ids)
+    batch = moments.gather(
+        np.array([road_ids.index(road)]),
+        moments.rank(influence_rows({road: influence}, seeds, road_ids)),
     )
     return seeds, batch, fit_batch(params, batch)
 
@@ -83,7 +84,7 @@ class TestJointSeedRegression:
         _, batch, fits = fit_one(
             store, HlmParams(), store.road_ids[0], {}, seeds=(store.road_ids[1],)
         )
-        assert batch.rows_fitted == 0
+        assert not batch.groups
         assert not fits.has_reg[0]
         assert fits.weight[0] == 0.0 and fits.residual_std[0] == 0.0
 

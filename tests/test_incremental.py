@@ -30,6 +30,7 @@ from repro.history.store import HistoricalSpeedStore
 from repro.history.timebuckets import TimeGrid
 from repro.traffic.simulator import TrafficSimulator
 from tests.oracles.delta import diff_edges
+from tests.oracles.history import BatchRollingHistory
 
 
 class _StubStore:
@@ -501,12 +502,8 @@ class TestRollingIncremental:
         inc = RollingHistory(
             small_network, grid, window_days=4, remine_every_days=2
         )
-        batch = RollingHistory(
-            small_network,
-            grid,
-            window_days=4,
-            remine_every_days=2,
-            incremental=False,
+        batch = BatchRollingHistory(
+            small_network, grid, window_days=4, remine_every_days=2
         )
         for day in days[:8]:
             inc.ingest_day(day)

@@ -9,6 +9,7 @@ from repro.history.online import RollingHistory
 from repro.history.store import HistoricalSpeedStore
 from repro.history.timebuckets import TimeGrid
 from repro.traffic.simulator import TrafficSimulator
+from tests.oracles.history import BatchRollingHistory
 
 
 @pytest.fixture(scope="module")
@@ -123,11 +124,10 @@ class TestMiningCadence:
         rolling.verify_incremental()
 
     def test_remine_rate_limited_batch_mode(self, small_network, day_fields):
-        """Batch mode keeps the historical fresh-object-per-remine shape."""
+        """The batch oracle keeps the fresh-object-per-remine shape."""
         grid, days = day_fields
-        rolling = RollingHistory(
-            small_network, grid, window_days=10, remine_every_days=3,
-            incremental=False,
+        rolling = BatchRollingHistory(
+            small_network, grid, window_days=10, remine_every_days=3
         )
         rolling.ingest_day(days[0])
         first_graph = rolling.graph

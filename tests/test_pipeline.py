@@ -171,18 +171,8 @@ class TestEstimation:
 
 
 class TestRelease:
-    @pytest.mark.parametrize(
-        "config",
-        [
-            PipelineConfig(),
-            PipelineConfig(
-                use_sharded_plan=True, plan_shards=2, num_partition_workers=1
-            ),
-        ],
-        ids=["one-district", "sharded"],
-    )
     def test_dropped_system_is_freed_without_the_cycle_collector(
-        self, small_dataset, config
+        self, small_dataset
     ):
         """A system, its estimator and its compiled plans form no
         reference cycle, so dropping the last reference frees their rows
@@ -192,8 +182,7 @@ class TestRelease:
         gc.disable()
         try:
             with SpeedEstimationSystem.from_parts(
-                small_dataset.network, small_dataset.store, small_dataset.graph,
-                config,
+                small_dataset.network, small_dataset.store, small_dataset.graph
             ) as system:
                 seeds = system.select_seeds(6)
                 truth = {r: small_dataset.test.speed(r, interval) for r in seeds}

@@ -401,7 +401,7 @@ class TestGraphDeltaEviction:
     A plan cache once registered only for whole-graph invalidations, so
     ``invalidate_rows`` dropped fidelity rows while compiled plans kept
     serving coefficients derived from the pre-delta graph. The
-    estimator's one subscription now marks stale exactly the shards of
+    estimator's one subscription now marks stale exactly the structures of
     plans whose seed rows dropped (the plans stay cached), and a warm
     estimator afterwards matches a cold one built from the mutated graph
     bit for bit.
@@ -461,7 +461,7 @@ class TestGraphDeltaEviction:
         assert seeds[0] in dropped
 
         stats = cache.stats()
-        assert stats.shard_evictions == 1  # the stale plan's one district...
+        assert stats.shard_evictions == 1  # the stale plan's structure...
         assert stats.flushes == 0  # ...without a wholesale flush
         assert stats.size == 1
         assert stats.row_evictions == 0
@@ -531,7 +531,7 @@ class TestGraphDeltaEviction:
         assert stats.row_evictions == 0
         assert stats.shard_evictions == 2 - len(survivors)
         marked = {
-            plan.seeds: plan._shard_set.needs_refresh
+            plan.seeds: plan._structure.stale
             for plan in cache._plans.values()
         }
         assert marked == {
@@ -610,7 +610,7 @@ class TestGraphDeltaEviction:
 
 
 class TestEvictionIndexPinning:
-    """``evict_structures`` must mark *exactly* the shard sets a linear
+    """``evict_structures`` must mark *exactly* the structures a linear
     scan over every live compiled seed set would, and forget them all
     on a whole-graph eviction."""
 
@@ -643,32 +643,32 @@ class TestEvictionIndexPinning:
             set(),
             {roads[3]},              # hits two overlapping sets
             {roads[2], roads[101]},  # hits sets in different regions
-            {roads[110]},            # no shard set uses this road
+            {roads[110]},            # no structure uses this road
             {roads[0], roads[50], roads[100]},  # hits three sets
             {-1, 10**9},             # roads the planner never saw
         ]
         for drop in drops:
             _, planner = self._planner(pair)
             plans = [self._compile(planner, roads, s) for s in seed_sets]
-            live = dict(planner._shard_sets.items())
+            live = dict(planner._structures.items())
             assert set(live) == set(seed_sets)
             expected = {k for k in live if set(k) & drop}  # reference scan
             planner.evict_structures(drop)
-            assert dict(planner._shard_sets.items()) == live
-            assert {k for k, v in live.items() if v.needs_refresh} == expected
+            assert dict(planner._structures.items()) == live
+            assert {k for k, v in live.items() if v.stale} == expected
             del plans
 
     def test_evict_all_clears_index(self, pair):
         dataset, planner = self._planner(pair)
         roads = list(dataset.graph.road_ids)
         plan = self._compile(planner, roads, roads[:3])
-        assert tuple(roads[:3]) in planner._shard_sets
+        assert tuple(roads[:3]) in planner._structures
         planner.evict_structures(None)
-        assert not list(planner._shard_sets.keys())
-        # Recompiling after a full evict compiles a fresh shard set.
+        assert not list(planner._structures.keys())
+        # Recompiling after a full evict compiles a fresh structure.
         fresh = self._compile(planner, roads, roads[:3])
-        assert tuple(roads[:3]) in planner._shard_sets
-        assert fresh._shard_set is not plan._shard_set
+        assert tuple(roads[:3]) in planner._structures
+        assert fresh._structure is not plan._structure
 
     def test_garbage_collected_structures_are_pruned(self, pair):
         import gc
@@ -678,7 +678,7 @@ class TestEvictionIndexPinning:
         plan = self._compile(planner, roads, roads[:3])
         del plan
         gc.collect()
-        assert tuple(roads[:3]) not in planner._shard_sets
+        assert tuple(roads[:3]) not in planner._structures
         # Evicting over the dead seed set is a no-op, not an error.
         planner.evict_structures({roads[0]})
-        assert not list(planner._shard_sets.keys())
+        assert not list(planner._structures.keys())

@@ -1,15 +1,14 @@
-"""District-partitioned interval plans: bitwise differentials and scoped eviction.
+"""One Step-2 plan structure per seed set: bitwise differentials and row-scoped refresh.
 
-The Step-2 planner (``repro.speed.plan.IntervalPlanner``) must be
-**bitwise identical** to the whole-city oracle plan
-(``tests/oracles/plan.py``) — not merely close: every per-road quantity
-in the evaluation is row-independent, so compiling district slices and
-stitching them back must reproduce the whole-city arrays bit for bit,
-across any partition shape (the default one district included). Every
-district compiles in the parent: a sharded system opens no worker pool
-for Step 2. Delta eviction must be district-scoped: a row invalidation
-recompiles only the districts a dropped seed's influence touches, and
-untouched districts' structures survive by object identity.
+The Step-2 planner (``repro.speed.plan.IntervalPlanner``) compiles one
+structure over the whole road order as a refresh from the prior, and
+must be **bitwise identical** to the whole-city oracle plan
+(``tests/oracles/plan.py``), which fits every road in one batch — not
+merely close: every per-road quantity is row-independent. A refresh
+after a graph delta refits exactly the rows whose ranked seeds changed,
+patches the structure in place, and must equal a cold compile of the
+new rows bit for bit. Every compile runs in the parent: a system opens
+no worker pool for Step 2.
 """
 
 from __future__ import annotations
@@ -21,19 +20,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import InferenceError
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.fidelity import FidelityCacheService
 from repro.history.incremental import GraphDelta
 from repro.obs import FlightRecorder, set_recorder
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
-from repro.speed.plan import IntervalPlanCache, IntervalPlanner
-from tests.oracles import MonolithicPlanner
+from repro.speed.plan import IntervalPlanCache
+from tests.oracles import oracle_estimator
 
 
 def _counter(rec, name, **labels):
     return rec.registry.counter(name, **labels).value
+
+
+def _compile_spans(rec):
+    return [s for s in rec.tracer.drain() if s.name == "speed.plan.compile"]
 
 
 @pytest.fixture(scope="module")
@@ -46,40 +48,29 @@ def fitted(small_dataset):
     return small_dataset, hlm, params
 
 
-def _estimator(dataset, hlm, params, partitions=None, graph=None):
-    """A fresh production estimator over ``partitions`` (None: one district)."""
-    def factory(store, network, hlm_, road_ids):
-        return IntervalPlanner(store, network, hlm_, road_ids, partitions)
-    return _build(dataset, hlm, params, factory, graph)
-
-
-def _oracle(dataset, hlm, params, graph=None):
-    """A fresh estimator serving through the whole-city oracle plan."""
-    return _build(dataset, hlm, params, MonolithicPlanner, graph)
-
-
-def _build(dataset, hlm, params, factory, graph):
+def _estimator(dataset, hlm, params, graph=None, fidelity=None, plan_cache=None):
+    """A fresh production estimator."""
     return TwoStepEstimator(
         dataset.network,
         dataset.store,
         graph if graph is not None else dataset.graph,
         hlm=hlm,
         hlm_params=params,
-        fidelity_service=FidelityCacheService(),
-        planner_factory=factory,
+        fidelity_service=fidelity or FidelityCacheService(),
+        plan_cache=plan_cache,
     )
 
 
-def _chunks(road_ids, num_districts):
-    """Contiguous near-even partition of the road order."""
-    roads = list(road_ids)
-    num_districts = min(num_districts, len(roads))
-    bounds = np.linspace(0, len(roads), num_districts + 1).astype(int)
-    return [
-        tuple(roads[bounds[i]: bounds[i + 1]])
-        for i in range(num_districts)
-        if bounds[i] < bounds[i + 1]
-    ]
+def _oracle(dataset, hlm, params, graph=None):
+    """A fresh estimator serving through the whole-city oracle plan."""
+    return oracle_estimator(
+        dataset.network,
+        dataset.store,
+        graph if graph is not None else dataset.graph,
+        hlm=hlm,
+        hlm_params=params,
+        fidelity_service=FidelityCacheService(),
+    )
 
 
 def _speeds(dataset, seeds, interval, factor=1.0):
@@ -94,121 +85,64 @@ def _assert_bitwise(a, b):
         )
 
 
+def _copy(graph):
+    return CorrelationGraph(graph.road_ids, list(graph.edges()))
+
+
 class TestShardedBitwise:
-    @pytest.mark.parametrize("num_districts", [1, 2, 4, 7, 10_000])
-    def test_matches_monolithic(self, fitted, num_districts):
+    """The one-structure plan against the whole-city oracle plan."""
+
+    @pytest.mark.parametrize("num_seeds", [1, 2, 4, 7, 10_000])
+    def test_matches_monolithic(self, fitted, num_seeds):
+        """One seed (width 1) up to every road a seed (nothing fitted)."""
         dataset, hlm, params = fitted
         roads = list(dataset.graph.road_ids)
         mono = _oracle(dataset, hlm, params)
-        shard = _estimator(
-            dataset, hlm, params, partitions=_chunks(roads, num_districts)
-        )
-        seeds = roads[::17][:7]
+        est = _estimator(dataset, hlm, params)
+        seeds = roads[:: max(1, len(roads) // num_seeds)][:num_seeds]
         intervals = dataset.test_day_intervals()[:3]
         for factor in (1.0, 0.82):
             for interval in intervals:
                 speeds = _speeds(dataset, seeds, interval, factor)
                 _assert_bitwise(
                     mono.estimate_interval(interval, speeds),
-                    shard.estimate_interval(interval, speeds),
+                    est.estimate_interval(interval, speeds),
                 )
 
     def test_default_planner_is_one_district(self, fitted):
+        """The planner compiles one structure over the whole road order."""
         dataset, hlm, params = fitted
         roads = list(dataset.graph.road_ids)
-        default = _build(dataset, hlm, params, None, None)  # no planner factory
+        est = _estimator(dataset, hlm, params)
         seeds = roads[::17][:7]
         interval = dataset.test_day_intervals()[0]
         speeds = _speeds(dataset, seeds, interval)
         _assert_bitwise(
             _oracle(dataset, hlm, params).estimate_interval(interval, speeds),
-            default.estimate_interval(interval, speeds),
+            est.estimate_interval(interval, speeds),
         )
-        plan = default.plan_for(interval, speeds)
-        assert len(plan.shards) == 1
-        assert plan.shards[0].members == tuple(roads)
+        plan = est.plan_for(interval, speeds)
+        assert plan._structure.num_roads == len(roads)
+        assert plan.road_ids == tuple(roads)
 
     def test_seeds_concentrated_in_one_district(self, fitted):
+        """Every seed in the first quarter of the road order."""
         dataset, hlm, params = fitted
         roads = list(dataset.graph.road_ids)
-        partitions = _chunks(roads, 4)
-        mono = _oracle(dataset, hlm, params)
-        shard = _estimator(dataset, hlm, params, partitions=partitions)
-        seeds = list(partitions[0])[:6]  # every seed in district 0
+        seeds = roads[: len(roads) // 4][:6]
         interval = dataset.test_day_intervals()[0]
         speeds = _speeds(dataset, seeds, interval)
         _assert_bitwise(
-            mono.estimate_interval(interval, speeds),
-            shard.estimate_interval(interval, speeds),
+            _oracle(dataset, hlm, params).estimate_interval(interval, speeds),
+            _estimator(dataset, hlm, params).estimate_interval(interval, speeds),
         )
-
-    @settings(
-        max_examples=12,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(data=st.data())
-    def test_ragged_partitions_property(self, fitted, data):
-        """Any disjoint contiguous cover, any seed subset: bitwise equal."""
-        dataset, hlm, params = fitted
-        roads = list(dataset.graph.road_ids)
-        n = len(roads)
-        cuts = data.draw(
-            st.lists(
-                st.integers(min_value=1, max_value=n - 1),
-                min_size=0,
-                max_size=6,
-                unique=True,
-            ),
-            label="cuts",
-        )
-        bounds = [0, *sorted(cuts), n]
-        partitions = [
-            tuple(roads[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if lo < hi
-        ]
-        seed_idx = data.draw(
-            st.lists(
-                st.integers(min_value=0, max_value=n - 1),
-                min_size=2,
-                max_size=8,
-                unique=True,
-            ),
-            label="seeds",
-        )
-        seeds = [roads[i] for i in seed_idx]
-        mono = _oracle(dataset, hlm, params)
-        shard = _estimator(dataset, hlm, params, partitions=partitions)
-        interval = dataset.test_day_intervals()[1]
-        speeds = _speeds(dataset, seeds, interval)
-        _assert_bitwise(
-            mono.estimate_interval(interval, speeds),
-            shard.estimate_interval(interval, speeds),
-        )
-
-    def test_rejects_bad_partitions(self, fitted):
-        dataset, hlm, params = fitted
-        roads = list(dataset.graph.road_ids)
-        with pytest.raises(InferenceError):
-            IntervalPlanner(
-                dataset.store, dataset.network, hlm, roads, []
-            )
-        with pytest.raises(InferenceError, match="more than one district"):
-            IntervalPlanner(
-                dataset.store, dataset.network, hlm, roads,
-                [tuple(roads), (roads[0],)],
-            )
-        with pytest.raises(InferenceError, match="cover"):
-            IntervalPlanner(
-                dataset.store, dataset.network, hlm, roads, [tuple(roads[:10])]
-            )
 
 
 def _split_graph(road_ids):
     """Two disconnected chain components over one road set.
 
     Influence cannot cross components, so a delta in one half must
-    leave the other half's shard untouched — the isolation the
-    district-scoped eviction assertions need.
+    leave the other half's rows untouched.
     """
     roads = sorted(road_ids)
     half = len(roads) // 2
@@ -221,7 +155,7 @@ def _split_graph(road_ids):
     return CorrelationGraph(roads, edges), tuple(first), tuple(second)
 
 
-class TestDistrictScopedEviction:
+class TestRowScopedRefresh:
     def _build(self, dataset):
         graph, first, second = _split_graph(dataset.graph.road_ids)
         params = HlmParams()
@@ -230,25 +164,12 @@ class TestDistrictScopedEviction:
         )
         fidelity = FidelityCacheService()
         cache = IntervalPlanCache(maxsize=8)
-
-        def factory(store, network, hlm_, road_ids):
-            return IntervalPlanner(
-                store, network, hlm_, road_ids, [first, second]
-            )
-
-        est = TwoStepEstimator(
-            dataset.network,
-            dataset.store,
-            graph,
-            hlm=hlm,
-            hlm_params=params,
-            fidelity_service=fidelity,
-            plan_cache=cache,
-            planner_factory=factory,
+        est = _estimator(
+            dataset, hlm, params, graph=graph, fidelity=fidelity, plan_cache=cache
         )
         return graph, hlm, params, fidelity, cache, est, first, second
 
-    def test_delta_recompiles_only_touched_district(self, small_dataset):
+    def test_delta_refits_only_changed_rows(self, small_dataset):
         rec = FlightRecorder()
         previous = set_recorder(rec)
         try:
@@ -260,20 +181,16 @@ class TestDistrictScopedEviction:
             speeds = _speeds(small_dataset, seeds, interval)
             before = est.estimate_interval(interval, speeds)
             assert cache.stats().size == 1
-            assert _counter(rec, "plan.shard_compiles", district="0") == 1
-            assert _counter(rec, "plan.shard_compiles", district="1") == 1
+            (cold,) = _compile_spans(rec)
 
             plan = next(iter(cache._plans.values()))
-            structures = {s.district: s.structure for s in plan.shards}
+            structure = plan._structure
+            ranked_before = structure.seed_idx.copy()
 
-            # Reweight one edge deep inside the *second* component.
-            edge = graph.neighbours(second[5])[0]
+            # Cut the *second* chain next to seed second[5]: roads past
+            # the cut lose that seed, so their ranked seeds change.
             delta = GraphDelta(
-                added=(),
-                removed=(),
-                reweighted=(
-                    CorrelationEdge(edge.road_u, edge.road_v, 0.93),
-                ),
+                added=(), removed=((second[6], second[7]),), reweighted=()
             )
             graph.apply_delta(delta)
             dropped = fidelity.apply_graph_delta(graph, delta)
@@ -282,27 +199,30 @@ class TestDistrictScopedEviction:
                 "disconnected components: drops stay in the touched half"
             )
 
-            # The plan stayed cached; its shards were marked, not evicted.
+            # The plan stayed cached; its structure was marked, not evicted.
             assert cache.stats().size == 1
             assert cache.stats().shard_evictions == 1
             assert next(iter(cache._plans.values())) is plan
             assert _counter(rec, "plan.shards_evicted") == 1
 
             after = est.estimate_interval(interval, speeds)
-            refreshed = {s.district: s.structure for s in plan.shards}
-            assert refreshed[0] is structures[0], (
-                "untouched district's structure must survive by identity"
+            (refresh,) = _compile_spans(rec)
+            assert plan._structure is structure, "refreshed in place"
+            changed = np.flatnonzero(
+                (structure.seed_idx != ranked_before).any(axis=1)
             )
-            assert refreshed[1] is not structures[1]
-            assert _counter(rec, "plan.shard_compiles", district="0") == 1
-            assert _counter(rec, "plan.shard_compiles", district="1") == 2
+            assert 0 < refresh.attrs["rows_fitted"] < cold.attrs["rows_fitted"]
+            assert refresh.attrs["rows_fitted"] == changed.size
+            touched = {plan.road_ids[i] for i in changed}
+            assert touched <= set(second)
 
-            # And the recompiled result matches a cold whole-city oracle
+            # The refreshed result matches a cold whole-city oracle
             # estimator over the mutated graph, bit for bit.
             mono = _oracle(small_dataset, hlm, params, graph=graph)
             _assert_bitwise(mono.estimate_interval(interval, speeds), after)
-            # The delta moved the touched half's numbers.
+            # The delta moved the touched half's numbers only.
             assert any(before[r] != after[r] for r in second)
+            assert all(before[r] == after[r] for r in first)
         finally:
             set_recorder(previous)
 
@@ -314,24 +234,89 @@ class TestDistrictScopedEviction:
         interval = small_dataset.test_day_intervals()[0]
         est.estimate_interval(interval, _speeds(small_dataset, seeds, interval))
         plan = next(iter(cache._plans.values()))
-        structures = {s.district: s.structure for s in plan.shards}
+        coef = plan._structure.coef.copy()
         fidelity.invalidate_rows(graph, {first[40], second[40]})
         assert cache.stats().shard_evictions == 0
-        est.estimate_interval(interval, _speeds(small_dataset, seeds, interval))
-        assert all(
-            s.structure is structures[s.district] for s in plan.shards
+        assert not plan._structure.stale
+        rec = FlightRecorder()
+        previous = set_recorder(rec)
+        try:
+            est.estimate_interval(interval, _speeds(small_dataset, seeds, interval))
+        finally:
+            set_recorder(previous)
+        assert not _compile_spans(rec)
+        assert plan._structure.coef.tobytes() == coef.tobytes()
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_refresh_equals_cold_compile_property(self, fitted, data):
+        """Any seed subset, any one-edge delta: refresh equals cold, bitwise."""
+        dataset, hlm, params = fitted
+        graph = _copy(dataset.graph)
+        roads = list(graph.road_ids)
+        n = len(roads)
+        seed_idx = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=n - 1),
+                min_size=2,
+                max_size=8,
+                unique=True,
+            ),
+            label="seeds",
+        )
+        seeds = [roads[i] for i in seed_idx]
+        fidelity = FidelityCacheService()
+        est = _estimator(dataset, hlm, params, graph=graph, fidelity=fidelity)
+        interval = dataset.test_day_intervals()[1]
+        speeds = _speeds(dataset, seeds, interval)
+        est.estimate_interval(interval, speeds)
+
+        anchor = seeds[data.draw(st.integers(0, len(seeds) - 1), label="anchor")]
+        near = graph.neighbours(anchor) or list(graph.edges())
+        edge = near[data.draw(st.integers(0, len(near) - 1), label="edge")]
+        if data.draw(st.booleans(), label="remove"):
+            delta = GraphDelta(
+                added=(), removed=((edge.road_u, edge.road_v),), reweighted=()
+            )
+        else:
+            weight = data.draw(st.sampled_from([0.55, 0.7, 0.93]), label="w")
+            delta = GraphDelta(
+                added=(),
+                removed=(),
+                reweighted=(CorrelationEdge(edge.road_u, edge.road_v, weight),),
+            )
+        graph.apply_delta(delta)
+        fidelity.apply_graph_delta(graph, delta)
+        refreshed = est.estimate_interval(interval, speeds)
+
+        cold = _estimator(dataset, hlm, params, graph=graph)
+        _assert_bitwise(cold.estimate_interval(interval, speeds), refreshed)
+        warm = est.plan_for(interval, speeds)._structure
+        fresh = cold.plan_for(interval, speeds)._structure
+        for column in ("coef", "seed_idx", "reg_weight", "has_reg", "residual_std"):
+            assert getattr(warm, column).tobytes() == getattr(fresh, column).tobytes()
+        _assert_bitwise(
+            _oracle(dataset, hlm, params, graph=graph).estimate_interval(
+                interval, speeds
+            ),
+            refreshed,
         )
 
 
 class TestPipelineShardedPlan:
     def test_opens_no_pool(self, small_dataset):
-        """Step 2 never uses a worker pool, whatever the worker count."""
+        """Step 2 never uses a worker pool, whatever the worker count.
+
+        ``use_sharded_plan`` is accepted and ignored.
+        """
         from repro.core.config import PipelineConfig
         from repro.core.pipeline import SpeedEstimationSystem
 
-        config = PipelineConfig(
-            use_sharded_plan=True, plan_shards=4, num_partition_workers=8
-        )
+        config = PipelineConfig(use_sharded_plan=True, num_partition_workers=8)
         interval = small_dataset.test_day_intervals()[0]
         before = _shm_segments()
         with SpeedEstimationSystem.from_parts(
@@ -341,7 +326,6 @@ class TestPipelineShardedPlan:
             assert system.config.selection_method == "lazy"
             speeds = _speeds(small_dataset, seeds, interval)
             got = system.estimate(interval, speeds)
-            assert len(system.estimator.plan_for(interval, speeds).shards) > 1
             assert system._pool is None
             oracle = _oracle(small_dataset, system.estimator.hlm, config.hlm)
             _assert_bitwise(oracle.estimate_interval(interval, speeds), got)
@@ -375,7 +359,7 @@ def _exited(process, timeout=30.0):
 
 class TestDefaultConfigDelta:
     def test_delta_refreshes_the_one_district(self, small_dataset, monkeypatch):
-        """Default config: one district, no partition, exact after a delta."""
+        """Default config: one structure, no partition, exact after a delta."""
         import repro.seeds.partition as partition
         from repro.core.pipeline import SpeedEstimationSystem
         from repro.obs import recording
@@ -384,17 +368,16 @@ class TestDefaultConfigDelta:
             raise AssertionError("the default config must not partition")
 
         monkeypatch.setattr(partition, "partition_graph", no_partition)
-        graph = CorrelationGraph(
-            small_dataset.graph.road_ids, list(small_dataset.graph.edges())
-        )
+        graph = _copy(small_dataset.graph)
         interval = small_dataset.test_day_intervals()[0]
         with recording() as rec, SpeedEstimationSystem.from_parts(
             small_dataset.network, small_dataset.store, graph
         ) as system:
             seeds = system.select_seeds(6)
+            rec.tracer.drain()
             speeds = _speeds(small_dataset, seeds, interval)
             before = system.estimate(interval, speeds)
-            assert _counter(rec, "plan.shard_compiles", district="0") == 1
+            assert len(_compile_spans(rec)) == 1
 
             edge = graph.neighbours(seeds[0])[0]
             weight = 0.93 if abs(edge.agreement - 0.93) > 1e-9 else 0.88
@@ -406,7 +389,8 @@ class TestDefaultConfigDelta:
             graph.apply_delta(delta)
             assert seeds[0] in system.apply_graph_delta(delta)
             after = system.estimate(interval, speeds)
-            assert _counter(rec, "plan.shard_compiles", district="0") == 2
+            (refresh,) = _compile_spans(rec)
+            assert refresh.attrs["rows_fitted"] > 0
             assert system.plan_cache.stats().size == 1
             assert any(before[r] != after[r] for r in after)
 

@@ -280,7 +280,7 @@ def _assert_plan_matches_oracle(system, dataset, config, interval, speeds):
     """The system's compiled plan is bitwise the whole-city oracle plan.
 
     Compared on the plan itself, with one shared posterior, so only the
-    sharded Step-2 compile is under test.
+    Step-2 compile is under test.
     """
     oracle = _oracle(dataset, system.estimator.hlm, config.hlm)
     plan = system.estimator.plan_for(interval, speeds)
@@ -301,7 +301,7 @@ class TestPoolCrash:
 
         The select batch re-runs whole in the parent (so evaluations
         never double), later selections stay there without a second
-        fallback, the sharded plan (always compiled in the parent)
+        fallback, the plan (always compiled in the parent)
         still equals the oracle, and close() leaves no segment behind.
         """
         import os
@@ -311,7 +311,7 @@ class TestPoolCrash:
         serial = partition_greedy_select(
             SeedSelectionObjective(graph), 9, num_partitions=4
         )
-        config = _parallel_config(use_sharded_plan=True, plan_shards=4)
+        config = _parallel_config(use_sharded_plan=True)
         interval = small_dataset.test_day_intervals()[0]
         before = _shm_segments()
         with recording() as rec:

@@ -12,9 +12,8 @@ writer, all three reading Step 2 from the whole-city oracle plan
 oracle's — speed, trend, probability, seed and degraded flags, lower,
 upper, std and confidence — in memory, after a reload from a format-3
 file, and through the oracle's own format-2 file, which must re-checksum
-to the same format-3 checksum. Cases: the default one-district plan and
-a 4-district plan, substituted seeds, ``estimate_roads``
-subsets and stale-inflated reads.
+to the same format-3 checksum. Cases: substituted seeds,
+``estimate_roads`` subsets and stale-inflated reads.
 
 Integrity: any single flipped byte or any truncation of a format-3 file
 fails to load, and recovery skips and counts it. Work: a published
@@ -26,7 +25,6 @@ from __future__ import annotations
 import tempfile
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,10 +52,9 @@ from repro.serving import (
 )
 from repro.speed.estimator import EstimateColumns, TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
-from repro.speed.plan import IntervalPlanner
 from repro.speed.uncertainty import BandColumns, SpeedBand, UncertaintyModel
 from repro.trend.propagation import TrendPropagationInference
-from tests.oracles import MonolithicPlanner, ScalarBands
+from tests.oracles import ScalarBands, oracle_estimator
 from tests.oracles.snapshot import per_road_round, write_format2
 
 STALE_INFLATION = 1.5
@@ -72,13 +69,8 @@ def fitted(small_dataset):
     return small_dataset, hlm, params
 
 
-def _estimator(dataset, hlm, params, partitions=None):
-    """A production estimator and the Step-1 inference it runs on.
-
-    ``partitions`` None is the default one-district plan.
-    """
-    def factory(store, network, hlm_, road_ids):
-        return IntervalPlanner(store, network, hlm_, road_ids, partitions)
+def _estimator(dataset, hlm, params):
+    """A production estimator and the Step-1 inference it runs on."""
     fidelity = FidelityCacheService()
     inference = TrendPropagationInference(
         min_fidelity=params.min_fidelity, fidelity_service=fidelity
@@ -91,15 +83,8 @@ def _estimator(dataset, hlm, params, partitions=None):
         trend_inference=inference,
         hlm_params=params,
         fidelity_service=fidelity,
-        planner_factory=factory,
     )
     return estimator, inference
-
-
-def _chunks(road_ids, num_districts):
-    roads = list(road_ids)
-    bounds = np.linspace(0, len(roads), num_districts + 1).astype(int)
-    return [tuple(roads[bounds[i]:bounds[i + 1]]) for i in range(num_districts)]
 
 
 def _speeds(dataset, seeds, interval, factor=1.0):
@@ -176,7 +161,7 @@ def _assert_matches_oracle(snapshot, oracle_est, oracle_bands):
 
 def _whole_city(dataset, estimator, inference):
     """The same fitted model serving Step 2 through the whole-city oracle plan."""
-    return TwoStepEstimator(
+    return oracle_estimator(
         dataset.network,
         dataset.store,
         dataset.graph,
@@ -184,7 +169,6 @@ def _whole_city(dataset, estimator, inference):
         trend_inference=inference,
         hlm_params=estimator.hlm.params,
         fidelity_service=FidelityCacheService(),
-        planner_factory=MonolithicPlanner,
     )
 
 
@@ -271,24 +255,6 @@ class TestAgainstPerRoadPath:
             roads=subset, substituted=(seeds[1],),
         )
         assert list(estimates) == sorted(set(subset))
-
-    def test_sharded_two_workers_four_districts(self, fitted, tmp_path):
-        dataset, hlm, params = fitted
-        roads = list(dataset.graph.road_ids)
-        estimator, inference = _estimator(
-            dataset, hlm, params, partitions=_chunks(roads, 4)
-        )
-        seeds = roads[::13][:8]
-        for k, interval in enumerate(dataset.test_day_intervals()[:2]):
-            speeds = _speeds(dataset, seeds, interval)
-            _check_round(
-                tmp_path / f"all{k}", dataset, estimator, inference,
-                interval, speeds, substituted=(seeds[2],),
-            )
-            _check_round(
-                tmp_path / f"sub{k}", dataset, estimator, inference,
-                interval, speeds, roads=[seeds[0], roads[4], roads[90]],
-            )
 
 
 class TestColumns:

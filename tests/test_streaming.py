@@ -8,10 +8,12 @@ so the expected cache behaviour is *provable*, not probabilistic:
   counts are order-independent sums over the window's rows, sliding a
   day out and the identical day back in leaves every statistic — and
   therefore the mined graph — untouched. Those days MUST produce empty
-  deltas, zero shard evictions and zero plan shard compiles.
+  deltas, zero stale plans and zero rows refit.
 * Three "incident" days (a congestion pattern halving speeds on a
   scattered road subset) perturb the window. Only those days may move
-  edges, drop fidelity rows, mark plan shards stale and recompile them.
+  edges, drop fidelity rows, mark plan structures stale and refit
+  their rows (counted from the ``speed.plan.compile`` spans'
+  ``rows_fitted``).
 
 The headline assertions: across the whole soak there is not a single
 wholesale invalidation (``fidelity.invalidations{scope=graph}`` and
@@ -76,10 +78,16 @@ def _counter(rec, name, **labels):
     return rec.registry.counter(name, **labels).value
 
 
-def _shard_compiles(rec):
-    return sum(
-        series.value for _, series in rec.registry.series("plan.shard_compiles")
-    )
+def _compile_spans(lines):
+    events = (json.loads(line) for line in lines)
+    return [
+        e for e in events if e["type"] == "span" and e["name"] == "speed.plan.compile"
+    ]
+
+
+def _rows_refit(trace):
+    """Rows fitted by the compile spans written to ``trace`` since the last call."""
+    return sum(span["attrs"]["rows_fitted"] for span in _compile_spans(trace.readlines()))
 
 
 class TestStreamingSoak:
@@ -112,8 +120,8 @@ class TestStreamingSoak:
         ) + _counter(rec, "mining.delta_edges", kind="reweighted") > 0
 
         # --- plan work only on incident days -------------------------
-        assert report["compiles_on_quiet_days"] == 0
-        assert report["compiles_on_incident_days"] > 0
+        assert report["rows_refit_on_quiet_days"] == 0
+        assert report["rows_refit_on_incident_days"] > 0
         assert report["fidelity_misses_on_quiet_days"] == 0
         assert report["shards_evicted_on_quiet_days"] == 0
         assert _counter(rec, "plan.shards_evicted") == report["shard_evictions"]
@@ -124,23 +132,19 @@ class TestStreamingSoak:
         assert report["published"] == report["rounds"]
 
         # --- flight-recorder timeline: compile spans match the counted
-        #     compiles, i.e. no hidden compile work outside the counted
-        #     incident-day recompiles. A plan compile is one span per
-        #     cache miss; each district compile (cold or a stale-shard
-        #     refresh) is one span with a district attr.
-        events = [
-            json.loads(line) for line in trace_path.read_text().splitlines()
-        ]
-        compile_spans = [
-            e
-            for e in events
-            if e["type"] == "span" and e["name"] == "speed.plan.compile"
-        ]
-        district_spans = [e for e in compile_spans if "district" in e["attrs"]]
-        assert len(compile_spans) - len(district_spans) == _counter(
-            rec, "plan.cache", hit="false"
+        #     refits, i.e. no hidden compile work outside the counted
+        #     days. Each compile span is a cold compile (at most one per
+        #     plan-cache miss) or the refresh of a structure a delta
+        #     marked stale.
+        lines = trace_path.read_text().splitlines()
+        events = [json.loads(line) for line in lines]
+        compile_spans = _compile_spans(lines)
+        assert sum(span["attrs"]["rows_fitted"] for span in compile_spans) == (
+            report["rows_refit_total"]
         )
-        assert len(district_spans) == _shard_compiles(rec)
+        assert len(compile_spans) <= _counter(
+            rec, "plan.cache", hit="false"
+        ) + _counter(rec, "plan.shards_evicted")
         remine_spans = [
             e
             for e in events
@@ -196,14 +200,16 @@ class TestStreamingSoak:
 
         # Warm the plan cache on the last warmup day so quiet streamed
         # days can be asserted compile-free from day one.
+        trace = (tmp_path / "soak_trace.jsonl").open(encoding="utf-8")
         published = serve_day(week[-1], crowd_seed=6)
+        refit_total = _rows_refit(trace)
         rounds = len(SERVE_OFFSETS)
         # Warmup compiles/publishes are setup, not part of the soak.
         published = 0
         rounds = 0
 
         delta_days = []
-        compiles_quiet = compiles_incident = 0
+        refit_quiet = refit_incident = 0
         fidelity_misses_quiet = 0
         rows_dropped_quiet = 0
         shards_evicted_quiet = 0
@@ -217,7 +223,6 @@ class TestStreamingSoak:
             else:
                 field = _day_field(base, day_index)
 
-            compiles_before = _shard_compiles(rec)
             fid_misses_before = _counter(rec, "fidelity.cache", hit="false")
             rows_before = _counter(rec, "fidelity.invalidations", scope="rows")
             evictions_before = _counter(rec, "plan.shards_evicted")
@@ -233,11 +238,12 @@ class TestStreamingSoak:
             published += serve_day(field, crowd_seed=day_index)
             rounds += len(SERVE_OFFSETS)
 
-            compiled = _shard_compiles(rec) - compiles_before
+            refit = _rows_refit(trace)
+            refit_total += refit
             if day_index in severities:
-                compiles_incident += compiled
+                refit_incident += refit
             else:
-                compiles_quiet += compiled
+                refit_quiet += refit
                 fidelity_misses_quiet += (
                     _counter(rec, "fidelity.cache", hit="false")
                     - fid_misses_before
@@ -251,10 +257,12 @@ class TestStreamingSoak:
                 )
 
         stats = system.plan_cache.stats()
+        trace.close()
         return {
             "delta_days": delta_days,
-            "compiles_on_quiet_days": compiles_quiet,
-            "compiles_on_incident_days": compiles_incident,
+            "rows_refit_on_quiet_days": refit_quiet,
+            "rows_refit_on_incident_days": refit_incident,
+            "rows_refit_total": refit_total,
             "fidelity_misses_on_quiet_days": fidelity_misses_quiet,
             "rows_dropped_on_quiet_days": rows_dropped_quiet,
             "shards_evicted_on_quiet_days": shards_evicted_quiet,
