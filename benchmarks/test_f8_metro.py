@@ -105,7 +105,6 @@ def test_f8_metro_round_latency(metro, report):
     config = PipelineConfig(
         selection_method="partition",
         num_partitions=NUM_DISTRICTS,
-        use_parallel_partitions=True,
         num_partition_workers=2,
     )
     start = time.perf_counter()
@@ -366,7 +365,6 @@ def test_f8_metro_xl_sharded_cold_round(report, tmp_path):
             PipelineConfig(
                 selection_method="partition",
                 num_partitions=XL_DISTRICTS,
-                use_parallel_partitions=True,
                 num_partition_workers=2,
             ),
         ) as system:

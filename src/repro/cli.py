@@ -314,7 +314,6 @@ def cmd_select(
     config = PipelineConfig(
         selection_method=method,
         num_partitions=partitions,
-        use_parallel_partitions=workers > 1,
         num_partition_workers=workers,
     )
     k = _default_budget(dataset, budget)

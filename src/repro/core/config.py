@@ -35,16 +35,14 @@ class PipelineConfig:
     selection_method: str = "lazy"
     inference_method: str = "propagation"
     num_partitions: int = 8
-    #: Capacity of the interval-plan LRU (one entry per seed set x time
-    #: bucket; 128 covers a full day of 15-minute buckets with room for
-    #: a second seed set).
-    plan_cache_size: int = 128
-    #: Let partitioned selection's district tasks use a worker pool
-    #: (repro.seeds.parallel); False keeps them in the parent. This
-    #: picks where tasks run, not a code path: the seeds are identical.
+    #: Accepted and ignored: num_partition_workers alone decides whether
+    #: district tasks use a pool. Kept so older callers that pass it
+    #: still construct; nothing reads it.
     use_parallel_partitions: bool = False
-    #: Worker processes for pooled partitioned selection, capped at
-    #: num_partitions; 1 opens no pool and runs the tasks in the parent.
+    #: Worker processes for partitioned selection's district tasks
+    #: (repro.seeds.parallel), capped at num_partitions; 1 opens no pool
+    #: and runs the tasks in the parent. This picks where tasks run, not
+    #: a code path: the seeds are identical.
     num_partition_workers: int = 1
     #: Accepted and ignored: Step 2 compiles one structure per seed set
     #: and refreshes only the rows a graph delta changes. Kept so older
@@ -74,5 +72,3 @@ class PipelineConfig:
             raise ConfigError("num_partitions must be >= 1")
         if self.num_partition_workers < 1:
             raise ConfigError("num_partition_workers must be >= 1")
-        if self.plan_cache_size < 1:
-            raise ConfigError("plan_cache_size must be >= 1")

@@ -46,7 +46,7 @@ from repro.seeds.objective import SeedSelectionObjective
 from repro.seeds.parallel import DistrictStage
 from repro.speed.degradation import DegradationParams, DegradationPolicy
 from repro.speed.estimator import EstimateColumns, TwoStepEstimator
-from repro.speed.plan import IntervalPlanCache
+from repro.speed.plan import IntervalPlanner
 from repro.trend.bp import LoopyBeliefPropagation
 from repro.trend.gibbs import GibbsSamplingInference
 from repro.trend.propagation import TrendPropagationInference
@@ -117,9 +117,6 @@ class SpeedEstimationSystem:
         # One influence cache for the whole system: Step-1 inference,
         # seed selection and Step-2 regression all share fidelity rows.
         self._fidelity = FidelityCacheService()
-        # Compiled Step-2 serving plans; the estimator's fidelity
-        # subscription invalidates them.
-        self._plan_cache = IntervalPlanCache(maxsize=config.plan_cache_size)
         self._inference = self._build_inference(config, self._fidelity)
         self._objective = SeedSelectionObjective(
             graph,
@@ -133,7 +130,6 @@ class SpeedEstimationSystem:
             trend_inference=self._inference,
             hlm_params=config.hlm,
             fidelity_service=self._fidelity,
-            plan_cache=self._plan_cache,
         )
         self._seeds: list[int] = []
         self._selection: SelectionResult | None = None
@@ -226,9 +222,9 @@ class SpeedEstimationSystem:
         return self._fidelity
 
     @property
-    def plan_cache(self) -> IntervalPlanCache:
+    def plan_cache(self) -> IntervalPlanner:
         """The compiled interval plans serving Step-2 estimation."""
-        return self._plan_cache
+        return self._estimator.plan_cache
 
     @property
     def objective(self) -> SeedSelectionObjective:
@@ -295,16 +291,16 @@ class SpeedEstimationSystem:
 
         Its district tasks run on a worker pool of
         ``min(num_partition_workers, num_partitions)`` processes when
-        ``use_parallel_partitions`` is set and that is more than one
-        (a worker beyond the district count never receives a task), in
-        the parent otherwise; the selection is the same either way.
+        that is more than one (a worker beyond the district count never
+        receives a task), in the parent otherwise; the selection is the
+        same either way.
         Call :meth:`close` (or use the system as a context manager) to
         release the workers and the shared-memory segments.
         """
         if self._districts is None:
             config = self._config
             workers = min(config.num_partition_workers, config.num_partitions)
-            if config.use_parallel_partitions and workers > 1:
+            if workers > 1:
                 self._pool = SharedWorkerPool(workers)
             self._districts = DistrictStage(
                 self._objective, self._pool, num_partitions=config.num_partitions

@@ -17,7 +17,6 @@ from repro.speed.uncertainty import (
 from repro.speed.hierarchy import DeviationHierarchy
 from repro.speed.plan import (
     IntervalPlan,
-    IntervalPlanCache,
     IntervalPlanner,
     PlanCacheStats,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "HierarchicalLinearModel",
     "HlmParams",
     "IntervalPlan",
-    "IntervalPlanCache",
     "IntervalPlanner",
     "PlanCacheStats",
     "JointSeedRegression",

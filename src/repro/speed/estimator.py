@@ -10,6 +10,8 @@ for every road in the correlation graph, carried as the columns of one
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.core.columns import RoadColumns
@@ -21,7 +23,7 @@ from repro.obs import get_recorder
 from repro.history.fidelity import FidelityCacheService, get_fidelity_service
 from repro.roadnet.network import RoadNetwork
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
-from repro.speed.plan import IntervalPlan, IntervalPlanCache, IntervalPlanner
+from repro.speed.plan import IntervalPlan, IntervalPlanner
 from repro.trend.model import TrendModel
 from repro.trend.propagation import TrendPropagationInference
 
@@ -101,9 +103,7 @@ class TwoStepEstimator:
         trend_inference: object | None = None,
         hlm_params: HlmParams | None = None,
         fidelity_service: FidelityCacheService | None = None,
-        plan_cache: IntervalPlanCache | None = None,
     ) -> None:
-        self._network = network
         self._store = store
         self._graph = graph
         self._params = hlm_params or HlmParams()
@@ -116,9 +116,20 @@ class TwoStepEstimator:
         self._hlm = hlm or HierarchicalLinearModel.fit(
             store, network, graph, self._params
         )
-        # `is not None`, not truthiness: an empty cache has len() == 0.
-        self._plans = plan_cache if plan_cache is not None else IntervalPlanCache()
-        self._planner: IntervalPlanner | None = None
+        # The planner re-reads the seeds' rows, so a refresh after a
+        # delta sees the recomputed ones. It binds the service and
+        # graph, not the estimator, so the two form no reference cycle.
+        self._planner = IntervalPlanner(
+            store,
+            network,
+            self._hlm,
+            graph.road_ids,
+            partial(
+                self._fidelity.sparse_rows,
+                graph,
+                min_fidelity=self._params.min_fidelity,
+            ),
+        )
         # The one Step-2 subscriber: every fidelity invalidation reaches
         # the plans and structures built from the rows.
         self._fidelity.subscribe(self._on_rows_invalidated)
@@ -132,9 +143,9 @@ class TwoStepEstimator:
         return self._hlm
 
     @property
-    def plan_cache(self) -> IntervalPlanCache:
-        """The LRU of compiled interval plans this estimator serves from."""
-        return self._plans
+    def plan_cache(self) -> IntervalPlanner:
+        """The planner: the live seed set's compiled plans, one per bucket."""
+        return self._planner
 
     def estimate_interval(
         self, interval: int, seed_speeds: dict[int, float]
@@ -236,10 +247,7 @@ class TwoStepEstimator:
             roads=len(roads) if roads is not None else self._graph.num_roads,
             seeds=len(seeds),
         ) as span:
-            key = (seeds, bucket, self._params)
-            plan = self._plans.get_or_build(
-                key, lambda: self._compile_plan(seeds, bucket)
-            )
+            plan = self._planner.plan(seeds, bucket)
             deviations = np.fromiter(
                 (seed_deviations[s] for s in seeds),
                 dtype=np.float64,
@@ -296,37 +304,15 @@ class TwoStepEstimator:
         """The compiled plan serving ``interval`` for the seed set ``seeds``.
 
         The lookup behind prediction bands: a plan already cached (the
-        round's ``estimate_*`` call compiled or hit it) is returned
-        without counting a ``plan.cache`` hit or touching LRU order, so
-        plan hits + misses keep counting estimation rounds. A plan not
-        cached is compiled and counted as a miss.
+        round's ``estimate_*`` call built or hit it) is returned without
+        counting a ``plan.cache`` hit, so plan hits + misses keep
+        counting estimation rounds. A plan not cached is built and
+        counted as a miss.
         """
         ordered = tuple(sorted(seeds))
         bucket = self._store.grid.bucket_of(interval)
-        key = (ordered, bucket, self._params)
-        plan = self._plans.peek(key)
-        if plan is None:
-            plan = self._plans.get_or_build(
-                key, lambda: self._compile_plan(ordered, bucket)
-            )
-        return plan
-
-    def _compile_plan(self, seeds: tuple[int, ...], bucket: int) -> IntervalPlan:
-        if self._planner is None:
-            self._planner = IntervalPlanner(
-                self._store, self._network, self._hlm, self._graph.road_ids
-            )
-        # The provider re-reads the seeds' rows, so a refresh
-        # after a delta sees the recomputed ones. It closes over the
-        # service and graph, not the estimator (the plan lives in the
-        # estimator's own cache), so the two form no reference cycle.
-        service, graph = self._fidelity, self._graph
-        floor = self._params.min_fidelity
-        return self._planner.compile(
-            seeds,
-            bucket,
-            lambda: service.sparse_rows(graph, seeds, min_fidelity=floor),
-        )
+        plan = self._planner.peek(ordered, bucket)
+        return plan if plan is not None else self._planner.plan(ordered, bucket)
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -334,21 +320,13 @@ class TwoStepEstimator:
     def _on_rows_invalidated(self, graph, roads) -> None:
         """Drop derived state built from invalidated fidelity rows.
 
-        Wholesale (``roads`` None): flush the plan cache and forget every
-        compiled structure. Rows: the planner marks stale the structure
-        of every live seed set that lost a row — cached plans and plans
-        held elsewhere alike — and the plan cache counts them.
+        Wholesale (``roads`` None): the planner drops its structure and
+        plans. Rows: the planner marks its structure stale if the live
+        seed set lost a row.
         """
         if graph is not None and graph is not self._graph:
             return
-        if roads is None:
-            self._plans.invalidate()
-            if self._planner is not None:
-                self._planner.evict_structures(None)
-        elif self._planner is not None:
-            self._plans.count_shard_evictions(
-                self._planner.evict_structures(set(roads))
-            )
+        self._planner.invalidate(None if roads is None else set(roads))
         # In-place graph deltas (notified even when no row changed)
         # make the model's baked edge potentials stale too; they are
         # re-read on first use.

@@ -31,27 +31,27 @@ interval becomes a handful of array ops:
   (``has_reg``, ``residual_std``, ``historical``) that
   :meth:`~repro.speed.uncertainty.UncertaintyModel.bands_for` turns
   into prediction intervals without refitting anything.
-* :class:`IntervalPlanner` — compiles plans for one fitted system, one
-  structure per seed set. A compile is a refresh from the prior (every
-  row unfitted): :meth:`~repro.speed.hlm.SeedMoments.rank` ranks every
-  road's seeds, the rows whose ranked seeds differ from the structure's
-  are gathered (:meth:`~repro.speed.hlm.SeedMoments.gather` computes
-  the seed × road product in fixed column blocks) and fitted in one
-  stacked solve per seed count, and patched in place. One
-  ``speed.plan.compile`` span per compile or refresh carries
-  ``rows_fitted`` and ``moment_blocks``.
-* :class:`IntervalPlanCache` — the small LRU keyed by (seed set,
-  bucket, params). It registers nothing: the owning estimator's one
+* :class:`IntervalPlanner` — the one Step-2 plan cache of a fitted
+  system: the live seed set's structure and its plans keyed by bucket.
+  A plan for a new seed set replaces both. A structure's compile is a
+  refresh from the prior (every row unfitted):
+  :meth:`~repro.speed.hlm.SeedMoments.rank` ranks every road's seeds,
+  the rows whose ranked seeds differ from the structure's are gathered
+  (:meth:`~repro.speed.hlm.SeedMoments.gather` computes the seed × road
+  product in fixed column blocks) and fitted in one stacked solve per
+  seed count, and patched in place. One ``speed.plan.compile`` span per
+  compile or refresh carries ``rows_fitted`` and ``moment_blocks``. The
+  planner registers nothing: the owning estimator's one
   :class:`~repro.history.fidelity.FidelityCacheService` subscription
-  flushes it and has the planner mark stale structures.
+  calls :meth:`IntervalPlanner.invalidate`.
 
 Step 2 reads influence straight from the plan seeds' cached raw
 fidelity rows (:class:`~repro.history.fidelity.SparseRow`), whose
 positions follow the planner's road order (the correlation graph's):
 no per-road influence map is built or kept.
 
-Delta invalidation is row-scoped: a row invalidation that drops a plan
-seed's fidelity row marks that seed set's structure stale
+Delta invalidation is row-scoped: a row invalidation that drops a
+seed's fidelity row marks the live structure stale
 (``plan.shards_evicted``); the next evaluation re-ranks the seeds'
 fresh rows and refits exactly the rows whose top-ranked seed ids
 changed: rows newly reached, rows no longer reached (reset to the
@@ -71,10 +71,9 @@ evaluation in a ``speed.solve_vectorized`` span (see
 
 from __future__ import annotations
 
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -106,7 +105,7 @@ class _SeedStructure:
     (0 where ``has_reg[i]`` is False), the column prediction bands read.
 
     A new structure holds the prior in every row and is ``stale``; the
-    planner's structures refresh from ``moments`` and the seeds' rows
+    planner's structure refreshes from ``moments`` and the seeds' rows
     that ``influence_provider`` returns.
     """
 
@@ -116,9 +115,11 @@ class _SeedStructure:
         num_roads: int,
         width: int,
         moments: SeedMoments | None = None,
+        influence_provider: Callable[[], Sequence[SparseRow]] | None = None,
     ) -> None:
         self.seeds = seeds
         self.moments = moments
+        self.influence_provider = influence_provider
         self.coef = np.zeros((num_roads, width))
         self.seed_idx = np.full((num_roads, width), len(seeds), dtype=np.int64)
         self.reg_weight = np.zeros(num_roads)
@@ -126,7 +127,6 @@ class _SeedStructure:
         self.residual_std = np.zeros(num_roads)
         self.rows_by_seed: list[np.ndarray] = []
         self.stale = True
-        self.influence_provider: Callable[[], Sequence[SparseRow]] | None = None
         self._seed_set = frozenset(seeds)
         self._last_resid: np.ndarray | None = None
         self._last_regressed: np.ndarray | None = None
@@ -183,7 +183,7 @@ class _SeedStructure:
 
         Returns 1 if the structure is newly stale, else 0 (a structure
         already stale is not counted again). The planner's
-        :meth:`IntervalPlanner.evict_structures` is the one caller.
+        :meth:`IntervalPlanner.invalidate` is the one caller.
         """
         if self.stale or self._seed_set.isdisjoint(roads):
             return 0
@@ -356,11 +356,26 @@ class IntervalPlan:
 
 
 class IntervalPlanner:
-    """Compiles :class:`IntervalPlan` objects for one fitted system.
+    """The one Step-2 plan cache: the live seed set's structure and plans.
 
-    Compiled structures are shared across buckets through a weak-value
-    cache: as long as any plan for a seed set is alive, its structure
-    (the expensive compile product) is reused.
+    One seed set serves a whole day, so the planner holds one
+    :class:`_SeedStructure` (the live seed set's) and that set's
+    :class:`IntervalPlan` objects keyed by bucket: the time grid's bucket
+    count bounds the plans, so no capacity is configured.
+
+    * A lookup for the live seed set and a cached bucket is a hit; any
+      other lookup is a miss that builds the (live seed set, bucket)
+      plan. A miss for a different seed set first replaces the
+      structure and drops the old set's plans (``evictions``).
+    * :meth:`invalidate` with rows marks the structure stale if it holds
+      a dropped seed (``shard_evictions``); the next evaluation
+      refreshes it. Wholesale, it drops the structure and the plans
+      (``flushes``).
+
+    ``rows(seeds)`` returns the *current* raw fidelity rows of
+    ``seeds``, in seed order, over the planner's road order. A structure
+    calls it on its first compile and again after a row invalidation
+    left it stale, so refreshes see the rows a graph delta recomputed.
     """
 
     def __init__(
@@ -369,9 +384,11 @@ class IntervalPlanner:
         network: RoadNetwork,
         hlm: HierarchicalLinearModel,
         road_ids: list[int] | tuple[int, ...],
+        rows: Callable[[tuple[int, ...]], Sequence[SparseRow]],
     ) -> None:
         self._store = store
         self._hlm = hlm
+        self._rows = rows
         self._road_ids = tuple(road_ids)
         self._index = {road: i for i, road in enumerate(self._road_ids)}
         self._columns = np.array(
@@ -382,9 +399,13 @@ class IntervalPlanner:
             [network.segment(road).free_flow_kmh for road in self._road_ids]
         ) * params.max_over_free_flow
         self._upper.setflags(write=False)
-        self._structures: "weakref.WeakValueDictionary[tuple[int, ...], _SeedStructure]" = (
-            weakref.WeakValueDictionary()
-        )
+        self._structure: _SeedStructure | None = None
+        self._plans: dict[int, IntervalPlan] = {}
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+        self._flushes = 0
+        self._shard_evictions = 0
 
     @property
     def road_ids(self) -> tuple[int, ...]:
@@ -394,51 +415,48 @@ class IntervalPlanner:
     def index(self) -> dict[int, int]:
         return self._index
 
-    def evict_structures(self, roads: set[int] | None = None) -> int:
-        """Invalidate compiled structures touching ``roads`` (or all).
-
-        ``None`` forgets every structure, so the next compile rebuilds
-        from scratch. A row-scoped eviction marks stale every live
-        structure whose seeds lost a row instead, so the next
-        evaluation refreshes it — in every bucket's plan, cached in an
-        :class:`IntervalPlanCache` or held elsewhere. Returns the
-        number of newly stale structures (0 for ``None``).
-        """
-        if roads is None:
-            self._structures.clear()
-            return 0
-        return sum(
-            structure.mark_stale(roads)
-            for structure in list(self._structures.values())
+    def stats(self) -> PlanCacheStats:
+        return PlanCacheStats(
+            hits=self._hits,
+            misses=self._misses,
+            evictions=self._evictions,
+            size=len(self._plans),
+            flushes=self._flushes,
+            shard_evictions=self._shard_evictions,
         )
 
-    def compile(
-        self,
-        seeds: tuple[int, ...],
-        bucket: int,
-        influence_provider: Callable[[], Sequence[SparseRow]],
-    ) -> IntervalPlan:
-        """Compile the plan for ``(seeds, bucket)``.
+    def peek(self, seeds: tuple[int, ...], bucket: int) -> IntervalPlan | None:
+        """The cached plan for ``(seeds, bucket)``, or None; counts nothing.
 
-        ``influence_provider`` returns the *current* raw fidelity rows
-        of ``seeds``, in seed order, over the planner's road order. It
-        is called for a cold compile and again when a row invalidation
-        left the structure stale, so refreshes see the rows a graph
-        delta recomputed.
+        Prediction bands read the round's plan this way, so a second
+        read within one round does not look like a second round.
         """
-        params = self._hlm.params
-        structure = self._structures.get(seeds)
-        if structure is None:
-            moments = self._hlm.regression.moments(seeds, self._road_ids)
-            structure = _SeedStructure(
-                seeds, len(self._road_ids), moments.width, moments
-            )
-            self._structures[seeds] = structure
-        structure.influence_provider = influence_provider
+        if self._structure is None or self._structure.seeds != seeds:
+            return None
+        return self._plans.get(bucket)
+
+    def plan(self, seeds: tuple[int, ...], bucket: int) -> IntervalPlan:
+        """The plan for ``(seeds, bucket)``: cached, or built and cached."""
+        plan = self.peek(seeds, bucket)
+        recorder = get_recorder()
+        if plan is not None:
+            self._hits += 1
+            recorder.count("plan.cache", hit="true")
+            return plan
+        self._misses += 1
+        recorder.count("plan.cache", hit="false")
+        structure = self._structure
+        if structure is None or structure.seeds != seeds:
+            if self._plans:
+                self._evictions += len(self._plans)
+                recorder.count("plan.cache_evictions", len(self._plans))
+                self._plans.clear()
+            structure = self._structure = self._build_structure(seeds)
         if structure.stale:
             structure.refresh()
         prior_rise, prior_fall, historical = self._bucket_overlays(bucket)
-        return IntervalPlan(
+        params = self._hlm.params
+        plan = self._plans[bucket] = IntervalPlan(
             road_ids=self._road_ids,
             index=self._index,
             bucket=bucket,
@@ -451,6 +469,40 @@ class IntervalPlanner:
             prior_weight=params.prior_weight,
             use_trend=params.use_trend,
         )
+        return plan
+
+    def invalidate(self, roads: set[int] | None = None) -> None:
+        """Follow a fidelity invalidation: ``roads`` dropped rows, or all.
+
+        ``None`` drops the structure and every plan, so the next lookup
+        compiles from scratch. Rows mark the structure stale if it holds
+        a dropped seed; its plans stay cached and refresh it on use.
+        """
+        if roads is None:
+            if self._plans:
+                self._flushes += 1
+                get_recorder().count("plan.cache_flushes", len(self._plans))
+            self._plans.clear()
+            self._structure = None
+        else:
+            self._shard_evictions += self._mark_stale(roads)
+
+    def _build_structure(self, seeds: tuple[int, ...]) -> _SeedStructure:
+        """A new structure for ``seeds``: every row the prior, stale."""
+        moments = self._hlm.regression.moments(seeds, self._road_ids)
+        return _SeedStructure(
+            seeds,
+            len(self._road_ids),
+            moments.width,
+            moments,
+            partial(self._rows, seeds),
+        )
+
+    def _mark_stale(self, roads: set[int]) -> int:
+        """Mark the live structure stale; 1 if it is newly stale, else 0."""
+        if self._structure is None:
+            return 0
+        return self._structure.mark_stale(roads)
 
     def _bucket_overlays(
         self, bucket: int
@@ -480,16 +532,17 @@ class IntervalPlanner:
 
 @dataclass(frozen=True)
 class PlanCacheStats:
-    """Cumulative accounting of an :class:`IntervalPlanCache`.
+    """Cumulative accounting of an :class:`IntervalPlanner`.
 
-    ``evictions`` counts LRU capacity evictions; ``flushes``
-    whole-cache invalidations (each counts every plan it dropped);
-    ``shard_evictions`` seed-set structures a row invalidation marked
-    stale (the plans stay cached; the name stays for readers that use
-    it). ``row_evictions`` is always 0: a row invalidation marks
-    structures and drops no plan (the field stays for readers that name
-    it). A healthy streaming deployment shows ``shard_evictions``
-    growing with graph churn and ``flushes`` stuck at 0.
+    ``evictions`` counts plans dropped because a plan for a new seed set
+    replaced the live one; ``flushes`` whole-cache invalidations (each
+    counts every plan it dropped); ``shard_evictions`` the times a row
+    invalidation marked the live structure stale (the plans stay cached;
+    the name stays for readers that use it). ``row_evictions`` is always
+    0: a row invalidation drops no plan (the field stays for readers
+    that name it). A healthy streaming deployment shows
+    ``shard_evictions`` growing with graph churn and ``flushes`` stuck
+    at 0.
     """
 
     hits: int
@@ -503,83 +556,3 @@ class PlanCacheStats:
     @property
     def total(self) -> int:
         return self.hits + self.misses
-
-
-class IntervalPlanCache:
-    """Small LRU of compiled plans keyed by (seed set, bucket, params).
-
-    A passive store: the owning
-    :class:`~repro.speed.estimator.TwoStepEstimator` subscribes to its
-    :class:`~repro.history.fidelity.FidelityCacheService` and, on an
-    invalidation of its graph, calls :meth:`invalidate` (wholesale) or
-    has its planner mark the stale structures and reports them through
-    :meth:`count_shard_evictions` (rows).
-    """
-
-    def __init__(self, maxsize: int = 128) -> None:
-        if maxsize < 1:
-            raise InferenceError(f"plan cache maxsize must be >= 1, got {maxsize}")
-        self._maxsize = maxsize
-        self._plans: "OrderedDict[Hashable, IntervalPlan]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._flushes = 0
-        self._shard_evictions = 0
-
-    @property
-    def maxsize(self) -> int:
-        return self._maxsize
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def stats(self) -> PlanCacheStats:
-        return PlanCacheStats(
-            hits=self._hits,
-            misses=self._misses,
-            evictions=self._evictions,
-            size=len(self._plans),
-            flushes=self._flushes,
-            shard_evictions=self._shard_evictions,
-        )
-
-    def get_or_build(
-        self, key: Hashable, builder: Callable[[], IntervalPlan]
-    ) -> IntervalPlan:
-        """The cached plan for ``key``, compiling (and caching) on miss."""
-        plan = self._plans.get(key)
-        if plan is not None:
-            self._plans.move_to_end(key)
-            self._hits += 1
-            get_recorder().count("plan.cache", hit="true")
-            return plan
-        self._misses += 1
-        get_recorder().count("plan.cache", hit="false")
-        plan = builder()
-        self._plans[key] = plan
-        if len(self._plans) > self._maxsize:
-            self._plans.popitem(last=False)
-            self._evictions += 1
-            get_recorder().count("plan.cache_evictions")
-        return plan
-
-    def peek(self, key: Hashable) -> IntervalPlan | None:
-        """The cached plan for ``key``, or None; counts nothing.
-
-        Leaves LRU order and the hit/miss accounting untouched, so a
-        second read of a plan within one round (prediction bands after
-        the estimate) does not look like a second round.
-        """
-        return self._plans.get(key)
-
-    def invalidate(self) -> None:
-        """Drop every cached plan (a wholesale fidelity invalidation)."""
-        if self._plans:
-            self._flushes += 1
-            get_recorder().count("plan.cache_flushes", len(self._plans))
-        self._plans.clear()
-
-    def count_shard_evictions(self, count: int) -> None:
-        """Account ``count`` structures a row invalidation marked stale."""
-        self._shard_evictions += count

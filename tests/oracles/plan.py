@@ -5,28 +5,24 @@ structure as a refresh from the prior: it ranks every road's seeds,
 fits only the rows whose ranked seeds differ from the structure's and
 patches them in place, and after a graph delta refits only the rows
 the delta re-ranked. This oracle fits every road in one gather and
-one batch (:func:`compile_seed_structure`) and blends the whole city
-with the arithmetic unchanged. Every plan the production planner
-serves, cold or refreshed, must match it bit for bit.
+one batch (:func:`compile_seed_structure`). Every plan the production
+planner serves, cold or refreshed, must match it bit for bit.
 
 :func:`oracle_estimator` builds a
 :class:`~repro.speed.estimator.TwoStepEstimator` that serves rounds
-through :class:`MonolithicPlanner`. The planner keeps no structure
-cache and cannot be marked stale: build a fresh estimator after a
-graph delta.
+through :class:`MonolithicPlanner`: the production planner with only
+the structure build and the row invalidation replaced. A row
+invalidation that drops a seed's row drops the structure, so the next
+plan refits the whole city from the fresh rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.errors import InferenceError
-from repro.core.types import Trend
-from repro.history.store import HistoricalSpeedStore
-from repro.roadnet.network import RoadNetwork
 from repro.speed.estimator import TwoStepEstimator
-from repro.speed.hlm import FitBatch, HierarchicalLinearModel, HlmParams, fit_batch
-from repro.speed.plan import _SeedStructure
+from repro.speed.hlm import FitBatch, HlmParams, fit_batch
+from repro.speed.plan import IntervalPlanner, _SeedStructure
 
 
 def compile_seed_structure(params: HlmParams, batch: FitBatch) -> _SeedStructure:
@@ -34,144 +30,27 @@ def compile_seed_structure(params: HlmParams, batch: FitBatch) -> _SeedStructure
     rows = np.arange(batch.rows.size)
     structure = _SeedStructure(batch.seeds, rows.size, batch.width)
     structure.patch(rows, fit_batch(params, batch))
+    structure.stale = False
     return structure
 
 
-class MonolithicPlan:
-    """One whole-city structure plus one bucket's overlays."""
+class MonolithicPlanner(IntervalPlanner):
+    """The planner with every structure fitted whole-city in one batch."""
 
-    def __init__(
-        self,
-        road_ids: tuple[int, ...],
-        index: dict[int, int],
-        bucket: int,
-        structure: _SeedStructure,
-        prior_rise: np.ndarray,
-        prior_fall: np.ndarray,
-        historical: np.ndarray,
-        upper: np.ndarray,
-        min_speed: float,
-        prior_weight: float,
-        use_trend: bool,
-    ) -> None:
-        self.road_ids = road_ids
-        self.index = index
-        self.bucket = bucket
-        self._structure = structure
-        self._prior_rise = prior_rise
-        self._prior_fall = prior_fall
-        self.historical = historical
-        self._upper = upper
-        self._min_speed = min_speed
-        self._prior_weight = prior_weight
-        self._use_trend = use_trend
-
-    @property
-    def seeds(self) -> tuple[int, ...]:
-        return self._structure.seeds
-
-    @property
-    def num_roads(self) -> int:
-        return len(self.road_ids)
-
-    @property
-    def num_seeds(self) -> int:
-        return len(self._structure.seeds)
-
-    @property
-    def has_reg(self) -> np.ndarray:
-        return self._structure.has_reg
-
-    @property
-    def residual_std(self) -> np.ndarray:
-        return self._structure.residual_std
-
-    def evaluate(self, deviations: np.ndarray, p_rise: np.ndarray) -> np.ndarray:
-        if p_rise.shape != (self.num_roads,):
-            raise InferenceError(
-                f"posterior vector has shape {p_rise.shape}, plan expects "
-                f"({self.num_roads},)"
-            )
-        regressed, _ = self._structure.regressed(deviations)
-        if self._use_trend:
-            confidence = 2.0 * np.maximum(p_rise, 1.0 - p_rise) - 1.0
-            prior_weight = self._prior_weight * (0.25 + 0.75 * confidence)
-            prior_mean = np.where(p_rise >= 0.5, self._prior_rise, self._prior_fall)
-        else:
-            prior_weight = np.full(self.num_roads, self._prior_weight)
-            prior_mean = np.ones(self.num_roads)
-        weight = self._structure.reg_weight
-        denominator = prior_weight + weight
-        blend = prior_mean.copy()
-        np.divide(
-            prior_weight * prior_mean + weight * regressed,
-            denominator,
-            out=blend,
-            where=denominator > 0.0,
-        )
-        predicted = np.where(self._structure.has_reg, blend, prior_mean)
-        return np.minimum(
-            self._upper, np.maximum(self._min_speed, predicted * self.historical)
-        )
-
-
-class MonolithicPlanner:
-    """Compiles :class:`MonolithicPlan` objects: one structure per city."""
-
-    def __init__(
-        self,
-        store: HistoricalSpeedStore,
-        network: RoadNetwork,
-        hlm: HierarchicalLinearModel,
-        road_ids,
-    ) -> None:
-        self._store = store
-        self._hlm = hlm
-        self._road_ids = tuple(road_ids)
-        self._index = {road: i for i, road in enumerate(self._road_ids)}
-        self._columns = np.array(
-            [store.road_column(road) for road in self._road_ids], dtype=np.int64
-        )
-        self._upper = np.array(
-            [network.segment(road).free_flow_kmh for road in self._road_ids]
-        ) * hlm.params.max_over_free_flow
-
-    def evict_structures(self, roads=None) -> int:
-        """Nothing to evict: every compile builds its structure afresh."""
-        return 0
-
-    def compile(self, seeds, bucket, influence_provider) -> MonolithicPlan:
-        params = self._hlm.params
-        seeds = tuple(seeds)
-        moments = self._hlm.regression.moments(seeds, self._road_ids)
+    def _build_structure(self, seeds: tuple[int, ...]) -> _SeedStructure:
+        moments = self._hlm.regression.moments(seeds, self.road_ids)
         batch = moments.gather(
-            np.arange(len(self._road_ids)), moments.rank(influence_provider())
+            np.arange(len(self.road_ids)), moments.rank(self._rows(seeds))
         )
-        structure = compile_seed_structure(params, batch)
-        hierarchy = self._hlm.hierarchy
-        if params.use_trend and params.hierarchical:
-            prior_rise = hierarchy.conditional_mean_row(bucket, Trend.RISE)[
-                self._columns
-            ]
-            prior_fall = hierarchy.conditional_mean_row(bucket, Trend.FALL)[
-                self._columns
-            ]
-        else:
-            prior_rise = np.full(len(self._road_ids), hierarchy.global_mean(Trend.RISE))
-            prior_fall = np.full(len(self._road_ids), hierarchy.global_mean(Trend.FALL))
-        return MonolithicPlan(
-            road_ids=self._road_ids,
-            index=self._index,
-            bucket=bucket,
-            structure=structure,
-            prior_rise=prior_rise,
-            prior_fall=prior_fall,
-            historical=self._store.bucket_mean_row(bucket)[self._columns],
-            upper=self._upper,
-            min_speed=params.min_speed_kmh,
-            prior_weight=params.prior_weight,
-            use_trend=params.use_trend,
-        )
+        return compile_seed_structure(self._hlm.params, batch)
+
+    def _mark_stale(self, roads: set[int]) -> int:
+        """Drop a structure whose seeds lost a row; it is never refreshed."""
+        structure = self._structure
+        if structure is not None and not set(structure.seeds).isdisjoint(roads):
+            self._structure = None
+            self._plans.clear()
+        return 0
 
 
 def oracle_estimator(network, store, graph, **kwargs) -> TwoStepEstimator:
@@ -179,7 +58,8 @@ def oracle_estimator(network, store, graph, **kwargs) -> TwoStepEstimator:
     is served through :class:`MonolithicPlanner` (``kwargs`` as the
     estimator's)."""
     estimator = TwoStepEstimator(network, store, graph, **kwargs)
+    planner = estimator._planner
     estimator._planner = MonolithicPlanner(
-        store, network, estimator.hlm, graph.road_ids
+        store, network, estimator.hlm, planner.road_ids, planner._rows
     )
     return estimator

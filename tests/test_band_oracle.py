@@ -20,7 +20,6 @@ from repro.history.fidelity import FidelityCacheService
 from repro.history.incremental import GraphDelta
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
-from repro.speed.plan import IntervalPlanCache
 from repro.speed.uncertainty import UncertaintyModel
 from tests.oracles import ScalarBands, oracle_estimator
 from tests.oracles.uncertainty import normal_confidences
@@ -37,7 +36,7 @@ def fitted(small_dataset):
     return small_dataset, hlm, params
 
 
-def _estimator(dataset, hlm, params, graph=None, fidelity=None, plan_cache=None,
+def _estimator(dataset, hlm, params, graph=None, fidelity=None,
                build=TwoStepEstimator):
     """A production estimator (``build=oracle_estimator``: the oracle plan)."""
     return build(
@@ -47,7 +46,6 @@ def _estimator(dataset, hlm, params, graph=None, fidelity=None, plan_cache=None,
         hlm=hlm,
         hlm_params=params,
         fidelity_service=fidelity or FidelityCacheService(),
-        plan_cache=plan_cache,
     )
 
 
@@ -200,11 +198,8 @@ class TestAfterGraphDelta:
             small_dataset.store, small_dataset.network, graph, params
         )
         fidelity = FidelityCacheService()
-        cache = IntervalPlanCache(maxsize=8)
-        est = _estimator(
-            small_dataset, hlm, params, graph=graph, fidelity=fidelity,
-            plan_cache=cache,
-        )
+        est = _estimator(small_dataset, hlm, params, graph=graph, fidelity=fidelity)
+        cache = est.plan_cache
         seeds = [first[5], first[20], second[5], second[20]]
         interval = small_dataset.test_day_intervals()[0]
         speeds = _speeds(small_dataset, seeds, interval)

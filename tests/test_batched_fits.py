@@ -49,7 +49,6 @@ from repro.speed.hlm import (
     JointSeedRegression,
     fit_batch,
 )
-from repro.speed.plan import IntervalPlanCache
 from tests.oracles import ScalarSeedRegression, ScalarTwoStep
 from tests.oracles.fidelity import influence_rows
 
@@ -256,10 +255,9 @@ class TestWorkCounters:
         params = HlmParams()
         hlm = HierarchicalLinearModel.fit(store, dataset.network, graph, params)
         fidelity = FidelityCacheService()
-        cache = IntervalPlanCache(maxsize=4)
         est = TwoStepEstimator(
             dataset.network, store, graph, hlm=hlm, hlm_params=params,
-            fidelity_service=fidelity, plan_cache=cache,
+            fidelity_service=fidelity,
         )
         seeds = [road for part in parts for road in (part[3], part[12])]
         width = min(params.max_seeds_per_road, len(seeds))

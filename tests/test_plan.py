@@ -19,7 +19,7 @@ from repro.core.errors import InferenceError
 from repro.history.fidelity import FidelityCacheService
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
-from repro.speed.plan import IntervalPlanCache
+from repro.speed.plan import IntervalPlanner
 from tests.oracles import ScalarTwoStep
 from tests.oracles.fidelity import influence_rows
 
@@ -238,54 +238,51 @@ class TestIncrementalUpdates:
 
 
 class TestPlanCache:
-    def test_lru_evicts_oldest_and_counts(self, small_dataset):
-        cache = IntervalPlanCache(maxsize=2)
+    def test_buckets_share_the_live_structure(self, small_dataset):
         est = TwoStepEstimator(
             small_dataset.network,
             small_dataset.store,
             small_dataset.graph,
             hlm_params=HlmParams(),
-            plan_cache=cache,
         )
+        cache = est.plan_cache
         seeds = list(small_dataset.graph.road_ids)[:5]
         intervals = small_dataset.test_day_intervals()[:3]
-        for interval in intervals:  # three distinct buckets -> eviction
+        for interval in intervals:  # three distinct buckets, one seed set
             est.estimate_interval(
                 interval, seed_speeds_for(small_dataset, seeds, interval)
             )
         stats = cache.stats()
-        assert stats.misses == 3 and stats.evictions == 1 and stats.size == 2
-        # Oldest bucket was evicted: estimating it again recompiles.
+        assert stats.misses == 3 and stats.evictions == 0 and stats.size == 3
+        plans = [est.plan_for(interval, seeds) for interval in intervals]
+        assert len({id(plan._structure) for plan in plans}) == 1
+        # Every bucket of the live seed set stays cached.
         est.estimate_interval(
             intervals[0], seed_speeds_for(small_dataset, seeds, intervals[0])
         )
-        assert cache.stats().misses == 4
-
-    def test_maxsize_validated(self):
-        with pytest.raises(InferenceError):
-            IntervalPlanCache(maxsize=0)
+        assert cache.stats().misses == 3 and cache.stats().hits == 1
 
     def test_invalidated_with_fidelity_service(self, small_dataset):
         fidelity = FidelityCacheService()
-        cache = IntervalPlanCache(maxsize=8)
         est = TwoStepEstimator(
             small_dataset.network,
             small_dataset.store,
             small_dataset.graph,
             hlm_params=HlmParams(),
             fidelity_service=fidelity,
-            plan_cache=cache,
         )
+        cache = est.plan_cache
         seeds = list(small_dataset.graph.road_ids)[:4]
         interval = small_dataset.test_day_intervals()[0]
         speeds = seed_speeds_for(small_dataset, seeds, interval)
         est.estimate_interval(interval, speeds)
         assert cache.stats().size == 1
         fidelity.invalidate()
-        assert cache.stats().size == 0
+        assert cache.stats().size == 0 and cache.stats().flushes == 1
         # Serving again after invalidation recompiles and still works.
         result = est.estimate_interval(interval, speeds)
         assert len(result) == len(small_dataset.graph.road_ids)
+        assert cache.stats().misses == 2
 
     def test_distinct_seed_sets_get_distinct_plans(self, small_dataset):
         est = TwoStepEstimator(
@@ -302,7 +299,9 @@ class TestPlanCache:
         est.estimate_interval(
             interval, seed_speeds_for(small_dataset, roads[4:8], interval)
         )
-        assert est.plan_cache.stats().misses == 2
+        stats = est.plan_cache.stats()
+        # The second set replaced the first: its one plan was evicted.
+        assert stats.misses == 2 and stats.evictions == 1 and stats.size == 1
 
 
 class TestDegradedPathDifferential:
@@ -417,7 +416,6 @@ class TestGraphDeltaEviction:
             dataset.store, dataset.network, graph, params
         )
         fidelity = FidelityCacheService()
-        cache = IntervalPlanCache(maxsize=8)
         est = TwoStepEstimator(
             dataset.network,
             dataset.store,
@@ -425,9 +423,8 @@ class TestGraphDeltaEviction:
             hlm=hlm,
             hlm_params=params,
             fidelity_service=fidelity,
-            plan_cache=cache,
         )
-        return graph, hlm, params, fidelity, cache, est
+        return graph, hlm, params, fidelity, est.plan_cache, est
 
     def _delta_around(self, graph, road):
         from repro.history.correlation import CorrelationEdge
@@ -475,7 +472,6 @@ class TestGraphDeltaEviction:
             hlm=hlm,
             hlm_params=params,
             fidelity_service=FidelityCacheService(),
-            plan_cache=IntervalPlanCache(maxsize=8),
         )
         refreshed = est.estimate_interval(interval, speeds)
         assert refreshed == cold_est.estimate_interval(interval, speeds)
@@ -516,30 +512,25 @@ class TestGraphDeltaEviction:
         est.estimate_interval(
             interval, seed_speeds_for(small_dataset, set_b, interval)
         )
-        assert cache.stats().size == 2
+        assert cache.stats().size == 1  # set_b replaced set_a
 
         delta = self._delta_around(graph, set_a[0])
         graph.apply_delta(delta)
         dropped = set(fidelity.apply_graph_delta(graph, delta))
+        assert set_a[0] in dropped
 
-        survivors = [
-            s for s in (set_a, set_b) if not dropped.intersection(s)
-        ]
         stats = cache.stats()
+        touched = bool(dropped.intersection(set_b))
         assert stats.flushes == 0
-        assert stats.size == 2  # marked, not dropped
+        assert stats.size == 1  # marked or untouched, never dropped
         assert stats.row_evictions == 0
-        assert stats.shard_evictions == 2 - len(survivors)
-        marked = {
-            plan.seeds: plan._structure.stale
-            for plan in cache._plans.values()
-        }
-        assert marked == {
-            tuple(sorted(s)): bool(dropped.intersection(s)) for s in (set_a, set_b)
-        }
+        assert stats.shard_evictions == int(touched)
+        (plan,) = cache._plans.values()
+        assert plan.seeds == tuple(sorted(set_b))
+        assert plan._structure.stale == touched
 
-        # Marked and untouched plans alike serve what a cold compile
-        # from the mutated graph serves.
+        # The live plan and a recompile of the replaced set alike serve
+        # what a cold compile from the mutated graph serves.
         cold_est = TwoStepEstimator(
             small_dataset.network,
             small_dataset.store,
@@ -548,11 +539,57 @@ class TestGraphDeltaEviction:
             hlm_params=params,
             fidelity_service=FidelityCacheService(),
         )
-        for seeds in (set_a, set_b):
+        for seeds in (set_b, set_a):
             speeds = seed_speeds_for(small_dataset, seeds, interval)
             assert est.estimate_interval(interval, speeds) == (
                 cold_est.estimate_interval(interval, speeds)
             )
+
+    def test_replaced_seed_set_is_released(self, small_dataset):
+        """Yesterday's seed set holds no structure after a re-selection.
+
+        Set A serves two buckets, then set B (sharing one seed) takes
+        over; a one-edge delta then drops that shared seed's row. Only
+        B's structure is alive and marked: A's was collected with its
+        plans, which count as evictions, not as stale structures.
+        """
+        import gc
+        import weakref
+
+        from repro.obs import FlightRecorder, set_recorder
+
+        graph, hlm, params, fidelity, cache, est = self._build(small_dataset)
+        roads = list(graph.road_ids)
+        set_a, set_b = roads[:4], roads[1:5]
+        intervals = small_dataset.test_day_intervals()
+        buckets = {small_dataset.store.grid.bucket_of(i) for i in intervals[:2]}
+        assert len(buckets) == 2
+        for interval in intervals[:2]:
+            est.estimate_interval(
+                interval, seed_speeds_for(small_dataset, set_a, interval)
+            )
+        structure_a = weakref.ref(est.plan_for(intervals[0], set_a)._structure)
+        est.estimate_interval(
+            intervals[0], seed_speeds_for(small_dataset, set_b, intervals[0])
+        )
+        structure_b = weakref.ref(est.plan_for(intervals[0], set_b)._structure)
+
+        rec = FlightRecorder()
+        previous = set_recorder(rec)
+        try:
+            delta = self._delta_around(graph, roads[1])
+            graph.apply_delta(delta)
+            assert roads[1] in fidelity.apply_graph_delta(graph, delta)
+        finally:
+            set_recorder(previous)
+        gc.collect()
+
+        assert structure_a() is None, "the replaced structure is still alive"
+        assert structure_b() is cache._structure and structure_b().stale
+        stats = cache.stats()
+        assert stats.size == 1 and stats.evictions == 2
+        assert stats.shard_evictions == 1
+        assert rec.registry.counter("plan.shards_evicted").value <= 1
 
     def test_default_plan_cache_follows_wholesale_invalidation(self, small_dataset):
         """A default-constructed estimator's own plan cache is no longer
@@ -610,25 +647,21 @@ class TestGraphDeltaEviction:
 
 
 class TestEvictionIndexPinning:
-    """``evict_structures`` must mark *exactly* the structures a linear
-    scan over every live compiled seed set would, and forget them all
-    on a whole-graph eviction."""
+    """The planner holds one structure: a row invalidation marks it
+    exactly when a reference scan of its seeds would, a wholesale one
+    forgets it and its plans, and a replaced one is released."""
 
     def _planner(self, pair):
-        from repro.speed.plan import IntervalPlanner
-
         dataset, vec, _ = pair
-        return dataset, IntervalPlanner(
-            dataset.store,
-            dataset.network,
-            vec.hlm,
-            list(dataset.graph.road_ids),
-        )
+        roads = list(dataset.graph.road_ids)
 
-    def _compile(self, planner, roads, seeds):
-        seeds = tuple(seeds)
-        rows = influence_rows({roads[0]: {seeds[0]: 0.9}}, seeds, roads)
-        return planner.compile(seeds, 0, lambda: rows)
+        def rows(seeds):
+            return influence_rows({roads[0]: {seeds[0]: 0.9}}, seeds, roads)
+
+        planner = IntervalPlanner(
+            dataset.store, dataset.network, vec.hlm, roads, rows
+        )
+        return roads, planner
 
     def test_indexed_eviction_matches_linear_scan(self, pair):
         dataset, _, _ = pair
@@ -647,38 +680,40 @@ class TestEvictionIndexPinning:
             {roads[0], roads[50], roads[100]},  # hits three sets
             {-1, 10**9},             # roads the planner never saw
         ]
-        for drop in drops:
-            _, planner = self._planner(pair)
-            plans = [self._compile(planner, roads, s) for s in seed_sets]
-            live = dict(planner._structures.items())
-            assert set(live) == set(seed_sets)
-            expected = {k for k in live if set(k) & drop}  # reference scan
-            planner.evict_structures(drop)
-            assert dict(planner._structures.items()) == live
-            assert {k for k, v in live.items() if v.stale} == expected
-            del plans
+        for seeds in seed_sets:
+            for drop in drops:
+                _, planner = self._planner(pair)
+                plan = planner.plan(seeds, 0)
+                planner.invalidate(drop)
+                expected = bool(set(seeds) & drop)  # reference scan
+                assert plan._structure.stale == expected
+                assert planner.stats().shard_evictions == int(expected)
+                assert planner.peek(seeds, 0) is plan
 
     def test_evict_all_clears_index(self, pair):
-        dataset, planner = self._planner(pair)
-        roads = list(dataset.graph.road_ids)
-        plan = self._compile(planner, roads, roads[:3])
-        assert tuple(roads[:3]) in planner._structures
-        planner.evict_structures(None)
-        assert not list(planner._structures.keys())
+        roads, planner = self._planner(pair)
+        seeds = tuple(roads[:3])
+        plan = planner.plan(seeds, 0)
+        planner.plan(seeds, 1)
+        planner.invalidate(None)
+        assert planner.peek(seeds, 0) is None
+        assert planner.stats().size == 0 and planner.stats().flushes == 1
         # Recompiling after a full evict compiles a fresh structure.
-        fresh = self._compile(planner, roads, roads[:3])
-        assert tuple(roads[:3]) in planner._structures
+        fresh = planner.plan(seeds, 0)
         assert fresh._structure is not plan._structure
+        assert planner.stats().misses == 3
 
     def test_garbage_collected_structures_are_pruned(self, pair):
         import gc
+        import weakref
 
-        dataset, planner = self._planner(pair)
-        roads = list(dataset.graph.road_ids)
-        plan = self._compile(planner, roads, roads[:3])
-        del plan
+        roads, planner = self._planner(pair)
+        replaced = weakref.ref(planner.plan(tuple(roads[:3]), 0)._structure)
+        live = planner.plan(tuple(roads[3:6]), 0)
         gc.collect()
-        assert tuple(roads[:3]) not in planner._structures
-        # Evicting over the dead seed set is a no-op, not an error.
-        planner.evict_structures({roads[0]})
-        assert not list(planner._structures.keys())
+        assert replaced() is None
+        assert planner.stats().evictions == 1
+        # Invalidating over the released seed set is a no-op.
+        planner.invalidate({roads[0]})
+        assert not live._structure.stale
+        assert planner.stats().shard_evictions == 0

@@ -26,7 +26,6 @@ from repro.history.incremental import GraphDelta
 from repro.obs import FlightRecorder, set_recorder
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
-from repro.speed.plan import IntervalPlanCache
 from tests.oracles import oracle_estimator
 
 
@@ -48,7 +47,7 @@ def fitted(small_dataset):
     return small_dataset, hlm, params
 
 
-def _estimator(dataset, hlm, params, graph=None, fidelity=None, plan_cache=None):
+def _estimator(dataset, hlm, params, graph=None, fidelity=None):
     """A fresh production estimator."""
     return TwoStepEstimator(
         dataset.network,
@@ -57,7 +56,6 @@ def _estimator(dataset, hlm, params, graph=None, fidelity=None, plan_cache=None)
         hlm=hlm,
         hlm_params=params,
         fidelity_service=fidelity or FidelityCacheService(),
-        plan_cache=plan_cache,
     )
 
 
@@ -163,10 +161,8 @@ class TestRowScopedRefresh:
             dataset.store, dataset.network, graph, params
         )
         fidelity = FidelityCacheService()
-        cache = IntervalPlanCache(maxsize=8)
-        est = _estimator(
-            dataset, hlm, params, graph=graph, fidelity=fidelity, plan_cache=cache
-        )
+        est = _estimator(dataset, hlm, params, graph=graph, fidelity=fidelity)
+        cache = est.plan_cache
         return graph, hlm, params, fidelity, cache, est, first, second
 
     def test_delta_refits_only_changed_rows(self, small_dataset):

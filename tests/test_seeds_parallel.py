@@ -122,6 +122,7 @@ class TestInProcessCache:
             PipelineConfig(
                 selection_method="partition",
                 num_partitions=4,
+                # Accepted and ignored: one worker opens no pool.
                 use_parallel_partitions=True,
                 num_partition_workers=1,
             ),
@@ -154,7 +155,6 @@ class TestDistrictPoolLifecycle:
         config = PipelineConfig(
             selection_method="partition",
             num_partitions=2,
-            use_parallel_partitions=True,
             num_partition_workers=8,
         )
         with recording() as rec, SpeedEstimationSystem.from_parts(
@@ -190,7 +190,6 @@ class TestPipelineParallelIntegration:
             PipelineConfig(
                 selection_method="partition",
                 num_partitions=4,
-                use_parallel_partitions=True,
                 num_partition_workers=2,
             ),
         ) as parallel_system:
@@ -204,6 +203,28 @@ class TestPipelineParallelIntegration:
         _assert_same_columns(
             parallel_estimates, serial_system.estimate(interval, crowd)
         )
+
+    def test_worker_count_alone_opens_the_pool(self, small_dataset):
+        """More than one worker opens the pool; no second flag is needed."""
+        config = PipelineConfig(
+            selection_method="partition", num_partitions=4, num_partition_workers=2
+        )
+        with SpeedEstimationSystem.from_parts(
+            small_dataset.network, small_dataset.store, small_dataset.graph, config
+        ) as system:
+            seeds = system.select_seeds(8)
+            assert system._pool is not None and system._pool.num_workers == 2
+            _assert_same_selection(
+                system.selection,
+                partition_greedy_select(
+                    SeedSelectionObjective(small_dataset.graph), 8, num_partitions=4
+                ),
+            )
+            interval = small_dataset.test_day_intervals()[32]
+            _assert_plan_matches_oracle(
+                system, small_dataset, config, interval,
+                _speeds(small_dataset, seeds, interval),
+            )
 
     def test_district_stage_on_default_config(self, small_dataset):
         system = SpeedEstimationSystem.from_parts(
@@ -234,7 +255,6 @@ def _parallel_config(workers=2, **overrides):
     return PipelineConfig(
         selection_method="partition",
         num_partitions=4,
-        use_parallel_partitions=True,
         num_partition_workers=workers,
         **overrides,
     )
