@@ -144,7 +144,7 @@ class TwoStepEstimator:
 
     @property
     def plan_cache(self) -> IntervalPlanner:
-        """The planner: the live seed set's compiled plans, one per bucket."""
+        """The planner: the served seed sets' compiled plans, one per bucket."""
         return self._planner
 
     def estimate_interval(
@@ -307,12 +307,13 @@ class TwoStepEstimator:
         round's ``estimate_*`` call built or hit it) is returned without
         counting a ``plan.cache`` hit, so plan hits + misses keep
         counting estimation rounds. A plan not cached is built and
-        counted as a miss.
+        counted as a miss, but not cached: a lookup with a seed set the
+        round was not served with releases no cached plan.
         """
         ordered = tuple(sorted(seeds))
         bucket = self._store.grid.bucket_of(interval)
         plan = self._planner.peek(ordered, bucket)
-        return plan if plan is not None else self._planner.plan(ordered, bucket)
+        return plan if plan is not None else self._planner.build(ordered, bucket)
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -320,8 +321,8 @@ class TwoStepEstimator:
     def _on_rows_invalidated(self, graph, roads) -> None:
         """Drop derived state built from invalidated fidelity rows.
 
-        Wholesale (``roads`` None): the planner drops its structure and
-        plans. Rows: the planner marks its structure stale if the live
+        Wholesale (``roads`` None): the planner drops its structures and
+        plans. Rows: the planner marks each held structure stale whose
         seed set lost a row.
         """
         if graph is not None and graph is not self._graph:

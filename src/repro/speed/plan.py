@@ -32,9 +32,10 @@ interval becomes a handful of array ops:
   :meth:`~repro.speed.uncertainty.UncertaintyModel.bands_for` turns
   into prediction intervals without refitting anything.
 * :class:`IntervalPlanner` — the one Step-2 plan cache of a fitted
-  system: the live seed set's structure and its plans keyed by bucket.
-  A plan for a new seed set replaces both. A structure's compile is a
-  refresh from the prior (every row unfitted):
+  system: the structure and bucket plans of the seed set served last
+  and of at most one set that contains it or that it contains (a
+  sentinel round's subset); an unrelated set releases the others. A
+  structure's compile is a refresh from the prior (every row unfitted):
   :meth:`~repro.speed.hlm.SeedMoments.rank` ranks every road's seeds,
   the rows whose ranked seeds differ from the structure's are gathered
   (:meth:`~repro.speed.hlm.SeedMoments.gather` computes the seed × road
@@ -51,7 +52,7 @@ positions follow the planner's road order (the correlation graph's):
 no per-road influence map is built or kept.
 
 Delta invalidation is row-scoped: a row invalidation that drops a
-seed's fidelity row marks the live structure stale
+seed's fidelity row marks each held structure holding it stale
 (``plan.shards_evicted``); the next evaluation re-ranks the seeds'
 fresh rows and refits exactly the rows whose top-ranked seed ids
 changed: rows newly reached, rows no longer reached (reset to the
@@ -355,21 +356,37 @@ class IntervalPlan:
         return speeds
 
 
+class _HeldSet:
+    """One seed set the planner holds: its structure and plans by bucket."""
+
+    __slots__ = ("structure", "plans")
+
+    def __init__(self, structure: _SeedStructure) -> None:
+        self.structure = structure
+        self.plans: dict[int, IntervalPlan] = {}
+
+
 class IntervalPlanner:
-    """The one Step-2 plan cache: the live seed set's structure and plans.
+    """The one Step-2 plan cache: the served seed sets' structures and plans.
 
-    One seed set serves a whole day, so the planner holds one
-    :class:`_SeedStructure` (the live seed set's) and that set's
-    :class:`IntervalPlan` objects keyed by bucket: the time grid's bucket
-    count bounds the plans, so no capacity is configured.
+    One selected seed set serves a whole day, but its rounds need not
+    all query every seed: a sentinel round queries a subset
+    (:class:`~repro.crowd.scheduler.AdaptiveBudgetScheduler` alternates
+    it with full rounds within a day). So the planner holds the seed set
+    it served last and, next to it, at most one other: the most recently
+    served set that contains it or that it contains. A set related to
+    neither (a re-selection) releases the old ones. Each held set keeps
+    one :class:`_SeedStructure` and its :class:`IntervalPlan` objects
+    keyed by bucket: the time grid's bucket count bounds the plans, so
+    no capacity is configured.
 
-    * A lookup for the live seed set and a cached bucket is a hit; any
-      other lookup is a miss that builds the (live seed set, bucket)
-      plan. A miss for a different seed set first replaces the
-      structure and drops the old set's plans (``evictions``).
-    * :meth:`invalidate` with rows marks the structure stale if it holds
-      a dropped seed (``shard_evictions``); the next evaluation
-      refreshes it. Wholesale, it drops the structure and the plans
+    * A lookup for a held set and a cached bucket is a hit; any other
+      lookup is a miss that builds the (seed set, bucket) plan. A miss
+      for a set not held first releases the sets it does not keep; their
+      plans count as ``evictions``.
+    * :meth:`invalidate` with rows marks each held structure stale that
+      holds a dropped seed (``shard_evictions``); the next evaluation
+      refreshes it. Wholesale, it drops every structure and plan
       (``flushes``).
 
     ``rows(seeds)`` returns the *current* raw fidelity rows of
@@ -399,8 +416,8 @@ class IntervalPlanner:
             [network.segment(road).free_flow_kmh for road in self._road_ids]
         ) * params.max_over_free_flow
         self._upper.setflags(write=False)
-        self._structure: _SeedStructure | None = None
-        self._plans: dict[int, IntervalPlan] = {}
+        # At most two sets, the one served last at the end.
+        self._held: dict[tuple[int, ...], _HeldSet] = {}
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -420,7 +437,7 @@ class IntervalPlanner:
             hits=self._hits,
             misses=self._misses,
             evictions=self._evictions,
-            size=len(self._plans),
+            size=sum(len(held.plans) for held in self._held.values()),
             flushes=self._flushes,
             shard_evictions=self._shard_evictions,
         )
@@ -431,32 +448,45 @@ class IntervalPlanner:
         Prediction bands read the round's plan this way, so a second
         read within one round does not look like a second round.
         """
-        if self._structure is None or self._structure.seeds != seeds:
-            return None
-        return self._plans.get(bucket)
+        held = self._held.get(seeds)
+        return None if held is None else held.plans.get(bucket)
 
     def plan(self, seeds: tuple[int, ...], bucket: int) -> IntervalPlan:
         """The plan for ``(seeds, bucket)``: cached, or built and cached."""
-        plan = self.peek(seeds, bucket)
-        recorder = get_recorder()
+        held = self._held.pop(seeds, None)
+        if held is None:
+            self._release_unrelated(seeds)
+            held = _HeldSet(self._build_structure(seeds))
+        self._held[seeds] = held
+        plan = held.plans.get(bucket)
         if plan is not None:
             self._hits += 1
-            recorder.count("plan.cache", hit="true")
+            get_recorder().count("plan.cache", hit="true")
             return plan
+        plan = held.plans[bucket] = self._new_plan(held.structure, bucket)
+        return plan
+
+    def build(self, seeds: tuple[int, ...], bucket: int) -> IntervalPlan:
+        """A plan for ``(seeds, bucket)`` that leaves the cache as it is.
+
+        Built over the held structure of ``seeds`` if there is one, else
+        over a new one; counted as a miss, cached nowhere. A band lookup
+        for a round the cache does not hold reads its plan this way, so
+        it cannot release the sets that serve the rounds.
+        """
+        held = self._held.get(seeds)
+        structure = self._build_structure(seeds) if held is None else held.structure
+        return self._new_plan(structure, bucket)
+
+    def _new_plan(self, structure: _SeedStructure, bucket: int) -> IntervalPlan:
+        """A (structure, bucket) plan, refreshing a stale structure first."""
         self._misses += 1
-        recorder.count("plan.cache", hit="false")
-        structure = self._structure
-        if structure is None or structure.seeds != seeds:
-            if self._plans:
-                self._evictions += len(self._plans)
-                recorder.count("plan.cache_evictions", len(self._plans))
-                self._plans.clear()
-            structure = self._structure = self._build_structure(seeds)
+        get_recorder().count("plan.cache", hit="false")
         if structure.stale:
             structure.refresh()
         prior_rise, prior_fall, historical = self._bucket_overlays(bucket)
         params = self._hlm.params
-        plan = self._plans[bucket] = IntervalPlan(
+        return IntervalPlan(
             road_ids=self._road_ids,
             index=self._index,
             bucket=bucket,
@@ -469,23 +499,40 @@ class IntervalPlanner:
             prior_weight=params.prior_weight,
             use_trend=params.use_trend,
         )
-        return plan
 
     def invalidate(self, roads: set[int] | None = None) -> None:
         """Follow a fidelity invalidation: ``roads`` dropped rows, or all.
 
-        ``None`` drops the structure and every plan, so the next lookup
-        compiles from scratch. Rows mark the structure stale if it holds
-        a dropped seed; its plans stay cached and refresh it on use.
+        ``None`` drops every structure and plan, so the next lookup
+        compiles from scratch. Rows mark each held structure stale that
+        holds a dropped seed; its plans stay cached and refresh it on use.
         """
         if roads is None:
-            if self._plans:
+            dropped = sum(len(held.plans) for held in self._held.values())
+            if dropped:
                 self._flushes += 1
-                get_recorder().count("plan.cache_flushes", len(self._plans))
-            self._plans.clear()
-            self._structure = None
+                get_recorder().count("plan.cache_flushes", dropped)
+            self._held.clear()
         else:
             self._shard_evictions += self._mark_stale(roads)
+
+    def _release_unrelated(self, seeds: tuple[int, ...]) -> None:
+        """Before ``seeds`` is held: keep at most one set related to it.
+
+        The kept set is the most recently served one that contains
+        ``seeds`` or is contained in it (the full set of a sentinel
+        round, or the sentinels of a full one); the others are released.
+        """
+        new = frozenset(seeds)
+        kept = next(
+            (old for old in reversed(self._held) if new <= set(old) or new >= set(old)),
+            None,
+        )
+        for old in [old for old in self._held if old != kept]:
+            dropped = len(self._held.pop(old).plans)
+            if dropped:
+                self._evictions += dropped
+                get_recorder().count("plan.cache_evictions", dropped)
 
     def _build_structure(self, seeds: tuple[int, ...]) -> _SeedStructure:
         """A new structure for ``seeds``: every row the prior, stale."""
@@ -499,10 +546,8 @@ class IntervalPlanner:
         )
 
     def _mark_stale(self, roads: set[int]) -> int:
-        """Mark the live structure stale; 1 if it is newly stale, else 0."""
-        if self._structure is None:
-            return 0
-        return self._structure.mark_stale(roads)
+        """Mark the held structures stale; how many are newly stale."""
+        return sum(held.structure.mark_stale(roads) for held in self._held.values())
 
     def _bucket_overlays(
         self, bucket: int
@@ -534,10 +579,10 @@ class IntervalPlanner:
 class PlanCacheStats:
     """Cumulative accounting of an :class:`IntervalPlanner`.
 
-    ``evictions`` counts plans dropped because a plan for a new seed set
-    replaced the live one; ``flushes`` whole-cache invalidations (each
-    counts every plan it dropped); ``shard_evictions`` the times a row
-    invalidation marked the live structure stale (the plans stay cached;
+    ``evictions`` counts plans dropped because a plan for a seed set
+    unrelated to them was built; ``flushes`` whole-cache invalidations
+    (each counts every plan it dropped); ``shard_evictions`` the times a
+    row invalidation marked a held structure stale (the plans stay cached;
     the name stays for readers that use it). ``row_evictions`` is always
     0: a row invalidation drops no plan (the field stays for readers
     that name it). A healthy streaming deployment shows

@@ -12,8 +12,8 @@ planner serves, cold or refreshed, must match it bit for bit.
 :class:`~repro.speed.estimator.TwoStepEstimator` that serves rounds
 through :class:`MonolithicPlanner`: the production planner with only
 the structure build and the row invalidation replaced. A row
-invalidation that drops a seed's row drops the structure, so the next
-plan refits the whole city from the fresh rows.
+invalidation that drops a seed's row drops that seed set's structure,
+so the next plan refits the whole city from the fresh rows.
 """
 
 from __future__ import annotations
@@ -45,11 +45,9 @@ class MonolithicPlanner(IntervalPlanner):
         return compile_seed_structure(self._hlm.params, batch)
 
     def _mark_stale(self, roads: set[int]) -> int:
-        """Drop a structure whose seeds lost a row; it is never refreshed."""
-        structure = self._structure
-        if structure is not None and not set(structure.seeds).isdisjoint(roads):
-            self._structure = None
-            self._plans.clear()
+        """Drop each set whose seeds lost a row; it is never refreshed."""
+        for seeds in [seeds for seeds in self._held if not roads.isdisjoint(seeds)]:
+            del self._held[seeds]
         return 0
 
 

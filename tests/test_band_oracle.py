@@ -199,7 +199,6 @@ class TestAfterGraphDelta:
         )
         fidelity = FidelityCacheService()
         est = _estimator(small_dataset, hlm, params, graph=graph, fidelity=fidelity)
-        cache = est.plan_cache
         seeds = [first[5], first[20], second[5], second[20]]
         interval = small_dataset.test_day_intervals()[0]
         speeds = _speeds(small_dataset, seeds, interval)
@@ -216,7 +215,7 @@ class TestAfterGraphDelta:
         assert any(
             stale_oracle[r].std_kmh != fresh_oracle[r].std_kmh for r in second
         ), "the delta must change some regression's residual std"
-        plan = next(iter(cache._plans.values()))
+        plan = est.plan_for(interval, speeds)
         assert plan._structure.stale
         # Bands first: the band lookup itself must refresh the structure.
         _check_round(est, small_dataset, before, speeds)

@@ -303,6 +303,92 @@ class TestPlanCache:
         # The second set replaced the first: its one plan was evicted.
         assert stats.misses == 2 and stats.evictions == 1 and stats.size == 1
 
+    def test_sentinel_rounds_keep_the_full_set(self, small_dataset):
+        """Full and sentinel rounds alternate within a day (the adaptive
+        scheduler's pattern): each set compiles once and both stay held;
+        a re-selected, unrelated set then releases both."""
+        import gc
+        import weakref
+
+        from repro.obs import FlightRecorder, set_recorder
+
+        est = TwoStepEstimator(
+            small_dataset.network,
+            small_dataset.store,
+            small_dataset.graph,
+            hlm_params=HlmParams(),
+        )
+        cache = est.plan_cache
+        roads = list(small_dataset.graph.road_ids)
+        full, sentinel = roads[:6], roads[:6:2]
+        intervals = small_dataset.test_day_intervals()[:4]
+        grid = small_dataset.store.grid
+        assert len({grid.bucket_of(i) for i in intervals}) == 4
+        rounds = [
+            (interval, full if n % 2 == 0 else sentinel)
+            for n, interval in enumerate(intervals)
+        ]
+        rec = FlightRecorder()
+        previous = set_recorder(rec)
+        try:
+            for interval, seeds in rounds + rounds[:2]:
+                est.estimate_interval(
+                    interval, seed_speeds_for(small_dataset, seeds, interval)
+                )
+        finally:
+            set_recorder(previous)
+        compiles = [s for s in rec.tracer.drain() if s.name == "speed.plan.compile"]
+        assert len(compiles) == 2
+        stats = cache.stats()
+        assert (stats.misses, stats.hits, stats.evictions, stats.size) == (4, 2, 0, 4)
+
+        held = [
+            weakref.ref(est.plan_for(interval, seeds)._structure)
+            for interval, seeds in rounds[:2]
+        ]
+        est.estimate_interval(
+            intervals[0], seed_speeds_for(small_dataset, roads[10:16], intervals[0])
+        )
+        gc.collect()
+        assert all(ref() is None for ref in held)
+        stats = cache.stats()
+        assert stats.evictions == 4 and stats.size == 1
+
+    def test_band_lookup_for_another_set_leaves_the_cache(self, small_dataset):
+        """``plan_for`` with a seed set the cache does not hold builds a
+        plan equal to a cached compile without releasing a held set."""
+        est, fresh = (
+            TwoStepEstimator(
+                small_dataset.network,
+                small_dataset.store,
+                small_dataset.graph,
+                hlm_params=HlmParams(),
+            )
+            for _ in range(2)
+        )
+        cache = est.plan_cache
+        roads = list(small_dataset.graph.road_ids)
+        seeds, other = roads[:5], roads[5:9]
+        interval = small_dataset.test_day_intervals()[0]
+        est.estimate_interval(interval, seed_speeds_for(small_dataset, seeds, interval))
+        plan = est.plan_for(interval, seeds)
+
+        looked_up = est.plan_for(interval, other)
+        assert est.plan_for(interval, seeds) is plan
+        stats = cache.stats()
+        assert (stats.misses, stats.evictions, stats.size) == (2, 0, 1)
+        assert est.plan_for(interval, other) is not looked_up  # cached nowhere
+
+        fresh.estimate_interval(
+            interval, seed_speeds_for(small_dataset, other, interval)
+        )
+        compiled = fresh.plan_for(interval, other)
+        assert looked_up.seeds == compiled.seeds
+        for column in ("has_reg", "residual_std", "historical"):
+            assert getattr(looked_up, column).tobytes() == (
+                getattr(compiled, column).tobytes()
+            )
+
 
 class TestDegradedPathDifferential:
     """The degraded path must not diverge between plan and scalar oracle.
@@ -364,10 +450,8 @@ class TestDegradedPathDifferential:
                 assert estimate.speed_kmh == pytest.approx(
                     reference[road].speed_kmh, abs=SPEED_TOL
                 )
-            seeds = {r: out.observed.get(r) for r in system.seeds}
-            seeds = {r: v for r, v in seeds.items() if v is not None}
-            bands = bands_model.bands_for(estimates, seeds)
-            reference_bands = bands_model.bands_for(reference, seeds)
+            bands = bands_model.bands_for(estimates, filled)
+            reference_bands = bands_model.bands_for(reference, filled)
             assert set(bands) == set(reference_bands)
             for road, band in bands.items():
                 want = reference_bands[road]
@@ -525,7 +609,7 @@ class TestGraphDeltaEviction:
         assert stats.size == 1  # marked or untouched, never dropped
         assert stats.row_evictions == 0
         assert stats.shard_evictions == int(touched)
-        (plan,) = cache._plans.values()
+        plan = est.plan_for(interval, set_b)
         assert plan.seeds == tuple(sorted(set_b))
         assert plan._structure.stale == touched
 
@@ -585,7 +669,8 @@ class TestGraphDeltaEviction:
         gc.collect()
 
         assert structure_a() is None, "the replaced structure is still alive"
-        assert structure_b() is cache._structure and structure_b().stale
+        assert structure_b() is est.plan_for(intervals[0], set_b)._structure
+        assert structure_b().stale
         stats = cache.stats()
         assert stats.size == 1 and stats.evictions == 2
         assert stats.shard_evictions == 1

@@ -179,7 +179,7 @@ class TestRowScopedRefresh:
             assert cache.stats().size == 1
             (cold,) = _compile_spans(rec)
 
-            plan = next(iter(cache._plans.values()))
+            plan = est.plan_for(interval, seeds)
             structure = plan._structure
             ranked_before = structure.seed_idx.copy()
 
@@ -198,7 +198,7 @@ class TestRowScopedRefresh:
             # The plan stayed cached; its structure was marked, not evicted.
             assert cache.stats().size == 1
             assert cache.stats().shard_evictions == 1
-            assert next(iter(cache._plans.values())) is plan
+            assert est.plan_for(interval, seeds) is plan
             assert _counter(rec, "plan.shards_evicted") == 1
 
             after = est.estimate_interval(interval, speeds)
@@ -229,7 +229,7 @@ class TestRowScopedRefresh:
         seeds = [first[5], second[5]]
         interval = small_dataset.test_day_intervals()[0]
         est.estimate_interval(interval, _speeds(small_dataset, seeds, interval))
-        plan = next(iter(cache._plans.values()))
+        plan = est.plan_for(interval, seeds)
         coef = plan._structure.coef.copy()
         fidelity.invalidate_rows(graph, {first[40], second[40]})
         assert cache.stats().shard_evictions == 0
