@@ -733,10 +733,13 @@ def cmd_stream(
     ingests one fresh day at a time: each ingest re-mines the co-trend
     statistics incrementally, flows the resulting edge delta through
     the cache stack (dropping only provably affected fidelity rows and
-    plans) and serves estimation rounds from the live system. With
-    ``--check`` the exit code is non-zero if any wholesale cache
-    invalidation happened or the incremental graph ever diverged from a
-    batch re-mine of the same window.
+    plans) and serves estimation rounds from the live system. The
+    per-day table includes the pairs the re-mine scored
+    (``history.remine{scored}``) and the re-selection's CELF gain
+    queries (0 when it reused the previous picks): a quiet day reads
+    0 / 0. With ``--check`` the exit code is non-zero if any wholesale
+    cache invalidation happened or the incremental graph ever diverged
+    from a batch re-mine of the same window.
     """
     if days < 1:
         raise SystemExit("error: --days must be >= 1")
@@ -777,13 +780,16 @@ def cmd_stream(
         def counter(name, **labels):
             return rec.registry.counter(name, **labels).value
 
-        def rows_refit():
-            """Rows fitted by the plan compiles since the last call."""
-            return sum(
-                span.attrs.get("rows_fitted", 0)
-                for span in rec.tracer.drain()
-                if span.name == "speed.plan.compile"
-            )
+        def span_sums():
+            """Rows fitted by plan compiles and pairs scored by re-mines,
+            over the spans finished since the last call."""
+            refit = scored = 0
+            for span in rec.tracer.drain():
+                if span.name == "speed.plan.compile":
+                    refit += span.attrs.get("rows_fitted", 0)
+                elif span.name == "history.remine":
+                    scored += span.attrs.get("scored", 0)
+            return refit, scored
 
         with SpeedEstimationSystem.from_parts(
             dataset.network, rolling.store, rolling.graph
@@ -793,7 +799,7 @@ def cmd_stream(
                 day = day_fields[day_index]
                 dropped_before = counter("fidelity.invalidations", scope="rows")
                 evicted_before = counter("plan.shards_evicted")
-                rows_refit()
+                span_sums()
                 rolling.ingest_day(day)
                 try:
                     rolling.verify_incremental()
@@ -801,14 +807,14 @@ def cmd_stream(
                     mismatches.append(f"day {day_index}: {exc}")
                 delta = rolling.last_delta
                 seeds = system.reselect_seeds(k)
-                refit = rows_refit()
+                refit, scored = span_sums()
                 errors: list[float] = []
                 for r in range(serve_rounds):
                     offset = (r + 1) * per_day // (serve_rounds + 1)
                     interval = day.intervals.start + offset
                     crowd = {road: day.speed(road, interval) for road in seeds}
                     estimates = system.estimate(interval, crowd)
-                    refit += rows_refit()
+                    refit += span_sums()[0]
                     truth = day.speeds_at(interval)
                     errors.extend(
                         abs(est.speed_kmh - truth[road])
@@ -825,6 +831,8 @@ def cmd_stream(
                         - dropped_before),
                     int(counter("plan.shards_evicted") - evicted_before),
                     int(refit),
+                    int(scored),
+                    system.selection.evaluations,
                     fmt(sum(errors) / len(errors)) if errors else "-",
                 ])
 
@@ -837,7 +845,7 @@ def cmd_stream(
     lines.append(
         format_table(
             ["day", "delta(+/-/~)", "rows dropped", "stale plans",
-             "rows refit", "mae km/h"],
+             "rows refit", "pairs scored", "CELF evals", "mae km/h"],
             rows,
             title="Per-day streaming telemetry",
         )

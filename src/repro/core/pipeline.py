@@ -311,11 +311,15 @@ class SpeedEstimationSystem:
         """Re-select seeds with the warm-started incremental CELF.
 
         The first call pays a full empty-set scan (identical cost to
-        ``select_seeds(method="lazy")``); later calls re-evaluate only
-        candidates whose fidelity rows were invalidated since — zero on
-        a stable network. The returned sequence is always identical to
-        a cold lazy selection, so switching a system to incremental
-        re-selection never changes its seeds.
+        ``select_seeds(method="lazy")``). A later call with the same
+        budget and no candidate whose fidelity row was invalidated since
+        reuses the previous picks without a gain query
+        (``selection.evaluations == 0``, counted by
+        ``seeds.reselect.reused``); otherwise it runs a full CELF pass
+        that re-evaluates only the invalidated candidates. The returned
+        sequence is always identical to a cold lazy selection, so
+        switching a system to incremental re-selection never changes
+        its seeds.
         """
         if self._reselector is None:
             from repro.seeds.reselect import IncrementalCelfSelector

@@ -20,10 +20,19 @@ a cold scan would recompute — rows are deterministic functions of the
 returns the **identical** sequence to a cold ``lazy_greedy_select``, at
 the cost of only the dirty candidates (``seeds.reselect.*`` metrics
 record exactly how many that was).
+
+The same argument lets a round with no dirty candidate skip CELF
+altogether: every candidate's row is unchanged (other roads' rows are
+never read), so the pass would repeat the previous one step for step.
+The selector keeps its last result and returns it for the same budget
+(``seeds.reselect.reused`` counts these rounds). Every row change
+reaches the selector through its one ``subscribe`` callback, so a
+stale result cannot be reused.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 
 from repro.obs import get_recorder
@@ -43,8 +52,14 @@ class IncrementalCelfSelector:
 
     Bind one selector to one objective for the lifetime of a system
     (it subscribes, weakly, to the objective's fidelity service).
-    Every :meth:`select` call runs a full CELF pass — only the
-    empty-set scan is incremental.
+    A :meth:`select` call with no dirty candidate and the previous
+    call's budget returns the previous picks without a gain query
+    (``evaluations == 0``); any dirty candidate, a wholesale
+    invalidation or a new budget runs a full CELF pass whose empty-set
+    scan re-evaluates only the dirty candidates. The
+    ``seeds.reselect.reevaluated`` and ``seeds.reselect.reused``
+    counters back both costs; ``tests/test_seeds_reselect.py`` pins
+    them.
     """
 
     def __init__(
@@ -57,6 +72,7 @@ class IncrementalCelfSelector:
         self._pool_set = set(self._pool)
         self._gains: dict[int, float] = {}
         self._dirty: set[int] = set(self._pool)
+        self._last: tuple[int, SelectionResult] | None = None
         self.rounds = 0
         objective.fidelity_service.subscribe(self._on_rows_invalidated)
 
@@ -75,7 +91,8 @@ class IncrementalCelfSelector:
             self._dirty.update(road for road in roads if road in self._pool_set)
 
     def select(self, budget: int) -> SelectionResult:
-        """Full CELF pass with a warm-started empty-set gain heap."""
+        """The previous picks while nothing is dirty, else a full CELF
+        pass with a warm-started empty-set gain heap."""
         validate_budget(self._objective, budget)
         if len(self._pool) < budget:
             from repro.core.errors import SelectionError
@@ -86,11 +103,14 @@ class IncrementalCelfSelector:
             )
         recorder = get_recorder()
         self.rounds += 1
+        last = self._last
+        reuse = not self._dirty and last is not None and last[0] == budget
         with recorder.span(
             "seeds.reselect",
             budget=budget,
             pool=len(self._pool),
             dirty=len(self._dirty),
+            reused=reuse,
         ) as span:
             state = self._objective.new_state()
             dirty = sorted(self._dirty)
@@ -104,18 +124,24 @@ class IncrementalCelfSelector:
                 recorder.gauge(
                     "seeds.reselect.warm_fraction", cached / len(self._pool)
                 )
-            heap = [
-                (-self._gains[candidate], candidate, 0)
-                for candidate in self._pool
-            ]
-            heapq.heapify(heap)
-            result = run_celf(
-                self._objective,
-                budget,
-                heap,
-                state,
-                reevaluated,
-                method="lazy-greedy-incremental",
-            )
+            if reuse:
+                recorder.count("seeds.reselect.reused")
+                # No gain query runs, so the reused result reports none.
+                result = dataclasses.replace(last[1], evaluations=0)
+            else:
+                heap = [
+                    (-self._gains[candidate], candidate, 0)
+                    for candidate in self._pool
+                ]
+                heapq.heapify(heap)
+                result = run_celf(
+                    self._objective,
+                    budget,
+                    heap,
+                    state,
+                    reevaluated,
+                    method="lazy-greedy-incremental",
+                )
+                self._last = (budget, result)
             span.set(evaluations=result.evaluations, reevaluated=reevaluated)
         return result

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -182,7 +184,21 @@ class TestCommands:
                 "--budget", "5", "--check",
             ]
         ) == 0
-        assert "stream check ok" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "stream check ok" in out
+        lines = out.splitlines()
+        header = next(line for line in lines if line.startswith("day "))
+        assert "pairs scored" in header and "CELF evals" in header
+        columns = re.split(r"\s{2,}", header.strip())
+        start = lines.index(header) + 2
+        rows = [dict(zip(columns, line.split())) for line in lines[start:start + 2]]
+        assert [row["day"] for row in rows] == ["2", "3"]
+        for row in rows:
+            # Fresh simulated days move some pair counts every day.
+            assert int(row["pairs scored"]) > 0
+            # The re-selection is reused (no gain query) exactly when
+            # the day's delta dropped no candidate's row.
+            assert (int(row["CELF evals"]) == 0) == (int(row["rows dropped"]) == 0)
 
     def test_unroutable(self):
         with pytest.raises(SystemExit, match="no route"):

@@ -29,7 +29,7 @@ from repro.history.online import RollingHistory
 from repro.history.store import HistoricalSpeedStore
 from repro.history.timebuckets import TimeGrid
 from repro.traffic.simulator import TrafficSimulator
-from tests.oracles.delta import diff_edges
+from tests.oracles.delta import diff_edge_arrays, diff_edges
 from tests.oracles.history import BatchRollingHistory
 
 
@@ -400,6 +400,76 @@ class TestCoTrendStats:
             fresh.reset(window)
             np.testing.assert_array_equal(incremental._same, fresh._same)
             np.testing.assert_array_equal(incremental._valid, fresh._valid)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mine_delta_equals_full_diff(self, data):
+        """Property: after any advance sequence, with thresholds and
+        tolerance changing between mines, ``mine_delta`` equals the
+        whole-graph diff of the live graph against a full re-mine, tuple
+        order included. It scores every pair when the interval count,
+        the zero flag or a threshold moved, else only the pairs whose
+        counts moved."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        num_roads = data.draw(st.integers(2, 6))
+        net = _line_network(num_roads)
+        roads = list(range(num_roads))
+        stats = IncrementalCoTrendStats(net, roads, max_hops=2)
+        zeros = data.draw(st.sampled_from([0.0, 0.1]))
+        choices = [
+            {"min_agreement": 0.5, "min_valid_fraction": 0.1},
+            {"min_agreement": 0.6, "min_valid_fraction": 0.1},
+            {"min_agreement": 0.6, "min_valid_fraction": 0.5},
+        ]
+
+        split = [(1 - zeros) / 2, zeros, (1 - zeros) / 2]
+
+        def rows(n):
+            return rng.choice([-1, 0, 1], size=(n, num_roads), p=split).astype(
+                np.int8
+            )
+
+        def scope(window, thresholds):
+            return window.shape[0], bool(np.any(window == 0)), thresholds
+
+        window = rows(data.draw(st.integers(1, 12)))
+        stats.reset(window)
+        thresholds = data.draw(st.sampled_from(choices))
+        graph = _mined_graph(roads, stats, **thresholds)
+        mined = (stats._same.copy(), stats._valid.copy(), scope(window, thresholds))
+        for _ in range(data.draw(st.integers(1, 5))):
+            evict = data.draw(st.integers(0, window.shape[0]))
+            retained = window[evict:].copy()
+            if retained.size and data.draw(st.booleans()):
+                i = data.draw(st.integers(0, retained.shape[0] - 1))
+                j = data.draw(st.integers(0, num_roads - 1))
+                retained[i, j] = -retained[i, j] if retained[i, j] else 1
+            window = np.vstack([retained, rows(data.draw(st.integers(0, 8)))])
+            if window.shape[0] == 0:
+                window = rows(1)
+            stats.advance(window, evict)
+            if data.draw(st.booleans()):
+                thresholds = data.draw(st.sampled_from(choices))
+            tolerance = data.draw(st.sampled_from([0.0, 1e-3, 0.05]))
+            fresh = IncrementalCoTrendStats(net, roads, max_hops=2)
+            fresh.reset(window)
+            expected = diff_edge_arrays(
+                graph, *fresh.mine_arrays(**thresholds), tolerance=tolerance
+            )
+            delta, scored = stats.mine_delta(**thresholds, tolerance=tolerance)
+            assert delta == expected
+            assert delta == diff_edges(
+                graph, list(_mined_graph(roads, fresh, **thresholds).edges()), tolerance
+            )
+            same, valid, last_scope = mined
+            if scope(window, thresholds) == last_scope:
+                moved = (fresh._same != same) | (fresh._valid != valid)
+                assert scored == int(np.count_nonzero(moved))
+            else:
+                assert scored == stats.num_pairs
+            graph.apply_delta(delta)
+            mined = (fresh._same.copy(), fresh._valid.copy(), scope(window, thresholds))
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,11 @@ invalidations,
 re-selections, estimates and plan-backed prediction bands on one warm
 system, and after every step compares it with a cold recompute on the
 mutated graph: equal seeds and gains, and bitwise-equal speeds and
-bands. A subscriber that missed an invalidation (or dropped too
-little) shows as a mismatch on the next read. The machine runs once
+bands. A re-selection reuses the previous picks exactly when no step
+since the previous one dropped a cached row (a wholesale invalidation,
+or a delta whose tight-edge rule dropped some row). A subscriber that
+missed an invalidation (or dropped too little) shows as a mismatch on
+the next read. The machine runs once
 with the default propagation inference and once with loopy belief
 propagation, which reads the trend model's baked edge potentials.
 """
@@ -36,6 +39,7 @@ from repro.core.pipeline import SpeedEstimationSystem
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.fidelity import FidelityCacheService
 from repro.history.incremental import GraphDelta
+from repro.obs import FlightRecorder, recording
 from repro.seeds.lazy import lazy_greedy_select
 from repro.seeds.objective import SeedSelectionObjective
 from repro.speed.estimator import TwoStepEstimator
@@ -78,6 +82,8 @@ class InvalidationMachine(RuleBasedStateMachine):
         self.intervals = list(ds.test_day_intervals())
         self.interval = self.intervals[0]
         self.seeds: list[int] = []
+        # Whether a cached row was dropped since the last re-selection.
+        self.rows_dropped = True
         self.reselect()
 
     # -- the cold recompute (test side only) ----------------------------
@@ -121,8 +127,9 @@ class InvalidationMachine(RuleBasedStateMachine):
         self.graph.apply_delta(delta)
         if wholesale:
             self.system.fidelity_service.invalidate(self.graph)
-        else:
-            self.system.apply_graph_delta(delta)
+            self.rows_dropped = True
+        elif self.system.apply_graph_delta(delta):
+            self.rows_dropped = True
 
     @precondition(lambda self: self.graph.num_edges > 0)
     @rule(
@@ -185,11 +192,17 @@ class InvalidationMachine(RuleBasedStateMachine):
     @rule()
     def invalidate_everything(self):
         self.system.fidelity_service.invalidate()
+        self.rows_dropped = True
 
     # -- reads ----------------------------------------------------------
     @rule()
     def reselect(self):
-        self.seeds = self.system.reselect_seeds(_BUDGET)
+        with recording(FlightRecorder()) as recorder:
+            self.seeds = self.system.reselect_seeds(_BUDGET)
+        reused = recorder.registry.counter("seeds.reselect.reused").value
+        assert reused == (0 if self.rows_dropped else 1)
+        assert (self.system.selection.evaluations == 0) == bool(reused)
+        self.rows_dropped = False
         cold = lazy_greedy_select(
             SeedSelectionObjective(
                 self.graph,

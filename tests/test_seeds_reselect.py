@@ -4,7 +4,8 @@ Correctness contract: every :meth:`IncrementalCelfSelector.select` call
 returns the **identical** sequence a cold ``lazy_greedy_select`` would,
 while the empty-set gain scan is paid only for candidates whose
 fidelity rows were invalidated since the previous round — zero on a
-stable network.
+stable network. A round with no such candidate and the previous budget
+reuses the previous picks and runs no gain query at all.
 """
 
 import pytest
@@ -40,6 +41,28 @@ def _reevaluated(rec) -> float:
     return rec.registry.counter("seeds.reselect.reevaluated").value
 
 
+def _reused(rec) -> float:
+    return rec.registry.counter("seeds.reselect.reused").value
+
+
+def _same_picks(result, expected) -> None:
+    assert result.seeds == expected.seeds
+    assert result.gains == expected.gains
+    assert result.values == expected.values
+
+
+def _reused_selector(objective, recorder, budget, candidates=None):
+    """A selector whose second, stable round was reused."""
+    selector = IncrementalCelfSelector(objective, candidates=candidates)
+    first = selector.select(budget)
+    assert _reused(recorder) == 0
+    again = selector.select(budget)
+    assert _reused(recorder) == 1
+    assert again.evaluations == 0
+    _same_picks(again, first)
+    return selector, first
+
+
 class TestWarmStartEquivalence:
     def test_first_select_matches_cold_lazy(self, objective):
         cold = lazy_greedy_select(objective, 10)
@@ -66,6 +89,61 @@ class TestWarmStartEquivalence:
         objective.fidelity_service.invalidate_rows(objective.graph, touched)
         cold = lazy_greedy_select(objective, 6)
         assert selector.select(6).seeds == cold.seeds
+
+
+class TestReuse:
+    def test_stable_reselect_is_reused(self, objective, recorder):
+        selector, first = _reused_selector(objective, recorder, 8)
+        third = selector.select(8)
+        assert _reused(recorder) == 2
+        assert third.evaluations == 0
+        assert first.evaluations > 0
+        _same_picks(third, first)
+        _same_picks(third, lazy_greedy_select(objective, 8))
+        assert third.method == first.method
+
+    def test_row_invalidation_of_a_pool_candidate_drops_reuse(
+        self, objective, recorder
+    ):
+        selector, first = _reused_selector(objective, recorder, 6)
+        road = next(r for r in objective.road_ids if r not in first.seeds)
+        objective.fidelity_service.invalidate_rows(objective.graph, [road])
+        result = selector.select(6)
+        assert _reused(recorder) == 1
+        assert result.evaluations > 0
+        _same_picks(result, lazy_greedy_select(objective, 6))
+
+    def test_wholesale_invalidation_drops_reuse(self, objective, recorder):
+        selector, first = _reused_selector(objective, recorder, 6)
+        objective.fidelity_service.invalidate()
+        result = selector.select(6)
+        assert _reused(recorder) == 1
+        assert result.evaluations > 0
+        _same_picks(result, first)
+
+    def test_new_budget_runs_a_full_pass(self, objective, recorder):
+        selector, first = _reused_selector(objective, recorder, 6)
+        result = selector.select(7)
+        assert _reused(recorder) == 1
+        assert result.evaluations > 0
+        assert result.seeds[:6] == first.seeds
+        _same_picks(result, lazy_greedy_select(objective, 7))
+        # The new budget's picks are the ones reused from now on.
+        assert selector.select(7).evaluations == 0
+        assert _reused(recorder) == 2
+
+    def test_invalidation_outside_a_restricted_pool_keeps_reuse(
+        self, objective, recorder
+    ):
+        pool = list(objective.road_ids[::3])
+        selector, first = _reused_selector(objective, recorder, 5, pool)
+        outside = [r for r in objective.road_ids if r not in set(pool)][:4]
+        objective.fidelity_service.invalidate_rows(objective.graph, outside)
+        assert selector.dirty_candidates == set()
+        result = selector.select(5)
+        assert _reused(recorder) == 2
+        assert result.evaluations == 0
+        _same_picks(result, lazy_greedy_select(objective, 5, candidates=pool))
 
 
 class TestIncrementalAccounting:
