@@ -13,7 +13,11 @@ from repro.history.fidelity import (
     set_fidelity_service,
     sparse_fidelity_rows,
 )
-from repro.history.incremental import GraphDelta, IncrementalCoTrendStats
+from repro.history.incremental import (
+    GraphDelta,
+    IncrementalCoTrendStats,
+    diff_edges,
+)
 from repro.history.online import RollingHistory
 from repro.history.persistence import (
     load_field,

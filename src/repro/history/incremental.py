@@ -22,12 +22,13 @@ directly:
   ``mine_correlation_graph`` would produce on the current window. That
   is the differential guarantee
   :meth:`repro.history.online.RollingHistory.verify_incremental`
-  asserts. It builds a live graph's first edge set.
-* :meth:`IncrementalCoTrendStats.mine_delta` — the
-  :class:`GraphDelta` (edges added, removed, and re-weighted beyond a
-  tolerance) from the edges the previous mine reported to the current
-  window's, found by scoring **only the pairs whose counts moved**
-  since that mine. Applying it with
+  asserts. :meth:`IncrementalCoTrendStats.mine_if_moved` skips the
+  mine when no count moved since the previous one.
+* :class:`GraphDelta` / :func:`diff_edges` — the edge-level difference
+  between a live :class:`~repro.history.correlation.CorrelationGraph`
+  and freshly mined edge arrays: edges added, removed, and re-weighted
+  beyond a tolerance, found by sorted-key array matching so edge
+  objects are built only for the edges that changed. Applying it with
   :meth:`~repro.history.correlation.CorrelationGraph.apply_delta`
   mutates the graph in place, which is what lets identity-keyed caches
   (the fidelity service and everything subscribed to it) survive a
@@ -47,14 +48,15 @@ keep identical edge sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from repro.core.errors import DataError
-from repro.history.correlation import CorrelationEdge
+from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.roadnet.network import RoadNetwork
 
-__all__ = ["GraphDelta", "IncrementalCoTrendStats"]
+__all__ = ["GraphDelta", "IncrementalCoTrendStats", "diff_edges"]
 
 #: Pair-axis chunk budget for the count updates: rows × pairs int8
 #: blocks stay a few MB regardless of window or city size.
@@ -108,6 +110,96 @@ class GraphDelta:
 EMPTY_DELTA = GraphDelta(added=(), removed=(), reweighted=())
 
 
+def diff_edges(
+    graph: CorrelationGraph,
+    road_u: np.ndarray,
+    road_v: np.ndarray,
+    agreement: np.ndarray,
+    tolerance: float = 0.0,
+) -> GraphDelta:
+    """The :class:`GraphDelta` turning ``graph`` into the mined edges
+    ``(road_u, road_v, agreement)`` (one array entry per edge).
+
+    ``tolerance`` bounds weight churn: a surviving edge whose new
+    agreement differs from the current one by at most ``tolerance``
+    keeps its **current** weight (it does not appear in the delta), so
+    downstream caches are not evicted for sub-tolerance drift. The
+    default 0.0 reports every weight change, which is what makes the
+    applied graph exactly equal to a batch re-mine.
+
+    Both edge sets are compared as arrays: each ``(u, v)`` pair becomes
+    one integer key from the roads' positions in ``graph.road_ids``
+    (sorted, so key order is ``(u, v)`` order, for any int road ids),
+    and ``searchsorted`` matches the mined keys against
+    ``graph.edge_arrays()``. Python objects are built only for changed
+    edges, so a re-mine that changes nothing builds none; the
+    ``history.remine`` span's ``edges_built`` counts them and
+    ``tests/test_delta_oracle.py`` pins that count and the delta (order
+    included) to the list-form oracle in ``tests/oracles/delta.py``.
+    """
+    if tolerance < 0.0:
+        raise DataError(f"delta tolerance must be >= 0, got {tolerance}")
+    road_ids = graph.road_ids
+    roads = np.asarray(road_ids, dtype=np.int64)
+    new_keys = _edge_keys(roads, road_u, road_v)
+    order = np.argsort(new_keys, kind="stable")
+    new_keys = new_keys[order]
+    new_p = np.asarray(agreement, dtype=np.float64)[order]
+    old_u, old_v, old_p = graph.edge_arrays()
+    old_keys = _edge_keys(roads, old_u, old_v)
+    order = np.argsort(old_keys, kind="stable")
+    old_keys, old_p = old_keys[order], old_p[order]
+
+    at, kept = _lookup(old_keys, new_keys)
+    moved = np.zeros_like(kept)
+    moved[kept] = np.abs(new_p[kept] - old_p[at[kept]]) > tolerance
+    _, survives = _lookup(new_keys, old_keys)
+
+    def edges(mask: np.ndarray) -> tuple[CorrelationEdge, ...]:
+        ends = _key_ends(road_ids, new_keys[mask])
+        return tuple(
+            CorrelationEdge(u, v, p) for (u, v), p in zip(ends, new_p[mask].tolist())
+        )
+
+    return GraphDelta(
+        added=edges(~kept),
+        removed=tuple(_key_ends(road_ids, old_keys[~survives])),
+        reweighted=edges(moved),
+    )
+
+
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``keys`` sits in ``sorted_keys``, and whether it is there."""
+    at = np.searchsorted(sorted_keys, keys)
+    found = at < sorted_keys.size
+    found[found] = sorted_keys[at[found]] == keys[found]
+    return at, found
+
+
+def _edge_keys(roads: np.ndarray, road_u, road_v) -> np.ndarray:
+    """One int64 key per edge, ``pos(low) * n + pos(high)`` over the
+    ``n`` sorted road ids ``roads``; raises on a road not among them."""
+    road_u = np.asarray(road_u, dtype=np.int64)
+    road_v = np.asarray(road_v, dtype=np.int64)
+    ends = np.stack([np.minimum(road_u, road_v), np.maximum(road_u, road_v)])
+    pos = np.searchsorted(roads, ends)
+    known = pos < roads.size
+    known[known] = roads[pos[known]] == ends[known]
+    if not known.all():
+        raise DataError(
+            f"mined edge references unknown road {int(ends[~known][0])}"
+        )
+    return pos[0] * roads.size + pos[1]
+
+
+def _key_ends(road_ids: list[int], keys: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The ``(road_u, road_v)`` pairs that :func:`_edge_keys` encoded,
+    as the graph's own road-id objects (no fresh int per edge end)."""
+    n = len(road_ids)
+    for low, high in zip((keys // n).tolist(), (keys % n).tolist()):
+        yield road_ids[low], road_ids[high]
+
+
 class IncrementalCoTrendStats:
     """Sliding-window per-pair agreement and valid-interval counts.
 
@@ -118,11 +210,6 @@ class IncrementalCoTrendStats:
     flipped. The road set is fixed at construction (a rolling window
     never changes its roads mid-flight; build a new instance for a new
     network).
-
-    It also remembers what its last mine reported: each pair's counts
-    then, whether the pair was an edge, and the weight the edge was
-    given. :meth:`mine_delta` diffs against that record, so a pair
-    whose counts have not moved since is never scored again.
     """
 
     def __init__(
@@ -148,17 +235,8 @@ class IncrementalCoTrendStats:
         self._same = np.zeros(len(pair_u), dtype=np.int64)
         self._valid = np.zeros(len(pair_u), dtype=np.int64)
         self._trends: np.ndarray | None = None
-        # Pair indices in (road_u, road_v) order, the order of a delta's
-        # tuples (pairs enumerate with road_u < road_v).
-        roads = np.asarray(self._road_ids, dtype=np.int64)
-        self._key_order = np.lexsort((roads[self._pair_v], roads[self._pair_u]))
-        # The last mine's record (see the class docstring); ``_mined_scope``
-        # is None until the first mine, so that mine scores every pair.
-        self._mined_same = np.zeros_like(self._same)
-        self._mined_valid = np.zeros_like(self._valid)
-        self._mined_scope: tuple | None = None
-        self._edge = np.zeros(len(pair_u), dtype=bool)
-        self._weight = np.zeros(len(pair_u), dtype=np.float64)
+        # What the last mine_if_moved call mined from: (scope, same, valid).
+        self._mined: tuple | None = None
 
     # ------------------------------------------------------------------
     # State
@@ -235,105 +313,12 @@ class IncrementalCoTrendStats:
         agreement)`` arrays — bitwise equal to the edges
         :func:`~repro.history.correlation.mine_correlation_graph` keeps.
 
-        The two agreement formulas in :meth:`_score` are the batch
-        miner's own, selected by the same window-global ``has_zeros``
-        flag and fed the same integers, so the float results (and
-        therefore the threshold decisions) are identical. ``road_u <
-        road_v`` on every entry, in pair-enumeration order; no edge
-        object is built. Scores every pair, and the returned edges
-        become the record the next :meth:`mine_delta` diffs against.
+        The two agreement formulas below are the batch miner's own,
+        selected by the same window-global ``has_zeros`` flag and fed
+        the same integers, so the float results (and therefore the
+        threshold decisions) are identical. ``road_u < road_v`` on every
+        entry, in pair-enumeration order; no edge object is built.
         """
-        scope = self._scope(min_agreement, min_valid_fraction)
-        pairs = np.arange(self.num_pairs)
-        keep, agreements = self._score(pairs, scope)
-        self._record(pairs, keep, agreements, keep, scope)
-        roads = np.asarray(self._road_ids, dtype=np.int64)
-        return (
-            roads[self._pair_u[keep]],
-            roads[self._pair_v[keep]],
-            agreements[keep],
-        )
-
-    def mine_delta(
-        self,
-        min_agreement: float = 0.6,
-        min_valid_fraction: float = 0.1,
-        tolerance: float = 0.0,
-    ) -> tuple[GraphDelta, int]:
-        """The :class:`GraphDelta` from the last mine's edges to the
-        current window's, and the number of pairs scored to find it.
-
-        A pair is scored only if its ``(same, valid)`` counts moved
-        since the last mine; every pair is when the interval count, the
-        window-global ``has_zeros`` flag or a threshold changed, since
-        those enter every pair's agreement (so while a window fills,
-        every mine scores every pair). An unscored pair would score
-        what it scored last time, which the record already holds, so
-        the delta equals a diff of the full mined arrays against the
-        recorded edges, tuple order included
-        (``tests/test_delta_oracle.py``). Finding the moved pairs is one
-        vectorized compare of the counts; scoring, diffing and building
-        edge objects take work in the moved pairs, which is the count
-        returned (the ``history.remine`` span's ``scored``,
-        ``tests/test_delta_oracle.py::test_remine_builds_edges_only_for_changes``
-        pins it: 0 on a day that moved no count).
-
-        ``tolerance`` bounds weight churn: a surviving edge whose new
-        agreement differs from its recorded weight by at most
-        ``tolerance`` keeps that weight and stays out of the delta. The
-        default 0.0 reports every weight change, which is what makes
-        the applied graph exactly equal to a batch re-mine.
-
-        The delta patches a graph correctly only if the graph holds
-        exactly the recorded edges: built from :meth:`mine_arrays` and
-        changed since only by the deltas this method returned.
-        """
-        if tolerance < 0.0:
-            raise DataError(f"delta tolerance must be >= 0, got {tolerance}")
-        scope = self._scope(min_agreement, min_valid_fraction)
-        pairs = self._key_order
-        if scope == self._mined_scope:
-            moved = (self._same != self._mined_same) | (
-                self._valid != self._mined_valid
-            )
-            pairs = pairs[moved[pairs]]
-        keep, agreements = self._score(pairs, scope)
-        was = self._edge[pairs]
-        reweighted = keep & was
-        reweighted[reweighted] = (
-            np.abs(agreements[reweighted] - self._weight[pairs[reweighted]])
-            > tolerance
-        )
-        added = keep & ~was
-        self._record(pairs, keep, agreements, added | reweighted, scope)
-        road_ids = self._road_ids
-
-        def ends(mask: np.ndarray):
-            chosen = pairs[mask]
-            return zip(
-                map(road_ids.__getitem__, self._pair_u[chosen].tolist()),
-                map(road_ids.__getitem__, self._pair_v[chosen].tolist()),
-            )
-
-        def edges(mask: np.ndarray) -> tuple[CorrelationEdge, ...]:
-            return tuple(
-                CorrelationEdge(u, v, p)
-                for (u, v), p in zip(ends(mask), agreements[mask].tolist())
-            )
-
-        delta = GraphDelta(
-            added=edges(added),
-            removed=tuple(ends(was & ~keep)),
-            reweighted=edges(reweighted),
-        )
-        return delta, int(pairs.size)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _scope(self, min_agreement: float, min_valid_fraction: float) -> tuple:
-        """What enters every pair's agreement: ``(num_intervals,
-        has_zeros, min_agreement, min_valid_fraction)``, validated."""
         if self._trends is None:
             raise DataError("no window ingested yet")
         if not 0.5 <= min_agreement <= 1.0:
@@ -344,43 +329,57 @@ class IncrementalCoTrendStats:
             raise DataError(
                 f"min_valid_fraction should be in [0, 1], got {min_valid_fraction}"
             )
+        num_intervals = self._trends.shape[0]
         has_zeros = bool(np.any(self._trends == 0))
-        return (self._trends.shape[0], has_zeros, min_agreement, min_valid_fraction)
-
-    def _score(
-        self, pairs: np.ndarray, scope: tuple
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(keep, agreement)`` of ``pairs``: the batch miner's formulas,
-        elementwise, so a pair scores bitwise alike in any subset."""
-        num_intervals, has_zeros, min_agreement, min_valid_fraction = scope
-        same = self._same[pairs]
         if not has_zeros:
-            products = (2 * same - num_intervals).astype(np.float64)
+            products = (2 * self._same - num_intervals).astype(np.float64)
             agreements = (1.0 + products / num_intervals) / 2.0
-            return agreements >= min_agreement, agreements
-        valid = self._valid[pairs]
-        agreements = same / np.maximum(valid, 1)
-        keep = (agreements >= min_agreement) & (
-            valid >= min_valid_fraction * num_intervals
+            keep = agreements >= min_agreement
+        else:
+            agreements = self._same / np.maximum(self._valid, 1)
+            keep = (agreements >= min_agreement) & (
+                self._valid >= min_valid_fraction * num_intervals
+            )
+        roads = np.asarray(self._road_ids, dtype=np.int64)
+        return (
+            roads[self._pair_u[keep]],
+            roads[self._pair_v[keep]],
+            agreements[keep],
         )
-        return keep, agreements
 
-    def _record(
-        self,
-        pairs: np.ndarray,
-        keep: np.ndarray,
-        agreements: np.ndarray,
-        written: np.ndarray,
-        scope: tuple,
-    ) -> None:
-        """Note what a mine reported for ``pairs``: their counts, which
-        are edges, and the new weight of the ``written`` ones."""
-        self._mined_same[pairs] = self._same[pairs]
-        self._mined_valid[pairs] = self._valid[pairs]
-        self._edge[pairs] = keep
-        self._weight[pairs[written]] = agreements[written]
-        self._mined_scope = scope
+    def mine_if_moved(
+        self, min_agreement: float = 0.6, min_valid_fraction: float = 0.1
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """:meth:`mine_arrays`, or ``None`` when it would return what the
+        previous call of this method mined: no pair's ``(same, valid)``
+        counts moved since, nor the interval count, the window-global
+        ``has_zeros`` flag or a threshold. A caller that patched a graph
+        with that mine's :func:`diff_edges` (at a fixed tolerance) and
+        let nobody else write it may then skip the diff: it is empty.
+        The check compares the counts with a copy kept from that mine.
+        """
+        if self._trends is None:
+            raise DataError("no window ingested yet")
+        scope = (
+            self._trends.shape[0],
+            bool(np.any(self._trends == 0)),
+            min_agreement,
+            min_valid_fraction,
+        )
+        if (
+            self._mined is not None
+            and self._mined[0] == scope
+            and np.array_equal(self._mined[1], self._same)
+            and np.array_equal(self._mined[2], self._valid)
+        ):
+            return None
+        mined = self.mine_arrays(min_agreement, min_valid_fraction)
+        self._mined = (scope, self._same.copy(), self._valid.copy())
+        return mined
 
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
     def _check(self, trends: np.ndarray) -> np.ndarray:
         trends = np.asarray(trends)
         if trends.ndim != 2 or trends.shape[1] != len(self._road_ids):

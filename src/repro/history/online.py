@@ -23,20 +23,16 @@ always exactly equal to a from-scratch
 current window (up to ``delta_tolerance`` on surviving edge weights);
 :meth:`verify_incremental` asserts it.
 
-A re-mine scores only the candidate pairs whose co-trend counts moved
-since the previous one
-(:meth:`~repro.history.incremental.IncrementalCoTrendStats.mine_delta`)
-and diffs them against what that mine reported, never the whole graph,
-so a day that moves no count costs no scoring and yields an empty
-delta. That rests on one precondition: the miner is the graph's only
-writer between re-mines.
+A re-mine on a window whose co-trend counts did not move since the
+previous re-mine (a day that replays the evicted one) scores no pair
+and yields an empty delta without diffing the graph. That rests on one
+precondition: the miner is the graph's only writer between re-mines.
 
 Re-mine activity is observable: each re-mine runs in a
 ``history.remine`` span and reports per-kind ``mining.delta_edges``
 counts (see ``docs/STREAMING.md``). The span's work counters are
-``pairs`` (candidate pairs), ``scored`` (pairs scored: all of them at
-the bootstrap or when the window's interval count or zero flag moved,
-else the pairs whose counts moved) and ``edges_built``
+``pairs`` (candidate pairs), ``scored`` (pairs scored: ``pairs``, or 0
+when no count moved) and ``edges_built``
 (:class:`~repro.history.correlation.CorrelationEdge` objects created):
 the bootstrap builds one per mined edge, a later re-mine one per added
 or re-weighted edge, so a re-mine that changes nothing builds none.
@@ -55,7 +51,12 @@ from repro.history.correlation import (
     CorrelationGraph,
     mine_correlation_graph,
 )
-from repro.history.incremental import GraphDelta, IncrementalCoTrendStats
+from repro.history.incremental import (
+    EMPTY_DELTA,
+    GraphDelta,
+    IncrementalCoTrendStats,
+    diff_edges,
+)
 from repro.history.store import HistoricalSpeedStore
 from repro.history.timebuckets import TimeGrid
 from repro.obs import get_recorder
@@ -285,30 +286,28 @@ class RollingHistory:
     # Mining
     # ------------------------------------------------------------------
     def _remine(self) -> None:
-        """Re-mine, scoring only the pairs whose counts moved.
-
-        The bootstrap scores every candidate pair and builds the graph.
-        Later re-mines take the delta from
-        :meth:`~repro.history.incremental.IncrementalCoTrendStats.mine_delta`,
-        which diffs the moved pairs against the edges the previous
-        re-mine reported; the work is in the moved pairs (the span's
-        ``scored``), not in the graph's edges. Precondition: the miner
-        is the graph's only writer between re-mines, so the graph holds
-        exactly what was reported.
-        """
+        """Re-mine the window and patch the live graph with the delta,
+        which is empty without a diff when
+        :meth:`~repro.history.incremental.IncrementalCoTrendStats.mine_if_moved`
+        finds no count moved (sound while this is the graph's only
+        writer, see the module docstring)."""
         recorder = get_recorder()
         mode = "bootstrap" if self._graph is None else "incremental"
         with recorder.span(
             "history.remine", mode=mode, days=len(self._days)
         ) as span:
-            span.set(pairs=self._stats.num_pairs)
+            mined = self._stats.mine_if_moved(
+                self._min_agreement, self._min_valid_fraction
+            )
+            span.set(
+                pairs=self._stats.num_pairs,
+                scored=0 if mined is None else self._stats.num_pairs,
+            )
             if self._graph is None:
-                road_u, road_v, agreement = self._stats.mine_arrays(
-                    self._min_agreement, self._min_valid_fraction
-                )
                 # The bootstrap is the one place every mined pair
                 # becomes an edge object. Endpoints reuse the store's
                 # road-id ints instead of a fresh int per edge end.
+                road_u, road_v, agreement = mined
                 road = {r: r for r in self._store.road_ids}
                 self._graph = CorrelationGraph(
                     self._store.road_ids,
@@ -320,15 +319,10 @@ class RollingHistory:
                     ],
                 )
                 self._last_delta = None
-                span.set(
-                    scored=self._stats.num_pairs,
-                    edges_built=self._graph.num_edges,
-                )
+                span.set(edges_built=self._graph.num_edges)
             else:
-                delta, scored = self._stats.mine_delta(
-                    self._min_agreement,
-                    self._min_valid_fraction,
-                    self._delta_tolerance,
+                delta = EMPTY_DELTA if mined is None else diff_edges(
+                    self._graph, *mined, tolerance=self._delta_tolerance
                 )
                 self._graph.apply_delta(delta)
                 self._last_delta = delta
@@ -344,7 +338,6 @@ class RollingHistory:
                     kind="reweighted",
                 )
                 span.set(
-                    scored=scored,
                     delta_edges=delta.num_changes,
                     edges_built=len(delta.added) + len(delta.reweighted),
                 )

@@ -39,11 +39,9 @@ pin the vectorized production code against it:
 * :mod:`tests.oracles.history` — ``BatchRollingHistory``, the
   rolling window that re-mines its whole window from scratch, the
   reference for incremental mining;
-* :mod:`tests.oracles.delta` — the whole-graph diffs, the references
-  for a streamed re-mine's changed-pair delta: the list form
-  ``diff_edges`` (dicts over materialised edge objects) and the array
-  form ``diff_edge_arrays`` (sorted integer keys over
-  ``graph.edge_arrays()``);
+* :mod:`tests.oracles.delta` — the list-form graph diff
+  ``diff_edges`` (dicts over materialised edge objects), the reference
+  for the array diff of a streamed re-mine;
 * :mod:`tests.oracles.crowd` — the per-task MAD filter and outlier mask
   (``np.median`` per task) and ``PerTaskPlatform``, a crowd round that
   aggregates each task right after its draws.

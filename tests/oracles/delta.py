@@ -1,26 +1,14 @@
-"""Whole-graph diffs: the references for a streamed re-mine's delta.
+"""The list-form graph diff: the reference for the array diff.
 
-A streamed re-mine diffs only the pairs whose co-trend counts moved
-(:meth:`repro.history.incremental.IncrementalCoTrendStats.mine_delta`).
-Its delta must equal, tuple order included, a diff of the full mined
-edge set against the whole live graph, which these two forms compute:
-
-* :func:`diff_edges` — the list form: materialises the live graph's
-  edges, keys both edge sets in dicts and walks them in sorted order;
-* :func:`diff_edge_arrays` — the array form the re-mine used before
-  it diffed changed pairs only: one sorted integer key per edge on
-  both sides, matched with ``searchsorted`` against
-  ``graph.edge_arrays()``, edge objects built only for changed edges.
-
-``tests/test_delta_oracle.py`` holds the two equal to each other and to
-the streamed deltas.
+:func:`diff_edges` is the original per-object form of
+:func:`repro.history.incremental.diff_edges`. It materialises the live
+graph's edges, keys both edge sets in dicts and walks them in sorted
+order. The production diff matches sorted integer keys over arrays
+instead and must return an equal :class:`GraphDelta`, tuple order
+included (``tests/test_delta_oracle.py``).
 """
 
 from __future__ import annotations
-
-from typing import Iterator
-
-import numpy as np
 
 from repro.core.errors import DataError
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
@@ -61,90 +49,3 @@ def diff_edges(
         if abs(new[(u, v)] - old[(u, v)]) > tolerance
     )
     return GraphDelta(added=added, removed=removed, reweighted=reweighted)
-
-
-def diff_edge_arrays(
-    graph: CorrelationGraph,
-    road_u: np.ndarray,
-    road_v: np.ndarray,
-    agreement: np.ndarray,
-    tolerance: float = 0.0,
-) -> GraphDelta:
-    """The :class:`GraphDelta` turning ``graph`` into the mined edges
-    ``(road_u, road_v, agreement)`` (one array entry per edge).
-
-    ``tolerance`` bounds weight churn: a surviving edge whose new
-    agreement differs from the current one by at most ``tolerance``
-    keeps its **current** weight (it does not appear in the delta), so
-    downstream caches are not evicted for sub-tolerance drift. The
-    default 0.0 reports every weight change, which is what makes the
-    applied graph exactly equal to a batch re-mine.
-
-    Both edge sets are compared as arrays: each ``(u, v)`` pair becomes
-    one integer key from the roads' positions in ``graph.road_ids``
-    (sorted, so key order is ``(u, v)`` order, for any int road ids),
-    and ``searchsorted`` matches the mined keys against
-    ``graph.edge_arrays()``. Python objects are built only for changed
-    edges.
-    """
-    if tolerance < 0.0:
-        raise DataError(f"delta tolerance must be >= 0, got {tolerance}")
-    road_ids = graph.road_ids
-    roads = np.asarray(road_ids, dtype=np.int64)
-    new_keys = _edge_keys(roads, road_u, road_v)
-    order = np.argsort(new_keys, kind="stable")
-    new_keys = new_keys[order]
-    new_p = np.asarray(agreement, dtype=np.float64)[order]
-    old_u, old_v, old_p = graph.edge_arrays()
-    old_keys = _edge_keys(roads, old_u, old_v)
-    order = np.argsort(old_keys, kind="stable")
-    old_keys, old_p = old_keys[order], old_p[order]
-
-    at, kept = _lookup(old_keys, new_keys)
-    moved = np.zeros_like(kept)
-    moved[kept] = np.abs(new_p[kept] - old_p[at[kept]]) > tolerance
-    _, survives = _lookup(new_keys, old_keys)
-
-    def edges(mask: np.ndarray) -> tuple[CorrelationEdge, ...]:
-        ends = _key_ends(road_ids, new_keys[mask])
-        return tuple(
-            CorrelationEdge(u, v, p) for (u, v), p in zip(ends, new_p[mask].tolist())
-        )
-
-    return GraphDelta(
-        added=edges(~kept),
-        removed=tuple(_key_ends(road_ids, old_keys[~survives])),
-        reweighted=edges(moved),
-    )
-
-
-def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each of ``keys`` sits in ``sorted_keys``, and whether it is there."""
-    at = np.searchsorted(sorted_keys, keys)
-    found = at < sorted_keys.size
-    found[found] = sorted_keys[at[found]] == keys[found]
-    return at, found
-
-
-def _edge_keys(roads: np.ndarray, road_u, road_v) -> np.ndarray:
-    """One int64 key per edge, ``pos(low) * n + pos(high)`` over the
-    ``n`` sorted road ids ``roads``; raises on a road not among them."""
-    road_u = np.asarray(road_u, dtype=np.int64)
-    road_v = np.asarray(road_v, dtype=np.int64)
-    ends = np.stack([np.minimum(road_u, road_v), np.maximum(road_u, road_v)])
-    pos = np.searchsorted(roads, ends)
-    known = pos < roads.size
-    known[known] = roads[pos[known]] == ends[known]
-    if not known.all():
-        raise DataError(
-            f"mined edge references unknown road {int(ends[~known][0])}"
-        )
-    return pos[0] * roads.size + pos[1]
-
-
-def _key_ends(road_ids: list[int], keys: np.ndarray) -> Iterator[tuple[int, int]]:
-    """The ``(road_u, road_v)`` pairs that :func:`_edge_keys` encoded,
-    as the graph's own road-id objects (no fresh int per edge end)."""
-    n = len(road_ids)
-    for low, high in zip((keys // n).tolist(), (keys % n).tolist()):
-        yield road_ids[low], road_ids[high]

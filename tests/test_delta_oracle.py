@@ -1,23 +1,20 @@
-"""A streamed re-mine's delta against whole-graph diffs, and its apply.
+"""The array graph diff against the list-form oracle, and its apply.
 
-A streamed re-mine diffs only the candidate pairs whose co-trend counts
-moved (:meth:`IncrementalCoTrendStats.mine_delta`) and patches the live
-graph with :meth:`CorrelationGraph.apply_delta`. The contracts pinned
-here:
+A streamed re-mine hands :func:`repro.history.incremental.diff_edges`
+the mined edges as ``(road_u, road_v, agreement)`` arrays and patches
+the live graph with :meth:`CorrelationGraph.apply_delta`. Three
+contracts are pinned here:
 
-* the two whole-graph diffs of ``tests/oracles/delta.py`` agree: the
-  array form :func:`~tests.oracles.delta.diff_edge_arrays` is ``==`` to
-  the list form :func:`~tests.oracles.delta.diff_edges` on the same
-  edges, tuple order included, at every tolerance;
-* every streamed delta is ``==`` to both diffs of the pre-ingest graph
-  against a batch re-mine of the window, tuple order included;
+* the array delta is ``==`` to :func:`tests.oracles.delta.diff_edges`
+  on the same edges, tuple order included, at every tolerance;
 * a patched graph's ``neighbours()`` equal a freshly built graph of the
   same edges for every road;
-* a re-mine scores only the pairs whose counts moved (the
-  ``history.remine`` span's ``scored`` equals a test-side batch
-  recount, 0 on a day that moves none) and builds edge objects only
-  for the edges that changed (``edges_built`` equals the constructions
-  actually made, 0 for an empty delta).
+* a re-mine builds edge objects only for the edges that changed: the
+  ``history.remine`` span's ``edges_built`` equals the constructions
+  actually made, which is 0 for an empty delta;
+* a re-mine scores no pair when a test-side batch recount sees no
+  co-trend count move (the span's ``scored`` is 0, the delta empty)
+  and every pair otherwise.
 """
 
 import numpy as np
@@ -32,13 +29,14 @@ from repro.history.correlation import (
     CorrelationGraph,
     mine_correlation_graph,
 )
+from repro.history.incremental import diff_edges
 from repro.history.online import RollingHistory
 from repro.history.timebuckets import TimeGrid
 from repro.obs import FlightRecorder, recording
 from repro.roadnet.generators import grid_city
 from repro.roadnet.geometry import Point
 from repro.roadnet.network import RoadNetwork
-from tests.oracles.delta import diff_edge_arrays, diff_edges as oracle_diff
+from tests.oracles.delta import diff_edges as oracle_diff
 
 TOLERANCES = (0.0, 1e-3, 0.05)
 
@@ -52,7 +50,7 @@ def _arrays(edges):
 
 
 def _array_diff(graph, edges, tolerance=0.0):
-    return diff_edge_arrays(graph, *_arrays(edges), tolerance=tolerance)
+    return diff_edges(graph, *_arrays(edges), tolerance=tolerance)
 
 
 def _adjacency(graph):
@@ -243,7 +241,6 @@ def test_streamed_windows_match_oracle(data, shape, tolerance, min_agreement):
         )
         expected = oracle_diff(before, mined, tolerance)
         assert rolling.last_delta == expected
-        assert rolling.last_delta == _array_diff(before, mined, tolerance)
         before.apply_delta(expected)
         assert _adjacency(rolling.graph) == _adjacency(before)
 
@@ -271,9 +268,9 @@ def test_remine_builds_edges_only_for_changes(small_network, monkeypatch):
     every mined edge at the bootstrap, then only the added and
     re-weighted ones (removals carry key pairs), so 0 on an empty
     delta. An independent construction count must agree. ``scored``
-    is every pair while the window fills, then the pairs whose counts
-    a batch recount sees move: none on a repeated day. Each delta
-    equals the array diff of the full mined edges, order included."""
+    is every pair unless a batch recount sees no count move since the
+    previous re-mine, then 0: on each repeated day. Each delta equals
+    the array diff of the full mined edges, order included."""
     built = []
     post_init = CorrelationEdge.__post_init__
 
@@ -295,10 +292,10 @@ def test_remine_builds_edges_only_for_changes(small_network, monkeypatch):
     rolling = RollingHistory(small_network, grid, window_days=3, remine_every_days=1)
     spans = []
     saw = {"bootstrap": 0, "empty": 0, "delta": 0}
-    counts = scope = before = None
+    counts = before = None
     for day, matrix in enumerate(matrices):
         if day:
-            counts, scope = _batch_counts(small_network, rolling.store)
+            counts = _batch_counts(small_network, rolling.store)
             before = CorrelationGraph(road_ids, list(rolling.graph.edges()))
         built.clear()
         with recording(FlightRecorder()) as recorder:
@@ -307,35 +304,28 @@ def test_remine_builds_edges_only_for_changes(small_network, monkeypatch):
         spans.append(span)
         assert span.attrs["edges_built"] == len(built)
         assert span.attrs["pairs"] > 0
-        now_counts, now_scope = _batch_counts(small_network, rolling.store)
-        assert len(now_counts) == span.attrs["pairs"]
+        now_counts = _batch_counts(small_network, rolling.store)
+        assert len(now_counts[0]) == span.attrs["pairs"]
+        moved = now_counts != counts
+        assert span.attrs["scored"] == (span.attrs["pairs"] if moved else 0)
+        if 3 <= day < 6:  # a repeated day
+            assert not moved
         delta = rolling.last_delta
         if delta is None:
             saw["bootstrap"] += 1
             assert span.attrs["edges_built"] == rolling.graph.num_edges
-            assert span.attrs["scored"] == span.attrs["pairs"]
             continue
         mined = mine_correlation_graph(small_network, rolling.store)
         assert delta == _array_diff(before, list(mined.edges()))
-        if now_scope != scope:  # the window is filling: every pair moves
-            assert day < 3
-            assert span.attrs["scored"] == span.attrs["pairs"]
-        else:
-            moved = sum(now_counts[pair] != counts[pair] for pair in now_counts)
-            assert span.attrs["scored"] == moved
         if delta.is_empty:
             saw["empty"] += 1
             assert span.attrs["edges_built"] == 0
-            if day >= 3:
-                assert span.attrs["scored"] == 0
         else:
             saw["delta"] += 1
             assert span.attrs["edges_built"] == (
                 delta.num_changes - len(delta.removed)
             )
             assert span.attrs["edges_built"] <= delta.num_changes
-        if day == len(matrices) - 1:  # the fresh day
-            assert now_scope == scope
-            assert 0 < span.attrs["scored"] < span.attrs["pairs"]
+    assert moved and span.attrs["scored"] == span.attrs["pairs"]  # the fresh day
     assert saw["bootstrap"] == 1 and saw["empty"] >= 2 and saw["delta"] >= 1
     assert len({s.attrs["pairs"] for s in spans}) == 1

@@ -29,7 +29,7 @@ from repro.history.online import RollingHistory
 from repro.history.store import HistoricalSpeedStore
 from repro.history.timebuckets import TimeGrid
 from repro.traffic.simulator import TrafficSimulator
-from tests.oracles.delta import diff_edge_arrays, diff_edges
+from tests.oracles.delta import diff_edges
 from tests.oracles.history import BatchRollingHistory
 
 
@@ -404,25 +404,27 @@ class TestCoTrendStats:
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_mine_delta_equals_full_diff(self, data):
-        """Property: after any advance sequence, with thresholds and
-        tolerance changing between mines, ``mine_delta`` equals the
-        whole-graph diff of the live graph against a full re-mine, tuple
-        order included. It scores every pair when the interval count,
-        the zero flag or a threshold moved, else only the pairs whose
-        counts moved."""
+    def test_mine_if_moved_skips_only_unmoved_counts(self, data):
+        """Property: after any advance sequence (replayed, all-zero and
+        one-disagreement rows included), with thresholds changing
+        between mines, ``mine_if_moved``
+        returns ``None`` exactly when no pair's counts, the interval
+        count, the zero flag nor a threshold moved since its previous
+        call, and ``mine_arrays`` otherwise. A skipped mine leaves
+        nothing to apply: the whole-graph diff of the graph the earlier
+        mines built against a full re-mine is empty."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         num_roads = data.draw(st.integers(2, 6))
         net = _line_network(num_roads)
         roads = list(range(num_roads))
         stats = IncrementalCoTrendStats(net, roads, max_hops=2)
         zeros = data.draw(st.sampled_from([0.0, 0.1]))
+        tolerance = data.draw(st.sampled_from([0.0, 1e-3, 0.05]))
         choices = [
             {"min_agreement": 0.5, "min_valid_fraction": 0.1},
             {"min_agreement": 0.6, "min_valid_fraction": 0.1},
             {"min_agreement": 0.6, "min_valid_fraction": 0.5},
         ]
-
         split = [(1 - zeros) / 2, zeros, (1 - zeros) / 2]
 
         def rows(n):
@@ -430,46 +432,62 @@ class TestCoTrendStats:
                 np.int8
             )
 
-        def scope(window, thresholds):
-            return window.shape[0], bool(np.any(window == 0)), thresholds
+        def state(window, thresholds):
+            fresh = IncrementalCoTrendStats(net, roads, max_hops=2)
+            fresh.reset(window)
+            scope = (window.shape[0], bool(np.any(window == 0)), thresholds)
+            return fresh, (fresh._same.copy(), fresh._valid.copy(), scope)
+
+        def unmoved(a, b):
+            return a[2] == b[2] and all(map(np.array_equal, a[:2], b[:2]))
 
         window = rows(data.draw(st.integers(1, 12)))
         stats.reset(window)
         thresholds = data.draw(st.sampled_from(choices))
+        assert stats.mine_if_moved(**thresholds) is not None
         graph = _mined_graph(roads, stats, **thresholds)
-        mined = (stats._same.copy(), stats._valid.copy(), scope(window, thresholds))
-        for _ in range(data.draw(st.integers(1, 5))):
-            evict = data.draw(st.integers(0, window.shape[0]))
+        last = state(window, thresholds)[1]
+        for _ in range(data.draw(st.integers(1, 6))):
+            how = data.draw(st.sampled_from(["replay", "blank", "split", "fresh"]))
+            evict = 0
+            if how in ("replay", "fresh"):
+                evict = data.draw(st.integers(0, window.shape[0]))
             retained = window[evict:].copy()
-            if retained.size and data.draw(st.booleans()):
-                i = data.draw(st.integers(0, retained.shape[0] - 1))
-                j = data.draw(st.integers(0, num_roads - 1))
-                retained[i, j] = -retained[i, j] if retained[i, j] else 1
-            window = np.vstack([retained, rows(data.draw(st.integers(0, 8)))])
+            if how == "replay":  # the evicted rows come back: no count moves
+                window = np.vstack([retained, window[:evict]])
+            elif how == "blank":  # all-zero rows move the interval count only
+                blank = np.zeros((data.draw(st.integers(1, 3)), num_roads), np.int8)
+                window = np.vstack([retained, blank])
+            elif how == "split":  # an all-zero row gets one disagreeing
+                # pair: only that pair's valid count moves
+                window = retained
+                blank = np.flatnonzero(~window.any(axis=1))
+                if blank.size:
+                    j = data.draw(st.integers(0, num_roads - 2))
+                    window[blank[0], j], window[blank[0], j + 1] = 1, -1
+            else:
+                if retained.size and data.draw(st.booleans()):
+                    i = data.draw(st.integers(0, retained.shape[0] - 1))
+                    j = data.draw(st.integers(0, num_roads - 1))
+                    retained[i, j] = -retained[i, j] if retained[i, j] else 1
+                window = np.vstack([retained, rows(data.draw(st.integers(0, 8)))])
             if window.shape[0] == 0:
                 window = rows(1)
             stats.advance(window, evict)
             if data.draw(st.booleans()):
                 thresholds = data.draw(st.sampled_from(choices))
-            tolerance = data.draw(st.sampled_from([0.0, 1e-3, 0.05]))
-            fresh = IncrementalCoTrendStats(net, roads, max_hops=2)
-            fresh.reset(window)
-            expected = diff_edge_arrays(
-                graph, *fresh.mine_arrays(**thresholds), tolerance=tolerance
-            )
-            delta, scored = stats.mine_delta(**thresholds, tolerance=tolerance)
-            assert delta == expected
-            assert delta == diff_edges(
-                graph, list(_mined_graph(roads, fresh, **thresholds).edges()), tolerance
-            )
-            same, valid, last_scope = mined
-            if scope(window, thresholds) == last_scope:
-                moved = (fresh._same != same) | (fresh._valid != valid)
-                assert scored == int(np.count_nonzero(moved))
+            fresh, now = state(window, thresholds)
+            mined = stats.mine_if_moved(**thresholds)
+            expected = list(_mined_graph(roads, fresh, **thresholds).edges())
+            if unmoved(now, last):
+                assert mined is None
+                assert diff_edges(graph, expected, tolerance).is_empty
             else:
-                assert scored == stats.num_pairs
-            graph.apply_delta(delta)
-            mined = (fresh._same.copy(), fresh._valid.copy(), scope(window, thresholds))
+                assert mined is not None
+                for got, want in zip(mined, fresh.mine_arrays(**thresholds)):
+                    np.testing.assert_array_equal(got, want)
+                graph.apply_delta(diff_edges(graph, expected, tolerance))
+            last = now
 
 
 # ----------------------------------------------------------------------
