@@ -824,8 +824,8 @@ def cmd_stream(
                 rows.append([
                     day_index,
                     "-" if delta is None else (
-                        f"+{len(delta.added)}/-{len(delta.removed)}"
-                        f"/~{len(delta.reweighted)}"
+                        f"+{delta.num_added}/-{delta.num_removed}"
+                        f"/~{delta.num_reweighted}"
                     ),
                     int(counter("fidelity.invalidations", scope="rows")
                         - dropped_before),

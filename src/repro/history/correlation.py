@@ -21,17 +21,18 @@ whose evidence covers too little of the window — a pair sharing one
 valid interval would otherwise score a perfect 1.0 from a single
 coin-flip of evidence.
 
-For deployments that re-mine continuously, see
-:mod:`repro.history.incremental`: :meth:`CorrelationGraph.apply_delta`
-applies an edge-level diff in place, so long-lived caches keyed by
-graph identity survive a re-mine.
+The graph holds its edges as arrays (sorted int64 edge keys and their
+agreements); :class:`CorrelationEdge` objects are built only when a
+caller asks for them (:meth:`CorrelationGraph.edges`,
+:meth:`CorrelationGraph.neighbours`). For deployments that re-mine
+continuously, see :mod:`repro.history.incremental`:
+:meth:`CorrelationGraph.apply_delta` merges an edge-level diff in
+place, so long-lived caches keyed by graph identity survive a re-mine.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -65,39 +66,137 @@ class CorrelationEdge:
         raise DataError(f"road {road_id} is not an endpoint of this edge")
 
 
+def edge_objects(road_u, road_v, agreement) -> Iterator[CorrelationEdge]:
+    """:class:`CorrelationEdge` objects of aligned edge arrays, built
+    one at a time as the iterator is read."""
+    return map(CorrelationEdge, road_u.tolist(), road_v.tolist(), agreement.tolist())
+
+
+def _check_agreements(agreement: np.ndarray) -> None:
+    bad = np.flatnonzero(~((agreement >= 0.0) & (agreement <= 1.0)))
+    if bad.size:
+        raise DataError(f"agreement {agreement[bad[0]]} outside [0, 1]")
+
+
 class CorrelationGraph:
     """Undirected weighted graph of trend-correlated roads.
 
     Nodes are road ids; edge weights are trend-agreement probabilities in
-    ``[0.5, 1]`` (after thresholding). Adjacency is precomputed for the
-    inference and selection hot paths.
+    ``[0.5, 1]`` (after thresholding). Edges are held as two aligned
+    read-only arrays: sorted int64 **edge keys** ``pos(u) * n + pos(v)``
+    (``u < v``, positions in the sorted ``road_ids``, so key order is
+    ``(u, v)`` order for any int road ids) and their float64
+    agreements. Per-road adjacency, strongest agreement first, is an
+    index built on first use and dropped by :meth:`apply_delta`.
     """
 
     def __init__(self, road_ids: list[int], edges: list[CorrelationEdge]) -> None:
-        self._road_ids = sorted(set(road_ids))
-        road_set = set(self._road_ids)
-        self._adjacency: dict[int, list[CorrelationEdge]] = {
-            road: [] for road in self._road_ids
-        }
-        self._weights: dict[tuple[int, int], float] = {}
-        for edge in edges:
-            if edge.road_u not in road_set or edge.road_v not in road_set:
-                raise DataError(
-                    f"edge ({edge.road_u}, {edge.road_v}) references unknown road"
-                )
-            key = self._key(edge.road_u, edge.road_v)
-            if key in self._weights:
-                raise DataError(f"duplicate correlation edge {key}")
-            self._weights[key] = edge.agreement
-            self._adjacency[edge.road_u].append(edge)
-            self._adjacency[edge.road_v].append(edge)
-        for road in self._road_ids:
-            self._adjacency[road].sort(key=lambda e: (-e.agreement, e.road_u, e.road_v))
+        edges = list(edges)
+        count = len(edges)
+        self._reset(
+            road_ids,
+            np.fromiter((e.road_u for e in edges), np.int64, count),
+            np.fromiter((e.road_v for e in edges), np.int64, count),
+            np.fromiter((e.agreement for e in edges), np.float64, count),
+        )
 
-    @staticmethod
-    def _key(u: int, v: int) -> tuple[int, int]:
-        return (u, v) if u < v else (v, u)
+    @classmethod
+    def from_arrays(
+        cls, road_ids, road_u, road_v, agreement
+    ) -> "CorrelationGraph":
+        """The graph of edges ``(road_u[k], road_v[k], agreement[k])``.
 
+        The array form of the edge-list constructor, with the same
+        checks made on whole arrays: an agreement outside ``[0, 1]``, a
+        self edge, an unknown road or an edge given twice (in either
+        orientation) raises :class:`~repro.core.errors.DataError`.
+        Edge order and orientation are free. ``road_ids`` become
+        Python ints, so every id the graph hands out is one.
+        """
+        graph = cls.__new__(cls)
+        graph._reset(road_ids, road_u, road_v, agreement)
+        return graph
+
+    def _reset(self, road_ids, road_u, road_v, agreement) -> None:
+        self._road_ids = sorted({int(road) for road in road_ids})
+        self._roads = np.array(self._road_ids, dtype=np.int64)
+        self._position = {road: i for i, road in enumerate(self._road_ids)}
+        agreement = np.asarray(agreement, dtype=np.float64).reshape(-1)
+        keys = self.keys_of(road_u, road_v, agreement)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        twice = np.flatnonzero(keys[1:] == keys[:-1])
+        if twice.size:
+            raise DataError(
+                f"duplicate correlation edge {self._pair(keys[twice[0]])}"
+            )
+        self._set(keys, agreement[order])
+
+    def _set(self, keys: np.ndarray, agreement: np.ndarray) -> None:
+        keys.setflags(write=False)
+        agreement.setflags(write=False)
+        self._keys = keys
+        self._agreement = agreement
+        # (indptr, edge rank, neighbour id) per road; see _adjacency.
+        self._index: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    # ------------------------------------------------------------------
+    # Edge keys
+    # ------------------------------------------------------------------
+    def keys_of(self, road_u, road_v, agreement=None) -> np.ndarray:
+        """The int64 edge key of each ``(road_u[k], road_v[k])``, either
+        orientation; raises :class:`~repro.core.errors.DataError` on a
+        self edge or a road not in the graph and, with ``agreement``
+        given, on an agreement outside ``[0, 1]``."""
+        road_u = np.asarray(road_u, dtype=np.int64).reshape(-1)
+        road_v = np.asarray(road_v, dtype=np.int64).reshape(-1)
+        if agreement is not None:
+            if not road_u.size == road_v.size == agreement.size:
+                raise DataError("edge arrays differ in length")
+            _check_agreements(agreement)
+        loop = np.flatnonzero(road_u == road_v)
+        if loop.size:
+            raise DataError(f"self-correlation on road {road_u[loop[0]]}")
+        return self._named_keys(
+            road_u, road_v, "edge ({u}, {v}) references unknown road {road}"
+        )
+
+    def _named_keys(self, road_u, road_v, unknown: str) -> np.ndarray:
+        """Edge keys of the pairs; raises ``unknown`` formatted with the
+        first pair that names a road not in the graph."""
+        ends = np.stack([np.minimum(road_u, road_v), np.maximum(road_u, road_v)])
+        pos = np.searchsorted(self._roads, ends)
+        known = pos < self._roads.size
+        known[known] = self._roads[pos[known]] == ends[known]
+        known = known.all(axis=0)
+        if not known.all():
+            k = int(np.argmin(known))
+            u, v = int(road_u[k]), int(road_v[k])
+            road = v if u in self._position else u
+            raise DataError(unknown.format(u=u, v=v, road=road))
+        return pos[0] * self._roads.size + pos[1]
+
+    def key_ends(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(road_u, road_v)`` id arrays of edge ``keys``, ``u < v``."""
+        low, high = np.divmod(keys, self._roads.size)
+        return self._roads[low], self._roads[high]
+
+    def edge_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted edge keys and their agreements (read-only arrays)."""
+        return self._keys, self._agreement
+
+    def edge_positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(i, j, agreement)`` per edge, in key order: the positions in
+        :attr:`road_ids` of each edge's lower and higher end (``i < j``)."""
+        return (*np.divmod(self._keys, len(self._road_ids)), self._agreement)
+
+    def _pair(self, key) -> tuple[int, int]:
+        low, high = divmod(int(key), len(self._road_ids))
+        return self._road_ids[low], self._road_ids[high]
+
+    # ------------------------------------------------------------------
+    # Reads
+    # ------------------------------------------------------------------
     @property
     def road_ids(self) -> list[int]:
         return list(self._road_ids)
@@ -108,47 +207,72 @@ class CorrelationGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._weights)
+        return self._keys.size
 
     def has_road(self, road_id: int) -> bool:
-        return road_id in self._adjacency
+        return road_id in self._position
+
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per road, its edges' ranks in key order and the neighbours'
+        ids, sorted by ``(-agreement, road_u, road_v)``."""
+        if self._index is None:
+            n, count = len(self._road_ids), self._keys.size
+            low, high = np.divmod(self._keys, n)
+            road = np.concatenate([low, high])
+            other = np.concatenate([high, low])
+            rank = np.tile(np.arange(count), 2)
+            # Key rank orders (road_u, road_v) ties, as the key does.
+            order = np.lexsort((rank, -self._agreement[rank], road))
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(road, minlength=n), out=indptr[1:])
+            self._index = (indptr, rank[order], self._roads[other[order]])
+        return self._index
+
+    def _span(self, road_id: int) -> slice:
+        try:
+            i = self._position[road_id]
+        except KeyError:
+            raise DataError(f"road {road_id} not in correlation graph") from None
+        indptr = self._adjacency()[0]
+        return slice(int(indptr[i]), int(indptr[i + 1]))
 
     def neighbours(self, road_id: int) -> list[CorrelationEdge]:
         """Edges incident to ``road_id``, strongest agreement first."""
-        try:
-            return list(self._adjacency[road_id])
-        except KeyError:
-            raise DataError(f"road {road_id} not in correlation graph") from None
+        ranks = self._adjacency()[1][self._span(road_id)]
+        return list(
+            edge_objects(*self.key_ends(self._keys[ranks]), self._agreement[ranks])
+        )
 
     def neighbour_ids(self, road_id: int) -> list[int]:
-        return [edge.other(road_id) for edge in self.neighbours(road_id)]
+        """Neighbour ids (Python ints) in :meth:`neighbours` order."""
+        return self._adjacency()[2][self._span(road_id)].tolist()
 
     def degree(self, road_id: int) -> int:
-        return len(self._adjacency[road_id])
+        span = self._span(road_id)
+        return span.stop - span.start
 
     def agreement(self, road_u: int, road_v: int) -> float | None:
         """The agreement probability of an edge, or None if absent."""
-        return self._weights.get(self._key(road_u, road_v))
+        u, v = self._position.get(road_u), self._position.get(road_v)
+        if u is None or v is None:
+            return None
+        key = min(u, v) * len(self._road_ids) + max(u, v)
+        at = int(np.searchsorted(self._keys, key))
+        if at < self._keys.size and self._keys[at] == key:
+            return float(self._agreement[at])
+        return None
 
     def edges(self) -> Iterator[CorrelationEdge]:
         """All edges, each reported once, in (u, v) key order."""
-        for (u, v), p in sorted(self._weights.items()):
-            yield CorrelationEdge(u, v, p)
+        return edge_objects(*self.edge_arrays())
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(road_u, road_v, agreement)`` arrays, one entry per edge.
 
-        ``road_u < road_v`` on every entry; the edge order is unspecified.
-        One pass over the weight map, without building edge objects.
+        ``road_u < road_v`` on every entry, in key order; the agreement
+        array is the graph's own (read-only). No edge object is built.
         """
-        count = len(self._weights)
-        ends = np.fromiter(
-            chain.from_iterable(self._weights), dtype=np.int64, count=2 * count
-        ).reshape(count, 2)
-        agreement = np.fromiter(
-            self._weights.values(), dtype=np.float64, count=count
-        )
-        return ends[:, 0], ends[:, 1], agreement
+        return (*self.key_ends(self._keys), self._agreement)
 
     def average_degree(self) -> float:
         if not self._road_ids:
@@ -157,6 +281,7 @@ class CorrelationGraph:
 
     def connected_components(self) -> list[list[int]]:
         """Connected components as sorted road-id lists, largest first."""
+        indptr, _, neighbour = self._adjacency()
         seen: set[int] = set()
         components: list[list[int]] = []
         for start in self._road_ids:
@@ -168,8 +293,8 @@ class CorrelationGraph:
             while stack:
                 road = stack.pop()
                 component.append(road)
-                for edge in self._adjacency[road]:
-                    other = edge.other(road)
+                i = self._position[road]
+                for other in neighbour[indptr[i] : indptr[i + 1]].tolist():
                     if other not in seen:
                         seen.add(other)
                         stack.append(other)
@@ -177,12 +302,15 @@ class CorrelationGraph:
         components.sort(key=len, reverse=True)
         return components
 
+    # ------------------------------------------------------------------
+    # Deltas
+    # ------------------------------------------------------------------
     def apply_delta(self, delta) -> None:
         """Apply an edge-level diff **in place**, preserving identity.
 
-        ``delta`` is a :class:`repro.history.incremental.GraphDelta`
-        (duck-typed: ``added`` / ``reweighted`` iterate
-        :class:`CorrelationEdge`, ``removed`` iterates road-id pairs).
+        ``delta`` is a :class:`repro.history.incremental.GraphDelta`;
+        its ``added_arrays``, ``removed_arrays`` and
+        ``reweighted_arrays`` are read, never its edge objects.
         Mutating the existing object — rather than building a fresh
         graph — is what lets weakref-keyed caches (the fidelity
         service, and everything subscribed to it) keep every row that no
@@ -190,54 +318,66 @@ class CorrelationGraph:
         add, drop or re-weight edges between known roads.
 
         The apply is atomic: the whole delta is validated first (absent
-        removals or reweights, duplicate or unknown-road adds, a key
-        named twice), and a rejected delta raises
-        :class:`~repro.core.errors.DataError` with the graph untouched.
-        Changes are then grouped by road, so each touched road's
-        adjacency is rebuilt and sorted once. The work is O(changed
-        edges + touched roads' degrees); the re-mine's ``edges_built``
-        counter and ``tests/test_delta_oracle.py`` back that claim.
+        removals or reweights, unknown-road, self or duplicate adds, an
+        agreement outside ``[0, 1]``, a key named twice), and a
+        rejected delta raises :class:`~repro.core.errors.DataError` with
+        the graph untouched. The valid delta is then merged into the key
+        arrays with ``searchsorted``: O(edges) array work, no per-edge
+        object, and the adjacency index is rebuilt on its next read.
         """
-        removed = [self._key(u, v) for u, v in delta.removed]
-        added = [self._key(e.road_u, e.road_v) for e in delta.added]
-        reweighted = [self._key(e.road_u, e.road_v) for e in delta.reweighted]
-        named = Counter(removed + added + reweighted)
-        if len(named) != len(removed) + len(added) + len(reweighted):
-            twice = next(key for key, n in named.items() if n > 1)
-            raise DataError(f"correlation edge {twice} appears twice in one delta")
-        for key in removed:
-            if key not in self._weights:
-                raise DataError(f"cannot remove absent correlation edge {key}")
-        for key in added:
-            if key[0] not in self._adjacency or key[1] not in self._adjacency:
-                raise DataError(f"edge {key} references unknown road")
-            if key in self._weights:
-                raise DataError(f"cannot add duplicate correlation edge {key}")
-        for key in reweighted:
-            if key not in self._weights:
-                raise DataError(f"cannot reweight absent correlation edge {key}")
+        if delta.is_empty:
+            return
+        add_u, add_v, add_p = delta.added_arrays
+        rew_u, rew_v, rew_p = delta.reweighted_arrays
+        removed = self._named_keys(
+            *delta.removed_arrays, "cannot remove absent correlation edge ({u}, {v})"
+        )
+        added = self.keys_of(add_u, add_v, add_p)
+        reweighted = self._named_keys(
+            rew_u, rew_v, "cannot reweight absent correlation edge ({u}, {v})"
+        )
+        _check_agreements(rew_p)
+        named = np.sort(np.concatenate([removed, added, reweighted]), kind="stable")
+        twice = np.flatnonzero(named[1:] == named[:-1])
+        if twice.size:
+            raise DataError(
+                f"correlation edge {self._pair(named[twice[0]])} appears twice "
+                "in one delta"
+            )
+        at = []
+        for keys, present, problem in (
+            (removed, True, "cannot remove absent"),
+            (added, False, "cannot add duplicate"),
+            (reweighted, True, "cannot reweight absent"),
+        ):
+            where, found = self.locate(keys)
+            wrong = np.flatnonzero(found != present)
+            if wrong.size:
+                raise DataError(
+                    f"{problem} correlation edge {self._pair(keys[wrong[0]])}"
+                )
+            at.append(where)
+        at_removed, _, at_reweighted = at
 
-        # Valid: mutate. Old entries of removed and reweighted keys leave
-        # each touched road's list; added and reweighted edges join it.
-        dropped = set(removed) | set(reweighted)
-        incoming: dict[int, list[CorrelationEdge]] = {}
-        for key in removed:
-            del self._weights[key]
-            for road in key:
-                incoming.setdefault(road, [])
-        for edge in chain(delta.added, delta.reweighted):
-            self._weights[self._key(edge.road_u, edge.road_v)] = edge.agreement
-            incoming.setdefault(edge.road_u, []).append(edge)
-            incoming.setdefault(edge.road_v, []).append(edge)
-        for road, edges in incoming.items():
-            adjacency = [
-                e
-                for e in self._adjacency[road]
-                if self._key(e.road_u, e.road_v) not in dropped
-            ]
-            adjacency += edges
-            adjacency.sort(key=lambda e: (-e.agreement, e.road_u, e.road_v))
-            self._adjacency[road] = adjacency
+        # Valid: merge. Removed keys leave, reweighted ones take their
+        # new agreement, added ones go in at their sorted place.
+        agreement = self._agreement.copy()
+        agreement[at_reweighted] = rew_p
+        keep = np.ones(self._keys.size, dtype=bool)
+        keep[at_removed] = False
+        keys, agreement = self._keys[keep], agreement[keep]
+        order = np.argsort(added, kind="stable")
+        added, add_p = added[order], np.asarray(add_p, dtype=np.float64)[order]
+        at = np.searchsorted(keys, added)
+        self._set(np.insert(keys, at, added), np.insert(agreement, at, add_p))
+
+    def locate(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each edge key sits in :meth:`edge_keys`, and whether it
+        is there."""
+        at = np.searchsorted(self._keys, keys)
+        found = at < self._keys.size
+        found[found] = self._keys[at[found]] == keys[found]
+        return at, found
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return f"CorrelationGraph(roads={self.num_roads}, edges={self.num_edges})"
@@ -285,7 +425,10 @@ def mine_correlation_graph(
     has_zeros = bool(np.any(trends == 0.0))
     nonzero = None if not has_zeros else (trends != 0.0)
 
-    edges: list[CorrelationEdge] = []
+    # Each road's kept edges, after one empty entry per array.
+    kept_u = [np.zeros(0, dtype=np.int64)]
+    kept_v = [np.zeros(0, dtype=np.int64)]
+    kept_p = [np.zeros(0)]
     with get_recorder().span(
         "history.correlation.mine", roads=len(road_ids)
     ) as span:
@@ -312,10 +455,11 @@ def mine_correlation_graph(
                 # which min_agreement >= 0.5 always rejects.
                 agreements = same_sign / np.maximum(valid_counts, 1)
                 supported = valid_counts >= min_valid_fraction * num_intervals
-            for candidate, agreement, has_support in zip(
-                candidates, agreements, supported
-            ):
-                if has_support and agreement >= min_agreement:
-                    edges.append(CorrelationEdge(road_id, candidate, float(agreement)))
-        span.set(edges=len(edges))
-    return CorrelationGraph(road_ids, edges)
+            keep = supported & (agreements >= min_agreement)
+            kept_u.append(np.full(np.count_nonzero(keep), road_id, dtype=np.int64))
+            kept_v.append(np.asarray(candidates, dtype=np.int64)[keep])
+            kept_p.append(agreements[keep])
+        span.set(edges=sum(map(len, kept_p)))
+    return CorrelationGraph.from_arrays(
+        road_ids, np.concatenate(kept_u), np.concatenate(kept_v), np.concatenate(kept_p)
+    )

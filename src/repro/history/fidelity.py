@@ -109,17 +109,14 @@ class CSRFidelityGraph:
         road_ids = tuple(graph.road_ids)
         index = {road: i for i, road in enumerate(road_ids)}
         n = len(road_ids)
-        road_u, road_v, agreement = graph.edge_arrays()
-        positions = np.asarray(road_ids, dtype=np.int64)
-        iu = np.searchsorted(positions, road_u)
-        iv = np.searchsorted(positions, road_v)
+        iu, iv, agreement = graph.edge_positions()
         # Channel fidelity max(0, 2p - 1) per edge: the same IEEE operations
         # as the scalar edge_fidelity in tests/oracles/fidelity.py, bitwise.
         q = np.maximum(0.0, 2.0 * agreement - 1.0)
         u = np.concatenate([iu, iv])
         v = np.concatenate([iv, iu])
-        # (u, v) pairs are unique, so the sorted order is input-independent.
-        order = np.lexsort((v, u))
+        # Directed keys u * n + v are unique, so the order is input-independent.
+        order = np.argsort(u * n + v, kind="stable")
         indices = v[order]
         data = np.concatenate([q, q])[order]
         counts = np.bincount(u, minlength=n)
@@ -373,11 +370,8 @@ def _changed_edges(
     so a delta that reaches the cache twice, or names an edge the
     graph already had at that weight, changes nothing.
     """
-    pairs = [(e.road_u, e.road_v) for e in (*delta.added, *delta.reweighted)]
-    pairs += [tuple(key) for key in delta.removed]
     roads = np.asarray(before.road_ids, dtype=np.int64)
-    ends = np.searchsorted(roads, np.array(pairs, dtype=np.int64).reshape(-1, 2))
-    u, v = ends[:, 0], ends[:, 1]
+    u, v = (np.searchsorted(roads, ends) for ends in delta.changed_ends())
     q0, q1 = _edge_fidelities(before, u, v), _edge_fidelities(after, u, v)
     changed = q0 != q1
     return _ChangedEdges(u[changed], v[changed], q0[changed], q1[changed])

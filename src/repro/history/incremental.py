@@ -27,8 +27,8 @@ directly:
 * :class:`GraphDelta` / :func:`diff_edges` — the edge-level difference
   between a live :class:`~repro.history.correlation.CorrelationGraph`
   and freshly mined edge arrays: edges added, removed, and re-weighted
-  beyond a tolerance, found by sorted-key array matching so edge
-  objects are built only for the edges that changed. Applying it with
+  beyond a tolerance, found by sorted-key array matching and held as
+  arrays, so a re-mine builds no edge object. Applying it with
   :meth:`~repro.history.correlation.CorrelationGraph.apply_delta`
   mutates the graph in place, which is what lets identity-keyed caches
   (the fidelity service and everything subscribed to it) survive a
@@ -47,13 +47,10 @@ keep identical edge sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
 from repro.core.errors import DataError
-from repro.history.correlation import CorrelationEdge, CorrelationGraph
+from repro.history.correlation import CorrelationEdge, CorrelationGraph, edge_objects
 from repro.roadnet.network import RoadNetwork
 
 __all__ = ["GraphDelta", "IncrementalCoTrendStats", "diff_edges"]
@@ -63,47 +60,144 @@ __all__ = ["GraphDelta", "IncrementalCoTrendStats", "diff_edges"]
 _CELL_BUDGET = 4_000_000
 
 
-@dataclass(frozen=True)
 class GraphDelta:
     """Edge-level difference between two minings of one road set.
 
-    ``added`` and ``reweighted`` carry full
-    :class:`~repro.history.correlation.CorrelationEdge` objects (with
-    ``road_u < road_v``); ``removed`` carries ``(road_u, road_v)`` key
-    pairs. A delta is what flows from
-    :meth:`~repro.history.online.RollingHistory.ingest_day` through the
-    cache stack: only the cached fidelity rows its changed edges can
+    Held as arrays: ``added_arrays`` and ``reweighted_arrays`` are
+    ``(road_u, road_v, agreement)`` and ``removed_arrays`` is
+    ``(road_u, road_v)``, all read-only. :func:`diff_edges` builds them
+    in edge-key order with ``road_u < road_v`` and no edge object; the
+    constructor takes edge tuples (``added`` and ``reweighted`` of
+    :class:`~repro.history.correlation.CorrelationEdge`, ``removed`` of
+    key pairs) and keeps their order. The ``added``, ``removed`` and
+    ``reweighted`` tuples are built on first read only. Two deltas are
+    ``==`` when their arrays are, order included. A delta is what flows
+    from :meth:`~repro.history.online.RollingHistory.ingest_day` through
+    the cache stack: only the cached fidelity rows its changed edges can
     move are dropped, and only the compiled plan rows they re-rank.
     """
 
-    added: tuple[CorrelationEdge, ...]
-    removed: tuple[tuple[int, int], ...]
-    reweighted: tuple[CorrelationEdge, ...]
+    __slots__ = ("added_arrays", "removed_arrays", "reweighted_arrays", "_tuples")
+
+    def __init__(
+        self,
+        added: tuple[CorrelationEdge, ...],
+        removed: tuple[tuple[int, int], ...],
+        reweighted: tuple[CorrelationEdge, ...],
+    ) -> None:
+        added, removed, reweighted = tuple(added), tuple(removed), tuple(reweighted)
+        self.added_arrays = _edge_columns(added)
+        self.removed_arrays = _frozen(
+            np.array(removed, dtype=np.int64).reshape(-1, 2).T
+        )
+        self.reweighted_arrays = _edge_columns(reweighted)
+        self._tuples = (added, removed, reweighted)
+
+    @classmethod
+    def from_arrays(cls, added, removed, reweighted) -> "GraphDelta":
+        """A delta over ``(road_u, road_v, agreement)`` arrays for
+        ``added`` and ``reweighted`` and ``(road_u, road_v)`` for
+        ``removed``; no edge object is built."""
+        delta = cls.__new__(cls)
+        delta.added_arrays = _frozen(added)
+        delta.removed_arrays = _frozen(removed)
+        delta.reweighted_arrays = _frozen(reweighted)
+        delta._tuples = None
+        return delta
+
+    def _edge_tuples(self) -> tuple[tuple, tuple, tuple]:
+        if self._tuples is None:
+            rem_u, rem_v = self.removed_arrays
+            self._tuples = (
+                tuple(edge_objects(*self.added_arrays)),
+                tuple(zip(rem_u.tolist(), rem_v.tolist())),
+                tuple(edge_objects(*self.reweighted_arrays)),
+            )
+        return self._tuples
 
     @property
-    def is_empty(self) -> bool:
-        return not (self.added or self.removed or self.reweighted)
+    def added(self) -> tuple[CorrelationEdge, ...]:
+        return self._edge_tuples()[0]
+
+    @property
+    def removed(self) -> tuple[tuple[int, int], ...]:
+        return self._edge_tuples()[1]
+
+    @property
+    def reweighted(self) -> tuple[CorrelationEdge, ...]:
+        return self._edge_tuples()[2]
+
+    @property
+    def num_added(self) -> int:
+        return self.added_arrays[0].size
+
+    @property
+    def num_removed(self) -> int:
+        return self.removed_arrays[0].size
+
+    @property
+    def num_reweighted(self) -> int:
+        return self.reweighted_arrays[0].size
 
     @property
     def num_changes(self) -> int:
-        return len(self.added) + len(self.removed) + len(self.reweighted)
+        return self.num_added + self.num_removed + self.num_reweighted
+
+    @property
+    def is_empty(self) -> bool:
+        return self.num_changes == 0
+
+    def changed_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(road_u, road_v)`` of every named edge: added, reweighted,
+        then removed."""
+        named = (self.added_arrays, self.reweighted_arrays, self.removed_arrays)
+        return (
+            np.concatenate([arrays[0] for arrays in named]),
+            np.concatenate([arrays[1] for arrays in named]),
+        )
 
     def touched_roads(self) -> tuple[int, ...]:
         """Sorted road ids that are an endpoint of any changed edge."""
-        roads: set[int] = set()
-        for edge in self.added:
-            roads.update((edge.road_u, edge.road_v))
-        for key in self.removed:
-            roads.update(key)
-        for edge in self.reweighted:
-            roads.update((edge.road_u, edge.road_v))
-        return tuple(sorted(roads))
+        return tuple(np.unique(np.concatenate(self.changed_ends())).tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GraphDelta):
+            return NotImplemented
+        return all(
+            np.array_equal(mine, theirs)
+            for kind in ("added_arrays", "removed_arrays", "reweighted_arrays")
+            for mine, theirs in zip(getattr(self, kind), getattr(other, kind))
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (
-            f"GraphDelta(added={len(self.added)}, removed={len(self.removed)}, "
-            f"reweighted={len(self.reweighted)})"
+            f"GraphDelta(added={self.num_added}, removed={self.num_removed}, "
+            f"reweighted={self.num_reweighted})"
         )
+
+
+def _frozen(arrays) -> tuple[np.ndarray, ...]:
+    """Read-only copies of ``arrays``: int64 road ids, then a float64
+    agreement array if there is a third; all of one length."""
+    dtypes = (np.int64, np.int64, np.float64)
+    out = tuple(
+        np.array(array, dtype=dtype).reshape(-1) for array, dtype in zip(arrays, dtypes)
+    )
+    if len({array.size for array in out}) > 1:
+        raise DataError("delta edge arrays differ in length")
+    for array in out:
+        array.setflags(write=False)
+    return out
+
+
+def _edge_columns(edges: tuple[CorrelationEdge, ...]) -> tuple[np.ndarray, ...]:
+    return _frozen(
+        (
+            [e.road_u for e in edges],
+            [e.road_v for e in edges],
+            [e.agreement for e in edges],
+        )
+    )
 
 
 #: The delta of a re-mine that changed nothing.
@@ -127,77 +221,33 @@ def diff_edges(
     default 0.0 reports every weight change, which is what makes the
     applied graph exactly equal to a batch re-mine.
 
-    Both edge sets are compared as arrays: each ``(u, v)`` pair becomes
-    one integer key from the roads' positions in ``graph.road_ids``
-    (sorted, so key order is ``(u, v)`` order, for any int road ids),
-    and ``searchsorted`` matches the mined keys against
-    ``graph.edge_arrays()``. Python objects are built only for changed
-    edges, so a re-mine that changes nothing builds none; the
-    ``history.remine`` span's ``edges_built`` counts them and
-    ``tests/test_delta_oracle.py`` pins that count and the delta (order
-    included) to the list-form oracle in ``tests/oracles/delta.py``.
+    The mined edges are keyed like the graph's own
+    (:meth:`~repro.history.correlation.CorrelationGraph.keys_of`, which
+    raises on an unknown road) and matched against
+    :meth:`~repro.history.correlation.CorrelationGraph.edge_keys` with
+    ``searchsorted`` (:meth:`~repro.history.correlation.CorrelationGraph.
+    locate`). The delta's arrays come out in key order and no
+    edge object is built; ``tests/test_delta_oracle.py`` pins the delta
+    (order included) to the list-form oracle in ``tests/oracles/delta.py``.
     """
     if tolerance < 0.0:
         raise DataError(f"delta tolerance must be >= 0, got {tolerance}")
-    road_ids = graph.road_ids
-    roads = np.asarray(road_ids, dtype=np.int64)
-    new_keys = _edge_keys(roads, road_u, road_v)
+    new_keys = graph.keys_of(road_u, road_v)
     order = np.argsort(new_keys, kind="stable")
     new_keys = new_keys[order]
     new_p = np.asarray(agreement, dtype=np.float64)[order]
-    old_u, old_v, old_p = graph.edge_arrays()
-    old_keys = _edge_keys(roads, old_u, old_v)
-    order = np.argsort(old_keys, kind="stable")
-    old_keys, old_p = old_keys[order], old_p[order]
+    old_keys, old_p = graph.edge_keys()
 
-    at, kept = _lookup(old_keys, new_keys)
+    at, kept = graph.locate(new_keys)
     moved = np.zeros_like(kept)
     moved[kept] = np.abs(new_p[kept] - old_p[at[kept]]) > tolerance
-    _, survives = _lookup(new_keys, old_keys)
-
-    def edges(mask: np.ndarray) -> tuple[CorrelationEdge, ...]:
-        ends = _key_ends(road_ids, new_keys[mask])
-        return tuple(
-            CorrelationEdge(u, v, p) for (u, v), p in zip(ends, new_p[mask].tolist())
-        )
-
-    return GraphDelta(
-        added=edges(~kept),
-        removed=tuple(_key_ends(road_ids, old_keys[~survives])),
-        reweighted=edges(moved),
+    survives = np.zeros(old_keys.size, dtype=bool)
+    survives[at[kept]] = True
+    return GraphDelta.from_arrays(
+        added=(*graph.key_ends(new_keys[~kept]), new_p[~kept]),
+        removed=graph.key_ends(old_keys[~survives]),
+        reweighted=(*graph.key_ends(new_keys[moved]), new_p[moved]),
     )
-
-
-def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each of ``keys`` sits in ``sorted_keys``, and whether it is there."""
-    at = np.searchsorted(sorted_keys, keys)
-    found = at < sorted_keys.size
-    found[found] = sorted_keys[at[found]] == keys[found]
-    return at, found
-
-
-def _edge_keys(roads: np.ndarray, road_u, road_v) -> np.ndarray:
-    """One int64 key per edge, ``pos(low) * n + pos(high)`` over the
-    ``n`` sorted road ids ``roads``; raises on a road not among them."""
-    road_u = np.asarray(road_u, dtype=np.int64)
-    road_v = np.asarray(road_v, dtype=np.int64)
-    ends = np.stack([np.minimum(road_u, road_v), np.maximum(road_u, road_v)])
-    pos = np.searchsorted(roads, ends)
-    known = pos < roads.size
-    known[known] = roads[pos[known]] == ends[known]
-    if not known.all():
-        raise DataError(
-            f"mined edge references unknown road {int(ends[~known][0])}"
-        )
-    return pos[0] * roads.size + pos[1]
-
-
-def _key_ends(road_ids: list[int], keys: np.ndarray) -> Iterator[tuple[int, int]]:
-    """The ``(road_u, road_v)`` pairs that :func:`_edge_keys` encoded,
-    as the graph's own road-id objects (no fresh int per edge end)."""
-    n = len(road_ids)
-    for low, high in zip((keys // n).tolist(), (keys % n).tolist()):
-        yield road_ids[low], road_ids[high]
 
 
 class IncrementalCoTrendStats:

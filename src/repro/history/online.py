@@ -32,25 +32,24 @@ Re-mine activity is observable: each re-mine runs in a
 ``history.remine`` span and reports per-kind ``mining.delta_edges``
 counts (see ``docs/STREAMING.md``). The span's work counters are
 ``pairs`` (candidate pairs), ``scored`` (pairs scored: ``pairs``, or 0
-when no count moved) and ``edges_built``
-(:class:`~repro.history.correlation.CorrelationEdge` objects created):
-the bootstrap builds one per mined edge, a later re-mine one per added
-or re-weighted edge, so a re-mine that changes nothing builds none.
+when no count moved) and ``edges_built`` (edges written: every mined
+edge at the bootstrap, the added and re-weighted ones later, so 0 for
+a re-mine that changes nothing). The graph and the delta are arrays,
+so no re-mine builds a
+:class:`~repro.history.correlation.CorrelationEdge`;
 ``tests/test_delta_oracle.py::test_remine_builds_edges_only_for_changes``
-pins ``scored`` and ``edges_built`` to test-side counts.
+and ``tests/test_graph_arrays.py`` pin both.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
 from repro.core.errors import DataError
 from repro.core.field import SpeedField
-from repro.history.correlation import (
-    CorrelationEdge,
-    CorrelationGraph,
-    mine_correlation_graph,
-)
+from repro.history.correlation import CorrelationGraph, mine_correlation_graph
 from repro.history.incremental import (
     EMPTY_DELTA,
     GraphDelta,
@@ -260,26 +259,22 @@ class RollingHistory:
         actual = self.graph
         if expected.road_ids != actual.road_ids:
             raise DataError("incremental graph drifted: road sets differ")
-        want = {(e.road_u, e.road_v): e.agreement for e in expected.edges()}
-        have = {(e.road_u, e.road_v): e.agreement for e in actual.edges()}
-        missing = sorted(set(want) - set(have))
-        extra = sorted(set(have) - set(want))
-        if missing or extra:
+        want, want_p = expected.edge_keys()
+        have, have_p = actual.edge_keys()
+        missing = np.setdiff1d(want, have)
+        extra = np.setdiff1d(have, want)
+        if missing.size or extra.size:
             raise DataError(
-                f"incremental graph drifted: {len(missing)} edges missing "
-                f"(first {missing[:3]}), {len(extra)} spurious "
-                f"(first {extra[:3]})"
+                f"incremental graph drifted: {missing.size} edges missing "
+                f"(first {_pairs(expected, missing[:3])}), {extra.size} spurious "
+                f"(first {_pairs(expected, extra[:3])})"
             )
-        moved = [
-            key
-            for key, p in want.items()
-            if abs(p - have[key]) > self._delta_tolerance
-        ]
-        if moved:
+        moved = want[np.abs(want_p - have_p) > self._delta_tolerance]
+        if moved.size:
             raise DataError(
-                f"incremental graph drifted: {len(moved)} edge weights "
+                f"incremental graph drifted: {moved.size} edge weights "
                 f"beyond tolerance {self._delta_tolerance} "
-                f"(first {sorted(moved)[:3]})"
+                f"(first {_pairs(expected, moved[:3])})"
             )
 
     # ------------------------------------------------------------------
@@ -304,19 +299,8 @@ class RollingHistory:
                 scored=0 if mined is None else self._stats.num_pairs,
             )
             if self._graph is None:
-                # The bootstrap is the one place every mined pair
-                # becomes an edge object. Endpoints reuse the store's
-                # road-id ints instead of a fresh int per edge end.
-                road_u, road_v, agreement = mined
-                road = {r: r for r in self._store.road_ids}
-                self._graph = CorrelationGraph(
-                    self._store.road_ids,
-                    [
-                        CorrelationEdge(road[u], road[v], p)
-                        for u, v, p in zip(
-                            road_u.tolist(), road_v.tolist(), agreement.tolist()
-                        )
-                    ],
+                self._graph = CorrelationGraph.from_arrays(
+                    self._store.road_ids, *mined
                 )
                 self._last_delta = None
                 span.set(edges_built=self._graph.num_edges)
@@ -326,23 +310,23 @@ class RollingHistory:
                 )
                 self._graph.apply_delta(delta)
                 self._last_delta = delta
+                recorder.count("mining.delta_edges", delta.num_added, kind="added")
                 recorder.count(
-                    "mining.delta_edges", len(delta.added), kind="added"
+                    "mining.delta_edges", delta.num_removed, kind="removed"
                 )
                 recorder.count(
-                    "mining.delta_edges", len(delta.removed), kind="removed"
-                )
-                recorder.count(
-                    "mining.delta_edges",
-                    len(delta.reweighted),
-                    kind="reweighted",
+                    "mining.delta_edges", delta.num_reweighted, kind="reweighted"
                 )
                 span.set(
                     delta_edges=delta.num_changes,
-                    edges_built=len(delta.added) + len(delta.reweighted),
+                    edges_built=delta.num_added + delta.num_reweighted,
                 )
                 for listener in list(self._delta_listeners):
                     listener(self._graph, delta)
             self._mining_epoch += 1
             self._days_since_mining = 0
             span.set(edges=self._graph.num_edges)
+
+
+def _pairs(graph: CorrelationGraph, keys: np.ndarray) -> list[tuple[int, int]]:
+    return list(zip(*(ends.tolist() for ends in graph.key_ends(keys))))

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.errors import DataError
 from repro.core.field import SpeedField
-from repro.history.correlation import CorrelationEdge, CorrelationGraph
+from repro.history.correlation import CorrelationGraph
 from repro.history.store import HistoricalSpeedStore
 from repro.history.timebuckets import TimeGrid
 
@@ -90,26 +90,25 @@ def load_store(path: str | Path) -> HistoricalSpeedStore:
 # CorrelationGraph
 # ----------------------------------------------------------------------
 def save_graph(graph: CorrelationGraph, path: str | Path) -> None:
-    """Write a correlation graph to npz (edge arrays + road ids)."""
-    edges = list(graph.edges())
+    """Write a correlation graph to npz (edge arrays + road ids), read
+    straight from the graph's key arrays."""
+    edge_u, edge_v, agreement = graph.edge_arrays()
     np.savez_compressed(
         path,
         format=np.array([GRAPH_FORMAT]),
         road_ids=np.array(graph.road_ids, dtype=np.int64),
-        edge_u=np.array([e.road_u for e in edges], dtype=np.int64),
-        edge_v=np.array([e.road_v for e in edges], dtype=np.int64),
-        agreement=np.array([e.agreement for e in edges]),
+        edge_u=edge_u,
+        edge_v=edge_v,
+        agreement=agreement,
     )
 
 
 def load_graph(path: str | Path) -> CorrelationGraph:
     """Load a graph written by :func:`save_graph`."""
     data = _open(path, expected_format=GRAPH_FORMAT, kind="correlation graph")
-    edges = [
-        CorrelationEdge(int(u), int(v), float(p))
-        for u, v, p in zip(data["edge_u"], data["edge_v"], data["agreement"])
-    ]
-    return CorrelationGraph([int(r) for r in data["road_ids"]], edges)
+    return CorrelationGraph.from_arrays(
+        data["road_ids"], data["edge_u"], data["edge_v"], data["agreement"]
+    )
 
 
 # ----------------------------------------------------------------------

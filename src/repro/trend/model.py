@@ -205,25 +205,23 @@ class TrendModel:
     def _read_edges(self) -> tuple[tuple[int, int, float], ...]:
         """``(i, j, clip(p))`` per graph edge, in ``(u, v)`` road-id order.
 
-        Built from :meth:`~repro.history.correlation.CorrelationGraph.
-        edge_arrays` without edge objects; the elementwise clip selects
-        the same floats :meth:`_clip` does. Entries are shared Python
-        objects (the index's ints, one float per distinct potential):
-        the tuple lives as long as the model, and a fresh int, int and
-        float per edge would add ~50 bytes an edge.
+        Read from :meth:`~repro.history.correlation.CorrelationGraph.
+        edge_positions` without edge objects; the elementwise clip
+        selects the same floats :meth:`_clip` does. Entries are shared
+        Python objects (the index's ints, one float per distinct
+        potential): the tuple lives as long as the model, and a fresh
+        int, int and float per edge would add ~50 bytes an edge.
         """
-        road_u, road_v, agreement = self._graph.edge_arrays()
-        order = np.lexsort((road_v, road_u))
-        positions = np.asarray(self._road_ids, dtype=np.int64)
+        low, high, agreement = self._graph.edge_positions()
         clipped = np.minimum(
-            1.0 - _POTENTIAL_EPS, np.maximum(_POTENTIAL_EPS, agreement[order])
+            1.0 - _POTENTIAL_EPS, np.maximum(_POTENTIAL_EPS, agreement)
         )
         potentials, which = np.unique(clipped, return_inverse=True)
         position = list(self._index.values()).__getitem__
         return tuple(
             zip(
-                map(position, np.searchsorted(positions, road_u[order]).tolist()),
-                map(position, np.searchsorted(positions, road_v[order]).tolist()),
+                map(position, low.tolist()),
+                map(position, high.tolist()),
                 map(potentials.tolist().__getitem__, which.tolist()),
             )
         )

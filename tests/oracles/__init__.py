@@ -42,6 +42,10 @@ pin the vectorized production code against it:
 * :mod:`tests.oracles.delta` — the list-form graph diff
   ``diff_edges`` (dicts over materialised edge objects), the reference
   for the array diff of a streamed re-mine;
+* :mod:`tests.oracles.correlation` — ``ListCorrelationGraph``, the
+  correlation graph as a dict of ``(u, v)`` keys and per-road lists of
+  edge objects, the reference for the array graph, its adjacency
+  order and its delta apply;
 * :mod:`tests.oracles.crowd` — the per-task MAD filter and outlier mask
   (``np.median`` per task) and ``PerTaskPlatform``, a crowd round that
   aggregates each task right after its draws.

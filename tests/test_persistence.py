@@ -89,6 +89,52 @@ class TestGraphRoundTrip:
                 pytest.approx(edge.agreement)
             )
 
+    @pytest.mark.parametrize(
+        "road_ids, edges",
+        [
+            ([], []),
+            ([3, 1, 2], []),
+            (
+                [-(2**40), -7, 0, 5, 2**40],
+                [
+                    (2**40, -7, 0.1 + 0.2),
+                    (-(2**40), 0, 1.0),
+                    (0, 5, 0.5),
+                    (-7, 5, 2 / 3),
+                ],
+            ),
+        ],
+        ids=["no-roads", "no-edges", "extreme-ids"],
+    )
+    def test_round_trip_keeps_arrays_bitwise(
+        self, road_ids, edges, tmp_path, monkeypatch
+    ):
+        from repro.history.correlation import CorrelationEdge, CorrelationGraph
+
+        road_u, road_v, agreement = (
+            np.array(column, dtype=dtype)
+            for column, dtype in zip(
+                zip(*edges) if edges else ([], [], []),
+                (np.int64, np.int64, np.float64),
+            )
+        )
+        graph = CorrelationGraph.from_arrays(road_ids, road_u, road_v, agreement)
+        built = []
+        post_init = CorrelationEdge.__post_init__
+        monkeypatch.setattr(
+            CorrelationEdge,
+            "__post_init__",
+            lambda edge: built.append(edge) or post_init(edge),
+        )
+        path = tmp_path / "graph.npz"
+        save_graph(graph, path)
+        restored = load_graph(path)
+        assert built == []  # no per-edge objects either way
+        assert restored.road_ids == graph.road_ids == sorted(road_ids)
+        for mine, theirs in zip(restored.edge_arrays(), graph.edge_arrays()):
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()
+
     def test_loaded_graph_drives_pipeline(self, small_dataset, tmp_path):
         """A persisted world restores into a working system."""
         from repro.core.pipeline import SpeedEstimationSystem
