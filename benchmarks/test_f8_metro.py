@@ -239,8 +239,8 @@ def test_f8_metro_sharded_plan_compile(metro, report, tmp_path):
     the refresh is asserted to refit a small fraction of the rows the
     cold compile fitted.
     """
-    from repro.history.incremental import GraphDelta
     from repro.obs import FlightRecorder, set_recorder
+    from tests.oracles.delta import EdgeTuples
 
     num_roads = metro.network.num_segments
     budget = max(1, round(num_roads * PLAN_BUDGET_PCT / 100.0))
@@ -285,9 +285,7 @@ def test_f8_metro_sharded_plan_compile(metro, report, tmp_path):
             # A delta around one seed: cut one incident edge, then
             # refresh. Only rows whose ranked seeds changed are refit.
             edge = graph.neighbours(seeds[0])[0]
-            delta = GraphDelta(
-                added=(), removed=((edge.road_u, edge.road_v),), reweighted=()
-            )
+            delta = EdgeTuples(removed=((edge.road_u, edge.road_v),)).delta()
             graph.apply_delta(delta)
             system.apply_graph_delta(delta)
             start = time.perf_counter()

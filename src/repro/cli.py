@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="traffic simulation seed for the streamed days")
     stream.add_argument("--check", action="store_true",
                         help="exit non-zero on any wholesale cache "
-                        "invalidation or incremental/batch mining mismatch")
+                        "invalidation or live/cold mining mismatch")
     stream.set_defaults(run=cmd_stream)
 
     obs = commands.add_parser(
@@ -739,7 +739,7 @@ def cmd_stream(
     queries (0 when it reused the previous picks): a quiet day reads
     0 / 0. With ``--check`` the exit code is non-zero if any wholesale
     cache invalidation happened or the incremental graph ever diverged
-    from a batch re-mine of the same window.
+    from a cold re-mine of the same window.
     """
     if days < 1:
         raise SystemExit("error: --days must be >= 1")
@@ -867,7 +867,7 @@ def cmd_stream(
             lines.append("STREAM CHECK FAILED: " + "; ".join(failures))
         else:
             lines.append(
-                "stream check ok: incremental mining matched batch on every "
+                "stream check ok: incremental mining matched a cold mine on every "
                 "window, no wholesale cache invalidations"
             )
     return "\n".join(lines), 1 if (check and failures) else 0

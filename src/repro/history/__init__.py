@@ -3,6 +3,7 @@
 from repro.history.correlation import (
     CorrelationEdge,
     CorrelationGraph,
+    IncrementalCoTrendStats,
     mine_correlation_graph,
 )
 from repro.history.fidelity import (
@@ -13,11 +14,7 @@ from repro.history.fidelity import (
     set_fidelity_service,
     sparse_fidelity_rows,
 )
-from repro.history.incremental import (
-    GraphDelta,
-    IncrementalCoTrendStats,
-    diff_edges,
-)
+from repro.history.incremental import GraphDelta, diff_edges
 from repro.history.online import RollingHistory
 from repro.history.persistence import (
     load_field,

@@ -21,6 +21,15 @@ whose evidence covers too little of the window — a pair sharing one
 valid interval would otherwise score a perfect 1.0 from a single
 coin-flip of evidence.
 
+There is one miner. :class:`IncrementalCoTrendStats` enumerates the
+candidate pairs and keeps their integer co-trend counts over a window;
+its :meth:`~IncrementalCoTrendStats.mine_arrays` applies the agreement
+formulas and the thresholds. :func:`mine_correlation_graph` counts a
+whole history once through it, and
+:class:`~repro.history.online.RollingHistory` keeps one instance and
+slides it a day at a time. The per-road loop this replaced is the test
+oracle ``tests/oracles/correlation.py::batch_mine_correlation_graph``.
+
 The graph holds its edges as arrays (sorted int64 edge keys and their
 agreements); :class:`CorrelationEdge` objects are built only when a
 caller asks for them (:meth:`CorrelationGraph.edges`,
@@ -383,6 +392,218 @@ class CorrelationGraph:
         return f"CorrelationGraph(roads={self.num_roads}, edges={self.num_edges})"
 
 
+#: Pair-axis chunk budget for the count updates: rows × pairs int8
+#: blocks stay a few MB regardless of window or city size.
+_CELL_BUDGET = 4_000_000
+
+
+class IncrementalCoTrendStats:
+    """Per candidate pair, the window's co-trend counts.
+
+    Pairs are every ``(u, v)`` with ``v`` within ``max_hops`` of ``u``
+    in road adjacency and ``v > u``. Each keeps two int64 counts over
+    the window's trend matrix: ``same`` (intervals where both trends
+    have one sign) and ``valid`` (intervals where both are nonzero).
+    :meth:`reset` counts a whole window, :meth:`advance` slides it, and
+    :meth:`mine_arrays` turns the counts into kept edges. The window's
+    trend matrix is retained so an :meth:`advance` can subtract exactly
+    the rows that left or flipped. The road set is fixed at
+    construction (a rolling window never changes its roads mid-flight;
+    build a new instance for a new network).
+    """
+
+    def __init__(
+        self,
+        network: RoadNetwork,
+        road_ids: list[int],
+        max_hops: int = 2,
+    ) -> None:
+        if max_hops < 1:
+            raise DataError(f"max_hops must be >= 1, got {max_hops}")
+        self._road_ids = list(road_ids)
+        column = {road: i for i, road in enumerate(self._road_ids)}
+        pair_u: list[int] = []
+        pair_v: list[int] = []
+        for road_id in self._road_ids:
+            for other, hops in network.roads_within_hops(road_id, max_hops).items():
+                if other > road_id and other in column and hops >= 1:
+                    pair_u.append(column[road_id])
+                    pair_v.append(column[other])
+        self._pair_u = np.asarray(pair_u, dtype=np.int64)
+        self._pair_v = np.asarray(pair_v, dtype=np.int64)
+        self._same = np.zeros(len(pair_u), dtype=np.int64)
+        self._valid = np.zeros(len(pair_u), dtype=np.int64)
+        self._trends: np.ndarray | None = None
+        # What the last mine_if_moved call mined from: (scope, same, valid).
+        self._mined: tuple | None = None
+
+    # ------------------------------------------------------------------
+    # State
+    # ------------------------------------------------------------------
+    @property
+    def num_pairs(self) -> int:
+        return self._pair_u.size
+
+    # ------------------------------------------------------------------
+    # Window updates
+    # ------------------------------------------------------------------
+    def reset(self, trends: np.ndarray) -> None:
+        """Rebuild the counts from scratch for a full window matrix."""
+        trends = self._check(trends)
+        self._same[:] = 0
+        self._valid[:] = 0
+        self._accumulate(trends, +1)
+        self._trends = trends.copy()
+
+    def advance(self, trends: np.ndarray, evicted_rows: int) -> int:
+        """Slide the window to the new full trend matrix ``trends``.
+
+        ``evicted_rows`` is how many leading rows of the *previous*
+        matrix fell out of the window; the remaining old rows align
+        with the leading rows of ``trends`` (same intervals), and any
+        trailing rows of ``trends`` are newly ingested. Besides the
+        strict add/subtract, retained rows whose trend entries flipped
+        (bucket means drift as the window slides) are re-scored — that
+        is what keeps the counts equal to a from-scratch rebuild.
+        Returns the number of flipped retained rows (observability).
+        """
+        if self._trends is None:
+            self.reset(trends)
+            return 0
+        trends = self._check(trends)
+        old = self._trends
+        if not 0 <= evicted_rows <= old.shape[0]:
+            raise DataError(
+                f"evicted_rows {evicted_rows} outside [0, {old.shape[0]}]"
+            )
+        retained = old[evicted_rows:]
+        if retained.shape[0] > trends.shape[0]:
+            raise DataError(
+                f"window shrank: {retained.shape[0]} retained rows but only "
+                f"{trends.shape[0]} in the new matrix"
+            )
+        if evicted_rows:
+            self._accumulate(old[:evicted_rows], -1)
+        aligned = trends[: retained.shape[0]]
+        flipped = np.flatnonzero(np.any(retained != aligned, axis=1))
+        if flipped.size:
+            self._accumulate(retained[flipped], -1)
+            self._accumulate(aligned[flipped], +1)
+        if trends.shape[0] > retained.shape[0]:
+            self._accumulate(trends[retained.shape[0] :], +1)
+        self._trends = trends.copy()
+        return int(flipped.size)
+
+    # ------------------------------------------------------------------
+    # Mining
+    # ------------------------------------------------------------------
+    def mine_arrays(
+        self, min_agreement: float = 0.6, min_valid_fraction: float = 0.1
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The kept edges for the current window as ``(road_u, road_v,
+        agreement)`` arrays.
+
+        A zero-free window scores ``(1 + (2·same − n) / n) / 2``, the
+        agreement ``P(t_u == t_v)`` of ±1 trends. A window with any
+        zero trend scores ``same / max(valid, 1)`` instead and rejects a
+        pair whose ``valid`` count is below ``min_valid_fraction`` of
+        the window (see the module docstring). ``road_u < road_v`` on
+        every entry, in pair-enumeration order; no edge object is built.
+        """
+        if self._trends is None:
+            raise DataError("no window ingested yet")
+        if not 0.5 <= min_agreement <= 1.0:
+            raise DataError(
+                f"min_agreement should be in [0.5, 1], got {min_agreement}"
+            )
+        if not 0.0 <= min_valid_fraction <= 1.0:
+            raise DataError(
+                f"min_valid_fraction should be in [0, 1], got {min_valid_fraction}"
+            )
+        num_intervals = self._trends.shape[0]
+        if not np.any(self._trends == 0):
+            products = (2 * self._same - num_intervals).astype(np.float64)
+            agreements = (1.0 + products / num_intervals) / 2.0
+            keep = agreements >= min_agreement
+        else:
+            # A pair with no valid interval has no evidence: agreement 0,
+            # which min_agreement >= 0.5 always rejects.
+            agreements = self._same / np.maximum(self._valid, 1)
+            keep = (agreements >= min_agreement) & (
+                self._valid >= min_valid_fraction * num_intervals
+            )
+        roads = np.asarray(self._road_ids, dtype=np.int64)
+        return (
+            roads[self._pair_u[keep]],
+            roads[self._pair_v[keep]],
+            agreements[keep],
+        )
+
+    def mine_if_moved(
+        self, min_agreement: float = 0.6, min_valid_fraction: float = 0.1
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """:meth:`mine_arrays`, or ``None`` when it would return what the
+        previous call of this method mined: no pair's ``(same, valid)``
+        counts moved since, nor the interval count, the window-global
+        ``has_zeros`` flag or a threshold. A caller that patched a graph
+        with that mine's :func:`~repro.history.incremental.diff_edges`
+        (at a fixed tolerance) and let nobody else write it may then skip
+        the diff: it is empty. The check compares the counts with a copy
+        kept from that mine.
+        """
+        if self._trends is None:
+            raise DataError("no window ingested yet")
+        scope = (
+            self._trends.shape[0],
+            bool(np.any(self._trends == 0)),
+            min_agreement,
+            min_valid_fraction,
+        )
+        if (
+            self._mined is not None
+            and self._mined[0] == scope
+            and np.array_equal(self._mined[1], self._same)
+            and np.array_equal(self._mined[2], self._valid)
+        ):
+            return None
+        mined = self.mine_arrays(min_agreement, min_valid_fraction)
+        self._mined = (scope, self._same.copy(), self._valid.copy())
+        return mined
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+    def _check(self, trends: np.ndarray) -> np.ndarray:
+        trends = np.asarray(trends)
+        if trends.ndim != 2 or trends.shape[1] != len(self._road_ids):
+            raise DataError(
+                f"trend matrix shape {trends.shape} does not cover the "
+                f"{len(self._road_ids)} tracked roads"
+            )
+        return trends
+
+    def _accumulate(self, rows: np.ndarray, sign: int) -> None:
+        """Add (``sign=+1``) or subtract (``-1``) a block of trend rows.
+
+        The block is transposed once so each pair gathers two contiguous
+        per-road rows. With products ``t_u·t_v`` in ``{-1, 0, 1}``, the
+        valid count is the nonzero count and ``same = (valid + Σ t_u·t_v) / 2``.
+        """
+        if rows.shape[0] == 0 or self._pair_u.size == 0:
+            return
+        by_road = np.ascontiguousarray(rows.T)
+        chunk = max(1, _CELL_BUDGET // rows.shape[0])
+        for start in range(0, self._pair_u.size, chunk):
+            end = min(start + chunk, self._pair_u.size)
+            products = (
+                by_road[self._pair_u[start:end]] * by_road[self._pair_v[start:end]]
+            )
+            valid = np.count_nonzero(products, axis=1)
+            same = (valid + products.sum(axis=1, dtype=np.int64)) // 2
+            self._valid[start:end] += sign * valid
+            self._same[start:end] += sign * same
+
+
 def mine_correlation_graph(
     network: RoadNetwork,
     store: HistoricalSpeedStore,
@@ -399,67 +620,20 @@ def mine_correlation_graph(
     (both-nonzero) intervals cover less than that fraction of the
     window is rejected outright — with one shared valid interval a pair
     scores agreement 0 or 1, so sparse histories would otherwise grow
-    spurious perfect edges. Complexity is O(roads × candidates ×
-    intervals) with the inner product vectorised.
+    spurious perfect edges. The window's co-trend counts are built once
+    (:class:`IncrementalCoTrendStats` over ``store.road_ids``) and
+    thresholded by :meth:`~IncrementalCoTrendStats.mine_arrays`: the
+    same counts and thresholds a rolling window keeps up to date.
     """
-    if max_hops < 1:
-        raise DataError(f"max_hops must be >= 1, got {max_hops}")
-    if not 0.5 <= min_agreement <= 1.0:
-        raise DataError(
-            f"min_agreement should be in [0.5, 1], got {min_agreement}"
-        )
-    if not 0.0 <= min_valid_fraction <= 1.0:
-        raise DataError(
-            f"min_valid_fraction should be in [0, 1], got {min_valid_fraction}"
-        )
     road_ids = store.road_ids
-    trends = store.trend_matrix().astype(np.float64)
-    num_intervals = trends.shape[0]
-    column = {road: i for i, road in enumerate(road_ids)}
-    # The matmul identity P(t_u == t_v) = (1 + E[t_u * t_v]) / 2 holds
-    # only for strictly ±1 trends: a 0 (flat/missing) entry contributes
-    # 0 to the product and silently counts as *half* an agreement. When
-    # any zeros are present, fall back to per-pair masking: an interval
-    # is valid only when both trends are nonzero, and agreement is the
-    # fraction of valid intervals with the same sign.
-    has_zeros = bool(np.any(trends == 0.0))
-    nonzero = None if not has_zeros else (trends != 0.0)
-
-    # Each road's kept edges, after one empty entry per array.
-    kept_u = [np.zeros(0, dtype=np.int64)]
-    kept_v = [np.zeros(0, dtype=np.int64)]
-    kept_p = [np.zeros(0)]
     with get_recorder().span(
         "history.correlation.mine", roads=len(road_ids)
     ) as span:
-        for road_id in road_ids:
-            candidates = [
-                other
-                for other, hops in network.roads_within_hops(road_id, max_hops).items()
-                if other > road_id and other in column and hops >= 1
-            ]
-            if not candidates:
-                continue
-            cols = np.array([column[c] for c in candidates])
-            if not has_zeros:
-                # agreement = P(t_u == t_v) = (1 + E[t_u * t_v]) / 2 for ±1 trends.
-                products = trends[:, cols].T @ trends[:, column[road_id]]
-                agreements = (1.0 + products / num_intervals) / 2.0
-                supported = np.ones(len(candidates), dtype=bool)
-            else:
-                u_col = trends[:, column[road_id]]
-                valid = nonzero[:, cols] & nonzero[:, column[road_id]][:, None]
-                valid_counts = valid.sum(axis=0)
-                same_sign = ((trends[:, cols] == u_col[:, None]) & valid).sum(axis=0)
-                # A pair with no valid interval has no evidence: agreement 0,
-                # which min_agreement >= 0.5 always rejects.
-                agreements = same_sign / np.maximum(valid_counts, 1)
-                supported = valid_counts >= min_valid_fraction * num_intervals
-            keep = supported & (agreements >= min_agreement)
-            kept_u.append(np.full(np.count_nonzero(keep), road_id, dtype=np.int64))
-            kept_v.append(np.asarray(candidates, dtype=np.int64)[keep])
-            kept_p.append(agreements[keep])
-        span.set(edges=sum(map(len, kept_p)))
-    return CorrelationGraph.from_arrays(
-        road_ids, np.concatenate(kept_u), np.concatenate(kept_v), np.concatenate(kept_p)
-    )
+        # The trend matrix first: its float temporaries are gone before
+        # the pair arrays exist.
+        trends = store.trend_matrix()
+        stats = IncrementalCoTrendStats(network, road_ids, max_hops)
+        stats.reset(trends)
+        mined = stats.mine_arrays(min_agreement, min_valid_fraction)
+        span.set(edges=mined[0].size)
+    return CorrelationGraph.from_arrays(road_ids, *mined)

@@ -10,16 +10,17 @@ The columnar store itself is rebuilt per ingest (well under a second at
 city scale for a ≤30-day window, see F8). Correlation mining is the
 part that used to be a batch event: a fresh graph object every re-mine,
 which invalidated the identity-keyed fidelity cache — and every
-compiled serving plan — wholesale. Mining instead maintains
-sliding-window co-trend counts
-(:class:`~repro.history.incremental.IncrementalCoTrendStats`), each
-re-mine produces a :class:`~repro.history.incremental.GraphDelta`, and
-the **same graph object** is patched in place. Delta listeners (wire
+compiled serving plan — wholesale. Mining instead keeps the one
+miner's co-trend counts
+(:class:`~repro.history.correlation.IncrementalCoTrendStats`) and
+slides them with the window, each re-mine produces a
+:class:`~repro.history.incremental.GraphDelta`, and the **same graph
+object** is patched in place. Delta listeners (wire
 :meth:`~repro.core.pipeline.SpeedEstimationSystem.apply_graph_delta`
 via :meth:`add_delta_listener`) then evict only the cached rows and
-plans the changed edges can actually affect. The incremental graph is
-always exactly equal to a from-scratch
-:func:`~repro.history.correlation.mine_correlation_graph` on the
+plans the changed edges can actually affect. The live graph is always
+exactly equal to a cold
+:func:`~repro.history.correlation.mine_correlation_graph` of the
 current window (up to ``delta_tolerance`` on surviving edge weights);
 :meth:`verify_incremental` asserts it.
 
@@ -49,13 +50,12 @@ import numpy as np
 
 from repro.core.errors import DataError
 from repro.core.field import SpeedField
-from repro.history.correlation import CorrelationGraph, mine_correlation_graph
-from repro.history.incremental import (
-    EMPTY_DELTA,
-    GraphDelta,
+from repro.history.correlation import (
+    CorrelationGraph,
     IncrementalCoTrendStats,
-    diff_edges,
+    mine_correlation_graph,
 )
+from repro.history.incremental import EMPTY_DELTA, GraphDelta, diff_edges
 from repro.history.store import HistoricalSpeedStore
 from repro.history.timebuckets import TimeGrid
 from repro.obs import get_recorder
@@ -241,13 +241,21 @@ class RollingHistory:
         return self._graph
 
     def verify_incremental(self) -> None:
-        """Assert the live graph equals a from-scratch batch re-mine.
+        """Assert the live graph equals a cold mine of the current window.
 
         The differential guarantee behind incremental mining: edge sets
         must match exactly, and surviving edge weights must agree
         within ``delta_tolerance`` (exactly, with the default 0.0).
-        Raises :class:`~repro.core.errors.DataError` on any mismatch —
-        cheap insurance for tests, CI soaks and canary deployments.
+        The cold mine
+        (:func:`~repro.history.correlation.mine_correlation_graph`)
+        counts the window afresh with the same miner, so this catches
+        drift in what only the live path runs: ``advance``'s evict and
+        flip re-scoring, the ``mine_if_moved`` skip, :func:`diff_edges`
+        and :meth:`~repro.history.correlation.CorrelationGraph.apply_delta`.
+        The pair enumeration and agreement formulas they share are
+        pinned by the per-road oracle miner in the tests. Raises
+        :class:`~repro.core.errors.DataError` on any mismatch — cheap
+        insurance for tests, CI soaks and canary deployments.
         """
         expected = mine_correlation_graph(
             self._network,
@@ -283,7 +291,7 @@ class RollingHistory:
     def _remine(self) -> None:
         """Re-mine the window and patch the live graph with the delta,
         which is empty without a diff when
-        :meth:`~repro.history.incremental.IncrementalCoTrendStats.mine_if_moved`
+        :meth:`~repro.history.correlation.IncrementalCoTrendStats.mine_if_moved`
         finds no count moved (sound while this is the graph's only
         writer, see the module docstring)."""
         recorder = get_recorder()

@@ -37,15 +37,17 @@ pin the vectorized production code against it:
 * :mod:`tests.oracles.snapshot` — the per-road ``SpeedEstimate`` round
   loop and the format-2 (one JSON row per road) snapshot writer;
 * :mod:`tests.oracles.history` — ``BatchRollingHistory``, the
-  rolling window that re-mines its whole window from scratch, the
-  reference for incremental mining;
+  rolling window that re-mines its whole window from scratch with the
+  per-road miner, the reference for incremental mining;
 * :mod:`tests.oracles.delta` — the list-form graph diff
   ``diff_edges`` (dicts over materialised edge objects), the reference
-  for the array diff of a streamed re-mine;
-* :mod:`tests.oracles.correlation` — ``ListCorrelationGraph``, the
-  correlation graph as a dict of ``(u, v)`` keys and per-road lists of
-  edge objects, the reference for the array graph, its adjacency
-  order and its delta apply;
+  for the array diff of a streamed re-mine, and ``EdgeTuples``, which
+  builds array deltas from edge tuples and reads them back;
+* :mod:`tests.oracles.correlation` — ``batch_mine_correlation_graph``,
+  the per-road mining loop, the reference for the co-trend count
+  miner, and ``ListCorrelationGraph``, the correlation graph as a dict
+  of ``(u, v)`` keys and per-road lists of edge objects, the reference
+  for the array graph, its adjacency order and its delta apply;
 * :mod:`tests.oracles.crowd` — the per-task MAD filter and outlier mask
   (``np.median`` per task) and ``PerTaskPlatform``, a crowd round that
   aggregates each task right after its draws.

@@ -1,4 +1,14 @@
-"""The dict/list correlation graph: the reference for the array graph.
+"""The per-road miner and the dict/list correlation graph.
+
+:func:`batch_mine_correlation_graph` is the original form of
+:func:`repro.history.correlation.mine_correlation_graph`: one road at
+a time, its candidates' trend columns are scored against its own over
+a float64 copy of the trend matrix (a matmul for ±1 trends, per-pair
+masks when any trend is 0). Production counts every pair's co-trend
+integers once and thresholds them in one pass; the two must keep
+bitwise-equal edges (``tests/test_miner_oracle.py``), and the rolling
+oracle :class:`tests.oracles.history.BatchRollingHistory` re-mines
+with this loop.
 
 :class:`ListCorrelationGraph` is the original form of
 :class:`repro.history.correlation.CorrelationGraph`: a dict of
@@ -20,7 +30,75 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.errors import DataError
-from repro.history.correlation import CorrelationEdge
+from repro.history.correlation import CorrelationEdge, CorrelationGraph
+from repro.history.store import HistoricalSpeedStore
+from repro.roadnet.network import RoadNetwork
+from tests.oracles.delta import EdgeTuples
+
+
+def batch_mine_correlation_graph(
+    network: RoadNetwork,
+    store: HistoricalSpeedStore,
+    max_hops: int = 2,
+    min_agreement: float = 0.6,
+    min_valid_fraction: float = 0.1,
+) -> CorrelationGraph:
+    """The correlation graph of ``store``'s history, mined road by road.
+
+    Each road's candidates are the roads within ``max_hops`` of it with
+    a higher id. Zero-free trends score ``(1 + E[t_u·t_v]) / 2`` by one
+    matmul per road; with any zero in the matrix every pair is scored
+    over its both-nonzero intervals instead, and a pair whose valid
+    intervals cover less than ``min_valid_fraction`` of the window is
+    rejected. Edges with agreement ``>= min_agreement`` are kept.
+    """
+    road_ids = store.road_ids
+    trends = store.trend_matrix().astype(np.float64)
+    num_intervals = trends.shape[0]
+    column = {road: i for i, road in enumerate(road_ids)}
+    # The matmul identity P(t_u == t_v) = (1 + E[t_u * t_v]) / 2 holds
+    # only for strictly ±1 trends: a 0 (flat/missing) entry contributes
+    # 0 to the product and silently counts as *half* an agreement. When
+    # any zeros are present, fall back to per-pair masking: an interval
+    # is valid only when both trends are nonzero, and agreement is the
+    # fraction of valid intervals with the same sign.
+    has_zeros = bool(np.any(trends == 0.0))
+    nonzero = None if not has_zeros else (trends != 0.0)
+
+    # Each road's kept edges, after one empty entry per array.
+    kept_u = [np.zeros(0, dtype=np.int64)]
+    kept_v = [np.zeros(0, dtype=np.int64)]
+    kept_p = [np.zeros(0)]
+    for road_id in road_ids:
+        candidates = [
+            other
+            for other, hops in network.roads_within_hops(road_id, max_hops).items()
+            if other > road_id and other in column and hops >= 1
+        ]
+        if not candidates:
+            continue
+        cols = np.array([column[c] for c in candidates])
+        if not has_zeros:
+            # agreement = P(t_u == t_v) = (1 + E[t_u * t_v]) / 2 for ±1 trends.
+            products = trends[:, cols].T @ trends[:, column[road_id]]
+            agreements = (1.0 + products / num_intervals) / 2.0
+            supported = np.ones(len(candidates), dtype=bool)
+        else:
+            u_col = trends[:, column[road_id]]
+            valid = nonzero[:, cols] & nonzero[:, column[road_id]][:, None]
+            valid_counts = valid.sum(axis=0)
+            same_sign = ((trends[:, cols] == u_col[:, None]) & valid).sum(axis=0)
+            # A pair with no valid interval has no evidence: agreement 0,
+            # which min_agreement >= 0.5 always rejects.
+            agreements = same_sign / np.maximum(valid_counts, 1)
+            supported = valid_counts >= min_valid_fraction * num_intervals
+        keep = supported & (agreements >= min_agreement)
+        kept_u.append(np.full(np.count_nonzero(keep), road_id, dtype=np.int64))
+        kept_v.append(np.asarray(candidates, dtype=np.int64)[keep])
+        kept_p.append(agreements[keep])
+    return CorrelationGraph.from_arrays(
+        road_ids, np.concatenate(kept_u), np.concatenate(kept_v), np.concatenate(kept_p)
+    )
 
 
 class ListCorrelationGraph:
@@ -135,9 +213,9 @@ class ListCorrelationGraph:
     def apply_delta(self, delta) -> None:
         """Apply an edge-level diff **in place**, preserving identity.
 
-        ``delta`` is a :class:`repro.history.incremental.GraphDelta`
-        (duck-typed: ``added`` / ``reweighted`` iterate
-        :class:`CorrelationEdge`, ``removed`` iterates road-id pairs).
+        ``delta`` is a :class:`repro.history.incremental.GraphDelta`,
+        read back as edge tuples through
+        :class:`~tests.oracles.delta.EdgeTuples`.
         Mutating the existing object — rather than building a fresh
         graph — is what lets weakref-keyed caches (the fidelity
         service, and everything subscribed to it) keep every row that no
@@ -151,6 +229,7 @@ class ListCorrelationGraph:
         Changes are then grouped by road, so each touched road's
         adjacency is rebuilt and sorted once.
         """
+        delta = EdgeTuples.of(delta)
         removed = [self._key(u, v) for u, v in delta.removed]
         added = [self._key(e.road_u, e.road_v) for e in delta.added]
         reweighted = [self._key(e.road_u, e.road_v) for e in delta.reweighted]

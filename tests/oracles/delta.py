@@ -1,4 +1,10 @@
-"""The list-form graph diff: the reference for the array diff.
+"""Graph deltas as edge tuples, and the list-form graph diff.
+
+:class:`EdgeTuples` is the one bridge between edge tuples and the
+array-only :class:`~repro.history.incremental.GraphDelta`: tests build
+deltas from :class:`CorrelationEdge` objects and ``(u, v)`` pairs with
+:meth:`EdgeTuples.delta`, and read a delta back as tuples with
+:meth:`EdgeTuples.of`, order kept both ways.
 
 :func:`diff_edges` is the original per-object form of
 :func:`repro.history.incremental.diff_edges`. It materialises the live
@@ -10,9 +16,49 @@ included (``tests/test_delta_oracle.py``).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+import numpy as np
+
 from repro.core.errors import DataError
-from repro.history.correlation import CorrelationEdge, CorrelationGraph
+from repro.history.correlation import CorrelationEdge, CorrelationGraph, edge_objects
 from repro.history.incremental import GraphDelta
+
+
+class EdgeTuples(NamedTuple):
+    """A delta's edges as tuples: ``added`` and ``reweighted`` of
+    :class:`CorrelationEdge`, ``removed`` of ``(road_u, road_v)``."""
+
+    added: tuple[CorrelationEdge, ...] = ()
+    removed: tuple[tuple[int, int], ...] = ()
+    reweighted: tuple[CorrelationEdge, ...] = ()
+
+    def delta(self) -> GraphDelta:
+        """The :class:`GraphDelta` of these edges, in their order."""
+
+        def columns(edges):
+            return (
+                [e.road_u for e in edges],
+                [e.road_v for e in edges],
+                [e.agreement for e in edges],
+            )
+
+        removed = np.array(self.removed, dtype=np.int64).reshape(-1, 2).T
+        return GraphDelta(
+            added=columns(self.added),
+            removed=tuple(removed),
+            reweighted=columns(self.reweighted),
+        )
+
+    @classmethod
+    def of(cls, delta: GraphDelta) -> "EdgeTuples":
+        """``delta``'s edges as tuples, in its array order."""
+        rem_u, rem_v = delta.removed_arrays
+        return cls(
+            added=tuple(edge_objects(*delta.added_arrays)),
+            removed=tuple(zip(rem_u.tolist(), rem_v.tolist())),
+            reweighted=tuple(edge_objects(*delta.reweighted_arrays)),
+        )
 
 
 def diff_edges(
@@ -48,4 +94,4 @@ def diff_edges(
         for (u, v) in sorted(new.keys() & old.keys())
         if abs(new[(u, v)] - old[(u, v)]) > tolerance
     )
-    return GraphDelta(added=added, removed=removed, reweighted=reweighted)
+    return EdgeTuples(added, removed, reweighted).delta()

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.history.correlation import CorrelationGraph
 from repro.history.fidelity import CSRFidelityGraph, SparseRow, sparse_fidelity_rows
+from tests.oracles.delta import EdgeTuples
 
 
 def edge_fidelity(agreement: float) -> float:
@@ -147,6 +148,7 @@ def tight_rule_dropped(
     ``edges_down``, ``rows_checked`` and ``rows_dropped``.
     """
     position = {road: i for i, road in enumerate(sorted(before.road_ids))}
+    delta = EdgeTuples.of(delta)
     changes = []
     for edge in (*delta.added, *delta.reweighted):
         old = before.agreement(edge.road_u, edge.road_v)

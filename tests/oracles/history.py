@@ -3,10 +3,10 @@
 :class:`BatchRollingHistory` keeps the rolling window of
 :class:`~repro.history.online.RollingHistory` (same day eviction, same
 store rebuild, same re-mine rate limit) but mines every due re-mine
-from scratch with
-:func:`~repro.history.correlation.mine_correlation_graph`: a fresh
-graph object each time, no co-trend counts, no delta. The incremental
-graph must equal its graph on every window.
+from scratch with the per-road oracle miner
+:func:`~tests.oracles.correlation.batch_mine_correlation_graph`: a
+fresh graph object each time, no co-trend counts, no delta. The
+incremental graph must equal its graph on every window.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core.field import SpeedField
-from repro.history.correlation import CorrelationGraph, mine_correlation_graph
+from repro.history.correlation import CorrelationGraph
 from repro.history.store import HistoricalSpeedStore
 from repro.history.timebuckets import TimeGrid
 from repro.roadnet.network import RoadNetwork
+from tests.oracles.correlation import batch_mine_correlation_graph
 
 
 class BatchRollingHistory:
@@ -51,7 +52,7 @@ class BatchRollingHistory:
         self.store = HistoricalSpeedStore.from_fields(self._grid, list(self._days))
         self._days_since_mining += 1
         if self.graph is None or self._days_since_mining >= self._remine_every:
-            self.graph = mine_correlation_graph(
+            self.graph = batch_mine_correlation_graph(
                 self._network,
                 self.store,
                 max_hops=self._max_hops,

@@ -17,11 +17,11 @@ import pytest
 
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.fidelity import FidelityCacheService
-from repro.history.incremental import GraphDelta
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
 from repro.speed.uncertainty import UncertaintyModel
 from tests.oracles import ScalarBands, oracle_estimator
+from tests.oracles.delta import EdgeTuples
 from tests.oracles.uncertainty import normal_confidences
 
 CONFIDENCES = normal_confidences()
@@ -208,7 +208,7 @@ class TestAfterGraphDelta:
         stale_oracle = ScalarBands(est, small_dataset.store).bands_for(before, speeds)
         # Cut the chain next to seed second[5]: roads past the cut lose
         # that seed, so their regressions (and band stds) change.
-        delta = GraphDelta(added=(), removed=((second[6], second[7]),), reweighted=())
+        delta = EdgeTuples(removed=((second[6], second[7]),)).delta()
         graph.apply_delta(delta)
         assert fidelity.apply_graph_delta(graph, delta)
         fresh_oracle = ScalarBands(est, small_dataset.store).bands_for(before, speeds)

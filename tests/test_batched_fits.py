@@ -36,7 +36,6 @@ from hypothesis import strategies as st
 
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.fidelity import FidelityCacheService
-from repro.history.incremental import GraphDelta
 from repro.history.store import HistoricalSpeedStore
 from repro.history.timebuckets import TimeGrid
 from repro.obs import FlightRecorder, set_recorder
@@ -50,6 +49,7 @@ from repro.speed.hlm import (
     fit_batch,
 )
 from tests.oracles import ScalarSeedRegression, ScalarTwoStep
+from tests.oracles.delta import EdgeTuples
 from tests.oracles.fidelity import influence_rows
 
 #: Fidelities with frequent ties, so the seed-id tie-break is exercised.
@@ -288,11 +288,10 @@ class TestWorkCounters:
             # Cut chain 2 past its second seed and bridge chain 1 to
             # chain 2's tail: rows past the cut lose that seed, and the
             # tail is newly reached from chain 1's second seed.
-            delta = GraphDelta(
+            delta = EdgeTuples(
                 added=(CorrelationEdge(parts[1][14], parts[2][25], 0.9),),
                 removed=((parts[2][15], parts[2][16]),),
-                reweighted=(),
-            )
+            ).delta()
             graph.apply_delta(delta)
             lost = set(fidelity.apply_graph_delta(graph, delta)) & set(seeds)
             assert lost

@@ -38,13 +38,13 @@ from repro.history.fidelity import (
     FidelityCacheService,
     _transform_row,
 )
-from repro.history.incremental import GraphDelta
 from repro.history.online import RollingHistory
 from repro.history.timebuckets import TimeGrid
 from repro.obs import FlightRecorder, set_recorder
 from repro.traffic.simulator import TrafficSimulator
 from repro.trend.bp import LoopyBeliefPropagation
 from repro.trend.model import TrendModel
+from tests.oracles.delta import EdgeTuples
 from tests.oracles.fidelity import tight_rule_dropped
 
 TRANSFORMS = ("fidelity", "variance", "logodds")
@@ -87,7 +87,7 @@ def deltas(draw, graph):
             removed.append(key)
         else:
             reweighted.append(CorrelationEdge(*key, draw(agreements())))
-    return GraphDelta(tuple(added), tuple(removed), tuple(reweighted))
+    return EdgeTuples(added, removed, reweighted).delta()
 
 
 def fetch_rows(data, service, graph):
@@ -219,7 +219,7 @@ def test_touched_endpoint_with_an_unchanged_row_is_kept():
     service = FidelityCacheService()
     for road in graph.road_ids:
         service.row(graph, road, transform="variance")
-    delta = GraphDelta((), (), (CorrelationEdge(0, 2, 0.625),))
+    delta = EdgeTuples(reweighted=(CorrelationEdge(0, 2, 0.625),)).delta()
     graph.apply_delta(delta)
     assert service.apply_graph_delta(graph, delta) == ()
     # The lossless 0-1-2 path keeps every entry at 1.
@@ -242,7 +242,7 @@ def test_edges_at_the_floor_and_ties():
     service.row(graph, 0, 0.25)
     # Removing the tied direct edge: tight (1/4 == 1 * 1/4), so dropped,
     # although the tie keeps the row's values.
-    delta = GraphDelta((), ((0, 3),), ())
+    delta = EdgeTuples(removed=((0, 3),)).delta()
     rows, before = cached(service, graph), copy_graph(graph)
     graph.apply_delta(delta)
     assert tight_rule_dropped(rows, before, delta)[0] == (0,)
@@ -267,14 +267,14 @@ def _fixed_delta(graph):
     """An add, a removal, an up- and a down-weight around roads 20-30."""
     near = [e for e in graph.edges() if 20 <= e.road_u < 30]
     near.sort(key=lambda e: (e.road_u, e.road_v))
-    return GraphDelta(
+    return EdgeTuples(
         added=(CorrelationEdge(22, 25, 0.97),),
         removed=((near[0].road_u, near[0].road_v),),
         reweighted=(
             CorrelationEdge(near[4].road_u, near[4].road_v, 0.99),
             CorrelationEdge(near[8].road_u, near[8].road_v, 0.55),
         ),
-    )
+    ).delta()
 
 
 def test_work_counts_match_the_oracle():
@@ -372,11 +372,10 @@ def test_bp_after_a_delta_matches_a_fresh_model(small_dataset, monkeypatch):
     bp = LoopyBeliefPropagation()
     bp.infer(model.instance(interval, evidence))
     edges = sorted(graph.edges(), key=lambda e: (e.road_u, e.road_v))
-    delta = GraphDelta(
-        added=(),
+    delta = EdgeTuples(
         removed=((edges[0].road_u, edges[0].road_v),),
         reweighted=(CorrelationEdge(edges[3].road_u, edges[3].road_v, 0.51),),
-    )
+    ).delta()
     graph.apply_delta(delta)
     model.refresh_edges()
     reads = []

@@ -24,11 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import DataError
 from repro.core.field import SpeedField
-from repro.history.correlation import (
-    CorrelationEdge,
-    CorrelationGraph,
-    mine_correlation_graph,
-)
+from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.incremental import diff_edges
 from repro.history.online import RollingHistory
 from repro.history.timebuckets import TimeGrid
@@ -36,6 +32,8 @@ from repro.obs import FlightRecorder, recording
 from repro.roadnet.generators import grid_city
 from repro.roadnet.geometry import Point
 from repro.roadnet.network import RoadNetwork
+from tests.oracles.correlation import batch_mine_correlation_graph
+from tests.oracles.delta import EdgeTuples
 from tests.oracles.delta import diff_edges as oracle_diff
 
 TOLERANCES = (0.0, 1e-3, 0.05)
@@ -122,7 +120,7 @@ def test_sub_tolerance_edge_keeps_current_weight():
     graph = CorrelationGraph([1, 2], [CorrelationEdge(1, 2, 0.80)])
     assert _array_diff(graph, [CorrelationEdge(1, 2, 0.805)], 0.01).is_empty
     moved = _array_diff(graph, [CorrelationEdge(1, 2, 0.805)], 0.001)
-    assert moved.reweighted == (CorrelationEdge(1, 2, 0.805),)
+    assert EdgeTuples.of(moved).reweighted == (CorrelationEdge(1, 2, 0.805),)
 
 
 def test_keys_hold_for_negative_and_sparse_road_ids():
@@ -138,8 +136,9 @@ def test_keys_hold_for_negative_and_sparse_road_ids():
     ]
     delta = _array_diff(graph, mined)
     assert delta == oracle_diff(graph, mined)
-    assert delta.removed == ((-(2**40), 0),)
-    assert [(e.road_u, e.road_v) for e in delta.added] == [(-(2**40), -1), (0, 5)]
+    edges = EdgeTuples.of(delta)
+    assert edges.removed == ((-(2**40), 0),)
+    assert [(e.road_u, e.road_v) for e in edges.added] == [(-(2**40), -1), (0, 5)]
 
 
 def test_array_diff_rejects_bad_input():
@@ -203,8 +202,9 @@ NETWORKS = {"line": _line_network(7), "grid": grid_city(3, 3)}
 def test_streamed_windows_match_oracle(data, shape, tolerance, min_agreement):
     """Ingests with evictions, repeated days (stable trends) and fresh
     random days (trend flips): every re-mine's delta equals the oracle
-    diff of the pre-ingest graph against a batch re-mine, and the
-    patched graph stays equal to a fresh build and to a batch re-mine."""
+    diff of the pre-ingest graph against the oracle miner's re-mine,
+    and the patched graph stays equal to a fresh build and to a cold
+    re-mine."""
     network = NETWORKS[shape]
     road_ids = sorted(network.road_ids())
     per_day = GRID.intervals_per_day
@@ -235,7 +235,7 @@ def test_streamed_windows_match_oracle(data, shape, tolerance, min_agreement):
         if before is None:
             continue
         mined = list(
-            mine_correlation_graph(
+            batch_mine_correlation_graph(
                 network, rolling.store, min_agreement=min_agreement
             ).edges()
         )
@@ -315,7 +315,7 @@ def test_remine_builds_edges_only_for_changes(small_network, monkeypatch):
             saw["bootstrap"] += 1
             assert span.attrs["edges_built"] == rolling.graph.num_edges
             continue
-        mined = mine_correlation_graph(small_network, rolling.store)
+        mined = batch_mine_correlation_graph(small_network, rolling.store)
         assert delta == _array_diff(before, list(mined.edges()))
         if delta.is_empty:
             saw["empty"] += 1
@@ -323,7 +323,7 @@ def test_remine_builds_edges_only_for_changes(small_network, monkeypatch):
         else:
             saw["delta"] += 1
             assert span.attrs["edges_built"] == (
-                delta.num_changes - len(delta.removed)
+                delta.num_changes - delta.num_removed
             )
             assert span.attrs["edges_built"] <= delta.num_changes
     assert moved and span.attrs["scored"] == span.attrs["pairs"]  # the fresh day

@@ -34,6 +34,7 @@ from repro.history.timebuckets import TimeGrid
 from repro.obs import FlightRecorder, recording
 from repro.traffic.simulator import TrafficSimulator
 from tests.oracles.correlation import ListCorrelationGraph
+from tests.oracles.delta import EdgeTuples
 from tests.oracles.delta import diff_edges as oracle_diff
 from tests.oracles.fidelity import edge_fidelity
 
@@ -193,9 +194,7 @@ def _bad_delta(kind, roads, weights, valid, draw):
         if (u, v) not in weights
     ]
     named = {(min(u, v), max(u, v)) for u, v in zip(*valid.changed_ends())}
-    added, removed, reweighted = list(valid.added), list(valid.removed), list(
-        valid.reweighted
-    )
+    added, removed, reweighted = map(list, EdgeTuples.of(valid))
     if kind in ("absent-removal", "absent-reweight", "add-twice"):
         absent = [key for key in absent if key not in named]
         assume(absent)
@@ -217,7 +216,7 @@ def _bad_delta(kind, roads, weights, valid, draw):
             reweighted.append(CorrelationEdge(u, v, 0.8))
     else:  # unknown-road
         added.append(CorrelationEdge(roads[0], max(roads) + 1, 0.8))
-    return GraphDelta(tuple(added), tuple(removed), tuple(reweighted))
+    return EdgeTuples(added, removed, reweighted).delta()
 
 
 @settings(max_examples=150, deadline=None)
@@ -256,7 +255,7 @@ def test_malformed_array_delta_rejected():
     graph = CorrelationGraph([1, 2], [CorrelationEdge(1, 2, 0.9)])
     one = np.array([1], dtype=np.int64)
     nothing = np.zeros(0, dtype=np.int64)
-    delta = GraphDelta.from_arrays(
+    delta = GraphDelta(
         added=(one, one, np.array([0.8])),
         removed=(nothing, nothing),
         reweighted=(nothing, nothing, np.zeros(0)),
@@ -265,7 +264,7 @@ def test_malformed_array_delta_rejected():
         graph.apply_delta(delta)
     assert list(graph.edges()) == [CorrelationEdge(1, 2, 0.9)]
     with pytest.raises(DataError, match="differ in length"):
-        GraphDelta.from_arrays(
+        GraphDelta(
             added=(nothing, nothing, np.zeros(0)),
             removed=(nothing, nothing),
             reweighted=(one, one + 1, np.array([0.8, 0.7])),

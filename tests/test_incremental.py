@@ -1,9 +1,10 @@
 """Tests for incremental sliding-window correlation mining.
 
 The load-bearing contract: the incrementally maintained graph is
-**exactly** (bit-for-bit, with the default tolerance 0.0) the graph a
-from-scratch :func:`~repro.history.correlation.mine_correlation_graph`
-would produce on the current window, after any sequence of ingests,
+**exactly** (bit-for-bit, with the default tolerance 0.0) the graph the
+per-road oracle miner
+(:func:`tests.oracles.correlation.batch_mine_correlation_graph`) mines
+from scratch on the current window, after any sequence of ingests,
 evictions and re-mines. Everything else — delta plumbing, selective
 cache eviction — leans on that guarantee.
 """
@@ -18,18 +19,15 @@ from repro.core.field import SpeedField
 from repro.history.correlation import (
     CorrelationEdge,
     CorrelationGraph,
-    mine_correlation_graph,
-)
-from repro.history.incremental import (
-    EMPTY_DELTA,
-    GraphDelta,
     IncrementalCoTrendStats,
 )
+from repro.history.incremental import EMPTY_DELTA, GraphDelta
 from repro.history.online import RollingHistory
 from repro.history.store import HistoricalSpeedStore
 from repro.history.timebuckets import TimeGrid
 from repro.traffic.simulator import TrafficSimulator
-from tests.oracles.delta import diff_edges
+from tests.oracles.correlation import batch_mine_correlation_graph
+from tests.oracles.delta import EdgeTuples, diff_edges
 from tests.oracles.history import BatchRollingHistory
 
 
@@ -87,11 +85,11 @@ class TestGraphDelta:
         assert EMPTY_DELTA.touched_roads() == ()
 
     def test_touched_roads_sorted_union(self):
-        delta = GraphDelta(
+        delta = EdgeTuples(
             added=(CorrelationEdge(5, 9, 0.8),),
             removed=((1, 2),),
             reweighted=(CorrelationEdge(2, 5, 0.7),),
-        )
+        ).delta()
         assert delta.touched_roads() == (1, 2, 5, 9)
         assert delta.num_changes == 3
         assert not delta.is_empty
@@ -110,7 +108,7 @@ class TestGraphDelta:
             CorrelationEdge(3, 4, 0.65),  # added
             # (nothing for a removed edge — none mined)
         ]
-        delta = diff_edges(graph, mined)
+        delta = EdgeTuples.of(diff_edges(graph, mined))
         assert [(e.road_u, e.road_v) for e in delta.added] == [(3, 4)]
         assert delta.removed == ()
         assert [(e.road_u, e.road_v, e.agreement) for e in delta.reweighted] == [
@@ -121,7 +119,7 @@ class TestGraphDelta:
         graph = CorrelationGraph(
             [1, 2, 3], [CorrelationEdge(1, 2, 0.9), CorrelationEdge(2, 3, 0.7)]
         )
-        delta = diff_edges(graph, [CorrelationEdge(1, 2, 0.9)])
+        delta = EdgeTuples.of(diff_edges(graph, [CorrelationEdge(1, 2, 0.9)]))
         assert delta.removed == ((2, 3),)
         assert delta.added == () and delta.reweighted == ()
 
@@ -129,12 +127,14 @@ class TestGraphDelta:
         graph = CorrelationGraph([1, 2], [CorrelationEdge(1, 2, 0.80)])
         drifted = [CorrelationEdge(1, 2, 0.805)]
         assert diff_edges(graph, drifted, tolerance=0.01).is_empty
-        moved = diff_edges(graph, drifted, tolerance=0.001)
+        moved = EdgeTuples.of(diff_edges(graph, drifted, tolerance=0.001))
         assert [e.agreement for e in moved.reweighted] == [0.805]
 
     def test_tolerance_never_suppresses_presence_changes(self):
         graph = CorrelationGraph([1, 2, 3], [CorrelationEdge(1, 2, 0.8)])
-        delta = diff_edges(graph, [CorrelationEdge(2, 3, 0.8)], tolerance=9.0)
+        delta = EdgeTuples.of(
+            diff_edges(graph, [CorrelationEdge(2, 3, 0.8)], tolerance=9.0)
+        )
         assert delta.removed == ((1, 2),)
         assert [(e.road_u, e.road_v) for e in delta.added] == [(2, 3)]
 
@@ -185,31 +185,25 @@ class TestApplyDelta:
     def test_remove_absent_edge_rejected(self):
         with pytest.raises(DataError, match="remove absent"):
             self._graph().apply_delta(
-                GraphDelta(added=(), removed=((1, 4),), reweighted=())
+                EdgeTuples(removed=((1, 4),)).delta()
             )
 
     def test_add_duplicate_edge_rejected(self):
         with pytest.raises(DataError, match="duplicate"):
             self._graph().apply_delta(
-                GraphDelta(
-                    added=(CorrelationEdge(1, 2, 0.5),), removed=(), reweighted=()
-                )
+                EdgeTuples(added=(CorrelationEdge(1, 2, 0.5),)).delta()
             )
 
     def test_add_unknown_road_rejected(self):
         with pytest.raises(DataError, match="unknown road"):
             self._graph().apply_delta(
-                GraphDelta(
-                    added=(CorrelationEdge(1, 9, 0.5),), removed=(), reweighted=()
-                )
+                EdgeTuples(added=(CorrelationEdge(1, 9, 0.5),)).delta()
             )
 
     def test_reweight_absent_edge_rejected(self):
         with pytest.raises(DataError, match="reweight absent"):
             self._graph().apply_delta(
-                GraphDelta(
-                    added=(), removed=(), reweighted=(CorrelationEdge(1, 4, 0.5),)
-                )
+                EdgeTuples(reweighted=(CorrelationEdge(1, 4, 0.5),)).delta()
             )
 
 
@@ -217,51 +211,44 @@ class TestApplyDelta:
         "delta, message",
         [
             (
-                GraphDelta(
-                    added=(),
+                EdgeTuples(
                     removed=((1, 2),),
                     reweighted=(CorrelationEdge(3, 4, 0.7),),
-                ),
+                ).delta(),
                 "reweight absent",
             ),
             (
-                GraphDelta(
+                EdgeTuples(
                     added=(CorrelationEdge(3, 4, 0.8),),
                     removed=((1, 2),),
                     reweighted=(CorrelationEdge(2, 3, 0.6),),
-                ),
+                ).delta(),
                 "remove absent",
             ),
             (
-                GraphDelta(
+                EdgeTuples(
                     added=(CorrelationEdge(2, 4, 0.8), CorrelationEdge(1, 9, 0.8)),
                     removed=((1, 3),),
-                    reweighted=(),
-                ),
+                ).delta(),
                 "unknown road",
             ),
             (
-                GraphDelta(
+                EdgeTuples(
                     added=(CorrelationEdge(3, 4, 0.8), CorrelationEdge(1, 2, 0.6)),
-                    removed=(),
-                    reweighted=(),
-                ),
+                ).delta(),
                 "duplicate",
             ),
             (
-                GraphDelta(
+                EdgeTuples(
                     added=(CorrelationEdge(2, 1, 0.6),),
                     removed=((1, 2),),
-                    reweighted=(),
-                ),
+                ).delta(),
                 "twice",
             ),
             (
-                GraphDelta(
-                    added=(),
-                    removed=(),
+                EdgeTuples(
                     reweighted=(CorrelationEdge(2, 3, 0.6), CorrelationEdge(3, 2, 0.8)),
-                ),
+                ).delta(),
                 "twice",
             ),
         ],
@@ -285,7 +272,7 @@ class TestApplyDelta:
             ],
         )
         if message == "remove absent":
-            graph.apply_delta(GraphDelta(added=(), removed=((1, 2),), reweighted=()))
+            graph.apply_delta(EdgeTuples(removed=((1, 2),)).delta())
         edges = list(graph.edges())
         adjacency = {road: graph.neighbours(road) for road in graph.road_ids}
         with pytest.raises(DataError, match=message):
@@ -311,7 +298,7 @@ class TestCoTrendStats:
         stats = IncrementalCoTrendStats(net, [0, 1, 2, 3, 4], max_hops=2)
         stats.reset(trends)
         mined = _mined_graph([0, 1, 2, 3, 4], stats, min_agreement=0.5)
-        batch = mine_correlation_graph(
+        batch = batch_mine_correlation_graph(
             net, _StubStore([0, 1, 2, 3, 4], trends), max_hops=2, min_agreement=0.5
         )
         _assert_graphs_equal(mined, batch)
@@ -342,7 +329,7 @@ class TestCoTrendStats:
             mined = _mined_graph(
                 roads, stats, min_agreement=0.5, min_valid_fraction=0.1
             )
-            batch = mine_correlation_graph(
+            batch = batch_mine_correlation_graph(
                 net,
                 _StubStore(roads, window),
                 max_hops=2,
@@ -514,7 +501,7 @@ class TestRollingIncremental:
         for day in days[:9]:
             rolling.ingest_day(day)
             rolling.verify_incremental()
-            batch = mine_correlation_graph(
+            batch = batch_mine_correlation_graph(
                 small_network, rolling.store, max_hops=2, min_agreement=0.6
             )
             _assert_graphs_equal(rolling.graph, batch)
@@ -554,8 +541,8 @@ class TestRollingIncremental:
         before = _graph_weights(rolling.graph)
         rolling.ingest_day(days[1])
         after = _graph_weights(rolling.graph)
-        delta = rolling.last_delta
-        assert delta is not None
+        assert rolling.last_delta is not None
+        delta = EdgeTuples.of(rolling.last_delta)
         for edge in delta.added:
             key = (edge.road_u, edge.road_v)
             assert key not in before and after[key] == edge.agreement
@@ -583,7 +570,7 @@ class TestRollingIncremental:
             tolerant.verify_incremental()
             delta = tolerant.last_delta
             if delta is not None:
-                assert delta.reweighted == ()
+                assert delta.num_reweighted == 0
 
     def test_batch_and_incremental_modes_agree(self, small_network, sim_days):
         grid, days = sim_days
@@ -631,7 +618,7 @@ class TestRollingIncremental:
                 rolling.force_remine()
         rolling.force_remine()
         rolling.verify_incremental()
-        batch = mine_correlation_graph(
+        batch = batch_mine_correlation_graph(
             tiny_network, rolling.store, max_hops=2, min_agreement=0.6
         )
         _assert_graphs_equal(rolling.graph, batch)

@@ -45,6 +45,7 @@ from repro.seeds.objective import SeedSelectionObjective
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.uncertainty import UncertaintyModel
 from repro.trend.bp import LoopyBeliefPropagation
+from tests.oracles.delta import EdgeTuples
 
 _BUDGET = 4
 _AGREEMENTS = (0.62, 0.75, 0.88, 0.97)
@@ -140,11 +141,9 @@ class InvalidationMachine(RuleBasedStateMachine):
     def reweight_edge(self, data, agreement, wholesale):
         edge = data.draw(st.sampled_from(list(self.graph.edges())))
         self._apply(
-            GraphDelta(
-                added=(),
-                removed=(),
+            EdgeTuples(
                 reweighted=(CorrelationEdge(edge.road_u, edge.road_v, agreement),),
-            ),
+            ).delta(),
             wholesale,
         )
 
@@ -165,11 +164,7 @@ class InvalidationMachine(RuleBasedStateMachine):
             return
         road_u, road_v = data.draw(st.sampled_from(absent))
         self._apply(
-            GraphDelta(
-                added=(CorrelationEdge(road_u, road_v, agreement),),
-                removed=(),
-                reweighted=(),
-            ),
+            EdgeTuples(added=(CorrelationEdge(road_u, road_v, agreement),)).delta(),
             wholesale,
         )
 
@@ -178,7 +173,7 @@ class InvalidationMachine(RuleBasedStateMachine):
     def remove_edge(self, data, wholesale):
         edge = data.draw(st.sampled_from(list(self.graph.edges())))
         self._apply(
-            GraphDelta(added=(), removed=((edge.road_u, edge.road_v),), reweighted=()),
+            EdgeTuples(removed=((edge.road_u, edge.road_v),)).delta(),
             wholesale,
         )
 
@@ -187,7 +182,7 @@ class InvalidationMachine(RuleBasedStateMachine):
         road = self.roads[road_index % len(self.roads)]
         removed = tuple((e.road_u, e.road_v) for e in self.graph.neighbours(road))
         if removed:
-            self._apply(GraphDelta(added=(), removed=removed, reweighted=()), wholesale)
+            self._apply(EdgeTuples(removed=removed).delta(), wholesale)
 
     @rule()
     def invalidate_everything(self):

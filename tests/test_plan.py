@@ -512,15 +512,13 @@ class TestGraphDeltaEviction:
 
     def _delta_around(self, graph, road):
         from repro.history.correlation import CorrelationEdge
-        from repro.history.incremental import GraphDelta
+        from tests.oracles.delta import EdgeTuples
 
         edge = graph.neighbours(road)[0]
         new_weight = 0.93 if abs(edge.agreement - 0.93) > 1e-9 else 0.88
-        return GraphDelta(
-            added=(),
-            removed=(),
+        return EdgeTuples(
             reweighted=(CorrelationEdge(edge.road_u, edge.road_v, new_weight),),
-        )
+        ).delta()
 
     def test_row_invalidation_evicts_stale_plan(self, small_dataset):
         from repro.seeds.lazy import lazy_greedy_select
@@ -682,9 +680,9 @@ class TestGraphDeltaEviction:
         graph on the process-default service flushes it too."""
         from repro.history.correlation import CorrelationGraph
         from repro.history.fidelity import get_fidelity_service
-        from repro.history.incremental import GraphDelta
         from repro.seeds.lazy import lazy_greedy_select
         from repro.seeds.objective import SeedSelectionObjective
+        from tests.oracles.delta import EdgeTuples
 
         graph = CorrelationGraph(
             small_dataset.graph.road_ids, list(small_dataset.graph.edges())
@@ -713,7 +711,7 @@ class TestGraphDeltaEviction:
                 for edge in graph.neighbours(seed)
             }
         )
-        graph.apply_delta(GraphDelta(added=(), removed=tuple(removed), reweighted=()))
+        graph.apply_delta(EdgeTuples(removed=tuple(removed)).delta())
         get_fidelity_service().invalidate(graph)
 
         warm = est.estimate_interval(interval, speeds)

@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.fidelity import FidelityCacheService
-from repro.history.incremental import GraphDelta
 from repro.obs import FlightRecorder, set_recorder
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
 from tests.oracles import oracle_estimator
+from tests.oracles.delta import EdgeTuples
 
 
 def _counter(rec, name, **labels):
@@ -185,9 +185,7 @@ class TestRowScopedRefresh:
 
             # Cut the *second* chain next to seed second[5]: roads past
             # the cut lose that seed, so their ranked seeds change.
-            delta = GraphDelta(
-                added=(), removed=((second[6], second[7]),), reweighted=()
-            )
+            delta = EdgeTuples(removed=((second[6], second[7]),)).delta()
             graph.apply_delta(delta)
             dropped = fidelity.apply_graph_delta(graph, delta)
             assert dropped, "delta must invalidate fidelity rows"
@@ -275,16 +273,12 @@ class TestRowScopedRefresh:
         near = graph.neighbours(anchor) or list(graph.edges())
         edge = near[data.draw(st.integers(0, len(near) - 1), label="edge")]
         if data.draw(st.booleans(), label="remove"):
-            delta = GraphDelta(
-                added=(), removed=((edge.road_u, edge.road_v),), reweighted=()
-            )
+            delta = EdgeTuples(removed=((edge.road_u, edge.road_v),)).delta()
         else:
             weight = data.draw(st.sampled_from([0.55, 0.7, 0.93]), label="w")
-            delta = GraphDelta(
-                added=(),
-                removed=(),
+            delta = EdgeTuples(
                 reweighted=(CorrelationEdge(edge.road_u, edge.road_v, weight),),
-            )
+            ).delta()
         graph.apply_delta(delta)
         fidelity.apply_graph_delta(graph, delta)
         refreshed = est.estimate_interval(interval, speeds)
@@ -377,11 +371,9 @@ class TestDefaultConfigDelta:
 
             edge = graph.neighbours(seeds[0])[0]
             weight = 0.93 if abs(edge.agreement - 0.93) > 1e-9 else 0.88
-            delta = GraphDelta(
-                added=(),
-                removed=(),
+            delta = EdgeTuples(
                 reweighted=(CorrelationEdge(edge.road_u, edge.road_v, weight),),
-            )
+            ).delta()
             graph.apply_delta(delta)
             assert seeds[0] in system.apply_graph_delta(delta)
             after = system.estimate(interval, speeds)

@@ -25,12 +25,12 @@ from repro.core.errors import ConfigError, ReproError
 from repro.core.pipeline import SpeedEstimationSystem
 from repro.core.pool import SharedWorkerPool
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
-from repro.history.incremental import GraphDelta
 from repro.obs import recording
 from repro.seeds.objective import SeedSelectionObjective
 from repro.seeds.parallel import DistrictStage
 from repro.seeds.partition import allocate_budget, partition_graph
 from repro.speed.estimator import EstimateColumns
+from tests.oracles.delta import EdgeTuples
 from tests.oracles.partition import partition_greedy_select
 from tests.test_seeds_algorithms import _chain_pairs_graph
 from tests.test_plan_sharded import (
@@ -391,11 +391,9 @@ class TestPooledGraphDelta:
 
             edge = graph.neighbours(seeds[0])[0]
             agreement = 0.93 if edge.agreement != 0.93 else 0.91
-            delta = GraphDelta(
-                added=(),
-                removed=(),
+            delta = EdgeTuples(
                 reweighted=(CorrelationEdge(edge.road_u, edge.road_v, agreement),),
-            )
+            ).delta()
             graph.apply_delta(delta)
             assert seeds[0] in system.apply_graph_delta(delta)
             new_row = system.fidelity_service.row(graph, seeds[0], transform="logodds")
@@ -437,9 +435,7 @@ class TestInProcessGraphDelta:
         stage = system.district_stage()
         old_csr = stage.csr
         edge = graph.neighbours(seeds[0])[0]
-        delta = GraphDelta(
-            added=(), removed=((edge.road_u, edge.road_v),), reweighted=()
-        )
+        delta = EdgeTuples(removed=((edge.road_u, edge.road_v),)).delta()
         graph.apply_delta(delta)
         assert seeds[0] in system.apply_graph_delta(delta)
 

@@ -26,13 +26,13 @@ from hypothesis import strategies as st
 from repro.core.pool import SharedWorkerPool
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.fidelity import CSRFidelityGraph, FidelityCacheService
-from repro.history.incremental import GraphDelta
 from repro.obs import FlightRecorder, set_recorder
 from repro.seeds.lazy import lazy_greedy_select
 from repro.seeds.objective import SeedSelectionObjective
 from repro.seeds.parallel import DistrictStage, _SharedArrayObjective
 from repro.seeds.partition import allocate_budget, partition_graph
 from tests.oracles import propagate_fidelity
+from tests.oracles.delta import EdgeTuples
 from tests.oracles.fidelity import edge_fidelity, tight_rule_dropped
 from tests.strategies import random_graphs
 
@@ -185,11 +185,11 @@ def test_delta_eviction_matches_tight_rule_oracle(graph, data):
     agreement = data.draw(st.floats(min_value=0.5, max_value=1.0))
     edge = (CorrelationEdge(*key, agreement),)
     if graph.agreement(*key) is None:
-        delta = GraphDelta(added=edge, removed=(), reweighted=())
+        delta = EdgeTuples(added=edge).delta()
     elif data.draw(st.booleans()):
-        delta = GraphDelta(added=(), removed=(key,), reweighted=())
+        delta = EdgeTuples(removed=(key,)).delta()
     else:
-        delta = GraphDelta(added=(), removed=(), reweighted=edge)
+        delta = EdgeTuples(reweighted=edge).delta()
     service.csr(graph)
     entry = service._graphs[graph]
     rows = {key: dict(per_key) for key, per_key in entry.rows.items()}

@@ -18,7 +18,7 @@ so the expected cache behaviour is *provable*, not probabilistic:
 The headline assertions: across the whole soak there is not a single
 wholesale invalidation (``fidelity.invalidations{scope=graph}`` and
 ``plan.cache_flushes`` both stay 0), the incremental graph is
-differential-equal to a batch re-mine after every single day, and the
+differential-equal to a cold re-mine after every single day, and the
 flight-recorder timeline shows plan-compile work only on incident days
 — the structural form of "no latency spikes".
 """

@@ -6,8 +6,8 @@ import pytest
 from repro.core.errors import InferenceError
 from repro.core.types import Trend
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
-from repro.history.incremental import GraphDelta
 from repro.trend.model import TrendInstance, TrendModel, TrendPosterior
+from tests.oracles.delta import EdgeTuples
 
 
 class TestTrend:
@@ -153,14 +153,14 @@ class TestTrendModel:
             if u < v and graph.agreement(u, v) is None
         )
         graph.apply_delta(
-            GraphDelta(
+            EdgeTuples(
                 added=(CorrelationEdge(*absent, 0.995),),
                 removed=((first.road_u, first.road_v),),
                 reweighted=(
                     CorrelationEdge(second.road_u, second.road_v, 0.001),
                     CorrelationEdge(third.road_u, third.road_v, 0.5),
                 ),
-            )
+            ).delta()
         )
         model.refresh_edges()
         assert_same(model.instance(0, {}).edges)
