@@ -629,8 +629,6 @@ def mine_correlation_graph(
     with get_recorder().span(
         "history.correlation.mine", roads=len(road_ids)
     ) as span:
-        # The trend matrix first: its float temporaries are gone before
-        # the pair arrays exist.
         trends = store.trend_matrix()
         stats = IncrementalCoTrendStats(network, road_ids, max_hops)
         stats.reset(trends)

@@ -37,7 +37,12 @@ This module makes the structure first-class:
   :meth:`FidelityCacheService.sparse_rows` fetches many rows at once,
   computing the missing ones in kernel blocks; CELF scans, Step-1
   votes and Step-2 regressions read their rows through it (district
-  selection workers batch the kernel directly).
+  selection workers batch the kernel directly, on one thread). A fill
+  of at least two blocks relaxes its second half on one long-lived
+  helper thread while the caller relaxes the first: numpy releases
+  the GIL inside the kernel's array passes, so the two halves overlap.
+  The helper runs only the kernel core (:func:`_relax`), which records
+  nothing; the caller builds every row and records the span.
   :meth:`FidelityCacheService.apply_graph_delta` drops only the rows
   a streamed graph delta may change, by a sound tight-edge test
   against the old edge fidelities (proof in its docstring; a row
@@ -51,8 +56,11 @@ as ``fidelity.cache`` counts (see ``docs/OBSERVABILITY.md``).
 from __future__ import annotations
 
 import math
+import os
 import weakref
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -104,6 +112,11 @@ class CSRFidelityGraph:
     def num_roads(self) -> int:
         return len(self.road_ids)
 
+    @cached_property
+    def max_degree(self) -> int:
+        """The largest number of neighbours of any road."""
+        return int(np.diff(self.indptr).max(initial=0))
+
     @classmethod
     def from_graph(cls, graph: CorrelationGraph) -> "CSRFidelityGraph":
         road_ids = tuple(graph.road_ids)
@@ -137,17 +150,53 @@ class CSRFidelityGraph:
 # ----------------------------------------------------------------------
 # Kernels
 # ----------------------------------------------------------------------
-#: Dense scratch entries (sources x roads) one block of
-#: :func:`sparse_fidelity_rows` may use: a block holds this many // N
-#: sources (at least one), so its three scratch arrays (8 bytes an
-#: entry) stay near 1.5 MB at any N. Measured on 6.4k roads, blocks of
-#: 2^16 and 2^17 entries ran fastest; 2^19 was ~35% slower.
+#: Dense scratch entries (sources x roads) one thread's kernel block
+#: may use: a block holds this many // N sources (at least one), so its
+#: three scratch arrays (8 bytes an entry) stay near 1.5 MB at any N.
+#: Measured with two threads (cold lazy selection, median of 3, shared
+#: 2-vCPU host): 2^15 / 2^16 / 2^17 took 1.14 / 1.15 / 0.94 s at 3,210
+#: roads and 1.75 / 1.57 / 1.45 s at 6,438 roads (one thread at 2^16:
+#: 1.24 and 1.96 s), while the helper thread's malloc arena kept 3.0 /
+#: 4.9 / 9.7 MB more than one thread after a whole-city fill. 2^17 is
+#: faster but its arena puts stream-days ``peak_rss_mb`` near +5%.
 _BLOCK_ENTRIES = 1 << 16
 
+#: Candidate edges one frontier slice of a hop relaxes at a time: a
+#: hop's edge-long temporaries (four arrays, 8 bytes an entry) stay
+#: near 2 MB however large the block's frontier grows.
+_HOP_EDGES = 1 << 16
 
 #: Kernel blocks one step of a cache fill computes and transforms
 #: before the next (see FidelityCacheService._compute_rows).
 _REFETCH_BLOCKS = 16
+
+
+#: The one helper thread of cache fills (see :func:`_helper`).
+_helper_thread: ThreadPoolExecutor | None = None
+
+
+def _helper() -> ThreadPoolExecutor | None:
+    """The long-lived helper thread of cache fills, or ``None`` on one CPU.
+
+    Created on the first fill that asks for it (its thread starts on
+    the first fill of at least two blocks) and kept for the process's
+    life, idle between fills. A process allowed only one CPU never
+    starts it, and a forked child forgets its parent's.
+    """
+    global _helper_thread
+    if len(os.sched_getaffinity(0)) < 2:
+        return None
+    if _helper_thread is None:
+        _helper_thread = ThreadPoolExecutor(1, thread_name_prefix="fidelity-rows")
+    return _helper_thread
+
+
+def _forget_helper() -> None:
+    global _helper_thread
+    _helper_thread = None
+
+
+os.register_at_fork(after_in_child=_forget_helper)
 
 
 def row_block_size(num_roads: int) -> int:
@@ -205,6 +254,30 @@ def sparse_fidelity_rows(
     instead of a sort. Total work is O(reach x degree) per row; the
     ``history.fidelity.rows`` span reports ``relaxations`` (candidate
     edges examined) alongside ``rows`` and ``nonzeros``.
+
+    Runs on the calling thread: district-selection workers call it, and
+    their processes already occupy every CPU. The cache service's fills
+    split their sources over two threads (:func:`_split_rows`).
+    """
+    return _split_rows(csr, sources, min_fidelity, None)
+
+
+def _split_rows(
+    csr: CSRFidelityGraph,
+    sources: Sequence[int],
+    min_fidelity: float,
+    helper: ThreadPoolExecutor | None,
+) -> list[SparseRow]:
+    """:func:`sparse_fidelity_rows`, the second half of the sources on ``helper``.
+
+    With a ``helper`` and at least two blocks of sources, the caller
+    relaxes the first half while the helper relaxes the second (numpy
+    drops the GIL inside the hop's array passes). A source's row
+    depends on its own keys only, so the rows are bitwise what one
+    thread returns. The helper runs :func:`_relax` alone: the caller
+    builds every row, copying its values out of the kernel's arrays so
+    cached rows live in the caller's malloc arena, and records the one
+    ``history.fidelity.rows`` span with the summed counts.
     """
     _validate(min_fidelity)
     n = csr.num_roads
@@ -212,63 +285,112 @@ def sparse_fidelity_rows(
     bad = sources[(sources < 0) | (sources >= n)]
     if bad.size:
         raise InferenceError(f"source position {int(bad[0])} out of range [0, {n})")
-    rows: list[SparseRow] = []
     if not sources.size:
-        return rows
-    indptr, indices, data = csr.indptr, csr.indices, csr.data
-    block = min(row_block_size(n), sources.size)
-    # Unreached entries hold the largest float below the floor, so one
-    # comparison ``candidate > best`` applies both the floor and the
-    # strict-improvement test.
-    unreached = np.nextafter(min_fidelity, 0.0)
-    best = np.full(block * n, unreached)
-    peak = np.zeros(block * n)
-    # Never reset: each hop reads stamps only at keys it just wrote.
-    stamp = np.empty(block * n, dtype=np.int64)
-    relaxations = 0
+        return []
     with get_recorder().span("history.fidelity.rows") as span:
-        for lo in range(0, sources.size, block):
-            m = min(block, sources.size - lo)
-            keys = sources[lo : lo + m] + np.arange(m, dtype=np.int64) * n
-            best[keys] = 1.0
-            reached = [keys]
-            while keys.size:
-                nodes = keys % n
-                starts = indptr[nodes]
-                counts = indptr[nodes + 1] - starts
-                ends = np.cumsum(counts)
-                total = int(ends[-1])
-                if total == 0:
-                    break
-                relaxations += total
-                # Concatenated per-frontier edge ranges, without a loop.
-                edge = np.repeat(starts - ends + counts, counts) + np.arange(total)
-                candidate = np.repeat(best[keys], counts) * data[edge]
-                target = np.repeat(keys - nodes, counts) + indices[edge]
-                keep = candidate > best[target]
-                target = target[keep]
-                if not target.size:
-                    break
-                np.maximum.at(peak, target, candidate[keep])
-                order = np.arange(target.size)
-                stamp[target] = order
-                keys = target[stamp[target] == order]
-                reached.append(keys[best[keys] == unreached])
-                best[keys] = peak[keys]
-                peak[keys] = 0.0
-            support = np.sort(np.concatenate(reached))
-            values = best[support]
-            best[support] = unreached
-            bounds = np.searchsorted(support, np.arange(m + 1) * n)
+        if helper is None or sources.size < 2 * row_block_size(n):
+            blocks, relaxations = _relax(csr, sources, min_fidelity)
+        else:
+            cut = (sources.size + 1) // 2
+            theirs = helper.submit(_relax, csr, sources[cut:], min_fidelity)
+            try:
+                blocks, relaxations = _relax(csr, sources[:cut], min_fidelity)
+            finally:
+                wait([theirs])
+            more, extra = theirs.result()
+            blocks += more
+            relaxations += extra
+        rows = []
+        for m, support, values in blocks:
+            bounds = np.searchsorted(support, np.arange(m + 1) * n).tolist()
             for s in range(m):
                 a, b = bounds[s], bounds[s + 1]
-                rows.append(SparseRow.frozen(support[a:b] - s * n, values[a:b]))
+                rows.append(SparseRow.frozen(support[a:b] - s * n, values[a:b].copy()))
         span.set(
             rows=len(rows),
             nonzeros=sum(row.indices.size for row in rows),
             relaxations=relaxations,
         )
     return rows
+
+
+def _relax(
+    csr: CSRFidelityGraph, sources: np.ndarray, floor: float
+) -> tuple[list[tuple[int, np.ndarray, np.ndarray]], int]:
+    """The kernel core: relax ``sources`` in blocks of :func:`row_block_size`.
+
+    Returns one ``(m, support, values)`` per block of ``m`` sources —
+    the sorted reached keys ``s * N + v`` and their values — and the
+    number of candidate edges examined. It only reads ``csr`` and
+    records nothing, so it may run on the helper thread beside a
+    caller that relaxes other sources.
+    """
+    n = csr.num_roads
+    block = min(row_block_size(n), sources.size)
+    # Unreached entries hold the largest float below the floor, so one
+    # comparison ``candidate > best`` applies both the floor and the
+    # strict-improvement test.
+    unreached = np.nextafter(floor, 0.0)
+    best = np.full(block * n, unreached)
+    peak = np.zeros(block * n)
+    # Never reset: each hop reads stamps only at keys it just wrote.
+    stamp = np.empty(block * n, dtype=np.int64)
+    step = max(1, _HOP_EDGES // max(1, csr.max_degree))
+    relaxations = 0
+    blocks = []
+    for lo in range(0, sources.size, block):
+        m = min(block, sources.size - lo)
+        keys = sources[lo : lo + m] + np.arange(m, dtype=np.int64) * n
+        best[keys] = 1.0
+        reached = [keys]
+        while keys.size:
+            # ``best`` changes only after the whole hop, and the max per
+            # key is the same in any order, so slicing the frontier
+            # changes no value.
+            parts = [
+                _candidates(csr, best, keys[a : a + step])
+                for a in range(0, keys.size, step)
+            ]
+            relaxations += sum(total for _, _, total in parts)
+            for target, candidate, _ in parts:
+                np.maximum.at(peak, target, candidate)
+            target = np.concatenate([target for target, _, _ in parts])
+            if not target.size:
+                break
+            order = np.arange(target.size)
+            stamp[target] = order
+            keys = target[stamp[target] == order]
+            reached.append(keys[best[keys] == unreached])
+            best[keys] = peak[keys]
+            peak[keys] = 0.0
+        support = np.sort(np.concatenate(reached))
+        values = best[support]
+        best[support] = unreached
+        blocks.append((m, support, values))
+    return blocks, relaxations
+
+
+def _candidates(
+    csr: CSRFidelityGraph, best: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """One frontier slice's improving ``(targets, candidates)`` and its edge count."""
+    n = csr.num_roads
+    nodes = keys % n
+    starts = csr.indptr[nodes]
+    counts = csr.indptr[nodes + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    # Concatenated per-frontier edge ranges, without a loop; updating
+    # in place keeps at most four edge-long arrays alive.
+    edge = np.repeat(starts - ends + counts, counts)
+    edge += np.arange(total)
+    candidate = np.repeat(best[keys], counts)
+    candidate *= csr.data[edge]
+    target = np.repeat(keys - nodes, counts)
+    target += csr.indices[edge]
+    del edge
+    keep = candidate > best[target]
+    return target[keep], candidate[keep], total
 
 
 def _transform_row(raw: SparseRow, source: int, transform: str) -> SparseRow:
@@ -399,8 +521,11 @@ def _stale_rows(
     about 2^18 entries, and keeps those at an endpoint. Checked rows
     then go in blocks onto a dense (rows x endpoints) scratch, unreached
     entries at ``nextafter(floor, 0)``, and the test runs on whole
-    columns: up-edges first, then down-edges, :data:`_EDGE_CHUNK` at a
-    time, and a row that passed takes no further part.
+    columns, :data:`_EDGE_CHUNK` edges at a time; a row that passed
+    takes no further part. A row drops as soon as any edge passes, so
+    the order of the edges cannot change the result, and the edges
+    likeliest to pass go first: added and removed ones, then the
+    re-weighted ones by how far their fidelity moved.
     """
     endpoints = np.unique(np.concatenate([edges.u, edges.v]))
     width = endpoints.size
@@ -427,46 +552,52 @@ def _stale_rows(
     if not hit_row:
         return 0, np.zeros(0, dtype=np.int64)
     hit_row = np.concatenate(hit_row)
-    checked = np.unique(hit_row)
+    # Hits come in row order, so each checked row's hits are one run.
+    first = np.diff(hit_row, prepend=-1) != 0
+    checked = hit_row[first]
+    rank = np.cumsum(first) - 1
     hit_col = np.concatenate(hit_col)
     hit_val = np.concatenate(hit_val)
-    cu, cv = column[edges.u], column[edges.v]
-    up = edges.q1 > edges.q0
-    tests = (
-        (_rises, cu[up], cv[up], edges.q1[up]),
-        (_tight, cu[~up], cv[~up], edges.q0[~up]),
-    )
+    moved = np.abs(edges.q1 - edges.q0)
+    moved[(edges.q0 == 0.0) | (edges.q1 == 0.0)] = np.inf
+    order = np.argsort(-moved, kind="stable")
+    eu, ev = column[edges.u[order]], column[edges.v[order]]
+    q0, q1 = edges.q0[order], edges.q1[order]
     unreached = np.nextafter(min_fidelity, 0.0)
     block = max(1, _BLOCK_ENTRIES // width)
-    rank = np.searchsorted(checked, hit_row)
     bounds = np.searchsorted(rank, np.arange(0, checked.size + block, block))
     stale = []
     for lo, a, b in zip(range(0, checked.size, block), bounds[:-1], bounds[1:]):
         scratch = np.full((min(block, checked.size - lo), width), unreached)
         scratch[rank[a:b] - lo, hit_col[a:b]] = hit_val[a:b]
         live = np.arange(scratch.shape[0])
-        for passes, eu, ev, q in tests:
-            for e in range(0, q.size, _EDGE_CHUNK):
-                if not live.size:
-                    break
-                b_live = scratch[live]
-                part = slice(e, e + _EDGE_CHUNK)
-                hit = passes(
-                    b_live[:, eu[part]], b_live[:, ev[part]], q[part], min_fidelity
-                ).any(axis=1)
-                stale.append(live[hit] + lo)
-                live = live[~hit]
+        for e in range(0, q0.size, _EDGE_CHUNK):
+            if not live.size:
+                break
+            b_live = scratch[live]
+            part = slice(e, e + _EDGE_CHUNK)
+            hit = _passes(
+                b_live[:, eu[part]], b_live[:, ev[part]], q0[part], q1[part], min_fidelity
+            ).any(axis=1)
+            stale.append(live[hit] + lo)
+            live = live[~hit]
     return checked.size, checked[np.sort(np.concatenate(stale))]
 
 
-def _rises(b_u: np.ndarray, b_v: np.ndarray, q1: np.ndarray, floor) -> np.ndarray:
-    """Up-edges: does ``u`` or ``v`` now improve the other?"""
-    return (b_u * q1 > b_v) | (b_v * q1 > b_u)
+def _passes(
+    b_u: np.ndarray, b_v: np.ndarray, q0: np.ndarray, q1: np.ndarray, floor: float
+) -> np.ndarray:
+    """The tight-edge test of each changed edge ``(u, v)`` (columns) per row.
 
-
-def _tight(b_u: np.ndarray, b_v: np.ndarray, q0: np.ndarray, floor) -> np.ndarray:
-    """Down-edges: did the edge carry a reached entry's best value?"""
-    return ((b_v == b_u * q0) & (b_v >= floor)) | ((b_u == b_v * q0) & (b_u >= floor))
+    An up-edge passes when ``u`` or ``v`` now improves the other; a
+    down-edge when it carried a reached entry's best value.
+    """
+    up = q1 > q0
+    q = np.where(up, q1, q0)
+    via_u, via_v = b_u * q, b_v * q
+    rises = (via_u > b_v) | (via_v > b_u)
+    tight = ((b_v == via_u) & (b_v >= floor)) | ((b_u == via_v) & (b_u >= floor))
+    return np.where(up, rises, tight)
 
 
 # ----------------------------------------------------------------------
@@ -804,8 +935,8 @@ class FidelityCacheService:
             part = roads[lo : lo + step]
             cold = [road for road in part if road not in raw_rows]
             if cold:
-                computed = sparse_fidelity_rows(
-                    csr, [csr.index[road] for road in cold], min_fidelity
+                computed = _split_rows(
+                    csr, [csr.index[road] for road in cold], min_fidelity, _helper()
                 )
                 raw_rows.update(zip(cold, computed))
                 get_recorder().count(

@@ -27,6 +27,10 @@ from repro.core.types import Trend
 from repro.history.timebuckets import TimeGrid
 from repro.core.field import SpeedField
 
+#: Entries (rows x roads) :meth:`HistoricalSpeedStore.trend_matrix`
+#: compares per chunk.
+_TREND_CHUNK_ENTRIES = 1 << 18
+
 
 class HistoricalSpeedStore:
     """Per-(road, bucket) historical statistics plus the raw training data.
@@ -207,10 +211,22 @@ class HistoricalSpeedStore:
         """±1 trends of the whole training history (intervals × roads).
 
         Row order matches :attr:`training_intervals`. This is the input
-        to correlation mining.
+        to correlation mining. The int8 result is written in place a
+        chunk of rows at a time, so the only temporary is one chunk's
+        gathered bucket means (about 2 MB), not a whole-history float
+        matrix.
         """
-        means = self._means[self._buckets]
-        return np.where(self._speeds >= means, 1, -1).astype(np.int8)
+        trends = np.empty(self._speeds.shape, dtype=np.int8)
+        step = max(1, _TREND_CHUNK_ENTRIES // max(1, self.num_roads))
+        for lo in range(0, len(trends), step):
+            rows = slice(lo, lo + step)
+            chunk = trends[rows]
+            np.greater_equal(
+                self._speeds[rows], self._means[self._buckets[rows]], out=chunk
+            )
+            chunk *= 2
+            chunk -= 1
+        return trends
 
     def deviation_matrix(self) -> np.ndarray:
         """Deviation ratios of the training history (intervals × roads)."""

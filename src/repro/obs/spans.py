@@ -6,7 +6,9 @@ A span is one timed region of the pipeline — ``trend.infer``,
 keeps an explicit stack, so a span opened while another is active
 records that span as its parent, and the per-round flight-recorder
 summaries can attribute inner time to stages without any thread-local
-machinery (the pipeline is single-threaded by design).
+machinery. Only the fidelity kernel's core runs on a helper thread
+(:mod:`repro.history.fidelity`), and it never records: the calling
+thread opens and fills the span of its rows.
 
 Finished spans accumulate until :meth:`SpanTracer.drain` collects them —
 which the flight recorder does once per round — and the buffer is

@@ -278,7 +278,10 @@ class DistrictStage:
             evaluations = sum(result.evaluations for result in results)
 
             # Score the stitched set against the *global* objective so
-            # results are comparable across methods.
+            # results are comparable across methods. After a pooled
+            # selection the parent lacks the seeds' rows: one batch
+            # fetch computes them together, not one kernel call each.
+            objective.influence_rows(seeds)
             state = objective.new_state()
             gains: list[float] = []
             values: list[float] = []

@@ -7,7 +7,8 @@ change. Pinned here against the scalar rule in
 hypothesis graphs whose dyadic fidelities make equal-product ties,
 ``q = 1`` edges and entries exactly at the floor common:
 
-* the dropped set equals the oracle's, and the span's work counts too;
+* the dropped set equals the oracle's, and the span's work counts too,
+  whatever order the changed edges are tested in;
 * the cached CSR, replaced in the delta's call, is bitwise a fresh
   export, and a delta that reaches the service twice drops nothing
   the second time;
@@ -24,18 +25,24 @@ hypothesis graphs whose dyadic fidelities make equal-product ties,
 from __future__ import annotations
 
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.field import SpeedField
 from repro.core.pipeline import SpeedEstimationSystem
 from repro.core.types import Trend
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
+from repro.history import fidelity
 from repro.history.fidelity import (
     CSRFidelityGraph,
     FidelityCacheService,
+    _changed_edges,
+    _ChangedEdges,
+    _stale_rows,
     _transform_row,
 )
 from repro.history.online import RollingHistory
@@ -204,6 +211,37 @@ def test_a_delta_applied_twice_drops_nothing_the_second_time(data):
         assert again[key].keys() == per_key.keys()
         assert all(again[key][road] is row for road, row in per_key.items())
     check_refetch(service, graph, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_stale_rows_do_not_depend_on_edge_order(data):
+    """The rows checked and the dropped set equal the scalar rule's for
+    any order of the changed edges, also when every edge is its own
+    early-out chunk and every row its own scratch block."""
+    graph = data.draw(graphs())
+    floor = data.draw(st.sampled_from(FLOORS))
+    sources = data.draw(
+        st.lists(st.sampled_from(graph.road_ids), min_size=1, max_size=8, unique=True)
+    )
+    raw = dict(zip(sources, FidelityCacheService().sparse_rows(graph, sources, floor)))
+    before_graph, before = copy_graph(graph), CSRFidelityGraph.from_graph(graph)
+    delta = data.draw(deltas(graph))
+    graph.apply_delta(delta)
+    edges = _changed_edges(before, CSRFidelityGraph.from_graph(graph), delta)
+    assume(edges.u.size)
+    order = np.array(data.draw(st.permutations(range(edges.u.size))), dtype=np.int64)
+    expected, counts = tight_rule_dropped({(floor, "fidelity"): raw}, before_graph, delta)
+    chunks = data.draw(st.sampled_from([(1, 1), (256, 1 << 16)]))
+    with mock.patch.object(fidelity, "_EDGE_CHUNK", chunks[0]), mock.patch.object(
+        fidelity, "_BLOCK_ENTRIES", chunks[1]
+    ):
+        for changed in (edges, _ChangedEdges(*(column[order] for column in edges))):
+            checked, stale = _stale_rows(
+                list(raw.values()), changed, floor, before.num_roads
+            )
+            assert checked == counts["rows_checked"]
+            assert tuple(sorted(sources[i] for i in stale.tolist())) == expected
 
 
 def test_touched_endpoint_with_an_unchanged_row_is_kept():

@@ -6,6 +6,7 @@ import pytest
 from repro.core.errors import DataError
 from repro.core.field import SpeedField
 from repro.core.types import Trend
+from repro.history import store as store_module
 from repro.history.store import HistoricalSpeedStore
 from repro.history.timebuckets import TimeGrid
 
@@ -116,6 +117,22 @@ class TestDerived:
     def test_trend_matrix_is_signs(self, store):
         trends = store.trend_matrix()
         assert set(np.unique(trends)) <= {-1, 1}
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 5, 1 << 20])
+    def test_trend_matrix_bitwise_equals_the_whole_matrix_expression(
+        self, store, rows_per_chunk, monkeypatch
+    ):
+        """Chunked int8 writes equal the float gather and ``np.where`` they
+        replace: one row per chunk, a partial last chunk, one chunk."""
+        assert store.num_training_intervals % 5
+        monkeypatch.setattr(
+            store_module, "_TREND_CHUNK_ENTRIES", rows_per_chunk * store.num_roads
+        )
+        means = store._means[store._buckets]
+        expected = np.where(store._speeds >= means, 1, -1).astype(np.int8)
+        trends = store.trend_matrix()
+        assert trends.dtype == np.int8
+        assert trends.tobytes() == expected.tobytes()
 
     def test_bucket_rows_partition(self, store, grid15):
         total = sum(store.bucket_rows(b).sum() for b in range(grid15.num_buckets))

@@ -25,6 +25,7 @@ from repro.core.errors import ConfigError, ReproError
 from repro.core.pipeline import SpeedEstimationSystem
 from repro.core.pool import SharedWorkerPool
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
+from repro.history.fidelity import FidelityCacheService
 from repro.obs import recording
 from repro.seeds.objective import SeedSelectionObjective
 from repro.seeds.parallel import DistrictStage
@@ -67,6 +68,24 @@ class TestParallelVsSerialDifferential:
         for budget in (1, 4, 13):
             serial = partition_greedy_select(objective, budget, 4)
             assert pool.select(budget).seeds == serial.seeds
+
+    def test_pooled_rescoring_fetches_the_seeds_in_one_batch(self, small_dataset):
+        """After a pooled selection the parent lacks the stitched seeds'
+        rows and computes them in one kernel call, not one per seed."""
+        graph = small_dataset.graph
+        objective = SeedSelectionObjective(graph, fidelity_service=FidelityCacheService())
+        with SharedWorkerPool(2) as workers, recording() as rec:
+            pooled = DistrictStage(objective, workers, num_partitions=4).select(9)
+        spans = [s for s in rec.tracer.drain() if s.name == "history.fidelity.rows"]
+        assert [span.attrs["rows"] for span in spans] == [9]
+        serial = partition_greedy_select(
+            SeedSelectionObjective(graph, fidelity_service=FidelityCacheService()), 9, 4
+        )
+        assert (pooled.seeds, pooled.gains, pooled.values) == (
+            serial.seeds,
+            serial.gains,
+            serial.values,
+        )
 
 
 @pytest.fixture(scope="module", params=["no-pool", "one-worker", "two-workers"])
